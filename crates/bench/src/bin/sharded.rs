@@ -7,25 +7,23 @@
 //! report must be bit-identical to the single-process reference —
 //! first on clean runs at 1/2/3/8 shards, then under every injected
 //! fault class (worker kill, hang past the deadline, bit-flipped and
-//! truncated result frames), and finally under a seeded pseudo-random
-//! fault plan. The run aborts (non-zero exit) on any divergence.
+//! truncated result frames, partition, slow link, duplicated and
+//! reordered delivery), and finally under a seeded pseudo-random fault
+//! plan over the same eight classes. The run aborts (non-zero exit) on
+//! any divergence.
 //!
-//! `--transport socket` reruns the battery over the loopback
-//! [`SocketTransport`] (PR 10): clean sweeps are additionally
-//! cross-checked bit-for-bit against a pipe-transport run at every
-//! shard count, the fault battery swaps in the network classes
-//! (partition → crash, slow link → hang, duplicated and reordered
-//! delivery → corrupt frame), and the seeded plan draws from the full
-//! network fault alphabet.
+//! `--transport pipe|socket` picks the worker link (pipe by default);
+//! both carry the same protocol, so the battery is the same on either.
+//! Over the loopback [`SocketTransport`], clean sweeps are additionally
+//! cross-checked bit-for-bit against a pipe run at every shard count.
 //!
-//! Emits `BENCH_PR6.json` (pipe, the default) or `BENCH_PR10.json`
-//! (`--transport socket`) at the workspace root.
+//! Emits `BENCH_PR6.json` (pipe) or `BENCH_PR10.json` (socket) at the
+//! workspace root.
 //!
 //! Run: `cargo run --release -p fsa-bench --bin sharded`
 //! CI smoke: `cargo run -p fsa-bench --bin sharded -- --smoke`
 //! (2-scenario grid, no JSON artifact; the CI matrix also sets
-//! `FSA_FAULT_SEED` so the env-gated planner path is exercised —
-//! each transport routes the seed into its own plan alphabet).
+//! `FSA_FAULT_SEED` so the env-gated planner path is exercised).
 
 use fsa_attack::campaign::{Campaign, CampaignReport, CampaignSpec, SparsityBudget};
 use fsa_attack::{AttackConfig, FsaMethod, ParamSelection};
@@ -189,14 +187,13 @@ fn main() {
             .with_planner(None)
     };
     // Socket runs keep a tight liveness policy (50 ms beats, 300 ms
-    // silence window) so the slow-link case resolves at the window,
-    // not the deadline; heartbeats keep clean shards alive through
-    // arbitrarily long solves.
+    // silence window) so the slow-link case resolves fast; pipes run
+    // the fixed default (2 s window). Heartbeats keep clean shards
+    // alive through arbitrarily long solves on either link.
     let transport: Option<Arc<SocketTransport>> = socket.then(|| {
         Arc::new(SocketTransport::new(SocketConfig {
             heartbeat_ms: 50,
             miss_threshold: 6,
-            poll: Duration::from_millis(5),
         }))
     });
     let clean_config = |shards: usize| match &transport {
@@ -241,61 +238,55 @@ fn main() {
 
     // Fault battery: each class injected on every shard's first
     // attempt; the retry (or checksum rejection + retry) must recover
-    // the exact reference bits. The socket leg swaps in the network
-    // classes, which only exist on a real link. Smoke shards hold a
-    // single scenario, so mid-stream faults target frame 0 there.
+    // the exact reference bits. Smoke shards hold a single scenario, so
+    // mid-stream faults target frame 0 there.
     let mid = u32::from(!smoke);
-    let fault_cases: Vec<(&str, FaultDirective, FaultKind)> = if socket {
-        vec![
-            (
-                "network-partition",
-                FaultDirective::Partition(mid),
-                FaultKind::Crash,
-            ),
-            (
-                "slow-link",
-                FaultDirective::SlowLinkMs(30_000),
-                FaultKind::Hang,
-            ),
-            (
-                "duplicate-delivery",
-                FaultDirective::DuplicateFrame(mid),
-                FaultKind::CorruptFrame,
-            ),
-            (
-                "reorder-delivery",
-                FaultDirective::ReorderFrames(0),
-                FaultKind::CorruptFrame,
-            ),
-        ]
-    } else {
-        vec![
-            (
-                "worker-kill",
-                FaultDirective::KillAfter(0),
-                FaultKind::Crash,
-            ),
-            (
-                "worker-hang",
-                FaultDirective::StallMs(600_000),
-                FaultKind::Hang,
-            ),
-            (
-                "bit-flipped-frame",
-                FaultDirective::FlipBit {
-                    frame: 0,
-                    byte: 40,
-                    bit: 3,
-                },
-                FaultKind::CorruptFrame,
-            ),
-            (
-                "truncated-frame",
-                FaultDirective::TruncateFrame(0),
-                FaultKind::CorruptFrame,
-            ),
-        ]
-    };
+    let fault_cases = [
+        (
+            "worker-kill",
+            FaultDirective::KillAfter(0),
+            FaultKind::Crash,
+        ),
+        (
+            "worker-hang",
+            FaultDirective::StallMs(600_000),
+            FaultKind::Hang,
+        ),
+        (
+            "bit-flipped-frame",
+            FaultDirective::FlipBit {
+                frame: 0,
+                byte: 40,
+                bit: 3,
+            },
+            FaultKind::CorruptFrame,
+        ),
+        (
+            "truncated-frame",
+            FaultDirective::TruncateFrame(0),
+            FaultKind::CorruptFrame,
+        ),
+        (
+            "network-partition",
+            FaultDirective::Partition(mid),
+            FaultKind::Crash,
+        ),
+        (
+            "slow-link",
+            FaultDirective::SlowLinkMs(30_000),
+            FaultKind::Hang,
+        ),
+        (
+            "duplicate-delivery",
+            FaultDirective::DuplicateFrame(mid),
+            FaultKind::CorruptFrame,
+        ),
+        (
+            "reorder-delivery",
+            FaultDirective::ReorderFrames(0),
+            FaultKind::CorruptFrame,
+        ),
+    ];
     // The hang case waits out one full deadline per shard; keep it
     // short here so the battery stays minutes-fast.
     let fault_deadline = Duration::from_secs(if smoke { 20 } else { 45 });
@@ -338,24 +329,10 @@ fn main() {
     let degraded_summary = run.log.summary();
 
     // Env-gated planner: when the CI matrix sets FSA_FAULT_SEED, run
-    // the seeded plan it selects; otherwise exercise a fixed seed. The
-    // socket leg routes the same seed into the full network alphabet.
-    let (seed_label, seeded_planner) = if socket {
-        match FaultPlanner::from_env_network() {
-            Some(p) => ("FSA_FAULT_SEED (env, network alphabet)".to_string(), p),
-            None => (
-                "seed 0xfa (built-in, network alphabet)".to_string(),
-                FaultPlanner::seeded_network(0xfa),
-            ),
-        }
-    } else {
-        match FaultPlanner::from_env() {
-            Some(p) => ("FSA_FAULT_SEED (env)".to_string(), p),
-            None => (
-                "seed 0xfa (built-in)".to_string(),
-                FaultPlanner::seeded(0xfa),
-            ),
-        }
+    // the seeded plan it selects; otherwise exercise a fixed seed.
+    let (seed_label, seeded_planner) = match FaultPlanner::from_env() {
+        Some(p) => ("FSA_FAULT_SEED (env)", p),
+        None => ("seed 0xfa (built-in)", FaultPlanner::seeded(0xfa)),
     };
     let cfg = clean_config(3)
         .with_deadline(fault_deadline)

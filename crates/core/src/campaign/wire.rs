@@ -2,7 +2,7 @@
 //!
 //! The sharded multi-process executor (`fsa-harness`) moves
 //! [`CampaignSpec`]s to worker processes and [`ScenarioOutcome`]s back
-//! over pipes. A frame on that wire must survive three hostile
+//! over pipes or loopback sockets. A frame on that wire must survive three hostile
 //! conditions the supervisor is built around: a worker dying mid-write
 //! (truncation), a worker writing garbage (corruption), and a version
 //! skew between supervisor and worker binaries. Every frame therefore
@@ -215,8 +215,10 @@ fn put_usize_slice(enc: &mut Encoder, xs: &[usize]) {
 }
 
 fn read_usize_vec(dec: &mut Decoder<'_>) -> Result<Vec<usize>, DecodeError> {
+    // Capacity hints are capped by the bytes actually present, so a
+    // forged count cannot reserve memory the payload cannot fill.
     let n = dec.read_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    let mut out = Vec::with_capacity(n.min(dec.remaining() / 8));
     for _ in 0..n {
         out.push(dec.read_u64()? as usize);
     }
@@ -548,7 +550,7 @@ fn read_result(dec: &mut Decoder<'_>) -> Result<AttackResult, DecodeError> {
     let keep_total = dec.read_u64()? as usize;
     let objective_history = dec.read_f32_vec()?;
     let nh = dec.read_u64()? as usize;
-    let mut admm_history = Vec::with_capacity(nh.min(1 << 20));
+    let mut admm_history = Vec::with_capacity(nh.min(dec.remaining() / 20));
     for _ in 0..nh {
         admm_history.push(IterStats {
             iter: dec.read_u64()? as usize,
@@ -597,11 +599,11 @@ pub fn read_outcome(dec: &mut Decoder<'_>) -> Result<ScenarioOutcome, DecodeErro
 }
 
 // ---------------------------------------------------------------------
-// Registration / liveness frames (the socket transport's handshake).
+// Registration / liveness frames (the worker link's handshake).
 // ---------------------------------------------------------------------
 
-/// A worker's registration frame: the first thing it writes after
-/// connecting a socket to the supervisor.
+/// A worker's registration frame: the first thing it writes on its
+/// link to the supervisor.
 ///
 /// Carries the shard identity the supervisor assigned it (echoed back
 /// so a crossed connection is caught at registration, not at index
@@ -739,9 +741,8 @@ const MAX_FRAME_PAYLOAD: usize = 1 << 30;
 /// Incremental frame extractor for byte streams with arbitrary read
 /// fragmentation.
 ///
-/// Pipes hand `read_to_end` a complete buffer, so the original decoders
-/// could assume whole frames; sockets deliver *short reads* — a frame
-/// can arrive one byte at a time, split anywhere, including mid-header.
+/// Links deliver *short reads* — a frame can arrive one byte at a time,
+/// split anywhere, including mid-header.
 /// The accumulator buffers pushed bytes and yields a frame only once
 /// its header, payload, and checksum trailer are all present, verifying
 /// version and checksum exactly like [`read_frame`]. The wire version
@@ -900,7 +901,7 @@ pub fn decode_report_frame(bytes: &[u8]) -> Result<CampaignReport, WireError> {
     let stealth = read_stealth(&mut pdec)?;
     let suite_seed = read_suite_seed(&mut pdec)?;
     let n = pdec.read_u64()? as usize;
-    let mut outcomes = Vec::with_capacity(n.min(1 << 20));
+    let mut outcomes = Vec::with_capacity(n.min(pdec.remaining() / 64));
     for _ in 0..n {
         outcomes.push(read_outcome(&mut pdec)?);
     }

@@ -9,12 +9,13 @@
 //! stalling past the supervisor's deadline, truncating a result frame,
 //! or flipping a bit inside one (routed through
 //! [`fsa_memfault::bits::flip_bits`], the same machinery the attack
-//! itself models). The socket transport adds three *network* classes —
+//! itself models), or misbehaving on the link —
 //! [`FaultDirective::Partition`] (drop the link mid-stream),
 //! [`FaultDirective::SlowLinkMs`] (paced writes that trip the
 //! heartbeat but never a checksum), and
 //! [`FaultDirective::ReorderFrames`] (out-of-order delivery of
-//! individually valid frames). Because the plan is seeded, every test
+//! individually valid frames). Every class means the same on either
+//! transport, since both carry one protocol. Because the plan is seeded, every test
 //! run injects the exact same faults — failures reproduce, and the
 //! recovery path is exercised deterministically.
 
@@ -54,20 +55,18 @@ pub enum FaultDirective {
         /// Bit position within the byte (0..8).
         bit: u8,
     },
-    /// Write outcome frame `n` twice — a replayed pipe write producing
+    /// Write outcome frame `n` twice — a replayed link write producing
     /// two byte-identical, individually *valid* frames. Checksums can't
     /// catch this one; only the stream-level duplicate-index check does.
     DuplicateFrame(u32),
     /// Drop the link mid-stream after emitting `n` outcome frames: the
-    /// socket worker hard-closes its connection and exits non-zero (a
-    /// pipe worker just exits non-zero — same observable). Classified
-    /// as a crash via the exit status.
+    /// worker closes its end of the link and exits non-zero.
+    /// Classified as a crash via the exit status.
     Partition(u32),
     /// A slow link: suppress heartbeats and pace every frame write by
     /// sleeping `ms` first. The frames themselves stay checksum-clean —
-    /// what fails is liveness, so the supervisor classifies a hang
-    /// (heartbeat-window expiry on the socket transport, the attempt
-    /// deadline on pipes).
+    /// what fails is liveness, so the supervisor classifies a hang when
+    /// the heartbeat window expires.
     SlowLinkMs(u64),
     /// Reordered delivery: hold outcome frame `n` and deliver it after
     /// the *following* frame (after END when `n` is the last). Every
@@ -141,11 +140,6 @@ enum Mode {
     /// Seeded pseudo-random faults on attempts 0 and 1 only, so every
     /// shard is guaranteed clean by its third attempt.
     Seeded(u64),
-    /// Like `Seeded`, but drawing from the full fault alphabet
-    /// including the network classes (partition, slow link, reorder).
-    /// Only for socket-transport runs: the network classes degrade to
-    /// their pipe analogues but were designed to exercise the link.
-    SeededNetwork(u64),
 }
 
 /// Plans which worker spawns misbehave and how.
@@ -179,27 +173,13 @@ impl FaultPlanner {
     }
 
     /// Seeded pseudo-random fault plan: roughly half of all `(shard,
-    /// attempt)` pairs with `attempt < 2` draw a fault, with the fault
-    /// class chosen uniformly; attempts ≥ 2 always run clean, so a
-    /// retry budget of two or more guarantees every shard completes
-    /// without degrading.
+    /// attempt)` pairs with `attempt < 2` draw a fault, with the class
+    /// chosen uniformly from all eight [`FaultDirective`] kinds;
+    /// attempts ≥ 2 always run clean, so a retry budget of two or more
+    /// guarantees every shard completes without degrading.
     pub fn seeded(seed: u64) -> Self {
         Self {
             mode: Mode::Seeded(seed),
-        }
-    }
-
-    /// Seeded plan over the *full* fault alphabet — the five process
-    /// faults plus the three network classes (partition, slow link,
-    /// reordered delivery). Same guarantees as [`FaultPlanner::seeded`]:
-    /// pure in `(seed, shard, attempt)`, clean from attempt 2 on. Meant
-    /// for socket-transport runs, where the network classes exercise
-    /// the link itself; the shared process-fault draws are identical to
-    /// `seeded` only in distribution, not value — the class space
-    /// differs, so the streams diverge.
-    pub fn seeded_network(seed: u64) -> Self {
-        Self {
-            mode: Mode::SeededNetwork(seed),
         }
     }
 
@@ -208,15 +188,6 @@ impl FaultPlanner {
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var(FAULT_SEED_ENV).ok()?;
         raw.trim().parse::<u64>().ok().map(Self::seeded)
-    }
-
-    /// Like [`FaultPlanner::from_env`], but routing the same
-    /// [`FAULT_SEED_ENV`] seed into the full-alphabet
-    /// [`FaultPlanner::seeded_network`] plan — the socket-transport
-    /// bench leg uses this so one CI seed drives both transports.
-    pub fn from_env_network() -> Option<Self> {
-        let raw = std::env::var(FAULT_SEED_ENV).ok()?;
-        raw.trim().parse::<u64>().ok().map(Self::seeded_network)
     }
 
     /// The directive (if any) for spawning `shard`'s attempt number
@@ -236,22 +207,18 @@ impl FaultPlanner {
                 max_attempt,
             } => (attempt < *max_attempt).then_some(*directive),
             Mode::Persistent(directive) => Some(*directive),
-            Mode::Seeded(seed) => seeded_draw(*seed, shard, attempt, deadline, shard_len, 5),
-            Mode::SeededNetwork(seed) => seeded_draw(*seed, shard, attempt, deadline, shard_len, 8),
+            Mode::Seeded(seed) => seeded_draw(*seed, shard, attempt, deadline, shard_len),
         }
     }
 }
 
-/// The shared seeded draw: `classes` bounds the fault alphabet (5 =
-/// process faults only, 8 = plus the network classes), everything else
-/// is identical between the two seeded modes.
+/// The seeded draw behind [`FaultPlanner::seeded`].
 fn seeded_draw(
     seed: u64,
     shard: usize,
     attempt: u32,
     deadline: Duration,
     shard_len: usize,
-    classes: usize,
 ) -> Option<FaultDirective> {
     if attempt >= 2 {
         return None;
@@ -268,7 +235,7 @@ fn seeded_draw(
     // indices must land inside the shard.
     let stall = deadline.as_millis() as u64 + 200 + rng.below(200) as u64;
     let frame = rng.below(shard_len.max(1)) as u32;
-    Some(match rng.below(classes) {
+    Some(match rng.below(8) {
         0 => FaultDirective::KillAfter(frame),
         1 => FaultDirective::StallMs(stall),
         2 => FaultDirective::TruncateFrame(frame),
@@ -282,8 +249,9 @@ fn seeded_draw(
             bit: rng.below(8) as u8,
         },
         5 => FaultDirective::Partition(frame),
-        // A slow-link pace past the deadline guarantees the heartbeat
-        // window (always ≤ the deadline in practice) expires first.
+        // A slow-link pace past the deadline guarantees the link falls
+        // silent for longer than the heartbeat window or the deadline,
+        // whichever is shorter.
         6 => FaultDirective::SlowLinkMs(stall),
         _ => FaultDirective::ReorderFrames(frame),
     })
@@ -371,10 +339,10 @@ mod tests {
     }
 
     #[test]
-    fn seeded_network_planner_is_deterministic_and_draws_network_classes() {
-        let p = FaultPlanner::seeded_network(0x0600_13a7);
+    fn seeded_planner_draws_the_link_classes_too() {
+        let p = FaultPlanner::seeded(0x0600_13a7);
         let d = Duration::from_millis(500);
-        let mut network_hits = 0usize;
+        let mut link_hits = 0usize;
         for shard in 0..64 {
             for attempt in 0..2 {
                 let a = p.directive(shard, attempt, d, 6);
@@ -383,22 +351,21 @@ mod tests {
                     Some(FaultDirective::SlowLinkMs(ms) | FaultDirective::StallMs(ms)) => {
                         assert!(ms > d.as_millis() as u64);
                         if matches!(a, Some(FaultDirective::SlowLinkMs(_))) {
-                            network_hits += 1;
+                            link_hits += 1;
                         }
                     }
                     Some(FaultDirective::Partition(n) | FaultDirective::ReorderFrames(n)) => {
                         assert!(n < 6);
-                        network_hits += 1;
+                        link_hits += 1;
                     }
                     _ => {}
                 }
             }
-            // Clean from attempt 2 on, same as the process-fault plan.
             assert_eq!(p.directive(shard, 2, d, 6), None);
         }
         assert!(
-            network_hits > 0,
-            "network plan never drew a network fault across 64 shards"
+            link_hits > 0,
+            "seeded plan never drew a link fault across 64 shards"
         );
     }
 

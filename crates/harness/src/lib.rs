@@ -15,10 +15,11 @@
 //!
 //! Robustness is the design center, not an afterthought:
 //!
-//! * a [`supervisor`] wraps every shard in a per-attempt deadline and
-//!   classifies failures as **crash** (non-zero exit), **hang**
-//!   (deadline expiry → kill), or **corrupt frame** (checksum/decode
-//!   failure on a clean exit);
+//! * a [`supervisor`] wraps every shard in a per-attempt deadline and a
+//!   heartbeat window, and classifies failures as **crash** (non-zero
+//!   exit, reset link), **hang** (deadline or heartbeat-window expiry →
+//!   kill), or **corrupt frame** (checksum/decode/registration failure
+//!   on a clean exit);
 //! * retries follow a bounded exponential-backoff schedule with seeded
 //!   jitter (in-repo [`fsa_tensor::Prng`]) — the schedule is a pure
 //!   function of `(seed, shard, attempt)`, so tests can assert it;
@@ -30,24 +31,23 @@
 //!   [`ExecutionLog`].
 //!
 //! The worker link is a pluggable [`transport`]: the default
-//! [`PipeTransport`] talks over a stdin/stdout pipe pair, and
-//! [`SocketTransport`] over loopback TCP — the supervisor binds a
-//! listener, the worker connects back, registers with a versioned
-//! hello frame (worker id, protocol version, capability word), and
-//! beats a heartbeat from a dedicated thread so a silent link is
-//! declared dead (**hang**) without waiting out the full deadline,
-//! while a reset link is a **crash**. Both transports feed the same
-//! retry/degrade policy, so the merged report stays bit-identical by
-//! construction whichever link carried each shard.
+//! [`PipeTransport`] is a stdin/stdout pipe pair, and
+//! [`SocketTransport`] a loopback TCP connection the worker makes back
+//! to a supervisor listener. Both carry one protocol through one
+//! attempt loop: the worker registers with a versioned hello frame
+//! (worker id, protocol version, capability word), receives its job,
+//! and streams outcomes while a dedicated thread beats a heartbeat, so
+//! a silent link is declared dead (**hang**) without waiting out the
+//! full deadline. The merged report stays bit-identical by construction
+//! whichever link carried each shard.
 //!
 //! The [`injector`] drives the proof: deterministic, env-gated fault
 //! directives (kill-after-N-scenarios, stall past the deadline,
-//! truncate or bit-flip a result frame — the flip routed through
-//! [`fsa_memfault::bits`] — and, on the socket link, partition the
-//! connection, pace it past the heartbeat window, or reorder frame
-//! delivery) that the test battery and the `sharded` bench bin use to
-//! show the merged report is bit-identical under every injected
-//! failure mode.
+//! truncate, bit-flip, duplicate, or reorder result frames — the flip
+//! routed through [`fsa_memfault::bits`] — partition the link, or pace
+//! it past the heartbeat window) that the test battery and the
+//! `sharded` bench bin use to show the merged report is bit-identical
+//! under every injected failure mode, on either link.
 
 #![warn(missing_docs)]
 
@@ -60,6 +60,5 @@ pub mod worker;
 pub use injector::{FaultDirective, FaultPlanner};
 pub use supervisor::{ExecutionLog, ExecutorConfig, FaultKind, ShardedCampaign, ShardedRun};
 pub use transport::{
-    AttemptContext, AttemptStats, HeartbeatMonitor, PipeTransport, SocketConfig, SocketTransport,
-    Transport,
+    HeartbeatMonitor, PipeTransport, SocketConfig, SocketTransport, Transport, WorkerLink,
 };

@@ -3,10 +3,11 @@
 //! One supervisor→worker message: a [`ShardJob`] frame carrying the
 //! victim (head, selection, pool features, labels), the campaign spec,
 //! the method name, and the scenario indices this shard owns. One
-//! worker→supervisor stream: one `OUTCOME_TAG` frame per finished
-//! scenario (emitted incrementally, so a mid-shard crash leaves a
-//! decodable prefix), terminated by an `END_TAG` frame carrying the
-//! outcome count. Every frame is versioned and checksummed
+//! worker→supervisor stream: a `HELLO_TAG` registration frame, then one
+//! `OUTCOME_TAG` frame per finished scenario (emitted incrementally, so
+//! a mid-shard crash leaves a decodable prefix) with `HEARTBEAT_TAG`
+//! frames interleaved anywhere, terminated by an `END_TAG` frame
+//! carrying the outcome count. Every frame is versioned and checksummed
 //! ([`fsa_attack::campaign::wire`]); any truncation, bit flip, or count
 //! mismatch surfaces as a [`ProtoError`] the supervisor classifies as a
 //! corrupt-frame fault.
@@ -74,10 +75,9 @@ impl ShardJob {
         Self::decode_payload(&payload)
     }
 
-    /// Decodes a job from an already-extracted frame — the socket
-    /// worker accumulates frames incrementally
-    /// ([`wire::FrameAccumulator`]) because a socket has no EOF to
-    /// delimit the job the way the pipe worker's `read_to_end` does.
+    /// Decodes a job from an already-extracted frame — workers
+    /// accumulate the job incrementally ([`wire::FrameAccumulator`]),
+    /// because the link stays open after it and no EOF delimits it.
     ///
     /// # Errors
     ///
@@ -96,8 +96,10 @@ impl ShardJob {
         let mut p = Decoder::new(payload);
         let head = FcHead::decode(&mut p)?;
         let selection = wire::read_selection(&mut p)?;
+        // Capacities are capped by the bytes actually present, so a
+        // forged count cannot reserve memory the payload cannot fill.
         let nl = p.read_u64()? as usize;
-        let mut labels = Vec::with_capacity(nl.min(1 << 24));
+        let mut labels = Vec::with_capacity(nl.min(p.remaining() / 8));
         for _ in 0..nl {
             labels.push(p.read_u64()? as usize);
         }
@@ -105,7 +107,7 @@ impl ShardJob {
         let spec = wire::read_spec(&mut p)?;
         let method = p.read_str()?;
         let ni = p.read_u64()? as usize;
-        let mut indices = Vec::with_capacity(ni.min(1 << 24));
+        let mut indices = Vec::with_capacity(ni.min(p.remaining() / 8));
         for _ in 0..ni {
             indices.push(p.read_u64()? as usize);
         }
@@ -149,7 +151,7 @@ pub enum ProtoError {
         position: usize,
     },
     /// The stream carries two outcome frames for one scenario index —
-    /// a worker (or a replayed/duplicated pipe write) emitted the same
+    /// a worker (or a replayed/duplicated link write) emitted the same
     /// result twice. Checked explicitly rather than left to the
     /// index-sequence comparison: a duplicate of the *last* assigned
     /// index plus a matching inflated END count would otherwise sail
@@ -205,11 +207,15 @@ impl From<DecodeError> for ProtoError {
 
 /// One protocol-relevant thing a pushed chunk of bytes produced.
 ///
-/// The socket transport's read loop uses these to drive its liveness
-/// policy: *any* completed frame proves the worker is alive, and
-/// heartbeats prove it even between slow scenarios.
+/// The supervisor's attempt loop uses these to drive registration and
+/// its liveness policy: *any* completed frame proves the worker is
+/// alive, and heartbeats prove it even between slow scenarios.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StreamEvent {
+    /// The worker's registration frame arrived (protocol version
+    /// already checked; identity and capabilities are the caller's to
+    /// check).
+    Hello(wire::WorkerHello),
     /// A scenario outcome arrived (its scenario index).
     Outcome(usize),
     /// A liveness heartbeat arrived.
@@ -221,21 +227,20 @@ pub enum StreamEvent {
 /// Incremental, fragmentation-tolerant parser for a worker's result
 /// stream.
 ///
-/// The original parser consumed a *complete* buffer (`read_to_end` on a
-/// pipe); a socket delivers short reads, so frames arrive split at
-/// arbitrary byte boundaries — including mid-header. This parser
-/// accepts bytes as they come ([`StreamParser::push`]), surfaces each
-/// completed frame as a [`StreamEvent`], applies every validation the
-/// one-shot parser applied (checksums and version via
-/// [`wire::FrameAccumulator`], duplicate-index rejection as frames
-/// arrive, END-count agreement, nothing after END), and finishes with
-/// the index-sequence check once the caller declares EOF
-/// ([`StreamParser::finish`]). [`parse_worker_stream`] is now a thin
-/// wrapper over this type, so the pipe and socket transports share one
-/// set of validation semantics by construction.
+/// Links deliver short reads, so frames arrive split at arbitrary byte
+/// boundaries — including mid-header. This parser accepts bytes as
+/// they come ([`StreamParser::push`]), surfaces each completed frame as
+/// a [`StreamEvent`], validates as frames arrive (checksums and version
+/// via [`wire::FrameAccumulator`], a hello only as the first frame,
+/// duplicate-index rejection, END-count agreement, nothing after END),
+/// and finishes with the index-sequence check once the caller declares
+/// EOF ([`StreamParser::finish`]). A stream parsed whole and the same
+/// bytes fed one at a time produce identical results.
 #[derive(Debug)]
 pub struct StreamParser {
     acc: wire::FrameAccumulator,
+    /// Frames consumed so far, of any kind.
+    frames: u64,
     outcomes: Vec<ScenarioOutcome>,
     expected: Vec<usize>,
     /// `Some(count)` once the END frame arrived.
@@ -250,6 +255,7 @@ impl StreamParser {
     pub fn new(expected: &[usize]) -> Self {
         Self {
             acc: wire::FrameAccumulator::new(),
+            frames: 0,
             outcomes: Vec::with_capacity(expected.len()),
             expected: expected.to_vec(),
             ended: None,
@@ -273,9 +279,9 @@ impl StreamParser {
     /// # Errors
     ///
     /// Returns [`ProtoError`] on the first violation: frame corruption,
-    /// version skew, an unexpected tag, a duplicated scenario index, an
-    /// END count that disagrees with the outcomes received, or any
-    /// bytes after END.
+    /// version skew, an unexpected tag, a hello after the first frame, a
+    /// duplicated scenario index, an END count that disagrees with the
+    /// outcomes received, or any bytes after END.
     pub fn push(&mut self, bytes: &[u8]) -> Result<Vec<StreamEvent>, ProtoError> {
         self.acc.push(bytes);
         let mut events = Vec::new();
@@ -286,6 +292,16 @@ impl StreamParser {
             let Some(f) = self.acc.next_frame()? else {
                 return Ok(events);
             };
+            self.frames += 1;
+            if &f.tag == wire::HELLO_TAG {
+                if self.frames != 1 {
+                    return Err(ProtoError::Frame(WireError::Decode(DecodeError::new(
+                        "hello frame after the start of the stream",
+                    ))));
+                }
+                events.push(StreamEvent::Hello(wire::decode_hello_payload(&f.payload)?));
+                continue;
+            }
             if &f.tag == wire::END_TAG {
                 let claimed = wire::decode_end_payload(&f.payload)?;
                 if claimed != self.outcomes.len() as u64 {
@@ -372,25 +388,6 @@ impl StreamParser {
     }
 }
 
-/// Parses a worker's complete stdout into its outcomes, verifying frame
-/// integrity, the end-of-stream count, and that the scenario indices are
-/// exactly the assigned ones in order.
-///
-/// Implemented on top of [`StreamParser`], so a buffer parsed whole and
-/// the same bytes fed one at a time produce identical results.
-///
-/// # Errors
-///
-/// Returns [`ProtoError`] describing the first violation found.
-pub fn parse_worker_stream(
-    bytes: &[u8],
-    expected: &[usize],
-) -> Result<Vec<ScenarioOutcome>, ProtoError> {
-    let mut parser = StreamParser::new(expected);
-    parser.push(bytes)?;
-    parser.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,6 +419,13 @@ mod tests {
                 converged: true,
             },
         }
+    }
+
+    /// Feeds a whole buffer through a fresh parser and finishes it.
+    fn parse(bytes: &[u8], expected: &[usize]) -> Result<Vec<ScenarioOutcome>, ProtoError> {
+        let mut parser = StreamParser::new(expected);
+        parser.push(bytes)?;
+        parser.finish()
     }
 
     fn stream(indices: &[usize]) -> Vec<u8> {
@@ -457,10 +461,55 @@ mod tests {
         assert_eq!(back.spec, job.spec);
     }
 
+    /// A features tensor claiming dims `[2^63, 2]` with no data: the
+    /// element count overflows `usize`. Checksum-valid, so only the
+    /// tensor decoder can refuse it — as an error, never a panic or a
+    /// tensor whose shape disagrees with its data.
+    #[test]
+    fn overflowing_tensor_dims_are_a_decode_error() {
+        let mut rng = Prng::new(3);
+        let head = FcHead::from_dims(&[4, 6, 3], &mut rng);
+        let mut enc = Encoder::new();
+        head.encode(&mut enc);
+        wire::put_selection(&mut enc, &ParamSelection::last_layer(&head));
+        enc.put_u64(0); // no labels
+        enc.put_tag(b"FSAT");
+        enc.put_u32(2);
+        enc.put_u64(1 << 63);
+        enc.put_u64(2);
+        enc.put_f32_slice(&[]);
+        wire::put_spec(&mut enc, &CampaignSpec::grid(vec![1], vec![2]));
+        enc.put_str("fsa");
+        enc.put_u64(0); // no indices
+        let bytes = wire::frame(JOB_TAG, &enc.into_bytes());
+        let err = ShardJob::decode(&bytes).expect_err("overflowing dims must not decode");
+        assert!(err.to_string().contains("overflow"), "{err}");
+    }
+
+    #[test]
+    fn a_hello_is_admitted_only_as_the_first_frame() {
+        use fsa_attack::campaign::wire::{encode_hello_frame, WorkerHello};
+        let hello = encode_hello_frame(&WorkerHello::current(7));
+        let mut bytes = hello.clone();
+        bytes.extend_from_slice(&stream(&[0]));
+        let mut parser = StreamParser::new(&[0]);
+        let events = parser.push(&bytes).expect("hello-first stream");
+        assert_eq!(events[0], StreamEvent::Hello(WorkerHello::current(7)));
+        assert_eq!(parser.finish().expect("parse").len(), 1);
+
+        // A second hello — or one after any other frame — is refused.
+        let mut late = encode_outcome_frame(&outcome(0));
+        late.extend_from_slice(&hello);
+        assert!(matches!(parse(&late, &[0]), Err(ProtoError::Frame(_))));
+        let mut twice = hello.clone();
+        twice.extend_from_slice(&hello);
+        assert!(matches!(parse(&twice, &[0]), Err(ProtoError::Frame(_))));
+    }
+
     #[test]
     fn clean_stream_parses() {
         let bytes = stream(&[3, 4, 5]);
-        let got = parse_worker_stream(&bytes, &[3, 4, 5]).unwrap();
+        let got = parse(&bytes, &[3, 4, 5]).unwrap();
         assert_eq!(got.len(), 3);
         assert_eq!(got[1].scenario.index, 4);
     }
@@ -471,27 +520,21 @@ mod tests {
         // Drop the END frame entirely.
         let end = encode_end_frame(2);
         bytes.truncate(bytes.len() - end.len());
-        assert_eq!(
-            parse_worker_stream(&bytes, &[0, 1]),
-            Err(ProtoError::MissingEnd)
-        );
+        assert_eq!(parse(&bytes, &[0, 1]), Err(ProtoError::MissingEnd));
     }
 
     #[test]
     fn truncated_mid_frame_is_a_frame_error() {
         let bytes = stream(&[0, 1]);
         let cut = &bytes[..bytes.len() - 10];
-        assert!(matches!(
-            parse_worker_stream(cut, &[0, 1]),
-            Err(ProtoError::Frame(_))
-        ));
+        assert!(matches!(parse(cut, &[0, 1]), Err(ProtoError::Frame(_))));
     }
 
     #[test]
     fn wrong_indices_are_rejected() {
         let bytes = stream(&[0, 2]);
         assert_eq!(
-            parse_worker_stream(&bytes, &[0, 1]),
+            parse(&bytes, &[0, 1]),
             Err(ProtoError::IndexMismatch { position: 1 })
         );
     }
@@ -507,7 +550,7 @@ mod tests {
         }
         bytes.extend_from_slice(&encode_end_frame(4));
         assert_eq!(
-            parse_worker_stream(&bytes, &[3, 4, 5]),
+            parse(&bytes, &[3, 4, 5]),
             Err(ProtoError::DuplicateIndex {
                 index: 4,
                 position: 2
@@ -526,7 +569,7 @@ mod tests {
         }
         bytes.extend_from_slice(&encode_end_frame(3));
         assert_eq!(
-            parse_worker_stream(&bytes, &[0, 1]),
+            parse(&bytes, &[0, 1]),
             Err(ProtoError::DuplicateIndex {
                 index: 1,
                 position: 2
@@ -540,22 +583,20 @@ mod tests {
         bytes.extend_from_slice(&encode_outcome_frame(&outcome(0)));
         bytes.extend_from_slice(&encode_end_frame(7));
         assert!(matches!(
-            parse_worker_stream(&bytes, &[0]),
+            parse(&bytes, &[0]),
             Err(ProtoError::CountMismatch { .. })
         ));
     }
 
-    // ── incremental parsing (socket short reads) ─────────────────────
+    // ── incremental parsing (short reads) ────────────────────────────
 
-    /// The latent partial-read assumption: pipes delivered whole
-    /// buffers via `read_to_end`, sockets deliver arbitrary fragments.
-    /// Feeding the stream one byte at a time must produce the same
-    /// outcomes as parsing it whole.
+    /// Links deliver arbitrary fragments. Feeding the stream one byte
+    /// at a time must produce the same outcomes as parsing it whole.
     #[test]
     fn one_byte_at_a_time_matches_whole_buffer_parse() {
         let indices = vec![3usize, 1, 4, 1 + 4, 9];
         let bytes = stream(&indices);
-        let whole = parse_worker_stream(&bytes, &indices).expect("whole parse");
+        let whole = parse(&bytes, &indices).expect("whole parse");
 
         let mut parser = StreamParser::new(&indices);
         let mut events = Vec::new();
@@ -584,7 +625,7 @@ mod tests {
     fn seeded_random_fragmentation_is_boundary_invariant() {
         let indices = vec![0usize, 1, 2, 3];
         let bytes = stream(&indices);
-        let whole = parse_worker_stream(&bytes, &indices).expect("whole parse");
+        let whole = parse(&bytes, &indices).expect("whole parse");
         let mut rng = Prng::new(0x10_50C3);
         for _ in 0..50 {
             let mut parser = StreamParser::new(&indices);

@@ -5,9 +5,10 @@
 //! shard→scenario mapping is documented and order-preserving), spawns
 //! one worker process per shard, and supervises each one:
 //!
-//! * **deadline** — an attempt that outlives
-//!   [`ExecutorConfig::deadline`] is killed and classified as a
-//!   [`FaultKind::Hang`];
+//! * **deadline and heartbeats** — an attempt that outlives
+//!   [`ExecutorConfig::deadline`], or whose link goes silent for longer
+//!   than the transport's heartbeat window, is killed and classified as
+//!   a [`FaultKind::Hang`];
 //! * **exit status** — a non-zero exit is a [`FaultKind::Crash`];
 //! * **stream integrity** — a clean exit whose output fails frame
 //!   decoding, checksum verification, or index/count validation is a
@@ -24,9 +25,10 @@
 //! The worker link itself is pluggable ([`ExecutorConfig::transport`]):
 //! the default [`PipeTransport`] talks over a stdin/stdout pipe pair,
 //! and [`crate::transport::SocketTransport`] over a loopback TCP
-//! connection with registration and heartbeats. Both classify failures
-//! into the same [`FaultKind`]s feeding the same policy above, so the
-//! transport never changes the merged bits.
+//! connection. Both carry the same protocol — registration, job,
+//! outcomes with heartbeats, END — through one attempt loop, so
+//! failures classify into the same [`FaultKind`]s feeding the same
+//! policy above, and the transport never changes the merged bits.
 //!
 //! Because shards are contiguous index ranges and outcomes are merged
 //! in shard order, the merged outcome vector is in scenario order by
@@ -36,7 +38,7 @@
 
 use crate::injector::FaultPlanner;
 use crate::proto::ShardJob;
-use crate::transport::{AttemptContext, AttemptStats, PipeTransport, Transport};
+use crate::transport::{run_attempt, AttemptContext, AttemptStats, PipeTransport, Transport};
 use crate::worker::WORKER_FLAG;
 use fsa_attack::campaign::{CampaignReport, CampaignSpec, ScenarioOutcome};
 use fsa_attack::{Campaign, ParamSelection};
@@ -55,13 +57,14 @@ pub enum FaultKind {
     /// The worker exited with a non-zero status (or was signal-killed
     /// by something other than the supervisor's deadline).
     Crash,
-    /// The worker outlived the per-attempt deadline and was killed.
+    /// The worker outlived the per-attempt deadline, or its link went
+    /// silent past the heartbeat window, and it was killed.
     Hang,
     /// The worker exited cleanly but its result stream failed
     /// validation (checksum mismatch, truncated frame, wrong indices).
     CorruptFrame,
-    /// The worker could not be spawned or its pipes could not be
-    /// driven (host-level failure, not worker behaviour).
+    /// The worker could not be spawned or its link could not be
+    /// established (host-level failure, not worker behaviour).
     Spawn,
 }
 
@@ -153,13 +156,13 @@ pub struct ExecutionLog {
     pub events: Vec<FaultEvent>,
     /// One resolution per shard, in shard order.
     pub resolutions: Vec<ShardResolution>,
-    /// Heartbeat frames received across all attempts (socket transport
-    /// only; 0 on pipes). The count depends on wall-clock timing, so
-    /// it is excluded from equality — see the `PartialEq` impl.
+    /// Heartbeat frames received across all attempts. The count
+    /// depends on wall-clock timing, so it is excluded from equality —
+    /// see the `PartialEq` impl.
     pub heartbeats: u64,
-    /// Worker registrations accepted (valid hello frames; socket
-    /// transport only, 0 on pipes). Excluded from equality alongside
-    /// `heartbeats`: liveness bookkeeping, not result bits.
+    /// Worker registrations accepted (valid hello frames). Excluded
+    /// from equality alongside `heartbeats`: liveness bookkeeping, not
+    /// result bits.
     pub registrations: u64,
 }
 
@@ -331,7 +334,8 @@ pub struct ExecutorConfig {
     /// time; 0 is treated as 1).
     pub shards: usize,
     /// Per-attempt wall-clock deadline; an attempt still running when
-    /// it expires is killed and classified as a hang.
+    /// it expires is killed and classified as a hang (a silent link is
+    /// caught sooner, by the transport's heartbeat window).
     pub deadline: Duration,
     /// Retries per shard after the first attempt (so a shard gets
     /// `max_retries + 1` spawns before degrading).
@@ -595,7 +599,7 @@ impl<'a> ShardedCampaign<'a> {
                 indices: &job.indices,
                 directive,
             };
-            let (result, attempt_stats) = cfg.transport.run_attempt(&ctx, cfg);
+            let (result, attempt_stats) = run_attempt(cfg.transport.as_ref(), &ctx, cfg);
             stats.heartbeats += attempt_stats.heartbeats;
             stats.registrations += attempt_stats.registrations;
             match result {

@@ -1,32 +1,29 @@
-//! Transport layer: how a shard job reaches a worker and how its
-//! result stream comes back.
+//! Transport layer: one worker protocol over two byte links.
 //!
-//! PR 6's supervisor talked to workers over a stdin/stdout pipe pair,
-//! hard-wired into `run_attempt`. This module splits that seam into a
-//! [`Transport`] trait with two implementations:
+//! Every worker attempt speaks the same protocol whichever link
+//! carries it:
 //!
-//! * [`PipeTransport`] — the original pipe pair, unchanged behaviour,
-//!   still the default. The job is written to the child's stdin, the
-//!   result stream is read to EOF from its stdout, and liveness is the
-//!   per-attempt deadline alone.
-//! * [`SocketTransport`] — the supervisor binds a loopback listener,
-//!   spawns the worker with the address in its environment
-//!   (`FSA_CONNECT`), and the worker connects back. The connection
-//!   starts with a versioned *hello* frame (worker id, protocol
-//!   version, capability word) the supervisor validates before
-//!   shipping the job, and the worker maintains a *heartbeat* on top
-//!   of the deadline: a link that goes silent for longer than the
-//!   [`SocketConfig`] window is declared dead without waiting out the
-//!   full deadline.
+//! 1. the worker registers with a versioned *hello* frame (worker id,
+//!    protocol version, capability word) that the supervisor validates
+//!    before shipping anything;
+//! 2. the supervisor ships one [`crate::proto::ShardJob`] frame;
+//! 3. the worker streams one outcome frame per scenario, interleaved
+//!    with *heartbeat* frames from a dedicated thread, and closes with
+//!    an END frame.
 //!
-//! Both transports classify failures into the same [`FaultKind`]s and
-//! feed the same seeded-backoff retry and in-process degraded fallback
-//! in the supervisor, so the merged campaign report is bit-identical
-//! no matter which transport — or which recovery path — produced each
-//! shard:
+//! A [`Transport`] is only the shim that spawns the worker and hands
+//! back its byte link: [`PipeTransport`] returns the child's
+//! stdin/stdout, and [`SocketTransport`] binds a loopback listener,
+//! passes its address in the child's environment (`FSA_CONNECT`), and
+//! returns the accepted `TcpStream`. Everything above the link — the
+//! hello check, the job write, incremental parsing with
+//! [`StreamParser`], heartbeat supervision with [`HeartbeatMonitor`],
+//! exit-status classification, reaping — is one attempt loop shared by
+//! both, so failures classify identically on either link:
 //!
-//! * missed heartbeats / expired deadline → [`FaultKind::Hang`];
-//! * connection reset, premature EOF, or a non-zero exit →
+//! * silence longer than the [`SocketConfig`] window, or an expired
+//!   deadline → [`FaultKind::Hang`];
+//! * a read error, or EOF followed by a non-zero exit →
 //!   [`FaultKind::Crash`];
 //! * a stream that fails frame, index, or count validation (including
 //!   a refused hello) → [`FaultKind::CorruptFrame`];
@@ -35,23 +32,24 @@
 //! The timing policy lives in [`HeartbeatMonitor`], a pure struct over
 //! caller-supplied millisecond clocks — unit tests drive it with a
 //! mock clock, and no wall-clock value it sees ever reaches a
-//! fingerprint or golden.
+//! fingerprint, golden, or fault detail.
 
-use crate::injector::FAULT_ENV;
+use crate::injector::{FaultDirective, FAULT_ENV};
 use crate::proto::{StreamEvent, StreamParser};
 use crate::supervisor::{ExecutorConfig, FaultKind};
 use crate::worker::{CONNECT_ENV, HEARTBEAT_MS_ENV, WORKER_ID_ENV};
-use fsa_attack::campaign::wire::{self, FrameAccumulator};
+use fsa_attack::campaign::wire::{self, WorkerHello};
 use fsa_attack::campaign::ScenarioOutcome;
 use std::fmt;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 /// Everything one worker attempt needs, borrowed from the supervisor.
 #[derive(Debug, Clone, Copy)]
-pub struct AttemptContext<'a> {
+pub(crate) struct AttemptContext<'a> {
     /// Shard index (also the worker id the hello frame must carry).
     pub shard: usize,
     /// The encoded [`crate::proto::ShardJob`] frame to ship.
@@ -59,45 +57,57 @@ pub struct AttemptContext<'a> {
     /// Scenario indices the result stream must cover, in order.
     pub indices: &'a [usize],
     /// Fault directive planted in the child's environment, if any.
-    pub directive: Option<crate::injector::FaultDirective>,
+    pub directive: Option<FaultDirective>,
 }
 
 /// Liveness bookkeeping one attempt produced. Folded into
 /// [`crate::supervisor::ExecutionLog`] counters; wall-clock-dependent,
 /// so never part of any equality or fingerprint.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AttemptStats {
+pub(crate) struct AttemptStats {
     /// Heartbeat frames received over the link.
     pub heartbeats: u64,
     /// Hello frames accepted (0 or 1 per attempt).
     pub registrations: u64,
 }
 
-/// How a shard job reaches a worker process and how its result stream
-/// comes back. Implementations must classify every failure into a
-/// [`FaultKind`] so the supervisor's retry/degrade policy stays
-/// transport-agnostic.
-pub trait Transport: fmt::Debug + Send + Sync {
-    /// Short name for logs and bench output (`"pipe"`, `"socket"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs one worker attempt to completion: spawn, deliver the job,
-    /// collect and validate the result stream, reap the child. Returns
-    /// the validated outcomes or a classified fault, plus the liveness
-    /// stats the attempt produced either way.
-    fn run_attempt(
-        &self,
-        ctx: &AttemptContext<'_>,
-        cfg: &ExecutorConfig,
-    ) -> (
-        Result<Vec<ScenarioOutcome>, (FaultKind, String)>,
-        AttemptStats,
-    );
+/// A spawned worker and the two halves of its byte link.
+pub struct WorkerLink {
+    /// The worker process; the attempt loop always reaps it.
+    pub child: Child,
+    /// Worker → supervisor bytes (hello, outcomes, heartbeats, END).
+    pub reader: Box<dyn Read + Send>,
+    /// Supervisor → worker bytes (the job frame).
+    pub writer: Box<dyn Write + Send>,
 }
 
-// ─── pipe ────────────────────────────────────────────────────────────
+/// How a worker process is spawned and reached. Implementations only
+/// obtain the byte link; the protocol above it is shared, so the
+/// supervisor's retry/degrade policy never depends on the link.
+pub trait Transport: fmt::Debug + Send + Sync {
+    /// Short name for logs, spans, and bench output (`"pipe"`,
+    /// `"socket"`).
+    fn name(&self) -> &'static str;
 
-/// The original stdin/stdout pipe pair — the default transport.
+    /// Heartbeat interval and silence window for attempts over this
+    /// link.
+    fn liveness(&self) -> SocketConfig {
+        SocketConfig::default()
+    }
+
+    /// Spawns `cmd` (program, arguments, and protocol environment
+    /// already set) and returns its link. `deadline` bounds any wait
+    /// for the worker to connect. On error the child, if spawned, is
+    /// already reaped.
+    ///
+    /// # Errors
+    ///
+    /// Returns the classified fault when the worker cannot be spawned
+    /// or never connects.
+    fn connect(&self, cmd: Command, deadline: Instant) -> Result<WorkerLink, (FaultKind, String)>;
+}
+
+/// The stdin/stdout pipe pair — the default transport.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PipeTransport;
 
@@ -106,79 +116,27 @@ impl Transport for PipeTransport {
         "pipe"
     }
 
-    fn run_attempt(
+    fn connect(
         &self,
-        ctx: &AttemptContext<'_>,
-        cfg: &ExecutorConfig,
-    ) -> (
-        Result<Vec<ScenarioOutcome>, (FaultKind, String)>,
-        AttemptStats,
-    ) {
-        (pipe_attempt(ctx, cfg), AttemptStats::default())
+        mut cmd: Command,
+        _deadline: Instant,
+    ) -> Result<WorkerLink, (FaultKind, String)> {
+        let mut child = cmd
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .spawn()
+            .map_err(|e| (FaultKind::Spawn, format!("spawn failed: {e}")))?;
+        let writer = Box::new(child.stdin.take().expect("stdin piped"));
+        let reader = Box::new(child.stdout.take().expect("stdout piped"));
+        Ok(WorkerLink {
+            child,
+            reader,
+            writer,
+        })
     }
 }
 
-/// Spawns one pipe worker attempt, feeds it the job, enforces the
-/// deadline, and validates its output.
-fn pipe_attempt(
-    ctx: &AttemptContext<'_>,
-    cfg: &ExecutorConfig,
-) -> Result<Vec<ScenarioOutcome>, (FaultKind, String)> {
-    let mut cmd = Command::new(&cfg.worker_program);
-    cmd.args(&cfg.worker_args)
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null());
-    // A pipe worker must never see a stale socket address.
-    cmd.env_remove(CONNECT_ENV);
-    set_fault_env(&mut cmd, ctx);
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| (FaultKind::Spawn, format!("spawn failed: {e}")))?;
-
-    // Writer thread: the job frame can exceed the pipe buffer, and the
-    // worker streams results concurrently — writing inline would
-    // deadlock once both pipes fill.
-    let mut stdin = child.stdin.take().expect("stdin piped");
-    let job_owned = ctx.job_bytes.to_vec();
-    let writer = std::thread::spawn(move || {
-        // EPIPE here just means the worker died early; the exit status
-        // carries the real story.
-        let _ = stdin.write_all(&job_owned);
-        drop(stdin);
-    });
-    let mut stdout = child.stdout.take().expect("stdout piped");
-    let reader = std::thread::spawn(move || {
-        let mut buf = Vec::new();
-        let _ = stdout.read_to_end(&mut buf);
-        buf
-    });
-
-    let status = wait_deadline(&mut child, cfg.deadline);
-    let _ = writer.join();
-    let output = reader.join().expect("reader thread panicked");
-
-    match status {
-        None => Err((
-            FaultKind::Hang,
-            format!("deadline {:?} expired; worker killed", cfg.deadline),
-        )),
-        Some(Err(e)) => Err((FaultKind::Spawn, format!("wait failed: {e}"))),
-        Some(Ok(st)) if !st.success() => Err((
-            FaultKind::Crash,
-            match st.code() {
-                Some(c) => format!("worker exited with code {c}"),
-                None => "worker killed by signal".to_string(),
-            },
-        )),
-        Some(Ok(_)) => crate::proto::parse_worker_stream(&output, ctx.indices)
-            .map_err(|e| (FaultKind::CorruptFrame, e.to_string())),
-    }
-}
-
-// ─── socket ──────────────────────────────────────────────────────────
-
-/// Timing policy for the socket transport.
+/// Liveness policy for a worker link.
 #[derive(Debug, Clone, Copy)]
 pub struct SocketConfig {
     /// Interval between worker heartbeat frames (milliseconds).
@@ -187,21 +145,17 @@ pub struct SocketConfig {
     /// `heartbeat_ms * miss_threshold` milliseconds with no frame of
     /// any kind arriving.
     pub miss_threshold: u32,
-    /// Read-poll granularity (the socket read timeout between liveness
-    /// checks).
-    pub poll: Duration,
 }
 
 impl Default for SocketConfig {
-    /// 100 ms beats, a 20-beat (2 s) silence window — wide enough that
-    /// scheduler jitter on a loaded host never trips it, since the
+    /// 100 ms beats and a 20-beat (2 s) silence window — wide enough
+    /// that scheduler jitter on a loaded host never trips it, since the
     /// worker beats from a dedicated thread regardless of how long a
-    /// scenario computes — and a 10 ms read poll.
+    /// scenario computes.
     fn default() -> Self {
         Self {
             heartbeat_ms: 100,
             miss_threshold: 20,
-            poll: Duration::from_millis(10),
         }
     }
 }
@@ -230,8 +184,8 @@ pub struct HeartbeatMonitor {
 }
 
 impl HeartbeatMonitor {
-    /// Starts the window at `now_ms` (connection establishment counts
-    /// as the first sign of life). A zero window is clamped to 1 ms so
+    /// Starts the window at `now_ms` (the attempt's start counts as the
+    /// first sign of life). A zero window is clamped to 1 ms so
     /// `expired` can never trigger at the instant of a beat.
     pub fn new(window_ms: u64, now_ms: u64) -> Self {
         Self {
@@ -264,16 +218,15 @@ impl HeartbeatMonitor {
     }
 }
 
-/// The loopback TCP transport: bind, spawn, accept, validate the
-/// hello, ship the job, stream results under heartbeat supervision.
+/// The loopback TCP transport: bind, spawn, accept.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SocketTransport {
-    /// Timing policy for registration, heartbeats, and read polls.
+    /// Liveness policy for attempts over this link.
     pub config: SocketConfig,
 }
 
 impl SocketTransport {
-    /// A socket transport with the given timing policy.
+    /// A socket transport with the given liveness policy.
     pub fn new(config: SocketConfig) -> Self {
         Self { config }
     }
@@ -284,23 +237,68 @@ impl Transport for SocketTransport {
         "socket"
     }
 
-    fn run_attempt(
+    fn liveness(&self) -> SocketConfig {
+        self.config
+    }
+
+    fn connect(
         &self,
-        ctx: &AttemptContext<'_>,
-        cfg: &ExecutorConfig,
-    ) -> (
-        Result<Vec<ScenarioOutcome>, (FaultKind, String)>,
-        AttemptStats,
-    ) {
-        let _span = fsa_telemetry::span("socket_attempt");
-        let mut stats = AttemptStats::default();
-        let result = socket_attempt(&self.config, ctx, cfg, &mut stats);
-        if fsa_telemetry::enabled() {
-            fsa_telemetry::counter("harness.socket.attempts", 1);
-            fsa_telemetry::counter("harness.socket.heartbeats", stats.heartbeats);
-            fsa_telemetry::counter("harness.socket.registrations", stats.registrations);
-        }
-        (result, stats)
+        mut cmd: Command,
+        deadline: Instant,
+    ) -> Result<WorkerLink, (FaultKind, String)> {
+        let listener = TcpListener::bind(("127.0.0.1", 0))
+            .and_then(|l| l.set_nonblocking(true).map(|()| l))
+            .map_err(|e| (FaultKind::Spawn, format!("bind failed: {e}")))?;
+        let addr = listener
+            .local_addr()
+            .map_err(|e| (FaultKind::Spawn, format!("local_addr failed: {e}")))?;
+        let mut child = cmd
+            .stdin(Stdio::null())
+            .stdout(Stdio::null())
+            .env(CONNECT_ENV, addr.to_string())
+            .spawn()
+            .map_err(|e| (FaultKind::Spawn, format!("spawn failed: {e}")))?;
+        // Accept, watching for the child dying before it ever connects
+        // and for the attempt deadline.
+        let fault = loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nodelay(true);
+                    match stream
+                        .set_nonblocking(false)
+                        .and_then(|()| stream.try_clone())
+                    {
+                        Ok(reader) => {
+                            return Ok(WorkerLink {
+                                child,
+                                reader: Box::new(reader),
+                                writer: Box::new(stream),
+                            })
+                        }
+                        Err(e) => break (FaultKind::Spawn, format!("socket setup failed: {e}")),
+                    }
+                }
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    if let Ok(Some(st)) = child.try_wait() {
+                        break (
+                            FaultKind::Crash,
+                            exit_detail("worker exited before connecting", st),
+                        );
+                    }
+                    if Instant::now() >= deadline {
+                        break (
+                            FaultKind::Hang,
+                            "deadline expired before worker connected".into(),
+                        );
+                    }
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Err(e) => break (FaultKind::Spawn, format!("accept failed: {e}")),
+            }
+        };
+        let _ = child.kill();
+        let _ = child.wait();
+        Err(fault)
     }
 }
 
@@ -309,154 +307,203 @@ fn elapsed_ms(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Applies the attempt's fault directive to the child's environment —
-/// and scrubs any directive leaking in from the supervisor's own
-/// environment when the planner wanted this spawn clean.
-fn set_fault_env(cmd: &mut Command, ctx: &AttemptContext<'_>) {
-    match ctx.directive {
-        Some(d) => {
-            cmd.env(FAULT_ENV, d.to_env());
-        }
-        None => {
-            cmd.env_remove(FAULT_ENV);
-        }
+/// `"{what}; worker exited with code N"` or `"…; killed by signal"`.
+fn exit_detail(what: &str, st: std::process::ExitStatus) -> String {
+    match st.code() {
+        Some(c) => format!("{what}; worker exited with code {c}"),
+        None => format!("{what}; worker killed by signal"),
     }
 }
 
-/// One socket worker attempt. The child is always reaped before this
-/// returns, on every path.
-fn socket_attempt(
-    sc: &SocketConfig,
+fn corrupt(e: crate::proto::ProtoError) -> (FaultKind, String) {
+    (FaultKind::CorruptFrame, e.to_string())
+}
+
+/// Runs one worker attempt to completion over `transport`: spawn,
+/// validate the hello, ship the job, collect and validate the result
+/// stream under heartbeat supervision, reap the child. Returns the
+/// validated outcomes or a classified fault, plus the liveness stats
+/// the attempt produced either way.
+pub(crate) fn run_attempt(
+    transport: &dyn Transport,
     ctx: &AttemptContext<'_>,
     cfg: &ExecutorConfig,
-    stats: &mut AttemptStats,
-) -> Result<Vec<ScenarioOutcome>, (FaultKind, String)> {
-    let listener = TcpListener::bind(("127.0.0.1", 0))
-        .map_err(|e| (FaultKind::Spawn, format!("bind failed: {e}")))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| (FaultKind::Spawn, format!("local_addr failed: {e}")))?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| (FaultKind::Spawn, format!("set_nonblocking failed: {e}")))?;
-
+) -> (
+    Result<Vec<ScenarioOutcome>, (FaultKind, String)>,
+    AttemptStats,
+) {
+    let _span = fsa_telemetry::span(&format!("{}_attempt", transport.name()));
+    let liveness = transport.liveness();
     let mut cmd = Command::new(&cfg.worker_program);
     cmd.args(&cfg.worker_args)
-        .stdin(Stdio::null())
-        .stdout(Stdio::null())
         .stderr(Stdio::null())
-        .env(CONNECT_ENV, addr.to_string())
+        // A stale address in the supervisor's own environment must
+        // never redirect a pipe worker; the socket shim sets its own.
+        .env_remove(CONNECT_ENV)
         .env(WORKER_ID_ENV, ctx.shard.to_string())
-        .env(HEARTBEAT_MS_ENV, sc.heartbeat_ms.to_string());
-    set_fault_env(&mut cmd, ctx);
-    let mut child = cmd
-        .spawn()
-        .map_err(|e| (FaultKind::Spawn, format!("spawn failed: {e}")))?;
-
-    let result = drive_connection(sc, ctx, cfg, stats, &listener, &mut child);
-    // Whatever path we took, the child never outlives the attempt.
-    // Both calls are harmless no-ops on an already-reaped child.
-    let _ = child.kill();
-    let _ = child.wait();
-    result
+        .env(HEARTBEAT_MS_ENV, liveness.heartbeat_ms.to_string());
+    // Plant the planned directive — or scrub one leaking in from the
+    // supervisor's environment when the planner wanted a clean spawn.
+    match ctx.directive {
+        Some(d) => cmd.env(FAULT_ENV, d.to_env()),
+        None => cmd.env_remove(FAULT_ENV),
+    };
+    let start = Instant::now();
+    let mut stats = AttemptStats::default();
+    let result = transport
+        .connect(cmd, start + cfg.deadline)
+        .and_then(|link| supervise(link, ctx, cfg, liveness.window_ms(), start, &mut stats));
+    (result, stats)
 }
 
-/// Accept → hello → job → supervised result stream → exit status.
-fn drive_connection(
-    sc: &SocketConfig,
+/// The shared attempt loop over an established link. A reader thread
+/// drains the link into a channel so one loop can wait on bytes, the
+/// heartbeat window, and the deadline at once. The child is killed and
+/// reaped before this returns, on every path, which also unblocks the
+/// reader and job-writer threads before the scope joins them.
+fn supervise(
+    link: WorkerLink,
     ctx: &AttemptContext<'_>,
     cfg: &ExecutorConfig,
+    window_ms: u64,
+    start: Instant,
     stats: &mut AttemptStats,
-    listener: &TcpListener,
-    child: &mut Child,
 ) -> Result<Vec<ScenarioOutcome>, (FaultKind, String)> {
-    let start = Instant::now();
-
-    // Accept, watching for the child dying before it ever connects and
-    // for the attempt deadline.
-    let mut stream = loop {
-        match listener.accept() {
-            Ok((s, _)) => break s,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if let Ok(Some(st)) = child.try_wait() {
-                    return Err((
-                        FaultKind::Crash,
-                        match st.code() {
-                            Some(c) => format!("worker exited before connecting (code {c})"),
-                            None => "worker killed by signal before connecting".to_string(),
-                        },
-                    ));
+    let WorkerLink {
+        child,
+        mut reader,
+        writer,
+    } = link;
+    std::thread::scope(|scope| -> Result<_, (FaultKind, String)> {
+        let mut child = Reap(child);
+        let (tx, rx) = mpsc::channel::<std::io::Result<Vec<u8>>>();
+        scope.spawn(move || {
+            let mut buf = vec![0u8; 64 * 1024];
+            loop {
+                let chunk = match reader.read(&mut buf) {
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Ok(n) => Ok(buf[..n].to_vec()),
+                    Err(e) => Err(e),
+                };
+                // An empty chunk is EOF; either way the link is done.
+                let last = !matches!(&chunk, Ok(c) if !c.is_empty());
+                if tx.send(chunk).is_err() || last {
+                    return;
                 }
-                if start.elapsed() >= cfg.deadline {
-                    return Err((
-                        FaultKind::Hang,
-                        format!(
-                            "deadline {:?} expired before worker connected",
-                            cfg.deadline
-                        ),
-                    ));
-                }
-                std::thread::sleep(Duration::from_millis(2));
             }
-            Err(e) => return Err((FaultKind::Spawn, format!("accept failed: {e}"))),
-        }
-    };
-    let _ = stream.set_nodelay(true);
-    stream
-        .set_read_timeout(Some(sc.poll.max(Duration::from_millis(1))))
-        .map_err(|e| (FaultKind::Spawn, format!("set_read_timeout failed: {e}")))?;
+        });
 
-    // Registration: the first frame must be a valid hello naming this
-    // shard and the current protocol version. Silence here is bounded
-    // by the heartbeat window, not the full deadline — a connected
-    // worker that never registers is already dead.
-    let window_ms = sc.window_ms();
-    let mut acc = FrameAccumulator::new();
-    let mut buf = [0u8; 8192];
-    let hello_frame = loop {
-        if start.elapsed() >= cfg.deadline || elapsed_ms(start) > window_ms {
-            return Err((
-                FaultKind::Hang,
-                format!("worker connected but sent no hello within {window_ms} ms"),
-            ));
-        }
-        match read_some(&mut stream, &mut buf)? {
-            ReadStep::Eof => {
-                return Err(exit_fault(
-                    child,
-                    cfg,
-                    start,
-                    "connection closed before registration",
+        let deadline_ms = u64::try_from(cfg.deadline.as_millis()).unwrap_or(u64::MAX);
+        let mut writer = Some(writer);
+        let mut parser = StreamParser::new(ctx.indices);
+        let mut monitor = HeartbeatMonitor::new(window_ms, 0);
+        loop {
+            let now = elapsed_ms(start);
+            if now >= deadline_ms {
+                return Err((
+                    FaultKind::Hang,
+                    format!("deadline {:?} expired; worker killed", cfg.deadline),
                 ));
             }
-            ReadStep::Idle => continue,
-            ReadStep::Data(n) => {
-                acc.push(&buf[..n]);
-                match acc.next_frame() {
-                    Ok(Some(f)) => break f,
-                    Ok(None) => continue,
-                    Err(e) => return Err((FaultKind::CorruptFrame, format!("bad hello: {e}"))),
+            // No wall-clock figure goes into the detail: fault logs
+            // compare equal across same-seed runs.
+            if monitor.expired(now) {
+                return Err((
+                    FaultKind::Hang,
+                    if writer.is_some() {
+                        format!("worker sent no hello within {window_ms} ms")
+                    } else {
+                        format!("heartbeat window expired (window {window_ms} ms)")
+                    },
+                ));
+            }
+            // Sleep until bytes arrive or the earlier liveness bound
+            // would trip.
+            let until_silent = monitor
+                .window_ms()
+                .saturating_sub(monitor.idle_ms(now))
+                .saturating_add(1);
+            let wait = Duration::from_millis(until_silent.min(deadline_ms - now));
+            let chunk = match rx.recv_timeout(wait) {
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => break,
+                Ok(Err(e)) => return Err((FaultKind::Crash, format!("connection reset: {e}"))),
+                Ok(Ok(c)) if c.is_empty() => break,
+                Ok(Ok(c)) => c,
+            };
+            let events = parser.push(&chunk).map_err(corrupt)?;
+            if !events.is_empty() {
+                monitor.beat(elapsed_ms(start));
+            }
+            for event in events {
+                match event {
+                    StreamEvent::Hello(hello) => {
+                        check_hello(&hello, ctx.shard)?;
+                        stats.registrations += 1;
+                        // Ship the job from its own thread: a wedged
+                        // worker that never reads it must not block the
+                        // liveness checks. A failed write means the
+                        // worker died; its exit status says how.
+                        let mut w = writer.take().expect("parser admits one hello");
+                        scope.spawn(move || {
+                            let _ = w.write_all(ctx.job_bytes).and_then(|()| w.flush());
+                        });
+                    }
+                    _ if writer.is_some() => {
+                        return Err((
+                            FaultKind::CorruptFrame,
+                            "first frame on the link was not a hello".to_string(),
+                        ));
+                    }
+                    StreamEvent::Heartbeat(_) => stats.heartbeats += 1,
+                    StreamEvent::Outcome(_) | StreamEvent::End => {}
                 }
             }
         }
-    };
-    if &hello_frame.tag != wire::HELLO_TAG {
-        return Err((
-            FaultKind::CorruptFrame,
-            format!(
-                "expected hello frame, got tag {:?}",
-                String::from_utf8_lossy(&hello_frame.tag)
-            ),
-        ));
+
+        // EOF: reap the worker within what's left of the deadline and
+        // let the exit status speak before the stream does — a
+        // partition mid-stream is a crash, not a corrupt frame.
+        let remaining = cfg.deadline.saturating_sub(start.elapsed());
+        match wait_deadline(&mut child.0, remaining) {
+            None => Err((
+                FaultKind::Hang,
+                "worker closed its link but did not exit".to_string(),
+            )),
+            Some(Err(e)) => Err((FaultKind::Spawn, format!("wait failed: {e}"))),
+            Some(Ok(st)) if !st.success() => {
+                Err((FaultKind::Crash, exit_detail("link closed", st)))
+            }
+            Some(Ok(_)) if writer.is_some() => Err((
+                FaultKind::CorruptFrame,
+                "link closed before registration; worker exited 0".to_string(),
+            )),
+            Some(Ok(_)) => parser.finish().map_err(corrupt),
+        }
+    })
+}
+
+/// Kills and reaps the worker when dropped, so the child never
+/// outlives its attempt whichever path ends it. Both calls are
+/// harmless no-ops on an already-reaped child.
+struct Reap(Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
     }
-    let hello = wire::decode_hello_payload(&hello_frame.payload)
-        .map_err(|e| (FaultKind::CorruptFrame, e.to_string()))?;
-    if hello.worker_id != ctx.shard as u64 {
+}
+
+/// Registration check: the hello must name this shard and offer every
+/// capability the protocol needs (its version was checked on decode).
+fn check_hello(hello: &WorkerHello, shard: usize) -> Result<(), (FaultKind, String)> {
+    if hello.worker_id != shard as u64 {
         return Err((
             FaultKind::CorruptFrame,
             format!(
-                "hello worker id {} does not match shard {}",
-                hello.worker_id, ctx.shard
+                "hello worker id {} does not match shard {shard}",
+                hello.worker_id
             ),
         ));
     }
@@ -470,175 +517,19 @@ fn drive_connection(
             ),
         ));
     }
-    stats.registrations += 1;
-    if fsa_telemetry::enabled() {
-        fsa_telemetry::event(
-            "harness.socket.registered",
-            vec![
-                (
-                    "shard".to_string(),
-                    fsa_telemetry::Value::U64(ctx.shard as u64),
-                ),
-                (
-                    "capabilities".to_string(),
-                    fsa_telemetry::Value::U64(hello.capabilities),
-                ),
-            ],
-        );
-    }
-
-    // Ship the job. A write failure means the link already died.
-    if let Err(e) = stream.write_all(ctx.job_bytes) {
-        return Err(exit_fault(
-            child,
-            cfg,
-            start,
-            &format!("job write failed: {e}"),
-        ));
-    }
-
-    // Result stream under heartbeat supervision. Any completed frame —
-    // outcome, heartbeat, or END — counts as a beat.
-    let mut parser = StreamParser::new(ctx.indices);
-    let mut monitor = HeartbeatMonitor::new(window_ms, elapsed_ms(start));
-    let residual = acc.take_residual();
-    if !residual.is_empty() {
-        track_events(
-            parser.push(&residual).map_err(corrupt)?,
-            &mut monitor,
-            stats,
-            elapsed_ms(start),
-        );
-    }
-    loop {
-        let now_ms = elapsed_ms(start);
-        if start.elapsed() >= cfg.deadline {
-            return Err((
-                FaultKind::Hang,
-                format!("deadline {:?} expired; worker killed", cfg.deadline),
-            ));
-        }
-        if monitor.expired(now_ms) {
-            return Err((
-                FaultKind::Hang,
-                format!(
-                    "heartbeat window expired: {} ms silent (window {} ms)",
-                    monitor.idle_ms(now_ms),
-                    monitor.window_ms()
-                ),
-            ));
-        }
-        match read_some(&mut stream, &mut buf)? {
-            ReadStep::Eof => break,
-            ReadStep::Idle => continue,
-            ReadStep::Data(n) => {
-                track_events(
-                    parser.push(&buf[..n]).map_err(corrupt)?,
-                    &mut monitor,
-                    stats,
-                    elapsed_ms(start),
-                );
-            }
-        }
-    }
-
-    // EOF: the worker should exit promptly; reap it within what's left
-    // of the deadline and let the exit status speak before the stream
-    // does — a partition mid-stream is a crash, not a corrupt frame.
-    let remaining = cfg.deadline.saturating_sub(start.elapsed());
-    match wait_deadline(child, remaining) {
-        None => Err((
-            FaultKind::Hang,
-            "worker closed its link but did not exit".to_string(),
-        )),
-        Some(Err(e)) => Err((FaultKind::Spawn, format!("wait failed: {e}"))),
-        Some(Ok(st)) if !st.success() => Err((
-            FaultKind::Crash,
-            match st.code() {
-                Some(c) => format!("worker exited with code {c}"),
-                None => "worker killed by signal".to_string(),
-            },
-        )),
-        Some(Ok(_)) => parser.finish().map_err(corrupt),
-    }
-}
-
-fn corrupt(e: crate::proto::ProtoError) -> (FaultKind, String) {
-    (FaultKind::CorruptFrame, e.to_string())
-}
-
-/// Folds a batch of stream events into the liveness state.
-fn track_events(
-    events: Vec<StreamEvent>,
-    monitor: &mut HeartbeatMonitor,
-    stats: &mut AttemptStats,
-    now_ms: u64,
-) {
-    if !events.is_empty() {
-        monitor.beat(now_ms);
-    }
-    stats.heartbeats += events
-        .iter()
-        .filter(|e| matches!(e, StreamEvent::Heartbeat(_)))
-        .count() as u64;
-}
-
-/// One poll-bounded socket read, with transient error kinds folded
-/// into an idle step and hard errors classified as a crash (connection
-/// reset — the peer vanished mid-stream).
-enum ReadStep {
-    Data(usize),
-    Idle,
-    Eof,
-}
-
-fn read_some(stream: &mut TcpStream, buf: &mut [u8]) -> Result<ReadStep, (FaultKind, String)> {
-    match stream.read(buf) {
-        Ok(0) => Ok(ReadStep::Eof),
-        Ok(n) => Ok(ReadStep::Data(n)),
-        Err(e)
-            if matches!(
-                e.kind(),
-                ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
-            ) =>
-        {
-            Ok(ReadStep::Idle)
-        }
-        Err(e) => Err((FaultKind::Crash, format!("connection reset: {e}"))),
-    }
-}
-
-/// Classifies a link that died early by the child's exit status: a
-/// non-zero (or signalled) exit is the crash story, a clean exit with
-/// a dead link is protocol misbehaviour.
-fn exit_fault(
-    child: &mut Child,
-    cfg: &ExecutorConfig,
-    start: Instant,
-    what: &str,
-) -> (FaultKind, String) {
-    let remaining = cfg.deadline.saturating_sub(start.elapsed());
-    match wait_deadline(child, remaining) {
-        Some(Ok(st)) if !st.success() => (
-            FaultKind::Crash,
-            match st.code() {
-                Some(c) => format!("{what}; worker exited with code {c}"),
-                None => format!("{what}; worker killed by signal"),
-            },
-        ),
-        Some(Ok(_)) => (FaultKind::CorruptFrame, format!("{what}; worker exited 0")),
-        Some(Err(e)) => (FaultKind::Spawn, format!("{what}; wait failed: {e}")),
-        None => (FaultKind::Hang, format!("{what}; worker did not exit")),
-    }
+    Ok(())
 }
 
 /// Polls the child until it exits or the deadline expires; on expiry
-/// kills it (and reaps it) and returns `None`.
-pub(crate) fn wait_deadline(
+/// kills it (and reaps it) and returns `None`. A worker usually closes
+/// its link a moment before it becomes reapable, so the poll interval
+/// starts at 50 µs and backs off to 5 ms.
+fn wait_deadline(
     child: &mut Child,
     deadline: Duration,
 ) -> Option<std::io::Result<std::process::ExitStatus>> {
     let start = Instant::now();
+    let mut nap = Duration::from_micros(50);
     loop {
         match child.try_wait() {
             Ok(Some(status)) => return Some(Ok(status)),
@@ -648,7 +539,8 @@ pub(crate) fn wait_deadline(
                     let _ = child.wait();
                     return None;
                 }
-                std::thread::sleep(Duration::from_millis(5));
+                std::thread::sleep(nap);
+                nap = (nap * 2).min(Duration::from_millis(5));
             }
             Err(e) => return Some(Err(e)),
         }
@@ -722,13 +614,11 @@ mod tests {
         let tiny = SocketConfig {
             heartbeat_ms: 0,
             miss_threshold: 0,
-            poll: Duration::from_millis(1),
         };
         assert_eq!(tiny.window_ms(), 1);
         let huge = SocketConfig {
             heartbeat_ms: u64::MAX,
             miss_threshold: 2,
-            poll: Duration::from_millis(1),
         };
         assert_eq!(huge.window_ms(), u64::MAX);
     }
@@ -738,5 +628,14 @@ mod tests {
         // Bench output and CI matrix legs key on these strings.
         assert_eq!(PipeTransport.name(), "pipe");
         assert_eq!(SocketTransport::default().name(), "socket");
+    }
+
+    #[test]
+    fn both_links_default_to_the_same_liveness_policy() {
+        let pipe = PipeTransport.liveness();
+        let socket = SocketTransport::default().liveness();
+        assert_eq!(pipe.window_ms(), 2_000);
+        assert_eq!(pipe.window_ms(), socket.window_ms());
+        assert_eq!(pipe.heartbeat_ms, socket.heartbeat_ms);
     }
 }

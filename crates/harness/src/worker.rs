@@ -3,20 +3,17 @@
 //! A worker is the *same binary* as the supervisor, re-spawned with a
 //! hidden [`WORKER_FLAG`] argument: bins call [`maybe_run_worker`] as
 //! their first statement, so in worker mode the process never reaches
-//! the bin's own logic. Two link modes share one shard loop:
+//! the bin's own logic. The link is the only thing that differs between
+//! transports: stdin/stdout by default, or a TCP connection back to the
+//! supervisor when [`CONNECT_ENV`] names its address. Over either, the
+//! worker speaks one protocol: register with a versioned hello frame
+//! carrying its [`WORKER_ID_ENV`] identity and capability word, read one
+//! [`ShardJob`] frame (accumulated incrementally — the link stays open,
+//! so no EOF delimits it), then stream one outcome frame per scenario
+//! and an END frame while a dedicated thread beats a heartbeat every
+//! [`HEARTBEAT_MS_ENV`] milliseconds.
 //!
-//! * **pipe** (default): the worker reads one
-//!   [`ShardJob`] frame from stdin, streams one outcome frame per
-//!   scenario to stdout, and finishes with an END frame.
-//! * **socket** (when [`CONNECT_ENV`] names a supervisor address): the
-//!   worker connects back, registers with a versioned hello frame
-//!   carrying its [`WORKER_ID_ENV`] identity and capability word,
-//!   receives the job over the same connection (accumulated
-//!   incrementally — a socket has no EOF to delimit it), and beats a
-//!   heartbeat every [`HEARTBEAT_MS_ENV`] milliseconds from a
-//!   dedicated thread while the shard computes.
-//!
-//! Either way the scenarios run one at a time through the *same*
+//! The scenarios run one at a time through the *same*
 //! `Campaign::run_indices` path the single-process engine uses — this
 //! is what makes sharded output bit-identical.
 //!
@@ -32,9 +29,8 @@ use fsa_attack::{AttackMethod, Campaign, FsaMethod};
 use fsa_baselines::{GdaMethod, SbaMethod};
 use fsa_nn::feature_cache::FeatureCache;
 use std::io::{Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::TcpStream;
 use std::process::exit;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Hidden argv flag that switches a bin into worker mode.
@@ -48,12 +44,13 @@ pub const EXIT_BAD_JOB: i32 = 2;
 pub const EXIT_INJECTED_KILL: i32 = 86;
 
 /// Environment variable carrying the supervisor's listener address
-/// (`host:port`). Present → the worker runs in socket mode.
+/// (`host:port`). Present → the worker's link is a TCP connection to
+/// it; absent → stdin/stdout.
 pub const CONNECT_ENV: &str = "FSA_CONNECT";
 
 /// Environment variable carrying the worker's shard identity; echoed
-/// back in the hello frame so the supervisor can verify it accepted
-/// the worker it spawned.
+/// back in the hello frame so the supervisor can verify it is talking
+/// to the worker it spawned.
 pub const WORKER_ID_ENV: &str = "FSA_WORKER_ID";
 
 /// Environment variable carrying the heartbeat interval in
@@ -104,113 +101,160 @@ fn corrupt_frame(frame: &mut [u8], byte: u32, bit: u8) {
     frame[window..window + 4].copy_from_slice(&flipped.to_le_bytes());
 }
 
-/// Worker-mode entry point: read job, run shard, stream outcomes, exit.
-/// Dispatches to the socket link when [`CONNECT_ENV`] is set, the pipe
-/// link otherwise.
+/// Worker-mode entry point: register, read the job, run the shard,
+/// stream outcomes, exit.
 ///
 /// Never returns. Exit codes: `0` on success (including an injected
 /// truncation, which is a *clean* exit with torn output),
-/// [`EXIT_BAD_JOB`] if the job cannot be read or decoded, and
-/// [`EXIT_INJECTED_KILL`] for an injected crash or partition.
+/// [`EXIT_BAD_JOB`] if the link cannot be opened or the job cannot be
+/// read or decoded, and [`EXIT_INJECTED_KILL`] for an injected crash or
+/// partition.
 pub fn worker_main() -> ! {
-    match std::env::var(CONNECT_ENV) {
-        Ok(addr) => socket_worker_main(&addr),
-        Err(_) => pipe_worker_main(),
+    let Ok(worker_id) = std::env::var(WORKER_ID_ENV)
+        .unwrap_or_default()
+        .trim()
+        .parse::<u64>()
+    else {
+        eprintln!("worker: missing or invalid {WORKER_ID_ENV}");
+        exit(EXIT_BAD_JOB);
+    };
+    let heartbeat_ms = std::env::var(HEARTBEAT_MS_ENV)
+        .ok()
+        .and_then(|s| s.trim().parse::<u64>().ok())
+        .unwrap_or(DEFAULT_HEARTBEAT_MS)
+        .max(1);
+    let directive = std::env::var(FAULT_ENV)
+        .ok()
+        .and_then(|s| FaultDirective::from_env_str(&s));
+    let (mut reader, mut writer): (Box<dyn Read + Send>, Box<dyn Write + Send>) =
+        match std::env::var(CONNECT_ENV) {
+            Ok(addr) => {
+                let stream = TcpStream::connect(&addr).and_then(|s| {
+                    let _ = s.set_nodelay(true);
+                    Ok((s.try_clone()?, s))
+                });
+                match stream {
+                    Ok((r, w)) => (Box::new(r), Box::new(w)),
+                    Err(e) => {
+                        eprintln!("worker: connect to {addr} failed: {e}");
+                        exit(EXIT_BAD_JOB);
+                    }
+                }
+            }
+            Err(_) => (Box::new(std::io::stdin()), Box::new(std::io::stdout())),
+        };
+
+    // Register before anything else: the supervisor refuses to ship a
+    // job to a link that hasn't proved its identity and version.
+    let hello = wire::encode_hello_frame(&wire::WorkerHello::current(worker_id));
+    if writer
+        .write_all(&hello)
+        .and_then(|()| writer.flush())
+        .is_err()
+    {
+        exit(EXIT_BAD_JOB);
     }
+    let job = read_job(reader.as_mut());
+    // Nothing more arrives on the link; closing the read half now means
+    // dropping the writer later closes a socket link outright.
+    drop(reader);
+
+    let link = Link {
+        out: Arc::new(Mutex::new(Some(writer))),
+        pace_ms: match directive {
+            Some(FaultDirective::SlowLinkMs(ms)) => Some(ms),
+            _ => None,
+        },
+    };
+    // Heartbeat thread: proves liveness however long a scenario
+    // computes. A slow-link fault suppresses it — that's the point of
+    // the fault: silence that trips the window while every frame that
+    // does arrive stays checksum-clean.
+    if link.pace_ms.is_none() {
+        let out = Arc::clone(&link.out);
+        std::thread::spawn(move || {
+            for seq in 0.. {
+                std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
+                let frame = wire::encode_heartbeat_frame(&wire::Heartbeat { worker_id, seq });
+                let mut guard = out.lock().expect("link lock poisoned");
+                // Checked under the lock: once the main thread has
+                // taken the writer (END or partition), no beat follows.
+                let Some(w) = guard.as_mut() else { return };
+                if w.write_all(&frame).and_then(|()| w.flush()).is_err() {
+                    return;
+                }
+            }
+        });
+    }
+    stream_shard(&job, directive, &link)
 }
 
-/// Where a worker's frames go. One implementation per link mode; the
-/// shard loop in [`stream_shard`] is link-agnostic.
-trait FrameSink {
+/// Reads the one job frame off the link; exits [`EXIT_BAD_JOB`] on EOF,
+/// a read error, or a frame that doesn't decode as a [`ShardJob`].
+fn read_job(reader: &mut dyn Read) -> ShardJob {
+    let mut acc = wire::FrameAccumulator::new();
+    let mut buf = [0u8; 8192];
+    let frame = loop {
+        match reader.read(&mut buf) {
+            Ok(0) => exit(EXIT_BAD_JOB),
+            Ok(n) => {
+                acc.push(&buf[..n]);
+                match acc.next_frame() {
+                    Ok(Some(f)) => break f,
+                    Ok(None) => {}
+                    Err(e) => {
+                        eprintln!("worker: bad job frame: {e}");
+                        exit(EXIT_BAD_JOB);
+                    }
+                }
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => {
+                eprintln!("worker: job read failed: {e}");
+                exit(EXIT_BAD_JOB);
+            }
+        }
+    };
+    ShardJob::from_frame(&frame).unwrap_or_else(|e| {
+        eprintln!("worker: bad job frame: {e}");
+        exit(EXIT_BAD_JOB);
+    })
+}
+
+/// The worker's outbound half of the link, shared with the heartbeat
+/// thread through a mutex so no two frames ever tear each other.
+/// Taking the writer out ends the link: no heartbeat can follow.
+struct Link {
+    out: Arc<Mutex<Option<Box<dyn Write + Send>>>>,
+    /// Injected per-write delay ([`FaultDirective::SlowLinkMs`]).
+    pace_ms: Option<u64>,
+}
+
+impl Link {
     /// Writes raw bytes (a whole frame, or a deliberate fragment for
     /// the truncation fault), applying any injected pacing first.
-    fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()>;
-
-    /// Hard-drops the link for [`FaultDirective::Partition`]: sockets
-    /// shut the connection down, pipes have nothing to do beyond the
-    /// non-zero exit that follows.
-    fn abort_link(&mut self);
-
-    /// Writes the END frame (plus an optional trailing frame a reorder
-    /// fault held back) and exits 0, guaranteeing nothing else — in
-    /// particular no late heartbeat — lands on the link afterwards.
-    fn finish(&mut self, end_frame: &[u8], trailing: Option<&[u8]>) -> !;
-}
-
-/// Pipe sink: frames go to stdout, pacing is a plain sleep.
-struct StdoutSink {
-    out: std::io::Stdout,
-    pace_ms: Option<u64>,
-}
-
-impl FrameSink for StdoutSink {
-    fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+    fn write(&self, bytes: &[u8]) -> std::io::Result<()> {
         if let Some(ms) = self.pace_ms {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-        let mut out = self.out.lock();
-        out.write_all(bytes)?;
-        out.flush()
+        let mut guard = self.out.lock().expect("link lock poisoned");
+        let w = guard
+            .as_mut()
+            .ok_or_else(|| std::io::Error::from(std::io::ErrorKind::BrokenPipe))?;
+        w.write_all(bytes)?;
+        w.flush()
     }
 
-    fn abort_link(&mut self) {}
-
-    fn finish(&mut self, end_frame: &[u8], trailing: Option<&[u8]>) -> ! {
-        let _ = self.write_bytes(end_frame);
-        if let Some(t) = trailing {
-            let _ = self.write_bytes(t);
-        }
-        exit(0)
-    }
-}
-
-/// Socket sink: frames go to the supervisor connection, shared with
-/// the heartbeat thread through a mutex so no two frames ever tear
-/// each other.
-struct SocketSink {
-    stream: Arc<Mutex<TcpStream>>,
-    /// Tells the heartbeat thread to stand down; checked under the
-    /// stream lock, so once `finish` holds the lock with this set, no
-    /// further heartbeat can ever be written.
-    stop_beats: Arc<AtomicBool>,
-    pace_ms: Option<u64>,
-}
-
-impl FrameSink for SocketSink {
-    fn write_bytes(&mut self, bytes: &[u8]) -> std::io::Result<()> {
-        if let Some(ms) = self.pace_ms {
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        let mut s = self.stream.lock().expect("stream lock poisoned");
-        s.write_all(bytes)?;
-        s.flush()
-    }
-
-    fn abort_link(&mut self) {
-        let s = self.stream.lock().expect("stream lock poisoned");
-        let _ = s.shutdown(Shutdown::Both);
-    }
-
-    fn finish(&mut self, end_frame: &[u8], trailing: Option<&[u8]>) -> ! {
-        // Order matters: raise the stop flag, then take the lock. The
-        // heartbeat thread checks the flag *inside* the lock, so from
-        // here on the link carries only what this method writes — a
-        // late heartbeat after END would read as trailing bytes.
-        self.stop_beats.store(true, Ordering::SeqCst);
-        let mut s = self.stream.lock().expect("stream lock poisoned");
-        let _ = s.write_all(end_frame);
-        if let Some(t) = trailing {
-            let _ = s.write_all(t);
-        }
-        let _ = s.flush();
-        exit(0)
+    /// Takes the writer out of the shared slot, silencing the
+    /// heartbeat thread for good.
+    fn close(&self) -> Option<Box<dyn Write + Send>> {
+        self.out.lock().expect("link lock poisoned").take()
     }
 }
 
-/// The link-agnostic shard loop: enact the fault directive, run each
-/// scenario through `Campaign::run_indices`, stream the frames.
-/// Never returns.
-fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, sink: &mut dyn FrameSink) -> ! {
+/// The shard loop: enact the fault directive, run each scenario
+/// through `Campaign::run_indices`, stream the frames. Never returns.
+fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, link: &Link) -> ! {
     if let Some(FaultDirective::StallMs(ms)) = directive {
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
@@ -235,7 +279,7 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, sink: &mut dy
                 // Drop the link mid-stream, then die non-zero: the
                 // supervisor sees the half-finished stream and the
                 // exit status, and classifies a crash.
-                sink.abort_link();
+                drop(link.close());
                 exit(EXIT_INJECTED_KILL);
             }
         }
@@ -247,7 +291,7 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, sink: &mut dy
         match directive {
             Some(FaultDirective::TruncateFrame(n)) if pos as u32 == n => {
                 let half = frame.len() / 2;
-                let _ = sink.write_bytes(&frame[..half]);
+                let _ = link.write(&frame[..half]);
                 exit(0);
             }
             Some(FaultDirective::FlipBit {
@@ -264,7 +308,7 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, sink: &mut dy
         // the stream-level duplicate-index check is the only layer
         // that can catch this.
         if directive == Some(FaultDirective::DuplicateFrame(pos as u32))
-            && sink.write_bytes(&frame).is_err()
+            && link.write(&frame).is_err()
         {
             exit(EXIT_BAD_JOB);
         }
@@ -272,163 +316,31 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, sink: &mut dy
             held = Some(frame);
             continue;
         }
-        if sink.write_bytes(&frame).is_err() {
+        if link.write(&frame).is_err() {
             // Supervisor hung up (e.g. killed us between signals).
             exit(EXIT_BAD_JOB);
         }
         if let Some(h) = held.take() {
             // Deliver the held frame one slot late — individually
             // valid, collectively out of order.
-            if sink.write_bytes(&h).is_err() {
+            if link.write(&h).is_err() {
                 exit(EXIT_BAD_JOB);
             }
         }
     }
-    let end = wire::encode_end_frame(job.indices.len() as u64);
-    // A held *last* frame lands after END: bytes past END are exactly
-    // what the trailing-bytes check rejects.
-    sink.finish(&end, held.as_deref())
-}
-
-/// Pipe-mode entry: read the job from stdin to EOF, stream to stdout.
-fn pipe_worker_main() -> ! {
-    let mut bytes = Vec::new();
-    if std::io::stdin().read_to_end(&mut bytes).is_err() {
-        exit(EXIT_BAD_JOB);
+    // Take the writer first: from here on the link carries only END
+    // (and a held *last* frame, which lands after END — bytes past END
+    // are exactly what the trailing-bytes check rejects), never a late
+    // heartbeat.
+    let Some(mut w) = link.close() else {
+        exit(EXIT_BAD_JOB)
+    };
+    let _ = w.write_all(&wire::encode_end_frame(job.indices.len() as u64));
+    if let Some(h) = held {
+        let _ = w.write_all(&h);
     }
-    let job = match ShardJob::decode(&bytes) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("worker: bad job frame: {e}");
-            exit(EXIT_BAD_JOB);
-        }
-    };
-    let directive = std::env::var(FAULT_ENV)
-        .ok()
-        .and_then(|s| FaultDirective::from_env_str(&s));
-    let mut sink = StdoutSink {
-        out: std::io::stdout(),
-        pace_ms: match directive {
-            Some(FaultDirective::SlowLinkMs(ms)) => Some(ms),
-            _ => None,
-        },
-    };
-    stream_shard(&job, directive, &mut sink)
-}
-
-/// Socket-mode entry: connect back to the supervisor, register with a
-/// hello frame, receive the job over the connection, heartbeat from a
-/// dedicated thread, stream the shard.
-fn socket_worker_main(addr: &str) -> ! {
-    let Ok(worker_id) = std::env::var(WORKER_ID_ENV)
-        .unwrap_or_default()
-        .trim()
-        .parse::<u64>()
-    else {
-        eprintln!("worker: missing or invalid {WORKER_ID_ENV}");
-        exit(EXIT_BAD_JOB);
-    };
-    let heartbeat_ms = std::env::var(HEARTBEAT_MS_ENV)
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_HEARTBEAT_MS)
-        .max(1);
-    let mut stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("worker: connect to {addr} failed: {e}");
-            exit(EXIT_BAD_JOB);
-        }
-    };
-    let _ = stream.set_nodelay(true);
-
-    // Register before anything else: the supervisor refuses to ship a
-    // job to a link that hasn't proved its identity and version.
-    let hello = wire::encode_hello_frame(&wire::WorkerHello::current(worker_id));
-    if stream
-        .write_all(&hello)
-        .and_then(|()| stream.flush())
-        .is_err()
-    {
-        exit(EXIT_BAD_JOB);
-    }
-
-    // The job arrives as one frame with no EOF to delimit it —
-    // accumulate across short reads until it completes.
-    let mut acc = wire::FrameAccumulator::new();
-    let mut buf = [0u8; 8192];
-    let job_frame = loop {
-        match stream.read(&mut buf) {
-            Ok(0) => exit(EXIT_BAD_JOB),
-            Ok(n) => {
-                acc.push(&buf[..n]);
-                match acc.next_frame() {
-                    Ok(Some(f)) => break f,
-                    Ok(None) => continue,
-                    Err(e) => {
-                        eprintln!("worker: bad job frame: {e}");
-                        exit(EXIT_BAD_JOB);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => {
-                eprintln!("worker: job read failed: {e}");
-                exit(EXIT_BAD_JOB);
-            }
-        }
-    };
-    let job = match ShardJob::from_frame(&job_frame) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("worker: bad job frame: {e}");
-            exit(EXIT_BAD_JOB);
-        }
-    };
-
-    let directive = std::env::var(FAULT_ENV)
-        .ok()
-        .and_then(|s| FaultDirective::from_env_str(&s));
-    let stream = Arc::new(Mutex::new(stream));
-    let stop_beats = Arc::new(AtomicBool::new(false));
-
-    // Heartbeat thread: proves liveness however long a scenario
-    // computes. A slow-link fault suppresses it — that's the point of
-    // the fault: silence that trips the window while every frame that
-    // does arrive stays checksum-clean.
-    let slow_link = matches!(directive, Some(FaultDirective::SlowLinkMs(_)));
-    if !slow_link {
-        let beat_stream = Arc::clone(&stream);
-        let beat_stop = Arc::clone(&stop_beats);
-        std::thread::spawn(move || {
-            let mut seq = 0u64;
-            loop {
-                std::thread::sleep(std::time::Duration::from_millis(heartbeat_ms));
-                let frame = wire::encode_heartbeat_frame(&wire::Heartbeat { worker_id, seq });
-                let mut s = beat_stream.lock().expect("stream lock poisoned");
-                // Checked under the lock: once the main thread raises
-                // the flag while holding the lock, no beat can follow
-                // the END frame.
-                if beat_stop.load(Ordering::SeqCst) {
-                    return;
-                }
-                if s.write_all(&frame).and_then(|()| s.flush()).is_err() {
-                    return;
-                }
-                seq += 1;
-            }
-        });
-    }
-
-    let mut sink = SocketSink {
-        stream,
-        stop_beats,
-        pace_ms: match directive {
-            Some(FaultDirective::SlowLinkMs(ms)) => Some(ms),
-            _ => None,
-        },
-    };
-    stream_shard(&job, directive, &mut sink)
+    let _ = w.flush();
+    exit(0)
 }
 
 #[cfg(test)]

@@ -482,12 +482,19 @@ impl FcHead {
             return Err(DecodeError::new(format!("absurd head layer count {n}")));
         }
         let mut layers = Vec::with_capacity(n);
+        let mut prev_out = None;
         for _ in 0..n {
             let w = dec.read_tensor()?;
             let b = dec.read_tensor()?;
-            if w.ndim() != 2 || b.numel() != w.shape()[0] {
+            // Everything `from_params`/`from_linears` would assert, as
+            // errors: decoded bytes must never panic the decoder.
+            if w.ndim() != 2
+                || b.numel() != w.shape()[0]
+                || prev_out.is_some_and(|o| o != w.shape()[1])
+            {
                 return Err(DecodeError::new("head layer shapes inconsistent"));
             }
+            prev_out = Some(w.shape()[0]);
             layers.push(Linear::from_params(w, b));
         }
         Ok(Self::from_linears(layers))
@@ -656,6 +663,20 @@ mod tests {
         let bytes = enc.into_bytes();
         let restored = FcHead::decode(&mut Decoder::new(&bytes)).unwrap();
         assert_eq!(restored.forward(&x), before);
+    }
+
+    #[test]
+    fn decoding_unchained_layer_widths_is_an_error() {
+        // Layer 0 emits 6 features, layer 1 expects 5: `from_linears`
+        // would panic, so the decoder must refuse first.
+        let mut enc = Encoder::new();
+        enc.put_u64(2);
+        for dims in [[6, 4], [3, 5]] {
+            enc.put_tensor(&Tensor::zeros(&dims));
+            enc.put_tensor(&Tensor::zeros(&[dims[0]]));
+        }
+        let bytes = enc.into_bytes();
+        assert!(FcHead::decode(&mut Decoder::new(&bytes)).is_err());
     }
 
     #[test]

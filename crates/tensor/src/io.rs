@@ -266,9 +266,16 @@ impl<'a> Decoder<'a> {
         for _ in 0..rank {
             dims.push(self.read_u64()? as usize);
         }
+        // Checked product: forged dims like `[2^63, 2]` overflow the
+        // element count, which must be an error, not a panic or a
+        // wrapped count that happens to match the data.
+        let numel = dims
+            .iter()
+            .try_fold(1usize, |n, &d| n.checked_mul(d))
+            .ok_or_else(|| DecodeError::new(format!("tensor dims {dims:?} overflow usize")))?;
         let shape = Shape::new(&dims);
         let data = self.read_f32_vec()?;
-        if data.len() != shape.numel() {
+        if data.len() != numel {
             return Err(DecodeError::new(format!(
                 "tensor data length {} does not match shape {shape}",
                 data.len()
@@ -344,6 +351,19 @@ mod tests {
         let bytes = e.into_bytes();
         let r = Decoder::new(&bytes[..bytes.len() - 2]).read_tensor();
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn overflowing_dims_are_an_error() {
+        let mut e = Encoder::new();
+        e.put_tag(TENSOR_TAG);
+        e.put_u32(2);
+        e.put_u64(1 << 63);
+        e.put_u64(2);
+        e.put_f32_slice(&[]);
+        let bytes = e.into_bytes();
+        let err = Decoder::new(&bytes).read_tensor().unwrap_err();
+        assert!(err.to_string().contains("overflow"), "{err}");
     }
 
     #[test]

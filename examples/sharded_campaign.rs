@@ -1,28 +1,33 @@
 //! Sharded campaign: run a scenario grid across supervised worker
 //! processes, inject a fault, and watch the retry recover the exact
-//! same bits.
+//! same bits — over a pipe pair, then over loopback TCP.
 //!
 //! This example *is* its own worker: the supervisor re-spawns this
-//! binary with a hidden `--worker` flag, ships each shard as a
-//! checksummed wire frame over stdin, and reads outcome frames back
-//! over stdout. The first line of `main` is the worker dispatch — in a
-//! worker process nothing below it ever runs.
+//! binary with a hidden `--worker` flag. The worker registers with a
+//! hello frame, receives its shard as a checksummed wire frame, and
+//! streams outcome frames back with heartbeats in between — over
+//! stdin/stdout by default, or over a TCP connection back to the
+//! supervisor when the socket transport hands it an address. The first
+//! line of `main` is the worker dispatch — in a worker process nothing
+//! below it ever runs.
 //!
 //! ```text
 //! cargo run --release --example sharded_campaign
 //! ```
 
-use fault_sneaking::attack::campaign::CampaignSpec;
+use fault_sneaking::attack::campaign::{CampaignReport, CampaignSpec};
 use fault_sneaking::attack::{AttackConfig, Campaign, FsaMethod, ParamSelection};
 use fault_sneaking::harness::injector::{FaultDirective, FaultPlanner};
-use fault_sneaking::harness::supervisor::{ExecutorConfig, ShardedCampaign};
+use fault_sneaking::harness::supervisor::{ExecutorConfig, ShardedCampaign, ShardedRun};
+use fault_sneaking::harness::transport::SocketTransport;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::tensor::{Prng, Tensor};
+use std::sync::Arc;
 
 fn main() {
     // Worker dispatch: when re-spawned with `--worker`, run the shard
-    // job from stdin and exit — the supervisor code below never runs.
+    // job over the link and exit — the supervisor code below never runs.
     fault_sneaking::harness::worker::maybe_run_worker();
 
     // 1. A small victim and its pooled working set.
@@ -51,12 +56,7 @@ fn main() {
     // 4. The same grid across 2 worker processes, clean.
     let sharded = ShardedCampaign::new(&head, selection, cache, labels);
     let clean = sharded.run(&spec, "fsa", &ExecutorConfig::new(2).with_planner(None));
-    assert!(clean.report == reference, "sharded run changed bits");
-    println!(
-        "2 shards (clean): fingerprint {:#018x} — bit-identical ({})",
-        clean.report.fingerprint(),
-        clean.log.summary()
-    );
+    report("2 shards (clean)", &clean, &reference);
 
     // 5. Same again, but every shard's first attempt is killed
     //    mid-shard. The supervisor classifies the crashes, backs off,
@@ -64,13 +64,40 @@ fn main() {
     let faulty_cfg = ExecutorConfig::new(2)
         .with_planner(Some(FaultPlanner::always(FaultDirective::KillAfter(1), 1)));
     let recovered = sharded.run(&spec, "fsa", &faulty_cfg);
-    assert!(recovered.report == reference, "fault recovery changed bits");
-    println!(
-        "2 shards (first attempts killed): fingerprint {:#018x} — bit-identical ({})",
-        recovered.report.fingerprint(),
-        recovered.log.summary()
+    report("2 shards (first attempts killed)", &recovered, &reference);
+
+    // 6. The same grid over loopback TCP (default liveness policy:
+    //    100 ms heartbeats, 2 s silence window), clean and then with
+    //    every shard's first connection partitioned mid-stream. Same
+    //    protocol, same recovery, same bits.
+    let socket_cfg = ExecutorConfig::new(2)
+        .with_transport(Arc::new(SocketTransport::default()))
+        .with_planner(None);
+    let clean = sharded.run(&spec, "fsa", &socket_cfg);
+    report("2 shards over TCP (clean)", &clean, &reference);
+    let partitioned_cfg =
+        socket_cfg.with_planner(Some(FaultPlanner::always(FaultDirective::Partition(1), 1)));
+    let recovered = sharded.run(&spec, "fsa", &partitioned_cfg);
+    report(
+        "2 shards over TCP (links partitioned)",
+        &recovered,
+        &reference,
     );
-    for e in &recovered.log.events {
+}
+
+/// Checks a sharded run reproduced the reference bits and prints it,
+/// with every fault the supervisor handled on the way.
+fn report(label: &str, run: &ShardedRun, reference: &CampaignReport) {
+    assert!(
+        run.report == *reference,
+        "{label}: sharded run changed bits"
+    );
+    println!(
+        "{label}: fingerprint {:#018x} — bit-identical ({})",
+        run.report.fingerprint(),
+        run.log.summary()
+    );
+    for e in &run.log.events {
         println!(
             "  handled: shard {} attempt {} -> {} ({}), backoff {:?} ms",
             e.shard, e.attempt, e.kind, e.detail, e.backoff_ms

@@ -9,10 +9,9 @@
 //! make the identity claim vacuous. A final section pins the
 //! wall-clock boundary: elapsed time lands in telemetry span stats
 //! (where it belongs) and never in a report or its fingerprint. The
-//! sharded-executor variant of this test lives in
-//! `crates/harness/tests/supervision.rs` and
-//! `crates/harness/tests/socket_supervision.rs` (worker binaries are
-//! only resolvable from that crate's test context); the mock-clock
+//! sharded-executor variant of this test, over both worker links, lives
+//! in `crates/harness/tests/supervision.rs` (worker binaries are only
+//! resolvable from that crate's test context); the mock-clock
 //! heartbeat-window units live in `fsa-harness`'s `transport` module;
 //! the unit battery on span-tree merging, histogram bucket edges, and
 //! counter saturation lives in `fsa-telemetry`'s own tests.
