@@ -188,7 +188,7 @@ impl AdmmDriver {
                 if converged {
                     "admm.converged"
                 } else {
-                    "admm.max_iters"
+                    "admm.hit_cap"
                 },
                 1,
             );

@@ -2,7 +2,7 @@
 //! work, and a small end-to-end run, timed on the in-repo
 //! [`fsa_bench::timing`] harness.
 
-use fsa_attack::objective::evaluate_hinge;
+use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
 use fsa_nn::head::FcHead;
@@ -35,14 +35,23 @@ fn bench_head_passes() {
     });
 }
 
+/// Hinge evaluation at the paper's R = 100 and the larger working sets
+/// of the R sweeps (Figs. 1–2), into a reused [`HingeEval`].
 fn bench_hinge() {
-    let (head, features, labels) = paper_head();
-    let targets = vec![(labels[0] + 1) % 10];
-    let spec = AttackSpec::new(features.clone(), labels, targets);
-    let logits = head.forward(&features);
-    bench("hinge_eval_100_images", || {
-        black_box(evaluate_hinge(black_box(&spec), black_box(&logits), 1.0))
-    });
+    let (head, _, _) = paper_head();
+    let mut rng = Prng::new(13);
+    for r in [100, 256, 1000] {
+        let features = Tensor::randn(&[r, 1024], 1.0, &mut rng);
+        let labels = head.predict(&features);
+        let targets = vec![(labels[0] + 1) % 10];
+        let logits = head.forward(&features);
+        let spec = AttackSpec::new(features, labels, targets);
+        let mut out = HingeEval::default();
+        bench(&format!("hinge_eval_{r}_images"), || {
+            evaluate_hinge_into(black_box(&spec), black_box(&logits), 1.0, &mut out);
+            black_box(out.total)
+        });
+    }
 }
 
 fn bench_end_to_end() {

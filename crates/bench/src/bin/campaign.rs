@@ -20,77 +20,17 @@
 //! Run: `cargo run --release -p fsa-bench --bin campaign`
 //! CI smoke: `cargo run -p fsa-bench --bin campaign -- --smoke`
 //! (a 2-scenario grid, no JSON artifact — exercised under
-//! `FSA_THREADS=3` and `--no-default-features` by the CI matrix).
+//! `FSA_THREADS=3` and `FSA_THREADS=1` by the CI matrix).
 
 use fsa_attack::campaign::{Campaign, CampaignSpec, SparsityBudget};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
+use fsa_bench::fixture;
 use fsa_bench::timing::bench;
-use fsa_nn::conv::VolumeDims;
-use fsa_nn::cw::{CwConfig, CwModel};
-use fsa_nn::head_train::{train_head, HeadTrainConfig};
 use fsa_nn::FeatureCache;
 use fsa_tensor::{parallel, Prng, Tensor};
 use std::hint::black_box;
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Class-clustered images: class `c` lights up quadrant `c` of the
-/// `side × side` frame. The pattern is spatially coherent, so it
-/// survives the conv/pool stack and the extracted features stay
-/// separable — a real victim for the attacks.
-fn clustered_images(n: usize, side: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    assert!(classes <= 4, "quadrant clusters support at most 4 classes");
-    let mut x = Tensor::zeros(&[n, side * side]);
-    let mut labels = Vec::with_capacity(n);
-    let half = side / 2;
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        let row = x.row_mut(i);
-        for r in 0..side {
-            for c in 0..side {
-                let quadrant = usize::from(r >= half) * 2 + usize::from(c >= half);
-                let center = if quadrant == class { 1.5 } else { 0.0 };
-                row[r * side + c] = rng.normal(center, 0.3);
-            }
-        }
-    }
-    (x, labels)
-}
-
-/// The self-contained victim: a small conv extractor (1×20×20 input)
-/// with an FC head trained on its own extracted features.
-fn build_victim(rng: &mut Prng) -> (CwModel, Tensor, Vec<usize>) {
-    let cfg = CwConfig {
-        input: VolumeDims::new(1, 20, 20),
-        block1_channels: 8,
-        block2_channels: 8,
-        kernel: 3,
-        fc_width: 16,
-        classes: 4,
-    };
-    let mut model = CwModel::new_random(cfg, rng);
-    let (train_x, train_labels) = clustered_images(360, cfg.input.width, cfg.classes, rng);
-    let train_features = model.extract_features(&train_x);
-    let mut head = model.head.clone();
-    train_head(
-        &mut head,
-        &train_features,
-        &train_labels,
-        &HeadTrainConfig {
-            epochs: 20,
-            batch_size: 32,
-            lr: 5e-3,
-            verbose: false,
-        },
-        rng,
-    );
-    let acc = head.accuracy(&train_features, &train_labels);
-    assert!(acc > 0.9, "victim failed to train (accuracy {acc})");
-    model.head = head;
-    let (pool_images, pool_labels) = clustered_images(200, cfg.input.width, cfg.classes, rng);
-    (model, pool_images, pool_labels)
-}
 
 fn main() {
     let traced = fsa_bench::trace::arm_from_args();
@@ -104,7 +44,7 @@ fn main() {
     );
 
     let mut rng = Prng::new(0xDAC3);
-    let (model, pool_images, pool_labels) = build_victim(&mut rng);
+    let (model, pool_images, pool_labels) = fixture::campaign_victim(&mut rng);
 
     // The one batched conv extraction every scenario shares.
     let t_cache = Instant::now();

@@ -31,15 +31,14 @@
 
 use fsa_attack::campaign::{Campaign, CampaignReport, CampaignSpec, FsaMethod, SparsityBudget};
 use fsa_attack::{AttackConfig, ParamSelection, Precision, StealthObjective};
+use fsa_bench::fixture;
 use fsa_data::Dataset;
 use fsa_defense::{ArenaReport, DefenseSuite, StealthArena};
 use fsa_memfault::DramGeometry;
 use fsa_nn::conv::VolumeDims;
-use fsa_nn::cw::{CwConfig, CwModel};
-use fsa_nn::head_train::{train_head, HeadTrainConfig};
 use fsa_nn::quant::QuantizedHead;
 use fsa_nn::FeatureCache;
-use fsa_tensor::{parallel, Prng, Tensor};
+use fsa_tensor::{parallel, Prng};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -47,65 +46,6 @@ use std::time::Instant;
 /// experiment identity: it flows into every randomized arena
 /// fingerprint (and the detector names themselves).
 const AUDIT_SEED: u64 = 0xAD17_5EED;
-
-/// Class-clustered images: class `c` lights up quadrant `c` of the
-/// `side × side` frame — byte-for-byte the PR 7 stealth-bench recipe.
-fn clustered_images(n: usize, side: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    assert!(classes <= 4, "quadrant clusters support at most 4 classes");
-    let mut x = Tensor::zeros(&[n, side * side]);
-    let mut labels = Vec::with_capacity(n);
-    let half = side / 2;
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        let row = x.row_mut(i);
-        for r in 0..side {
-            for c in 0..side {
-                let quadrant = usize::from(r >= half) * 2 + usize::from(c >= half);
-                let center = if quadrant == class { 1.5 } else { 0.0 };
-                row[r * side + c] = rng.normal(center, 0.6);
-            }
-        }
-    }
-    (x, labels)
-}
-
-/// The PR 7 victim, unchanged: a small conv extractor (1×20×20 input)
-/// with an FC head trained on its own extracted features. Every draw
-/// comes from the caller's stream in the same order as the stealth
-/// bench, so the campaign bits cannot move.
-fn build_victim(rng: &mut Prng) -> (CwModel, Dataset) {
-    let cfg = CwConfig {
-        input: VolumeDims::new(1, 20, 20),
-        block1_channels: 8,
-        block2_channels: 8,
-        kernel: 3,
-        fc_width: 32,
-        classes: 4,
-    };
-    let mut model = CwModel::new_random(cfg, rng);
-    let (train_x, train_labels) = clustered_images(360, cfg.input.width, cfg.classes, rng);
-    let train_features = model.extract_features(&train_x);
-    let mut head = model.head.clone();
-    train_head(
-        &mut head,
-        &train_features,
-        &train_labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            batch_size: 32,
-            lr: 5e-3,
-            verbose: false,
-        },
-        rng,
-    );
-    let acc = head.accuracy(&train_features, &train_labels);
-    assert!(acc > 0.9, "victim failed to train (accuracy {acc})");
-    model.head = head;
-    let (pool_images, pool_labels) = clustered_images(400, cfg.input.width, cfg.classes, rng);
-    let dataset = Dataset::new(pool_images, pool_labels, cfg.input, cfg.classes);
-    (model, dataset)
-}
 
 /// Every in-order value of a `"key": "value"` string field in a JSON
 /// artifact. String search, not a parser: the committed bench JSON is
@@ -173,7 +113,7 @@ fn main() {
     );
 
     let mut rng = Prng::new(0xDAC5);
-    let (model, dataset) = build_victim(&mut rng);
+    let (model, dataset) = fixture::stealth_victim(&mut rng);
 
     // Deterministic probe split, exactly as in the stealth bench: the
     // attacker sees `probe` (the drift budget is tuned against it) and
@@ -190,7 +130,8 @@ fn main() {
     // a new `Dataset`, and `split_probe` carves the calibration split.
     // Nothing about this data is visible to the attack pipeline.
     let mut holdout_rng = Prng::new(0xC0DE);
-    let (holdout_images, holdout_labels) = clustered_images(120, 20, 4, &mut holdout_rng);
+    let (holdout_images, holdout_labels) =
+        fixture::clustered_images(120, 20, 4, fixture::STEALTH_SPREAD, &mut holdout_rng);
     let holdout_dataset = Dataset::new(
         holdout_images,
         holdout_labels,

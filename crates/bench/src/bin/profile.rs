@@ -29,67 +29,11 @@
 
 use fsa_attack::campaign::{Campaign, CampaignReport, CampaignSpec, SparsityBudget};
 use fsa_attack::{AttackConfig, ParamSelection};
-use fsa_nn::conv::VolumeDims;
-use fsa_nn::cw::{CwConfig, CwModel};
-use fsa_nn::head_train::{train_head, HeadTrainConfig};
+use fsa_bench::fixture;
 use fsa_nn::FeatureCache;
 use fsa_telemetry::clock::monotonic_ns;
-use fsa_tensor::{Prng, Tensor};
+use fsa_tensor::Prng;
 use std::path::PathBuf;
-
-/// Class-clustered images: class `c` lights up quadrant `c` (same
-/// victim family as the `campaign` bin, so the sweep is comparable).
-fn clustered_images(n: usize, side: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    assert!(classes <= 4, "quadrant clusters support at most 4 classes");
-    let mut x = Tensor::zeros(&[n, side * side]);
-    let mut labels = Vec::with_capacity(n);
-    let half = side / 2;
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        let row = x.row_mut(i);
-        for r in 0..side {
-            for c in 0..side {
-                let quadrant = usize::from(r >= half) * 2 + usize::from(c >= half);
-                let center = if quadrant == class { 1.5 } else { 0.0 };
-                row[r * side + c] = rng.normal(center, 0.3);
-            }
-        }
-    }
-    (x, labels)
-}
-
-fn build_victim(rng: &mut Prng) -> (CwModel, Tensor, Vec<usize>) {
-    let cfg = CwConfig {
-        input: VolumeDims::new(1, 20, 20),
-        block1_channels: 8,
-        block2_channels: 8,
-        kernel: 3,
-        fc_width: 16,
-        classes: 4,
-    };
-    let mut model = CwModel::new_random(cfg, rng);
-    let (train_x, train_labels) = clustered_images(360, cfg.input.width, cfg.classes, rng);
-    let train_features = model.extract_features(&train_x);
-    let mut head = model.head.clone();
-    train_head(
-        &mut head,
-        &train_features,
-        &train_labels,
-        &HeadTrainConfig {
-            epochs: 20,
-            batch_size: 32,
-            lr: 5e-3,
-            verbose: false,
-        },
-        rng,
-    );
-    let acc = head.accuracy(&train_features, &train_labels);
-    assert!(acc > 0.9, "victim failed to train (accuracy {acc})");
-    model.head = head;
-    let (pool_images, pool_labels) = clustered_images(200, cfg.input.width, cfg.classes, rng);
-    (model, pool_images, pool_labels)
-}
 
 /// The `exp::run_one`-style sanity gates, applied to the whole report:
 /// a sweep that produced structurally impossible numbers must abort the
@@ -164,7 +108,7 @@ fn main() {
     );
 
     let mut rng = Prng::new(0xDAC3);
-    let (model, pool_images, pool_labels) = build_victim(&mut rng);
+    let (model, pool_images, pool_labels) = fixture::campaign_victim(&mut rng);
     let cache = FeatureCache::build(&model, &pool_images);
     let selection = ParamSelection::last_layer(&model.head);
     let campaign = Campaign::new(&model.head, selection, cache, pool_labels);

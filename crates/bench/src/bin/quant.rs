@@ -30,77 +30,17 @@
 use fsa_attack::campaign::{AttackMethod, Campaign, CampaignReport, CampaignSpec, SparsityBudget};
 use fsa_attack::{AttackConfig, ParamSelection, Precision, QuantizedSelection};
 use fsa_baselines::{GdaMethod, SbaMethod};
-use fsa_data::Dataset;
+use fsa_bench::fixture;
 use fsa_defense::{ArenaReport, DefenseSuite, StealthArena};
 use fsa_memfault::dram::ParamLayout;
 use fsa_memfault::quant::QuantFaultPlan;
 use fsa_memfault::DramGeometry;
-use fsa_nn::conv::VolumeDims;
-use fsa_nn::cw::{CwConfig, CwModel};
 use fsa_nn::head::FcHead;
-use fsa_nn::head_train::{train_head, HeadTrainConfig};
 use fsa_nn::quant::QuantizedHead;
 use fsa_nn::FeatureCache;
-use fsa_tensor::{parallel, Prng, Tensor};
+use fsa_tensor::{parallel, Prng};
 use std::path::PathBuf;
 use std::time::Instant;
-
-/// Class-clustered images: class `c` lights up quadrant `c` of the
-/// `side × side` frame (the arena bin's victim recipe).
-fn clustered_images(n: usize, side: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    assert!(classes <= 4, "quadrant clusters support at most 4 classes");
-    let mut x = Tensor::zeros(&[n, side * side]);
-    let mut labels = Vec::with_capacity(n);
-    let half = side / 2;
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        let row = x.row_mut(i);
-        for r in 0..side {
-            for c in 0..side {
-                let quadrant = usize::from(r >= half) * 2 + usize::from(c >= half);
-                let center = if quadrant == class { 1.5 } else { 0.0 };
-                row[r * side + c] = rng.normal(center, 0.6);
-            }
-        }
-    }
-    (x, labels)
-}
-
-/// The self-contained victim: a small conv extractor (1×20×20 input)
-/// with an FC head trained on its own extracted features.
-fn build_victim(rng: &mut Prng) -> (CwModel, Dataset) {
-    let cfg = CwConfig {
-        input: VolumeDims::new(1, 20, 20),
-        block1_channels: 8,
-        block2_channels: 8,
-        kernel: 3,
-        fc_width: 32,
-        classes: 4,
-    };
-    let mut model = CwModel::new_random(cfg, rng);
-    let (train_x, train_labels) = clustered_images(360, cfg.input.width, cfg.classes, rng);
-    let train_features = model.extract_features(&train_x);
-    let mut head = model.head.clone();
-    train_head(
-        &mut head,
-        &train_features,
-        &train_labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            batch_size: 32,
-            lr: 5e-3,
-            verbose: false,
-        },
-        rng,
-    );
-    let acc = head.accuracy(&train_features, &train_labels);
-    assert!(acc > 0.9, "victim failed to train (accuracy {acc})");
-    model.head = head;
-    let (pool_images, pool_labels) = clustered_images(400, cfg.input.width, cfg.classes, rng);
-    let dataset = Dataset::new(pool_images, pool_labels, cfg.input, cfg.classes);
-    (model, dataset)
-}
 
 /// One precision row: three campaigns (fsa/sba/gda) over `spec`, each
 /// scored by that precision's arena. Fixed method order.
@@ -142,7 +82,7 @@ fn main() {
     );
 
     let mut rng = Prng::new(0xDAC5);
-    let (model, dataset) = build_victim(&mut rng);
+    let (model, dataset) = fixture::stealth_victim(&mut rng);
 
     // Deterministic probe split, as in the arena bin.
     let (probe_ds, pool_ds) = dataset.split_probe(0xA11CE, 60);

@@ -35,6 +35,7 @@
 pub mod artifacts;
 pub mod baseline;
 pub mod exp;
+pub mod fixture;
 pub mod report;
 pub mod timing;
 pub mod trace;

@@ -10,12 +10,13 @@
 //!   shared read-only [`FeatureCache`] (the batched
 //!   `Network::forward_infer` pipeline), and every scenario's working
 //!   set is a row-gather from it — the conv stack never re-runs;
-//! * scenarios dispatch through the nested-parallelism scheduler
-//!   ([`fsa_tensor::parallel::plan_nested`] /
-//!   [`fsa_tensor::parallel::nested_map`]): attack-level workers get the
-//!   outer share of the thread budget and each attack's kernel-level
-//!   parallelism runs under the remainder, so the two levels compose
-//!   without oversubscription;
+//! * scenarios dispatch through [`fsa_tensor::parallel::par_map`]:
+//!   attack-level workers split the thread budget and each attack's
+//!   kernel-level parallelism runs under its worker's share, so the two
+//!   levels compose without oversubscription;
+//! * a spec is checked against the victim before any scenario runs
+//!   ([`Campaign::validate`]), so an unrunnable matrix fails on the
+//!   caller's thread with a [`SpecError`], never inside a worker;
 //! * every scenario is derived purely from its own parameters (seed,
 //!   `S`, `K`, budget), so the full [`CampaignReport`] is **bit-identical**
 //!   whether scenarios run serially or concurrently, at any
@@ -267,6 +268,41 @@ pub struct ScenarioDraw {
     /// Target labels for the first `S` rows.
     pub targets: Vec<usize>,
 }
+
+/// Why a [`CampaignSpec`] cannot run against a [`Campaign`]'s victim.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// A scenario's working set `R = S + K` is larger than the pool of
+    /// correctly classified rows it samples from.
+    PoolTooSmall {
+        /// The first offending scenario, in matrix order.
+        scenario: usize,
+        /// Its working-set size.
+        r: usize,
+        /// Usable pool rows.
+        usable: usize,
+    },
+    /// The victim has a single class, so no wrong target exists.
+    TooFewClasses,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SpecError::PoolTooSmall {
+                scenario,
+                r,
+                usable,
+            } => write!(
+                f,
+                "scenario {scenario} needs R = {r} but only {usable} pool rows are usable"
+            ),
+            SpecError::TooFewClasses => f.write_str("need at least two classes to mistarget"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// A parameter-modification attack the campaign engine can sweep over a
 /// scenario matrix.
@@ -527,6 +563,72 @@ impl<'a> Campaign<'a> {
         &self.cache
     }
 
+    /// The victim head.
+    pub fn head(&self) -> &'a FcHead {
+        self.head
+    }
+
+    /// The parameter selection every scenario attacks.
+    pub fn selection(&self) -> &ParamSelection {
+        &self.selection
+    }
+
+    /// Reference labels of the pool rows, cache-aligned.
+    pub fn labels(&self) -> &[usize] {
+        &self.labels
+    }
+
+    /// Checks that every scenario of `spec` can be drawn from this
+    /// victim: each working set fits the usable pool and the head has a
+    /// wrong class to target. [`Campaign::run_indices`] calls this before
+    /// dispatching any scenario.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use fsa_attack::campaign::{Campaign, CampaignSpec, SpecError};
+    /// use fsa_attack::ParamSelection;
+    /// use fsa_nn::head::FcHead;
+    /// use fsa_nn::FeatureCache;
+    /// use fsa_tensor::{Prng, Tensor};
+    ///
+    /// let mut rng = Prng::new(3);
+    /// let head = FcHead::from_dims(&[4, 8, 3], &mut rng);
+    /// let pool = Tensor::randn(&[6, 4], 1.0, &mut rng);
+    /// let labels = head.predict(&pool);
+    /// let campaign = Campaign::new(
+    ///     &head,
+    ///     ParamSelection::last_layer(&head),
+    ///     FeatureCache::from_features(pool),
+    ///     labels,
+    /// );
+    /// assert_eq!(campaign.validate(&CampaignSpec::grid(vec![1], vec![2])), Ok(()));
+    /// let too_big = CampaignSpec::grid(vec![1], vec![2, 100]);
+    /// assert!(matches!(
+    ///     campaign.validate(&too_big),
+    ///     Err(SpecError::PoolTooSmall { scenario: 1, r: 101, .. })
+    /// ));
+    /// ```
+    pub fn validate(&self, spec: &CampaignSpec) -> Result<(), SpecError> {
+        spec.scenarios()
+            .iter()
+            .try_for_each(|sc| self.check_scenario(sc))
+    }
+
+    fn check_scenario(&self, sc: &Scenario) -> Result<(), SpecError> {
+        if sc.r() > self.usable.len() {
+            return Err(SpecError::PoolTooSmall {
+                scenario: sc.index,
+                r: sc.r(),
+                usable: self.usable.len(),
+            });
+        }
+        if self.head.classes() < 2 {
+            return Err(SpecError::TooFewClasses);
+        }
+        Ok(())
+    }
+
     /// The deterministic working-set draw for one scenario — a function
     /// of the scenario parameters alone (never of execution order),
     /// which is what makes concurrent campaigns bit-identical to serial
@@ -537,15 +639,9 @@ impl<'a> Campaign<'a> {
     /// Panics if the usable pool is smaller than the scenario's `R`, or
     /// the victim has a single class (no wrong target exists).
     pub fn scenario_draw(&self, sc: &Scenario) -> ScenarioDraw {
+        self.check_scenario(sc).unwrap_or_else(|e| panic!("{e}"));
         let r = sc.r();
-        assert!(
-            r <= self.usable.len(),
-            "scenario {} needs R = {r} but only {} pool rows are usable",
-            sc.index,
-            self.usable.len()
-        );
         let classes = self.head.classes();
-        assert!(classes >= 2, "need at least two classes to mistarget");
         // Mix S and K into the stream so scenarios sharing a seed still
         // draw distinct working sets per (S, K) cell — but NOT the
         // budget axis: budgets under the same (seed, S, K) attack the
@@ -628,8 +724,8 @@ impl<'a> Campaign<'a> {
     /// comparable cell by cell (the §5.4 comparison, and the stealth
     /// arena's attack×detector matrix).
     ///
-    /// Scenarios dispatch through the nested scheduler: with `N`
-    /// scenarios and an active budget of `T` threads, `min(N, T)`
+    /// Scenarios dispatch through [`fsa_tensor::parallel::par_map`]:
+    /// with `N` scenarios and an active budget of `T` threads, `min(N, T)`
     /// attack-level workers run concurrently and each attack's inner
     /// kernels see `T / workers` threads — the same budget-shrinking
     /// contract every other nesting level uses, so a campaign inside a
@@ -674,7 +770,9 @@ impl<'a> Campaign<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if any index is out of range for the spec's matrix.
+    /// Panics on the calling thread, before any scenario runs, if any
+    /// index is out of range for the spec's matrix or the spec fails
+    /// [`Campaign::validate`].
     pub fn run_indices(
         &self,
         spec: &CampaignSpec,
@@ -682,6 +780,7 @@ impl<'a> Campaign<'a> {
         indices: &[usize],
     ) -> Vec<ScenarioOutcome> {
         let _span = fsa_telemetry::span("campaign");
+        self.validate(spec).unwrap_or_else(|e| panic!("{e}"));
         // Quantize once per run: the storage metadata is shared
         // read-only by every scenario worker.
         let quant = match spec.precision {
@@ -702,8 +801,7 @@ impl<'a> Campaign<'a> {
             );
         }
         // Every scenario is a full attack — always worth a worker.
-        let plan = parallel::plan_nested(indices.len(), 1, 1);
-        parallel::nested_map(indices.len(), plan, |j| {
+        parallel::par_map(indices.len(), |j| {
             // Per-scenario span (gated so the disabled path never
             // formats); scenario cells are the unit the profile tree
             // attributes campaign time to.
@@ -927,5 +1025,20 @@ mod tests {
             seed: 1,
         };
         let _ = campaign.scenario_spec(&sc, 10.0, 1.0);
+    }
+
+    /// An oversized R must surface on the caller's thread with the
+    /// draw's own message — not as an anonymous scoped-worker panic —
+    /// even when the matrix would dispatch concurrently.
+    #[test]
+    #[should_panic(expected = "needs R =")]
+    fn oversized_spec_panics_on_the_caller_before_dispatch() {
+        let (head, cache, labels) = fixture();
+        let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+        let spec = CampaignSpec::grid(vec![1], vec![1, 1000]).with_config(AttackConfig {
+            iterations: 5,
+            ..AttackConfig::default()
+        });
+        fsa_tensor::parallel::with_budget(2, || campaign.run(&spec));
     }
 }

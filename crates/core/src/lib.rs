@@ -54,7 +54,7 @@ pub mod stealth;
 
 pub use campaign::{
     AttackMethod, Campaign, CampaignReport, CampaignSpec, FsaMethod, Scenario, ScenarioDraw,
-    ScenarioOutcome, SparsityBudget,
+    ScenarioOutcome, SparsityBudget, SpecError,
 };
 pub use eval::AttackOutcome;
 pub use precision::{Precision, QuantizedSelection};

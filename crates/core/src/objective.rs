@@ -14,7 +14,7 @@
 //! gradients.
 
 use crate::spec::AttackSpec;
-use fsa_tensor::{parallel, Tensor};
+use fsa_tensor::Tensor;
 
 /// Hinge value and logit-gradient of the full objective at given logits.
 ///
@@ -60,16 +60,12 @@ pub fn evaluate_hinge(spec: &AttackSpec, logits: &Tensor, kappa: f32) -> HingeEv
     out
 }
 
-/// Minimum images per parallel chunk; a hinge row is a single logit scan,
-/// so small batches are evaluated inline.
-const HINGE_MIN_CHUNK: usize = 64;
-
 /// [`evaluate_hinge`] into a reusable [`HingeEval`] (allocation-free once
 /// shapes repeat).
 ///
-/// Per-image terms are evaluated in parallel over disjoint row chunks;
-/// the scalar reductions (`total`, `active`) then run sequentially in
-/// image order, so the result is bit-identical for every thread count.
+/// A hinge row is one logit scan, far cheaper than a thread spawn, so
+/// the per-image terms run serially; the scalar reductions (`total`,
+/// `active`) fold in image order.
 ///
 /// # Panics
 ///
@@ -81,61 +77,37 @@ pub fn evaluate_hinge_into(spec: &AttackSpec, logits: &Tensor, kappa: f32, out: 
     let classes = logits.shape()[1];
 
     out.logit_grad.reuse_as(&[r, classes]);
+    out.logit_grad.as_mut_slice().fill(0.0);
     out.per_image.clear();
     out.per_image.resize(r, 0.0);
     out.margins.clear();
     out.margins.resize(r, 0.0);
 
-    // Parallel phase: the nested scheduler picks the row partition from
-    // R and the active thread budget (hinge rows have no inner kernels,
-    // so all parallelism goes to the item level); each chunk owns
-    // disjoint rows of the gradient and the per-image/margin slots, and
-    // nothing is reduced here.
-    let ranges = parallel::plan_nested(r, 1, HINGE_MIN_CHUNK).ranges(r);
-    let mut items = Vec::with_capacity(ranges.len());
-    {
-        let mut grad_rest = out.logit_grad.as_mut_slice();
-        let mut pi_rest = out.per_image.as_mut_slice();
-        let mut mg_rest = out.margins.as_mut_slice();
-        for range in &ranges {
-            let (grad_chunk, gr) = grad_rest.split_at_mut(range.len() * classes);
-            let (pi_chunk, pr) = pi_rest.split_at_mut(range.len());
-            let (mg_chunk, mr) = mg_rest.split_at_mut(range.len());
-            grad_rest = gr;
-            pi_rest = pr;
-            mg_rest = mr;
-            items.push((range.start, grad_chunk, pi_chunk, mg_chunk));
+    let grad = out.logit_grad.as_mut_slice();
+    for i in 0..r {
+        let t = spec.enforced_label(i);
+        assert!(t < classes, "enforced label {t} out of range");
+        let row = logits.row(i);
+        // Runner-up: the largest logit excluding the enforced class.
+        let mut j_star = usize::MAX;
+        let mut best = f32::NEG_INFINITY;
+        for (j, &z) in row.iter().enumerate() {
+            if j != t && z > best {
+                best = z;
+                j_star = j;
+            }
+        }
+        let margin = best - row[t] + kappa;
+        out.margins[i] = margin;
+        if margin > 0.0 {
+            let c = spec.weight(i);
+            out.per_image[i] = c * margin;
+            let grow = &mut grad[i * classes..(i + 1) * classes];
+            grow[j_star] += c;
+            grow[t] -= c;
         }
     }
-    parallel::par_items(items, |(row0, grad_chunk, pi_chunk, mg_chunk)| {
-        grad_chunk.fill(0.0);
-        for local in 0..pi_chunk.len() {
-            let i = row0 + local;
-            let t = spec.enforced_label(i);
-            assert!(t < classes, "enforced label {t} out of range");
-            let row = logits.row(i);
-            // Runner-up: the largest logit excluding the enforced class.
-            let mut j_star = usize::MAX;
-            let mut best = f32::NEG_INFINITY;
-            for (j, &z) in row.iter().enumerate() {
-                if j != t && z > best {
-                    best = z;
-                    j_star = j;
-                }
-            }
-            let margin = best - row[t] + kappa;
-            mg_chunk[local] = margin;
-            if margin > 0.0 {
-                let c = spec.weight(i);
-                pi_chunk[local] = c * margin;
-                let grow = &mut grad_chunk[local * classes..(local + 1) * classes];
-                grow[j_star] += c;
-                grow[t] -= c;
-            }
-        }
-    });
 
-    // Sequential fixed-order reduction: independent of the partition.
     let mut total = 0.0f64;
     for &g in &out.per_image {
         total += g as f64;

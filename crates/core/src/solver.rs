@@ -348,11 +348,11 @@ impl FaultSneakingAttack {
 /// selected parameters, sampled on up to 32 images — the curvature proxy
 /// behind [`Stiffness::Auto`].
 ///
-/// Per-image terms are independent, so they dispatch through the nested
-/// scheduler (each worker owns its own head buffers and writes disjoint
-/// slots); the mean then reduces sequentially in image order, keeping
-/// the estimate — and therefore the whole attack — bit-identical for
-/// every thread count.
+/// Per-image terms are independent, so they dispatch as row blocks of
+/// at least 4 images (each worker owns its own head buffers and writes
+/// disjoint slots); the mean then reduces sequentially in image order,
+/// keeping the estimate — and therefore the whole attack —
+/// bit-identical for every thread count.
 fn estimate_leverage(
     head: &FcHead,
     selection: &ParamSelection,
@@ -370,47 +370,33 @@ fn estimate_leverage(
     // One batched forward for all runner-up lookups.
     let logits = head.forward_from(start, acts);
     let mut sq = vec![0.0f64; sample];
-    let plan = parallel::plan_nested(sample, 1, 4);
-    let inner_budget = plan.inner_budget();
-    let mut items = Vec::new();
-    {
-        let ranges = plan.ranges(sample);
-        let mut rest = sq.as_mut_slice();
-        for range in &ranges {
-            let (chunk, tail) = rest.split_at_mut(range.len());
-            items.push((range.start, chunk));
-            rest = tail;
-        }
-    }
-    parallel::par_items(items, |(first, chunk)| {
-        parallel::with_budget(inner_budget, || {
-            // Per-worker buffers: the backward passes reuse one set
-            // across the worker's images instead of allocating per image.
-            let mut bufs = HeadBuffers::new();
-            let mut g = fsa_tensor::Tensor::zeros(&[1, classes]);
-            let mut one = fsa_tensor::Tensor::zeros(&[1, d]);
-            let mut flat: Vec<f32> = Vec::new();
-            for (local, slot) in chunk.iter_mut().enumerate() {
-                let i = first + local;
-                let t = spec.enforced_label(i);
-                // Runner-up under the unmodified model.
-                let row = logits.row(i);
-                let mut j_star = if t == 0 { 1 } else { 0 };
-                for (j, &z) in row.iter().enumerate() {
-                    if j != t && z > row[j_star] {
-                        j_star = j;
-                    }
+    parallel::par_row_blocks(&mut sq, 1, 4, |first, chunk| {
+        // Per-worker buffers: the backward passes reuse one set across
+        // the worker's images instead of allocating per image.
+        let mut bufs = HeadBuffers::new();
+        let mut g = fsa_tensor::Tensor::zeros(&[1, classes]);
+        let mut one = fsa_tensor::Tensor::zeros(&[1, d]);
+        let mut flat: Vec<f32> = Vec::new();
+        for (local, slot) in chunk.iter_mut().enumerate() {
+            let i = first + local;
+            let t = spec.enforced_label(i);
+            // Runner-up under the unmodified model.
+            let row = logits.row(i);
+            let mut j_star = if t == 0 { 1 } else { 0 };
+            for (j, &z) in row.iter().enumerate() {
+                if j != t && z > row[j_star] {
+                    j_star = j;
                 }
-                g.as_mut_slice().fill(0.0);
-                g.row_mut(0)[j_star] = 1.0;
-                g.row_mut(0)[t] = -1.0;
-                one.row_mut(0).copy_from_slice(acts.row(i));
-                head.forward_from_caching(start, &one, &mut bufs);
-                head.backward_from_cache(start, &one, &g, &mut bufs);
-                selection.gather_grads_into(bufs.grads(), start, &mut flat);
-                *slot = flat.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
             }
-        });
+            g.as_mut_slice().fill(0.0);
+            g.row_mut(0)[j_star] = 1.0;
+            g.row_mut(0)[t] = -1.0;
+            one.row_mut(0).copy_from_slice(acts.row(i));
+            head.forward_from_caching(start, &one, &mut bufs);
+            head.backward_from_cache(start, &one, &g, &mut bufs);
+            selection.gather_grads_into(bufs.grads(), start, &mut flat);
+            *slot = flat.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
+        }
     });
     // Fixed-order reduction, independent of the partition.
     let mut total = 0.0f64;

@@ -64,7 +64,7 @@ impl AttackSpec {
     /// Builds a spec from raw images by running the victim's batched
     /// conv feature-extraction pipeline
     /// ([`fsa_nn::cw::CwModel::extract_features`]) — the path the ADMM
-    /// outer loop consumes: images go through the nested-parallel conv
+    /// outer loop consumes: images go through the batch-parallel conv
     /// stack once, and the resulting `[R, feature_dim]` activations
     /// become [`AttackSpec::features`].
     ///

@@ -10,7 +10,7 @@
 //! reference and per-detector threshold sweeps ([`ArenaReport::roc_points`]).
 //!
 //! Scenario scoring dispatches through
-//! [`fsa_tensor::parallel::nested_map`] — the same deterministic
+//! [`fsa_tensor::parallel::par_map`] — the same deterministic
 //! item-ordered primitive the campaign engine uses — and every detector
 //! score is a pure fixed-order function of bit-deterministic model
 //! outputs, so the whole [`ArenaReport`] is **bit-identical** serial vs
@@ -247,8 +247,9 @@ impl<'a> StealthArena<'a> {
     /// Scores every scenario of a campaign report against the full
     /// suite — the attack×detector matrix.
     ///
-    /// Rows dispatch through the nested scheduler exactly like campaign
-    /// scenarios (attack-level workers, shrinking inner budgets), and
+    /// Rows dispatch through [`fsa_tensor::parallel::par_map`] exactly
+    /// like campaign scenarios (row-level workers, shrinking inner
+    /// budgets), and
     /// every cell is a pure function of its scenario's δ, so the report
     /// is bit-identical for any `FSA_THREADS`.
     ///
@@ -309,8 +310,7 @@ impl<'a> StealthArena<'a> {
         let clean = self.suite.evaluate(&Observation {
             head: self.reference,
         });
-        let plan = parallel::plan_nested(report.outcomes.len(), 1, 1);
-        let rows = parallel::nested_map(report.outcomes.len(), plan, |i| {
+        let rows = parallel::par_map(report.outcomes.len(), |i| {
             // Per-scenario-row span (gated so the disabled path never
             // formats); detector cells nest under it via the suite.
             let _row = if fsa_telemetry::enabled() {

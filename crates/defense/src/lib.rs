@@ -36,9 +36,9 @@
 //! Everything is deterministic by construction: detector scores are
 //! pure fixed-order functions of bit-deterministic model outputs, and
 //! arena rows dispatch through the same
-//! [`fsa_tensor::parallel::nested_map`] scheduler as campaign
-//! scenarios, so the full [`ArenaReport`] is bit-identical serial vs
-//! concurrent at any `FSA_THREADS`.
+//! [`fsa_tensor::parallel::par_map`] item map as campaign scenarios, so
+//! the full [`ArenaReport`] is bit-identical serial vs concurrent at any
+//! `FSA_THREADS`.
 //!
 //! # Examples
 //!

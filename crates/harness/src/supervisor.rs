@@ -453,33 +453,25 @@ pub struct ShardedRun {
 /// A campaign bound to its victim, ready to be executed across worker
 /// processes.
 ///
-/// Holds the same inputs as [`Campaign::new`]; `run` ships them to each
-/// worker as a [`ShardJob`] and also keeps them locally for the
-/// degraded in-process fallback.
+/// Wraps the in-process [`Campaign`]; `run` ships its inputs to each
+/// worker as a [`ShardJob`] and keeps it locally for spec validation
+/// and the degraded in-process fallback.
 pub struct ShardedCampaign<'a> {
-    head: &'a FcHead,
-    selection: ParamSelection,
-    cache: FeatureCache,
-    labels: Vec<usize>,
+    campaign: Campaign<'a>,
 }
 
 impl<'a> ShardedCampaign<'a> {
     /// Binds the victim. Panics on the same invariant violations as
-    /// [`Campaign::new`] (size mismatches, invalid selection).
+    /// [`Campaign::new`] (size mismatches, invalid selection) — here,
+    /// rather than inside every worker.
     pub fn new(
         head: &'a FcHead,
         selection: ParamSelection,
         cache: FeatureCache,
         labels: Vec<usize>,
     ) -> Self {
-        // Validate eagerly: Campaign::new asserts the invariants, and
-        // failing here beats failing inside every worker.
-        let _ = Campaign::new(head, selection.clone(), cache.clone(), labels.clone());
         Self {
-            head,
-            selection,
-            cache,
-            labels,
+            campaign: Campaign::new(head, selection, cache, labels),
         }
     }
 
@@ -488,14 +480,19 @@ impl<'a> ShardedCampaign<'a> {
     /// outcomes in scenario order.
     ///
     /// Always completes: shards whose workers exhaust their retries are
-    /// re-run in process. Panics only if `method_name` is unknown or
-    /// the spec is empty.
+    /// re-run in process. Panics, before any worker is spawned, only if
+    /// `method_name` is unknown, the spec is empty, or the spec fails
+    /// [`Campaign::validate`] — a deterministic failure no retry could
+    /// fix.
     pub fn run(&self, spec: &CampaignSpec, method_name: &str, cfg: &ExecutorConfig) -> ShardedRun {
         let _span = fsa_telemetry::span("sharded_campaign");
         let method = crate::worker::method_from_name(method_name)
             .unwrap_or_else(|| panic!("unknown campaign method {method_name:?}"));
         let n = spec.len();
         assert!(n > 0, "cannot shard an empty campaign spec");
+        self.campaign
+            .validate(spec)
+            .unwrap_or_else(|e| panic!("{e}"));
         let shards = cfg.shards.clamp(1, n);
         let ranges = split_ranges(n, shards);
 
@@ -514,10 +511,10 @@ impl<'a> ShardedCampaign<'a> {
             for (shard, range) in ranges.iter().enumerate() {
                 let indices: Vec<usize> = range.clone().collect();
                 let job = ShardJob {
-                    head: self.head.clone(),
-                    selection: self.selection.clone(),
-                    labels: self.labels.clone(),
-                    features: self.cache.features().clone(),
+                    head: self.campaign.head().clone(),
+                    selection: self.campaign.selection().clone(),
+                    labels: self.campaign.labels().to_vec(),
+                    features: self.campaign.cache().features().clone(),
                     spec: spec.clone(),
                     method: method_name.to_string(),
                     indices,
@@ -644,15 +641,11 @@ impl<'a> ShardedCampaign<'a> {
         // Retries exhausted: degrade to the in-process path. Same
         // Campaign::run_indices code the workers execute, so the bits
         // are identical — degraded means slower, never different.
-        let campaign = Campaign::new(
-            self.head,
-            self.selection.clone(),
-            self.cache.clone(),
-            self.labels.clone(),
-        );
         let method =
             crate::worker::method_from_name(&job.method).expect("method validated before sharding");
-        let outcomes = campaign.run_indices(spec, method.as_ref(), &job.indices);
+        let outcomes = self
+            .campaign
+            .run_indices(spec, method.as_ref(), &job.indices);
         (outcomes, events, ShardResolution::Degraded { shard }, stats)
     }
 }

@@ -332,6 +332,21 @@ fn reordered_delivery_is_a_corrupt_frame() {
     }
 }
 
+/// A spec no worker could run fails on the caller's thread with the
+/// draw's own message, before any worker is spawned — not as a crash,
+/// a retry, a degraded rerun, and finally an anonymous supervision
+/// thread panic.
+#[test]
+#[should_panic(expected = "needs R =")]
+fn oversized_spec_is_rejected_before_any_worker_spawns() {
+    let spec = CampaignSpec::grid(vec![1], vec![2, 1000]).with_config(AttackConfig {
+        iterations: 25,
+        ..AttackConfig::default()
+    });
+    let link: Arc<dyn Transport> = Arc::new(PipeTransport);
+    sharded(&spec, &config(2, &link).with_max_retries(0));
+}
+
 #[test]
 fn exhausted_retries_degrade_in_process_and_preserve_the_fingerprint() {
     let spec = spec();

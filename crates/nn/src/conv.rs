@@ -8,14 +8,14 @@
 //! (non-square kernels, stride > 1 — see `tests/conv_oracle.rs`).
 //!
 //! The forward pass is the hot path of attack feature extraction: a
-//! batch of images is dispatched through
-//! [`fsa_tensor::parallel::plan_nested`], which decides per call —
-//! from the batch size, output-channel count, and active thread
-//! budget — whether to run images on item-level scoped workers (each
-//! with pooled scratch from the shared workspace) or serially with
-//! row-block parallel kernels. Either way each image's im2col + GEMM
-//! is the same operation sequence, so outputs are bit-identical for
-//! every `FSA_THREADS`.
+//! batch of images is dispatched as contiguous image blocks through
+//! [`fsa_tensor::parallel::par_row_blocks`], sized so every worker
+//! owns at least `PAR_MIN_ROWS` GEMM output rows. Each worker uses
+//! pooled scratch from the shared workspace and its GEMMs run under its
+//! share of the thread budget; a batch too small to split runs inline
+//! with row-block parallel kernels. Either way each image's im2col +
+//! GEMM is the same operation sequence, so outputs are bit-identical
+//! for every `FSA_THREADS`.
 
 use crate::init;
 use crate::layer::{check_batch_input, Layer};
@@ -245,12 +245,12 @@ impl Conv2d {
         let kk = self.in_dims.channels * self.kernel_h * self.kernel_w;
         let row_len = out.features();
         let mut y = Tensor::zeros(&[batch, row_len]);
-        // Batch-level vs row-block parallelism, decided per call from the
-        // problem shape and the active thread budget. Each worker owns a
-        // disjoint range of output rows and a pooled patch matrix; the
-        // per-image arithmetic is identical under every plan.
-        let plan = parallel::plan_nested(batch, self.out_channels, PAR_MIN_ROWS);
-        parallel::nested_row_blocks(y.as_mut_slice(), row_len, plan, |first, block| {
+        // Image blocks of at least PAR_MIN_ROWS GEMM output rows each
+        // (one image contributes `out_channels` rows). Each worker owns a
+        // disjoint range of output images and a pooled patch matrix; the
+        // per-image arithmetic is identical under every partition.
+        let min_images = PAR_MIN_ROWS.div_ceil(self.out_channels.max(1));
+        parallel::par_row_blocks(y.as_mut_slice(), row_len, min_images, |first, block| {
             let mut cols = take_shared(kk * p);
             for (i, y_row) in block.chunks_exact_mut(row_len).enumerate() {
                 im2col(

@@ -163,10 +163,10 @@ impl CwModel {
     /// activations (the attack caches these).
     ///
     /// This is the batched feature-extraction pipeline: the whole batch
-    /// is dispatched once through [`Network::forward_infer`], whose
-    /// nested-parallelism scheduler splits images across scoped workers
-    /// when the active thread budget allows — bit-identical to the
-    /// serial per-image path for any `FSA_THREADS`.
+    /// is dispatched once through [`Network::forward_infer`], which
+    /// splits images across scoped workers when the active thread
+    /// budget allows — bit-identical to the serial per-image path for
+    /// any `FSA_THREADS`.
     pub fn extract_features(&self, images: &Tensor) -> Tensor {
         self.extractor.forward_infer(images)
     }

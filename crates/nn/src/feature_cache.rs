@@ -11,8 +11,8 @@
 //! worker — no locking, no duplication.
 //!
 //! Bit-compatibility contract: the cached activations are exactly what
-//! `Network::forward_infer` produces (the nested-parallel batched
-//! pipeline, itself bit-identical to the serial per-image path at every
+//! `Network::forward_infer` produces (the batch-parallel pipeline,
+//! itself bit-identical to the serial per-image path at every
 //! `FSA_THREADS`), so specs built from the cache match specs built by
 //! direct per-attack extraction bit for bit —
 //! `tests/feature_cache_oracle.rs` locks this in.

@@ -93,13 +93,13 @@ impl Network {
 
     /// Forward pass without caches (inference / feature extraction).
     ///
-    /// Batches are dispatched through the nested-parallelism scheduler:
-    /// when the batch and per-image work are large enough for the active
-    /// thread budget, contiguous image ranges run the whole layer stack
-    /// on item-level scoped workers (amortizing every layer, not just
-    /// one kernel), each under its share of the budget. Per-image
-    /// arithmetic is identical under every plan, so the output is
-    /// bit-identical for any `FSA_THREADS`.
+    /// Batches are dispatched as contiguous image blocks
+    /// ([`parallel::par_row_blocks`]): when per-image work is large
+    /// enough, each block runs the whole layer stack on its own scoped
+    /// worker (amortizing every layer, not just one kernel), under its
+    /// share of the thread budget. Per-image arithmetic is identical
+    /// under every partition, so the output is bit-identical for any
+    /// `FSA_THREADS`.
     pub fn forward_infer(&self, x: &Tensor) -> Tensor {
         if self.layers.is_empty() || x.ndim() != 2 {
             return self.forward_infer_serial(x);
@@ -109,10 +109,9 @@ impl Network {
         if work_per_image < PAR_MIN_SCALARS {
             return self.forward_infer_serial(x);
         }
-        let plan = parallel::plan_nested(batch, work_per_image, PAR_MIN_SCALARS);
         let (in_w, out_w) = (x.shape()[1], self.out_features());
         let mut y = Tensor::zeros(&[batch, out_w]);
-        parallel::nested_row_blocks(y.as_mut_slice(), out_w, plan, |first, block| {
+        parallel::par_row_blocks(y.as_mut_slice(), out_w, 1, |first, block| {
             // Within a worker (or the whole batch when serial), images
             // chain through all layers a locality chunk at a time.
             for (ci, chunk) in block.chunks_mut(LOCALITY_CHUNK * out_w).enumerate() {
@@ -128,7 +127,7 @@ impl Network {
         y
     }
 
-    /// The inline layer chain every dispatch plan bottoms out in.
+    /// The inline layer chain every dispatched block bottoms out in.
     fn forward_infer_serial(&self, x: &Tensor) -> Tensor {
         let mut h = x.clone();
         for layer in &self.layers {
@@ -278,7 +277,7 @@ mod tests {
         net.push(Box::new(ReluLayer::new(d1.features())));
         net.push(Box::new(Conv2d::new_random(d1, 16, 3, &mut rng)));
         // Per-image work crosses PAR_MIN_SCALARS, so budgets > 1 take the
-        // batch-dispatched path; outputs must not depend on the plan.
+        // batch-dispatched path; outputs must not depend on the partition.
         let x = Tensor::randn(&[6, 256], 1.0, &mut rng);
         let base = fsa_tensor::parallel::with_budget(1, || net.forward_infer(&x));
         for budget in [2, 3, 8] {

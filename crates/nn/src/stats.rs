@@ -109,7 +109,7 @@ impl Network {
     ///
     /// The output tensor is bit-identical to [`Network::forward_infer`]
     /// (each layer's own forward is deterministic per row and the chain
-    /// is the serial dispatch plan every batched plan must match); the
+    /// is the serial path every batched partition must match); the
     /// statistics are a fixed-order reduction of those same outputs, so
     /// the whole pair is bit-identical at any `FSA_THREADS`.
     pub fn forward_infer_stats(&self, x: &Tensor) -> (Tensor, Vec<ActivationStats>) {

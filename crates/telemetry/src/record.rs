@@ -108,9 +108,9 @@ impl Drop for Local {
 
 /// Flushes the calling thread's buffer into the global sink.
 ///
-/// Scoped-thread dispatchers (`fsa_tensor::parallel::par_items`, the
-/// harness shard supervisors) call this as the **last statement of the
-/// worker closure**. Relying on the thread-local's destructor instead
+/// Scoped-thread dispatchers (`fsa_tensor::parallel::par_row_blocks`,
+/// the harness shard supervisors) call this as the **last statement of
+/// the worker closure**. Relying on the thread-local's destructor instead
 /// would race: `std::thread::scope` only waits for worker closures to
 /// finish, and a worker's TLS teardown can still be pending when the
 /// spawning thread drains — the last-finishing worker's records would

@@ -9,16 +9,17 @@
 //! i8×i8→i32 kernel ([`quant`]), a deterministic random number generator
 //! ([`Prng`]) and a compact binary serialization format ([`io`]).
 //!
-//! # The `parallel` feature
+//! # Threads
 //!
-//! Enabled by default. Kernels partition their output into contiguous row
-//! blocks and compute each block on a scoped thread
-//! (`std::thread::scope`; no external runtime). Outputs are **bit-identical
-//! for every thread count** — partitions never change any element's
-//! operation sequence — so reproducibility is unconditional. Control the
-//! thread budget with [`parallel::set_threads`] or the `FSA_THREADS`
-//! environment variable; build with `--no-default-features` for a strictly
-//! single-threaded library.
+//! Kernels partition their output into contiguous row blocks and compute
+//! each block on a scoped thread (`std::thread::scope`; no external
+//! runtime) through [`parallel::par_row_blocks`]; independent items map
+//! through [`parallel::par_map`]. Outputs are **bit-identical for every
+//! thread count** — partitions never change any element's operation
+//! sequence — so reproducibility is unconditional. Control the thread
+//! budget with [`parallel::set_threads`] or the `FSA_THREADS` environment
+//! variable; `FSA_THREADS=1` runs every kernel inline on the calling
+//! thread.
 //!
 //! # Workspaces
 //!

@@ -5,9 +5,8 @@
 //!
 //! 1. **Row-block parallelism** — the output is partitioned into
 //!    contiguous row blocks dispatched through
-//!    [`crate::parallel::par_row_blocks`] (scoped threads, behind the
-//!    crate's `parallel` feature). Each block is written by exactly one
-//!    thread; no synchronization, no atomics.
+//!    [`crate::parallel::par_row_blocks`] (scoped threads). Each block
+//!    is written by exactly one thread; no synchronization, no atomics.
 //! 2. **Cache blocking** — within a block the shared `k` dimension is
 //!    tiled by the `KC` constant so the streamed panels of `A`/`B` stay resident in
 //!    L1/L2 while a register tile accumulates.

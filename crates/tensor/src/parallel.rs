@@ -1,11 +1,14 @@
 //! Deterministic thread-parallel dispatch for the kernel engine.
 //!
-//! All parallelism in the workspace goes through this module: work is
-//! partitioned into **contiguous, disjoint** blocks, each block is computed
-//! on its own scoped thread (`std::thread::scope` — no external runtime),
-//! and any cross-block reduction is performed by the caller *sequentially
-//! in block order*. Because a block's result never depends on how the
-//! partition was chosen, every kernel built on these helpers is
+//! All parallelism in the workspace goes through two entry points:
+//! [`par_row_blocks`] (contiguous row blocks of a buffer — the kernels,
+//! batched conv and network inference) and [`par_map`] (an ordered map
+//! over independent items — campaign scenarios, arena scoring). Work is
+//! partitioned into **contiguous, disjoint** blocks, each block is
+//! computed on its own scoped thread (`std::thread::scope` — no external
+//! runtime), and any cross-block reduction is performed by the caller
+//! *sequentially in block order*. Because a block's result never depends
+//! on how the partition was chosen, everything built on these helpers is
 //! **bit-identical for any thread count** — the property
 //! `tests/thread_determinism.rs` locks in.
 //!
@@ -22,26 +25,18 @@
 //!    explicit operator setting wins even past the core count);
 //! 4. [`std::thread::available_parallelism`].
 //!
-//! # Nested parallelism
+//! `FSA_THREADS=1` is the serial configuration: every dispatch then
+//! takes the same inline path a one-block partition does.
 //!
-//! Batched workloads (conv feature extraction over a batch of images)
-//! contain two levels of parallelism: across independent items (images)
-//! and across the output rows of each item's kernels. The
-//! [`NestedPlan`] scheduler decides the split per call site from the
-//! problem shape and the **active** thread budget: [`plan_nested`]
-//! returns how many scoped workers to dispatch at the item level and how
-//! many threads each worker's inner kernels may use. Workers run under
-//! [`with_budget`], so inner row-block dispatch never oversubscribes the
-//! machine, and nested calls compose (a batch-parallel network forward
-//! whose conv layers would also batch-dispatch simply sees a smaller
-//! budget and degrades toward serial).
+//! # Nested dispatch
 //!
-//! Plans never change results: items are independent, each item's
-//! kernels are bit-identical for any thread count, so the whole nested
-//! pipeline is bit-identical for any `FSA_THREADS`.
-//!
-//! With the crate's `parallel` feature disabled everything here degrades
-//! to inline serial execution of the same code paths.
+//! Batched workloads nest: a campaign's scenario workers run attacks
+//! whose kernels dispatch row blocks; a batch of images runs conv
+//! layers whose GEMMs dispatch again. Every dispatched worker runs under
+//! [`with_budget`]`(max_threads() / workers)`, so budgets only shrink
+//! down a dispatch tree and inner levels never oversubscribe the
+//! machine — they simply see a smaller budget and degrade toward
+//! serial.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -86,14 +81,10 @@ thread_local! {
 /// The number of worker threads kernel dispatch may use **on the calling
 /// thread** (the active budget).
 ///
-/// Always ≥ 1; exactly 1 when the `parallel` feature is disabled. Inside
-/// a [`with_budget`] scope — e.g. on a worker dispatched by
-/// [`nested_row_blocks`] — this is the worker's share of the machine,
-/// not the global setting.
+/// Always ≥ 1. Inside a [`with_budget`] scope — e.g. on a worker
+/// dispatched by [`par_map`] — this is the worker's share of the
+/// machine, not the global setting.
 pub fn max_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     match BUDGET.with(Cell::get) {
         0 => match THREAD_OVERRIDE.load(Ordering::Relaxed) {
             0 => default_threads(),
@@ -165,311 +156,57 @@ pub fn split_ranges(n: usize, pieces: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// How a batch of independent items should be dispatched across the two
-/// parallelism levels (item-level scoped workers vs row-block threads
-/// inside each item's kernels).
+/// Deterministic parallel map over `0..n`: returns `f(i)` for every
+/// item, **in item order**, however the work was partitioned.
 ///
-/// Produced by [`plan_nested`]; executed by [`run_nested`] /
-/// [`nested_row_blocks`]. The plan only schedules work — it never
-/// changes what is computed, so results are identical for every plan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NestedPlan {
-    /// Run items inline on the calling thread; inner kernels keep the
-    /// caller's full thread budget (row-block parallelism only).
-    Serial,
-    /// Split items into `workers` contiguous ranges, one scoped thread
-    /// each, with every worker's inner kernels capped at `inner_budget`
-    /// threads.
-    Batch {
-        /// Item-level scoped worker threads (≥ 2).
-        workers: usize,
-        /// Thread budget each worker's inner kernels run under (≥ 1).
-        inner_budget: usize,
-    },
-}
-
-impl NestedPlan {
-    /// The contiguous item ranges this plan dispatches over `0..items`
-    /// (a single full range when serial). Empty when `items == 0`.
-    pub fn ranges(&self, items: usize) -> Vec<Range<usize>> {
-        match *self {
-            NestedPlan::Serial => split_ranges(items, 1),
-            NestedPlan::Batch { workers, .. } => split_ranges(items, workers),
-        }
-    }
-
-    /// The thread budget item work runs under (the caller's full budget
-    /// when serial).
-    pub fn inner_budget(&self) -> usize {
-        match *self {
-            NestedPlan::Serial => max_threads(),
-            NestedPlan::Batch { inner_budget, .. } => inner_budget,
-        }
-    }
-}
-
-/// Decides batch-level vs row-block parallelism for `items` independent
-/// work items whose inner kernels each span about `rows_per_item`
-/// parallelizable rows, requiring at least `min_rows` rows of work per
-/// scoped worker (so tiny batches never pay spawn overhead).
-///
-/// The decision is keyed on the problem shape and the **active** thread
-/// budget ([`max_threads`], which honors [`with_budget`]): item-level
-/// workers are preferred — they amortize every layer of work per item,
-/// not just one kernel — and any budget left over (`budget / workers`)
-/// flows to each worker's inner kernels. With a single item, a budget
-/// of 1, or less than two workers' worth of rows, the plan is
-/// [`NestedPlan::Serial`] and row-block parallelism alone applies.
+/// Items split into `min(max_threads(), n)` contiguous ranges, one
+/// scoped worker each, every worker running under its share of the
+/// budget (see [`par_row_blocks`]). This is the dispatcher for coarse
+/// work whose items produce structured results — a campaign's attack
+/// runs, an arena's per-scenario scores. Each worker fills the disjoint
+/// slot range it owns, so the returned vector is identical for every
+/// `FSA_THREADS` as long as `f` itself is deterministic per item.
 ///
 /// # Examples
 ///
 /// ```
-/// use fsa_tensor::parallel::{plan_nested, with_budget, NestedPlan};
+/// use fsa_tensor::parallel::{par_map, with_budget};
 ///
-/// // Inside a budget wall of one thread every plan degrades to serial.
-/// with_budget(1, || {
-///     assert_eq!(plan_nested(16, 4, 1), NestedPlan::Serial);
-/// });
-/// // With threads to spend, item-level workers never exceed the item
-/// // count and the leftover budget flows to each worker's kernels.
-/// with_budget(8, || {
-///     match plan_nested(4, 64, 1) {
-///         NestedPlan::Batch { workers, inner_budget } => {
-///             assert!(workers <= 4);
-///             assert_eq!(inner_budget, 8 / workers);
-///         }
-///         // A serial build (`--no-default-features`) degrades every
-///         // plan to inline execution of the same work.
-///         NestedPlan::Serial => {}
-///     }
-/// });
+/// // Results come back in item order at any budget.
+/// for budget in [1, 2, 3] {
+///     let squares = with_budget(budget, || par_map(5, |i| i * i));
+///     assert_eq!(squares, vec![0, 1, 4, 9, 16]);
+/// }
 /// ```
-pub fn plan_nested(items: usize, rows_per_item: usize, min_rows: usize) -> NestedPlan {
-    let budget = max_threads();
-    let plan = if budget <= 1 || items <= 1 {
-        NestedPlan::Serial
-    } else {
-        let total_rows = items.saturating_mul(rows_per_item.max(1));
-        let workers = budget.min(total_rows / min_rows.max(1)).min(items).max(1);
-        if workers <= 1 {
-            NestedPlan::Serial
-        } else {
-            NestedPlan::Batch {
-                workers,
-                inner_budget: (budget / workers).max(1),
-            }
-        }
-    };
-    // Telemetry is identity-only: counting the decision never changes
-    // it. Only *real* decisions are counted — with a budget wall of 1
-    // or a single item the outcome is forced, and those calls sit on
-    // per-kernel hot paths (thousands per sweep) where even a counter
-    // bump is measurable.
-    if fsa_telemetry::enabled() && budget > 1 && items > 1 {
-        match plan {
-            NestedPlan::Serial => fsa_telemetry::counter("parallel.plan.serial", 1),
-            NestedPlan::Batch { workers, .. } => {
-                fsa_telemetry::counter("parallel.plan.batch", 1);
-                fsa_telemetry::counter("parallel.plan.batch_workers", workers as u64);
-            }
-        }
-    }
-    plan
-}
-
-/// Executes `plan` over `0..items`: `f(range)` runs once per worker
-/// range, under the plan's inner thread budget.
-///
-/// `f` must treat items independently (disjoint outputs per item); any
-/// cross-item reduction belongs to the caller, folded in item order —
-/// the same contract as [`par_items`], which keeps every nested
-/// pipeline bit-identical for any thread count.
-pub fn run_nested(items: usize, plan: NestedPlan, f: impl Fn(Range<usize>) + Sync) {
-    match plan {
-        NestedPlan::Serial => {
-            if items > 0 {
-                f(0..items);
-            }
-        }
-        NestedPlan::Batch { inner_budget, .. } => {
-            par_items(plan.ranges(items), |range| {
-                with_budget(inner_budget, || f(range));
-            });
-        }
-    }
-}
-
-/// Item-level variant of [`par_row_blocks`]: partitions the rows of a
-/// row-major `[items, row_len]` buffer according to `plan` and runs
-/// `f(first_item, block)` per partition, each under the plan's inner
-/// thread budget.
-///
-/// This is the batched-pipeline executor: `buf` is the per-item output
-/// (one row per image), and `f` computes its block's items with full
-/// mutable ownership while reading shared inputs by index.
-///
-/// # Panics
-///
-/// Panics if `buf.len()` is not a multiple of `row_len` (for
-/// `row_len > 0`).
-pub fn nested_row_blocks(
-    buf: &mut [f32],
-    row_len: usize,
-    plan: NestedPlan,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    if buf.is_empty() {
-        return;
-    }
-    assert!(
-        row_len > 0,
-        "row_len must be positive for a non-empty buffer"
-    );
-    assert_eq!(
-        buf.len() % row_len,
-        0,
-        "buffer is not a whole number of item rows"
-    );
-    let items = buf.len() / row_len;
-    match plan {
-        NestedPlan::Serial => f(0, buf),
-        NestedPlan::Batch { inner_budget, .. } => {
-            let ranges = plan.ranges(items);
-            let mut work = Vec::with_capacity(ranges.len());
-            let mut rest = buf;
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len() * row_len);
-                work.push((r.start, head));
-                rest = tail;
-            }
-            par_items(work, |(first_item, block)| {
-                with_budget(inner_budget, || f(first_item, block));
-            });
-        }
-    }
-}
-
-/// Deterministic parallel map over `0..items` under a [`NestedPlan`]:
-/// returns `f(i)` for every item, **in item order**, regardless of how
-/// the plan partitioned the work.
-///
-/// This is the dispatch primitive for coarse nesting levels whose items
-/// produce structured results rather than rows of a flat `f32` buffer —
-/// e.g. a campaign of independent attack runs, each returning a report.
-/// Worker closures run under the plan's inner thread budget
-/// ([`with_budget`]), so an item's own kernel-level parallelism composes
-/// with item-level dispatch without oversubscribing the machine. Each
-/// worker writes its results into the disjoint slot range it owns; the
-/// output vector is assembled in index order, so the returned value is
-/// identical for every plan (and hence every `FSA_THREADS`) as long as
-/// `f` itself is deterministic per item.
-///
-/// # Examples
-///
-/// ```
-/// use fsa_tensor::parallel::{nested_map, plan_nested};
-///
-/// // Results come back in item order no matter how the plan split the
-/// // work across scoped threads.
-/// let plan = plan_nested(5, 1, 1);
-/// let squares = nested_map(5, plan, |i| i * i);
-/// assert_eq!(squares, vec![0, 1, 4, 9, 16]);
-/// ```
-pub fn nested_map<T: Send>(
-    items: usize,
-    plan: NestedPlan,
-    f: impl Fn(usize) -> T + Sync,
-) -> Vec<T> {
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(items);
-    slots.resize_with(items, || None);
-    match plan {
-        NestedPlan::Serial => {
-            for (i, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(f(i));
-            }
-        }
-        NestedPlan::Batch { inner_budget, .. } => {
-            let ranges = plan.ranges(items);
-            let mut work = Vec::with_capacity(ranges.len());
-            let mut rest = slots.as_mut_slice();
-            for r in &ranges {
-                let (head, tail) = rest.split_at_mut(r.len());
-                work.push((r.start, head));
-                rest = tail;
-            }
-            par_items(work, |(first, chunk)| {
-                with_budget(inner_budget, || {
-                    for (local, slot) in chunk.iter_mut().enumerate() {
-                        *slot = Some(f(first + local));
-                    }
-                });
-            });
-        }
-    }
-    slots
-        .into_iter()
-        .map(|s| s.expect("nested_map worker left a slot unfilled"))
-        .collect()
-}
-
-/// Runs `f` over every item, one scoped thread per item (serially when
-/// there is a single item, the `parallel` feature is off, or the thread
-/// budget is 1).
-///
-/// Items are the unit of isolation: each owns whatever mutable state its
-/// closure invocation needs, so no locking is involved. Callers that need
-/// a reduction collect per-item outputs and fold them in item order.
-pub fn par_items<T: Send>(items: Vec<T>, f: impl Fn(T) + Sync) {
-    if items.len() <= 1 || max_threads() <= 1 {
-        for item in items {
-            f(item);
-        }
-        return;
-    }
-    // When telemetry is enabled, workers inherit the spawning thread's
-    // span path and record their busy time under a `worker` span, so the
-    // profile tree keeps its logical shape at any thread count. Spans
-    // only observe — the work itself is identical with or without them.
-    let parent = if fsa_telemetry::enabled() {
-        fsa_telemetry::counter("parallel.par_items.dispatches", 1);
-        fsa_telemetry::counter("parallel.par_items.workers", items.len() as u64);
-        Some(fsa_telemetry::current_path())
-    } else {
-        None
-    };
-    let parent = &parent;
-    let f = &f;
-    std::thread::scope(|scope| {
-        for item in items {
-            scope.spawn(move || match parent {
-                Some(p) => {
-                    fsa_telemetry::with_path(p, || {
-                        let _busy = fsa_telemetry::span("worker");
-                        f(item);
-                    });
-                    // Explicit flush, sequenced before the scope joins:
-                    // `thread::scope` only waits for this closure to
-                    // finish, not for the OS thread's TLS teardown, so
-                    // a destructor-only flush can land after the
-                    // spawner has already drained the sink.
-                    fsa_telemetry::flush_thread();
-                }
-                None => f(item),
-            });
+pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
+    slots.resize_with(n, || None);
+    par_row_blocks(&mut slots, 1, 1, |first, chunk| {
+        for (local, slot) in chunk.iter_mut().enumerate() {
+            *slot = Some(f(first + local));
         }
     });
+    slots
+        .into_iter()
+        .map(|s| s.expect("par_map worker left a slot unfilled"))
+        .collect()
 }
 
 /// Partitions the rows of a row-major `[rows, row_len]` buffer into
 /// contiguous blocks and runs `f(first_row, block)` for each block in
 /// parallel.
 ///
-/// Blocks hold at least `min_rows` rows (except possibly the only block),
-/// so tiny matrices never pay thread spawn overhead.
+/// There are `min(max_threads(), rows / min_rows)` blocks, so tiny
+/// matrices never pay thread spawn overhead; with one block `f` runs
+/// inline on the calling thread under its unchanged budget. Otherwise
+/// each block gets a scoped thread running under
+/// `with_budget(max_threads() / blocks)`, so any dispatch inside `f`
+/// (a conv worker's GEMMs, an attack's kernels) shares the machine
+/// instead of oversubscribing it.
 ///
 /// Generic over the element type so integer kernels (the `i32`
-/// accumulators of [`crate::quant::gemm_i8_nt`]) route through the same
-/// dispatcher as the `f32` engine.
+/// accumulators of [`crate::quant::gemm_i8_nt`]) and [`par_map`]'s
+/// result slots route through the same dispatcher as the `f32` engine.
 ///
 /// # Panics
 ///
@@ -494,20 +231,49 @@ pub fn par_row_blocks<T: Send>(
         "buffer is not a whole number of rows"
     );
     let rows = buf.len() / row_len;
-    let pieces = max_threads().min(rows / min_rows.max(1)).max(1);
+    let budget = max_threads();
+    let pieces = budget.min(rows / min_rows.max(1)).max(1);
     if pieces <= 1 {
         f(0, buf);
         return;
     }
-    let ranges = split_ranges(rows, pieces);
-    let mut items = Vec::with_capacity(ranges.len());
-    let mut rest = buf;
-    for r in &ranges {
-        let (head, tail) = rest.split_at_mut(r.len() * row_len);
-        items.push((r.start, head));
-        rest = tail;
-    }
-    par_items(items, |(first_row, block)| f(first_row, block));
+    let inner_budget = (budget / pieces).max(1);
+    // When telemetry is enabled, workers inherit the spawning thread's
+    // span path and record their busy time under a `worker` span, so the
+    // profile tree keeps its logical shape at any thread count. Spans
+    // only observe — the work itself is identical with or without them.
+    let parent = if fsa_telemetry::enabled() {
+        fsa_telemetry::counter("parallel.dispatches", 1);
+        fsa_telemetry::counter("parallel.workers", pieces as u64);
+        Some(fsa_telemetry::current_path())
+    } else {
+        None
+    };
+    let (parent, f) = (&parent, &f);
+    std::thread::scope(|scope| {
+        let mut rest = buf;
+        for r in split_ranges(rows, pieces) {
+            let (block, tail) = rest.split_at_mut(r.len() * row_len);
+            rest = tail;
+            scope.spawn(move || {
+                with_budget(inner_budget, || match parent {
+                    Some(p) => {
+                        fsa_telemetry::with_path(p, || {
+                            let _busy = fsa_telemetry::span("worker");
+                            f(r.start, block);
+                        });
+                        // Explicit flush, sequenced before the scope
+                        // joins: `thread::scope` only waits for this
+                        // closure to finish, not for the OS thread's TLS
+                        // teardown, so a destructor-only flush can land
+                        // after the spawner has already drained the sink.
+                        fsa_telemetry::flush_thread();
+                    }
+                    None => f(r.start, block),
+                })
+            });
+        }
+    });
 }
 
 #[cfg(test)]
@@ -528,36 +294,6 @@ mod tests {
                 assert_eq!(next, n, "partition of {n} into {pieces} incomplete");
                 assert!(rs.len() <= pieces.min(n.max(1)));
             }
-        }
-    }
-
-    #[test]
-    fn par_items_runs_everything() {
-        use std::sync::atomic::AtomicU64;
-        let hits = AtomicU64::new(0);
-        par_items((0..23u64).collect(), |i| {
-            hits.fetch_add(i + 1, Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), 23 * 24 / 2);
-    }
-
-    #[test]
-    fn par_row_blocks_partitions_rows() {
-        let rows = 37;
-        let row_len = 5;
-        let mut buf = vec![0.0f32; rows * row_len];
-        par_row_blocks(&mut buf, row_len, 1, |first_row, block| {
-            for (r, row) in block.chunks_exact_mut(row_len).enumerate() {
-                for v in row.iter_mut() {
-                    *v = (first_row + r) as f32;
-                }
-            }
-        });
-        for (r, row) in buf.chunks_exact(row_len).enumerate() {
-            assert!(
-                row.iter().all(|&v| v == r as f32),
-                "row {r} mislabeled: {row:?}"
-            );
         }
     }
 
@@ -590,128 +326,56 @@ mod tests {
         assert_eq!(max_threads(), outside);
     }
 
+    /// Both entry points, at every budget 1..=8 and a spread of sizes:
+    /// output in item order, every item covered exactly once, empty
+    /// input untouched, and each worker running under
+    /// `max(1, budget / workers)`.
     #[test]
-    fn plan_nested_degenerate_cases_are_serial() {
-        with_budget(8, || {
-            assert_eq!(plan_nested(0, 100, 1), NestedPlan::Serial);
-            assert_eq!(plan_nested(1, 100, 1), NestedPlan::Serial);
-            // Two items of one row each under min_rows = 8: not worth
-            // spawning.
-            assert_eq!(plan_nested(2, 1, 8), NestedPlan::Serial);
-        });
-        with_budget(1, || {
-            assert_eq!(plan_nested(64, 100, 1), NestedPlan::Serial);
-        });
-    }
+    fn dispatch_preserves_order_coverage_and_worker_budgets() {
+        use std::sync::Mutex;
+        for budget in 1..=8usize {
+            with_budget(budget, || {
+                for n in [0usize, 1, 2, 3, 7, 17] {
+                    let workers = budget.min(n).max(1);
+                    let want_budget = (budget / workers).max(1);
+                    let got = par_map(n, |i| (i * i, max_threads()));
+                    assert_eq!(
+                        got.iter().map(|&(sq, _)| sq).collect::<Vec<_>>(),
+                        (0..n).map(|i| i * i).collect::<Vec<_>>(),
+                        "par_map permuted or dropped items (budget {budget}, n {n})"
+                    );
+                    assert!(
+                        got.iter().all(|&(_, t)| t == want_budget),
+                        "par_map worker budgets {got:?} (budget {budget}, n {n})"
+                    );
 
-    #[test]
-    fn plan_nested_splits_budget_between_levels() {
-        if !cfg!(feature = "parallel") {
-            return; // budget is pinned to 1; plans are always serial
-        }
-        with_budget(8, || {
-            // More items than budget: all threads go to the item level.
-            assert_eq!(
-                plan_nested(100, 32, 8),
-                NestedPlan::Batch {
-                    workers: 8,
-                    inner_budget: 1
-                }
-            );
-            // Fewer items than budget: the leftover flows inward.
-            assert_eq!(
-                plan_nested(2, 64, 8),
-                NestedPlan::Batch {
-                    workers: 2,
-                    inner_budget: 4
-                }
-            );
-        });
-    }
-
-    #[test]
-    fn run_nested_covers_all_items_under_any_plan() {
-        use std::sync::atomic::AtomicU64;
-        for plan in [
-            NestedPlan::Serial,
-            NestedPlan::Batch {
-                workers: 3,
-                inner_budget: 2,
-            },
-        ] {
-            let hits = AtomicU64::new(0);
-            run_nested(23, plan, |range| {
-                for i in range {
-                    hits.fetch_add(i as u64 + 1, Ordering::Relaxed);
+                    for (row_len, min_rows) in [(1usize, 1usize), (5, 1), (3, 4)] {
+                        let pieces = budget.min(n / min_rows).max(1);
+                        let want_budget = (budget / pieces).max(1);
+                        let blocks = Mutex::new(Vec::new());
+                        let mut buf = vec![usize::MAX; n * row_len];
+                        par_row_blocks(&mut buf, row_len, min_rows, |first, block| {
+                            for (r, row) in block.chunks_exact_mut(row_len).enumerate() {
+                                row.fill(first + r);
+                            }
+                            blocks.lock().unwrap().push(max_threads());
+                        });
+                        for (r, row) in buf.chunks_exact(row_len).enumerate() {
+                            assert!(row.iter().all(|&v| v == r), "row {r} mislabeled: {row:?}");
+                        }
+                        let blocks = blocks.into_inner().unwrap();
+                        if n == 0 {
+                            assert!(blocks.is_empty(), "empty input dispatched work");
+                        } else {
+                            assert_eq!(blocks.len(), pieces, "budget {budget}, n {n}");
+                            assert!(
+                                blocks.iter().all(|&t| t == want_budget),
+                                "par_row_blocks worker budgets {blocks:?} (budget {budget}, n {n})"
+                            );
+                        }
+                    }
                 }
             });
-            assert_eq!(hits.load(Ordering::Relaxed), 23 * 24 / 2, "{plan:?}");
         }
-    }
-
-    #[test]
-    fn nested_row_blocks_partitions_items() {
-        let items = 13;
-        let row_len = 3;
-        for plan in [
-            NestedPlan::Serial,
-            NestedPlan::Batch {
-                workers: 4,
-                inner_budget: 1,
-            },
-        ] {
-            let mut buf = vec![0.0f32; items * row_len];
-            nested_row_blocks(&mut buf, row_len, plan, |first, block| {
-                for (i, row) in block.chunks_exact_mut(row_len).enumerate() {
-                    row.fill((first + i) as f32);
-                }
-            });
-            for (i, row) in buf.chunks_exact(row_len).enumerate() {
-                assert!(row.iter().all(|&v| v == i as f32), "{plan:?} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn nested_map_preserves_item_order_under_any_plan() {
-        for plan in [
-            NestedPlan::Serial,
-            NestedPlan::Batch {
-                workers: 3,
-                inner_budget: 2,
-            },
-            NestedPlan::Batch {
-                workers: 8,
-                inner_budget: 1,
-            },
-        ] {
-            let got = nested_map(17, plan, |i| i * i);
-            let want: Vec<usize> = (0..17).map(|i| i * i).collect();
-            assert_eq!(got, want, "{plan:?} permuted or dropped items");
-        }
-        assert!(nested_map(0, NestedPlan::Serial, |i| i).is_empty());
-    }
-
-    #[test]
-    fn nested_map_runs_items_under_the_inner_budget() {
-        let plan = NestedPlan::Batch {
-            workers: 2,
-            inner_budget: 1,
-        };
-        let budgets = nested_map(4, plan, |_| max_threads());
-        assert!(budgets.iter().all(|&b| b == 1), "{budgets:?}");
-    }
-
-    #[test]
-    fn workers_inherit_the_inner_budget() {
-        let plan = NestedPlan::Batch {
-            workers: 2,
-            inner_budget: 1,
-        };
-        let seen = std::sync::Mutex::new(Vec::new());
-        run_nested(2, plan, |_range| {
-            seen.lock().unwrap().push(max_threads());
-        });
-        assert!(seen.lock().unwrap().iter().all(|&t| t == 1));
     }
 }

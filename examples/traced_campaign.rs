@@ -66,8 +66,8 @@ fn main() {
 
     // 5. The rendered profile: span tree (hierarchical wall-clock
     //    attribution; a `worker` path segment appears only where the
-    //    nested scheduler actually dispatched scoped threads), counters
-    //    (scheduler decisions, cache traffic, solver totals), and a
+    //    dispatcher actually spawned scoped threads), counters
+    //    (dispatches, cache traffic, solver totals), and a
     //    one-line summary per convergence trace.
     println!("{}", snap.render_tree());
 

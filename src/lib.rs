@@ -83,10 +83,10 @@
 //!
 //! All numeric work runs on `fsa-tensor`'s parallel tiled kernel engine:
 //! register-blocked 4×8 GEMM micro-kernels with row-block parallelism
-//! behind the **`parallel`** feature (enabled by default; disable with
-//! `--no-default-features` for a single-threaded build). Thread count
-//! comes from [`tensor::parallel::set_threads`], the `FSA_THREADS`
-//! environment variable, or the machine's core count — and results are
+//! on scoped threads. Thread count comes from
+//! [`tensor::parallel::set_threads`], the `FSA_THREADS` environment
+//! variable (`FSA_THREADS=1` runs everything inline on the calling
+//! thread), or the machine's core count — and results are
 //! **bit-identical for every setting** (see `tests/thread_determinism.rs`).
 //!
 //! Hot loops are allocation-free: the ADMM δ-step reuses
@@ -96,7 +96,7 @@
 //!
 //! Campaigns (many attacks over one victim) extract the victim's pool
 //! activations once into a shared [`nn::feature_cache::FeatureCache`]
-//! and dispatch scenarios through the same nested scheduler, so
+//! and dispatch scenarios through [`tensor::parallel::par_map`], so
 //! attack-level and kernel-level parallelism compose — and the whole
 //! `CampaignReport` stays bit-identical at every thread count
 //! (`tests/campaign_determinism.rs`).

@@ -6,8 +6,8 @@
 //! non-square kernels, stride > 1, batch of 1, channels = 1, and a
 //! kernel covering the whole input. Budgets are varied through
 //! [`parallel::with_budget`] (thread-local, so this test is race-free)
-//! to drive the nested scheduler through serial, batch-level, and mixed
-//! plans.
+//! to drive dispatch through serial, batch-level, and mixed
+//! partitions.
 
 use fault_sneaking::nn::conv::{Conv2d, VolumeDims};
 use fault_sneaking::nn::layer::Layer;

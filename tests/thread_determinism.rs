@@ -86,7 +86,7 @@ fn attack_is_bit_identical_for_any_thread_count() {
 
 /// The batched conv feature-extraction pipeline (network-level batch
 /// dispatch → per-conv batch dispatch → row-block kernels, all routed
-/// through the nested scheduler) produces byte-identical features at
+/// through `parallel::par_row_blocks`) produces byte-identical features at
 /// every thread count — including a strided non-square conv the C&W
 /// stack never exercises.
 #[test]
@@ -123,8 +123,9 @@ fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
     }
 }
 
-/// The nested scheduler itself: explicit batch plans with different
-/// worker/inner-budget splits must compute identical results.
+/// Nested dispatch itself: thread counts and budget walls that split
+/// work differently between batch-level workers and their inner
+/// kernels must compute identical results.
 #[test]
 fn nested_scheduler_plans_do_not_change_results() {
     let _guard = THREAD_LOCK.lock().unwrap();
