@@ -8,9 +8,9 @@
 //! input space, which is why the fault sneaking paper measures a much
 //! larger accuracy drop for \[16\] under the same fault requirement (§5.4).
 
-use fsa_attack::objective::evaluate_hinge;
+use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
 use fsa_attack::{AttackSpec, ParamSelection};
-use fsa_nn::head::FcHead;
+use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_tensor::{norms, Tensor};
 
 /// GDA hyperparameters.
@@ -131,16 +131,22 @@ impl GdaAttack {
         let mut head = self.head.clone();
         let mut delta = vec![0.0f32; self.theta0.len()];
         let mut iterations_used = self.config.iterations;
+        // One cached forward per iteration feeds both the hinge and the
+        // backward pass; every buffer is reused across iterations.
+        let mut bufs = HeadBuffers::new();
+        let mut hinge = HingeEval::default();
+        let mut flat: Vec<f32> = Vec::with_capacity(delta.len());
         for iter in 0..self.config.iterations {
             self.apply(&mut head, &delta);
-            let logits = head.forward_from(start, &acts);
-            let hinge = evaluate_hinge(&gda_spec, &logits, self.config.margin);
+            let logits = head.forward_from_caching(start, &acts, &mut bufs);
+            evaluate_hinge_into(&gda_spec, logits, self.config.margin, &mut hinge);
             if hinge.active == 0 {
                 iterations_used = iter;
                 break;
             }
-            let grads = head.logit_backward(start, &acts, &hinge.logit_grad);
-            let flat = self.selection.gather_grads(&grads, start);
+            head.backward_from_cache(start, &acts, &hinge.logit_grad, &mut bufs);
+            self.selection
+                .gather_grads_into(bufs.grads(), start, &mut flat);
             for (d, g) in delta.iter_mut().zip(&flat) {
                 *d -= step * g;
             }

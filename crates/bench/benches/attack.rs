@@ -5,7 +5,7 @@
 use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
-use fsa_nn::head::FcHead;
+use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_tensor::{Prng, Tensor};
 use std::hint::black_box;
 
@@ -28,11 +28,34 @@ fn bench_head_passes() {
     bench("head_forward_truncated_100", || {
         black_box(head.forward_from(start, black_box(&acts)))
     });
+    // Dense random `g` (training-shaped: every row active) and a
+    // hinge-shaped `g`: 15 of the 100 rows active, each with +c/−c at
+    // two classes, as the ADMM δ-step sees once most margins are met.
     let mut rng = Prng::new(12);
-    let g = Tensor::randn(&[100, 10], 1.0, &mut rng);
+    let dense = Tensor::randn(&[100, 10], 1.0, &mut rng);
+    let mut hinge = Tensor::zeros(&[100, 10]);
+    for r in (0..100).step_by(7).take(15) {
+        let row = hinge.row_mut(r);
+        row[r % 10] = 2.0;
+        row[(r + 3) % 10] = -2.0;
+    }
     bench("head_logit_backward_truncated_100", || {
-        black_box(head.logit_backward(start, black_box(&acts), black_box(&g)))
+        black_box(head.logit_backward(start, black_box(&acts), black_box(&dense)))
     });
+    bench("head_logit_backward_truncated_100_hinge15", || {
+        black_box(head.logit_backward(start, black_box(&acts), black_box(&hinge)))
+    });
+    // The backward alone, on held buffers (the solver's steady state).
+    let mut bufs = HeadBuffers::new();
+    head.forward_from_caching(start, &acts, &mut bufs);
+    for (name, g) in [("dense", &dense), ("hinge15", &hinge)] {
+        bench(&format!("head_backward_from_cache_100_{name}"), || {
+            black_box(
+                head.backward_from_cache(start, black_box(&acts), g, &mut bufs)
+                    .len(),
+            )
+        });
+    }
 }
 
 /// Hinge evaluation at the paper's R = 100 and the larger working sets

@@ -14,7 +14,7 @@ use crate::activation::Relu;
 use crate::linear::Linear;
 use crate::loss::argmax_slice;
 use fsa_tensor::io::{DecodeError, Decoder, Encoder};
-use fsa_tensor::linalg::{gemm, gemm_tn};
+use fsa_tensor::linalg::{gemm, gemm_tn, KC};
 use fsa_tensor::workspace::with_thread_workspace;
 use fsa_tensor::{Prng, Tensor};
 
@@ -67,6 +67,11 @@ pub struct HeadBuffers {
     dx: Vec<f32>,
     /// Per-layer `(dW, db)` filled by the backward pass.
     grads: Vec<(Tensor, Tensor)>,
+    /// Ascending batch rows the backward pass visits (see
+    /// [`FcHead::backward_from_cache`]).
+    rows: Vec<usize>,
+    /// Those rows of the current layer's input, gathered.
+    gathered: Vec<f32>,
     /// `(start, batch)` of the cached forward pass, if any.
     cached: Option<(usize, usize)>,
 }
@@ -355,6 +360,42 @@ impl FcHead {
     /// (entry `rel` is layer `start + rel`) without allocating once
     /// shapes repeat.
     ///
+    /// Only the batch rows whose row of `g` has an entry `!= 0.0` are
+    /// propagated: for the paper's hinge that is the images whose margin
+    /// is not yet met, often a small share of `R`. Those rows of `g`, of
+    /// each layer's input and of the cached pre-activations are gathered
+    /// and run through the same `gemm_tn`/`gemm`/ReLU-mask kernels as a
+    /// compact batch. When every row is active the gather is the
+    /// identity.
+    ///
+    /// The result is bit-identical to the dense pass over all rows:
+    ///
+    /// - **Zero rows add nothing.** A skipped row reaches every `dW`/`db`
+    ///   accumulator as a `(±0)·x = ±0` term, and every accumulator starts
+    ///   at `+0.0`. Adding `±0` to a value that is not `−0.0` returns it
+    ///   unchanged, and a sum that starts at `+0.0` only becomes `−0.0`
+    ///   by adding `−0.0` to `−0.0`, so it never does. Below the top
+    ///   layer a skipped row's upstream gradient is `(±0)·W` (then
+    ///   masked), which is `+0.0` again.
+    /// - **Tiles line up.** `gemm_tn` sums each [`KC`] tile of the batch
+    ///   from `+0.0` and adds it into `dW` at write-back. The compact rows
+    ///   are therefore issued as one `beta = 1` call per original `KC`
+    ///   tile, into a zeroed `dW`; a tile with no active rows adds `+0.0`
+    ///   in the dense pass and is skipped.
+    /// - **Non-finite values.** The argument needs every skipped term
+    ///   finite, since `0·NaN` and `0·Inf` are NaN. Checking the inputs
+    ///   directly costs about as much as the skip saves, so the cached
+    ///   outputs stand in as proofs. A layer output element is a sum that
+    ///   includes `x_p·W_jp` for every input `x_p` and every weight of
+    ///   row `j`, and a non-finite term never sums back to finite. So one
+    ///   finite element in a row's output of layer `start + rel` (its
+    ///   `preacts[rel]` row, or its logits row) proves that row's input to
+    ///   the layer finite, and one fully finite output row proves the
+    ///   layer's weights finite. A row keeps its place unless every layer
+    ///   proves its input finite; if a layer above `start` (where `dX`
+    ///   is formed from `W`) has no fully finite output row, every row is
+    ///   kept.
+    ///
     /// # Panics
     ///
     /// Panics if no forward pass with the same `start`/batch is cached or
@@ -380,24 +421,46 @@ impl FcHead {
         );
 
         let nrel = self.layers.len() - start;
+        self.collect_rows(start, g, bufs);
+        let dense = bufs.rows.len() == batch;
         bufs.grads
             .resize_with(nrel, || (Tensor::zeros(&[0]), Tensor::zeros(&[0])));
-        bufs.dz.clear();
-        bufs.dz.extend_from_slice(g.as_slice());
+        gather_rows(g.as_slice(), self.classes(), &bufs.rows, &mut bufs.dz);
 
         for rel in (0..nrel).rev() {
             let abs = start + rel;
             let layer = &self.layers[abs];
             let (o, i) = (layer.out_features(), layer.in_features());
-            let x: &[f32] = if rel == 0 {
+            let mut x: &[f32] = if rel == 0 {
                 acts.as_slice()
             } else {
                 &bufs.inputs[rel]
             };
+            if !dense {
+                gather_rows(x, i, &bufs.rows, &mut bufs.gathered);
+                x = &bufs.gathered;
+            }
             let (dw, db) = &mut bufs.grads[rel];
-            // dW = dZᵀ (o×N) · X (N×i)
+            // dW = dZᵀ (o×N) · X (N×i), one call per KC tile of the batch.
             dw.reuse_as(&[o, i]);
-            gemm_tn(o, batch, i, &bufs.dz, x, dw.as_mut_slice(), 1.0, 0.0);
+            dw.as_mut_slice().fill(0.0);
+            for kb in (0..batch).step_by(KC) {
+                let lo = bufs.rows.partition_point(|&r| r < kb);
+                let hi = bufs.rows.partition_point(|&r| r < kb + KC);
+                if lo == hi {
+                    continue;
+                }
+                gemm_tn(
+                    o,
+                    hi - lo,
+                    i,
+                    &bufs.dz[lo * o..hi * o],
+                    &x[lo * i..hi * i],
+                    dw.as_mut_slice(),
+                    1.0,
+                    1.0,
+                );
+            }
             // db = column sums of dZ
             db.reuse_as(&[o]);
             db.as_mut_slice().fill(0.0);
@@ -408,10 +471,11 @@ impl FcHead {
             }
             if rel > 0 {
                 // dX = dZ (N×o) · W (o×i), then mask by previous ReLU.
+                let n = bufs.rows.len();
                 bufs.dx.clear();
-                bufs.dx.resize(batch * i, 0.0);
+                bufs.dx.resize(n * i, 0.0);
                 gemm(
-                    batch,
+                    n,
                     o,
                     i,
                     &bufs.dz,
@@ -421,13 +485,51 @@ impl FcHead {
                     0.0,
                 );
                 let zprev = &bufs.preacts[rel - 1];
-                for (gr, zr) in bufs.dx.chunks_exact_mut(i).zip(zprev.chunks_exact(i)) {
-                    Relu::mask_slice(gr, zr);
+                for (gr, &r) in bufs.dx.chunks_exact_mut(i).zip(&bufs.rows) {
+                    Relu::mask_slice(gr, &zprev[r * i..(r + 1) * i]);
                 }
                 std::mem::swap(&mut bufs.dz, &mut bufs.dx);
             }
         }
         &bufs.grads
+    }
+
+    /// Fills `bufs.rows` with the batch rows [`FcHead::backward_from_cache`]
+    /// must propagate: every row of `g` with an entry `!= 0.0`, plus
+    /// every zero row the cached outputs cannot prove finite (all rows
+    /// if an upper layer's weights are unproven).
+    fn collect_rows(&self, start: usize, g: &Tensor, bufs: &mut HeadBuffers) {
+        use crate::layer::Layer as _;
+        let batch = g.shape()[0];
+        let classes = self.classes();
+        let nrel = self.layers.len() - start;
+        // Output of layer `start + rel` and its width.
+        let output = |rel: usize| -> (&[f32], usize) {
+            if rel + 1 < nrel {
+                (&bufs.preacts[rel], self.layers[start + rel].out_features())
+            } else {
+                (bufs.logits.as_slice(), classes)
+            }
+        };
+        let g = g.as_slice();
+        bufs.rows.clear();
+        bufs.rows.extend((0..batch).filter(|&r| {
+            g[r * classes..(r + 1) * classes].iter().any(|&v| v != 0.0)
+                || (0..nrel).any(|rel| {
+                    let (y, w) = output(rel);
+                    !y[r * w..(r + 1) * w].iter().any(|v| v.is_finite())
+                })
+        }));
+        let weights_proven = bufs.rows.len() == batch
+            || (1..nrel).all(|rel| {
+                let (y, w) = output(rel);
+                y.chunks_exact(w)
+                    .any(|row| row.iter().all(|v| v.is_finite()))
+            });
+        if !weights_proven {
+            bufs.rows.clear();
+            bufs.rows.extend(0..batch);
+        }
     }
 
     /// Flattened parameters of layer `i`: weights row-major, then bias.
@@ -517,6 +619,14 @@ fn linear_forward(layer: &Linear, x: &Tensor) -> Tensor {
     let mut y = Tensor::zeros(&[batch, o]);
     layer.forward_into(x.as_slice(), batch, y.as_mut_slice());
     y
+}
+
+/// Copies rows `rows` of the row-major `width`-wide `src` into `dst`.
+fn gather_rows(src: &[f32], width: usize, rows: &[usize], dst: &mut Vec<f32>) {
+    dst.clear();
+    for &r in rows {
+        dst.extend_from_slice(&src[r * width..(r + 1) * width]);
+    }
 }
 
 /// [`linear_forward`] into a reusable `Vec` (resized, not reallocated).
@@ -620,6 +730,177 @@ mod tests {
                     fresh.into_grads()
                 };
                 assert_eq!(bufs.grads(), &reference[..], "start {start}");
+            }
+        }
+    }
+
+    /// The dense backward the row-sparse pass must reproduce bit for bit:
+    /// every batch row through one `gemm_tn`, one `gemm` and the mask,
+    /// over the activations `bufs` cached.
+    fn dense_backward(
+        head: &FcHead,
+        start: usize,
+        acts: &Tensor,
+        g: &Tensor,
+        bufs: &HeadBuffers,
+    ) -> Vec<(Vec<f32>, Vec<f32>)> {
+        use crate::layer::Layer as _;
+        let batch = acts.shape()[0];
+        let nrel = head.num_layers() - start;
+        let mut dz = g.as_slice().to_vec();
+        let mut out = Vec::new();
+        for rel in (0..nrel).rev() {
+            let layer = head.layer(start + rel);
+            let (o, i) = (layer.out_features(), layer.in_features());
+            let x = if rel == 0 {
+                acts.as_slice()
+            } else {
+                &bufs.inputs[rel]
+            };
+            let mut dw = vec![0.0; o * i];
+            gemm_tn(o, batch, i, &dz, x, &mut dw, 1.0, 0.0);
+            let mut db = vec![0.0f32; o];
+            for row in dz.chunks_exact(o) {
+                for (b, &v) in db.iter_mut().zip(row) {
+                    *b += v;
+                }
+            }
+            out.push((dw, db));
+            if rel > 0 {
+                let mut dx = vec![0.0; batch * i];
+                gemm(
+                    batch,
+                    o,
+                    i,
+                    &dz,
+                    layer.weight().as_slice(),
+                    &mut dx,
+                    1.0,
+                    0.0,
+                );
+                for (gr, zr) in dx
+                    .chunks_exact_mut(i)
+                    .zip(bufs.preacts[rel - 1].chunks_exact(i))
+                {
+                    Relu::mask_slice(gr, zr);
+                }
+                dz = dx;
+            }
+        }
+        out.reverse();
+        out
+    }
+
+    /// Hinge-shaped upstream gradient: each active row holds `+c`/`−c`
+    /// at two classes, and `−0.0` sits in every row, active or not.
+    fn hinge_grad(batch: usize, classes: usize, active: impl Fn(usize) -> bool) -> Tensor {
+        let mut g = Tensor::zeros(&[batch, classes]);
+        for r in 0..batch {
+            let row = g.row_mut(r);
+            for (j, v) in row.iter_mut().enumerate() {
+                if (r + j) % 2 == 1 {
+                    *v = -0.0;
+                }
+            }
+            if active(r) {
+                let c = 0.5 + (r % 5) as f32;
+                row[r % classes] = c;
+                row[(r + 2) % classes] = -c;
+            }
+        }
+        g
+    }
+
+    /// Sparse grads equal dense grads element by element: same bits, or
+    /// NaN in both.
+    fn assert_same_bits(sparse: &[(Tensor, Tensor)], dense: &[(Vec<f32>, Vec<f32>)], what: &str) {
+        assert_eq!(sparse.len(), dense.len(), "{what}: layer count");
+        for (rel, ((dw, db), (rw, rb))) in sparse.iter().zip(dense).enumerate() {
+            for (name, got, want) in [("dW", dw.as_slice(), rw), ("db", db.as_slice(), rb)] {
+                assert_eq!(got.len(), want.len(), "{what}: {name}[{rel}] length");
+                for (k, (a, b)) in got.iter().zip(want).enumerate() {
+                    assert!(
+                        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                        "{what}: {name}[{rel}][{k}] = {a:e} ({:#x}), dense {b:e} ({:#x})",
+                        a.to_bits(),
+                        b.to_bits()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sparse_backward_is_bit_identical_to_dense() {
+        let mut rng = Prng::new(23);
+        let head = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
+        let classes = head.classes();
+        type Pattern = (&'static str, fn(usize) -> bool);
+        let patterns: [Pattern; 5] = [
+            ("none", |_| false),
+            ("one", |r| r == 0),
+            ("15%", |r| r % 7 == 3),
+            ("first tile + 15%", |r| r < KC || r % 7 == 3),
+            ("all", |_| true),
+        ];
+        let mut bufs = HeadBuffers::new();
+        for batch in [1, 7, 100, 255, 256, 257, 600] {
+            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+            for start in 0..head.num_layers() {
+                let acts = head.activations_before(start, &x);
+                for (name, active) in patterns {
+                    let g = hinge_grad(batch, classes, active);
+                    head.forward_from_caching(start, &acts, &mut bufs);
+                    let dense = dense_backward(&head, start, &acts, &g, &bufs);
+                    head.backward_from_cache(start, &acts, &g, &mut bufs);
+                    let what = format!("batch {batch} start {start} {name}");
+                    let want: Vec<usize> = (0..batch).filter(|&r| active(r)).collect();
+                    assert_eq!(bufs.rows, want, "{what}: rows visited");
+                    assert_same_bits(bufs.grads(), &dense, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_sparse_backward_keeps_non_finite_values() {
+        let mut rng = Prng::new(24);
+        let base = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
+        let classes = base.classes();
+        let active = |r: usize| r % 7 == 3;
+        let mut bufs = HeadBuffers::new();
+        for batch in [7, 100, 257, 600] {
+            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+            let g = hinge_grad(batch, classes, active);
+            let skipped = (0..batch).rev().find(|&r| !active(r)).unwrap();
+            let kept = 3;
+            for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                for start in 0..base.num_layers() {
+                    let clean = base.activations_before(start, &x);
+                    let width = clean.shape()[1];
+                    let mut cases = Vec::new();
+                    for (site, row) in [("skipped row", skipped), ("active row", kept)] {
+                        let mut acts = clean.clone();
+                        acts.row_mut(row)[width / 2] = bad;
+                        cases.push((site, base.clone(), acts));
+                    }
+                    // The last layer's weights: above `start` unless
+                    // `start` is the last layer itself.
+                    let mut head = base.clone();
+                    let last = head.num_layers() - 1;
+                    head.layer_mut(last).weight_mut().as_mut_slice()[4] = bad;
+                    cases.push(("last-layer weight", head, clean.clone()));
+                    for (site, head, acts) in cases {
+                        head.forward_from_caching(start, &acts, &mut bufs);
+                        let dense = dense_backward(&head, start, &acts, &g, &bufs);
+                        head.backward_from_cache(start, &acts, &g, &mut bufs);
+                        let what = format!("batch {batch} start {start} {bad} in {site}");
+                        assert_same_bits(bufs.grads(), &dense, &what);
+                        if site == "skipped row" {
+                            assert!(bufs.rows.contains(&skipped), "{what}: row dropped");
+                        }
+                    }
+                }
             }
         }
     }

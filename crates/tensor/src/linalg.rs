@@ -23,7 +23,11 @@
 //! bit-identical regardless of thread count or where the row partition
 //! happens to fall. Unlike the earlier scalar kernels there are no
 //! zero-operand skips, so NaN/Inf propagate exactly as BLAS semantics
-//! require.
+//! require. The kernels still never skip a zero operand. The one exact
+//! shortcut over zeros lives a level up: the head backward
+//! (`fsa_nn::head::FcHead::backward_from_cache`) gathers only the batch
+//! rows whose upstream gradient is nonzero, and its doc gives the proof
+//! that this keeps every bit, non-finite values included.
 //!
 //! These are plain-slice kernels; `Tensor` methods wrap them, and callers
 //! that need scratch space borrow it from
@@ -34,8 +38,11 @@
 use crate::parallel;
 
 /// `k`-dimension tile: one `KC×NR` panel of `B` (8 KiB) fits in L1 while
-/// a register tile accumulates over it.
-const KC: usize = 256;
+/// a register tile accumulates over it. Each tile accumulates from `+0.0`
+/// and is added into `C` at write-back, so a caller that splits `k` at
+/// multiples of `KC` and accumulates with `beta = 1` gets the same bits
+/// as one call. Public for exactly that (the head's row-sparse backward).
+pub const KC: usize = 256;
 
 /// Micro-kernel rows (output register tile height).
 const MR: usize = 4;

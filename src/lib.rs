@@ -92,7 +92,10 @@
 //! Hot loops are allocation-free: the ADMM δ-step reuses
 //! [`nn::head::HeadBuffers`] and a pooled
 //! [`tensor::workspace::Workspace`] (`take`/`give` zeroed scratch
-//! buffers) instead of allocating tensors per iteration.
+//! buffers) instead of allocating tensors per iteration. Its head
+//! backward propagates only the images whose hinge is active, with
+//! bits equal to the dense pass (see
+//! [`nn::head::FcHead::backward_from_cache`]).
 //!
 //! Campaigns (many attacks over one victim) extract the victim's pool
 //! activations once into a shared [`nn::feature_cache::FeatureCache`]
