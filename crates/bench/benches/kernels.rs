@@ -41,6 +41,29 @@ fn bench_gemm() {
     });
 }
 
+/// `gemm_nt` at the paper's shapes (R = 100 images, m×k→n): the ADMM and
+/// refine head forward, and the two layers of `activations_before`.
+fn bench_gemm_nt_paper() {
+    let mut rng = Prng::new(4);
+    for (name, m, k, n) in [
+        ("gemm_nt_100x200_to_10", 100, 200, 10),
+        ("gemm_nt_100x1024_to_200", 100, 1024, 200),
+        ("gemm_nt_100x200_to_200", 100, 200, 200),
+    ] {
+        let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let b: Vec<f32> = (0..n * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut out = vec![0.0f32; m * n];
+        let t = bench(name, || {
+            gemm_nt(m, k, n, black_box(&a), black_box(&b), &mut out, 1.0, 0.0);
+            black_box(out[0])
+        });
+        println!(
+            "  {name}: {:.2} GFLOP/s",
+            t.gflops(2.0 * (m * k * n) as f64)
+        );
+    }
+}
+
 fn bench_conv_forward() {
     // The first C&W conv layer on one MNIST-shaped image.
     let mut rng = Prng::new(2);
@@ -72,6 +95,7 @@ fn main() {
         fsa_tensor::parallel::max_threads()
     );
     bench_gemm();
+    bench_gemm_nt_paper();
     bench_conv_forward();
     bench_prox();
 }

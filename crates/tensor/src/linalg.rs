@@ -1,5 +1,5 @@
-//! Matrix kernels: GEMM (all transpose combinations used by backprop),
-//! GEMV, and rank-1 updates — the parallel tiled kernel engine.
+//! Matrix kernels: GEMM in the three transpose layouts backprop uses,
+//! and GEMV — the parallel tiled kernel engine.
 //!
 //! Every kernel follows the same three-level architecture:
 //!
@@ -7,24 +7,40 @@
 //!    contiguous row blocks dispatched through
 //!    [`crate::parallel::par_row_blocks`] (scoped threads). Each block
 //!    is written by exactly one thread; no synchronization, no atomics.
-//! 2. **Cache blocking** — within a block the shared `k` dimension is
-//!    tiled by the `KC` constant so the streamed panels of `A`/`B` stay resident in
-//!    L1/L2 while a register tile accumulates.
-//! 3. **Register-blocked micro-kernel** — `MR`×`NR` (4×8) output
-//!    tiles are accumulated in local arrays the compiler keeps in vector
-//!    registers, with the column loop unrolled 8 wide; one pass over a
-//!    `k` panel performs 32 multiply-adds per 12 loads instead of the
-//!    1 multiply-add per 2 loads of a scalar loop.
+//! 2. **Cache blocking** — [`gemm`] and [`gemm_tn`] tile the shared `k`
+//!    dimension by [`KC`] so the streamed panels of `A`/`B` stay resident
+//!    in L1/L2 while a register tile accumulates; [`gemm_nt`] tiles its
+//!    output columns by [`NC`] so a panel of `B` rows stays in cache
+//!    while the block's `A` rows stream over it.
+//! 3. **Register tiles** — [`gemm`] and [`gemm_tn`] accumulate `MR`×`NR`
+//!    (4×8) output tiles in local arrays the compiler keeps in vector
+//!    registers: one pass over a `k` panel performs 32 multiply-adds per
+//!    12 loads instead of the 1 multiply-add per 2 loads of a scalar
+//!    loop. [`gemm_nt`] computes each element as one eight-chain dot
+//!    product in [`dot_slices`]' order. On x86_64 with AVX it runs a
+//!    4 A-row × 2 B-row tile: eight `__m256` accumulators, one per output
+//!    element, whose lane `t` is that element's chain `t`, so every
+//!    loaded 8-wide chunk of a row feeds two or four products.
+//!
+//! **ISA dispatch.** The NT tile chooses its instruction set at run time:
+//! AVX is detected once (cached in a `OnceLock`) and used when `k ≥ NR`;
+//! otherwise, and on every other target, the portable scalar kernel runs.
+//! No build flag, cargo feature, environment variable or config field
+//! selects a path. The AVX kernel keeps each element's scalar operation
+//! sequence — separate multiply then add (never FMA), chunks in
+//! ascending order, the scalar tail, the same reduction tree and the same
+//! `c += alpha·d` write-back — so both paths produce the same bits. The
+//! scalar kernel stays as the fallback and as the oracle of a `to_bits`
+//! test. Its raw kernel is the workspace's only `unsafe` code.
 //!
 //! Determinism is a hard contract: each output element is produced by the
 //! same sequence of `f32` operations (ascending `p` within each `k` tile,
-//! `alpha` applied at tile write-back) in **every** code path — 4-row
-//! micro-kernel, 1-row remainder, and column tails — so results are
-//! bit-identical regardless of thread count or where the row partition
-//! happens to fall. Unlike the earlier scalar kernels there are no
-//! zero-operand skips, so NaN/Inf propagate exactly as BLAS semantics
-//! require. The kernels still never skip a zero operand. The one exact
-//! shortcut over zeros lives a level up: the head backward
+//! `alpha` applied at tile write-back) in **every** code path — full
+//! register tiles, row and column remainders, either ISA — so results are
+//! bit-identical regardless of thread count, where the row partition
+//! happens to fall, or which CPU runs them. No kernel skips a zero
+//! operand, so NaN/Inf propagate exactly as BLAS semantics require. The
+//! one exact shortcut over zeros lives a level up: the head backward
 //! (`fsa_nn::head::FcHead::backward_from_cache`) gathers only the batch
 //! rows whose upstream gradient is nonzero, and its doc gives the proof
 //! that this keeps every bit, non-finite values included.
@@ -400,15 +416,39 @@ pub fn gemm_nt(
 
 /// Serial kernel for a row block of `C = alpha·A·Bᵀ + C`:
 /// `C[i,j] = dot(A row i, B row j)`, both contiguous in `p`, so each
-/// element is one eight-chain [`dot_slices`] — the layout the attack's
-/// hottest call (`x·Wᵀ` with few output classes) vectorizes best as.
-/// No `k` tiling: one pass per element already streams both operands
-/// linearly. The `j` loop is tiled by [`NC`] so a panel of `B` rows
-/// stays in cache across the block's `A` rows instead of the whole of
-/// `B` being re-streamed per `C` row; tiling only reorders *whole-dot*
-/// evaluations, so every element's operation sequence — and therefore
-/// every bit of the result — is unchanged.
+/// element is one eight-chain dot product in [`dot_slices`]' order — the
+/// layout the attack's hottest call (`x·Wᵀ` with few output classes)
+/// vectorizes best as. Dispatches to the AVX register tile when the CPU
+/// has it and `k` fills at least one 8-wide chunk, else to the scalar
+/// kernel; both produce the same bits (see the module doc).
 fn nt_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f32], alpha: f32) {
+    #[cfg(target_arch = "x86_64")]
+    if k >= NR && avx::available() {
+        // SAFETY: `avx::available()` confirmed the CPU supports AVX, the
+        // only requirement of the raw kernel.
+        unsafe { avx::nt_block(r0, k, n, a, b, block, alpha) };
+        return;
+    }
+    nt_block_scalar(r0, k, n, a, b, block, alpha);
+}
+
+/// Portable NT kernel: one [`dot_slices`] per element. No `k` tiling:
+/// one pass per element already streams both operands linearly. The `j`
+/// loop is tiled by [`NC`] so a panel of `B` rows stays in cache across
+/// the block's `A` rows instead of the whole of `B` being re-streamed per
+/// `C` row; tiling only reorders *whole-dot* evaluations, so every
+/// element's operation sequence — and therefore every bit of the result —
+/// is unchanged. The fallback on CPUs without AVX and the oracle of the
+/// AVX kernel.
+fn nt_block_scalar(
+    r0: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    block: &mut [f32],
+    alpha: f32,
+) {
     for jb in (0..n).step_by(NC) {
         let je = (jb + NC).min(n);
         for (i, c_row) in block.chunks_exact_mut(n).enumerate() {
@@ -419,6 +459,156 @@ fn nt_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f3
                 *cv += alpha * dot_slices(a_row, &b[j * k..j * k + k]);
             }
         }
+    }
+}
+
+/// The AVX register-tiled NT kernel (x86_64 only).
+#[cfg(target_arch = "x86_64")]
+mod avx {
+    use super::{fmadd, reduce_lanes, MR, NC, NR};
+    use std::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+    use std::sync::OnceLock;
+
+    /// Whether this CPU supports AVX, detected once per process.
+    pub(super) fn available() -> bool {
+        static AVX: OnceLock<bool> = OnceLock::new();
+        *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
+    }
+
+    /// Row block of `C = alpha·A·Bᵀ + C` with the same contract and the
+    /// same bits as [`super::nt_block_scalar`]. Within each [`NC`] column
+    /// panel, groups of [`MR`] rows run 4×2 tiles, then a 4×1 tile for an
+    /// odd last column; the remainder rows run 1×2 and 1×1 tiles. A tile
+    /// only decides which elements share operand loads, never an
+    /// element's arithmetic, so no tile shape can change a bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX ([`available`]). Every slice access is
+    /// bounds-checked, so no other condition is needed.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn nt_block(
+        r0: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        block: &mut [f32],
+        alpha: f32,
+    ) {
+        let rows = block.len() / n;
+        let a_row = |i: usize| &a[(r0 + i) * k..(r0 + i) * k + k];
+        for jb in (0..n).step_by(NC) {
+            let je = (jb + NC).min(n);
+            let mut i = 0;
+            while i + MR <= rows {
+                let a4 = [a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3)];
+                strip(a4, b, k, n, jb, je, &mut block[i * n..(i + MR) * n], alpha);
+                i += MR;
+            }
+            for i in i..rows {
+                let c = &mut block[i * n..(i + 1) * n];
+                strip([a_row(i)], b, k, n, jb, je, c, alpha);
+            }
+        }
+    }
+
+    /// Columns `jb..je` of the `R` output rows in `c`: B rows in pairs,
+    /// then one last B row if the panel width is odd.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    unsafe fn strip<const R: usize>(
+        a_rows: [&[f32]; R],
+        b: &[f32],
+        k: usize,
+        n: usize,
+        jb: usize,
+        je: usize,
+        c: &mut [f32],
+        alpha: f32,
+    ) {
+        let b_row = |j: usize| &b[j * k..j * k + k];
+        let mut j = jb;
+        while j + 2 <= je {
+            let d = tile(a_rows, [b_row(j), b_row(j + 1)]);
+            for (s, ds) in d.iter().enumerate() {
+                for (u, &dv) in ds.iter().enumerate() {
+                    c[s * n + j + u] += alpha * dv;
+                }
+            }
+            j += 2;
+        }
+        if j < je {
+            let d = tile(a_rows, [b_row(j)]);
+            for (s, ds) in d.iter().enumerate() {
+                c[s * n + j] += alpha * ds[0];
+            }
+        }
+    }
+
+    /// The `R×C` dot products `dot(a_rows[s], b_rows[u])` in
+    /// [`super::dot_slices`]' exact operation order: lane `t` of
+    /// accumulator `(s, u)` is that element's chain `t`, advanced by a
+    /// separate multiply and add per 8-wide chunk in ascending order,
+    /// then the scalar tail and the same reduction tree.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every row has the same length, which the loads
+    /// below rely on.
+    #[target_feature(enable = "avx")]
+    unsafe fn tile<const R: usize, const C: usize>(
+        a_rows: [&[f32]; R],
+        b_rows: [&[f32]; C],
+    ) -> [[f32; C]; R] {
+        let k = a_rows[0].len();
+        assert!(
+            a_rows.iter().chain(&b_rows).all(|row| row.len() == k),
+            "NT tile rows differ in length"
+        );
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        let mut o = 0;
+        while o + NR <= k {
+            let mut bv = [_mm256_setzero_ps(); C];
+            for (v, row) in bv.iter_mut().zip(b_rows) {
+                // SAFETY: `row` has length `k` (asserted above; the
+                // callers slice it from `gemm_nt`'s length-checked `B`)
+                // and `o + 8 ≤ k`, so the 8-lane load stays in bounds.
+                *v = unsafe { _mm256_loadu_ps(row.as_ptr().add(o)) };
+            }
+            for (acc_s, row) in acc.iter_mut().zip(a_rows) {
+                // SAFETY: as above; every A row also has length `k`.
+                let av = unsafe { _mm256_loadu_ps(row.as_ptr().add(o)) };
+                for (acc_su, &bu) in acc_s.iter_mut().zip(&bv) {
+                    *acc_su = _mm256_add_ps(*acc_su, _mm256_mul_ps(av, bu));
+                }
+            }
+            o += NR;
+        }
+        let mut out = [[0.0f32; C]; R];
+        for s in 0..R {
+            for u in 0..C {
+                let mut lanes = [0.0f32; NR];
+                // SAFETY: `lanes` holds exactly 8 `f32`s, the width of
+                // the unaligned store.
+                unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[s][u]) };
+                let mut tail = 0.0f32;
+                for p in o..k {
+                    tail = fmadd(a_rows[s][p], b_rows[u][p], tail);
+                }
+                out[s][u] = reduce_lanes(&lanes, tail);
+            }
+        }
+        out
     }
 }
 
@@ -448,35 +638,6 @@ pub fn gemv(m: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32], alpha: f32,
     });
 }
 
-/// Rank-1 update `A += alpha * x·yᵀ` where `A` is `m×n` row-major,
-/// `x` has length `m`, `y` has length `n`.
-///
-/// This is the core of the truncated-head gradient: the gradient of a logit
-/// difference with respect to a single FC layer's weights is an outer
-/// product of the upstream logit gradient and the layer input.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its dimensions imply.
-pub fn ger(m: usize, n: usize, alpha: f32, x: &[f32], y: &[f32], a: &mut [f32]) {
-    assert!(x.len() >= m, "x too short: {} < {m}", x.len());
-    assert!(y.len() >= n, "y too short: {} < {n}", y.len());
-    assert!(a.len() >= m * n, "A too short: {} < {}", a.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    let y = &y[..n];
-    parallel::par_row_blocks(&mut a[..m * n], n, PAR_MIN_ROWS, |r0, block| {
-        for (i, a_row) in block.chunks_exact_mut(n).enumerate() {
-            // No zero-skip: alpha*x[i] may be NaN/Inf and must propagate.
-            let xv = alpha * x[r0 + i];
-            for (av, &yv) in a_row.iter_mut().zip(y.iter()) {
-                *av = fmadd(xv, yv, *av);
-            }
-        }
-    });
-}
-
 /// Dot product of two equal-length prefixes with eight independent
 /// accumulation chains (`chunks_exact` so the compiler vectorizes the
 /// body without bounds checks).
@@ -496,6 +657,13 @@ pub fn dot_slices(a: &[f32], b: &[f32]) -> f32 {
     for (&x, &y) in a_tail.iter().zip(b_tail.iter()) {
         tail = fmadd(x, y, tail);
     }
+    reduce_lanes(&acc, tail)
+}
+
+/// The fixed reduction tree that closes every eight-chain dot product,
+/// shared by [`dot_slices`] and the AVX NT tile so both sum the same way.
+#[inline(always)]
+fn reduce_lanes(acc: &[f32; NR], tail: f32) -> f32 {
     ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7])) + tail
 }
 
@@ -660,6 +828,102 @@ mod tests {
         assert_close(&c, &expect, 1e-5);
     }
 
+    /// Equal bits, or both NaN: Rust does not pin NaN payloads, so two
+    /// correct paths may legally differ there and nowhere else.
+    fn same_value(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// `C0` scaled by `beta` (as `gemm_nt` does), then `kernel` run over
+    /// the whole output as one row block.
+    fn run_nt_raw(c0: &[f32], beta: f32, kernel: impl FnOnce(&mut [f32])) -> Vec<f32> {
+        let mut c = c0.to_vec();
+        scale_output(&mut c, c0.len(), beta);
+        kernel(&mut c);
+        c
+    }
+
+    #[test]
+    fn nt_avx_kernel_matches_scalar_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx = avx::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx = false;
+        if !has_avx {
+            eprintln!("no AVX on this host: checking the scalar NT kernel only");
+        }
+        let mut rng = Prng::new(33);
+        let ms = [1usize, 2, 3, 4, 5, 6, 7, 9];
+        let ns = [1usize, 2, 3, NC - 1, NC, NC + 1, 2 * NC];
+        let ks = [0usize, 1, 7, 8, 9, 15, 16, 17, 200, 1024];
+        let scalings = [
+            (1.0f32, 0.0f32),
+            (2.0, 1.0),
+            (-0.5, 0.0),
+            (1.0, 1.0),
+            (2.0, 0.0),
+            (-0.5, 1.0),
+        ];
+        let shapes = ms.iter().flat_map(|&m| ns.iter().map(move |&n| (m, n)));
+        let cases = shapes.flat_map(|(m, n)| ks.iter().map(move |&k| (m, n, k)));
+        for (case, (m, n, k)) in cases.enumerate() {
+            for planted in [false, true] {
+                let (alpha, beta) = scalings[(case + planted as usize) % scalings.len()];
+                let mut a = rand_vec(m * k, &mut rng);
+                let mut b = rand_vec(n * k, &mut rng);
+                let c0 = rand_vec(m * n, &mut rng);
+                let (ia, jb) = (m / 2, n / 2);
+                if planted && k > 0 {
+                    a[ia * k + k / 2] = f32::INFINITY;
+                    b[jb * k] = f32::NEG_INFINITY;
+                    b[jb * k + k - 1] = f32::NAN;
+                }
+                // The definition both kernels must reproduce bit for bit.
+                let oracle = run_nt_raw(&c0, beta, |c| {
+                    for i in 0..m {
+                        for j in 0..n {
+                            let d = dot_slices(&a[i * k..i * k + k], &b[j * k..j * k + k]);
+                            c[i * n + j] += alpha * d;
+                        }
+                    }
+                });
+                let scalar = run_nt_raw(&c0, beta, |c| nt_block_scalar(0, k, n, &a, &b, c, alpha));
+                #[cfg(target_arch = "x86_64")]
+                let simd = has_avx.then(|| {
+                    // SAFETY: AVX support was detected above.
+                    run_nt_raw(&c0, beta, |c| unsafe {
+                        avx::nt_block(0, k, n, &a, &b, c, alpha)
+                    })
+                });
+                #[cfg(not(target_arch = "x86_64"))]
+                let simd = None;
+                let paths = [("scalar", Some(scalar)), ("avx", simd)];
+                for (path, got) in paths.iter().filter_map(|(p, g)| Some((p, g.as_ref()?))) {
+                    for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
+                        let (i, j) = (idx / n, idx % n);
+                        assert!(
+                            same_value(g, o),
+                            "{path} m={m} k={k} n={n} alpha={alpha} beta={beta} planted={planted} \
+                             C[{i},{j}]: {g:e} vs {o:e}"
+                        );
+                        if planted && k > 0 {
+                            assert_eq!(
+                                g.is_finite(),
+                                i != ia && j != jb,
+                                "{path} m={m} k={k} n={n}: non-finite must reach exactly \
+                                 row {ia} and column {jb}, C[{i},{j}] = {g}"
+                            );
+                            assert!(
+                                j != jb || g.is_nan(),
+                                "{path}: NaN column lost at C[{i},{j}]"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_alpha_beta_semantics() {
         let mut rng = Prng::new(4);
@@ -695,12 +959,25 @@ mod tests {
         assert!(c[0].is_nan() && c[1].is_nan(), "NaN row dropped: {c:?}");
         assert_eq!(&c[2..], &[1.0, 0.0]);
 
-        let mut g = [0.0f32; 4];
-        ger(2, 2, 1.0, &[0.0, 1.0], &[f32::INFINITY, 1.0], &mut g);
-        assert!(g[0].is_nan(), "0·inf must be NaN, got {}", g[0]);
-        assert!(g[2].is_infinite());
+        // NT, on both ISA paths: k = 9 runs the 8-wide chunk and the
+        // scalar tail. Row 0 of A holds NaN (reaches all of row 0 of C);
+        // B row 1 holds Inf against an A row 1 that is zero there, so
+        // `0·Inf = NaN` reaches C[1,1] only.
+        let k = 9;
+        let mut a = vec![1.0f32; 2 * k];
+        a[3] = f32::NAN;
+        a[k + 8] = 0.0;
+        let mut b = vec![0.5f32; 2 * k];
+        b[k + 8] = f32::INFINITY;
+        let mut c = [0.0f32; 4];
+        gemm_nt(2, k, 2, &a, &b, &mut c, 1.0, 0.0);
+        assert!(c[0].is_nan() && c[1].is_nan(), "NaN row dropped: {c:?}");
+        assert_eq!(c[2], 4.0);
+        assert!(c[3].is_nan(), "0·inf must be NaN, got {}", c[3]);
     }
 
+    /// On an AVX host `gemm_nt` here runs the AVX tile: 67 rows split at
+    /// non-multiples of 4 and an odd width exercise every remainder tile.
     #[test]
     fn results_are_bit_identical_across_thread_counts() {
         let _guard = THREAD_LOCK.lock().unwrap();
@@ -743,15 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn ger_is_outer_product_update() {
-        let x = [1.0, 2.0];
-        let y = [3.0, 4.0, 5.0];
-        let mut a = vec![1.0; 6];
-        ger(2, 3, 2.0, &x, &y, &mut a);
-        assert_eq!(a, vec![7.0, 9.0, 11.0, 13.0, 17.0, 21.0]);
-    }
-
-    #[test]
     fn dot_slices_matches_f64_reference() {
         let mut rng = Prng::new(7);
         for len in [0usize, 1, 7, 8, 9, 63, 64, 100] {
@@ -778,7 +1046,6 @@ mod tests {
         gemm_nt(0, 0, 0, &[], &[], &mut c, 1.0, 0.0);
         let mut y: Vec<f32> = vec![];
         gemv(0, 0, &[], &[], &mut y, 1.0, 0.0);
-        ger(0, 0, 1.0, &[], &[], &mut c);
     }
 
     #[test]
