@@ -296,6 +296,25 @@ impl Artifacts {
             .map(|l| l as usize)
             .collect();
         let baseline_accuracy = dec.read_f32()?;
+        // Everything the experiments index by, checked here so a
+        // corrupt cache is a decode error rather than a panic later.
+        let classes = model.head.classes();
+        for (what, features, labels) in [
+            ("test", &test_features, &test_labels),
+            ("pool", &pool_features, &pool_labels),
+        ] {
+            if features.ndim() != 2
+                || features.shape()[0] != labels.len()
+                || features.shape()[1] != model.head.in_features()
+                || labels.iter().any(|&l| l >= classes)
+            {
+                return Err(DecodeError::new(format!(
+                    "{what} split inconsistent: features {:?}, {} labels",
+                    features.shape(),
+                    labels.len()
+                )));
+            }
+        }
         let preds = model.head.predict(&pool_features);
         let pool_correct: Vec<usize> = (0..pool_labels.len())
             .filter(|&i| preds[i] == pool_labels[i])
@@ -348,5 +367,134 @@ fn workspace_root() -> PathBuf {
         if !dir.pop() {
             return std::env::current_dir().expect("no current dir");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// A digits artifact with a random victim and a few feature rows.
+    fn encoded() -> Vec<u8> {
+        encoded_with(0, vec![7, 1])
+    }
+
+    /// A digits artifact whose two pool rows are `extra_width` wider
+    /// than the head reads, labelled `pool_labels`.
+    fn encoded_with(extra_width: usize, pool_labels: Vec<usize>) -> Vec<u8> {
+        let mut rng = Prng::new(0xA27);
+        let kind = Kind::Digits;
+        let model = CwModel::new_random(kind.cw_config(), &mut rng);
+        let dim = model.config.feature_dim();
+        let mut artifacts = Artifacts {
+            kind,
+            test_features: Tensor::randn(&[3, dim], 1.0, &mut rng),
+            test_labels: vec![0, 9, 4],
+            pool_features: Tensor::randn(&[2, dim + extra_width], 1.0, &mut rng),
+            pool_labels,
+            pool_correct: Vec::new(),
+            baseline_accuracy: 0.5,
+            model,
+            test_acts: Mutex::new(HashMap::new()),
+        };
+        let mut enc = Encoder::new();
+        artifacts.encode(&mut enc);
+        enc.into_bytes()
+    }
+
+    /// Start and width of every integer field a reader trusts: the
+    /// header before the first tensor, each tensor's tag, rank, dims and
+    /// length (and the count that may precede it), and the label and
+    /// accuracy tail after the last tensor's data.
+    fn fields(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let word = |at: usize, w: usize| {
+            let mut b = [0u8; 8];
+            b[..w].copy_from_slice(&bytes[at..at + w]);
+            u64::from_le_bytes(b) as usize
+        };
+        let tags: Vec<usize> = (0..bytes.len() - 3)
+            .filter(|&p| &bytes[p..p + 4] == b"FSAT")
+            .collect();
+        let mut out = Vec::new();
+        let mut tail = 0;
+        for &p in &tags {
+            let rank = word(p + 4, 4).min(8);
+            out.extend([(p - 8, 8), (p - 4, 4), (p, 4), (p + 4, 4)]);
+            out.extend((0..=rank).map(|k| (p + 8 + 8 * k, 8)));
+            tail = p + 16 + 8 * rank + 4 * word(p + 8 + 8 * rank, 8);
+        }
+        let loose = (0..tags[0]).chain(tail..bytes.len());
+        out.extend(loose.flat_map(|at| [(at, 4), (at, 8)]));
+        out.retain(|&(at, w)| at + w <= bytes.len());
+        out
+    }
+
+    #[test]
+    fn decode_roundtrips() {
+        let bytes = encoded();
+        let a = Artifacts::decode(Kind::Digits, &bytes).unwrap();
+        assert_eq!(a.pool_labels, vec![7, 1]);
+        assert!(Artifacts::decode(Kind::Objects, &bytes).is_err());
+    }
+
+    #[test]
+    fn inconsistent_splits_are_decode_errors() {
+        // More labels than rows, rows the head cannot read, and a label
+        // past the last class: well-formed bytes that would send an
+        // experiment out of bounds.
+        for (extra_width, labels) in [(0, vec![7, 1, 2]), (1, vec![7, 1]), (0, vec![7, 10])] {
+            let bytes = encoded_with(extra_width, labels.clone());
+            assert!(
+                Artifacts::decode(Kind::Digits, &bytes).is_err(),
+                "pool +{extra_width} wide, labels {labels:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn hostile_fields_and_truncations_decode_to_errors_never_panics() {
+        let mut bytes = encoded();
+        let mut rng = Prng::new(0xF022);
+        let mut panics = Vec::new();
+        let mut decode = |b: &[u8], what: String| {
+            if catch_unwind(AssertUnwindSafe(|| Artifacts::decode(Kind::Digits, b))).is_err() {
+                panics.push(what);
+            }
+        };
+        for (at, width) in fields(&bytes) {
+            let orig: [u8; 8] = {
+                let mut w = [0u8; 8];
+                w[..width].copy_from_slice(&bytes[at..at + width]);
+                w
+            };
+            let v0 = u64::from_le_bytes(orig);
+            for v in [
+                0,
+                1,
+                v0.wrapping_add(1),
+                v0.wrapping_sub(1),
+                v0.wrapping_mul(2),
+                v0 / 2,
+                1 << 31,
+                1 << 32,
+                1 << 63,
+                u64::MAX,
+            ] {
+                bytes[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                decode(&bytes, format!("{v:#x} at {at}"));
+            }
+            bytes[at..at + width].copy_from_slice(&orig[..width]);
+        }
+        for _ in 0..32 {
+            let n = rng.below(bytes.len());
+            decode(&bytes[..n], format!("truncated to {n}"));
+        }
+        assert!(
+            panics.is_empty(),
+            "{} hostile inputs panicked (first: {:?})",
+            panics.len(),
+            &panics[..panics.len().min(8)]
+        );
     }
 }

@@ -1,5 +1,6 @@
 //! **Ablation** — the two engineering choices this reproduction adds on
-//! top of the paper's eqs. 10–22 (documented in EXPERIMENTS.md):
+//! top of the ADMM loop of eqs. 10–22 of the paper (PAPER.md; ROADMAP.md,
+//! direction 1, measures the loop against its iteration cap):
 //!
 //! * hinge margin κ (paper: 0; ours: 1) — hardens faults against the
 //!   `ℓ0` z-step's rounding;

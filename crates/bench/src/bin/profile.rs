@@ -1,8 +1,9 @@
-//! Telemetry overhead profile — the PR 9 bench artifact.
+//! Telemetry overhead gate: telemetry costs at most 5% and never
+//! changes a bit.
 //!
-//! Runs the 12-scenario campaign sweep (the same Table-2-style grid the
-//! `campaign` bin times) twice per repetition — telemetry off, then
-//! telemetry on — and asserts the identity-only contract end to end:
+//! Runs the 12-scenario campaign sweep twice per repetition —
+//! telemetry off, then telemetry on — and asserts the identity-only
+//! contract end to end:
 //!
 //! * the campaign report fingerprint is **bit-identical** with
 //!   telemetry on and off (any divergence aborts the bin);
@@ -12,52 +13,33 @@
 //!   alternated multi-sweep blocks (machine noise — steal, preemption,
 //!   frequency dips — can only slow an arm down, so each estimate
 //!   over-reads and the tightest one is the valid bound to assert);
-//! * the reference report passes the same structural sanity gates
-//!   `exp::run_one` applies to every table row (success rate, counter
-//!   consistency), so the overhead claim is measured on a run that
-//!   actually did the work.
+//! * the reference report passes the same structural sanity gate
+//!   [`fsa_bench::exp::assert_sane`] `exp::run_one` applies to every
+//!   table row, plus a success-rate floor, so the overhead claim is
+//!   measured on a run that actually did the work.
 //!
-//! Emits `BENCH_PR9.json` at the workspace root and the drained trace
-//! (spans, counters, convergence traces) to
-//! `artifacts/TRACE_profile.json` through the in-repo io layer, and
-//! prints the text profile tree.
+//! The gate is marginal on a busy 2-core host (a true overhead of a
+//! few percent against a 5% budget), so it stays a binary run alone,
+//! once, on the optimized build, rather than a test every `cargo test`
+//! leg would repeat. It writes no files.
 //!
 //! Run: `cargo run --release -p fsa-bench --bin profile`
-//! CI smoke: `cargo run -p fsa-bench --bin profile -- --smoke`
-//! (tiny grid, fingerprint identity only — overhead is not asserted on
-//! a 2-scenario debug build).
 
 use fsa_attack::campaign::{Campaign, CampaignReport, CampaignSpec, SparsityBudget};
 use fsa_attack::{AttackConfig, ParamSelection};
+use fsa_bench::exp::assert_sane;
 use fsa_bench::fixture;
 use fsa_nn::FeatureCache;
 use fsa_telemetry::clock::monotonic_ns;
 use fsa_tensor::Prng;
-use std::path::PathBuf;
 
-/// The `exp::run_one`-style sanity gates, applied to the whole report:
-/// a sweep that produced structurally impossible numbers must abort the
+/// The `exp::run_one` sanity gate, applied to the whole report: a
+/// sweep that produced structurally impossible numbers must abort the
 /// bin instead of flowing into an overhead claim.
-fn sanity_gate(report: &CampaignReport) {
+fn sanity_gate(report: &CampaignReport, dim: usize) {
     for outcome in &report.outcomes {
-        let r = &outcome.result;
-        assert!(
-            r.delta.iter().all(|v| v.is_finite()),
-            "scenario {} produced a non-finite δ",
-            outcome.scenario.index
-        );
-        assert!(
-            r.l0 <= r.delta.len() && r.l2.is_finite() && r.l2 >= 0.0,
-            "scenario {}: inconsistent δ norms (l0={}, l2={})",
-            outcome.scenario.index,
-            r.l0,
-            r.l2
-        );
-        assert!(
-            r.s_success <= r.s_total && r.keep_unchanged <= r.keep_total,
-            "scenario {}: impossible success/keep counters",
-            outcome.scenario.index
-        );
+        let context = format!("scenario {}", outcome.scenario.index);
+        assert_sane(&outcome.result, dim, &context);
     }
     assert!(
         report.mean_success_rate() > 0.9,
@@ -101,38 +83,28 @@ fn cpu_ticks() -> Option<u64> {
 }
 
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
-    println!(
-        "== telemetry overhead profile{} ==",
-        if smoke { " (smoke)" } else { "" }
-    );
+    println!("== telemetry overhead gate ==");
 
     let mut rng = Prng::new(0xDAC3);
     let (model, pool_images, pool_labels) = fixture::campaign_victim(&mut rng);
     let cache = FeatureCache::build(&model, &pool_images);
     let selection = ParamSelection::last_layer(&model.head);
+    let dim = selection.dim(&model.head);
     let campaign = Campaign::new(&model.head, selection, cache, pool_labels);
 
-    let spec = if smoke {
-        CampaignSpec::grid(vec![1], vec![2, 4]).with_config(AttackConfig {
-            iterations: 60,
+    // Keep sets up to 32 images and the full iteration budget:
+    // overhead percentages are only meaningful against a sweep that
+    // does real per-iteration work.
+    let spec = CampaignSpec::grid(vec![1, 2], vec![0, 16, 32])
+        .with_budgets(vec![SparsityBudget::l0(0.001), SparsityBudget::l2(0.001)])
+        .with_config(AttackConfig {
+            iterations: 300,
             ..AttackConfig::default()
-        })
-    } else {
-        // Larger keep sets and the full iteration budget than the
-        // `campaign` bin's grid: overhead percentages are only
-        // meaningful against a sweep that does real per-iteration work.
-        CampaignSpec::grid(vec![1, 2], vec![0, 16, 32])
-            .with_budgets(vec![SparsityBudget::l0(0.001), SparsityBudget::l2(0.001)])
-            .with_config(AttackConfig {
-                iterations: 300,
-                ..AttackConfig::default()
-            })
-    };
+        });
     let n_scenarios = spec.len();
     assert!(
-        smoke || n_scenarios >= 12,
-        "full profile must cover the 12-scenario sweep (got {n_scenarios})"
+        n_scenarios >= 12,
+        "the profile must cover the 12-scenario sweep (got {n_scenarios})"
     );
     println!("scenario matrix: {n_scenarios} scenarios");
 
@@ -141,7 +113,7 @@ fn main() {
     fsa_telemetry::set_enabled(false);
     let _ = fsa_telemetry::drain();
     let (_, reference) = timed_run(&campaign, &spec, 1);
-    sanity_gate(&reference);
+    sanity_gate(&reference, dim);
     println!(
         "reference: fingerprint {:#018x}, mean success {:.2}",
         reference.fingerprint(),
@@ -152,10 +124,9 @@ fn main() {
     // load) hits both arms equally; min-of-reps is the reported
     // wall-clock figure. These short samples double as the identity
     // battery: every rep's fingerprint must match the reference.
-    let reps = if smoke { 1 } else { 7 };
+    let reps = 7;
     let mut off_ms = f64::INFINITY;
     let mut on_ms = f64::INFINITY;
-    let mut last_snapshot = None;
     for rep in 0..reps {
         let (ms_off, got_off) = timed_run(&campaign, &spec, 1);
         assert!(
@@ -177,22 +148,12 @@ fn main() {
             "telemetry-on run recorded nothing (rep {rep})"
         );
         on_ms = on_ms.min(ms_on);
-        last_snapshot = Some(snap);
         println!("rep {rep}: off {ms_off:.1} ms, on {ms_on:.1} ms");
     }
-    let snap = last_snapshot.expect("at least one telemetry-on rep");
     let overhead_wall_pct = (on_ms - off_ms) / off_ms * 100.0;
     println!(
         "min wall-clock per sweep: off {off_ms:.1} ms, on {on_ms:.1} ms, overhead {overhead_wall_pct:+.2}%"
     );
-
-    println!("\n=== profile tree (last telemetry-on rep) ===");
-    println!("{}", snap.render_tree());
-
-    if smoke {
-        println!("smoke profile OK: {n_scenarios} scenarios bit-identical telemetry on/off");
-        return;
-    }
 
     // The tentpole's measurable claim: enabling telemetry costs at most
     // 5% on the 12-scenario sweep. The *gate* runs on process CPU time
@@ -279,40 +240,5 @@ fn main() {
          (wall min: off {off_ms:.1} ms, on {on_ms:.1} ms)"
     );
 
-    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let trace_path = root.join("artifacts").join("TRACE_profile.json");
-    fsa_tensor::io::write_file(&trace_path, snap.to_json().as_bytes())
-        .expect("failed to write TRACE_profile.json");
-    println!("trace written to {}", trace_path.display());
-
-    let span_total: u64 = snap.spans.iter().map(|(_, s)| s.count).sum();
-    let json = format!(
-        "{{\n  \"bench\": \"telemetry_overhead_profile\",\n  \
-         \"scenarios\": {n_scenarios},\n  \
-         \"reps\": {reps},\n  \
-         \"campaign_off_ms\": {off_ms:.3},\n  \
-         \"campaign_on_ms\": {on_ms:.3},\n  \
-         \"overhead_pct\": {overhead_pct:.3},\n  \
-         \"overhead_gate_basis\": \"{gate_basis}\",\n  \
-         \"overhead_wall_pct\": {overhead_wall_pct:.3},\n  \
-         \"overhead_budget_pct\": 5.0,\n  \
-         \"fingerprint_identical_on_off\": true,\n  \
-         \"fingerprint\": \"{:#018x}\",\n  \
-         \"mean_success_rate\": {:.4},\n  \
-         \"span_paths\": {},\n  \
-         \"span_enters\": {span_total},\n  \
-         \"counters\": {},\n  \
-         \"convergence_traces\": {},\n  \
-         \"events\": {}\n}}\n",
-        reference.fingerprint(),
-        reference.mean_success_rate(),
-        snap.spans.len(),
-        snap.counters.len(),
-        snap.convergence.len(),
-        snap.events.len(),
-    );
-    let path = root.join("BENCH_PR9.json");
-    std::fs::write(&path, &json).expect("failed to write BENCH_PR9.json");
-    println!("\nwrote {}", path.display());
-    print!("{json}");
+    println!("telemetry overhead {overhead_pct:+.2}% ({gate_basis} time) is within the 5% budget");
 }

@@ -1,9 +1,9 @@
 //! Frozen experiment configuration and the single-run helper shared by
 //! every table/figure binary.
 //!
-//! Hyperparameters were tuned once on the digits victim (see
-//! `EXPERIMENTS.md`) and are *frozen here* so every binary reports the
-//! same attack:
+//! Hyperparameters were tuned once on the digits victim and are
+//! *frozen here* so every binary reports the same attack (ROADMAP.md,
+//! direction 1, tracks how quality moves with the iteration cap):
 //!
 //! * `c_attack = 10, c_keep = 1` — the paper's `c_i` "relative
 //!   importance" (Sec. 3.2): designated faults outweigh individual
@@ -60,31 +60,10 @@ pub fn run_one(
     let spec = art.make_spec(s, r, seed).with_weights(C_ATTACK, C_KEEP);
     let attack = FaultSneakingAttack::new(art.head(), selection.clone(), config.clone());
     let result = attack.run(&spec);
-    // Sanity gate shared by every table/figure bin: a run that produces
-    // structurally impossible numbers must abort the bin (non-zero
-    // exit) instead of flowing silently into a report row.
-    assert!(
-        result.delta.iter().all(|v| v.is_finite()),
-        "attack produced a non-finite δ (S={s}, R={r}, seed={seed})"
-    );
-    assert_eq!(
-        result.delta.len(),
+    assert_sane(
+        &result,
         selection.dim(art.head()),
-        "δ length disagrees with the selection dimension"
-    );
-    assert!(
-        result.l0 <= result.delta.len() && result.l2.is_finite() && result.l2 >= 0.0,
-        "inconsistent δ norms (l0={}, l2={})",
-        result.l0,
-        result.l2
-    );
-    assert!(
-        result.s_success <= result.s_total && result.keep_unchanged <= result.keep_total,
-        "impossible success/keep counters ({}/{}, {}/{})",
-        result.s_success,
-        result.s_total,
-        result.keep_unchanged,
-        result.keep_total
+        &format!("S={s}, R={r}, seed={seed}"),
     );
     let mut attacked = art.head().clone();
     fsa_attack::eval::apply_delta(&mut attacked, selection, attack.theta0(), &result.delta);
@@ -97,6 +76,42 @@ pub fn run_one(
         result,
         test_accuracy,
     }
+}
+
+/// The sanity gate every attack run passes: a finite δ of the
+/// selection's length `dim`, consistent norms, and possible counters.
+/// A run that produces structurally impossible numbers must abort its
+/// binary or test (non-zero exit) instead of flowing silently into a
+/// report row or a claim.
+///
+/// # Panics
+///
+/// Panics, naming the broken invariant and `context`, when `result`
+/// breaks one.
+pub fn assert_sane(result: &AttackResult, dim: usize, context: &str) {
+    assert_eq!(
+        result.delta.len(),
+        dim,
+        "{context}: δ length disagrees with the selection dimension"
+    );
+    assert!(
+        result.delta.iter().all(|v| v.is_finite()),
+        "{context}: attack produced a non-finite δ"
+    );
+    assert!(
+        result.l0 <= result.delta.len() && result.l2.is_finite() && result.l2 >= 0.0,
+        "{context}: inconsistent δ norms (l0={}, l2={})",
+        result.l0,
+        result.l2
+    );
+    assert!(
+        result.s_success <= result.s_total && result.keep_unchanged <= result.keep_total,
+        "{context}: impossible success/keep counters ({}/{}, {}/{})",
+        result.s_success,
+        result.s_total,
+        result.keep_unchanged,
+        result.keep_total
+    );
 }
 
 /// Runs `seeds` independent draws and averages the scalar metrics

@@ -1,18 +1,19 @@
-//! Self-contained victims for the campaign, arena, and harness benches.
+//! Self-contained victims for the claim tests in `tests/` and the
+//! `profile` bin.
 //!
 //! Two recipes, both a small conv extractor (1×20×20 input, 8+8
 //! channels) with an FC head trained on its own extracted features, and
 //! both drawing every image from [`clustered_images`]:
 //!
-//! * [`campaign_victim`] — the campaign, profile, and sharded benches:
-//!   tight clusters (σ 0.3), a 16-wide head trained for 20 epochs, and
-//!   a 200-image pool;
-//! * [`stealth_victim`] — the arena, quant, stealth, and codefense
-//!   benches: wider clusters ([`STEALTH_SPREAD`]), a 32-wide head
+//! * [`campaign_victim`] — the campaign sweeps and the telemetry
+//!   overhead gate: tight clusters (σ 0.3), a 16-wide head trained for
+//!   20 epochs, and a 200-image pool;
+//! * [`stealth_victim`] — the arena, int8, stealth and co-defense
+//!   claims: wider clusters ([`STEALTH_SPREAD`]), a 32-wide head
 //!   trained for 30 epochs, and a 400-image pool.
 //!
 //! Each draws from the caller's generator in a fixed order (model
-//! init, training images, training shuffles, pool images), so a bench
+//! init, training images, training shuffles, pool images), so a test
 //! seeded the same way always attacks the same victim.
 
 use fsa_data::Dataset;
@@ -65,13 +66,13 @@ pub fn clustered_images(
     (x, labels)
 }
 
-/// The campaign-bench victim with its 200-image attack pool (images and
+/// The campaign victim with its 200-image attack pool (images and
 /// labels).
 pub fn campaign_victim(rng: &mut Prng) -> (CwModel, Tensor, Vec<usize>) {
     train_victim(16, 20, CAMPAIGN_SPREAD, 200, rng)
 }
 
-/// The stealth-bench victim with its 400-image attack pool as a
+/// The stealth victim with its 400-image attack pool as a
 /// [`Dataset`].
 pub fn stealth_victim(rng: &mut Prng) -> (CwModel, Dataset) {
     let (model, images, labels) = train_victim(32, 30, STEALTH_SPREAD, 400, rng);

@@ -1,11 +1,11 @@
 //! Minimal wall-clock benchmark harness.
 //!
 //! The workspace builds fully offline (no criterion), so the bench
-//! targets and the `perf` binary share this harness: auto-calibrated
-//! iteration counts, a handful of timed samples, and the **median**
-//! ns/iteration (robust to scheduler noise), plus the p50/p95/min/max
-//! spread across samples. Results convert to machine-readable JSON for
-//! the perf trajectory artifact (`BENCH_PR1.json`).
+//! targets share this harness: auto-calibrated iteration counts, a
+//! handful of timed samples, and the **median** ns/iteration (robust to
+//! scheduler noise), plus the p50/p95/min/max spread across samples.
+//! Committed end-to-end numbers come from the repository benchmark in
+//! `benchmark/`, not from here.
 //!
 //! Timing runs on [`fsa_telemetry::clock::monotonic_ns`] — the same
 //! monotonic epoch the telemetry spans use — so bench numbers and trace
@@ -41,22 +41,6 @@ impl Sample {
     /// GFLOP/s given the floating-point operations one iteration performs.
     pub fn gflops(&self, flops_per_iter: f64) -> f64 {
         flops_per_iter / self.ns_per_iter
-    }
-
-    /// `"name": {...}` JSON fragment (no trailing comma).
-    pub fn json_entry(&self) -> String {
-        format!(
-            "\"{}\": {{\"ns_per_iter\": {:.1}, \"p50_ns\": {:.1}, \"p95_ns\": {:.1}, \
-             \"min_ns\": {:.1}, \"max_ns\": {:.1}, \"iters\": {}, \"samples\": {}}}",
-            self.name,
-            self.ns_per_iter,
-            self.p50_ns,
-            self.p95_ns,
-            self.min_ns,
-            self.max_ns,
-            self.iters,
-            self.samples
-        )
     }
 }
 
@@ -142,10 +126,6 @@ mod tests {
         assert!(s.iters >= 1);
         assert_eq!(s.ns_per_iter, s.p50_ns);
         assert!(s.min_ns <= s.p50_ns && s.p50_ns <= s.p95_ns && s.p95_ns <= s.max_ns);
-        let json = s.json_entry();
-        assert!(json.contains("noop_sum"));
-        assert!(json.contains("p95_ns"));
-        assert!(json.contains("min_ns"));
     }
 
     #[test]

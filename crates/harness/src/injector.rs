@@ -28,11 +28,6 @@ use std::time::Duration;
 /// from the test environment.
 pub const FAULT_ENV: &str = "FSA_FAULT";
 
-/// Environment variable enabling the seeded fault planner in bench
-/// bins: when set to a `u64`, the `sharded` bin supervises its campaign
-/// with `FaultPlanner::seeded(seed)`.
-pub const FAULT_SEED_ENV: &str = "FSA_FAULT_SEED";
-
 /// One way a worker process is told to misbehave.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultDirective {
@@ -181,13 +176,6 @@ impl FaultPlanner {
         Self {
             mode: Mode::Seeded(seed),
         }
-    }
-
-    /// Builds the seeded planner from [`FAULT_SEED_ENV`] if it is set
-    /// to a valid `u64`; `None` otherwise.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var(FAULT_SEED_ENV).ok()?;
-        raw.trim().parse::<u64>().ok().map(Self::seeded)
     }
 
     /// The directive (if any) for spawning `shard`'s attempt number

@@ -45,9 +45,9 @@
 //! directives (kill-after-N-scenarios, stall past the deadline,
 //! truncate, bit-flip, duplicate, or reorder result frames — the flip
 //! routed through [`fsa_memfault::bits`] — partition the link, or pace
-//! it past the heartbeat window) that the test battery and the
-//! `sharded` bench bin use to show the merged report is bit-identical
-//! under every injected failure mode, on either link.
+//! it past the heartbeat window) that the test battery
+//! (`tests/supervision.rs`) uses to show the merged report is
+//! bit-identical under every injected failure mode, on either link.
 
 #![warn(missing_docs)]
 

@@ -366,9 +366,7 @@ pub struct ExecutorConfig {
 impl ExecutorConfig {
     /// Defaults for `shards` workers: 30 s deadline, 2 retries,
     /// 50 ms backoff base with 25 ms jitter, self-spawn via
-    /// `current_exe`, and the fault planner taken from
-    /// [`FaultPlanner::from_env`] (so `FSA_FAULT_SEED` injects faults
-    /// into any sharded run without code changes).
+    /// `current_exe`, and no fault planner.
     pub fn new(shards: usize) -> Self {
         Self {
             shards,
@@ -379,7 +377,7 @@ impl ExecutorConfig {
             retry_seed: 0x5eed_5eed,
             worker_program: std::env::current_exe().unwrap_or_else(|_| PathBuf::from("")),
             worker_args: vec![WORKER_FLAG.to_string()],
-            planner: FaultPlanner::from_env(),
+            planner: None,
             transport: Arc::new(PipeTransport),
         }
     }
@@ -403,8 +401,7 @@ impl ExecutorConfig {
         self
     }
 
-    /// Replaces the fault planner (use `None` to force a clean run even
-    /// when `FSA_FAULT_SEED` is set in the environment).
+    /// Replaces the fault planner (`None` runs clean).
     pub fn with_planner(mut self, planner: Option<FaultPlanner>) -> Self {
         self.planner = planner;
         self
@@ -653,6 +650,11 @@ impl<'a> ShardedCampaign<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn default_config_runs_clean() {
+        assert!(ExecutorConfig::new(2).planner.is_none());
+    }
 
     #[test]
     fn backoff_schedule_is_pure_and_exponential() {

@@ -67,13 +67,11 @@ fn links() -> [Arc<dyn Transport>; 2] {
 }
 
 /// Config pointed at the dedicated worker bin (self-spawn would re-run
-/// the test harness), with fast backoff so fault tests stay quick and
-/// the planner pinned (never inherited from the ambient environment).
+/// the test harness), with fast backoff so fault tests stay quick.
 fn config(shards: usize, link: &Arc<dyn Transport>) -> ExecutorConfig {
     ExecutorConfig::new(shards)
         .with_worker(worker_bin(), vec![])
         .with_backoff(5, 3)
-        .with_planner(None)
         .with_transport(Arc::clone(link))
 }
 

@@ -416,6 +416,16 @@ mod tests {
     }
 
     #[test]
+    fn evading_rows_are_exactly_the_even_flip_rows() {
+        let flips = [((0, 1), 1), ((0, 2), 2), ((1, 0), 3), ((1, 5), 4)];
+        let evading = evading_rows(&flips);
+        assert_eq!(evading, vec![(0, 2), (1, 5)]);
+        // Every touched row either trips its parity bit or evades it.
+        let odd = flips.iter().filter(|&&(_, n)| n % 2 == 1).count();
+        assert_eq!(odd + evading.len(), flips.len());
+    }
+
+    #[test]
     fn plan_row_flips_counts_per_row() {
         let layout = small_layout(64);
         let theta0 = vec![1.0f32; 64];

@@ -188,8 +188,8 @@ impl QuantFaultPlan {
     /// The weight-only int8 backend keeps biases as `f32` words
     /// co-resident with the byte image, and a checksum monitor audits
     /// the *whole* deployed storage — counting only the byte surface
-    /// undercounts the dirty blocks (BENCH_PR5 recorded 3–4 modified
-    /// bias words per scenario outside it). `f32_word_bytes` lists the
+    /// undercounts the dirty blocks (the S = 4 int8 arena grid modifies
+    /// 3–4 bias words per scenario outside it). `f32_word_bytes` lists the
     /// starting byte address, in the same audited address space as the
     /// plan's byte indices, of every modified co-resident `f32` word;
     /// each dirties the block(s) covering its 4 bytes. Pass `&[]` for a

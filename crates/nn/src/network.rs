@@ -191,7 +191,9 @@ impl Network {
     /// shapes do not match this architecture.
     pub fn decode_params(&mut self, dec: &mut Decoder<'_>) -> Result<(), DecodeError> {
         let n = dec.read_u64()? as usize;
-        let mut incoming = Vec::with_capacity(n);
+        // A forged count must not size the allocation: every encoded
+        // tensor takes at least 16 bytes (tag, rank, data length).
+        let mut incoming = Vec::with_capacity(n.min(dec.remaining() / 16));
         for _ in 0..n {
             incoming.push(dec.read_tensor()?);
         }

@@ -96,8 +96,9 @@ pub fn max_threads() -> usize {
 
 /// Clamps a programmatic [`set_threads`] override to the host core
 /// count: `set_threads(8)` on a 1-core box would otherwise spawn 8
-/// scoped threads per dispatch for pure overhead (BENCH_PR5 measured
-/// 324.8 ms vs 54.5 ms serial). An explicit `FSA_THREADS` env setting
+/// scoped threads per dispatch for pure overhead (the int8 arena
+/// pipeline measured 324.8 ms at 8 threads vs 54.5 ms serial on a
+/// 1-core host). An explicit `FSA_THREADS` env setting
 /// resolves through `default_threads` and is honored verbatim.
 fn clamp_override(n: usize) -> usize {
     n.min(hardware_threads())

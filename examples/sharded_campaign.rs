@@ -55,7 +55,7 @@ fn main() {
 
     // 4. The same grid across 2 worker processes, clean.
     let sharded = ShardedCampaign::new(&head, selection, cache, labels);
-    let clean = sharded.run(&spec, "fsa", &ExecutorConfig::new(2).with_planner(None));
+    let clean = sharded.run(&spec, "fsa", &ExecutorConfig::new(2));
     report("2 shards (clean)", &clean, &reference);
 
     // 5. Same again, but every shard's first attempt is killed
@@ -70,9 +70,7 @@ fn main() {
     //    100 ms heartbeats, 2 s silence window), clean and then with
     //    every shard's first connection partitioned mid-stream. Same
     //    protocol, same recovery, same bits.
-    let socket_cfg = ExecutorConfig::new(2)
-        .with_transport(Arc::new(SocketTransport::default()))
-        .with_planner(None);
+    let socket_cfg = ExecutorConfig::new(2).with_transport(Arc::new(SocketTransport::default()));
     let clean = sharded.run(&spec, "fsa", &socket_cfg);
     report("2 shards over TCP (clean)", &clean, &reference);
     let partitioned_cfg =

@@ -99,7 +99,8 @@ fn main() {
     }
 
     // Snapshots serialize to JSON for artifacts (`Snapshot::to_json`);
-    // the bench bins write them under artifacts/ via `--trace`.
+    // a traced repository benchmark run (`--trace 1`) writes one to
+    // benchmark/results/.
     println!("\nsnapshot JSON: {} bytes", snap.to_json().len());
 }
 

@@ -54,9 +54,8 @@
 //! becomes a cell-aligned matrix: the fault sneaking attack holds
 //! probe accuracy and evades the accuracy monitor that both baselines
 //! trip, and its ℓ0-sparse δ measurably lowers the audit-budget
-//! checksum detection probability. Run
-//! `cargo run --release -p fsa-bench --bin arena` for the full
-//! matrix (`BENCH_PR4.json`).
+//! checksum detection probability. `cargo test -p fsa-bench --test
+//! claims` asserts the separation on a full-size matrix.
 //!
 //! # The int8 backend: attacking parameters as bytes
 //!
@@ -75,9 +74,9 @@
 //! diff into concrete bit flips, DRAM rows, and parity predictions.
 //! Projection is a real constraint, not a formality: single-parameter
 //! baseline attacks saturate at the grid edge, and marginal faults can
-//! round away — `cargo run --release -p fsa-bench --bin quant`
-//! (`BENCH_PR5.json`) measures both precisions over one matrix and
-//! asserts the §5.4 separation holds in the int8 row.
+//! round away — `cargo test -p fsa-bench --test claims` runs both
+//! precisions over one matrix and asserts the §5.4 separation holds in
+//! the int8 row.
 //!
 //! # Performance substrate
 //!
