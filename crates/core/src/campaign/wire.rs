@@ -769,15 +769,6 @@ impl FrameAccumulator {
         self.buf.len()
     }
 
-    /// Takes the buffered-but-unconsumed bytes out of the accumulator,
-    /// leaving it empty. Used at protocol phase changes — e.g. after
-    /// the registration hello is extracted, any bytes that arrived in
-    /// the same read belong to the result stream and are handed to its
-    /// parser rather than lost.
-    pub fn take_residual(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.buf)
-    }
-
     /// Extracts the next complete frame, if the buffer holds one.
     ///
     /// Returns `Ok(None)` while the next frame is still incomplete.

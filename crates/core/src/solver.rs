@@ -293,8 +293,11 @@ impl FaultSneakingAttack {
             stealth::prune_to_block_budget(&mut delta, b, s.max_dirty_blocks);
         }
 
+        // Refinement and the final evaluation reuse the ADMM working
+        // head: each first scatters θ + δ over the whole selection, and
+        // nothing writes parameters outside it, so the copy is exact.
+        let mut head = problem.head;
         if let Some(refine_cfg) = &self.config.refine {
-            let mut head = self.head.clone();
             let drift = spec
                 .stealth
                 .zip(drift_reference.as_ref())
@@ -324,9 +327,8 @@ impl FaultSneakingAttack {
         }
 
         // Final evaluation with θ + δ applied.
-        let mut attacked = self.head.clone();
-        eval::apply_delta(&mut attacked, &self.selection, &self.theta0, &delta);
-        let logits = attacked.forward_from(start, &acts);
+        eval::apply_delta(&mut head, &self.selection, &self.theta0, &delta);
+        let logits = head.forward_from(start, &acts);
         let (s_hits, keep_hits) = count_satisfied(spec, &logits);
 
         AttackResult {

@@ -228,59 +228,6 @@ impl ExecutionLog {
         s
     }
 
-    /// Serializes the log as a JSON document — events in stable `seq`
-    /// order (with wall-clock stamps), resolutions in shard order — so
-    /// supervision logs can land in `artifacts/` next to bench reports.
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(256 + self.events.len() * 128);
-        out.push_str("{\n  \"summary\": ");
-        out.push_str(&fsa_telemetry::json_string(&self.summary()));
-        out.push_str(",\n  \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let _ = write!(
-                out,
-                "    {{\"seq\": {}, \"t_wall_ms\": {}, \"shard\": {}, \"attempt\": {}, \
-                 \"kind\": {}, \"detail\": {}, \"backoff_ms\": {}}}",
-                e.seq,
-                e.t_wall_ms,
-                e.shard,
-                e.attempt,
-                fsa_telemetry::json_string(&e.kind.to_string()),
-                fsa_telemetry::json_string(&e.detail),
-                match e.backoff_ms {
-                    Some(ms) => ms.to_string(),
-                    None => "null".to_string(),
-                },
-            );
-        }
-        out.push_str("\n  ],\n  \"liveness\": ");
-        let _ = write!(
-            out,
-            "{{\"registrations\": {}, \"heartbeats\": {}}}",
-            self.registrations, self.heartbeats
-        );
-        out.push_str(",\n  \"resolutions\": [");
-        for (i, r) in self.resolutions.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            match r {
-                ShardResolution::Clean { shard, attempts } => {
-                    let _ = write!(
-                        out,
-                        "    {{\"shard\": {shard}, \"outcome\": \"clean\", \
-                         \"attempts\": {attempts}}}"
-                    );
-                }
-                ShardResolution::Degraded { shard } => {
-                    let _ = write!(out, "    {{\"shard\": {shard}, \"outcome\": \"degraded\"}}");
-                }
-            }
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-
     /// Bridges the log into the telemetry event stream: one
     /// `harness.fault` event per entry, emitted in stable `seq` order
     /// from the merging thread, plus summary counters. No-op while
@@ -747,28 +694,5 @@ mod tests {
         assert_eq!(log, other);
         other.events[0].attempt = 1;
         assert_ne!(log, other);
-    }
-
-    #[test]
-    fn execution_log_serializes_to_json() {
-        let json = sample_log().to_json();
-        assert!(json.contains("\"summary\": \"2 shards"));
-        assert!(json.contains("\"kind\": \"crash\""));
-        assert!(json.contains("\"backoff_ms\": 50"));
-        assert!(json.contains("\"backoff_ms\": null"));
-        assert!(json.contains("\"t_wall_ms\": 1700000000000"));
-        assert!(json.contains("\"outcome\": \"degraded\""));
-        assert!(json.contains("\"liveness\": {\"registrations\": 2, \"heartbeats\": 7}"));
-        // The hang detail round-trips escaped, not raw.
-        assert!(json.contains("quote \\\" and newline \\n"));
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced JSON: {json}"
-        );
-        // Empty logs serialize cleanly too.
-        let empty = ExecutionLog::default().to_json();
-        assert!(empty.contains("\"events\": ["));
-        assert_eq!(empty.matches('{').count(), empty.matches('}').count());
     }
 }

@@ -27,19 +27,6 @@ pub fn flip_sets_bit(value: f32, bit: u8) -> bool {
     value.to_bits() & (1 << bit) == 0
 }
 
-/// Total bit flips needed to turn `old` into `new`, elementwise.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn total_flips(old: &[f32], new: &[f32]) -> u64 {
-    assert_eq!(old.len(), new.len(), "length mismatch");
-    old.iter()
-        .zip(new)
-        .map(|(&a, &b)| hamming(a, b) as u64)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

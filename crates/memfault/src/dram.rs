@@ -27,11 +27,6 @@ impl DramGeometry {
     pub fn capacity(&self) -> usize {
         self.banks * self.rows_per_bank * self.row_bytes
     }
-
-    /// `f32` parameters per row.
-    pub fn params_per_row(&self) -> usize {
-        self.row_bytes / 4
-    }
 }
 
 /// Physical location of one `f32` parameter.

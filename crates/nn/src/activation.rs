@@ -5,21 +5,19 @@ use fsa_tensor::Tensor;
 
 /// Rectified linear unit: `y = max(x, 0)`.
 ///
-/// The backward pass uses the cached input sign mask; the subgradient at
-/// exactly zero is taken as zero (the standard convention).
+/// The layer is stateless; its slice helpers also serve the FC head,
+/// whose backward pass masks gradients with [`Relu::mask_slice`] (the
+/// subgradient at exactly zero is taken as zero, the standard
+/// convention).
 #[derive(Debug, Clone)]
 pub struct Relu {
     features: usize,
-    cached_input: Option<Tensor>,
 }
 
 impl Relu {
     /// Creates a ReLU over `features`-wide activations.
     pub fn new(features: usize) -> Self {
-        Self {
-            features,
-            cached_input: None,
-        }
+        Self { features }
     }
 
     /// Applies ReLU to a raw slice (used by the truncated attack head).
@@ -54,29 +52,12 @@ impl Layer for Relu {
         self.features
     }
 
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        check_batch_input("relu", x, self.features);
-        self.cached_input = Some(x.clone());
-        x.map(|v| v.max(0.0))
-    }
-
     fn forward_infer(&self, x: &Tensor) -> Tensor {
         check_batch_input("relu", x, self.features);
         x.map(|v| v.max(0.0))
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("relu backward called before forward_train");
-        assert_eq!(grad_out.shape(), x.shape(), "relu backward shape mismatch");
-        grad_out.zip_map(x, |g, xv| if xv > 0.0 { g } else { 0.0 })
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn zero_grads(&mut self) {}
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
     fn param_count(&self) -> usize {
         0
@@ -95,15 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_masks_by_input_sign() {
-        let mut r = Relu::new(3);
-        let x = Tensor::from_vec(vec![-1.0, 0.0, 2.0], &[1, 3]);
-        let _ = r.forward_train(&x);
-        let dy = Tensor::from_vec(vec![5.0, 5.0, 5.0], &[1, 3]);
-        assert_eq!(r.backward(&dy).as_slice(), &[0.0, 0.0, 5.0]);
-    }
-
-    #[test]
     fn slice_helpers_agree_with_layer() {
         let mut xs = vec![-2.0, 3.0, -0.1, 0.0];
         Relu::apply_slice(&mut xs);
@@ -119,7 +91,7 @@ mod tests {
         let mut r = Relu::new(2);
         assert_eq!(r.param_count(), 0);
         let mut called = false;
-        r.visit_params(&mut |_, _| called = true);
+        r.visit_params(&mut |_| called = true);
         assert!(!called);
     }
 }

@@ -19,8 +19,8 @@
 
 use crate::init;
 use crate::layer::{check_batch_input, Layer};
-use fsa_tensor::linalg::{gemm, gemm_nt, gemm_tn};
-use fsa_tensor::workspace::{give_shared, take_shared, with_thread_workspace};
+use fsa_tensor::linalg::gemm;
+use fsa_tensor::workspace::{give_shared, take_shared};
 use fsa_tensor::{parallel, Prng, Tensor};
 
 /// Spatial dimensions of an activation volume.
@@ -87,30 +87,6 @@ pub fn im2col(x: &[f32], dims: VolumeDims, kh: usize, kw: usize, stride: usize, 
     }
 }
 
-/// Adjoint of [`im2col`]: scatters-adds patch-matrix gradients back to the
-/// input gradient of one sample.
-pub fn col2im(cols: &[f32], dims: VolumeDims, kh: usize, kw: usize, stride: usize, dx: &mut [f32]) {
-    let (c, h, w) = (dims.channels, dims.height, dims.width);
-    let (oh, ow) = out_hw(dims, kh, kw, stride);
-    debug_assert_eq!(dx.len(), dims.features());
-    debug_assert_eq!(cols.len(), c * kh * kw * oh * ow);
-    let p = oh * ow;
-    for ch in 0..c {
-        for ki in 0..kh {
-            for kj in 0..kw {
-                let row = ((ch * kh + ki) * kw + kj) * p;
-                for oi in 0..oh {
-                    let dst = (ch * h + oi * stride + ki) * w + kj;
-                    let src = row + oi * ow;
-                    for oj in 0..ow {
-                        dx[dst + oj * stride] += cols[src + oj];
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Valid-padding output height/width for the given kernel and stride.
 fn out_hw(dims: VolumeDims, kh: usize, kw: usize, stride: usize) -> (usize, usize) {
     (
@@ -133,9 +109,6 @@ pub struct Conv2d {
     out_channels: usize,
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    cached_input: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -189,11 +162,8 @@ impl Conv2d {
             kernel_w: kw,
             stride,
             out_channels,
-            grad_weight: Tensor::zeros(&[out_channels, fan_in]),
-            grad_bias: Tensor::zeros(&[out_channels]),
             weight,
             bias,
-            cached_input: None,
         }
     }
 
@@ -223,7 +193,7 @@ impl Conv2d {
         &self.weight
     }
 
-    /// Mutable weight access (used by model deserialization).
+    /// Mutable weight access.
     pub fn weight_mut(&mut self) -> &mut Tensor {
         &mut self.weight
     }
@@ -233,12 +203,26 @@ impl Conv2d {
         &self.bias
     }
 
-    /// Mutable bias access (used by model deserialization and tests).
+    /// Mutable bias access.
     pub fn bias_mut(&mut self) -> &mut Tensor {
         &mut self.bias
     }
+}
 
-    fn forward_impl(&self, x: &Tensor) -> Tensor {
+impl Layer for Conv2d {
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn in_features(&self) -> usize {
+        self.in_dims.features()
+    }
+
+    fn out_features(&self) -> usize {
+        self.out_dims().features()
+    }
+
+    fn forward_infer(&self, x: &Tensor) -> Tensor {
         let batch = check_batch_input("conv2d", x, self.in_features());
         let out = self.out_dims();
         let p = out.height * out.width;
@@ -283,116 +267,10 @@ impl Conv2d {
         });
         y
     }
-}
 
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn in_features(&self) -> usize {
-        self.in_dims.features()
-    }
-
-    fn out_features(&self) -> usize {
-        self.out_dims().features()
-    }
-
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let y = self.forward_impl(x);
-        self.cached_input = Some(x.clone());
-        y
-    }
-
-    fn forward_infer(&self, x: &Tensor) -> Tensor {
-        self.forward_impl(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("conv2d backward called before forward_train")
-            .clone();
-        let batch = x.shape()[0];
-        let out = self.out_dims();
-        let p = out.height * out.width;
-        let kk = self.in_dims.channels * self.kernel_h * self.kernel_w;
-        assert_eq!(
-            grad_out.shape(),
-            &[batch, out.features()],
-            "conv2d backward shape mismatch"
-        );
-
-        // Serial per image: the weight gradient accumulates across the
-        // batch, and a thread-count-dependent partition of that reduction
-        // would regroup float additions. Training convs is not on the
-        // attack's hot path; determinism is.
-        let mut cols = with_thread_workspace(|ws| ws.take(kk * p));
-        let mut dcols = with_thread_workspace(|ws| ws.take(kk * p));
-        let mut dx = Tensor::zeros(&[batch, self.in_features()]);
-        for n in 0..batch {
-            let dy = grad_out.row(n); // [oc, p] flattened
-                                      // Recompute the patch matrix (cheaper than caching it per batch).
-            im2col(
-                x.row(n),
-                self.in_dims,
-                self.kernel_h,
-                self.kernel_w,
-                self.stride,
-                &mut cols,
-            );
-            // dW += dY (oc×p) · colsᵀ (p×kk)
-            gemm_nt(
-                self.out_channels,
-                p,
-                kk,
-                dy,
-                &cols,
-                self.grad_weight.as_mut_slice(),
-                1.0,
-                1.0,
-            );
-            // db += row sums of dY
-            for oc in 0..self.out_channels {
-                let s: f32 = dy[oc * p..(oc + 1) * p].iter().sum();
-                self.grad_bias.as_mut_slice()[oc] += s;
-            }
-            // dcols = Wᵀ (kk×oc) · dY (oc×p)
-            gemm_tn(
-                kk,
-                self.out_channels,
-                p,
-                self.weight.as_slice(),
-                dy,
-                &mut dcols,
-                1.0,
-                0.0,
-            );
-            col2im(
-                &dcols,
-                self.in_dims,
-                self.kernel_h,
-                self.kernel_w,
-                self.stride,
-                dx.row_mut(n),
-            );
-        }
-        with_thread_workspace(|ws| {
-            ws.give(cols);
-            ws.give(dcols);
-        });
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn param_count(&self) -> usize {
@@ -403,36 +281,6 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn im2col_col2im_are_adjoint() {
-        // <im2col(x), c> == <x, col2im(c)> for all x, c — the defining
-        // property that makes the conv backward pass correct — including
-        // under rectangular kernels and stride > 1.
-        for &(kh, kw, stride) in &[(3usize, 3usize, 1usize), (2, 3, 1), (3, 2, 2)] {
-            let dims = VolumeDims::new(2, 7, 6);
-            let (oh, ow) = out_hw(dims, kh, kw, stride);
-            let cols_len = dims.channels * kh * kw * oh * ow;
-            let mut rng = Prng::new(7);
-            let x: Vec<f32> = (0..dims.features())
-                .map(|_| rng.uniform(-1.0, 1.0))
-                .collect();
-            let c: Vec<f32> = (0..cols_len).map(|_| rng.uniform(-1.0, 1.0)).collect();
-
-            let mut ix = vec![0.0; cols_len];
-            im2col(&x, dims, kh, kw, stride, &mut ix);
-            let lhs: f64 = ix.iter().zip(&c).map(|(&a, &b)| a as f64 * b as f64).sum();
-
-            let mut cx = vec![0.0; dims.features()];
-            col2im(&c, dims, kh, kw, stride, &mut cx);
-            let rhs: f64 = cx.iter().zip(&x).map(|(&a, &b)| a as f64 * b as f64).sum();
-
-            assert!(
-                (lhs - rhs).abs() < 1e-4,
-                "{kh}x{kw}/s{stride}: {lhs} vs {rhs}"
-            );
-        }
-    }
 
     #[test]
     fn identity_kernel_convolution() {

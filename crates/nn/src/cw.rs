@@ -313,6 +313,28 @@ mod tests {
     }
 
     #[test]
+    fn encoded_bytes_are_pinned() {
+        // The byte format artifact caches rely on: magic, then every
+        // extractor parameter in visit order (each layer's weight before
+        // its bias), then the head. A fixed-seed model must encode to the
+        // same bytes forever, and decoding them must re-encode to the same
+        // bytes, or caches written by earlier builds stop loading.
+        const RECORDED: u64 = 0x8dfa_3152_d439_8e5b;
+        let mut model = CwModel::new_random(CwConfig::tiny(), &mut Prng::new(0xC0DE));
+        let mut enc = Encoder::new();
+        model.encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut h = fsa_tensor::hash::Fnv1a::new();
+        h.write_bytes(&bytes);
+        assert_eq!(h.finish(), RECORDED, "digest {:#018x}", h.finish());
+
+        let mut restored = CwModel::decode(CwConfig::tiny(), &mut Decoder::new(&bytes)).unwrap();
+        let mut again = Encoder::new();
+        restored.encode(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
     fn decode_rejects_other_architecture() {
         let mut rng = Prng::new(4);
         let mut model = CwModel::new_random(CwConfig::tiny(), &mut rng);

@@ -1,8 +1,11 @@
 //! Finite-difference gradient checking.
 //!
-//! Every analytic backward pass in this workspace is validated against
-//! central differences; the attack's correctness rests on these gradients
-//! (the δ-step of the ADMM loop, eq. 22 of the paper, consumes `∇g_i`).
+//! The workspace has one analytic backward pass, the FC head's
+//! ([`FcHead::backward_from_cache`](crate::head::FcHead::backward_from_cache)),
+//! and its tests validate it against central differences here. The
+//! attack's correctness rests on that gradient (the δ-step of the ADMM
+//! loop, eq. 22 of the paper, consumes `∇g_i`), as does the head's
+//! training.
 
 /// Central-difference numerical gradient of `f` at `x`.
 ///

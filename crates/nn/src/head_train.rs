@@ -2,12 +2,13 @@
 //!
 //! The experiment pipeline (see `ARCHITECTURE.md`) freezes the conv stack and trains
 //! only the head: features are extracted once, then the head is fit with
-//! Adam. Because [`FcHead::logit_backward`] computes gradients of
+//! Adam. Because [`FcHead::backward_from_cache`] computes gradients of
 //! `⟨G, Z⟩` for an arbitrary upstream matrix `G`, and the softmax
 //! cross-entropy gradient *is* such a matrix, training reuses the exact
-//! code path the attack uses.
+//! code path the attack uses, with one [`HeadBuffers`] set held across
+//! every batch.
 
-use crate::head::FcHead;
+use crate::head::{FcHead, HeadBuffers};
 use crate::loss::softmax_cross_entropy;
 use crate::trainer::gather_rows;
 use fsa_tensor::{Prng, Tensor};
@@ -139,6 +140,7 @@ pub fn train_head(
     assert!(n > 0, "empty feature set");
     assert_eq!(labels.len(), n, "features/labels mismatch");
     let mut adam = AdamState::new(head);
+    let mut bufs = HeadBuffers::new();
     let mut order: Vec<usize> = (0..n).collect();
     let mut history = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
@@ -148,10 +150,10 @@ pub fn train_head(
         for chunk in order.chunks(cfg.batch_size.max(1)) {
             let bx = gather_rows(features, chunk);
             let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-            let logits = head.forward(&bx);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, &by);
-            let grads = head.logit_backward(0, &bx, &dlogits);
-            adam.apply(head, &grads, cfg.lr);
+            let logits = head.forward_from_caching(0, &bx, &mut bufs);
+            let (loss, dlogits) = softmax_cross_entropy(logits, &by);
+            let grads = head.backward_from_cache(0, &bx, &dlogits, &mut bufs);
+            adam.apply(head, grads, cfg.lr);
             loss_sum += loss as f64;
             batches += 1;
         }

@@ -1,4 +1,4 @@
-//! Weight initialization schemes.
+//! Weight initialization.
 
 use fsa_tensor::{Prng, Tensor};
 
@@ -7,13 +7,6 @@ use fsa_tensor::{Prng, Tensor};
 pub fn he_normal(dims: &[usize], fan_in: usize, rng: &mut Prng) -> Tensor {
     let std = (2.0 / fan_in.max(1) as f32).sqrt();
     Tensor::randn(dims, std, rng)
-}
-
-/// Glorot (Xavier) uniform initialization:
-/// `U(-a, a)` with `a = sqrt(6 / (fan_in + fan_out))`.
-pub fn glorot_uniform(dims: &[usize], fan_in: usize, fan_out: usize, rng: &mut Prng) -> Tensor {
-    let a = (6.0 / (fan_in + fan_out).max(1) as f32).sqrt();
-    Tensor::rand_uniform(dims, -a, a, rng)
 }
 
 #[cfg(test)]
@@ -29,15 +22,5 @@ mod tests {
         let var = w.as_slice().iter().map(|x| (x - mean).powi(2)).sum::<f32>() / n;
         let expect = 2.0 / 800.0;
         assert!((var - expect).abs() < 0.2 * expect, "var {var} vs {expect}");
-    }
-
-    #[test]
-    fn glorot_respects_bound() {
-        let mut rng = Prng::new(1);
-        let w = glorot_uniform(&[50, 50], 50, 50, &mut rng);
-        let a = (6.0f32 / 100.0).sqrt();
-        assert!(w.linf_norm() <= a);
-        // Not degenerate either.
-        assert!(w.linf_norm() > 0.5 * a);
     }
 }

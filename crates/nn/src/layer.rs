@@ -8,14 +8,14 @@
 
 use fsa_tensor::Tensor;
 
-/// A differentiable network layer.
+/// An inference-only network layer.
 ///
-/// Implementations own their parameters *and* the caches needed for the
-/// backward pass; `forward_train` must be called before `backward`.
+/// Implementations own their parameters; the forward pass reads them and
+/// never mutates the layer.
 ///
 /// `Send + Sync` is a supertrait so networks can be shared with the
 /// scoped workers of the batch-parallel inference pipeline; layers are
-/// plain parameter/cache data, so this costs implementations nothing.
+/// plain parameter data, so this costs implementations nothing.
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Short human-readable layer kind (e.g. `"linear"`, `"conv2d"`).
     fn name(&self) -> &'static str;
@@ -26,36 +26,18 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// Number of scalar outputs per sample this layer produces.
     fn out_features(&self) -> usize;
 
-    /// Forward pass that records whatever the backward pass needs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` is not `[batch, in_features]`.
-    fn forward_train(&mut self, x: &Tensor) -> Tensor;
-
-    /// Forward pass without caching (inference/feature extraction).
+    /// Forward pass (inference/feature extraction).
     ///
     /// # Panics
     ///
     /// Panics if `x` is not `[batch, in_features]`.
     fn forward_infer(&self, x: &Tensor) -> Tensor;
 
-    /// Backward pass: consumes `d(out)`, accumulates parameter gradients
-    /// internally, and returns `d(in)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward_train` or with a gradient whose
-    /// shape does not match the cached forward batch.
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor;
-
-    /// Visits `(parameter, gradient)` pairs in a fixed order.
+    /// Visits every parameter tensor in a fixed order (weight before
+    /// bias) — the order model files store them in.
     ///
     /// Stateless layers simply don't call `f`.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor));
-
-    /// Clears accumulated parameter gradients.
-    fn zero_grads(&mut self);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor));
 
     /// Total number of scalar parameters.
     fn param_count(&self) -> usize;

@@ -1,15 +1,21 @@
-//! Neural-network substrate with manual analytic gradients.
+//! Neural-network substrate: an inference-only CNN plus the FC head the
+//! attack differentiates.
 //!
 //! The fault sneaking attack (DAC'19) perturbs the parameters of a trained
-//! CNN. This crate builds that CNN from scratch — no deep-learning crates:
+//! CNN. This crate builds that CNN from scratch — no deep-learning crates.
+//! The conv stack only ever runs forward: victims freeze it and train the
+//! head alone ([`head_train`]), so the head is the one place with
+//! hand-derived gradients.
 //!
-//! * [`layer`] — the [`Layer`] trait and batch conventions;
-//! * [`linear`], [`conv`], [`pool`], [`activation`] — layers with hand
-//!   derived backward passes (`Conv2d` uses im2col/col2im);
+//! * [`layer`] — the inference-only [`Layer`] trait and batch conventions;
+//! * [`linear`], [`conv`], [`pool`], [`activation`] — forward-only layers
+//!   (`Conv2d` uses im2col + GEMM);
 //! * [`loss`] — fused softmax + cross-entropy;
 //! * [`network`] — a sequential container with save/load;
-//! * [`optimizer`], [`trainer`] — SGD(+momentum)/Adam and a training loop;
-//! * [`gradcheck`] — finite-difference verification used by the test suite;
+//! * [`head_train`], [`trainer`] — Adam training of the head on cached
+//!   features, and the mini-batch row gather it shares with the fixtures;
+//! * [`gradcheck`] — finite-difference verification of the head's
+//!   backward pass, used by the test suite;
 //! * [`head`] — [`FcHead`], the three-FC-layer classifier head
 //!   the attack modifies, with *truncated* forward/backward from any layer
 //!   (exact, and the key to running R=1000 experiments on one CPU core);
@@ -55,7 +61,6 @@ pub mod layer;
 pub mod linear;
 pub mod loss;
 pub mod network;
-pub mod optimizer;
 pub mod pool;
 pub mod quant;
 pub mod stats;

@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::layer::{check_batch_input, Layer};
-use fsa_tensor::linalg::{gemm, gemm_nt, gemm_tn};
+use fsa_tensor::linalg::gemm_nt;
 use fsa_tensor::{Prng, Tensor};
 
 /// A fully connected layer computing `y = x·Wᵀ + b`.
@@ -29,9 +29,6 @@ use fsa_tensor::{Prng, Tensor};
 pub struct Linear {
     weight: Tensor,
     bias: Tensor,
-    grad_weight: Tensor,
-    grad_bias: Tensor,
-    cached_input: Option<Tensor>,
 }
 
 impl Linear {
@@ -63,14 +60,7 @@ impl Linear {
             bias.numel(),
             weight.shape()[0]
         );
-        let (o, i) = (weight.shape()[0], weight.shape()[1]);
-        Self {
-            weight,
-            bias,
-            grad_weight: Tensor::zeros(&[o, i]),
-            grad_bias: Tensor::zeros(&[o]),
-            cached_input: None,
-        }
+        Self { weight, bias }
     }
 
     /// The weight matrix `[out, in]`.
@@ -93,27 +83,9 @@ impl Linear {
         &mut self.bias
     }
 
-    /// Accumulated weight gradient.
-    pub fn grad_weight(&self) -> &Tensor {
-        &self.grad_weight
-    }
-
-    /// Accumulated bias gradient.
-    pub fn grad_bias(&self) -> &Tensor {
-        &self.grad_bias
-    }
-
-    fn forward_impl(&self, x: &Tensor) -> Tensor {
-        let batch = check_batch_input("linear", x, self.in_features());
-        let mut y = Tensor::zeros(&[batch, self.out_features()]);
-        self.forward_into(x.as_slice(), batch, y.as_mut_slice());
-        y
-    }
-
     /// Batched `y = x·Wᵀ + b` over plain slices: one NT GEMM for the
     /// whole batch plus a per-row bias add. The single implementation of
-    /// the linear forward shared by this layer and the head's cached
-    /// passes.
+    /// the linear forward shared by this layer and the head's passes.
     pub(crate) fn forward_into(&self, x: &[f32], batch: usize, out: &mut [f32]) {
         let (o, i) = (self.out_features(), self.in_features());
         debug_assert_eq!(x.len(), batch * i, "forward_into input length");
@@ -142,70 +114,16 @@ impl Layer for Linear {
         self.weight.shape()[0]
     }
 
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let y = self.forward_impl(x);
-        self.cached_input = Some(x.clone());
+    fn forward_infer(&self, x: &Tensor) -> Tensor {
+        let batch = check_batch_input("linear", x, self.in_features());
+        let mut y = Tensor::zeros(&[batch, self.out_features()]);
+        self.forward_into(x.as_slice(), batch, y.as_mut_slice());
         y
     }
 
-    fn forward_infer(&self, x: &Tensor) -> Tensor {
-        self.forward_impl(x)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let x = self
-            .cached_input
-            .as_ref()
-            .expect("linear backward called before forward_train");
-        let batch = x.shape()[0];
-        let (o, i) = (self.out_features(), self.in_features());
-        assert_eq!(
-            grad_out.shape(),
-            &[batch, o],
-            "linear backward shape mismatch"
-        );
-
-        // dW += dYᵀ (o×N) · X (N×i)
-        gemm_tn(
-            o,
-            batch,
-            i,
-            grad_out.as_slice(),
-            x.as_slice(),
-            self.grad_weight.as_mut_slice(),
-            1.0,
-            1.0,
-        );
-        // db += column sums of dY
-        for r in 0..batch {
-            let row = grad_out.row(r);
-            for (g, &v) in self.grad_bias.as_mut_slice().iter_mut().zip(row) {
-                *g += v;
-            }
-        }
-        // dX = dY (N×o) · W (o×i)
-        let mut dx = Tensor::zeros(&[batch, i]);
-        gemm(
-            batch,
-            o,
-            i,
-            grad_out.as_slice(),
-            self.weight.as_slice(),
-            dx.as_mut_slice(),
-            1.0,
-            0.0,
-        );
-        dx
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
-        f(&mut self.weight, &mut self.grad_weight);
-        f(&mut self.bias, &mut self.grad_bias);
-    }
-
-    fn zero_grads(&mut self) {
-        self.grad_weight.map_inplace(|_| 0.0);
-        self.grad_bias.map_inplace(|_| 0.0);
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
+        f(&mut self.weight);
+        f(&mut self.bias);
     }
 
     fn param_count(&self) -> usize {
@@ -236,46 +154,9 @@ mod tests {
     }
 
     #[test]
-    fn backward_shapes_and_values() {
-        let mut fc = tiny();
-        let x = Tensor::from_vec(vec![1.0, 2.0], &[1, 2]);
-        let _ = fc.forward_train(&x);
-        let dy = Tensor::from_vec(vec![1.0, 0.0, -1.0], &[1, 3]);
-        let dx = fc.backward(&dy);
-        // dX = dY · W = 1*[1,2] + 0*[3,4] - 1*[5,6] = [-4, -4]
-        assert_eq!(dx.as_slice(), &[-4.0, -4.0]);
-        // dW = dYᵀ·X: row0 = [1,2], row1 = [0,0], row2 = [-1,-2]
-        assert_eq!(
-            fc.grad_weight().as_slice(),
-            &[1.0, 2.0, 0.0, 0.0, -1.0, -2.0]
-        );
-        assert_eq!(fc.grad_bias().as_slice(), &[1.0, 0.0, -1.0]);
-    }
-
-    #[test]
-    fn gradients_accumulate_until_zeroed() {
-        let mut fc = tiny();
-        let x = Tensor::from_vec(vec![1.0, 0.0], &[1, 2]);
-        for _ in 0..2 {
-            let _ = fc.forward_train(&x);
-            let _ = fc.backward(&Tensor::from_vec(vec![1.0, 1.0, 1.0], &[1, 3]));
-        }
-        assert_eq!(fc.grad_bias().as_slice(), &[2.0, 2.0, 2.0]);
-        fc.zero_grads();
-        assert_eq!(fc.grad_bias().as_slice(), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
     fn param_count_matches_paper_last_layer() {
         let mut rng = Prng::new(0);
         let fc = Linear::new_random(200, 10, &mut rng);
         assert_eq!(fc.param_count(), 2010);
-    }
-
-    #[test]
-    #[should_panic(expected = "before forward_train")]
-    fn backward_requires_forward() {
-        let mut fc = tiny();
-        let _ = fc.backward(&Tensor::zeros(&[1, 3]));
     }
 }

@@ -59,27 +59,6 @@ pub fn softmax_cross_entropy(logits: &Tensor, labels: &[usize]) -> (f32, Tensor)
     ((loss / batch.max(1) as f64) as f32, dlogits)
 }
 
-/// Fraction of rows whose argmax equals the label.
-///
-/// # Panics
-///
-/// Panics if `labels.len()` differs from the batch size.
-pub fn accuracy(logits: &Tensor, labels: &[usize]) -> f32 {
-    assert_eq!(logits.ndim(), 2, "accuracy expects [batch, classes]");
-    let batch = logits.shape()[0];
-    assert_eq!(labels.len(), batch, "labels/batch mismatch");
-    if batch == 0 {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    for (r, &label) in labels.iter().enumerate() {
-        if argmax_slice(logits.row(r)) == label {
-            correct += 1;
-        }
-    }
-    correct as f32 / batch as f32
-}
-
 /// Index of the maximum element of a slice (first occurrence on ties).
 ///
 /// # Panics
@@ -148,12 +127,6 @@ mod tests {
         let logits = Tensor::from_vec(vec![10.0, -10.0, -10.0], &[1, 3]);
         let (loss, _) = softmax_cross_entropy(&logits, &[0]);
         assert!(loss < 1e-3);
-    }
-
-    #[test]
-    fn accuracy_counts_matches() {
-        let logits = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0, 1.0, 0.0], &[3, 2]);
-        assert_eq!(accuracy(&logits, &[0, 1, 1]), 2.0 / 3.0);
     }
 
     #[test]

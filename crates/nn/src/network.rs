@@ -22,7 +22,7 @@ const LOCALITY_CHUNK: usize = 4;
 ///
 /// Consecutive layers must agree on feature widths; this is validated as
 /// layers are appended so misconfigured architectures fail at construction,
-/// not mid-training.
+/// not mid-inference.
 #[derive(Debug, Default)]
 pub struct Network {
     layers: Vec<Box<dyn Layer>>,
@@ -82,16 +82,7 @@ impl Network {
         self.layers.last().map_or(0, |l| l.out_features())
     }
 
-    /// Forward pass with gradient caches (training).
-    pub fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let mut h = x.clone();
-        for layer in &mut self.layers {
-            h = layer.forward_train(&h);
-        }
-        h
-    }
-
-    /// Forward pass without caches (inference / feature extraction).
+    /// Forward pass (inference / feature extraction).
     ///
     /// Batches are dispatched as contiguous image blocks
     /// ([`parallel::par_row_blocks`]): when per-image work is large
@@ -136,26 +127,10 @@ impl Network {
         h
     }
 
-    /// Backward pass; returns the gradient with respect to the input.
-    pub fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
-        }
-        g
-    }
-
-    /// Visits every `(parameter, gradient)` pair in layer order.
-    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {
+    /// Visits every parameter tensor in layer order.
+    pub fn visit_params(&mut self, f: &mut dyn FnMut(&mut Tensor)) {
         for layer in &mut self.layers {
             layer.visit_params(f);
-        }
-    }
-
-    /// Clears all accumulated gradients.
-    pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
         }
     }
 
@@ -174,12 +149,10 @@ impl Network {
 
     /// Serializes all parameters (in visit order) into `enc`.
     pub fn encode_params(&mut self, enc: &mut Encoder) {
-        let mut params: Vec<Tensor> = Vec::new();
-        self.visit_params(&mut |p, _| params.push(p.clone()));
-        enc.put_u64(params.len() as u64);
-        for p in &params {
-            enc.put_tensor(p);
-        }
+        let mut count = 0u64;
+        self.visit_params(&mut |_| count += 1);
+        enc.put_u64(count);
+        self.visit_params(&mut |p| enc.put_tensor(p));
     }
 
     /// Restores parameters written by [`Network::encode_params`] into an
@@ -199,7 +172,7 @@ impl Network {
         }
         let mut idx = 0usize;
         let mut err: Option<DecodeError> = None;
-        self.visit_params(&mut |p, _| {
+        self.visit_params(&mut |p| {
             if err.is_some() {
                 return;
             }
@@ -286,16 +259,6 @@ mod tests {
             let got = fsa_tensor::parallel::with_budget(budget, || net.forward_infer(&x));
             assert_eq!(base, got, "budget {budget} changed inference bits");
         }
-    }
-
-    #[test]
-    fn train_and_infer_forward_agree() {
-        let mut rng = Prng::new(3);
-        let mut net = small_net(&mut rng);
-        let x = Tensor::randn(&[5, 4], 1.0, &mut rng);
-        let a = net.forward_train(&x);
-        let b = net.forward_infer(&x);
-        assert_eq!(a, b);
     }
 
     #[test]

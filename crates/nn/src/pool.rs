@@ -12,8 +12,6 @@ use fsa_tensor::Tensor;
 pub struct MaxPool2d {
     in_dims: VolumeDims,
     window: usize,
-    /// Flat input index of each output's argmax, per cached batch sample.
-    cached_argmax: Option<Vec<Vec<u32>>>,
 }
 
 impl MaxPool2d {
@@ -30,11 +28,7 @@ impl MaxPool2d {
             in_dims.height,
             in_dims.width
         );
-        Self {
-            in_dims,
-            window,
-            cached_argmax: None,
-        }
+        Self { in_dims, window }
     }
 
     /// Output volume dimensions.
@@ -46,7 +40,7 @@ impl MaxPool2d {
         )
     }
 
-    fn pool_sample(&self, x: &[f32], y: &mut [f32], argmax: Option<&mut Vec<u32>>) {
+    fn pool_sample(&self, x: &[f32], y: &mut [f32]) {
         let (c, h, w) = (
             self.in_dims.channels,
             self.in_dims.height,
@@ -55,26 +49,19 @@ impl MaxPool2d {
         let out = self.out_dims();
         let (oh, ow) = (out.height, out.width);
         let k = self.window;
-        let mut arg_store = argmax;
         for ch in 0..c {
             for oi in 0..oh {
                 for oj in 0..ow {
                     let mut best = f32::NEG_INFINITY;
-                    let mut best_idx = 0u32;
                     for di in 0..k {
                         let row = (ch * h + oi * k + di) * w + oj * k;
-                        for dj in 0..k {
-                            let v = x[row + dj];
+                        for &v in &x[row..row + k] {
                             if v > best {
                                 best = v;
-                                best_idx = (row + dj) as u32;
                             }
                         }
                     }
                     y[(ch * oh + oi) * ow + oj] = best;
-                    if let Some(store) = arg_store.as_deref_mut() {
-                        store.push(best_idx);
-                    }
                 }
             }
         }
@@ -94,53 +81,16 @@ impl Layer for MaxPool2d {
         self.out_dims().features()
     }
 
-    fn forward_train(&mut self, x: &Tensor) -> Tensor {
-        let batch = check_batch_input("maxpool2d", x, self.in_features());
-        let mut y = Tensor::zeros(&[batch, self.out_features()]);
-        let mut args = Vec::with_capacity(batch);
-        for n in 0..batch {
-            let mut arg = Vec::with_capacity(self.out_features());
-            self.pool_sample(x.row(n), y.row_mut(n), Some(&mut arg));
-            args.push(arg);
-        }
-        self.cached_argmax = Some(args);
-        y
-    }
-
     fn forward_infer(&self, x: &Tensor) -> Tensor {
         let batch = check_batch_input("maxpool2d", x, self.in_features());
         let mut y = Tensor::zeros(&[batch, self.out_features()]);
         for n in 0..batch {
-            self.pool_sample(x.row(n), y.row_mut(n), None);
+            self.pool_sample(x.row(n), y.row_mut(n));
         }
         y
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let args = self
-            .cached_argmax
-            .as_ref()
-            .expect("maxpool2d backward called before forward_train");
-        let batch = args.len();
-        assert_eq!(
-            grad_out.shape(),
-            &[batch, self.out_features()],
-            "maxpool2d backward shape mismatch"
-        );
-        let mut dx = Tensor::zeros(&[batch, self.in_features()]);
-        for (n, arg_row) in args.iter().enumerate() {
-            let dy = grad_out.row(n);
-            let dxr = dx.row_mut(n);
-            for (o, &src) in arg_row.iter().enumerate() {
-                dxr[src as usize] += dy[o];
-            }
-        }
-        dx
-    }
-
-    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor, &mut Tensor)) {}
-
-    fn zero_grads(&mut self) {}
+    fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Tensor)) {}
 
     fn param_count(&self) -> usize {
         0
@@ -153,7 +103,7 @@ mod tests {
 
     #[test]
     fn pools_2x2_blocks() {
-        let mut p = MaxPool2d::new(VolumeDims::new(1, 4, 4), 2);
+        let p = MaxPool2d::new(VolumeDims::new(1, 4, 4), 2);
         #[rustfmt::skip]
         let x = Tensor::from_vec(vec![
             1.0, 2.0,   3.0, 4.0,
@@ -162,17 +112,8 @@ mod tests {
             9.0, 10.0, 11.0, 12.0,
             13.0, 14.0, 15.0, 16.0,
         ], &[1, 16]);
-        let y = p.forward_train(&x);
+        let y = p.forward_infer(&x);
         assert_eq!(y.as_slice(), &[6.0, 8.0, 14.0, 16.0]);
-    }
-
-    #[test]
-    fn backward_routes_to_argmax() {
-        let mut p = MaxPool2d::new(VolumeDims::new(1, 2, 2), 2);
-        let x = Tensor::from_vec(vec![0.0, 9.0, 1.0, 2.0], &[1, 4]);
-        let _ = p.forward_train(&x);
-        let dx = p.backward(&Tensor::from_vec(vec![3.0], &[1, 1]));
-        assert_eq!(dx.as_slice(), &[0.0, 3.0, 0.0, 0.0]);
     }
 
     #[test]
@@ -183,19 +124,9 @@ mod tests {
 
     #[test]
     fn channels_are_independent() {
-        let mut p = MaxPool2d::new(VolumeDims::new(2, 2, 2), 2);
+        let p = MaxPool2d::new(VolumeDims::new(2, 2, 2), 2);
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, -1.0, -2.0, -3.0, -4.0], &[1, 8]);
-        let y = p.forward_train(&x);
+        let y = p.forward_infer(&x);
         assert_eq!(y.as_slice(), &[4.0, -1.0]);
-    }
-
-    #[test]
-    fn infer_matches_train_path() {
-        let mut rng = fsa_tensor::Prng::new(6);
-        let x = Tensor::randn(&[3, 36], 1.0, &mut rng);
-        let mut p = MaxPool2d::new(VolumeDims::new(1, 6, 6), 3);
-        let a = p.forward_train(&x);
-        let b = p.forward_infer(&x);
-        assert_eq!(a, b);
     }
 }

@@ -1,42 +1,7 @@
-//! Mini-batch training loop.
+//! Mini-batch helpers shared by the head's training loop and the
+//! experiment fixtures.
 
-use crate::loss::{accuracy, softmax_cross_entropy};
-use crate::network::Network;
-use crate::optimizer::Optimizer;
-use fsa_tensor::{Prng, Tensor};
-
-/// Configuration for [`fit`].
-#[derive(Debug, Clone)]
-pub struct TrainConfig {
-    /// Number of passes over the training set.
-    pub epochs: usize,
-    /// Mini-batch size.
-    pub batch_size: usize,
-    /// Shuffle the sample order each epoch.
-    pub shuffle: bool,
-    /// Print a progress line per epoch.
-    pub verbose: bool,
-}
-
-impl Default for TrainConfig {
-    fn default() -> Self {
-        Self {
-            epochs: 10,
-            batch_size: 32,
-            shuffle: true,
-            verbose: false,
-        }
-    }
-}
-
-/// Per-epoch training metrics returned by [`fit`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochStats {
-    /// Mean loss over the epoch's batches.
-    pub loss: f32,
-    /// Training accuracy over the epoch (on-the-fly, pre-update logits).
-    pub accuracy: f32,
-}
+use fsa_tensor::Tensor;
 
 /// Gathers rows `idx` of `[n, d]` tensor `x` into a new `[idx.len(), d]`
 /// batch.
@@ -54,152 +19,14 @@ pub fn gather_rows(x: &Tensor, idx: &[usize]) -> Tensor {
     out
 }
 
-/// Trains `net` on `(x, labels)` with cross-entropy.
-///
-/// # Panics
-///
-/// Panics if `x` and `labels` disagree on the sample count, or the sample
-/// count is zero.
-pub fn fit(
-    net: &mut Network,
-    x: &Tensor,
-    labels: &[usize],
-    opt: &mut dyn Optimizer,
-    cfg: &TrainConfig,
-    rng: &mut Prng,
-) -> Vec<EpochStats> {
-    let n = x.shape()[0];
-    assert!(n > 0, "empty training set");
-    assert_eq!(labels.len(), n, "labels/sample mismatch");
-    let mut order: Vec<usize> = (0..n).collect();
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        if cfg.shuffle {
-            rng.shuffle(&mut order);
-        }
-        let mut loss_sum = 0.0f64;
-        let mut acc_sum = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in order.chunks(cfg.batch_size.max(1)) {
-            let bx = gather_rows(x, chunk);
-            let by: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-            let logits = net.forward_train(&bx);
-            let (loss, dlogits) = softmax_cross_entropy(&logits, &by);
-            net.zero_grads();
-            let _ = net.backward(&dlogits);
-            opt.step(net);
-            loss_sum += loss as f64;
-            acc_sum += accuracy(&logits, &by) as f64;
-            batches += 1;
-        }
-        let stats = EpochStats {
-            loss: (loss_sum / batches as f64) as f32,
-            accuracy: (acc_sum / batches as f64) as f32,
-        };
-        if cfg.verbose {
-            println!(
-                "epoch {epoch}: loss {:.4} acc {:.4}",
-                stats.loss, stats.accuracy
-            );
-        }
-        history.push(stats);
-    }
-    history
-}
-
-/// Evaluates classification accuracy of `net` on `(x, labels)`, streaming
-/// in chunks to bound memory.
-pub fn evaluate(net: &Network, x: &Tensor, labels: &[usize], batch_size: usize) -> f32 {
-    let n = x.shape()[0];
-    assert_eq!(labels.len(), n, "labels/sample mismatch");
-    if n == 0 {
-        return 0.0;
-    }
-    let mut correct = 0usize;
-    let idx: Vec<usize> = (0..n).collect();
-    for chunk in idx.chunks(batch_size.max(1)) {
-        let bx = gather_rows(x, chunk);
-        let preds = net.predict(&bx);
-        for (p, &i) in preds.iter().zip(chunk) {
-            if *p == labels[i] {
-                correct += 1;
-            }
-        }
-    }
-    correct as f32 / n as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::activation::Relu;
-    use crate::linear::Linear;
-    use crate::optimizer::Adam;
-
-    /// Two Gaussian blobs, linearly separable.
-    fn blobs(n: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-        let mut x = Tensor::zeros(&[n, 2]);
-        let mut labels = Vec::with_capacity(n);
-        for i in 0..n {
-            let class = i % 2;
-            let center = if class == 0 { -2.0 } else { 2.0 };
-            x.row_mut(i)[0] = rng.normal(center, 0.5);
-            x.row_mut(i)[1] = rng.normal(center, 0.5);
-            labels.push(class);
-        }
-        (x, labels)
-    }
-
-    #[test]
-    fn fit_learns_separable_blobs() {
-        let mut rng = Prng::new(11);
-        let (x, labels) = blobs(128, &mut rng);
-        let mut net = Network::new();
-        net.push(Box::new(Linear::new_random(2, 8, &mut rng)));
-        net.push(Box::new(Relu::new(8)));
-        net.push(Box::new(Linear::new_random(8, 2, &mut rng)));
-        let mut opt = Adam::new(0.02);
-        let cfg = TrainConfig {
-            epochs: 15,
-            batch_size: 16,
-            shuffle: true,
-            verbose: false,
-        };
-        let hist = fit(&mut net, &x, &labels, &mut opt, &cfg, &mut rng);
-        assert!(
-            hist.last().unwrap().loss < 0.1,
-            "final loss {}",
-            hist.last().unwrap().loss
-        );
-        assert!(evaluate(&net, &x, &labels, 32) > 0.98);
-    }
 
     #[test]
     fn gather_rows_selects() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]);
         let g = gather_rows(&x, &[2, 0]);
         assert_eq!(g.as_slice(), &[5.0, 6.0, 1.0, 2.0]);
-    }
-
-    #[test]
-    fn evaluate_on_empty_is_zero() {
-        let net = Network::new();
-        let x = Tensor::zeros(&[0, 2]);
-        assert_eq!(evaluate(&net, &x, &[], 8), 0.0);
-    }
-
-    #[test]
-    fn history_has_one_entry_per_epoch() {
-        let mut rng = Prng::new(12);
-        let (x, labels) = blobs(16, &mut rng);
-        let mut net = Network::new();
-        net.push(Box::new(Linear::new_random(2, 2, &mut rng)));
-        let mut opt = Adam::new(0.01);
-        let cfg = TrainConfig {
-            epochs: 3,
-            ..Default::default()
-        };
-        let hist = fit(&mut net, &x, &labels, &mut opt, &cfg, &mut rng);
-        assert_eq!(hist.len(), 3);
     }
 }

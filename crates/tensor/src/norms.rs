@@ -30,11 +30,6 @@ pub fn l2(xs: &[f32]) -> f32 {
     (xs.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()).sqrt() as f32
 }
 
-/// Squared Euclidean norm in `f64` precision.
-pub fn l2_squared(xs: &[f32]) -> f64 {
-    xs.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>()
-}
-
 /// Maximum absolute value (0 for an empty slice).
 pub fn linf(xs: &[f32]) -> f32 {
     xs.iter().fold(0.0f32, |m, x| m.max(x.abs()))

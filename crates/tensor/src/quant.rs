@@ -76,19 +76,6 @@ impl QuantParams {
         }
     }
 
-    /// An explicit scale.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `scale` is finite and positive.
-    pub fn with_scale(scale: f32) -> Self {
-        assert!(
-            scale.is_finite() && scale > 0.0,
-            "scale must be finite and positive, got {scale}"
-        );
-        Self { scale }
-    }
-
     /// Nearest grid point: `round(x / scale)` clamped to `[-127, 127]`
     /// (ties away from zero, `f32::round` semantics).
     pub fn quantize(&self, x: f32) -> i8 {

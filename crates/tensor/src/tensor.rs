@@ -97,11 +97,6 @@ impl Tensor {
         self.shape.dims()
     }
 
-    /// Returns the shape object.
-    pub fn shape_obj(&self) -> &Shape {
-        &self.shape
-    }
-
     /// Returns the total number of elements.
     pub fn numel(&self) -> usize {
         self.data.len()
@@ -120,11 +115,6 @@ impl Tensor {
     /// Returns the underlying data as a mutable slice (row-major).
     pub fn as_mut_slice(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns its data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Reads the element at a multi-dimensional index.

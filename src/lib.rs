@@ -13,8 +13,9 @@
 //!   [`attack::campaign`] engine that serves whole scenario grids
 //!   (sweeps over `S`, `K`, and sparsity budgets) over one shared
 //!   victim and feature cache;
-//! * [`nn`] — the neural-network substrate (manual gradients, the C&W
-//!   victim architecture, the FC head the attack perturbs);
+//! * [`nn`] — the neural-network substrate (the inference-only C&W
+//!   victim architecture, and the FC head the attack perturbs, the one
+//!   part with hand-derived gradients);
 //! * [`data`] — synthetic MNIST-like / CIFAR-like datasets;
 //! * [`admm`] — proximal operators and the generic ADMM driver;
 //! * [`baselines`] — Liu et al. ICCAD'17 SBA/GDA comparison attacks,

@@ -127,57 +127,3 @@ fn l0_and_l2_attacks_trade_off() {
         l0_res.l2
     );
 }
-
-#[test]
-fn conv_training_backward_reaches_high_accuracy_end_to_end() {
-    // The full manual-backprop path (conv + pool + fc) must be able to
-    // learn, not just the frozen-feature shortcut: train a tiny C&W model
-    // end to end on easy two-class data.
-    use fault_sneaking::nn::network::Network;
-    use fault_sneaking::nn::optimizer::Adam;
-    use fault_sneaking::nn::trainer::{evaluate, fit, TrainConfig};
-
-    let mut rng = Prng::new(4);
-    let gen = SynthDigits {
-        noise_std: 0.05,
-        ..Default::default()
-    };
-    // Two visually distinct classes only (0 and 1) for a fast test.
-    let full = gen.generate(1000, 9);
-    let keep: Vec<usize> = (0..full.len()).filter(|&i| full.labels[i] < 2).collect();
-    let ds = full.subset(&keep);
-
-    let cfg = CwConfig {
-        input: ds.dims,
-        block1_channels: 4,
-        block2_channels: 8,
-        kernel: 3,
-        fc_width: 16,
-        classes: 2,
-    };
-    let (extractor, feat) = fault_sneaking::nn::cw::feature_extractor(&cfg, &mut rng);
-    let mut net = extractor;
-    net.push(Box::new(fault_sneaking::nn::linear::Linear::new_random(
-        feat, 2, &mut rng,
-    )));
-
-    let mut net_box = Network::new();
-    std::mem::swap(&mut net_box, &mut net);
-    let mut opt = Adam::new(3e-3);
-    let tc = TrainConfig {
-        epochs: 4,
-        batch_size: 16,
-        shuffle: true,
-        verbose: false,
-    };
-    fit(
-        &mut net_box,
-        &ds.images,
-        &ds.labels,
-        &mut opt,
-        &tc,
-        &mut rng,
-    );
-    let acc = evaluate(&net_box, &ds.images, &ds.labels, 32);
-    assert!(acc > 0.9, "end-to-end conv training reached only {acc}");
-}
