@@ -2,10 +2,13 @@
 //! work, and a small end-to-end run, timed on the in-repo
 //! [`fsa_bench::timing`] harness.
 
+use fsa_attack::eval::apply_delta;
 use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
+use fsa_attack::refine::{refine_on_support, RefineConfig};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
 use fsa_nn::head::{FcHead, HeadBuffers};
+use fsa_nn::stats::{cached_forward_stats, head_forward_stats, max_normalized_drift};
 use fsa_tensor::{Prng, Tensor};
 use std::hint::black_box;
 
@@ -77,6 +80,72 @@ fn bench_hinge() {
     }
 }
 
+/// Refine at the stealth arena's shape: a 32→32→32→4 head, R = 260
+/// (four faults), last-layer selection and the default 60-step pass,
+/// under a drift budget that binds partway and under one that never
+/// binds.
+fn bench_refine_drift_wall() {
+    let mut rng = Prng::new(14);
+    let head = FcHead::from_dims(&[32, 32, 32, 4], &mut rng);
+    let features = Tensor::randn(&[260, 32], 1.0, &mut rng);
+    let labels = head.predict(&features);
+    let targets = (0..4).map(|i| (labels[i] + 1) % 4).collect();
+    let spec = AttackSpec::new(features, labels, targets).with_weights(40.0, 1.0);
+    let sel = ParamSelection::last_layer(&head);
+    let start = sel.start_layer();
+    let theta0 = sel.gather(&head);
+    let acts = head.activations_before(start, &spec.features);
+    let mut bufs = HeadBuffers::new();
+    head.forward_from_caching(start, &acts, &mut bufs);
+    let mut reference = Vec::new();
+    cached_forward_stats(&bufs, &mut reference);
+    // A sparse starting δ, as ADMM hands one over: every third weight.
+    let delta0: Vec<f32> = (0..theta0.len())
+        .map(|i| if i % 3 == 0 { 0.01 } else { 0.0 })
+        .collect();
+    let mut work = head.clone();
+    let mut run = |iterations: usize, budget: f32, delta: &mut [f32]| {
+        delta.copy_from_slice(&delta0);
+        // A small fixed step keeps the drift climbing steadily, so the
+        // budget taken from half the pass binds near its middle.
+        let cfg = RefineConfig {
+            iterations,
+            step: Some(1e-3),
+        };
+        refine_on_support(
+            &mut work,
+            &sel,
+            &theta0,
+            &spec,
+            &acts,
+            2.0,
+            1.0,
+            &cfg,
+            Some((&reference, budget)),
+            delta,
+        )
+    };
+    // The binding budget is the whole-head drift after half the pass.
+    let steps = RefineConfig::default().iterations;
+    let mut delta = delta0.clone();
+    run(steps / 2, f32::MAX, &mut delta);
+    let mut attacked = head.clone();
+    apply_delta(&mut attacked, &sel, &theta0, &delta);
+    let full = head_forward_stats(&head, &spec.features).1;
+    let binding =
+        max_normalized_drift(&head_forward_stats(&attacked, &spec.features).1, &full) as f32;
+    println!(
+        "refine at R = 260: slack pass {} steps, binding budget {binding:.3} stops at {}",
+        run(steps, f32::MAX, &mut delta),
+        run(steps, binding, &mut delta)
+    );
+    for (name, budget) in [("binding", binding), ("slack", f32::MAX)] {
+        bench(&format!("refine_arena_R260_drift_{name}"), || {
+            black_box(run(steps, black_box(budget), &mut delta))
+        });
+    }
+}
+
 fn bench_end_to_end() {
     let (head, features, labels) = paper_head();
     let targets = vec![(labels[0] + 1) % 10];
@@ -100,5 +169,6 @@ fn main() {
     );
     bench_head_passes();
     bench_hinge();
+    bench_refine_drift_wall();
     bench_end_to_end();
 }

@@ -226,9 +226,15 @@ impl FaultSneakingAttack {
             .stealth
             .zip(global_indices.as_ref())
             .map(|(s, g)| s.delta_blocks(g));
-        let drift_reference = spec
-            .stealth
-            .map(|_| fsa_nn::stats::head_forward_stats(&self.head, &spec.features).1);
+        // The drift wall's reference: the unmodified head's statistics of
+        // layers `start..`, read off one truncated forward from `acts`.
+        let mut bufs = HeadBuffers::new();
+        let drift_reference = spec.stealth.map(|_| {
+            self.head.forward_from_caching(start, &acts, &mut bufs);
+            let mut reference = Vec::new();
+            fsa_nn::stats::cached_forward_stats(&bufs, &mut reference);
+            reference
+        });
 
         let mut problem = Problem {
             head: self.head.clone(),
@@ -245,7 +251,7 @@ impl FaultSneakingAttack {
             trace_support: Vec::new(),
             trace_keep: Vec::new(),
             scratch: vec![0.0; dim],
-            bufs: HeadBuffers::new(),
+            bufs,
             hinge: HingeEval::default(),
             grad_flat: Vec::with_capacity(dim),
         };

@@ -24,7 +24,12 @@
 //! 3. **Activation-drift budget** — the refinement pass stops before
 //!    pushing any layer's activation statistics more than `drift_budget`
 //!    reference standard deviations ([`fsa_nn::stats::normalized_drift`]
-//!    — the very quantity the deployed drift detector scores).
+//!    — the very quantity the deployed drift detector scores). The wall
+//!    reads the statistics of layers `start..` off the truncated forward
+//!    each refinement step already runs
+//!    ([`fsa_nn::stats::cached_forward_stats`]); the layers below the
+//!    selection cannot move, so the decision is the whole-head
+//!    detector's.
 //!
 //! All three terms are pure fixed-order functions of the plan and the
 //! model, so a stealth-objective campaign keeps the engine's

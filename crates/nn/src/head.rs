@@ -97,6 +97,20 @@ impl HeadBuffers {
     pub fn into_grads(self) -> LayerGrads {
         self.grads
     }
+
+    /// Outputs of the cached forward pass, one slice per layer `start..`:
+    /// post-ReLU for hidden layers, the logits for the last.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass is cached.
+    pub(crate) fn layer_outputs(&self) -> impl Iterator<Item = &[f32]> {
+        assert!(self.cached.is_some(), "no cached forward pass to read");
+        self.inputs[1..]
+            .iter()
+            .map(Vec::as_slice)
+            .chain(std::iter::once(self.logits.as_slice()))
+    }
 }
 
 impl FcHead {

@@ -18,13 +18,14 @@
 //!
 //! * [`Network::forward_infer_stats`] — the batched inference pipeline
 //!   with a per-layer statistics tap;
-//! * [`head_forward_stats`] — the same tap over an [`FcHead`]'s layer
-//!   chain (post-ReLU for hidden layers, raw logits for the last), the
-//!   surface attacked models are monitored on.
+//! * [`cached_forward_stats`] — the same tap over the forward pass an
+//!   [`FcHead`] cached in its [`HeadBuffers`] (post-ReLU for hidden
+//!   layers, raw logits for the last), one entry per layer from the
+//!   pass's start layer on — the surface attacked models are monitored
+//!   on;
+//! * [`head_forward_stats`] — that tap over a whole-head forward.
 
-use crate::activation::Relu;
-use crate::head::FcHead;
-use crate::layer::Layer as _;
+use crate::head::{FcHead, HeadBuffers};
 use crate::network::Network;
 use fsa_tensor::Tensor;
 
@@ -123,6 +124,22 @@ impl Network {
     }
 }
 
+/// Per-layer statistics of the forward pass cached in `bufs` by
+/// [`FcHead::forward_from_caching`]`(start, ..)`, written to `out` (cleared
+/// first, its storage reused): entry `rel` covers layer `start + rel`'s
+/// output — post-ReLU for hidden layers, the logits for the last.
+///
+/// A caller that already runs a truncated forward reads the monitored
+/// statistics of layers `start..` off it for the cost of the reductions.
+///
+/// # Panics
+///
+/// Panics if `bufs` holds no cached forward pass.
+pub fn cached_forward_stats(bufs: &HeadBuffers, out: &mut Vec<ActivationStats>) {
+    out.clear();
+    out.extend(bufs.layer_outputs().map(slice_stats));
+}
+
 /// [`FcHead::forward`] with a per-layer statistics tap: returns the
 /// logits and one [`ActivationStats`] per layer — post-ReLU outputs for
 /// hidden layers, the raw logits for the last.
@@ -130,7 +147,8 @@ impl Network {
 /// This is the monitored surface for attacked models: the attack
 /// modifies head parameters, so any behavioural change must show up in
 /// some head layer's activation distribution on a fixed probe batch.
-/// Logits are bit-identical to [`FcHead::forward`].
+/// It is [`cached_forward_stats`] over a forward from layer 0, so the
+/// logits are bit-identical to [`FcHead::forward`].
 ///
 /// # Panics
 ///
@@ -141,26 +159,17 @@ pub fn head_forward_stats(head: &FcHead, x: &Tensor) -> (Tensor, Vec<ActivationS
         head.in_features(),
         "probe batch width must match head input"
     );
+    let mut bufs = HeadBuffers::new();
+    let logits = head.forward_from_caching(0, x, &mut bufs).clone();
     let mut stats = Vec::with_capacity(head.num_layers());
-    let last = head.num_layers() - 1;
-    let mut h = x.clone();
-    for i in 0..head.num_layers() {
-        let layer = head.layer(i);
-        let batch = h.shape()[0];
-        let mut y = Tensor::zeros(&[batch, layer.out_features()]);
-        layer.forward_into(h.as_slice(), batch, y.as_mut_slice());
-        if i < last {
-            Relu::apply_slice(y.as_mut_slice());
-        }
-        stats.push(slice_stats(y.as_slice()));
-        h = y;
-    }
-    (h, stats)
+    cached_forward_stats(&bufs, &mut stats);
+    (logits, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Relu;
     use crate::linear::Linear;
     use fsa_tensor::Prng;
 
@@ -229,6 +238,68 @@ mod tests {
         // Hidden layers are post-ReLU: their means cannot be negative.
         assert!(stats[0].mean >= 0.0 && stats[1].mean >= 0.0);
         assert_eq!(stats[2], slice_stats(logits.as_slice()));
+    }
+
+    #[test]
+    fn cached_tap_matches_the_whole_head_tap_from_every_start() {
+        let mut rng = Prng::new(12);
+        let head = FcHead::from_dims(&[6, 7, 5, 4, 3], &mut rng);
+        let clean = Tensor::randn(&[5, 6], 1.0, &mut rng);
+        // −0.0 in the input, and NaN, +Inf and −Inf that reach every
+        // later layer (their statistics turn NaN; the bits must agree).
+        let mut dirty = clean.clone();
+        let xs = dirty.as_mut_slice();
+        xs[0] = -0.0;
+        xs[6] = f32::NAN;
+        xs[13] = f32::INFINITY;
+        xs[20] = f32::NEG_INFINITY;
+        let bits = |s: &[ActivationStats]| -> Vec<(u64, u64)> {
+            s.iter()
+                .map(|a| (a.mean.to_bits(), a.var.to_bits()))
+                .collect()
+        };
+        let mut bufs = HeadBuffers::new();
+        let mut tapped = Vec::new();
+        for x in [&clean, &dirty] {
+            let (_, full) = head_forward_stats(&head, x);
+            for start in 0..head.num_layers() {
+                let acts = head.activations_before(start, x);
+                head.forward_from_caching(start, &acts, &mut bufs);
+                cached_forward_stats(&bufs, &mut tapped);
+                assert_eq!(
+                    bits(&tapped),
+                    bits(&full[start..]),
+                    "tap from layer {start} differs from the whole-head tap"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn head_stats_match_the_per_layer_chain() {
+        // The wrapper equals the chain it replaced: each layer's output,
+        // ReLU'd by `Relu::apply_slice` below the last, reduced in order.
+        let mut rng = Prng::new(13);
+        let head = FcHead::from_dims(&[5, 7, 6, 3], &mut rng);
+        let mut x = Tensor::randn(&[4, 5], 1.0, &mut rng);
+        x.as_mut_slice()[3] = -0.0;
+        let (_, stats) = head_forward_stats(&head, &x);
+        let mut h = x.as_slice().to_vec();
+        for (i, s) in stats.iter().enumerate() {
+            let layer = head.layer(i);
+            let mut y = vec![0.0f32; 4 * layer.weight().shape()[0]];
+            layer.forward_into(&h, 4, &mut y);
+            if i + 1 < head.num_layers() {
+                Relu::apply_slice(&mut y);
+            }
+            let want = slice_stats(&y);
+            assert_eq!(
+                (s.mean.to_bits(), s.var.to_bits()),
+                (want.mean.to_bits(), want.var.to_bits()),
+                "layer {i}"
+            );
+            h = y;
+        }
     }
 
     #[test]
