@@ -379,7 +379,7 @@ pub fn repair_parity_int8(
 mod tests {
     use super::*;
     use crate::selection::ParamSelection;
-    use fsa_memfault::parity::RowParity;
+    use fsa_memfault::parity::{RowCode, RowSignature};
     use fsa_nn::head::FcHead;
     use fsa_nn::quant::QuantizedHead;
     use fsa_tensor::Prng;
@@ -437,14 +437,10 @@ mod tests {
     }
 
     /// Whole-buffer parity check: apply the repaired δ to a copy of the
-    /// full flat parameters and assert zero `RowParity` violations.
+    /// full flat parameters and assert zero row-parity violations.
     fn assert_even(full0: &[f32], full1: &[f32], layout: &ParamLayout) {
-        let clean = RowParity::capture(layout, full0);
-        assert_eq!(
-            clean.violations(layout, full1),
-            Vec::new(),
-            "repair left odd rows"
-        );
+        let clean = RowSignature::capture(RowCode::Parity, layout.clone(), full0);
+        assert_eq!(clean.violations(full1), Vec::new(), "repair left odd rows");
     }
 
     #[test]

@@ -96,10 +96,15 @@ impl Detector for DriftDetector {
         self.threshold
     }
 
+    /// The maximum per-layer drift; any NaN layer drift scores
+    /// `f32::INFINITY` (a NaN-producing head is tampered, and `f64::max`
+    /// would silently drop the NaN and pass it as clean).
     fn score(&self, obs: &Observation<'_>) -> f32 {
-        self.layer_drift(obs.head)
-            .into_iter()
-            .fold(0.0f64, f64::max) as f32
+        let drift = self.layer_drift(obs.head);
+        if drift.iter().any(|d| d.is_nan()) {
+            return f32::INFINITY;
+        }
+        drift.into_iter().fold(0.0f64, f64::max) as f32
     }
 }
 
@@ -162,6 +167,25 @@ mod tests {
         assert_eq!(plain.name(), "activation_drift");
         let obs = Observation { head: &head };
         assert_eq!(det.score(&obs).to_bits(), plain.score(&obs).to_bits());
+    }
+
+    #[test]
+    fn nan_layer_drift_alarms() {
+        // One NaN weight in the last layer: the logits go NaN, so that
+        // layer's drift is NaN while the upstream layer stays clean.
+        let (head, probe) = fixture();
+        let det = DriftDetector::new(&head, probe, 0.25);
+        let mut poisoned = head.clone();
+        let last = poisoned.num_layers() - 1;
+        let mut flat = poisoned.layer_flat_params(last);
+        flat[0] = f32::NAN;
+        poisoned.set_layer_flat_params(last, &flat);
+        let drift = det.layer_drift(&poisoned);
+        assert_eq!(drift[0], 0.0);
+        assert!(drift[last].is_nan(), "{drift:?}");
+        let v = det.evaluate(&Observation { head: &poisoned });
+        assert_eq!(v.score, f32::INFINITY);
+        assert!(v.detected, "a NaN-producing head must alarm: {v:?}");
     }
 
     #[test]

@@ -20,18 +20,18 @@
 //!   shared [`fsa_nn::FeatureCache`] pipeline);
 //! * [`drift`] — per-layer activation-statistic drift against a
 //!   reference, via the [`fsa_nn::stats`] tap;
-//! * [`parity`] — a DRAM-row parity monitor over
-//!   [`fsa_memfault::dram`]'s address mapping, with a pre-injection
-//!   audit of compiled bit-flip plans (odd flip counts alarm, even
-//!   counts evade — the ECC limitation rowhammer exploits).
+//! * [`parity`] — a DRAM-row code monitor over
+//!   [`fsa_memfault::dram`]'s address mapping (row parity: odd flip
+//!   counts alarm, even counts evade — the ECC limitation rowhammer
+//!   exploits).
 //!
-//! Round 2 of the arms race adds the randomized family: [`rotating`]
-//! holds the seeded [`RotatingChecksumDetector`] (per-audit block-phase
-//! rotation, scored as the exact expected detection probability over
-//! the schedule), [`parity`] grows column-parity and per-row CRC
-//! monitors, and [`DefenseSuite::randomized`] deploys them all plus a
-//! held-out drift probe — one stack per schedule seed, still
-//! bit-deterministic.
+//! Round 2 of the arms race re-arms the same two integrity types rather
+//! than adding new ones: [`ChecksumDetector::rotating`] audits a seeded
+//! schedule of shifted block phases (scored as the exact expected
+//! detection probability over the schedule), [`RowCodeDetector`] runs
+//! the column-parity and per-row CRC codes next to row parity, and
+//! [`DefenseSuite::randomized`] deploys them all plus a held-out drift
+//! probe — one stack per schedule seed, still bit-deterministic.
 //!
 //! Everything is deterministic by construction: detector scores are
 //! pure fixed-order functions of bit-deterministic model outputs, and
@@ -93,7 +93,6 @@ pub mod checksum;
 pub mod detector;
 pub mod drift;
 pub mod parity;
-pub mod rotating;
 pub mod suite;
 
 pub use accuracy::AccuracyProbe;
@@ -101,6 +100,5 @@ pub use arena::{ArenaReport, ArenaRow, RocPoint, StealthArena};
 pub use checksum::ChecksumDetector;
 pub use detector::{Detector, Observation, Verdict};
 pub use drift::DriftDetector;
-pub use parity::{ColumnParityDetector, ParityDetector, RowCrcDetector};
-pub use rotating::RotatingChecksumDetector;
+pub use parity::RowCodeDetector;
 pub use suite::DefenseSuite;

@@ -1,205 +1,72 @@
-//! DRAM-row parity monitor — ECC-style detection of bit-flip attacks.
+//! DRAM-row code monitor — ECC-style detection of bit-flip attacks.
 //!
 //! The memfault substrate maps the victim's parameter buffer onto DRAM
 //! rows ([`fsa_memfault::dram::ParamLayout`]); this detector stands on
-//! the defending side of that mapping: one parity bit per (bank, row),
-//! captured at deployment ([`fsa_memfault::parity::RowParity`]) and
-//! re-checked per observation. An **odd** number of flipped bits in a
-//! row alarms; an **even** count cancels and slips through — the exact
-//! limitation a rowhammer attacker exploits, now measurable per attack:
-//! [`ParityDetector::plan_audit`] folds a compiled
-//! [`FaultPlan`] to per-row flip counts and predicts which rows of the
-//! plan evade the parity before any injection happens.
+//! the defending side of that mapping: one [`RowCode`] per (bank, row),
+//! captured at deployment ([`fsa_memfault::parity::RowSignature`]) and
+//! re-checked per observation.
+//!
+//! With [`RowCode::Parity`] (`dram_parity`) an **odd** number of flipped
+//! bits in a row alarms and an **even** count cancels and slips through
+//! — the exact limitation a rowhammer attacker exploits. Which rows of a
+//! compiled plan evade it is known before any injection:
+//! [`fsa_memfault::parity::plan_row_flips`] folds the plan to per-row
+//! flip counts and [`fsa_memfault::FaultPlan::parity_evading_rows`]
+//! keeps the even ones.
 //!
 //! Since the stealth attacker learned to pad its plans parity-even, the
-//! monitor ships as a *family* rather than a single bit per row:
-//! [`ColumnParityDetector`] (one parity bit per bit position, so
-//! different-position padding no longer cancels) and [`RowCrcDetector`]
-//! (a CRC-32 digest per row — position-sensitive, no cancellation
-//! channel at all). All three share the same layout, threshold
+//! monitor ships as a *family*: [`RowCode::Column`]
+//! (`dram_column_parity`, one parity bit per bit position, so
+//! different-position padding no longer cancels) and [`RowCode::Crc`]
+//! (`dram_row_crc`, a CRC-32 digest per row — position-sensitive, no
+//! cancellation channel at all). All three share the layout, threshold
 //! convention (any violated row alarms), and violation-count score.
 
 use crate::detector::{flat_params, Detector, Observation};
 use fsa_memfault::dram::{DramGeometry, ParamLayout};
-use fsa_memfault::parity::{plan_row_flips, ColumnParity, RowCrc, RowParity};
-use fsa_memfault::plan::FaultPlan;
+use fsa_memfault::parity::{RowCode, RowSignature};
 use fsa_nn::head::FcHead;
 
-/// What a compiled plan looks like to the parity monitor, before any
-/// injection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlanAudit {
-    /// Rows the plan touches with an odd flip count — these alarm.
-    pub detected_rows: Vec<(usize, usize)>,
-    /// Rows the plan touches with an even (nonzero) flip count — these
-    /// cancel in the parity and evade.
-    pub evading_rows: Vec<(usize, usize)>,
-}
-
-/// A per-row parity monitor over the model's parameter buffer.
+/// A per-row code monitor over the model's parameter buffer.
 #[derive(Debug, Clone)]
-pub struct ParityDetector {
-    layout: ParamLayout,
-    reference: RowParity,
+pub struct RowCodeDetector {
+    reference: RowSignature,
 }
 
-impl ParityDetector {
-    /// Captures reference parity of the clean model's parameters laid
-    /// out at byte 0 of `geometry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters exceed the device capacity.
-    pub fn new(reference: &FcHead, geometry: DramGeometry) -> Self {
-        let params = flat_params(reference);
-        let layout = ParamLayout::new(geometry, 0, params.len());
-        let parity = RowParity::capture(&layout, &params);
-        Self {
-            layout,
-            reference: parity,
-        }
-    }
-
-    /// The DRAM layout the monitor guards.
-    pub fn layout(&self) -> &ParamLayout {
-        &self.layout
-    }
-
-    /// Rows whose parity an observed head violates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observed head's parameter count differs from the
-    /// calibrated layout.
-    pub fn violations(&self, head: &FcHead) -> Vec<(usize, usize)> {
-        self.reference.violations(&self.layout, &flat_params(head))
-    }
-
-    /// Splits a compiled bit-flip plan into parity-detected and
-    /// parity-evading rows — the pre-injection audit of a plan's
-    /// stealth against this defense.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan addresses parameters outside the layout.
-    pub fn plan_audit(&self, plan: &FaultPlan) -> PlanAudit {
-        let mut detected_rows = Vec::new();
-        let mut evading_rows = Vec::new();
-        for (id, flips) in plan_row_flips(plan, &self.layout) {
-            if flips % 2 == 1 {
-                detected_rows.push(id);
-            } else {
-                evading_rows.push(id);
-            }
-        }
-        PlanAudit {
-            detected_rows,
-            evading_rows,
-        }
-    }
-}
-
-impl Detector for ParityDetector {
-    fn name(&self) -> String {
-        "dram_parity".to_string()
-    }
-
-    /// Any violated row alarms.
-    fn threshold(&self) -> f32 {
-        1.0
-    }
-
-    /// Number of rows with violated parity.
-    fn score(&self, obs: &Observation<'_>) -> f32 {
-        self.violations(obs.head).len() as f32
-    }
-}
-
-/// A per-row **column parity** monitor: one parity bit per bit position
-/// of the row's words, so only same-position flip pairs cancel.
-#[derive(Debug, Clone)]
-pub struct ColumnParityDetector {
-    layout: ParamLayout,
-    reference: ColumnParity,
-}
-
-impl ColumnParityDetector {
-    /// Captures reference column syndromes of the clean model's
-    /// parameters laid out at byte 0 of `geometry`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the parameters exceed the device capacity.
-    pub fn new(reference: &FcHead, geometry: DramGeometry) -> Self {
-        let params = flat_params(reference);
-        let layout = ParamLayout::new(geometry, 0, params.len());
-        let reference = ColumnParity::capture(&layout, &params);
-        Self { layout, reference }
-    }
-
-    /// Rows whose column syndrome an observed head violates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observed head's parameter count differs from the
-    /// calibrated layout.
-    pub fn violations(&self, head: &FcHead) -> Vec<(usize, usize)> {
-        self.reference.violations(&self.layout, &flat_params(head))
-    }
-}
-
-impl Detector for ColumnParityDetector {
-    fn name(&self) -> String {
-        "dram_column_parity".to_string()
-    }
-
-    /// Any violated row alarms.
-    fn threshold(&self) -> f32 {
-        1.0
-    }
-
-    /// Number of rows with a violated column syndrome.
-    fn score(&self, obs: &Observation<'_>) -> f32 {
-        self.violations(obs.head).len() as f32
-    }
-}
-
-/// A per-row CRC-32 monitor: a position-sensitive digest per row with
-/// no parity-style cancellation channel.
-#[derive(Debug, Clone)]
-pub struct RowCrcDetector {
-    layout: ParamLayout,
-    reference: RowCrc,
-}
-
-impl RowCrcDetector {
-    /// Captures reference row digests of the clean model's parameters
+impl RowCodeDetector {
+    /// Captures the reference `code` of the clean model's parameters
     /// laid out at byte 0 of `geometry`.
     ///
     /// # Panics
     ///
     /// Panics if the parameters exceed the device capacity.
-    pub fn new(reference: &FcHead, geometry: DramGeometry) -> Self {
+    pub fn new(code: RowCode, reference: &FcHead, geometry: DramGeometry) -> Self {
         let params = flat_params(reference);
         let layout = ParamLayout::new(geometry, 0, params.len());
-        let reference = RowCrc::capture(&layout, &params);
-        Self { layout, reference }
+        Self {
+            reference: RowSignature::capture(code, layout, &params),
+        }
     }
 
-    /// Rows whose digest an observed head violates.
+    /// Rows whose code an observed head violates.
     ///
     /// # Panics
     ///
     /// Panics if the observed head's parameter count differs from the
     /// calibrated layout.
     pub fn violations(&self, head: &FcHead) -> Vec<(usize, usize)> {
-        self.reference.violations(&self.layout, &flat_params(head))
+        self.reference.violations(&flat_params(head))
     }
 }
 
-impl Detector for RowCrcDetector {
+impl Detector for RowCodeDetector {
     fn name(&self) -> String {
-        "dram_row_crc".to_string()
+        match self.reference.code() {
+            RowCode::Parity => "dram_parity",
+            RowCode::Column => "dram_column_parity",
+            RowCode::Crc => "dram_row_crc",
+        }
+        .to_string()
     }
 
     /// Any violated row alarms.
@@ -207,7 +74,7 @@ impl Detector for RowCrcDetector {
         1.0
     }
 
-    /// Number of rows with a violated digest.
+    /// Number of rows with a violated code.
     fn score(&self, obs: &Observation<'_>) -> f32 {
         self.violations(obs.head).len() as f32
     }
@@ -217,6 +84,8 @@ impl Detector for RowCrcDetector {
 mod tests {
     use super::*;
     use fsa_tensor::Prng;
+
+    const CODES: [RowCode; 3] = [RowCode::Parity, RowCode::Column, RowCode::Crc];
 
     fn head() -> FcHead {
         let mut rng = Prng::new(37);
@@ -235,55 +104,12 @@ mod tests {
     #[test]
     fn clean_model_has_no_violations() {
         let h = head();
-        let det = ParityDetector::new(&h, tiny_geometry());
-        let v = det.evaluate(&Observation { head: &h });
-        assert_eq!(v.score, 0.0);
-        assert!(!v.detected);
-    }
-
-    #[test]
-    fn single_word_rewrite_alarms_unless_even() {
-        let h = head();
-        let det = ParityDetector::new(&h, tiny_geometry());
-        let mut attacked = h.clone();
-        let flat = attacked.layer_flat_params(0);
-        let mut modified = flat.clone();
-        modified[3] += 1.0;
-        attacked.set_layer_flat_params(0, &modified);
-        let mut delta = vec![0.0f32; flat.len()];
-        delta[3] = 1.0;
-        let plan = FaultPlan::compile(&flat, &delta);
-        let audit = det.plan_audit(&plan);
-        let v = det.evaluate(&Observation { head: &attacked });
-        // The plan's prediction and the realized buffer must agree.
-        assert_eq!(det.violations(&attacked), audit.detected_rows);
-        assert_eq!(
-            v.detected,
-            !audit.detected_rows.is_empty(),
-            "plan audit disagreed with the observation"
-        );
-    }
-
-    #[test]
-    fn plan_audit_separates_even_and_odd_rows() {
-        let h = head();
-        let det = ParityDetector::new(&h, tiny_geometry());
-        // Hand-build a plan: one word with a 1-bit flip (odd → detected)
-        // and, in a different row, two words with 1-bit flips each
-        // (even total → evading).
-        let mk = |index: usize, bit: u8| fsa_memfault::plan::WordChange {
-            index,
-            old: 1.0,
-            new: fsa_memfault::bits::flip_bits(1.0, &[bit]),
-            flipped_bits: vec![bit],
-        };
-        let plan = FaultPlan {
-            changes: vec![mk(0, 3), mk(16, 5), mk(17, 9)],
-            total_bit_flips: 3,
-        };
-        let audit = det.plan_audit(&plan);
-        assert_eq!(audit.detected_rows, vec![det.layout().address(0).row_id()]);
-        assert_eq!(audit.evading_rows, vec![det.layout().address(16).row_id()]);
+        for code in CODES {
+            let det = RowCodeDetector::new(code, &h, tiny_geometry());
+            let v = det.evaluate(&Observation { head: &h });
+            assert_eq!(v.score, 0.0, "{}", v.detector);
+            assert!(!v.detected, "{}", v.detector);
+        }
     }
 
     #[test]
@@ -291,9 +117,11 @@ mod tests {
         // Two different-position flips in one row: the deployed XOR
         // parity is blind; column parity and the CRC both alarm.
         let h = head();
-        let row = ParityDetector::new(&h, tiny_geometry());
-        let col = ColumnParityDetector::new(&h, tiny_geometry());
-        let crc = RowCrcDetector::new(&h, tiny_geometry());
+        let [row, col, crc] = CODES.map(|code| RowCodeDetector::new(code, &h, tiny_geometry()));
+        assert_eq!(
+            [row.name(), col.name(), crc.name()],
+            ["dram_parity", "dram_column_parity", "dram_row_crc"]
+        );
         let mut attacked = h.clone();
         let flat = attacked.layer_flat_params(0);
         let mut modified = flat.clone();
@@ -304,9 +132,5 @@ mod tests {
         assert!(!row.evaluate(&obs).detected, "XOR parity should cancel");
         assert!(col.evaluate(&obs).detected);
         assert!(crc.evaluate(&obs).detected);
-        // Clean observations stay clean for the whole family.
-        let clean = Observation { head: &h };
-        assert_eq!(col.evaluate(&clean).score, 0.0);
-        assert_eq!(crc.evaluate(&clean).score, 0.0);
     }
 }

@@ -4,9 +4,9 @@ use crate::accuracy::AccuracyProbe;
 use crate::checksum::ChecksumDetector;
 use crate::detector::{Detector, Observation, Verdict};
 use crate::drift::DriftDetector;
-use crate::parity::{ColumnParityDetector, ParityDetector, RowCrcDetector};
-use crate::rotating::RotatingChecksumDetector;
+use crate::parity::RowCodeDetector;
 use fsa_memfault::dram::DramGeometry;
+use fsa_memfault::parity::RowCode;
 use fsa_nn::head::FcHead;
 use fsa_nn::FeatureCache;
 use fsa_tensor::Prng;
@@ -15,11 +15,6 @@ use fsa_tensor::Prng;
 /// sweeps — fine enough that a 2010-parameter last layer spans many
 /// blocks, coarse enough that audits stay cheap.
 pub const STANDARD_GRANULARITIES: [usize; 3] = [16, 64, 256];
-
-/// Scheduled block phases per rotating checksum in the randomized
-/// suite — enough overlapping partitions that a support co-located
-/// against any one of them straddles blocks in the others.
-pub const ROTATING_PHASES: usize = 4;
 
 /// An ordered stack of calibrated detectors evaluated together.
 ///
@@ -52,7 +47,7 @@ impl DefenseSuite {
     /// * the held-out [`AccuracyProbe`] at `accuracy_threshold`;
     /// * the [`DriftDetector`] at `drift_threshold` reference standard
     ///   deviations;
-    /// * the [`ParityDetector`] over `geometry`.
+    /// * the [`RowCode::Parity`] [`RowCodeDetector`] over `geometry`.
     ///
     /// `probe`/`probe_labels` must be disjoint from any attack working
     /// set (`Dataset::split_probe` guarantees this by construction).
@@ -84,28 +79,32 @@ impl DefenseSuite {
             probe.clone(),
             drift_threshold,
         )));
-        suite.push(Box::new(ParityDetector::new(reference, geometry)));
+        suite.push(Box::new(RowCodeDetector::new(
+            RowCode::Parity,
+            reference,
+            geometry,
+        )));
         suite
     }
 
     /// The re-armed stack: every monitor breaks one assumption the
     /// detector-aware stealth attacker relies on.
     ///
-    /// * [`RotatingChecksumDetector`]s at [`STANDARD_GRANULARITIES`],
-    ///   [`ROTATING_PHASES`] seeded block phases each, auditing one
-    ///   quarter of their blocks per pass (at least one) — the fixed
-    ///   0-offset partition the attacker co-locates against is no
-    ///   longer the partition being audited;
+    /// * [`ChecksumDetector::rotating`] auditors at
+    ///   [`STANDARD_GRANULARITIES`],
+    ///   [`ROTATING_PHASES`](crate::checksum::ROTATING_PHASES) seeded
+    ///   block phases each, auditing one quarter of their blocks per
+    ///   pass (at least one) — the fixed 0-offset partition the attacker
+    ///   co-locates against is no longer the partition being audited;
     /// * the held-out [`AccuracyProbe`] at `accuracy_threshold`
     ///   (unchanged — it was never the evaded channel);
     /// * the [`DriftDetector`] on the deployed probe at
     ///   `drift_threshold`, **plus** a `holdout_drift` monitor on
     ///   `holdout_probe` at `holdout_drift_threshold` — a probe split
     ///   the attacker's drift-budget wall was never tuned against;
-    /// * the full parity family over `geometry`: per-row XOR
-    ///   ([`ParityDetector`]), [`ColumnParityDetector`], and
-    ///   [`RowCrcDetector`] — parity-even flip padding cancels in the
-    ///   first but not the other two.
+    /// * a [`RowCodeDetector`] for every [`RowCode`] over `geometry`:
+    ///   per-row XOR parity, column parity, and row CRC — parity-even
+    ///   flip padding cancels in the first but not the other two.
     ///
     /// Per-granularity schedule seeds are forked from `schedule_seed`
     /// (`Prng::new(seed).fork(g)`), so one seed pins the whole suite;
@@ -127,11 +126,10 @@ impl DefenseSuite {
         for g in STANDARD_GRANULARITIES {
             let blocks = reference.param_count().div_ceil(g);
             let seed = Prng::new(schedule_seed).fork(g as u64).next_u64();
-            suite.push(Box::new(RotatingChecksumDetector::new(
+            suite.push(Box::new(ChecksumDetector::rotating(
                 reference,
                 g,
                 (blocks / 4).max(1),
-                ROTATING_PHASES,
                 seed,
             )));
         }
@@ -152,9 +150,9 @@ impl DefenseSuite {
             holdout_probe.clone(),
             holdout_drift_threshold,
         )));
-        suite.push(Box::new(ParityDetector::new(reference, geometry)));
-        suite.push(Box::new(ColumnParityDetector::new(reference, geometry)));
-        suite.push(Box::new(RowCrcDetector::new(reference, geometry)));
+        for code in [RowCode::Parity, RowCode::Column, RowCode::Crc] {
+            suite.push(Box::new(RowCodeDetector::new(code, reference, geometry)));
+        }
         suite.schedule_seed = Some(schedule_seed);
         suite
     }

@@ -17,9 +17,10 @@
 //!   vulnerable-cell population;
 //! * [`plan`] — compiling an attack `δ` into a concrete bit-flip plan and
 //!   costing it under both injectors;
-//! * [`parity`] — the defense side: ECC-style per-row parity that flags
-//!   odd flip counts, the surface `fsa-defense`'s DRAM parity monitor
-//!   checks bit-flip plans against;
+//! * [`parity`] — the defense side: one [`RowSignature`] per ECC-style
+//!   [`RowCode`] (row parity that flags odd flip counts, column parity,
+//!   row CRC), the surface `fsa-defense`'s DRAM row-code monitor checks
+//!   bit-flip plans against;
 //! * [`quant`] — the same planning against **int8 storage**: one byte
 //!   per parameter ([`dram::ParamLayout::with_word_bytes`]), at most 8
 //!   flips per modified word, 4× the parameters per DRAM row, and the
@@ -41,7 +42,7 @@ pub mod rowhammer;
 
 pub use dram::{DramGeometry, ParamAddress};
 pub use laser::LaserInjector;
-pub use parity::{ColumnParity, RowCrc, RowParity};
+pub use parity::{RowCode, RowSignature};
 pub use plan::{FaultPlan, WordChange};
 pub use quant::{QuantChange, QuantFaultPlan};
 pub use rowhammer::{HammerOutcome, RowhammerInjector};

@@ -1,15 +1,14 @@
-//! DRAM-row parity — the ECC-style defense surface bit-flip plans are
+//! DRAM-row codes — the ECC-style defense surface bit-flip plans are
 //! checked against.
 //!
 //! Commodity ECC DRAM guards each protected region with parity/syndrome
 //! bits: an **odd** number of flipped bits in a region raises an alarm,
 //! while an **even** number cancels in the parity and slips through (the
 //! classic single-error-detect limitation rowhammer double-flips
-//! exploit). This module models the cheapest such defense at the
-//! granularity the [`crate::dram`] mapping already exposes — one parity
-//! bit per (bank, row):
+//! exploit). This module models that defense at the granularity the
+//! [`crate::dram`] mapping already exposes — one code per (bank, row):
 //!
-//! * [`RowParity`] captures the reference parity of every row a
+//! * [`RowSignature`] captures the reference [`RowCode`] of every row a
 //!   [`ParamLayout`] covers and reports which rows violate it for a
 //!   modified parameter buffer;
 //! * [`plan_row_flips`] folds a compiled [`FaultPlan`] down to per-row
@@ -17,20 +16,20 @@
 //!   injection: rows with odd counts trip the parity, rows with even
 //!   counts evade it.
 //!
-//! A single parity bit per row is exactly what the PR 7 stealth
-//! attacker defeats: it pads its plan with an extra flip per touched
-//! row so every flip count is even. The stronger family closes the two
-//! cancellation channels that padding relies on:
+//! A single parity bit per row ([`RowCode::Parity`]) is exactly what the
+//! stealth attacker defeats: it pads its plan with an extra flip per
+//! touched row so every flip count is even. The two stronger codes close
+//! the two cancellation channels that padding relies on:
 //!
-//! * [`ColumnParity`] keeps one parity bit per *bit position* (column)
-//!   of the row's words — a 32-bit syndrome. Two flips cancel only if
-//!   they hit the **same** bit position, so the attacker's
-//!   different-position padding flips light it up.
-//! * [`RowCrc`] keeps a CRC-32 digest (polynomial `0xEDB88320`) of the
-//!   row's words in parameter order. The digest is position-sensitive
-//!   in both bit index and word index: *any* change to a row's bytes
-//!   changes it (up to the 2⁻³² collision floor), so no parity-style
-//!   cancellation exists at all.
+//! * [`RowCode::Column`] keeps one parity bit per *bit position* of the
+//!   row's words. Two flips cancel only if they hit the **same** bit
+//!   position, so the attacker's different-position padding flips light
+//!   it up.
+//! * [`RowCode::Crc`] keeps a CRC-32 digest of the row's words in
+//!   parameter order. The digest is position-sensitive in both bit index
+//!   and word index: *any* change to a row's bytes changes it (up to the
+//!   2⁻³² collision floor), so no parity-style cancellation exists at
+//!   all.
 //!
 //! Everything here is a pure fixed-order function of its inputs —
 //! deterministic regardless of thread count, as the defense suite's
@@ -39,92 +38,55 @@
 use crate::dram::ParamLayout;
 use crate::plan::FaultPlan;
 
-/// Reference per-row parity of a parameter buffer under a layout.
-///
-/// Rows are identified by `(bank, row)` and stored sorted; parity is the
-/// XOR of all bit positions of the `f32` words the layout places in that
-/// row (words outside the layout — e.g. co-resident allocations — are
-/// not modeled and assumed untouched).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowParity {
-    /// Sorted `((bank, row), parity)` pairs for every covered row.
-    rows: Vec<((usize, usize), bool)>,
+/// The per-row code a [`RowSignature`] keeps — three rungs of one
+/// ladder, each closing the cancellation channel the one below leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RowCode {
+    /// One parity bit per row: the XOR of every bit of the row's words.
+    /// An odd flip count alarms; an even count cancels.
+    Parity,
+    /// One parity bit per bit position (column) of the row's words — a
+    /// 32-bit syndrome, the XOR of the words' bit patterns. Two flips
+    /// cancel only when they hit the same bit position.
+    Column,
+    /// A CRC-32 digest (reflected polynomial `0xEDB88320`) of the row's
+    /// words in ascending parameter-index order, little-endian bytes —
+    /// sensitive to both which bits changed and where.
+    Crc,
 }
 
-impl RowParity {
-    /// Captures the reference parity of `params` under `layout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the layout's length.
-    pub fn capture(layout: &ParamLayout, params: &[f32]) -> Self {
-        assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
-        Self {
-            rows: row_parities(layout, params),
-        }
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the captured layout was empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The `(bank, row)` pairs whose parity no longer matches the
-    /// reference — i.e. rows holding an odd number of flipped bits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the captured layout's
-    /// length.
-    pub fn violations(&self, layout: &ParamLayout, params: &[f32]) -> Vec<(usize, usize)> {
-        let now = row_parities(layout, params);
-        assert_eq!(
-            now.len(),
-            self.rows.len(),
-            "parity check layout differs from the captured one"
-        );
-        self.rows
-            .iter()
-            .zip(&now)
-            .filter_map(|(&(id, before), &(id2, after))| {
-                debug_assert_eq!(id, id2, "row order diverged");
-                (before != after).then_some(id)
-            })
-            .collect()
-    }
-}
-
-/// Reference per-row **column parity** of a parameter buffer: bit `j`
-/// of a row's 32-bit syndrome is the XOR of bit `j` across all `f32`
-/// words the layout places in that row.
+/// Reference per-row codes of a parameter buffer, together with the
+/// layout they were captured under.
 ///
-/// Where [`RowParity`] folds a whole row to one bit (so any even number
-/// of flips cancels), column parity cancels only when two flips land on
-/// the **same bit position** — the parity-even padding the stealth
-/// planner emits flips distinct positions and is caught.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnParity {
-    /// Sorted `((bank, row), syndrome)` pairs for every covered row.
+/// Rows are identified by `(bank, row)` and stored sorted; each code
+/// covers the `f32` words the layout places in that row (words outside
+/// the layout — e.g. co-resident allocations — are not modeled and
+/// assumed untouched). Owning the layout means a check can only ever
+/// recompute the codes under the layout that was captured.
+#[derive(Debug, Clone)]
+pub struct RowSignature {
+    code: RowCode,
+    layout: ParamLayout,
+    /// Sorted `((bank, row), code)` pairs for every covered row; a
+    /// [`RowCode::Parity`] code is `0` or `1`.
     rows: Vec<((usize, usize), u32)>,
 }
 
-impl ColumnParity {
-    /// Captures the reference column syndromes of `params` under
-    /// `layout`.
+impl RowSignature {
+    /// Captures the reference `code` of every row `params` occupies
+    /// under `layout`.
     ///
     /// # Panics
     ///
     /// Panics if `params.len()` differs from the layout's length.
-    pub fn capture(layout: &ParamLayout, params: &[f32]) -> Self {
-        assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
-        Self {
-            rows: column_syndromes(layout, params),
-        }
+    pub fn capture(code: RowCode, layout: ParamLayout, params: &[f32]) -> Self {
+        let rows = row_codes(code, &layout, params);
+        Self { code, layout, rows }
+    }
+
+    /// The code this signature keeps.
+    pub fn code(&self) -> RowCode {
+        self.code
     }
 
     /// Number of rows covered.
@@ -137,87 +99,20 @@ impl ColumnParity {
         self.rows.is_empty()
     }
 
-    /// The `(bank, row)` pairs whose column syndrome no longer matches
-    /// the reference.
+    /// The `(bank, row)` pairs whose code no longer matches the
+    /// reference — for [`RowCode::Parity`], the rows holding an odd
+    /// number of flipped bits.
     ///
     /// # Panics
     ///
     /// Panics if `params.len()` differs from the captured layout's
     /// length.
-    pub fn violations(&self, layout: &ParamLayout, params: &[f32]) -> Vec<(usize, usize)> {
-        let now = column_syndromes(layout, params);
-        assert_eq!(
-            now.len(),
-            self.rows.len(),
-            "column parity check layout differs from the captured one"
-        );
+    pub fn violations(&self, params: &[f32]) -> Vec<(usize, usize)> {
+        let now = row_codes(self.code, &self.layout, params);
         self.rows
             .iter()
             .zip(&now)
-            .filter_map(|(&(id, before), &(id2, after))| {
-                debug_assert_eq!(id, id2, "row order diverged");
-                (before != after).then_some(id)
-            })
-            .collect()
-    }
-}
-
-/// Reference per-row CRC-32 digest (polynomial `0xEDB88320`, the
-/// reflected IEEE polynomial) of a parameter buffer.
-///
-/// The digest runs over each row's words in ascending parameter-index
-/// order, little-endian bytes, so it is sensitive to both *which* bits
-/// changed and *where* — the no-cancellation end of the parity family.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowCrc {
-    /// Sorted `((bank, row), crc)` pairs for every covered row.
-    rows: Vec<((usize, usize), u32)>,
-}
-
-impl RowCrc {
-    /// Captures the reference row digests of `params` under `layout`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the layout's length.
-    pub fn capture(layout: &ParamLayout, params: &[f32]) -> Self {
-        assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
-        Self {
-            rows: row_crcs(layout, params),
-        }
-    }
-
-    /// Number of rows covered.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the captured layout was empty.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The `(bank, row)` pairs whose digest no longer matches the
-    /// reference.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params.len()` differs from the captured layout's
-    /// length.
-    pub fn violations(&self, layout: &ParamLayout, params: &[f32]) -> Vec<(usize, usize)> {
-        let now = row_crcs(layout, params);
-        assert_eq!(
-            now.len(),
-            self.rows.len(),
-            "row CRC check layout differs from the captured one"
-        );
-        self.rows
-            .iter()
-            .zip(&now)
-            .filter_map(|(&(id, before), &(id2, after))| {
-                debug_assert_eq!(id, id2, "row order diverged");
-                (before != after).then_some(id)
-            })
+            .filter_map(|(&(id, before), &(_, after))| (before != after).then_some(id))
             .collect()
     }
 }
@@ -251,28 +146,39 @@ pub(crate) fn fold_rows<T>(
     out
 }
 
-/// Per-row parity (XOR of all word bits) of `params` under `layout`,
-/// sorted by `(bank, row)`.
-fn row_parities(layout: &ParamLayout, params: &[f32]) -> Vec<((usize, usize), bool)> {
-    fold_rows(
-        params.iter().enumerate().map(|(i, &p)| {
-            let id = layout.address(i).row_id();
-            (id, p.to_bits().count_ones() % 2 == 1)
-        }),
-        |parity, bit| *parity ^= bit,
-    )
+/// Per-row `code` of `params` under `layout`, sorted by `(bank, row)`.
+fn row_codes(code: RowCode, layout: &ParamLayout, params: &[f32]) -> Vec<((usize, usize), u32)> {
+    assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
+    fold_codes(code, params, |i| layout.address(i).row_id())
 }
 
-/// Per-row column syndrome (XOR of the word bit patterns) of `params`
-/// under `layout`, sorted by `(bank, row)`.
-fn column_syndromes(layout: &ParamLayout, params: &[f32]) -> Vec<((usize, usize), u32)> {
-    fold_rows(
+/// Per-row `code` of `params`, word `i` living in row `row_of(i)`,
+/// sorted by `(bank, row)`. Only the fold differs between the codes.
+///
+/// Row parity is the popcount parity of the column syndrome: XOR-ing
+/// the words first and counting bits once is exactly the XOR of every
+/// word's own bit parity.
+fn fold_codes(
+    code: RowCode,
+    params: &[f32],
+    row_of: impl Fn(usize) -> (usize, usize),
+) -> Vec<((usize, usize), u32)> {
+    if code == RowCode::Crc {
+        return row_crcs(params, row_of);
+    }
+    let mut rows = fold_rows(
         params
             .iter()
             .enumerate()
-            .map(|(i, &p)| (layout.address(i).row_id(), p.to_bits())),
+            .map(|(i, &p)| (row_of(i), p.to_bits())),
         |syndrome, bits| *syndrome ^= bits,
-    )
+    );
+    if code == RowCode::Parity {
+        for (_, syndrome) in &mut rows {
+            *syndrome = syndrome.count_ones() & 1;
+        }
+    }
+    rows
 }
 
 /// One CRC-32 step over `byte` (reflected polynomial `0xEDB88320`).
@@ -285,17 +191,19 @@ pub(crate) fn crc32_update(mut crc: u32, byte: u8) -> u32 {
     crc
 }
 
-/// Per-row CRC-32 of `params` under `layout`, sorted by `(bank, row)`.
+/// Per-row CRC-32 of `params`, sorted by `(bank, row)`.
 ///
-/// Unlike the XOR folds, a CRC is order-sensitive, so `fold_rows`'s
+/// Unlike the XOR fold, a CRC is order-sensitive, so `fold_rows`'s
 /// sort-then-merge would scramble non-adjacent runs of one row. Instead
 /// the indices are sorted by `(row, index)` up front and each run is
 /// digested in ascending parameter order — the same fixed order
 /// regardless of how the layout interleaves rows.
-fn row_crcs(layout: &ParamLayout, params: &[f32]) -> Vec<((usize, usize), u32)> {
-    let mut indexed: Vec<((usize, usize), usize)> = (0..params.len())
-        .map(|i| (layout.address(i).row_id(), i))
-        .collect();
+fn row_crcs(
+    params: &[f32],
+    row_of: impl Fn(usize) -> (usize, usize),
+) -> Vec<((usize, usize), u32)> {
+    let mut indexed: Vec<((usize, usize), usize)> =
+        (0..params.len()).map(|i| (row_of(i), i)).collect();
     indexed.sort_unstable();
     let mut out: Vec<((usize, usize), u32)> = Vec::new();
     for (id, i) in indexed {
@@ -367,6 +275,9 @@ mod tests {
     use super::*;
     use crate::bits::flip_bits;
     use crate::dram::DramGeometry;
+    use fsa_tensor::Prng;
+
+    const CODES: [RowCode; 3] = [RowCode::Parity, RowCode::Column, RowCode::Crc];
 
     fn small_layout(len: usize) -> ParamLayout {
         // 16 words per row: parameter i lives in global row i / 16.
@@ -378,22 +289,34 @@ mod tests {
         ParamLayout::new(g, 0, len)
     }
 
+    fn capture(code: RowCode, layout: &ParamLayout, params: &[f32]) -> RowSignature {
+        RowSignature::capture(code, layout.clone(), params)
+    }
+
     #[test]
     fn clean_buffer_has_no_violations() {
         let layout = small_layout(48);
         let params = vec![1.25f32; 48];
-        let parity = RowParity::capture(&layout, &params);
+        let parity = capture(RowCode::Parity, &layout, &params);
         assert_eq!(parity.len(), 3);
-        assert!(parity.violations(&layout, &params).is_empty());
+        assert!(parity.violations(&params).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "params/layout length mismatch")]
+    fn a_buffer_of_another_length_is_rejected() {
+        let layout = small_layout(48);
+        let params = vec![1.25f32; 48];
+        capture(RowCode::Column, &layout, &params).violations(&params[..47]);
     }
 
     #[test]
     fn single_bit_flip_trips_exactly_its_row() {
         let layout = small_layout(48);
         let mut params = vec![1.0f32; 48];
-        let parity = RowParity::capture(&layout, &params);
+        let parity = capture(RowCode::Parity, &layout, &params);
         params[20] = flip_bits(params[20], &[3]); // word 20 → row 1
-        let v = parity.violations(&layout, &params);
+        let v = parity.violations(&params);
         assert_eq!(v, vec![layout.address(20).row_id()]);
     }
 
@@ -401,18 +324,18 @@ mod tests {
     fn even_flips_in_one_row_evade_parity() {
         let layout = small_layout(32);
         let mut params = vec![1.0f32; 32];
-        let parity = RowParity::capture(&layout, &params);
+        let parity = capture(RowCode::Parity, &layout, &params);
         // Two single-bit flips in the same row cancel in its parity.
         params[4] = flip_bits(params[4], &[7]);
         params[9] = flip_bits(params[9], &[12]);
         assert_eq!(layout.address(4).row_id(), layout.address(9).row_id());
         assert!(
-            parity.violations(&layout, &params).is_empty(),
+            parity.violations(&params).is_empty(),
             "an even flip count must cancel in the row parity"
         );
         // A third flip makes the count odd again — detected.
         params[4] = flip_bits(params[4], &[8]);
-        assert_eq!(parity.violations(&layout, &params).len(), 1);
+        assert_eq!(parity.violations(&params).len(), 1);
     }
 
     #[test]
@@ -476,14 +399,14 @@ mod tests {
         // the column syndrome records both positions.
         let layout = small_layout(32);
         let mut params = vec![1.0f32; 32];
-        let row = RowParity::capture(&layout, &params);
-        let col = ColumnParity::capture(&layout, &params);
+        let row = capture(RowCode::Parity, &layout, &params);
+        let col = capture(RowCode::Column, &layout, &params);
         assert_eq!(col.len(), 2);
         params[4] = flip_bits(params[4], &[7]);
         params[9] = flip_bits(params[9], &[12]);
-        assert!(row.violations(&layout, &params).is_empty());
+        assert!(row.violations(&params).is_empty());
         assert_eq!(
-            col.violations(&layout, &params),
+            col.violations(&params),
             vec![layout.address(4).row_id()],
             "different-position flips must trip the column syndrome"
         );
@@ -497,16 +420,16 @@ mod tests {
         // CRC sees the change.
         let layout = small_layout(32);
         let mut params: Vec<f32> = (0..32).map(|i| 0.5 + i as f32 * 0.25).collect();
-        let row = RowParity::capture(&layout, &params);
-        let col = ColumnParity::capture(&layout, &params);
-        let crc = RowCrc::capture(&layout, &params);
+        let row = capture(RowCode::Parity, &layout, &params);
+        let col = capture(RowCode::Column, &layout, &params);
+        let crc = capture(RowCode::Crc, &layout, &params);
         assert_eq!(crc.len(), 2);
         params[4] = flip_bits(params[4], &[19]);
         params[9] = flip_bits(params[9], &[19]);
-        assert!(row.violations(&layout, &params).is_empty());
-        assert!(col.violations(&layout, &params).is_empty());
+        assert!(row.violations(&params).is_empty());
+        assert!(col.violations(&params).is_empty());
         assert_eq!(
-            crc.violations(&layout, &params),
+            crc.violations(&params),
             vec![layout.address(4).row_id()],
             "the CRC digest must catch what both parities cancel"
         );
@@ -516,15 +439,15 @@ mod tests {
     fn crc_family_is_clean_on_untouched_buffers() {
         let layout = small_layout(48);
         let params: Vec<f32> = (0..48).map(|i| 1.0 + i as f32).collect();
-        let col = ColumnParity::capture(&layout, &params);
-        let crc = RowCrc::capture(&layout, &params);
-        assert!(col.violations(&layout, &params).is_empty());
-        assert!(crc.violations(&layout, &params).is_empty());
+        let col = capture(RowCode::Column, &layout, &params);
+        let crc = capture(RowCode::Crc, &layout, &params);
+        assert!(col.violations(&params).is_empty());
+        assert!(crc.violations(&params).is_empty());
         // And any single-word change is visible to both.
         let mut tampered = params.clone();
         tampered[33] = flip_bits(tampered[33], &[2]);
-        assert_eq!(col.violations(&layout, &tampered).len(), 1);
-        assert_eq!(crc.violations(&layout, &tampered).len(), 1);
+        assert_eq!(col.violations(&tampered).len(), 1);
+        assert_eq!(crc.violations(&tampered).len(), 1);
     }
 
     #[test]
@@ -545,16 +468,133 @@ mod tests {
         delta[17] = -1.0;
         delta[18] = 0.75;
         let plan = FaultPlan::compile(&theta0, &delta);
-        let parity = RowParity::capture(&layout, &theta0);
+        let parity = capture(RowCode::Parity, &layout, &theta0);
         let after: Vec<f32> = theta0.iter().zip(&delta).map(|(&t, &d)| t + d).collect();
         let predicted: Vec<(usize, usize)> = plan_row_flips(&plan, &layout)
             .into_iter()
             .filter_map(|(id, flips)| (flips % 2 == 1).then_some(id))
             .collect();
         assert_eq!(
-            parity.violations(&layout, &after),
+            parity.violations(&after),
             predicted,
             "plan-level parity prediction must match the realized buffer"
         );
+    }
+
+    /// The per-row code recomputed the slow way: group the words by row
+    /// (rows sorted), then fold each row's words in ascending index.
+    fn naive_codes(
+        code: RowCode,
+        params: &[f32],
+        rows: &[(usize, usize)],
+    ) -> Vec<((usize, usize), u32)> {
+        let mut ids = rows.to_vec();
+        ids.sort_unstable();
+        ids.dedup();
+        ids.into_iter()
+            .map(|id| {
+                let words = (0..params.len())
+                    .filter(|&i| rows[i] == id)
+                    .map(|i| params[i].to_bits());
+                let value = match code {
+                    RowCode::Parity => words.map(|w| w.count_ones() % 2).fold(0, |a, b| a ^ b),
+                    RowCode::Column => words.fold(0, |a, b| a ^ b),
+                    RowCode::Crc => !words
+                        .flat_map(u32::to_le_bytes)
+                        .fold(0xFFFF_FFFF, crc32_update),
+                };
+                (id, value)
+            })
+            .collect()
+    }
+
+    fn naive_violations(
+        code: RowCode,
+        before: &[f32],
+        after: &[f32],
+        rows: &[(usize, usize)],
+    ) -> Vec<(usize, usize)> {
+        naive_codes(code, before, rows)
+            .into_iter()
+            .zip(naive_codes(code, after, rows))
+            .filter_map(|((id, b), (_, a))| (b != a).then_some(id))
+            .collect()
+    }
+
+    #[test]
+    fn row_code_ladder_matches_naive_recomputation() {
+        let mut rng = Prng::new(0x001A_DDE5);
+        for trial in 0..200 {
+            let len = 1 + rng.below(96);
+            let before: Vec<f32> = (0..len).map(|_| rng.normal(0.0, 2.0)).collect();
+            // Even trials go through a real layout (random row size,
+            // bank count and base); odd trials scatter the words over a
+            // few rows at random, so one row's words come in several
+            // non-adjacent runs.
+            let layout = if trial % 2 == 0 {
+                let g = DramGeometry {
+                    banks: 1 + rng.below(4),
+                    rows_per_bank: 512,
+                    row_bytes: 4 << rng.below(5),
+                };
+                Some(ParamLayout::new(g, 4 * rng.below(40), len))
+            } else {
+                None
+            };
+            let rows: Vec<(usize, usize)> = match &layout {
+                Some(l) => (0..len).map(|i| l.address(i).row_id()).collect(),
+                None => {
+                    let n_rows = 1 + rng.below(5);
+                    (0..len)
+                        .map(|_| (rng.below(2), rng.below(n_rows)))
+                        .collect()
+                }
+            };
+            // Tamper 1–3 distinct words, each with a nonzero multi-bit
+            // mask.
+            let mut after = before.clone();
+            let words = (1 + rng.below(3)).min(len);
+            let touched = rng.choose_distinct(len, words);
+            for &i in &touched {
+                let mask = (rng.next_u64() as u32).max(1);
+                after[i] = f32::from_bits(after[i].to_bits() ^ mask);
+            }
+            let violations = |code: RowCode| match &layout {
+                Some(l) => capture(code, l, &before).violations(&after),
+                None => {
+                    let now = fold_codes(code, &after, |i| rows[i]);
+                    fold_codes(code, &before, |i| rows[i])
+                        .into_iter()
+                        .zip(now)
+                        .filter_map(|((id, b), (_, a))| (b != a).then_some(id))
+                        .collect()
+                }
+            };
+            let [parity, column, crc] = CODES.map(|code| {
+                // The codes themselves, not just their differences:
+                // a CRC digesting a row out of order still differs
+                // wherever a word changed.
+                assert_eq!(
+                    fold_codes(code, &after, |i| rows[i]),
+                    naive_codes(code, &after, &rows),
+                    "trial {trial}: {code:?} codes"
+                );
+                let got = violations(code);
+                assert_eq!(
+                    got,
+                    naive_violations(code, &before, &after, &rows),
+                    "trial {trial}: {code:?} disagrees with the naive recomputation"
+                );
+                got
+            });
+            assert!(
+                parity.iter().all(|id| column.contains(id)),
+                "trial {trial}: parity {parity:?} ⊄ column {column:?}"
+            );
+            let mut changed: Vec<(usize, usize)> = touched.iter().map(|&i| rows[i]).collect();
+            changed.sort_unstable();
+            changed.dedup();
+            assert_eq!(crc, changed, "trial {trial}: CRC rows");
+        }
     }
 }

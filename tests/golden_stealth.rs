@@ -19,7 +19,7 @@ use fault_sneaking::attack::campaign::{Campaign, CampaignReport, CampaignSpec};
 use fault_sneaking::attack::stealth::prune_to_block_budget;
 use fault_sneaking::attack::{AttackConfig, ParamSelection, StealthObjective};
 use fault_sneaking::memfault::dram::ParamLayout;
-use fault_sneaking::memfault::parity::{indexed_row_flips, RowParity};
+use fault_sneaking::memfault::parity::{indexed_row_flips, RowCode, RowSignature};
 use fault_sneaking::memfault::plan::FaultPlan;
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
@@ -107,7 +107,7 @@ fn tiny_stealth_campaign_matches_golden_fixture() {
     let clean_flat: Vec<f32> = (0..head.num_layers())
         .flat_map(|i| head.layer_flat_params(i))
         .collect();
-    let parity = RowParity::capture(&layout, &clean_flat);
+    let parity = RowSignature::capture(RowCode::Parity, layout.clone(), &clean_flat);
 
     // Semantic constraints first — these hold regardless of the fixture:
     // block cap respected, zero odd-parity rows, faults still land.
@@ -131,7 +131,7 @@ fn tiny_stealth_campaign_matches_golden_fixture() {
             attacked[g] += dv;
         }
         assert_eq!(
-            parity.violations(&layout, &attacked),
+            parity.violations(&attacked),
             Vec::new(),
             "scenario {} plan trips the parity monitor",
             o.scenario.index

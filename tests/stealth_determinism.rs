@@ -13,7 +13,7 @@ use fault_sneaking::attack::stealth::prune_to_block_budget;
 use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision, StealthObjective};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::dram::ParamLayout;
-use fault_sneaking::memfault::parity::RowParity;
+use fault_sneaking::memfault::parity::{RowCode, RowSignature};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::quant::QuantizedHead;
 use fault_sneaking::tensor::parallel;
@@ -114,7 +114,7 @@ fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
         }
         let objective = spec.stealth.unwrap();
         let blocks = objective.delta_blocks(&gidx);
-        let parity = RowParity::capture(&layout, &clean_flat);
+        let parity = RowSignature::capture(RowCode::Parity, layout.clone(), &clean_flat);
         for o in &report.outcomes {
             let mut d = o.result.delta.clone();
             let dirty = prune_to_block_budget(&mut d, &blocks, 0);
@@ -131,7 +131,7 @@ fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
                 attacked[g] += dv;
             }
             assert_eq!(
-                parity.violations(&layout, &attacked),
+                parity.violations(&attacked),
                 Vec::new(),
                 "scenario {} plan trips the parity monitor",
                 o.scenario.index
