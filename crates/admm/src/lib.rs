@@ -1,19 +1,11 @@
-//! Scaled-form ADMM optimization substrate.
+//! Proximal operators for the fault sneaking attack's ADMM z-step.
 //!
-//! The fault sneaking attack (DAC'19) splits its objective
-//! `min_δ D(δ) + G(θ+δ)` with an auxiliary variable `z = δ` and alternates:
-//!
-//! 1. **z-step** — the proximal operator of `D` ([`prox`]): hard
-//!    thresholding for `ℓ0`, block soft thresholding for `ℓ2`;
-//! 2. **δ-step** — a problem-specific minimization (the attack linearizes
-//!    `G`, eq. 22 of the paper);
-//! 3. **dual update** — `s ← s + z − δ`.
-//!
-//! This crate provides the proximal operators, the generic driver
-//! ([`solver::AdmmDriver`]) with primal/dual residual tracking, and
-//! penalty adaptation policies ([`penalty`]). The driver is validated on
-//! convex problems with checkable optimality conditions (lasso, sparse
-//! recovery) in the test suite, independently of the attack.
+//! The attack (DAC'19) splits its objective `min_δ D(δ) + G(θ+δ)` with an
+//! auxiliary variable `z = δ`; its loop lives in `fsa_attack::solver`.
+//! The z-step is the proximal operator of `D` ([`prox`]): hard
+//! thresholding for `ℓ0` (eq. 16), block soft thresholding for `ℓ2`
+//! (eq. 18), and their checksum-block-structured forms for the
+//! detector-aware objective.
 //!
 //! # Examples
 //!
@@ -28,9 +20,4 @@
 
 #![warn(missing_docs)]
 
-pub mod penalty;
 pub mod prox;
-pub mod solver;
-
-pub use penalty::RhoPolicy;
-pub use solver::{AdmmConfig, AdmmDriver, AdmmProblem, AdmmResult, IterStats};

@@ -1,9 +1,9 @@
 //! Proximal operators.
 //!
-//! `prox_{λf/ρ}(v) = argmin_z λ·f(z) + (ρ/2)‖z − v‖²` for the penalty
-//! functions the attack (and its diagnostics) need. Closed forms follow
-//! Parikh & Boyd, *Proximal Algorithms* (2014) — reference \[34\] of the
-//! paper.
+//! `prox_{λf/ρ}(v) = argmin_z λ·f(z) + (ρ/2)‖z − v‖²` for the paper's
+//! two measurements `ℓ0` and `ℓ2`, plain and checksum-block-structured.
+//! Closed forms follow Parikh & Boyd, *Proximal Algorithms* (2014) —
+//! reference \[34\] of the paper.
 
 /// Proximal operator of `λ‖·‖₀`: elementwise **hard thresholding**.
 ///
@@ -18,27 +18,6 @@ pub fn hard_threshold(v: &[f32], lambda: f32, rho: f32, out: &mut [f32]) {
     let cut = 2.0 * lambda / rho;
     for (o, &x) in out.iter_mut().zip(v) {
         *o = if x * x > cut { x } else { 0.0 };
-    }
-}
-
-/// Proximal operator of `λ‖·‖₁`: elementwise **soft thresholding**
-/// (shrink toward zero by `λ/ρ`).
-///
-/// # Panics
-///
-/// Panics if `out.len() != v.len()` or `rho <= 0`.
-pub fn soft_threshold(v: &[f32], lambda: f32, rho: f32, out: &mut [f32]) {
-    assert_eq!(v.len(), out.len(), "prox output length mismatch");
-    assert!(rho > 0.0, "rho must be positive");
-    let t = lambda / rho;
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o = if x > t {
-            x - t
-        } else if x < -t {
-            x + t
-        } else {
-            0.0
-        };
     }
 }
 
@@ -176,66 +155,6 @@ pub fn block_soft_threshold_grouped(
     }
 }
 
-/// Proximal operator of `(λ/2)‖·‖₂²` (squared `ℓ2`): uniform shrinkage
-/// `v·ρ/(ρ+λ)`.
-///
-/// # Panics
-///
-/// Panics if `out.len() != v.len()` or `rho <= 0`.
-pub fn squared_l2(v: &[f32], lambda: f32, rho: f32, out: &mut [f32]) {
-    assert_eq!(v.len(), out.len(), "prox output length mismatch");
-    assert!(rho > 0.0, "rho must be positive");
-    let scale = rho / (rho + lambda);
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o = scale * x;
-    }
-}
-
-/// Projection onto the `ℓ∞` box `[-bound, bound]` (prox of its indicator).
-///
-/// # Panics
-///
-/// Panics if `out.len() != v.len()` or `bound < 0`.
-pub fn project_box(v: &[f32], bound: f32, out: &mut [f32]) {
-    assert_eq!(v.len(), out.len(), "projection output length mismatch");
-    assert!(bound >= 0.0, "box bound must be non-negative");
-    for (o, &x) in out.iter_mut().zip(v) {
-        *o = x.clamp(-bound, bound);
-    }
-}
-
-/// The penalty value `λ·f(z)` for each supported norm, used by tests and
-/// objective reporting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PenaltyKind {
-    /// `λ‖z‖₀` (count of non-zeros).
-    L0,
-    /// `λ‖z‖₁`.
-    L1,
-    /// `λ‖z‖₂` (unsquared).
-    L2,
-}
-
-impl PenaltyKind {
-    /// Evaluates `λ·f(z)`.
-    pub fn eval(&self, z: &[f32], lambda: f32) -> f32 {
-        match self {
-            PenaltyKind::L0 => lambda * fsa_tensor::norms::l0(z, 0.0) as f32,
-            PenaltyKind::L1 => lambda * fsa_tensor::norms::l1(z),
-            PenaltyKind::L2 => lambda * fsa_tensor::norms::l2(z),
-        }
-    }
-
-    /// Applies the corresponding proximal operator.
-    pub fn prox(&self, v: &[f32], lambda: f32, rho: f32, out: &mut [f32]) {
-        match self {
-            PenaltyKind::L0 => hard_threshold(v, lambda, rho, out),
-            PenaltyKind::L1 => soft_threshold(v, lambda, rho, out),
-            PenaltyKind::L2 => block_soft_threshold(v, lambda, rho, out),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,14 +167,6 @@ mod tests {
         let mut z = [0.0; 5];
         hard_threshold(&v, 0.5, 1.0, &mut z);
         assert_eq!(z, [0.0, 1.01, -1.01, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn soft_threshold_shrinks() {
-        let v = [2.0, -2.0, 0.3, -0.3];
-        let mut z = [0.0; 4];
-        soft_threshold(&v, 1.0, 2.0, &mut z); // t = 0.5
-        assert_eq!(z, [1.5, -1.5, 0.0, 0.0]);
     }
 
     #[test]
@@ -272,26 +183,32 @@ mod tests {
         assert_eq!(z, [0.0, 0.0]);
     }
 
-    #[test]
-    fn squared_l2_is_uniform_shrink() {
-        let v = [2.0, -4.0];
-        let mut z = [0.0; 2];
-        squared_l2(&v, 1.0, 3.0, &mut z);
-        assert_eq!(z, [1.5, -3.0]);
-    }
+    /// A paper penalty `f`: its value `λ·f(z)` and its prox.
+    type Penalty = (fn(&[f32], f32) -> f32, fn(&[f32], f32, f32, &mut [f32]));
 
-    #[test]
-    fn project_box_clamps() {
-        let v = [-5.0, 0.2, 5.0];
-        let mut z = [0.0; 3];
-        project_box(&v, 1.0, &mut z);
-        assert_eq!(z, [-1.0, 0.2, 1.0]);
-    }
+    /// `λ‖z‖₀` with [`hard_threshold`] and `λ‖z‖₂` with
+    /// [`block_soft_threshold`].
+    const PENALTIES: [Penalty; 2] = [
+        (
+            |z, lambda| lambda * fsa_tensor::norms::l0(z, 0.0) as f32,
+            hard_threshold,
+        ),
+        (
+            |z, lambda| lambda * fsa_tensor::norms::l2(z),
+            block_soft_threshold,
+        ),
+    ];
 
     /// The variational property defining a prox: the returned point must
     /// achieve an objective no worse than any probe point.
-    fn prox_objective(kind: PenaltyKind, z: &[f32], v: &[f32], lambda: f32, rho: f32) -> f64 {
-        let pen = kind.eval(z, lambda) as f64;
+    fn prox_objective(
+        pen: fn(&[f32], f32) -> f32,
+        z: &[f32],
+        v: &[f32],
+        lambda: f32,
+        rho: f32,
+    ) -> f64 {
+        let pen = pen(z, lambda) as f64;
         let quad: f64 = z
             .iter()
             .zip(v)
@@ -312,14 +229,14 @@ mod tests {
             let probe: Vec<f32> = (0..len).map(|_| rng.uniform(-3.0, 3.0)).collect();
             let lambda = rng.uniform(0.1, 2.0);
             let rho = rng.uniform(0.2, 5.0);
-            for kind in [PenaltyKind::L0, PenaltyKind::L1, PenaltyKind::L2] {
+            for (k, (pen, prox)) in PENALTIES.into_iter().enumerate() {
                 let mut z = vec![0.0; v.len()];
-                kind.prox(&v, lambda, rho, &mut z);
-                let best = prox_objective(kind, &z, &v, lambda, rho);
+                prox(&v, lambda, rho, &mut z);
+                let best = prox_objective(pen, &z, &v, lambda, rho);
                 // Probe candidates: random point, v itself, zero.
                 for c in [probe.clone(), v.clone(), vec![0.0; v.len()]] {
-                    let other = prox_objective(kind, &c, &v, lambda, rho);
-                    assert!(best <= other + 1e-3, "{kind:?}: {best} > {other}");
+                    let other = prox_objective(pen, &c, &v, lambda, rho);
+                    assert!(best <= other + 1e-3, "penalty {k}: {best} > {other}");
                 }
             }
         }
@@ -511,9 +428,9 @@ mod tests {
             let rho = rng.uniform(0.2, 5.0);
             // Every supported prox maps each coordinate no farther from 0
             // than the input (nonexpansive toward the origin).
-            for kind in [PenaltyKind::L0, PenaltyKind::L1, PenaltyKind::L2] {
+            for (_, prox) in PENALTIES {
                 let mut z = vec![0.0; v.len()];
-                kind.prox(&v, lambda, rho, &mut z);
+                prox(&v, lambda, rho, &mut z);
                 for (zi, vi) in z.iter().zip(&v) {
                     assert!(zi.abs() <= vi.abs() + 1e-6);
                     // Sign is preserved or zeroed.

@@ -7,7 +7,7 @@
 //! refactor is most likely to flip from `>` to `>=` and silently change
 //! every ℓ0 support the attack reports.
 
-use fsa_admm::prox::{block_soft_threshold, hard_threshold, soft_threshold, squared_l2};
+use fsa_admm::prox::{block_soft_threshold, hard_threshold};
 use fsa_tensor::{norms, Prng};
 
 /// ℓ0 hard threshold: keep `v_i` iff `v_i² > 2λ/ρ`, else exactly zero.
@@ -59,37 +59,6 @@ fn hard_threshold_boundary_ties_resolve_to_zero() {
     assert_eq!(z, [0.0, 0.0, 0.5000001]);
 }
 
-/// ℓ1 soft threshold: shrink by `λ/ρ`, with the closed interval
-/// `[-λ/ρ, λ/ρ]` collapsing to exact zero (boundary included).
-#[test]
-fn soft_threshold_matches_closed_form_and_boundary() {
-    let mut rng = Prng::new(412);
-    for _ in 0..200 {
-        let len = 1 + rng.below(17);
-        let v: Vec<f32> = (0..len).map(|_| rng.uniform(-4.0, 4.0)).collect();
-        let lambda = rng.uniform(0.05, 3.0);
-        let rho = rng.uniform(0.2, 6.0);
-        let t = lambda / rho;
-        let mut z = vec![f32::NAN; len];
-        soft_threshold(&v, lambda, rho, &mut z);
-        for (&zi, &vi) in z.iter().zip(&v) {
-            let expect = if vi > t {
-                vi - t
-            } else if vi < -t {
-                vi + t
-            } else {
-                0.0
-            };
-            assert_eq!(zi, expect);
-        }
-    }
-    // Exact boundary: t = 0.5; v = ±0.5 sits on the closed interval edge.
-    let v = [0.5f32, -0.5, 0.75];
-    let mut z = [9.0f32; 3];
-    soft_threshold(&v, 1.0, 2.0, &mut z);
-    assert_eq!(z, [0.0, 0.0, 0.25]);
-}
-
 /// ℓ2 block shrinkage (paper eq. 18): `z = (1 − t/‖v‖)₊ · v` as a whole
 /// block, zero when `‖v‖ ≤ t` — boundary inclusive.
 #[test]
@@ -134,26 +103,4 @@ fn block_soft_threshold_boundary_ties_resolve_to_zero() {
     // Just outside the ball the block survives with a positive scale.
     block_soft_threshold(&v, 2.4, 1.0, &mut z);
     assert!(z[0] > 0.0 && z[1] > 0.0);
-}
-
-/// Squared-ℓ2 prox: uniform shrink `ρ/(ρ+λ)`, never an exact zero for a
-/// nonzero input (the penalty is smooth — no sparsification).
-#[test]
-fn squared_l2_matches_closed_form() {
-    let mut rng = Prng::new(414);
-    for _ in 0..200 {
-        let len = 1 + rng.below(17);
-        let v: Vec<f32> = (0..len).map(|_| rng.uniform(-4.0, 4.0)).collect();
-        let lambda = rng.uniform(0.05, 3.0);
-        let rho = rng.uniform(0.2, 6.0);
-        let scale = rho / (rho + lambda);
-        let mut z = vec![f32::NAN; len];
-        squared_l2(&v, lambda, rho, &mut z);
-        for (&zi, &vi) in z.iter().zip(&v) {
-            assert_eq!(zi, scale * vi);
-            if vi != 0.0 {
-                assert!(zi != 0.0, "smooth prox must not sparsify");
-            }
-        }
-    }
 }

@@ -270,8 +270,14 @@ pub struct ScenarioDraw {
 }
 
 /// Why a [`CampaignSpec`] cannot run against a [`Campaign`]'s victim.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SpecError {
+    /// The base config's ADMM penalty ρ is not finite and positive: the
+    /// z-step's proximal operators need `0 < ρ < ∞`.
+    InvalidRho {
+        /// The offending ρ.
+        rho: f32,
+    },
     /// A scenario's working set `R = S + K` is larger than the pool of
     /// correctly classified rows it samples from.
     PoolTooSmall {
@@ -289,6 +295,9 @@ pub enum SpecError {
 impl std::fmt::Display for SpecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            SpecError::InvalidRho { rho } => {
+                write!(f, "ADMM penalty rho = {rho} must be finite and > 0")
+            }
             SpecError::PoolTooSmall {
                 scenario,
                 r,
@@ -578,10 +587,11 @@ impl<'a> Campaign<'a> {
         &self.labels
     }
 
-    /// Checks that every scenario of `spec` can be drawn from this
-    /// victim: each working set fits the usable pool and the head has a
-    /// wrong class to target. [`Campaign::run_indices`] calls this before
-    /// dispatching any scenario.
+    /// Checks that `spec` can run against this victim: its ADMM penalty
+    /// ρ is finite and positive, each working set fits the usable pool,
+    /// and the head has a wrong class to target.
+    /// [`Campaign::run_indices`] calls this before dispatching any
+    /// scenario.
     ///
     /// # Examples
     ///
@@ -610,6 +620,9 @@ impl<'a> Campaign<'a> {
     /// ));
     /// ```
     pub fn validate(&self, spec: &CampaignSpec) -> Result<(), SpecError> {
+        if !spec.base.rho_is_valid() {
+            return Err(SpecError::InvalidRho { rho: spec.base.rho });
+        }
         spec.scenarios()
             .iter()
             .try_for_each(|sc| self.check_scenario(sc))
@@ -925,6 +938,26 @@ mod tests {
         // Different (S, K) cells under the same seed draw different sets.
         let other = campaign.scenario_spec(&Scenario { s: 1, k: 5, ..sc }, 10.0, 1.0);
         assert_ne!(a.features, other.features);
+    }
+
+    #[test]
+    fn validate_refuses_a_rho_that_is_not_finite_and_positive() {
+        let (head, cache, labels) = fixture();
+        let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+        for rho in [f32::NAN, 0.0, -5.0, f32::INFINITY] {
+            let spec = CampaignSpec::grid(vec![1], vec![2]).with_config(AttackConfig {
+                rho,
+                ..AttackConfig::default()
+            });
+            let err = campaign.validate(&spec).unwrap_err();
+            assert!(
+                matches!(err, SpecError::InvalidRho { rho: r } if r.to_bits() == rho.to_bits()),
+                "rho = {rho}: {err:?}"
+            );
+            assert!(err.to_string().contains("finite and > 0"));
+        }
+        let spec = CampaignSpec::grid(vec![1], vec![2]);
+        assert_eq!(campaign.validate(&spec), Ok(()));
     }
 
     #[test]

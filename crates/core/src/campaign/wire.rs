@@ -34,13 +34,14 @@
 //! `tests/wire_roundtrip.rs` property-tests this together with
 //! truncated-frame and flipped-bit rejection.
 
-use crate::campaign::{CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget};
+use crate::campaign::{
+    CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget, SpecError,
+};
 use crate::precision::Precision;
 use crate::refine::RefineConfig;
 use crate::selection::{LayerSelection, ParamKind, ParamSelection};
-use crate::solver::{AttackConfig, AttackResult, Norm, Stiffness};
+use crate::solver::{AttackConfig, AttackResult, IterStats, Norm, Stiffness};
 use crate::stealth::StealthObjective;
-use fsa_admm::solver::IterStats;
 use fsa_memfault::dram::DramGeometry;
 use fsa_tensor::hash::Fnv1a;
 use fsa_tensor::io::{DecodeError, Decoder, Encoder};
@@ -289,7 +290,8 @@ pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
+/// Returns [`DecodeError`] on malformed input, or when ρ is not finite
+/// and positive.
 pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let norm = read_norm(dec)?;
     let rho = dec.read_f32()?;
@@ -314,7 +316,7 @@ pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
         }
         v => return Err(DecodeError::new(format!("unknown refine tag {v}"))),
     };
-    Ok(AttackConfig {
+    let config = AttackConfig {
         norm,
         rho,
         stiffness,
@@ -322,7 +324,11 @@ pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
         iterations,
         kappa,
         refine,
-    })
+    };
+    if !config.rho_is_valid() {
+        return Err(DecodeError::new(SpecError::InvalidRho { rho }.to_string()));
+    }
+    Ok(config)
 }
 
 fn put_precision(enc: &mut Encoder, p: Precision) {
@@ -1003,6 +1009,19 @@ mod tests {
         let o = small_outcome();
         let bytes = encode_outcome_frame(&o);
         assert_eq!(decode_outcome_frame(&bytes).unwrap(), o);
+    }
+
+    #[test]
+    fn config_with_a_nan_rho_is_a_decode_error() {
+        let cfg = AttackConfig {
+            rho: f32::NAN,
+            ..AttackConfig::default()
+        };
+        let mut enc = Encoder::new();
+        put_config(&mut enc, &cfg);
+        let bytes = enc.into_bytes();
+        let err = read_config(&mut Decoder::new(&bytes)).unwrap_err();
+        assert!(err.to_string().contains("finite and > 0"), "{err}");
     }
 
     #[test]

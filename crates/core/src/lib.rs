@@ -12,7 +12,8 @@
 //!    `‖·‖₂` (modification magnitude).
 //!
 //! The optimization is solved with linearized scaled ADMM (paper
-//! eqs. 7–22) via the [`fsa_admm`] driver:
+//! eqs. 7–22), one loop in [`FaultSneakingAttack::run`] over the
+//! [`fsa_admm`] proximal operators:
 //!
 //! * z-step: hard thresholding (`ℓ0`, eq. 16) or block soft thresholding
 //!   (`ℓ2`, eq. 18);
@@ -59,6 +60,6 @@ pub use campaign::{
 pub use eval::AttackOutcome;
 pub use precision::{Precision, QuantizedSelection};
 pub use selection::{ParamKind, ParamSelection};
-pub use solver::{AttackConfig, AttackResult, FaultSneakingAttack, Norm};
+pub use solver::{AttackConfig, AttackResult, FaultSneakingAttack, IterStats, Norm};
 pub use spec::AttackSpec;
 pub use stealth::{ParityRepair, StealthObjective};

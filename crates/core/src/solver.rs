@@ -9,10 +9,21 @@ use crate::stealth;
 use fsa_admm::prox::{
     block_hard_threshold, block_soft_threshold, block_soft_threshold_grouped, hard_threshold,
 };
-use fsa_admm::solver::{AdmmConfig, AdmmDriver, AdmmProblem, IterStats};
-use fsa_admm::RhoPolicy;
 use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_tensor::{norms, parallel};
+
+/// Per-iteration ADMM diagnostics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IterStats {
+    /// Iteration index (0-based).
+    pub iter: usize,
+    /// `‖z − δ‖₂` after the updates.
+    pub primal_residual: f32,
+    /// `ρ‖δ^{k+1} − δᵏ‖₂`.
+    pub dual_residual: f32,
+    /// Penalty in effect during the iteration.
+    pub rho: f32,
+}
 
 /// Which measurement `D(δ)` the attack minimizes (paper eq. 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,6 +107,12 @@ impl AttackConfig {
             norm: Norm::L2,
             ..Default::default()
         }
+    }
+
+    /// Whether the ADMM penalty ρ is finite and positive. The z-step's
+    /// proximal operators assert `ρ > 0`, and `ρ = +∞` turns δ into NaN.
+    pub(crate) fn rho_is_valid(&self) -> bool {
+        self.rho.is_finite() && self.rho > 0.0
     }
 }
 
@@ -236,73 +253,149 @@ impl FaultSneakingAttack {
             reference
         });
 
-        let mut problem = Problem {
-            head: self.head.clone(),
-            selection: &self.selection,
-            spec,
-            acts: &acts,
-            start,
-            theta0: &self.theta0,
-            cfg: &self.config,
-            stiffness,
-            blocks,
-            block_lambda: spec.stealth.map_or(0.0, |s| s.block_lambda),
-            objective_history: Vec::with_capacity(self.config.iterations),
-            trace_support: Vec::new(),
-            trace_keep: Vec::new(),
-            scratch: vec![0.0; dim],
-            bufs,
-            hinge: HingeEval::default(),
-            grad_flat: Vec::with_capacity(dim),
-        };
+        // The linearized scaled-form ADMM (eqs. 10–22) from
+        // δ⁰ = z⁰ = 0, s⁰ = 0 with a fixed ρ. Every buffer is reused
+        // across iterations, so the loop is allocation-free after the
+        // first one. Residuals follow Boyd et al. (2011), the paper's
+        // reference [32].
+        let cfg = &self.config;
+        let rho = cfg.rho;
+        let block_lambda = spec.stealth.map_or(0.0, |s| s.block_lambda);
+        let mut head = self.head.clone();
+        let mut hinge = HingeEval::default();
+        // The split variables: z (the structured answer), x = δᵏ (the
+        // linearized primal) and the scaled dual s; v, x_prev, theta and
+        // grad are per-iteration scratch.
+        let mut z = vec![0.0f32; dim];
+        let mut x = vec![0.0f32; dim];
+        let mut s = vec![0.0f32; dim];
+        let mut v = vec![0.0f32; dim];
+        let mut x_prev = vec![0.0f32; dim];
+        let mut theta = vec![0.0f32; dim];
+        let mut grad = Vec::with_capacity(dim);
+        let mut objective_history = Vec::with_capacity(cfg.iterations);
+        let mut admm_history = Vec::with_capacity(cfg.iterations);
+        let mut trace = Vec::new();
+        let mut converged = false;
+        {
+            let _span = fsa_telemetry::span("admm");
+            let inv_sqrt_n = 1.0 / (dim.max(1) as f32).sqrt();
+            for iter in 0..cfg.iterations {
+                // z-step on v = δᵏ − sᵏ (eqs. 16/18, block-structured
+                // under the stealth objective).
+                for i in 0..dim {
+                    v[i] = x[i] - s[i];
+                }
+                match (&blocks, cfg.norm) {
+                    (None, Norm::L0) => hard_threshold(&v, cfg.lambda, rho, &mut z),
+                    (None, Norm::L2) => block_soft_threshold(&v, cfg.lambda, rho, &mut z),
+                    (Some(b), Norm::L0) => {
+                        block_hard_threshold(&v, cfg.lambda, block_lambda, rho, b, &mut z)
+                    }
+                    (Some(b), Norm::L2) => {
+                        block_soft_threshold_grouped(&v, cfg.lambda, block_lambda, rho, b, &mut z)
+                    }
+                }
 
-        let driver = AdmmDriver::new(AdmmConfig {
-            rho: self.config.rho,
-            max_iterations: self.config.iterations,
-            primal_tol: 1e-6,
-            dual_tol: 1e-6,
-            rho_policy: RhoPolicy::Fixed,
-        });
-        let admm = driver.run(&mut problem, &vec![0.0; dim]);
-        let objective_history = std::mem::take(&mut problem.objective_history);
+                // δ-step: Σᵢ∇gᵢ(θ + δᵏ) over the selected parameters from
+                // one cached forward that feeds both the hinge and the
+                // backward pass.
+                x_prev.copy_from_slice(&x);
+                for (w, (&t, &d)) in theta.iter_mut().zip(self.theta0.iter().zip(&x)) {
+                    *w = t + d;
+                }
+                self.selection.scatter(&mut head, &theta);
+                let logits = head.forward_from_caching(start, &acts, &mut bufs);
+                evaluate_hinge_into(spec, logits, cfg.kappa, &mut hinge);
+                if hinge.active == 0 {
+                    grad.clear();
+                    grad.resize(dim, 0.0);
+                } else {
+                    head.backward_from_cache(start, &acts, &hinge.logit_grad, &mut bufs);
+                    self.selection
+                        .gather_grads_into(bufs.grads(), start, &mut grad);
+                }
+                // Eq. 22: δ ← [ρ(z + s) + αRδ − Σ∇g] / (αR + ρ), with the
+                // αR product resolved once per run (see `Stiffness`).
+                let denom = stiffness + rho;
+                for i in 0..dim {
+                    x[i] = (rho * (z[i] + s[i]) + stiffness * x[i] - grad[i]) / denom;
+                }
 
-        // Emit the per-iteration convergence trace (paper §4–5 style:
-        // objective, residuals, δ support, keep-set health). Purely
-        // observational — every value is read off state the solve
-        // produced anyway, so telemetry-on runs are bit-identical.
-        if fsa_telemetry::enabled() {
-            let records: Vec<fsa_telemetry::ConvergenceRecord> = admm
-                .history
-                .iter()
-                .enumerate()
-                .map(|(i, h)| fsa_telemetry::ConvergenceRecord {
-                    iter: h.iter as u32,
-                    objective: objective_history.get(i).copied().unwrap_or(f32::NAN),
-                    primal: h.primal_residual,
-                    dual: h.dual_residual,
-                    rho: h.rho,
-                    support: problem.trace_support.get(i).copied().unwrap_or(0),
-                    keep_violations: problem.trace_keep.get(i).copied().unwrap_or(0),
-                })
-                .collect();
-            fsa_telemetry::convergence_trace("admm", records);
+                // Dual update s ← s + z − δ.
+                for i in 0..dim {
+                    s[i] += z[i] - x[i];
+                }
+
+                // Residuals ‖z − δ‖₂ and ρ‖δ^{k+1} − δᵏ‖₂, summed in f64
+                // in index order.
+                let mut acc = 0.0f64;
+                for i in 0..dim {
+                    let d = (z[i] - x[i]) as f64;
+                    acc += d * d;
+                }
+                let primal = acc.sqrt() as f32;
+                let mut acc = 0.0f64;
+                for i in 0..dim {
+                    let d = (x[i] - x_prev[i]) as f64;
+                    acc += d * d;
+                }
+                let dual = rho * acc.sqrt() as f32;
+
+                objective_history.push(hinge.total);
+                admm_history.push(IterStats {
+                    iter,
+                    primal_residual: primal,
+                    dual_residual: dual,
+                    rho,
+                });
+                // The per-iteration convergence trace (paper §4–5 style).
+                // Purely observational: every value is read off state the
+                // iteration produced anyway, so traced runs keep their bits.
+                if fsa_telemetry::enabled() {
+                    trace.push(fsa_telemetry::ConvergenceRecord {
+                        iter: iter as u32,
+                        objective: hinge.total,
+                        primal,
+                        dual,
+                        rho,
+                        support: z.iter().filter(|&&w| w != 0.0).count() as u32,
+                        keep_violations: hinge.active_keep(spec.s()) as u32,
+                    });
+                }
+
+                if primal * inv_sqrt_n < 1e-6 && dual * inv_sqrt_n < 1e-6 {
+                    converged = true;
+                    break;
+                }
+            }
+            if fsa_telemetry::enabled() {
+                fsa_telemetry::counter("admm.runs", 1);
+                fsa_telemetry::counter("admm.iterations", admm_history.len() as u64);
+                let stop = if converged {
+                    "admm.converged"
+                } else {
+                    "admm.hit_cap"
+                };
+                fsa_telemetry::counter(stop, 1);
+            }
         }
+        fsa_telemetry::convergence_trace("admm", trace);
 
         // The structured variable z is the attack's answer: it is exactly
         // sparse under ℓ0 (hard-thresholded) and exactly shrunk under ℓ2.
-        let mut delta = admm.z.clone();
+        let mut delta = z;
 
         // Hard checksum-block cap: prune δ to the highest-energy blocks
         // *before* refinement, so the refinement pass recovers fault
         // success on the support the audit budget allows.
-        if let Some((s, b)) = spec.stealth.zip(problem.blocks.as_ref()) {
+        if let Some((s, b)) = spec.stealth.zip(blocks.as_ref()) {
             stealth::prune_to_block_budget(&mut delta, b, s.max_dirty_blocks);
         }
 
         // Refinement and the final evaluation reuse the ADMM working
         // head: each first scatters θ + δ over the whole selection, and
         // nothing writes parameters outside it, so the copy is exact.
-        let mut head = problem.head;
         if let Some(refine_cfg) = &self.config.refine {
             let drift = spec
                 .stealth
@@ -346,8 +439,8 @@ impl FaultSneakingAttack {
             keep_unchanged: keep_hits,
             keep_total: spec.r() - spec.s(),
             objective_history,
-            admm_history: admm.history,
-            converged: admm.converged,
+            admm_history,
+            converged,
         }
     }
 }
@@ -414,114 +507,12 @@ fn estimate_leverage(
     (total / sample as f64) as f32
 }
 
-/// Adapter implementing the generic ADMM interface for the attack.
-///
-/// All per-iteration state lives in the reusable buffers below, so the
-/// inner loop is allocation-free after the first iteration.
-struct Problem<'a> {
-    head: FcHead,
-    selection: &'a ParamSelection,
-    spec: &'a AttackSpec,
-    acts: &'a fsa_tensor::Tensor,
-    start: usize,
-    theta0: &'a [f32],
-    cfg: &'a AttackConfig,
-    stiffness: f32,
-    /// Checksum-block partition of δ (stealth objective); `None` runs
-    /// the plain separable proximal operators.
-    blocks: Option<Vec<std::ops::Range<usize>>>,
-    /// Per-dirty-block penalty `λ_b` paired with `blocks`.
-    block_lambda: f32,
-    objective_history: Vec<f32>,
-    /// Per-iteration `‖z‖₀` after the z-step (telemetry only; empty
-    /// while telemetry is disabled).
-    trace_support: Vec<u32>,
-    /// Per-iteration active keep-set hinges (telemetry only).
-    trace_keep: Vec<u32>,
-    scratch: Vec<f32>,
-    /// Head forward/backward activation and gradient buffers.
-    bufs: HeadBuffers,
-    /// Hinge evaluation buffers (per-image terms, logit gradient).
-    hinge: HingeEval,
-    /// Flattened selected-parameter gradient.
-    grad_flat: Vec<f32>,
-}
-
-impl AdmmProblem for Problem<'_> {
-    fn dim(&self) -> usize {
-        self.theta0.len()
-    }
-
-    fn prox_step(&mut self, v: &[f32], rho: f32, out: &mut [f32]) {
-        match (&self.blocks, self.cfg.norm) {
-            (None, Norm::L0) => hard_threshold(v, self.cfg.lambda, rho, out),
-            (None, Norm::L2) => block_soft_threshold(v, self.cfg.lambda, rho, out),
-            (Some(b), Norm::L0) => {
-                block_hard_threshold(v, self.cfg.lambda, self.block_lambda, rho, b, out)
-            }
-            (Some(b), Norm::L2) => {
-                block_soft_threshold_grouped(v, self.cfg.lambda, self.block_lambda, rho, b, out)
-            }
-        }
-        if fsa_telemetry::enabled() {
-            let support = out.iter().filter(|&&x| x != 0.0).count();
-            self.trace_support.push(support as u32);
-        }
-    }
-
-    fn delta_step(&mut self, z_new: &[f32], s: &[f32], rho: f32, delta: &mut [f32]) {
-        // θ + δᵏ into the workspace head.
-        for (w, (&t, &d)) in self
-            .scratch
-            .iter_mut()
-            .zip(self.theta0.iter().zip(delta.iter()))
-        {
-            *w = t + d;
-        }
-        let scratch = std::mem::take(&mut self.scratch);
-        self.selection.scatter(&mut self.head, &scratch);
-        self.scratch = scratch;
-
-        // Σᵢ ∇gᵢ(θ + δᵏ) over the selected parameters. One cached
-        // forward feeds both the hinge and the backward pass; every
-        // buffer is reused across iterations.
-        let logits = self
-            .head
-            .forward_from_caching(self.start, self.acts, &mut self.bufs);
-        evaluate_hinge_into(self.spec, logits, self.cfg.kappa, &mut self.hinge);
-        self.objective_history.push(self.hinge.total);
-        if fsa_telemetry::enabled() {
-            self.trace_keep
-                .push(self.hinge.active_keep(self.spec.s()) as u32);
-        }
-        if self.hinge.active == 0 {
-            self.grad_flat.clear();
-            self.grad_flat.resize(delta.len(), 0.0);
-        } else {
-            self.head.backward_from_cache(
-                self.start,
-                self.acts,
-                &self.hinge.logit_grad,
-                &mut self.bufs,
-            );
-            self.selection
-                .gather_grads_into(self.bufs.grads(), self.start, &mut self.grad_flat);
-        }
-
-        // Eq. 22: δ ← [ρ(z + s) + αRδ − Σ∇g] / (αR + ρ), with the αR
-        // product resolved once per run (see `Stiffness`).
-        let stiffness = self.stiffness;
-        let denom = stiffness + rho;
-        for i in 0..delta.len() {
-            delta[i] = (rho * (z_new[i] + s[i]) + stiffness * delta[i] - self.grad_flat[i]) / denom;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::selection::ParamKind;
+    use crate::stealth::StealthObjective;
+    use fsa_memfault::dram::DramGeometry;
     use fsa_nn::head_train::{train_head, HeadTrainConfig};
     use fsa_tensor::{Prng, Tensor};
 
@@ -675,6 +666,58 @@ mod tests {
             tail_mean <= head_mean,
             "objective did not decrease: {head_mean} -> {tail_mean}"
         );
+    }
+
+    #[test]
+    fn l0_answer_is_a_fixed_point_of_its_prox() {
+        let mut rng = Prng::new(83);
+        let (head, x, labels) = trained_head(&mut rng);
+        let spec = make_spec(&head, &x, &labels, 2, 10);
+        let cfg = AttackConfig {
+            refine: None,
+            ..AttackConfig::default()
+        };
+        let result =
+            FaultSneakingAttack::new(&head, ParamSelection::last_layer(&head), cfg.clone())
+                .run(&spec);
+        assert!(result.l0 > 0, "the attack moved nothing");
+        let mut again = vec![f32::NAN; result.delta.len()];
+        hard_threshold(&result.delta, cfg.lambda, cfg.rho, &mut again);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&again), bits(&result.delta), "z is not prox(z)");
+    }
+
+    #[test]
+    fn reported_counts_match_a_whole_head_recount() {
+        let mut rng = Prng::new(84);
+        let (head, x, labels) = trained_head(&mut rng);
+        let stealth = StealthObjective::new(
+            16,
+            0.5,
+            DramGeometry {
+                banks: 2,
+                rows_per_bank: 512,
+                row_bytes: 64,
+            },
+            0.75,
+        )
+        .with_block_cap(3);
+        let selection = ParamSelection::last_layer(&head);
+        for cfg in [AttackConfig::default(), AttackConfig::l2()] {
+            for objective in [None, Some(stealth)] {
+                let spec = make_spec(&head, &x, &labels, 2, 10).with_stealth(objective);
+                let attack = FaultSneakingAttack::new(&head, selection.clone(), cfg.clone());
+                let result = attack.run(&spec);
+                let mut attacked = head.clone();
+                eval::apply_delta(&mut attacked, &selection, attack.theta0(), &result.delta);
+                let preds = attacked.predict(&spec.features);
+                let s_hits = (0..spec.s()).filter(|&i| preds[i] == spec.targets[i]);
+                let keep_hits = (spec.s()..spec.r()).filter(|&i| preds[i] == spec.labels[i]);
+                let case = format!("{:?}, stealth {}", cfg.norm, objective.is_some());
+                assert_eq!(result.s_success, s_hits.count(), "{case}");
+                assert_eq!(result.keep_unchanged, keep_hits.count(), "{case}");
+            }
+        }
     }
 
     #[test]

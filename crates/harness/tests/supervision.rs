@@ -345,6 +345,20 @@ fn oversized_spec_is_rejected_before_any_worker_spawns() {
     sharded(&spec, &config(2, &link).with_max_retries(0));
 }
 
+/// A ρ the z-step cannot use is refused the same way, instead of
+/// panicking inside a worker's proximal operator.
+#[test]
+#[should_panic(expected = "rho = NaN must be finite and > 0")]
+fn invalid_rho_is_rejected_before_any_worker_spawns() {
+    let spec = CampaignSpec::grid(vec![1], vec![2]).with_config(AttackConfig {
+        rho: f32::NAN,
+        iterations: 25,
+        ..AttackConfig::default()
+    });
+    let link: Arc<dyn Transport> = Arc::new(PipeTransport);
+    sharded(&spec, &config(2, &link).with_max_retries(0));
+}
+
 #[test]
 fn exhausted_retries_degrade_in_process_and_preserve_the_fingerprint() {
     let spec = spec();

@@ -173,9 +173,9 @@ pub struct ConvergenceRecord {
     pub iter: u32,
     /// Hinge objective value at the δ-step.
     pub objective: f32,
-    /// Primal residual reported by the driver.
+    /// Primal residual `‖z − δ‖₂` after the iteration.
     pub primal: f32,
-    /// Dual residual reported by the driver.
+    /// Dual residual `ρ‖δ^{k+1} − δᵏ‖₂`.
     pub dual: f32,
     /// Penalty parameter ρ in effect for the iteration.
     pub rho: f32,

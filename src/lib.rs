@@ -17,7 +17,7 @@
 //!   victim architecture, and the FC head the attack perturbs, the one
 //!   part with hand-derived gradients);
 //! * [`data`] — synthetic MNIST-like / CIFAR-like datasets;
-//! * [`admm`] — proximal operators and the generic ADMM driver;
+//! * [`admm`] — the proximal operators of the attack's ADMM z-step;
 //! * [`baselines`] — Liu et al. ICCAD'17 SBA/GDA comparison attacks,
 //!   also runnable as campaign methods over the same scenario matrix;
 //! * [`memfault`] — simulated laser/rowhammer fault injection hardware,

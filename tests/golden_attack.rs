@@ -12,9 +12,14 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_attack
 //! ```
 
-use fault_sneaking::attack::{eval, AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
+use fault_sneaking::attack::{
+    eval, AttackConfig, AttackResult, AttackSpec, FaultSneakingAttack, ParamSelection,
+    StealthObjective,
+};
+use fault_sneaking::memfault::dram::DramGeometry;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
+use fault_sneaking::tensor::hash::Fnv1a;
 use fault_sneaking::tensor::{Prng, Tensor};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -47,8 +52,9 @@ fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_quickstart.txt")
 }
 
-#[test]
-fn quickstart_attack_matches_golden_fixture() {
+/// The quickstart victim: a 12→24→3 head trained on 120 clustered
+/// points (seed 2024), with its training features and labels.
+fn quickstart_victim() -> (FcHead, Tensor, Vec<usize>) {
     let mut rng = Prng::new(2024);
     let (features, labels) = clustered_features(120, 12, 3, &mut rng);
     let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
@@ -62,13 +68,24 @@ fn quickstart_attack_matches_golden_fixture() {
         },
         &mut rng,
     );
+    (head, features, labels)
+}
+
+/// The quickstart working set: the first 20 points, the first `s` of
+/// them retargeted to the next class.
+fn quickstart_spec(features: &Tensor, labels: &[usize], s: usize) -> AttackSpec {
+    let working_labels = labels[..20].to_vec();
+    let targets = working_labels[..s].iter().map(|&l| (l + 1) % 3).collect();
+    AttackSpec::new(sub_rows(features, 0, 20), working_labels, targets).with_weights(10.0, 1.0)
+}
+
+#[test]
+fn quickstart_attack_matches_golden_fixture() {
+    let (head, features, labels) = quickstart_victim();
     let victim_accuracy = head.accuracy(&features, &labels);
 
-    let working = sub_rows(&features, 0, 20);
-    let working_labels = labels[..20].to_vec();
-    let target = (working_labels[0] + 1) % 3;
-    let spec =
-        AttackSpec::new(working, working_labels.clone(), vec![target]).with_weights(10.0, 1.0);
+    let spec = quickstart_spec(&features, &labels, 1);
+    let target = spec.targets[0];
 
     let selection = ParamSelection::last_layer(&head);
     let attack = FaultSneakingAttack::new(&head, selection.clone(), AttackConfig::default());
@@ -172,4 +189,108 @@ fn quickstart_attack_matches_golden_fixture() {
         post_preds, preds_expect,
         "post-attack predictions drifted from the committed fixture"
     );
+}
+
+/// FNV-1a over everything an ADMM run reports: δ bits, every objective
+/// and residual record, the stop flag and both hinge counts.
+fn run_digest(result: &AttackResult) -> u64 {
+    let mut h = Fnv1a::new();
+    h.write_u64(result.delta.len() as u64);
+    for &d in &result.delta {
+        h.write_f32_bits(d);
+    }
+    h.write_u64(result.objective_history.len() as u64);
+    for &o in &result.objective_history {
+        h.write_f32_bits(o);
+    }
+    h.write_u64(result.admm_history.len() as u64);
+    for it in &result.admm_history {
+        h.write_u64(it.iter as u64);
+        h.write_f32_bits(it.primal_residual);
+        h.write_f32_bits(it.dual_residual);
+        h.write_f32_bits(it.rho);
+    }
+    h.write_u64(u64::from(result.converged));
+    h.write_u64(result.s_success as u64);
+    h.write_u64(result.keep_unchanged as u64);
+    h.finish()
+}
+
+/// Pins the whole ADMM trajectory, not just its answer: for the
+/// quickstart victim, S ∈ {0, 2} × stealth off/on × four configs, the
+/// digest of δ, the objective and residual histories, `converged` and
+/// the hinge counts. The constants move only with an intended change
+/// to the iteration; the failure message prints the new digests.
+#[test]
+fn quickstart_admm_histories_match_their_recorded_digests() {
+    const RECORDED: [u64; 16] = [
+        0x44df1d53f8e32055,
+        0x1fc751ddf60b6c0e,
+        0x44df1d53f8e32055,
+        0x26687e5c7fdd33ab,
+        0xfe56e9d12d3d30d5,
+        0x08539a2ae9dc7bc7,
+        0xfe56e9d12d3d30d5,
+        0x26687e5c7fdd33ab,
+        0xb535dbf22095820f,
+        0x3d8f9c5b4b41e8f9,
+        0x9e9eacf37596316f,
+        0xed8b09beced75c70,
+        0x8b10dfcbc43d4d50,
+        0x8dcc01f72b557ea3,
+        0x453dc2497f5aedd7,
+        0x32768c0767895599,
+    ];
+    let (head, features, labels) = quickstart_victim();
+    let stealth = StealthObjective::new(
+        16,
+        0.5,
+        DramGeometry {
+            banks: 2,
+            rows_per_bank: 512,
+            row_bytes: 64,
+        },
+        0.75,
+    )
+    .with_block_cap(3);
+    let configs = [
+        AttackConfig::default(),
+        AttackConfig::l2(),
+        AttackConfig {
+            refine: None,
+            ..AttackConfig::default()
+        },
+        AttackConfig {
+            kappa: 0.0,
+            ..AttackConfig::default()
+        },
+    ];
+    let mut got = Vec::new();
+    let mut stops = Vec::new();
+    for s in [0, 2] {
+        for objective in [None, Some(stealth)] {
+            let spec = quickstart_spec(&features, &labels, s).with_stealth(objective);
+            for cfg in &configs {
+                let result =
+                    FaultSneakingAttack::new(&head, ParamSelection::last_layer(&head), cfg.clone())
+                        .run(&spec);
+                assert_eq!(result.objective_history.len(), result.admm_history.len());
+                stops.push((result.converged, result.admm_history.len()));
+                got.push(run_digest(&result));
+            }
+        }
+    }
+    // Both stop paths are exercised: κ = 0 at S = 0 starts with every
+    // hinge satisfied and stops after one iteration, the S = 2 runs end
+    // at the cap.
+    assert!(
+        stops.contains(&(true, 1)),
+        "no run stopped on the residual rule"
+    );
+    assert!(
+        stops.contains(&(false, 400)),
+        "no run hit the iteration cap"
+    );
+    let rendered: Vec<String> = got.iter().map(|d| format!("{d:#018x}")).collect();
+    assert_eq!(got, RECORDED, "digests now: [{}]", rendered.join(", "));
 }

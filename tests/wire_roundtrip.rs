@@ -5,7 +5,6 @@
 //! checksum. This is the integrity contract the sharded executor's
 //! corrupt-frame classification rests on.
 
-use fault_sneaking::admm::IterStats;
 use fault_sneaking::attack::campaign::wire::{
     decode_heartbeat_frame, decode_hello_frame, decode_outcome_frame, decode_report_frame,
     decode_spec_frame, encode_heartbeat_frame, encode_hello_frame, encode_outcome_frame,
@@ -16,7 +15,9 @@ use fault_sneaking::attack::campaign::{
 };
 use fault_sneaking::attack::refine::RefineConfig;
 use fault_sneaking::attack::solver::Stiffness;
-use fault_sneaking::attack::{AttackConfig, AttackResult, Norm, Precision, StealthObjective};
+use fault_sneaking::attack::{
+    AttackConfig, AttackResult, IterStats, Norm, Precision, StealthObjective,
+};
 use fault_sneaking::memfault::dram::DramGeometry;
 use fault_sneaking::tensor::Prng;
 
