@@ -9,6 +9,7 @@ use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
 use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_nn::stats::{cached_forward_stats, head_forward_stats, max_normalized_drift};
+use fsa_nn::FeatureCache;
 use fsa_tensor::{Prng, Tensor};
 use std::hint::black_box;
 
@@ -59,6 +60,51 @@ fn bench_head_passes() {
             )
         });
     }
+}
+
+/// The arena-shaped twin of `head_backward_from_cache_100_hinge15`: a
+/// 32→32→32→4 head truncated to its last (32→4) layer, R = 260 (two
+/// `KC` tiles), 80 rows active with `+c`/`−c` at two of the 4 classes.
+fn bench_arena_backward() {
+    let mut rng = Prng::new(15);
+    let head = FcHead::from_dims(&[32, 32, 32, 4], &mut rng);
+    let start = head.num_layers() - 1;
+    let features = Tensor::randn(&[260, 32], 1.0, &mut rng);
+    let acts = head.activations_before(start, &features);
+    let mut hinge = Tensor::zeros(&[260, 4]);
+    for r in (0..260).step_by(3).take(80) {
+        let row = hinge.row_mut(r);
+        row[r % 4] = 40.0;
+        row[(r + 1) % 4] = -40.0;
+    }
+    let mut bufs = HeadBuffers::new();
+    head.forward_from_caching(start, &acts, &mut bufs);
+    bench("head_backward_from_cache_260_hinge80", || {
+        black_box(
+            head.backward_from_cache(start, black_box(&acts), &hinge, &mut bufs)
+                .len(),
+        )
+    });
+}
+
+/// A scenario's inputs to the paper head's last layer: the frozen
+/// 1024→200→200 prefix run over its 100 rows, against a row gather from
+/// that prefix run once over a 180-image pool (what a campaign spec
+/// hands the attack).
+fn bench_prefix() {
+    let (head, _, _) = paper_head();
+    let start = head.num_layers() - 1;
+    let mut rng = Prng::new(16);
+    let pool = Tensor::randn(&[180, 1024], 1.0, &mut rng);
+    let rows: Vec<usize> = (0..100).map(|k| (k * 7) % 180).collect();
+    let features = FeatureCache::from_features(pool.clone()).gather(&rows);
+    let pool_acts = FeatureCache::from_features(head.activations_before(start, &pool));
+    bench("prefix_activations_before_100x1024", || {
+        black_box(head.activations_before(start, black_box(&features)))
+    });
+    bench("prefix_gather_100_of_180", || {
+        black_box(pool_acts.gather(black_box(&rows)))
+    });
 }
 
 /// Hinge evaluation at the paper's R = 100 and the larger working sets
@@ -168,6 +214,8 @@ fn main() {
         fsa_tensor::parallel::max_threads()
     );
     bench_head_passes();
+    bench_arena_backward();
+    bench_prefix();
     bench_hinge();
     bench_refine_drift_wall();
     bench_end_to_end();

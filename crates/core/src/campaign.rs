@@ -10,6 +10,11 @@
 //!   shared read-only [`FeatureCache`] (the batched
 //!   `Network::forward_infer` pipeline), and every scenario's working
 //!   set is a row-gather from it — the conv stack never re-runs;
+//! * one level up, the head layers below the selection are frozen too:
+//!   the campaign runs them once over the whole pool, and each
+//!   scenario's spec carries a shared handle to those activations plus
+//!   its rows, so the attack gathers its inputs to the first attacked
+//!   layer instead of recomputing them (see [`AttackSpec`]);
 //! * scenarios dispatch through [`fsa_tensor::parallel::par_map`]:
 //!   attack-level workers split the thread budget and each attack's
 //!   kernel-level parallelism runs under its worker's share, so the two
@@ -61,11 +66,12 @@ pub mod wire;
 use crate::precision::{Precision, QuantizedSelection};
 use crate::selection::ParamSelection;
 use crate::solver::{AttackConfig, AttackResult, FaultSneakingAttack, Norm};
-use crate::spec::AttackSpec;
+use crate::spec::{AttackSpec, PoolPrefix};
 use fsa_nn::head::FcHead;
 use fsa_nn::quant::QuantizedHead;
 use fsa_nn::FeatureCache;
 use fsa_tensor::{parallel, Prng};
+use std::sync::{Arc, OnceLock};
 
 /// One point on the sparsity axis: which norm `D(δ)` minimizes and the
 /// weight `λ` on it (larger `λ` → tighter budget).
@@ -290,6 +296,15 @@ pub enum SpecError {
     },
     /// The victim has a single class, so no wrong target exists.
     TooFewClasses,
+    /// The stealth objective breaks a bound [`StealthObjective::new`]
+    /// asserts: `block_params > 0`, and `block_lambda` and
+    /// `drift_budget` finite and ≥ 0.
+    ///
+    /// [`StealthObjective::new`]: crate::stealth::StealthObjective::new
+    InvalidStealth {
+        /// The offending objective.
+        stealth: crate::stealth::StealthObjective,
+    },
 }
 
 impl std::fmt::Display for SpecError {
@@ -307,6 +322,13 @@ impl std::fmt::Display for SpecError {
                 "scenario {scenario} needs R = {r} but only {usable} pool rows are usable"
             ),
             SpecError::TooFewClasses => f.write_str("need at least two classes to mistarget"),
+            SpecError::InvalidStealth { stealth: s } => write!(
+                f,
+                "stealth objective needs block_params > 0 and finite, non-negative \
+                 block_lambda and drift_budget (got block_params = {}, \
+                 block_lambda = {}, drift_budget = {})",
+                s.block_params, s.block_lambda, s.drift_budget
+            ),
         }
     }
 }
@@ -508,7 +530,10 @@ impl CampaignReport {
 ///
 /// The head and cache are read-only for the whole run; every concurrent
 /// attack worker reads the same activations and clones only the small
-/// head it perturbs.
+/// head it perturbs. The head layers below the selection's start layer
+/// run once over the whole pool (at construction; once more, lazily, for
+/// the dequantized head of a [`Precision::Int8`] run), and every
+/// scenario spec shares those activations (see [`AttackSpec`]).
 #[derive(Debug)]
 pub struct Campaign<'a> {
     head: &'a FcHead,
@@ -518,6 +543,17 @@ pub struct Campaign<'a> {
     /// Pool rows the victim classifies correctly (scenarios sample from
     /// these, as the paper implicitly attacks correct images).
     usable: Vec<usize>,
+    /// The pool's inputs to the start layer under `head` (`None` when
+    /// the selection starts at layer 0, where they are the features).
+    prefix: Option<Arc<PoolPrefix>>,
+    /// The same under the dequantized head, built by the first Int8 run.
+    deq_prefix: OnceLock<Option<Arc<PoolPrefix>>>,
+}
+
+/// The pool prefix for a selection starting at `start`, if any layers
+/// lie below it.
+fn pool_prefix(head: &FcHead, start: usize, cache: &FeatureCache) -> Option<Arc<PoolPrefix>> {
+    (start > 0).then(|| Arc::new(PoolPrefix::new(head, start, cache)))
 }
 
 impl<'a> Campaign<'a> {
@@ -553,12 +589,15 @@ impl<'a> Campaign<'a> {
         let usable = (0..labels.len())
             .filter(|&i| preds[i] == labels[i])
             .collect();
+        let prefix = pool_prefix(head, selection.start_layer(), &cache);
         Self {
             head,
             selection,
             cache,
             labels,
             usable,
+            prefix,
+            deq_prefix: OnceLock::new(),
         }
     }
 
@@ -588,8 +627,9 @@ impl<'a> Campaign<'a> {
     }
 
     /// Checks that `spec` can run against this victim: its ADMM penalty
-    /// ρ is finite and positive, each working set fits the usable pool,
-    /// and the head has a wrong class to target.
+    /// ρ is finite and positive, its stealth objective (if any) keeps the
+    /// bounds [`crate::StealthObjective::new`] asserts, each working set
+    /// fits the usable pool, and the head has a wrong class to target.
     /// [`Campaign::run_indices`] calls this before dispatching any
     /// scenario.
     ///
@@ -622,6 +662,9 @@ impl<'a> Campaign<'a> {
     pub fn validate(&self, spec: &CampaignSpec) -> Result<(), SpecError> {
         if !spec.base.rho_is_valid() {
             return Err(SpecError::InvalidRho { rho: spec.base.rho });
+        }
+        if let Some(stealth) = spec.stealth.filter(|s| !s.is_valid()) {
+            return Err(SpecError::InvalidStealth { stealth });
         }
         spec.scenarios()
             .iter()
@@ -682,15 +725,29 @@ impl<'a> Campaign<'a> {
     }
 
     /// Builds the attack spec for one scenario: the scenario's
-    /// [`Campaign::scenario_draw`] gathered out of the shared cache.
+    /// [`Campaign::scenario_draw`] gathered out of the shared cache. The
+    /// spec also carries a handle to the pool's activations at the
+    /// selection's start layer under this campaign's head, so an attack
+    /// on that head skips the frozen layers below the selection.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Campaign::scenario_draw`].
     pub fn scenario_spec(&self, sc: &Scenario, c_attack: f32, c_keep: f32) -> AttackSpec {
+        self.spec_with_prefix(sc, c_attack, c_keep, self.prefix.as_ref())
+    }
+
+    fn spec_with_prefix(
+        &self,
+        sc: &Scenario,
+        c_attack: f32,
+        c_keep: f32,
+        prefix: Option<&Arc<PoolPrefix>>,
+    ) -> AttackSpec {
         let draw = self.scenario_draw(sc);
         AttackSpec::from_cache(&self.cache, &draw.rows, draw.labels, draw.targets)
             .with_weights(c_attack, c_keep)
+            .with_prefix(prefix, draw.rows)
     }
 
     /// Runs the whole scenario matrix under the fault sneaking attack
@@ -805,6 +862,15 @@ impl<'a> Campaign<'a> {
                 Some((qclean, deq, qsel))
             }
         };
+        // The attacked head's own pool prefix: the f32 head's, or the
+        // dequantized head's, built on the campaign's first Int8 run.
+        let prefix = match &quant {
+            None => self.prefix.as_ref(),
+            Some((_, deq, _)) => self
+                .deq_prefix
+                .get_or_init(|| pool_prefix(deq, self.selection.start_layer(), &self.cache))
+                .as_ref(),
+        };
         let scenarios = spec.scenarios();
         for &i in indices {
             assert!(
@@ -826,7 +892,7 @@ impl<'a> Campaign<'a> {
             };
             let sc = scenarios[indices[j]];
             let aspec = self
-                .scenario_spec(&sc, spec.c_attack, spec.c_keep)
+                .spec_with_prefix(&sc, spec.c_attack, spec.c_keep, prefix)
                 .with_stealth(spec.stealth);
             let targets = aspec.targets.clone();
             let result = match &quant {
@@ -958,6 +1024,48 @@ mod tests {
         }
         let spec = CampaignSpec::grid(vec![1], vec![2]);
         assert_eq!(campaign.validate(&spec), Ok(()));
+    }
+
+    #[test]
+    fn validate_refuses_a_stealth_objective_out_of_bounds() {
+        let (head, cache, labels) = fixture();
+        let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+        let good = crate::stealth::StealthObjective::new(
+            16,
+            0.5,
+            fsa_memfault::dram::DramGeometry {
+                banks: 2,
+                rows_per_bank: 512,
+                row_bytes: 64,
+            },
+            0.75,
+        );
+        let spec = CampaignSpec::grid(vec![1], vec![2]).with_stealth(Some(good));
+        assert_eq!(campaign.validate(&spec), Ok(()));
+        let mut bad = vec![crate::stealth::StealthObjective {
+            block_params: 0,
+            ..good
+        }];
+        for v in [f32::NAN, f32::INFINITY, -1.0] {
+            bad.push(crate::stealth::StealthObjective {
+                block_lambda: v,
+                ..good
+            });
+            bad.push(crate::stealth::StealthObjective {
+                drift_budget: v,
+                ..good
+            });
+        }
+        for stealth in bad {
+            let err = campaign
+                .validate(&spec.clone().with_stealth(Some(stealth)))
+                .unwrap_err();
+            assert!(
+                matches!(err, SpecError::InvalidStealth { .. }),
+                "{stealth:?}: {err:?}"
+            );
+            assert!(err.to_string().contains("block_params > 0"), "{err}");
+        }
     }
 
     #[test]

@@ -372,16 +372,19 @@ fn read_stealth(dec: &mut Decoder<'_>) -> Result<Option<StealthObjective>, Decod
             };
             let drift_budget = dec.read_f32()?;
             let max_dirty_blocks = dec.read_u64()? as usize;
-            if block_params == 0 {
-                return Err(DecodeError::new("stealth block size must be positive"));
-            }
-            Ok(Some(StealthObjective {
+            let stealth = StealthObjective {
                 block_params,
                 block_lambda,
                 geometry,
                 drift_budget,
                 max_dirty_blocks,
-            }))
+            };
+            if !stealth.is_valid() {
+                return Err(DecodeError::new(
+                    SpecError::InvalidStealth { stealth }.to_string(),
+                ));
+            }
+            Ok(Some(stealth))
         }
         v => Err(DecodeError::new(format!("unknown stealth tag {v}"))),
     }
@@ -1022,6 +1025,36 @@ mod tests {
         let bytes = enc.into_bytes();
         let err = read_config(&mut Decoder::new(&bytes)).unwrap_err();
         assert!(err.to_string().contains("finite and > 0"), "{err}");
+    }
+
+    #[test]
+    fn stealth_out_of_bounds_is_a_decode_error() {
+        let good = small_spec().stealth.unwrap();
+        let mut bad = vec![StealthObjective {
+            block_params: 0,
+            ..good
+        }];
+        for v in [f32::NAN, f32::NEG_INFINITY, -0.5] {
+            bad.push(StealthObjective {
+                block_lambda: v,
+                ..good
+            });
+            bad.push(StealthObjective {
+                drift_budget: v,
+                ..good
+            });
+        }
+        for stealth in bad {
+            let mut enc = Encoder::new();
+            put_stealth(&mut enc, &Some(stealth));
+            let bytes = enc.into_bytes();
+            let err = read_stealth(&mut Decoder::new(&bytes)).unwrap_err();
+            assert!(err.to_string().contains("block_params > 0"), "{err}");
+        }
+        let mut enc = Encoder::new();
+        put_stealth(&mut enc, &Some(good));
+        let bytes = enc.into_bytes();
+        assert_eq!(read_stealth(&mut Decoder::new(&bytes)).unwrap(), Some(good));
     }
 
     #[test]

@@ -110,6 +110,21 @@ impl ParamSelection {
         self.entries[0].layer
     }
 
+    /// The same regions over a head cut down to its layers `start..`
+    /// (every layer index minus `start`).
+    pub(crate) fn relative_to(&self, start: usize) -> Self {
+        Self {
+            entries: self
+                .entries
+                .iter()
+                .map(|e| LayerSelection {
+                    layer: e.layer - start,
+                    kind: e.kind,
+                })
+                .collect(),
+        }
+    }
+
     /// Validates the selection against a head.
     ///
     /// # Panics

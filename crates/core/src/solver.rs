@@ -227,7 +227,7 @@ impl FaultSneakingAttack {
             "spec features must match head input width"
         );
         let start = self.selection.start_layer();
-        let acts = self.head.activations_before(start, &spec.features);
+        let acts = spec.activations_before(&self.head, start);
         let dim = self.selection.dim(&self.head);
         let c_max = spec.c_attack.max(spec.c_keep);
         let leverage = estimate_leverage(&self.head, &self.selection, start, &acts, spec);
@@ -261,17 +261,29 @@ impl FaultSneakingAttack {
         let cfg = &self.config;
         let rho = cfg.rho;
         let block_lambda = spec.stealth.map_or(0.0, |s| s.block_lambda);
-        let mut head = self.head.clone();
+        // The working head holds only the attacked layers `start..`: the
+        // loop, refinement and the final evaluation all run them from
+        // `acts`, so the frozen layers below are never copied. Its
+        // selection names the same regions, renumbered from 0.
+        let mut head = FcHead::from_linears(
+            (start..self.head.num_layers())
+                .map(|i| self.head.layer(i).clone())
+                .collect(),
+        );
+        let selection = self.selection.relative_to(start);
         let mut hinge = HingeEval::default();
         // The split variables: z (the structured answer), x = δᵏ (the
-        // linearized primal) and the scaled dual s; v, x_prev, theta and
-        // grad are per-iteration scratch.
+        // linearized primal) and the scaled dual s; v = x − s and
+        // theta = θ₀ + x are carried from one iteration's element pass
+        // into the next, and grad, dp and dd are per-iteration scratch.
         let mut z = vec![0.0f32; dim];
         let mut x = vec![0.0f32; dim];
         let mut s = vec![0.0f32; dim];
         let mut v = vec![0.0f32; dim];
-        let mut x_prev = vec![0.0f32; dim];
-        let mut theta = vec![0.0f32; dim];
+        // θ₀ + δ⁰ with δ⁰ = 0, as an add (it turns a −0.0 into +0.0).
+        let mut theta: Vec<f32> = self.theta0.iter().map(|&t| t + 0.0).collect();
+        let mut dp = vec![0.0f32; dim];
+        let mut dd = vec![0.0f32; dim];
         let mut grad = Vec::with_capacity(dim);
         let mut objective_history = Vec::with_capacity(cfg.iterations);
         let mut admm_history = Vec::with_capacity(cfg.iterations);
@@ -283,9 +295,6 @@ impl FaultSneakingAttack {
             for iter in 0..cfg.iterations {
                 // z-step on v = δᵏ − sᵏ (eqs. 16/18, block-structured
                 // under the stealth objective).
-                for i in 0..dim {
-                    v[i] = x[i] - s[i];
-                }
                 match (&blocks, cfg.norm) {
                     (None, Norm::L0) => hard_threshold(&v, cfg.lambda, rho, &mut z),
                     (None, Norm::L2) => block_soft_threshold(&v, cfg.lambda, rho, &mut z),
@@ -300,47 +309,40 @@ impl FaultSneakingAttack {
                 // δ-step: Σᵢ∇gᵢ(θ + δᵏ) over the selected parameters from
                 // one cached forward that feeds both the hinge and the
                 // backward pass.
-                x_prev.copy_from_slice(&x);
-                for (w, (&t, &d)) in theta.iter_mut().zip(self.theta0.iter().zip(&x)) {
-                    *w = t + d;
-                }
-                self.selection.scatter(&mut head, &theta);
-                let logits = head.forward_from_caching(start, &acts, &mut bufs);
+                selection.scatter(&mut head, &theta);
+                let logits = head.forward_from_caching(0, &acts, &mut bufs);
                 evaluate_hinge_into(spec, logits, cfg.kappa, &mut hinge);
                 if hinge.active == 0 {
                     grad.clear();
                     grad.resize(dim, 0.0);
                 } else {
-                    head.backward_from_cache(start, &acts, &hinge.logit_grad, &mut bufs);
-                    self.selection
-                        .gather_grads_into(bufs.grads(), start, &mut grad);
+                    head.backward_from_cache(0, &acts, &hinge.logit_grad, &mut bufs);
+                    selection.gather_grads_into(bufs.grads(), 0, &mut grad);
                 }
-                // Eq. 22: δ ← [ρ(z + s) + αRδ − Σ∇g] / (αR + ρ), with the
-                // αR product resolved once per run (see `Stiffness`).
-                let denom = stiffness + rho;
-                for i in 0..dim {
-                    x[i] = (rho * (z[i] + s[i]) + stiffness * x[i] - grad[i]) / denom;
-                }
-
-                // Dual update s ← s + z − δ.
-                for i in 0..dim {
-                    s[i] += z[i] - x[i];
-                }
+                // One element pass: eq. 22's δ ← [ρ(z + s) + αRδ − Σ∇g] /
+                // (αR + ρ) (the αR product resolved once per run, see
+                // `Stiffness`), the dual update s ← s + z − δ, the next
+                // iteration's v and θ, and the residual terms z − δ and
+                // δ^{k+1} − δᵏ.
+                element_pass(
+                    rho,
+                    stiffness,
+                    &z,
+                    &grad,
+                    &self.theta0,
+                    &mut x,
+                    &mut s,
+                    &mut v,
+                    &mut theta,
+                    &mut dp,
+                    &mut dd,
+                );
 
                 // Residuals ‖z − δ‖₂ and ρ‖δ^{k+1} − δᵏ‖₂, summed in f64
                 // in index order.
-                let mut acc = 0.0f64;
-                for i in 0..dim {
-                    let d = (z[i] - x[i]) as f64;
-                    acc += d * d;
-                }
-                let primal = acc.sqrt() as f32;
-                let mut acc = 0.0f64;
-                for i in 0..dim {
-                    let d = (x[i] - x_prev[i]) as f64;
-                    acc += d * d;
-                }
-                let dual = rho * acc.sqrt() as f32;
+                let (primal_sq, dual_sq) = squared_norms(&dp, &dd);
+                let primal = primal_sq.sqrt() as f32;
+                let dual = rho * dual_sq.sqrt() as f32;
 
                 objective_history.push(hinge.total);
                 admm_history.push(IterStats {
@@ -403,7 +405,7 @@ impl FaultSneakingAttack {
                 .map(|(s, r)| (r.as_slice(), s.drift_budget));
             refine_on_support(
                 &mut head,
-                &self.selection,
+                &selection,
                 &self.theta0,
                 spec,
                 &acts,
@@ -426,8 +428,8 @@ impl FaultSneakingAttack {
         }
 
         // Final evaluation with θ + δ applied.
-        eval::apply_delta(&mut head, &self.selection, &self.theta0, &delta);
-        let logits = head.forward_from(start, &acts);
+        eval::apply_delta(&mut head, &selection, &self.theta0, &delta);
+        let logits = head.forward_from(0, &acts);
         let (s_hits, keep_hits) = count_satisfied(spec, &logits);
 
         AttackResult {
@@ -443,6 +445,68 @@ impl FaultSneakingAttack {
             converged,
         }
     }
+}
+
+/// One ADMM iteration's O(n) work after the gradient, in one pass: per
+/// element `i`, with `xᵢ` the old δᵢ,
+///
+/// - `x'ᵢ = (ρ(zᵢ + sᵢ) + αR·xᵢ − gradᵢ) / (αR + ρ)` (eq. 22),
+/// - `dpᵢ = zᵢ − x'ᵢ`, `ddᵢ = x'ᵢ − xᵢ` (the residual terms),
+/// - `s'ᵢ = sᵢ + dpᵢ` (the dual update),
+/// - `vᵢ = x'ᵢ − s'ᵢ` and `thetaᵢ = θ₀ᵢ + x'ᵢ` for the next iteration.
+///
+/// Each value comes out of the same `f32` operations, in the same order,
+/// as the separate passes it replaces. Every slice is cut to one length
+/// first, so the loop runs without bounds checks and vectorizes
+/// (division included).
+#[allow(clippy::too_many_arguments)]
+fn element_pass(
+    rho: f32,
+    stiffness: f32,
+    z: &[f32],
+    grad: &[f32],
+    theta0: &[f32],
+    x: &mut [f32],
+    s: &mut [f32],
+    v: &mut [f32],
+    theta: &mut [f32],
+    dp: &mut [f32],
+    dd: &mut [f32],
+) {
+    let n = x.len();
+    let (z, grad, theta0) = (&z[..n], &grad[..n], &theta0[..n]);
+    let (s, v, theta, dp, dd) = (
+        &mut s[..n],
+        &mut v[..n],
+        &mut theta[..n],
+        &mut dp[..n],
+        &mut dd[..n],
+    );
+    let denom = stiffness + rho;
+    for i in 0..n {
+        let old = x[i];
+        let new = (rho * (z[i] + s[i]) + stiffness * old - grad[i]) / denom;
+        let primal = z[i] - new;
+        let dual = s[i] + primal;
+        x[i] = new;
+        s[i] = dual;
+        v[i] = new - dual;
+        theta[i] = theta0[i] + new;
+        dp[i] = primal;
+        dd[i] = new - old;
+    }
+}
+
+/// `(Σ dpᵢ², Σ ddᵢ²)` in `f64`, both chains advanced in index order.
+fn squared_norms(dp: &[f32], dd: &[f32]) -> (f64, f64) {
+    let mut primal = 0.0f64;
+    let mut dual = 0.0f64;
+    for (&p, &d) in dp.iter().zip(&dd[..dp.len()]) {
+        let (p, d) = (p as f64, d as f64);
+        primal += p * p;
+        dual += d * d;
+    }
+    (primal, dual)
 }
 
 /// Mean squared norm of the per-image unit-weight hinge gradient over the

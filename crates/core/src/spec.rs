@@ -1,13 +1,28 @@
 //! The attack's input specification.
 
 use crate::stealth::StealthObjective;
+use fsa_nn::head::FcHead;
+use fsa_nn::linear::Linear;
+use fsa_nn::FeatureCache;
 use fsa_tensor::Tensor;
+use std::sync::Arc;
 
 /// What the adversary wants: `R` working images, the first `S` of which
 /// must flip to designated target labels while the rest keep their labels.
 ///
 /// `features` are the **head inputs** (conv features) of the `R` images —
 /// the conv stack is never modified, so the attack never needs pixels.
+///
+/// A spec built by [`crate::Campaign::scenario_spec`] also carries a
+/// private handle to the campaign pool's activations at the selection's
+/// start layer, computed once per pool, plus its own pool rows.
+/// [`crate::FaultSneakingAttack::run`] gathers its working set's
+/// activations from that handle instead of re-running the frozen layers
+/// below the selection, but only when the handle was computed with the
+/// attacked head's own layers `0..start` (an exact parameter compare)
+/// from exactly this spec's `features` rows. Any other spec, or a spec
+/// whose features were replaced, runs those layers as before; the
+/// result bits are the same either way.
 #[derive(Debug, Clone)]
 pub struct AttackSpec {
     /// `[R, head_input_dim]` head-input features.
@@ -24,6 +39,82 @@ pub struct AttackSpec {
     /// Detector-aware planning objective; `None` runs the paper's plain
     /// behavioural-stealth attack.
     pub stealth: Option<StealthObjective>,
+    /// The campaign pool's frozen prefix and this spec's pool rows.
+    prefix: Option<PrefixRows>,
+}
+
+/// The inputs to head layer `start` for a whole campaign pool, computed
+/// once, kept with the head layers `0..start` and the pool they came
+/// from, so a spec can prove a gather from it exact.
+#[derive(Debug)]
+pub(crate) struct PoolPrefix {
+    layers: Vec<Linear>,
+    pool: FeatureCache,
+    acts: Tensor,
+}
+
+impl PoolPrefix {
+    /// Runs `head`'s layers `0..start` over the whole `pool`.
+    pub(crate) fn new(head: &FcHead, start: usize, pool: &FeatureCache) -> Self {
+        Self {
+            layers: (0..start).map(|i| head.layer(i).clone()).collect(),
+            pool: pool.clone(),
+            acts: head.activations_before(start, pool.features()),
+        }
+    }
+
+    /// Rows `rows` of the pool activations, if they are exactly
+    /// `head.activations_before(start, features)`: this prefix ran the
+    /// same layers `0..start`, bit for bit, over pool rows equal to
+    /// `features` bit for bit. A row's `gemm_nt` output does not depend
+    /// on which rows share its batch, so the gather is then exact.
+    fn gather(
+        &self,
+        head: &FcHead,
+        start: usize,
+        rows: &[usize],
+        features: &Tensor,
+    ) -> Option<Tensor> {
+        let same_layers = self.layers.len() == start
+            && self.layers.iter().enumerate().all(|(i, mine)| {
+                let theirs = head.layer(i);
+                mine.weight().shape() == theirs.weight().shape()
+                    && same_bits(mine.weight().as_slice(), theirs.weight().as_slice())
+                    && same_bits(mine.bias().as_slice(), theirs.bias().as_slice())
+            });
+        let same_rows = features.shape()[0] == rows.len()
+            && rows.iter().enumerate().all(|(k, &r)| {
+                r < self.pool.len() && same_bits(features.row(k), self.pool.features().row(r))
+            });
+        if !(same_layers && same_rows) {
+            return None;
+        }
+        let width = self.acts.shape()[1];
+        let mut out = Tensor::zeros(&[rows.len(), width]);
+        for (k, &r) in rows.iter().enumerate() {
+            out.row_mut(k).copy_from_slice(self.acts.row(r));
+        }
+        Some(out)
+    }
+}
+
+/// A spec's shared pool prefix and its rows in that pool.
+#[derive(Debug, Clone)]
+struct PrefixRows {
+    prefix: Arc<PoolPrefix>,
+    rows: Vec<usize>,
+}
+
+/// Whether two slices hold the same `f32` bit patterns. Folding each
+/// 64-element chunk without an early exit lets the compare vectorize
+/// (about 3x faster than a plain `all` on the paper head's prefix).
+fn same_bits(a: &[f32], b: &[f32]) -> bool {
+    a.len() == b.len()
+        && a.chunks(64).zip(b.chunks(64)).all(|(p, q)| {
+            p.iter()
+                .zip(q)
+                .fold(true, |same, (x, y)| same & (x.to_bits() == y.to_bits()))
+        })
 }
 
 impl AttackSpec {
@@ -58,6 +149,7 @@ impl AttackSpec {
             c_attack: 1.0,
             c_keep: 1.0,
             stealth: None,
+            prefix: None,
         }
     }
 
@@ -131,6 +223,29 @@ impl AttackSpec {
     pub fn with_stealth(mut self, stealth: Option<StealthObjective>) -> Self {
         self.stealth = stealth;
         self
+    }
+
+    /// Attaches a campaign pool's frozen prefix and this spec's rows in
+    /// that pool.
+    pub(crate) fn with_prefix(
+        mut self,
+        prefix: Option<&Arc<PoolPrefix>>,
+        rows: Vec<usize>,
+    ) -> Self {
+        self.prefix = prefix.map(|p| PrefixRows {
+            prefix: Arc::clone(p),
+            rows,
+        });
+        self
+    }
+
+    /// `head.activations_before(start, &self.features)`, gathered from
+    /// the attached pool prefix when that is exact (see [`AttackSpec`]).
+    pub(crate) fn activations_before(&self, head: &FcHead, start: usize) -> Tensor {
+        self.prefix
+            .as_ref()
+            .and_then(|p| p.prefix.gather(head, start, &p.rows, &self.features))
+            .unwrap_or_else(|| head.activations_before(start, &self.features))
     }
 
     /// Number of designated faults `S`.

@@ -101,6 +101,16 @@ impl StealthObjective {
         }
     }
 
+    /// Whether the objective keeps the bounds [`StealthObjective::new`]
+    /// asserts: `block_params > 0`, and `block_lambda` and
+    /// `drift_budget` finite and non-negative. A struct literal or a
+    /// decoded frame can break them; the campaign and wire boundaries
+    /// check this before any scenario runs.
+    pub(crate) fn is_valid(&self) -> bool {
+        let bound = |v: f32| v.is_finite() && v >= 0.0;
+        self.block_params > 0 && bound(self.block_lambda) && bound(self.drift_budget)
+    }
+
     /// Caps the number of dirty checksum blocks (see
     /// [`StealthObjective::max_dirty_blocks`]). `0` removes the cap.
     #[must_use]

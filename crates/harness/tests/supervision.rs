@@ -22,12 +22,13 @@
 
 use fsa_attack::campaign::{CampaignReport, CampaignSpec};
 use fsa_attack::solver::AttackConfig;
-use fsa_attack::{Campaign, FsaMethod, ParamSelection};
+use fsa_attack::{Campaign, FsaMethod, ParamSelection, StealthObjective};
 use fsa_harness::injector::{FaultDirective, FaultPlanner};
 use fsa_harness::supervisor::{
     ExecutionLog, ExecutorConfig, FaultKind, ShardResolution, ShardedCampaign,
 };
 use fsa_harness::transport::{PipeTransport, SocketConfig, SocketTransport, Transport};
+use fsa_memfault::dram::DramGeometry;
 use fsa_nn::feature_cache::FeatureCache;
 use fsa_nn::head::FcHead;
 use fsa_tensor::{Prng, Tensor};
@@ -357,6 +358,35 @@ fn invalid_rho_is_rejected_before_any_worker_spawns() {
     });
     let link: Arc<dyn Transport> = Arc::new(PipeTransport);
     sharded(&spec, &config(2, &link).with_max_retries(0));
+}
+
+/// A stealth objective out of `StealthObjective::new`'s bounds is
+/// refused the same way, even by a one-shard run, instead of dividing by
+/// zero (or tripping an assert) inside a worker.
+#[test]
+#[should_panic(expected = "stealth objective needs block_params > 0")]
+fn invalid_stealth_is_rejected_before_any_worker_spawns() {
+    let stealth = StealthObjective::new(
+        16,
+        0.5,
+        DramGeometry {
+            banks: 2,
+            rows_per_bank: 512,
+            row_bytes: 64,
+        },
+        0.75,
+    );
+    let spec = CampaignSpec::grid(vec![1], vec![2])
+        .with_config(AttackConfig {
+            iterations: 25,
+            ..AttackConfig::default()
+        })
+        .with_stealth(Some(StealthObjective {
+            block_params: 0,
+            ..stealth
+        }));
+    let link: Arc<dyn Transport> = Arc::new(PipeTransport);
+    sharded(&spec, &config(1, &link).with_max_retries(0));
 }
 
 #[test]

@@ -16,6 +16,13 @@
 //! `FSA_THREADS`), so specs built from the cache match specs built by
 //! direct per-attack extraction bit for bit —
 //! `tests/feature_cache_oracle.rs` locks this in.
+//!
+//! The attack campaign (`fsa_attack::Campaign`) applies the same idea
+//! one level up: the head layers below the attacked selection are frozen
+//! too, so it runs them once over the cached pool and gathers each
+//! scenario's rows from the result. The oracle test also pins that a
+//! pool-level `FcHead::activations_before` followed by a gather equals
+//! the pass over the gathered rows, bit for bit.
 
 use crate::cw::CwModel;
 use crate::network::Network;

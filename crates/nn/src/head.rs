@@ -70,6 +70,11 @@ pub struct HeadBuffers {
     /// Ascending batch rows the backward pass visits (see
     /// [`FcHead::backward_from_cache`]).
     rows: Vec<usize>,
+    /// Entries `!= 0.0` of `g` in those rows.
+    nonzero: usize,
+    /// A `+0.0` `dW` tile for the top layer's second and later [`KC`]
+    /// tiles.
+    tile: Vec<f32>,
     /// Those rows of the current layer's input, gathered.
     gathered: Vec<f32>,
     /// `(start, batch)` of the cached forward pass, if any.
@@ -376,26 +381,37 @@ impl FcHead {
     ///
     /// Only the batch rows whose row of `g` has an entry `!= 0.0` are
     /// propagated: for the paper's hinge that is the images whose margin
-    /// is not yet met, often a small share of `R`. Those rows of `g`, of
-    /// each layer's input and of the cached pre-activations are gathered
-    /// and run through the same `gemm_tn`/`gemm`/ReLU-mask kernels as a
-    /// compact batch. When every row is active the gather is the
-    /// identity.
+    /// is not yet met, often a small share of `R`. Below the top layer,
+    /// those rows of the layer input, of the upstream gradient and of the
+    /// cached pre-activations are gathered and run through the same
+    /// `gemm_tn`/`gemm`/ReLU-mask kernels as a compact batch (when every
+    /// row is active the gather is the identity). The top layer, whose
+    /// upstream gradient is `g` itself, goes further: an active hinge
+    /// row has only two nonzero entries (`+cᵢ` at the runner-up, `−cᵢ`
+    /// at the enforced class), so its `dW` adds only the nonzero entries
+    /// `g[r, j]·x_r` into row `j`, reading the input rows in place. When
+    /// every visited row keeps every entry (a dense `g`) it runs the
+    /// `gemm_tn` path instead.
     ///
     /// The result is bit-identical to the dense pass over all rows:
     ///
-    /// - **Zero rows add nothing.** A skipped row reaches every `dW`/`db`
-    ///   accumulator as a `(±0)·x = ±0` term, and every accumulator starts
-    ///   at `+0.0`. Adding `±0` to a value that is not `−0.0` returns it
-    ///   unchanged, and a sum that starts at `+0.0` only becomes `−0.0`
-    ///   by adding `−0.0` to `−0.0`, so it never does. Below the top
-    ///   layer a skipped row's upstream gradient is `(±0)·W` (then
-    ///   masked), which is `+0.0` again.
+    /// - **Zero terms add nothing.** A skipped row or entry reaches every
+    ///   `dW`/`db` accumulator as a `(±0)·x = ±0` term, and every
+    ///   accumulator starts at `+0.0`. Adding `±0` to a value that is not
+    ///   `−0.0` returns it unchanged, and a sum that starts at `+0.0` only
+    ///   becomes `−0.0` by adding `−0.0` to `−0.0`, so it never does.
+    ///   Below the top layer a skipped row's upstream gradient is
+    ///   `(±0)·W` (then masked), which is `+0.0` again.
     /// - **Tiles line up.** `gemm_tn` sums each [`KC`] tile of the batch
-    ///   from `+0.0` and adds it into `dW` at write-back. The compact rows
-    ///   are therefore issued as one `beta = 1` call per original `KC`
-    ///   tile, into a zeroed `dW`; a tile with no active rows adds `+0.0`
-    ///   in the dense pass and is skipped.
+    ///   from `+0.0` in ascending row order and adds it into `dW` at
+    ///   write-back. The compact rows are therefore issued as one
+    ///   `beta = 1` call per original `KC` tile, into a zeroed `dW`; a
+    ///   tile with no active rows adds `+0.0` in the dense pass and is
+    ///   skipped. The top layer's entries likewise accumulate per `KC`
+    ///   tile, in ascending row order, with the kernel's `acc + g·x` step:
+    ///   the first nonempty tile straight into the zeroed `dW` (where
+    ///   `+0.0 + acc` is `acc`), each later one into a `+0.0` tile added
+    ///   at write-back.
     /// - **Non-finite values.** The argument needs every skipped term
     ///   finite, since `0·NaN` and `0·Inf` are NaN. Checking the inputs
     ///   directly costs about as much as the skip saves, so the cached
@@ -408,7 +424,8 @@ impl FcHead {
     ///   layer's weights finite. A row keeps its place unless every layer
     ///   proves its input finite; if a layer above `start` (where `dX`
     ///   is formed from `W`) has no fully finite output row, every row is
-    ///   kept.
+    ///   kept. At the top layer a row whose logits prove its input finite
+    ///   skips its zero entries; any other row keeps all of them.
     ///
     /// # Panics
     ///
@@ -423,6 +440,7 @@ impl FcHead {
     ) -> &'a [(Tensor, Tensor)] {
         use crate::layer::Layer as _;
         let batch = acts.shape()[0];
+        let classes = self.classes();
         assert_eq!(
             bufs.cached,
             Some((start, batch)),
@@ -430,16 +448,17 @@ impl FcHead {
         );
         assert_eq!(
             g.shape(),
-            &[batch, self.classes()],
+            &[batch, classes],
             "upstream gradient must be [batch, classes]"
         );
 
         let nrel = self.layers.len() - start;
         self.collect_rows(start, g, bufs);
         let dense = bufs.rows.len() == batch;
+        let entry_sparse = bufs.nonzero < bufs.rows.len() * classes;
         bufs.grads
             .resize_with(nrel, || (Tensor::zeros(&[0]), Tensor::zeros(&[0])));
-        gather_rows(g.as_slice(), self.classes(), &bufs.rows, &mut bufs.dz);
+        gather_rows(g.as_slice(), classes, &bufs.rows, &mut bufs.dz);
 
         for rel in (0..nrel).rev() {
             let abs = start + rel;
@@ -450,30 +469,42 @@ impl FcHead {
             } else {
                 &bufs.inputs[rel]
             };
-            if !dense {
-                gather_rows(x, i, &bufs.rows, &mut bufs.gathered);
-                x = &bufs.gathered;
-            }
             let (dw, db) = &mut bufs.grads[rel];
-            // dW = dZᵀ (o×N) · X (N×i), one call per KC tile of the batch.
             dw.reuse_as(&[o, i]);
             dw.as_mut_slice().fill(0.0);
-            for kb in (0..batch).step_by(KC) {
-                let lo = bufs.rows.partition_point(|&r| r < kb);
-                let hi = bufs.rows.partition_point(|&r| r < kb + KC);
-                if lo == hi {
-                    continue;
-                }
-                gemm_tn(
-                    o,
-                    hi - lo,
-                    i,
-                    &bufs.dz[lo * o..hi * o],
-                    &x[lo * i..hi * i],
+            if rel + 1 == nrel && entry_sparse {
+                entry_sparse_dw(
+                    g.as_slice(),
+                    bufs.logits.as_slice(),
+                    x,
+                    &bufs.rows,
+                    batch,
                     dw.as_mut_slice(),
-                    1.0,
-                    1.0,
+                    &mut bufs.tile,
                 );
+            } else {
+                if !dense {
+                    gather_rows(x, i, &bufs.rows, &mut bufs.gathered);
+                    x = &bufs.gathered;
+                }
+                // dW = dZᵀ (o×N) · X (N×i), one call per KC tile of the batch.
+                for kb in (0..batch).step_by(KC) {
+                    let lo = bufs.rows.partition_point(|&r| r < kb);
+                    let hi = bufs.rows.partition_point(|&r| r < kb + KC);
+                    if lo == hi {
+                        continue;
+                    }
+                    gemm_tn(
+                        o,
+                        hi - lo,
+                        i,
+                        &bufs.dz[lo * o..hi * o],
+                        &x[lo * i..hi * i],
+                        dw.as_mut_slice(),
+                        1.0,
+                        1.0,
+                    );
+                }
             }
             // db = column sums of dZ
             db.reuse_as(&[o]);
@@ -511,7 +542,8 @@ impl FcHead {
     /// Fills `bufs.rows` with the batch rows [`FcHead::backward_from_cache`]
     /// must propagate: every row of `g` with an entry `!= 0.0`, plus
     /// every zero row the cached outputs cannot prove finite (all rows
-    /// if an upper layer's weights are unproven).
+    /// if an upper layer's weights are unproven). Counts those entries
+    /// in `bufs.nonzero`.
     fn collect_rows(&self, start: usize, g: &Tensor, bufs: &mut HeadBuffers) {
         use crate::layer::Layer as _;
         let batch = g.shape()[0];
@@ -526,14 +558,21 @@ impl FcHead {
             }
         };
         let g = g.as_slice();
+        let mut nonzero = 0;
         bufs.rows.clear();
         bufs.rows.extend((0..batch).filter(|&r| {
-            g[r * classes..(r + 1) * classes].iter().any(|&v| v != 0.0)
+            let count = g[r * classes..(r + 1) * classes]
+                .iter()
+                .filter(|&&v| v != 0.0)
+                .count();
+            nonzero += count;
+            count > 0
                 || (0..nrel).any(|rel| {
                     let (y, w) = output(rel);
                     !y[r * w..(r + 1) * w].iter().any(|v| v.is_finite())
                 })
         }));
+        bufs.nonzero = nonzero;
         let weights_proven = bufs.rows.len() == batch
             || (1..nrel).all(|rel| {
                 let (y, w) = output(rel);
@@ -633,6 +672,61 @@ fn linear_forward(layer: &Linear, x: &Tensor) -> Tensor {
     let mut y = Tensor::zeros(&[batch, o]);
     layer.forward_into(x.as_slice(), batch, y.as_mut_slice());
     y
+}
+
+/// The top layer's entry-sparse `dW += gᵀ·X` (see
+/// [`FcHead::backward_from_cache`]): for each visited row `r`, each
+/// entry `g[r, j] != 0.0` adds `g[r, j]·x_r` into row `j` of a zeroed
+/// `dw` — every entry, if the row's `logits` prove nothing finite — per
+/// [`KC`] tile of the `batch` rows in ascending row order, with
+/// `gemm_tn`'s `acc + g·x` step. The first nonempty tile accumulates in
+/// `dw` itself; each later one in a `+0.0` `tile` added at write-back.
+fn entry_sparse_dw(
+    g: &[f32],
+    logits: &[f32],
+    x: &[f32],
+    rows: &[usize],
+    batch: usize,
+    dw: &mut [f32],
+    tile: &mut Vec<f32>,
+) {
+    let classes = logits.len() / batch;
+    let width = dw.len() / classes;
+    let add = |acc: &mut [f32], rows: &[usize]| {
+        for &r in rows {
+            let proven = logits[r * classes..(r + 1) * classes]
+                .iter()
+                .any(|v| v.is_finite());
+            let xr = &x[r * width..(r + 1) * width];
+            for (j, &v) in g[r * classes..(r + 1) * classes].iter().enumerate() {
+                if v != 0.0 || !proven {
+                    let ar = &mut acc[j * width..(j + 1) * width];
+                    for (a, &xv) in ar.iter_mut().zip(xr) {
+                        *a += v * xv;
+                    }
+                }
+            }
+        }
+    };
+    let mut first = true;
+    for kb in (0..batch).step_by(KC) {
+        let lo = rows.partition_point(|&r| r < kb);
+        let hi = rows.partition_point(|&r| r < kb + KC);
+        if lo == hi {
+            continue;
+        }
+        if first {
+            add(dw, &rows[lo..hi]);
+            first = false;
+        } else {
+            tile.clear();
+            tile.resize(dw.len(), 0.0);
+            add(tile, &rows[lo..hi]);
+            for (d, &t) in dw.iter_mut().zip(tile.iter()) {
+                *d += t;
+            }
+        }
+    }
 }
 
 /// Copies rows `rows` of the row-major `width`-wide `src` into `dst`.
@@ -913,6 +1007,56 @@ mod tests {
                         if site == "skipped row" {
                             assert!(bufs.rows.contains(&skipped), "{what}: row dropped");
                         }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The top layer's entry-sparse `dW` against the dense oracle: hinge
+    /// rows with two nonzero entries, rows whose `c` is zero (signed
+    /// zeros only), and non-finite input rows, over 3, 4 and 10 classes,
+    /// one and two `KC` tiles, and every start layer.
+    #[test]
+    fn row_sparse_backward_skips_zero_entries_bit_identically() {
+        let mut rng = Prng::new(25);
+        let mut bufs = HeadBuffers::new();
+        for classes in [3, 4, 10] {
+            let head = FcHead::from_dims(&[13, 11, 9, classes], &mut rng);
+            for batch in [100, 260] {
+                let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+                // Every row of the second KC tile is active, so its
+                // classes collect several entries there.
+                let mut g = hinge_grad(batch, classes, |r| r % 3 == 1 || r >= KC);
+                // Active in the hinge sense, but weighted c = 0.
+                for r in (4..batch.min(KC)).step_by(9) {
+                    let row = g.row_mut(r);
+                    row[r % classes] = 0.0;
+                    row[(r + 2) % classes] = -0.0;
+                }
+                for start in 0..head.num_layers() {
+                    let clean = head.activations_before(start, &x);
+                    let width = clean.shape()[1];
+                    let mut cases = vec![("finite", clean.clone())];
+                    for bad in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                        // Row 7 is active, row 9 inactive; row 8 is all
+                        // non-finite, so its logits prove nothing.
+                        let mut acts = clean.clone();
+                        acts.row_mut(7)[width / 2] = bad;
+                        acts.row_mut(9)[0] = bad;
+                        acts.row_mut(8).fill(bad);
+                        cases.push(("non-finite", acts));
+                    }
+                    for (site, acts) in cases {
+                        head.forward_from_caching(start, &acts, &mut bufs);
+                        let dense = dense_backward(&head, start, &acts, &g, &bufs);
+                        head.backward_from_cache(start, &acts, &g, &mut bufs);
+                        let what = format!("classes {classes} batch {batch} start {start} {site}");
+                        assert!(
+                            bufs.nonzero < bufs.rows.len() * classes,
+                            "{what}: the top layer ran dense"
+                        );
+                        assert_same_bits(bufs.grads(), &dense, &what);
                     }
                 }
             }

@@ -106,3 +106,109 @@ fn cache_gather_plus_activations_before_matches_direct_pass() {
         }
     }
 }
+
+/// Bit patterns of a tensor, for `to_bits` comparisons.
+fn bits(t: &Tensor) -> Vec<u32> {
+    t.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// The campaign's frozen-prefix cache runs the head layers below the
+/// selection once over the whole pool and gathers each scenario's rows.
+/// That is exact only if a row's activations do not depend on which rows
+/// share its batch: pool-level `activations_before` then a gather must
+/// equal `activations_before` on the gathered rows, bit for bit, under
+/// every thread budget and at row counts that split the kernels' 4-row
+/// tiles unevenly.
+#[test]
+fn pool_prefix_gather_matches_activations_before_on_the_gathered_rows() {
+    let mut rng = Prng::new(0x9EF1);
+    let head = FcHead::from_dims(&[24, 20, 12, 5], &mut rng);
+    let pool = Tensor::randn(&[37, 24], 1.0, &mut rng);
+    let cache = FeatureCache::from_features(pool);
+    for start in [1, 2] {
+        for budget in [1usize, 2, 3] {
+            parallel::with_budget(budget, || {
+                let pool_acts =
+                    FeatureCache::from_features(head.activations_before(start, cache.features()));
+                for count in [1usize, 3, 5, 6, 7, 13, 30] {
+                    // Scattered rows with repeats, in draw order.
+                    let rows: Vec<usize> = (0..count).map(|k| (k * 11 + start) % 37).collect();
+                    let direct = head.activations_before(start, &cache.gather(&rows));
+                    assert_eq!(
+                        bits(&pool_acts.gather(&rows)),
+                        bits(&direct),
+                        "start {start} budget {budget} rows {count}"
+                    );
+                }
+            });
+        }
+    }
+}
+
+/// A campaign spec carries a handle to its pool's prefix under the
+/// campaign's head. An attack on that head reproduces the plain spec's
+/// result; an attack on any other head — the int8 path's dequantized
+/// head, or one whose prefix differs in a single weight — must not use
+/// the handle, and returns exactly the plain spec's result too.
+#[test]
+fn a_foreign_prefix_handle_changes_no_result() {
+    use fault_sneaking::attack::campaign::{Campaign, Scenario, SparsityBudget};
+    use fault_sneaking::attack::{
+        AttackConfig, AttackResult, AttackSpec, FaultSneakingAttack, ParamKind, ParamSelection,
+    };
+    use fault_sneaking::nn::quant::QuantizedHead;
+
+    let mut rng = Prng::new(0xF0E1);
+    let head = FcHead::from_dims(&[12, 16, 16, 4], &mut rng);
+    let pool = Tensor::randn(&[40, 12], 1.0, &mut rng);
+    let labels = head.predict(&pool);
+    let cache = FeatureCache::from_features(pool);
+    let deq = QuantizedHead::quantize(&head).dequantized_head();
+    let mut nudged = head.clone();
+    nudged.layer_mut(0).weight_mut().as_mut_slice()[5] += 0.5;
+    let config = AttackConfig {
+        iterations: 60,
+        ..AttackConfig::default()
+    };
+    let same = |a: &AttackResult, b: &AttackResult, what: &str| {
+        let delta = |r: &AttackResult| r.delta.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(delta(a), delta(b), "{what}: δ bits");
+        assert_eq!(a, b, "{what}");
+    };
+    for selection in [
+        ParamSelection::last_layer(&head),
+        ParamSelection::layer(1, ParamKind::Both),
+    ] {
+        let start = selection.start_layer();
+        let campaign = Campaign::new(&head, selection.clone(), cache.clone(), labels.clone());
+        let sc = Scenario {
+            index: 0,
+            s: 2,
+            k: 9,
+            budget: SparsityBudget::l0(config.lambda),
+            seed: 5,
+        };
+        let spec = campaign.scenario_spec(&sc, 10.0, 1.0);
+        let plain = AttackSpec::new(
+            spec.features.clone(),
+            spec.labels.clone(),
+            spec.targets.clone(),
+        )
+        .with_weights(10.0, 1.0);
+        let run = |h: &FcHead, s: &AttackSpec| {
+            FaultSneakingAttack::new(h, selection.clone(), config.clone()).run(s)
+        };
+        same(&run(&head, &spec), &run(&head, &plain), "own head");
+        for (name, other) in [("dequantized head", &deq), ("one prefix weight", &nudged)] {
+            // The foreign prefix really differs, so using the handle
+            // would change what the attack sees.
+            assert_ne!(
+                bits(&other.activations_before(start, &spec.features)),
+                bits(&head.activations_before(start, &spec.features)),
+                "{name}: start {start}"
+            );
+            let what = format!("{name}, start {start}");
+            same(&run(other, &spec), &run(other, &plain), &what);
+        }
+    }
+}
