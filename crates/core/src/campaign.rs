@@ -209,6 +209,17 @@ impl CampaignSpec {
         self
     }
 
+    /// Checks the base config's bounds and that each budget's λ,
+    /// `c_attack` and `c_keep` are finite and ≥ 0.
+    pub(crate) fn check_weights(&self) -> Result<(), SpecError> {
+        self.base.check()?;
+        for budget in &self.budgets {
+            check_weight("budget lambda", budget.lambda)?;
+        }
+        check_weight("c_attack", self.c_attack)?;
+        check_weight("c_keep", self.c_keep)
+    }
+
     /// Number of scenarios in the matrix.
     pub fn len(&self) -> usize {
         self.seeds.len() * self.budgets.len() * self.s_values.len() * self.k_values.len()
@@ -294,6 +305,15 @@ pub enum SpecError {
         /// Usable pool rows.
         usable: usize,
     },
+    /// A weight or margin is not finite and ≥ 0: the base config's λ or
+    /// κ, a budget's λ, `c_attack` or `c_keep`.
+    InvalidWeight {
+        /// Which value: `lambda`, `kappa`, `budget lambda`, `c_attack`
+        /// or `c_keep`.
+        name: &'static str,
+        /// The offending value.
+        value: f32,
+    },
     /// The victim has a single class, so no wrong target exists.
     TooFewClasses,
     /// The stealth objective breaks a bound [`StealthObjective::new`]
@@ -321,6 +341,9 @@ impl std::fmt::Display for SpecError {
                 f,
                 "scenario {scenario} needs R = {r} but only {usable} pool rows are usable"
             ),
+            SpecError::InvalidWeight { name, value } => {
+                write!(f, "{name} = {value} must be finite and >= 0")
+            }
             SpecError::TooFewClasses => f.write_str("need at least two classes to mistarget"),
             SpecError::InvalidStealth { stealth: s } => write!(
                 f,
@@ -334,6 +357,16 @@ impl std::fmt::Display for SpecError {
 }
 
 impl std::error::Error for SpecError {}
+
+/// `Ok` when `value` is finite and ≥ 0, else
+/// [`SpecError::InvalidWeight`] naming it.
+pub(crate) fn check_weight(name: &'static str, value: f32) -> Result<(), SpecError> {
+    if value.is_finite() && value >= 0.0 {
+        Ok(())
+    } else {
+        Err(SpecError::InvalidWeight { name, value })
+    }
+}
 
 /// A parameter-modification attack the campaign engine can sweep over a
 /// scenario matrix.
@@ -627,9 +660,11 @@ impl<'a> Campaign<'a> {
     }
 
     /// Checks that `spec` can run against this victim: its ADMM penalty
-    /// ρ is finite and positive, its stealth objective (if any) keeps the
-    /// bounds [`crate::StealthObjective::new`] asserts, each working set
-    /// fits the usable pool, and the head has a wrong class to target.
+    /// ρ is finite and positive, its weights and margin (base λ and κ,
+    /// each budget's λ, `c_attack`, `c_keep`) are finite and ≥ 0, its
+    /// stealth objective (if any) keeps the bounds
+    /// [`crate::StealthObjective::new`] asserts, each working set fits
+    /// the usable pool, and the head has a wrong class to target.
     /// [`Campaign::run_indices`] calls this before dispatching any
     /// scenario.
     ///
@@ -660,9 +695,7 @@ impl<'a> Campaign<'a> {
     /// ));
     /// ```
     pub fn validate(&self, spec: &CampaignSpec) -> Result<(), SpecError> {
-        if !spec.base.rho_is_valid() {
-            return Err(SpecError::InvalidRho { rho: spec.base.rho });
-        }
+        spec.check_weights()?;
         if let Some(stealth) = spec.stealth.filter(|s| !s.is_valid()) {
             return Err(SpecError::InvalidStealth { stealth });
         }
@@ -1024,6 +1057,76 @@ mod tests {
         }
         let spec = CampaignSpec::grid(vec![1], vec![2]);
         assert_eq!(campaign.validate(&spec), Ok(()));
+    }
+
+    /// Asserts that `validate` and the spec decoder both refuse `spec`,
+    /// naming `name` = `value`.
+    fn assert_weight_refused(spec: CampaignSpec, name: &str, value: f32) {
+        let (head, cache, labels) = fixture();
+        let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+        let err = campaign.validate(&spec).unwrap_err();
+        assert!(
+            matches!(err, SpecError::InvalidWeight { name: n, value: v }
+                if n == name && v.to_bits() == value.to_bits()),
+            "{name} = {value}: {err:?}"
+        );
+        let decoded = wire::decode_spec_frame(&wire::encode_spec_frame(&spec));
+        let err = decoded.expect_err("the decoder must refuse what validate refuses");
+        assert!(
+            err.to_string()
+                .contains(&format!("{name} = {value} must be finite and >= 0")),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn validate_and_decoder_refuse_a_nan_lambda() {
+        let base = AttackConfig {
+            lambda: f32::NAN,
+            ..AttackConfig::default()
+        };
+        assert_weight_refused(
+            CampaignSpec::grid(vec![1], vec![2]).with_config(base),
+            "lambda",
+            f32::NAN,
+        );
+        let budgets = vec![SparsityBudget::l0(0.001), SparsityBudget::l2(f32::NAN)];
+        assert_weight_refused(
+            CampaignSpec::grid(vec![1], vec![2]).with_budgets(budgets),
+            "budget lambda",
+            f32::NAN,
+        );
+    }
+
+    #[test]
+    fn validate_and_decoder_refuse_an_infinite_kappa() {
+        let base = AttackConfig {
+            kappa: f32::INFINITY,
+            ..AttackConfig::default()
+        };
+        assert_weight_refused(
+            CampaignSpec::grid(vec![1], vec![2]).with_config(base),
+            "kappa",
+            f32::INFINITY,
+        );
+    }
+
+    #[test]
+    fn validate_and_decoder_refuse_a_nan_c_attack() {
+        assert_weight_refused(
+            CampaignSpec::grid(vec![1], vec![2]).with_weights(f32::NAN, 1.0),
+            "c_attack",
+            f32::NAN,
+        );
+    }
+
+    #[test]
+    fn validate_and_decoder_refuse_a_negative_c_keep() {
+        assert_weight_refused(
+            CampaignSpec::grid(vec![1], vec![2]).with_weights(10.0, -1.0),
+            "c_keep",
+            -1.0,
+        );
     }
 
     #[test]

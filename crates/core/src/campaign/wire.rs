@@ -290,8 +290,8 @@ pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input, or when ρ is not finite
-/// and positive.
+/// Returns [`DecodeError`] on malformed input, or when the config breaks
+/// a bound: ρ finite and > 0, λ and κ finite and ≥ 0.
 pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let norm = read_norm(dec)?;
     let rho = dec.read_f32()?;
@@ -325,9 +325,9 @@ pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
         kappa,
         refine,
     };
-    if !config.rho_is_valid() {
-        return Err(DecodeError::new(SpecError::InvalidRho { rho }.to_string()));
-    }
+    config
+        .check()
+        .map_err(|e| DecodeError::new(e.to_string()))?;
     Ok(config)
 }
 
@@ -432,7 +432,9 @@ pub fn put_spec(enc: &mut Encoder, spec: &CampaignSpec) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input.
+/// Returns [`DecodeError`] on malformed input, or when a weight breaks
+/// the bounds [`read_config`] checks, or a budget's λ, `c_attack` or
+/// `c_keep` is not finite and ≥ 0.
 pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
     let s_values = read_usize_vec(dec)?;
     let k_values = read_usize_vec(dec)?;
@@ -452,7 +454,7 @@ pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
     let precision = read_precision(dec)?;
     let stealth = read_stealth(dec)?;
     let suite_seed = read_suite_seed(dec)?;
-    Ok(CampaignSpec {
+    let spec = CampaignSpec {
         s_values,
         k_values,
         budgets,
@@ -463,7 +465,10 @@ pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
         precision,
         stealth,
         suite_seed,
-    })
+    };
+    spec.check_weights()
+        .map_err(|e| DecodeError::new(e.to_string()))?;
+    Ok(spec)
 }
 
 /// Appends a [`ParamSelection`] payload.

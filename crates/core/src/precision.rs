@@ -19,7 +19,7 @@
 //! steps, and the clean byte image, in the selection's flat δ layout),
 //! and its [`QuantizedSelection::project`] is the bridge from
 //! optimization space to a concrete byte image — which
-//! `fsa_memfault::quant::QuantFaultPlan` then compiles into bit
+//! `fsa_memfault::FaultPlan::compile_bytes` then compiles into bit
 //! flips, DRAM rows, and parity predictions.
 
 use crate::selection::{ParamKind, ParamSelection};
@@ -137,8 +137,8 @@ impl QuantizedSelection {
     }
 
     /// The clean byte image of the selected weight region, in δ layout
-    /// order — the `old` side of a
-    /// `fsa_memfault::quant::QuantFaultPlan`.
+    /// order — the `old` side of
+    /// `fsa_memfault::FaultPlan::compile_bytes`.
     pub fn q0(&self) -> &[i8] {
         &self.q0
     }

@@ -1,5 +1,6 @@
 //! The ADMM attack loop (paper Sec. 4).
 
+use crate::campaign::{check_weight, SpecError};
 use crate::eval;
 use crate::objective::{count_satisfied, evaluate_hinge_into, HingeEval};
 use crate::refine::{refine_on_support, RefineConfig};
@@ -109,10 +110,16 @@ impl AttackConfig {
         }
     }
 
-    /// Whether the ADMM penalty ρ is finite and positive. The z-step's
-    /// proximal operators assert `ρ > 0`, and `ρ = +∞` turns δ into NaN.
-    pub(crate) fn rho_is_valid(&self) -> bool {
-        self.rho.is_finite() && self.rho > 0.0
+    /// Checks the bounds the attack needs: the ADMM penalty ρ finite and
+    /// positive (the z-step's proximal operators assert `ρ > 0`, and
+    /// `ρ = +∞` turns δ into NaN), and λ and κ finite and ≥ 0 (a NaN λ or
+    /// an infinite κ runs to a meaningless δ without complaint).
+    pub(crate) fn check(&self) -> Result<(), SpecError> {
+        if !(self.rho.is_finite() && self.rho > 0.0) {
+            return Err(SpecError::InvalidRho { rho: self.rho });
+        }
+        check_weight("lambda", self.lambda)?;
+        check_weight("kappa", self.kappa)
     }
 }
 

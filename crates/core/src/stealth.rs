@@ -279,9 +279,10 @@ pub fn repair_parity_f32(
             .iter()
             .find(|c| layout.address(global_indices[c.index]).row_id() == row)
             .expect("an odd row must contain a planned change");
-        match pad_word(theta0[change.index], change.new) {
+        let i = change.index;
+        match pad_word(theta0[i], theta0[i] + delta[i]) {
             Some(d) => {
-                delta[change.index] = d;
+                delta[i] = d;
                 if d == 0.0 {
                     repair.dropped += 1;
                 } else {
@@ -350,7 +351,10 @@ pub fn repair_parity_int8(
         let bias = in_row
             .iter()
             .find(|c| qsel.byte_index(c.index).is_none())
-            .and_then(|c| pad_word(theta0[c.index], c.new).map(|d| (c.index, d)));
+            .and_then(|c| {
+                let i = c.index;
+                pad_word(theta0[i], theta0[i] + realized[i]).map(|d| (i, d))
+            });
         if let Some((i, d)) = bias {
             realized[i] = d;
             if d == 0.0 {

@@ -10,9 +10,8 @@
 //! bits in a row alarms and an **even** count cancels and slips through
 //! — the exact limitation a rowhammer attacker exploits. Which rows of a
 //! compiled plan evade it is known before any injection:
-//! [`fsa_memfault::parity::plan_row_flips`] folds the plan to per-row
-//! flip counts and [`fsa_memfault::FaultPlan::parity_evading_rows`]
-//! keeps the even ones.
+//! [`fsa_memfault::FaultPlan::parity_evading_rows`] folds the plan to
+//! per-row flip counts and keeps the rows whose count is even.
 //!
 //! Since the stealth attacker learned to pad its plans parity-even, the
 //! monitor ships as a *family*: [`RowCode::Column`]

@@ -42,8 +42,8 @@ pub struct LaserCost {
 
 impl LaserInjector {
     /// Costs a set of word changes. The laser model is deterministic:
-    /// every requested flip succeeds, so the resulting parameters equal
-    /// the plan's `new` values exactly.
+    /// every requested flip succeeds, so the resulting parameters hold
+    /// exactly the words the plan was compiled toward.
     pub fn cost(&self, changes: &[WordChange]) -> LaserCost {
         let words = changes.len();
         let pulses: u64 = changes.iter().map(|c| c.flipped_bits.len() as u64).sum();
@@ -78,9 +78,7 @@ mod tests {
     fn change(index: usize, old: f32, new: f32) -> WordChange {
         WordChange {
             index,
-            old,
-            new,
-            flipped_bits: crate::bits::differing_bits(old, new),
+            flipped_bits: crate::bits::differing_bits(old.to_bits(), new.to_bits()),
         }
     }
 

@@ -15,17 +15,17 @@
 //! * [`laser`] — a precise per-bit injector with targeting-time costs;
 //! * [`rowhammer`] — a row-granular probabilistic injector over a seeded
 //!   vulnerable-cell population;
-//! * [`plan`] — compiling an attack `δ` into a concrete bit-flip plan and
-//!   costing it under both injectors;
+//! * [`plan`] — compiling a modification into one [`FaultPlan`] of bit
+//!   flips, over `f32` words (an attack `δ`) or **int8 bytes** (a
+//!   rewritten byte image under a 1-byte
+//!   [`dram::ParamLayout::with_word_bytes`] layout: at most 8 flips per
+//!   word, 4× the parameters per DRAM row — the physical form of the
+//!   paper's ℓ0 budget on a quantized backend), and costing it under the
+//!   laser and rowhammer injectors;
 //! * [`parity`] — the defense side: one [`RowSignature`] per ECC-style
 //!   [`RowCode`] (row parity that flags odd flip counts, column parity,
 //!   row CRC), the surface `fsa-defense`'s DRAM row-code monitor checks
-//!   bit-flip plans against;
-//! * [`quant`] — the same planning against **int8 storage**: one byte
-//!   per parameter ([`dram::ParamLayout::with_word_bytes`]), at most 8
-//!   flips per modified word, 4× the parameters per DRAM row, and the
-//!   byte-block checksum surface — the physically-meaningful form of
-//!   the paper's ℓ0 budget on a quantized backend.
+//!   bit-flip plans against.
 //!
 //! The end-to-end `fault_plan` experiment binary uses this to compare the
 //! hardware realizability of `ℓ0`- vs `ℓ2`-minimized modifications.
@@ -37,12 +37,10 @@ pub mod dram;
 pub mod laser;
 pub mod parity;
 pub mod plan;
-pub mod quant;
 pub mod rowhammer;
 
 pub use dram::{DramGeometry, ParamAddress};
 pub use laser::LaserInjector;
 pub use parity::{RowCode, RowSignature};
 pub use plan::{FaultPlan, WordChange};
-pub use quant::{QuantChange, QuantFaultPlan};
 pub use rowhammer::{HammerOutcome, RowhammerInjector};

@@ -11,10 +11,10 @@
 //! * [`RowSignature`] captures the reference [`RowCode`] of every row a
 //!   [`ParamLayout`] covers and reports which rows violate it for a
 //!   modified parameter buffer;
-//! * [`plan_row_flips`] folds a compiled [`FaultPlan`] down to per-row
-//!   flip counts, so a plan's detectability is known *before* any
-//!   injection: rows with odd counts trip the parity, rows with even
-//!   counts evade it.
+//! * [`indexed_row_flips`] folds word changes down to per-row flip
+//!   counts, so a plan's detectability is known *before* any injection:
+//!   rows with odd counts trip the parity, rows with even counts evade
+//!   it ([`evading_rows`], [`crate::FaultPlan::parity_evading_rows`]).
 //!
 //! A single parity bit per row ([`RowCode::Parity`]) is exactly what the
 //! stealth attacker defeats: it pads its plan with an extra flip per
@@ -36,7 +36,6 @@
 //! bit-identical arena requires.
 
 use crate::dram::ParamLayout;
-use crate::plan::FaultPlan;
 
 /// The per-row code a [`RowSignature`] keeps — three rungs of one
 /// ladder, each closing the cancellation channel the one below leaves.
@@ -124,7 +123,7 @@ impl RowSignature {
 /// common case merges into the *last* entry in O(1); a post-sort pass
 /// merges any runs of the same row that were not adjacent in input
 /// order, keeping the fold linear instead of O(items × rows).
-pub(crate) fn fold_rows<T>(
+fn fold_rows<T>(
     items: impl Iterator<Item = ((usize, usize), T)>,
     merge: impl Fn(&mut T, T),
 ) -> Vec<((usize, usize), T)> {
@@ -225,8 +224,8 @@ fn row_crcs(
 }
 
 /// Folds any stream of `(parameter index, flip count)` word changes onto
-/// DRAM rows, sorted by `(bank, row)` — the shared row fold behind both
-/// the `f32` and int8 plan surfaces.
+/// DRAM rows, sorted by `(bank, row)` — the row fold behind every
+/// per-row flip count of a plan, at either word width.
 ///
 /// # Panics
 ///
@@ -242,32 +241,13 @@ pub fn indexed_row_flips(
 }
 
 /// Rows whose flip count is **even** (and nonzero) — the
-/// odd-trips/even-evades rule both plan surfaces share: an odd number of
-/// flipped bits in a row trips its parity bit, an even number cancels.
+/// odd-trips/even-evades rule: an odd number of flipped bits in a row
+/// trips its parity bit, an even number cancels.
 pub fn evading_rows(row_flips: &[((usize, usize), u64)]) -> Vec<(usize, usize)> {
     row_flips
         .iter()
         .filter_map(|&(id, flips)| (flips % 2 == 0).then_some(id))
         .collect()
-}
-
-/// Distinct rows a compiled plan touches, with the total bit flips the
-/// plan lands in each — sorted by `(bank, row)`.
-///
-/// A row with an **odd** flip count trips a per-row parity check; an
-/// even count cancels and evades it. See
-/// [`FaultPlan::parity_evading_rows`].
-///
-/// # Panics
-///
-/// Panics if the plan addresses parameters outside the layout.
-pub fn plan_row_flips(plan: &FaultPlan, layout: &ParamLayout) -> Vec<((usize, usize), u64)> {
-    indexed_row_flips(
-        layout,
-        plan.changes
-            .iter()
-            .map(|change| (change.index, change.flipped_bits.len() as u64)),
-    )
 }
 
 #[cfg(test)]
@@ -349,50 +329,6 @@ mod tests {
     }
 
     #[test]
-    fn plan_row_flips_counts_per_row() {
-        let layout = small_layout(64);
-        let theta0 = vec![1.0f32; 64];
-        let mut delta = vec![0.0f32; 64];
-        delta[0] = 0.5; // row 0
-        delta[1] = -0.25; // row 0
-        delta[40] = 2.0; // row 2
-        let plan = FaultPlan::compile(&theta0, &delta);
-        let rows = plan_row_flips(&plan, &layout);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].0, layout.address(0).row_id());
-        assert_eq!(rows[1].0, layout.address(40).row_id());
-        assert_eq!(
-            rows.iter().map(|&(_, c)| c).sum::<u64>(),
-            plan.total_bit_flips
-        );
-    }
-
-    #[test]
-    fn non_adjacent_runs_of_one_row_still_merge() {
-        // A hand-built plan whose changes revisit row 0 after touching
-        // row 1: the linear fold must still produce one entry per row.
-        let layout = small_layout(64);
-        let change = |index: usize, bits: usize| crate::plan::WordChange {
-            index,
-            old: 1.0,
-            new: 2.0,
-            flipped_bits: (0..bits as u8).collect(),
-        };
-        let plan = FaultPlan {
-            changes: vec![change(0, 1), change(16, 2), change(1, 4)],
-            total_bit_flips: 7,
-        };
-        let rows = plan_row_flips(&plan, &layout);
-        assert_eq!(
-            rows,
-            vec![
-                (layout.address(0).row_id(), 5),
-                (layout.address(16).row_id(), 2),
-            ]
-        );
-    }
-
-    #[test]
     fn column_parity_catches_parity_even_padding() {
         // Two flips in one row at *different* bit positions: the per-row
         // XOR parity cancels (the stealth planner's padding trick), but
@@ -457,28 +393,6 @@ mod tests {
             .iter()
             .fold(0xFFFF_FFFFu32, |c, &b| crc32_update(c, b));
         assert_eq!(crc, 0xCBF4_3926);
-    }
-
-    #[test]
-    fn parity_agrees_with_plan_prediction() {
-        let layout = small_layout(64);
-        let theta0: Vec<f32> = (0..64).map(|i| 0.5 + i as f32 * 0.125).collect();
-        let mut delta = vec![0.0f32; 64];
-        delta[3] = 0.5;
-        delta[17] = -1.0;
-        delta[18] = 0.75;
-        let plan = FaultPlan::compile(&theta0, &delta);
-        let parity = capture(RowCode::Parity, &layout, &theta0);
-        let after: Vec<f32> = theta0.iter().zip(&delta).map(|(&t, &d)| t + d).collect();
-        let predicted: Vec<(usize, usize)> = plan_row_flips(&plan, &layout)
-            .into_iter()
-            .filter_map(|(id, flips)| (flips % 2 == 1).then_some(id))
-            .collect();
-        assert_eq!(
-            parity.violations(&after),
-            predicted,
-            "plan-level parity prediction must match the realized buffer"
-        );
     }
 
     /// The per-row code recomputed the slow way: group the words by row

@@ -178,9 +178,7 @@ mod tests {
     fn change(index: usize, old: f32, new: f32) -> WordChange {
         WordChange {
             index,
-            old,
-            new,
-            flipped_bits: crate::bits::differing_bits(old, new),
+            flipped_bits: crate::bits::differing_bits(old.to_bits(), new.to_bits()),
         }
     }
 

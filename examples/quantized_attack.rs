@@ -19,8 +19,7 @@ use fault_sneaking::attack::campaign::{Campaign, CampaignSpec};
 use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision, QuantizedSelection};
 use fault_sneaking::defense::{DefenseSuite, StealthArena};
 use fault_sneaking::memfault::dram::ParamLayout;
-use fault_sneaking::memfault::quant::QuantFaultPlan;
-use fault_sneaking::memfault::DramGeometry;
+use fault_sneaking::memfault::{DramGeometry, FaultPlan};
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
@@ -95,13 +94,16 @@ fn main() {
         outcome.result.l0
     );
 
-    // 3. The realized δ as a concrete byte-level fault plan: which
-    //    stored weight bytes change, how many bits flip, which DRAM rows
-    //    they share, and where the plan slips past per-row parity. (Any
-    //    bias coordinates of δ are f32 words outside the int8 region.)
+    // 3. The realized δ as a concrete bit-flip plan over the stored
+    //    weight bytes: `compile_bytes` diffs the old and new byte images,
+    //    so each planned word is one byte (at most 8 flips), and the plan
+    //    folds onto DRAM rows only through a 1-byte layout. It reports
+    //    which bytes change, how many bits flip, which rows they share,
+    //    and where the plan slips past per-row parity. (Any bias
+    //    coordinates of δ are f32 words outside the int8 region.)
     let qsel = QuantizedSelection::gather(&qhead, &selection);
     let (q_new, realized) = qsel.project(&outcome.result.delta);
-    let plan = QuantFaultPlan::compile(qsel.q0(), &q_new);
+    let plan = FaultPlan::compile_bytes(qsel.q0(), &q_new);
     let bias_words = realized
         .iter()
         .enumerate()

@@ -71,7 +71,7 @@
 //! over the dequantized model, **project** its δ onto the representable
 //! grid ([`attack::QuantizedSelection`]), and re-measure success and
 //! keep-set stealth under real int8 inference;
-//! [`memfault::quant::QuantFaultPlan`] then compiles the byte-image
+//! [`memfault::FaultPlan::compile_bytes`] then compiles the byte-image
 //! diff into concrete bit flips, DRAM rows, and parity predictions.
 //! Projection is a real constraint, not a formality: single-parameter
 //! baseline attacks saturate at the grid edge, and marginal faults can

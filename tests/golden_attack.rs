@@ -24,20 +24,8 @@ use fault_sneaking::tensor::{Prng, Tensor};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Class-clustered Gaussian features, exactly as in the quickstart.
-fn clustered_features(n: usize, d: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    (x, labels)
-}
+mod common;
+use common::clustered_features;
 
 fn sub_rows(x: &Tensor, from: usize, to: usize) -> Tensor {
     let d = x.shape()[1];

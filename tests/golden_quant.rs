@@ -17,29 +17,17 @@
 
 use fault_sneaking::attack::campaign::{Campaign, CampaignReport, CampaignSpec};
 use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision, QuantizedSelection};
-use fault_sneaking::memfault::quant::QuantFaultPlan;
+use fault_sneaking::memfault::FaultPlan;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::nn::quant::QuantizedHead;
-use fault_sneaking::tensor::{Prng, Tensor};
+use fault_sneaking::tensor::Prng;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Class-clustered Gaussian features, as in the f32 golden fixtures.
-fn clustered_features(n: usize, d: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    (x, labels)
-}
+mod common;
+use common::clustered_features;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_quant.txt")
@@ -107,12 +95,12 @@ fn tiny_quantized_campaign_matches_golden_fixture() {
     // Bit-level plans: each scenario's weight-byte image change,
     // compiled. Modified bytes plus touched f32 bias words must account
     // for exactly the realized ℓ0.
-    let plans: Vec<QuantFaultPlan> = report
+    let plans: Vec<FaultPlan> = report
         .outcomes
         .iter()
         .map(|o| {
             let (q_new, _) = qsel.project(&o.result.delta);
-            QuantFaultPlan::compile(qsel.q0(), &q_new)
+            FaultPlan::compile_bytes(qsel.q0(), &q_new)
         })
         .collect();
     for (o, plan) in report.outcomes.iter().zip(&plans) {

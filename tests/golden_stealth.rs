@@ -25,24 +25,12 @@ use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{Prng, Tensor};
+use fault_sneaking::tensor::Prng;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
-/// Class-clustered Gaussian features, as in the other golden fixtures.
-fn clustered_features(n: usize, d: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    (x, labels)
-}
+mod common;
+use common::clustered_features;
 
 fn fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_stealth.txt")

@@ -19,8 +19,9 @@ use fault_sneaking::nn::quant::QuantizedHead;
 use fault_sneaking::tensor::parallel;
 use std::sync::Mutex;
 
-mod common;
-use common::victim;
+#[path = "common/victim.rs"]
+mod victim;
+use victim::victim;
 
 /// Serializes the tests in this binary: they mutate the process-global
 /// thread override.
