@@ -18,6 +18,25 @@
 //!   — any bit flip in the frame body surfaces as
 //!   [`WireError::Checksum`], not as silently wrong numbers.
 //!
+//! # Decoding
+//!
+//! One private slice parser reads the frame layout for both decoding
+//! paths. It checks the version as soon as the version word is present,
+//! refuses an absurd length word at once, verifies the checksum, and
+//! hands back the payload borrowed from its input.
+//!
+//! * **Incremental** — [`FrameAccumulator`] buffers the short reads a
+//!   link delivers and yields each [`Frame`] once its last byte arrives.
+//! * **One-shot** — [`decode_frame`] takes a buffer that must hold
+//!   exactly one whole frame: a truncated frame and any byte after it
+//!   are errors. The payload is read in place, never copied.
+//!
+//! Both end in the same typed step ([`decode_frame`], or
+//! [`Frame::decode`] on an extracted frame): the tag must match, the
+//! payload must read as the expected type, and no payload byte may be
+//! left over. [`Frame::message`] applies it to whichever frame kind a
+//! worker's result stream carries.
+//!
 //! # Versioning rules
 //!
 //! The version covers the *payload layouts* of every tag in this
@@ -32,7 +51,8 @@
 //! encode → decode round trip reproduces every value bit for bit and a
 //! merged report's fingerprint cannot drift through serialization —
 //! `tests/wire_roundtrip.rs` property-tests this together with
-//! truncated-frame and flipped-bit rejection.
+//! truncated-frame and flipped-bit rejection, and
+//! `tests/wire_frame_digests.rs` pins every frame kind's bytes.
 
 use crate::campaign::{
     CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget, SpecError,
@@ -129,13 +149,77 @@ impl From<DecodeError> for WireError {
     }
 }
 
-/// A decoded frame: its kind tag and raw payload bytes.
+fn malformed(message: String) -> WireError {
+    WireError::Decode(DecodeError::new(message))
+}
+
+/// A frame extracted by a [`FrameAccumulator`]: its kind tag and
+/// checksum-verified payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// The frame's 4-byte kind tag.
     pub tag: [u8; 4],
     /// The checksum-verified payload bytes.
     pub payload: Vec<u8>,
+}
+
+impl Frame {
+    /// The typed step of [`decode_frame`], on an extracted frame: the
+    /// tag must be `tag`, and `read` must consume the whole payload.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on a wrong tag, a payload `read` refuses,
+    /// or payload bytes left over.
+    pub fn decode<T, E>(
+        &self,
+        tag: &[u8; 4],
+        read: impl FnOnce(&mut Decoder<'_>) -> Result<T, E>,
+    ) -> Result<T, WireError>
+    where
+        WireError: From<E>,
+    {
+        decode_payload(&self.tag, &self.payload, tag, read)
+    }
+
+    /// Decodes a frame of a worker's result stream — hello, heartbeat,
+    /// outcome or END — by its tag.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on any other tag, a malformed payload, or
+    /// a hello with a refused registration-protocol version.
+    pub fn message(&self) -> Result<WorkerMessage, WireError> {
+        match &self.tag {
+            HELLO_TAG => self.decode(HELLO_TAG, read_hello).map(WorkerMessage::Hello),
+            HEARTBEAT_TAG => self
+                .decode(HEARTBEAT_TAG, read_heartbeat)
+                .map(WorkerMessage::Heartbeat),
+            OUTCOME_TAG => self
+                .decode(OUTCOME_TAG, read_outcome)
+                .map(WorkerMessage::Outcome),
+            END_TAG => self
+                .decode(END_TAG, |dec| dec.read_u64())
+                .map(WorkerMessage::End),
+            tag => Err(malformed(format!(
+                "unexpected frame tag {tag:?} in a worker stream"
+            ))),
+        }
+    }
+}
+
+/// One frame of a worker's result stream, decoded by
+/// [`Frame::message`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum WorkerMessage {
+    /// The registration hello (its protocol version already checked).
+    Hello(WorkerHello),
+    /// A liveness heartbeat.
+    Heartbeat(Heartbeat),
+    /// One finished scenario.
+    Outcome(ScenarioOutcome),
+    /// End of stream: the number of outcome frames before it.
+    End(u64),
 }
 
 /// Checksum over the covered portion of a frame (tag ‖ version ‖ payload).
@@ -161,45 +245,178 @@ pub fn frame(tag: &[u8; 4], payload: &[u8]) -> Vec<u8> {
     bytes
 }
 
-/// Reads the next frame of any kind from the decoder, verifying version
-/// and checksum.
+/// Frames the payload `write` appends.
+fn encode_frame(tag: &[u8; 4], write: impl FnOnce(&mut Encoder)) -> Vec<u8> {
+    let mut enc = Encoder::new();
+    write(&mut enc);
+    frame(tag, &enc.into_bytes())
+}
+
+/// Fixed frame-header size: tag (4) ‖ version (4) ‖ payload length (8).
+const FRAME_HEADER_BYTES: usize = 16;
+/// Trailing checksum size.
+const FRAME_TRAILER_BYTES: usize = 8;
+/// Upper bound on a sane frame payload (job frames ship whole feature
+/// tensors, so this is generous — it only exists to turn a corrupted
+/// length word into an immediate error).
+const MAX_FRAME_PAYLOAD: u64 = 1 << 30;
+
+/// A whole frame at the start of a buffer, its payload borrowed.
+struct RawFrame<'a> {
+    tag: [u8; 4],
+    payload: &'a [u8],
+    /// Header, payload and checksum bytes together.
+    len: usize,
+}
+
+/// Parses the frame at the start of `bytes`: the only reader of the
+/// frame layout. `Ok(None)` while the frame is incomplete.
 ///
-/// # Errors
-///
-/// Returns [`WireError`] on truncation, version skew, or checksum
-/// mismatch.
-pub fn read_frame(dec: &mut Decoder<'_>) -> Result<Frame, WireError> {
-    let mut tag = [0u8; 4];
-    let tag_word = dec.read_u32()?;
-    tag.copy_from_slice(&tag_word.to_le_bytes());
-    let version = dec.read_u32()?;
-    if version != WIRE_VERSION {
-        return Err(WireError::Version(version));
+/// The version is checked as soon as its word is present and the length
+/// word as soon as it is, so version skew and a corrupted length fail
+/// at once rather than after a payload that will never arrive (the
+/// checksum can only catch them once the claimed payload is complete).
+fn split_frame(bytes: &[u8]) -> Result<Option<RawFrame<'_>>, WireError> {
+    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    if bytes.len() >= 8 {
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version != WIRE_VERSION {
+            return Err(WireError::Version(version));
+        }
     }
-    let len = dec.read_u64()? as usize;
-    let payload = dec.read_raw(len)?;
-    let stored = dec.read_u64()?;
-    let computed = frame_checksum(&tag, &payload);
+    if bytes.len() < FRAME_HEADER_BYTES {
+        return Ok(None);
+    }
+    let len = u64_at(8);
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(malformed(format!("absurd frame payload length {len}")));
+    }
+    let end = FRAME_HEADER_BYTES + len as usize;
+    if bytes.len() < end + FRAME_TRAILER_BYTES {
+        return Ok(None);
+    }
+    let tag = bytes[..4].try_into().expect("4 bytes");
+    let payload = &bytes[FRAME_HEADER_BYTES..end];
+    let stored = u64_at(end);
+    let computed = frame_checksum(&tag, payload);
     if stored != computed {
         return Err(WireError::Checksum { stored, computed });
     }
-    Ok(Frame { tag, payload })
+    Ok(Some(RawFrame {
+        tag,
+        payload,
+        len: end + FRAME_TRAILER_BYTES,
+    }))
 }
 
-/// Reads the next frame and checks it carries the expected tag.
+/// Decodes `bytes`, which must hold exactly one whole frame, as a `T`:
+/// the tag must be `tag`, and `read` must consume the whole payload,
+/// which it reads in place.
 ///
 /// # Errors
 ///
-/// Returns [`WireError`] on any frame fault or a tag mismatch.
-pub fn expect_frame(dec: &mut Decoder<'_>, tag: &[u8; 4]) -> Result<Vec<u8>, WireError> {
-    let f = read_frame(dec)?;
-    if &f.tag != tag {
-        return Err(WireError::Decode(DecodeError::new(format!(
-            "expected frame tag {tag:?}, got {:?}",
-            f.tag
-        ))));
+/// Returns [`WireError`] on truncation, version skew, a checksum
+/// mismatch, bytes after the frame, a wrong tag, a payload `read`
+/// refuses, or payload bytes left over.
+pub fn decode_frame<T, E>(
+    bytes: &[u8],
+    tag: &[u8; 4],
+    read: impl FnOnce(&mut Decoder<'_>) -> Result<T, E>,
+) -> Result<T, WireError>
+where
+    WireError: From<E>,
+{
+    let Some(raw) = split_frame(bytes)? else {
+        return Err(malformed(format!(
+            "truncated frame of {} bytes",
+            bytes.len()
+        )));
+    };
+    if raw.len != bytes.len() {
+        return Err(malformed(format!(
+            "{} bytes after the frame",
+            bytes.len() - raw.len
+        )));
     }
-    Ok(f.payload)
+    decode_payload(&raw.tag, raw.payload, tag, read)
+}
+
+/// The typed step every decoder ends in: tag matches, payload reads,
+/// no payload byte left over.
+fn decode_payload<T, E>(
+    got: &[u8; 4],
+    payload: &[u8],
+    tag: &[u8; 4],
+    read: impl FnOnce(&mut Decoder<'_>) -> Result<T, E>,
+) -> Result<T, WireError>
+where
+    WireError: From<E>,
+{
+    if got != tag {
+        return Err(malformed(format!(
+            "expected frame tag {tag:?}, got {got:?}"
+        )));
+    }
+    let mut dec = Decoder::new(payload);
+    let value = read(&mut dec)?;
+    match dec.remaining() {
+        0 => Ok(value),
+        n => Err(malformed(format!("{n} trailing bytes after payload"))),
+    }
+}
+
+/// Incremental frame extractor for byte streams with arbitrary read
+/// fragmentation.
+///
+/// Links deliver *short reads* — a frame can arrive one byte at a time,
+/// split anywhere, including mid-header. The accumulator buffers pushed
+/// bytes and yields a frame only once its header, payload, and checksum
+/// trailer are all present, through the same parser as
+/// [`decode_frame`]: version skew is reported as soon as the first 8
+/// bytes arrive, rather than after a never-arriving payload.
+#[derive(Debug, Default)]
+pub struct FrameAccumulator {
+    buf: Vec<u8>,
+}
+
+impl FrameAccumulator {
+    /// Creates an empty accumulator.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Appends newly-read bytes (any fragmentation, including empty).
+    pub fn push(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Bytes buffered but not yet consumed by a completed frame.
+    pub fn residual(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Extracts the next complete frame, if the buffer holds one.
+    ///
+    /// Returns `Ok(None)` while the next frame is still incomplete.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WireError`] on version skew (eagerly, once the header's
+    /// version word is present), an absurd length word, or a checksum
+    /// mismatch. After an error the accumulator's contents are
+    /// unspecified; the stream is dead.
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let Some(raw) = split_frame(&self.buf)? else {
+            return Ok(None);
+        };
+        let frame = Frame {
+            tag: raw.tag,
+            payload: raw.payload.to_vec(),
+        };
+        let len = raw.len;
+        self.buf.drain(..len);
+        Ok(Some(frame))
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -208,22 +425,27 @@ pub fn expect_frame(dec: &mut Decoder<'_>, tag: &[u8; 4]) -> Result<Vec<u8>, Wir
 // framing.
 // ---------------------------------------------------------------------
 
-fn put_usize_slice(enc: &mut Encoder, xs: &[usize]) {
-    enc.put_u64(xs.len() as u64);
-    for &x in xs {
-        enc.put_u64(x as u64);
+/// Appends an optional field: a `u32` presence tag (0 or 1), then the
+/// value if present.
+fn put_option<T>(enc: &mut Encoder, value: &Option<T>, put: impl FnOnce(&mut Encoder, &T)) {
+    enc.put_u32(u32::from(value.is_some()));
+    if let Some(v) = value {
+        put(enc, v);
     }
 }
 
-fn read_usize_vec(dec: &mut Decoder<'_>) -> Result<Vec<usize>, DecodeError> {
-    // Capacity hints are capped by the bytes actually present, so a
-    // forged count cannot reserve memory the payload cannot fill.
-    let n = dec.read_u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(dec.remaining() / 8));
-    for _ in 0..n {
-        out.push(dec.read_u64()? as usize);
+/// Reads a field written by [`put_option`]; `what` names it in the
+/// error for an unknown presence tag.
+fn read_option<T>(
+    dec: &mut Decoder<'_>,
+    what: &str,
+    read: impl FnOnce(&mut Decoder<'_>) -> Result<T, DecodeError>,
+) -> Result<Option<T>, DecodeError> {
+    match dec.read_u32()? {
+        0 => Ok(None),
+        1 => read(dec).map(Some),
+        v => Err(DecodeError::new(format!("unknown {what} tag {v}"))),
     }
-    Ok(out)
 }
 
 fn put_norm(enc: &mut Encoder, norm: Norm) {
@@ -270,20 +492,10 @@ pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
     enc.put_f32(cfg.lambda);
     enc.put_u64(cfg.iterations as u64);
     enc.put_f32(cfg.kappa);
-    match &cfg.refine {
-        None => enc.put_u32(0),
-        Some(r) => {
-            enc.put_u32(1);
-            enc.put_u64(r.iterations as u64);
-            match r.step {
-                None => enc.put_u32(0),
-                Some(s) => {
-                    enc.put_u32(1);
-                    enc.put_f32(s);
-                }
-            }
-        }
-    }
+    put_option(enc, &cfg.refine, |enc, r| {
+        enc.put_u64(r.iterations as u64);
+        put_option(enc, &r.step, |enc, &step| enc.put_f32(step));
+    });
 }
 
 /// Reads an [`AttackConfig`] payload.
@@ -291,7 +503,8 @@ pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
 /// # Errors
 ///
 /// Returns [`DecodeError`] on malformed input, or when the config breaks
-/// a bound: ρ finite and > 0, λ and κ finite and ≥ 0.
+/// a bound: ρ finite and > 0; λ, κ, the stiffness value and a set
+/// refine step finite and ≥ 0.
 pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let norm = read_norm(dec)?;
     let rho = dec.read_f32()?;
@@ -303,19 +516,12 @@ pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let lambda = dec.read_f32()?;
     let iterations = dec.read_u64()? as usize;
     let kappa = dec.read_f32()?;
-    let refine = match dec.read_u32()? {
-        0 => None,
-        1 => {
-            let iterations = dec.read_u64()? as usize;
-            let step = match dec.read_u32()? {
-                0 => None,
-                1 => Some(dec.read_f32()?),
-                v => return Err(DecodeError::new(format!("unknown refine-step tag {v}"))),
-            };
-            Some(RefineConfig { iterations, step })
-        }
-        v => return Err(DecodeError::new(format!("unknown refine tag {v}"))),
-    };
+    let refine = read_option(dec, "refine", |dec| {
+        Ok(RefineConfig {
+            iterations: dec.read_u64()? as usize,
+            step: read_option(dec, "refine-step", |dec| dec.read_f32())?,
+        })
+    })?;
     let config = AttackConfig {
         norm,
         rho,
@@ -344,82 +550,56 @@ fn read_precision(dec: &mut Decoder<'_>) -> Result<Precision, DecodeError> {
 }
 
 fn put_stealth(enc: &mut Encoder, stealth: &Option<StealthObjective>) {
-    match stealth {
-        None => enc.put_u32(0),
-        Some(s) => {
-            enc.put_u32(1);
-            enc.put_u64(s.block_params as u64);
-            enc.put_f32(s.block_lambda);
-            enc.put_u64(s.geometry.banks as u64);
-            enc.put_u64(s.geometry.rows_per_bank as u64);
-            enc.put_u64(s.geometry.row_bytes as u64);
-            enc.put_f32(s.drift_budget);
-            enc.put_u64(s.max_dirty_blocks as u64);
-        }
-    }
+    put_option(enc, stealth, |enc, s| {
+        enc.put_u64(s.block_params as u64);
+        enc.put_f32(s.block_lambda);
+        enc.put_u64(s.geometry.banks as u64);
+        enc.put_u64(s.geometry.rows_per_bank as u64);
+        enc.put_u64(s.geometry.row_bytes as u64);
+        enc.put_f32(s.drift_budget);
+        enc.put_u64(s.max_dirty_blocks as u64);
+    });
 }
 
 fn read_stealth(dec: &mut Decoder<'_>) -> Result<Option<StealthObjective>, DecodeError> {
-    match dec.read_u32()? {
-        0 => Ok(None),
-        1 => {
-            let block_params = dec.read_u64()? as usize;
-            let block_lambda = dec.read_f32()?;
-            let geometry = DramGeometry {
+    read_option(dec, "stealth", |dec| {
+        let stealth = StealthObjective {
+            block_params: dec.read_u64()? as usize,
+            block_lambda: dec.read_f32()?,
+            geometry: DramGeometry {
                 banks: dec.read_u64()? as usize,
                 rows_per_bank: dec.read_u64()? as usize,
                 row_bytes: dec.read_u64()? as usize,
-            };
-            let drift_budget = dec.read_f32()?;
-            let max_dirty_blocks = dec.read_u64()? as usize;
-            let stealth = StealthObjective {
-                block_params,
-                block_lambda,
-                geometry,
-                drift_budget,
-                max_dirty_blocks,
-            };
-            if !stealth.is_valid() {
-                return Err(DecodeError::new(
-                    SpecError::InvalidStealth { stealth }.to_string(),
-                ));
-            }
-            Ok(Some(stealth))
+            },
+            drift_budget: dec.read_f32()?,
+            max_dirty_blocks: dec.read_u64()? as usize,
+        };
+        if !stealth.is_valid() {
+            return Err(DecodeError::new(
+                SpecError::InvalidStealth { stealth }.to_string(),
+            ));
         }
-        v => Err(DecodeError::new(format!("unknown stealth tag {v}"))),
-    }
+        Ok(stealth)
+    })
 }
 
 fn put_suite_seed(enc: &mut Encoder, suite_seed: &Option<u64>) {
-    match suite_seed {
-        None => enc.put_u32(0),
-        Some(seed) => {
-            enc.put_u32(1);
-            enc.put_u64(*seed);
-        }
-    }
+    put_option(enc, suite_seed, |enc, &seed| enc.put_u64(seed));
 }
 
 fn read_suite_seed(dec: &mut Decoder<'_>) -> Result<Option<u64>, DecodeError> {
-    match dec.read_u32()? {
-        0 => Ok(None),
-        1 => Ok(Some(dec.read_u64()?)),
-        v => Err(DecodeError::new(format!("unknown suite-seed tag {v}"))),
-    }
+    read_option(dec, "suite-seed", |dec| dec.read_u64())
 }
 
 /// Appends a [`CampaignSpec`] payload.
 pub fn put_spec(enc: &mut Encoder, spec: &CampaignSpec) {
-    put_usize_slice(enc, &spec.s_values);
-    put_usize_slice(enc, &spec.k_values);
+    enc.put_u64_slice(&spec.s_values);
+    enc.put_u64_slice(&spec.k_values);
     enc.put_u64(spec.budgets.len() as u64);
     for b in &spec.budgets {
         put_budget(enc, b);
     }
-    enc.put_u64(spec.seeds.len() as u64);
-    for &s in &spec.seeds {
-        enc.put_u64(s);
-    }
+    enc.put_u64_slice(&spec.seeds);
     put_config(enc, &spec.base);
     enc.put_f32(spec.c_attack);
     enc.put_f32(spec.c_keep);
@@ -436,18 +616,14 @@ pub fn put_spec(enc: &mut Encoder, spec: &CampaignSpec) {
 /// the bounds [`read_config`] checks, or a budget's λ, `c_attack` or
 /// `c_keep` is not finite and ≥ 0.
 pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
-    let s_values = read_usize_vec(dec)?;
-    let k_values = read_usize_vec(dec)?;
+    let s_values = dec.read_u64_vec()?;
+    let k_values = dec.read_u64_vec()?;
     let nb = dec.read_u64()? as usize;
     let mut budgets = Vec::with_capacity(nb.min(1 << 16));
     for _ in 0..nb {
         budgets.push(read_budget(dec)?);
     }
-    let ns = dec.read_u64()? as usize;
-    let mut seeds = Vec::with_capacity(ns.min(1 << 16));
-    for _ in 0..ns {
-        seeds.push(dec.read_u64()?);
-    }
+    let seeds = dec.read_u64_vec()?;
     let base = read_config(dec)?;
     let c_attack = dec.read_f32()?;
     let c_keep = dec.read_f32()?;
@@ -595,7 +771,7 @@ fn read_result(dec: &mut Decoder<'_>) -> Result<AttackResult, DecodeError> {
 /// Appends a [`ScenarioOutcome`] payload.
 pub fn put_outcome(enc: &mut Encoder, o: &ScenarioOutcome) {
     put_scenario(enc, &o.scenario);
-    put_usize_slice(enc, &o.targets);
+    enc.put_u64_slice(&o.targets);
     put_result(enc, &o.result);
 }
 
@@ -607,7 +783,7 @@ pub fn put_outcome(enc: &mut Encoder, o: &ScenarioOutcome) {
 pub fn read_outcome(dec: &mut Decoder<'_>) -> Result<ScenarioOutcome, DecodeError> {
     Ok(ScenarioOutcome {
         scenario: read_scenario(dec)?,
-        targets: read_usize_vec(dec)?,
+        targets: dec.read_u64_vec()?,
         result: read_result(dec)?,
     })
 }
@@ -663,233 +839,68 @@ pub struct Heartbeat {
 
 /// Encodes a [`WorkerHello`] as a complete checksummed frame.
 pub fn encode_hello_frame(hello: &WorkerHello) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(hello.worker_id);
-    enc.put_u32(hello.proto_version);
-    enc.put_u64(hello.capabilities);
-    frame(HELLO_TAG, &enc.into_bytes())
-}
-
-/// Decodes a [`HELLO_TAG`] payload into a [`WorkerHello`].
-///
-/// # Errors
-///
-/// Returns [`WireError::Hello`] when the registration-protocol version
-/// is not [`HELLO_PROTO_VERSION`], or a decode error on malformed
-/// payload.
-pub fn decode_hello_payload(payload: &[u8]) -> Result<WorkerHello, WireError> {
-    let mut dec = Decoder::new(payload);
-    let worker_id = dec.read_u64()?;
-    let proto_version = dec.read_u32()?;
-    let capabilities = dec.read_u64()?;
-    check_drained(&dec)?;
-    if proto_version != HELLO_PROTO_VERSION {
-        return Err(WireError::Hello(proto_version));
-    }
-    Ok(WorkerHello {
-        worker_id,
-        proto_version,
-        capabilities,
+    encode_frame(HELLO_TAG, |enc| {
+        enc.put_u64(hello.worker_id);
+        enc.put_u32(hello.proto_version);
+        enc.put_u64(hello.capabilities);
     })
 }
 
-/// Decodes a frame written by [`encode_hello_frame`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any frame fault, a wrong tag, or a refused
-/// registration-protocol version.
-pub fn decode_hello_frame(bytes: &[u8]) -> Result<WorkerHello, WireError> {
-    let mut dec = Decoder::new(bytes);
-    let payload = expect_frame(&mut dec, HELLO_TAG)?;
-    decode_hello_payload(&payload)
+/// Reads a [`HELLO_TAG`] payload, refusing any registration-protocol
+/// version but [`HELLO_PROTO_VERSION`] as [`WireError::Hello`].
+fn read_hello(dec: &mut Decoder<'_>) -> Result<WorkerHello, WireError> {
+    let hello = WorkerHello {
+        worker_id: dec.read_u64()?,
+        proto_version: dec.read_u32()?,
+        capabilities: dec.read_u64()?,
+    };
+    if hello.proto_version != HELLO_PROTO_VERSION {
+        return Err(WireError::Hello(hello.proto_version));
+    }
+    Ok(hello)
 }
 
 /// Encodes a [`Heartbeat`] as a complete checksummed frame.
 pub fn encode_heartbeat_frame(beat: &Heartbeat) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(beat.worker_id);
-    enc.put_u64(beat.seq);
-    frame(HEARTBEAT_TAG, &enc.into_bytes())
+    encode_frame(HEARTBEAT_TAG, |enc| {
+        enc.put_u64(beat.worker_id);
+        enc.put_u64(beat.seq);
+    })
 }
 
-/// Decodes a [`HEARTBEAT_TAG`] payload into a [`Heartbeat`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on malformed payload.
-pub fn decode_heartbeat_payload(payload: &[u8]) -> Result<Heartbeat, WireError> {
-    let mut dec = Decoder::new(payload);
-    let beat = Heartbeat {
+fn read_heartbeat(dec: &mut Decoder<'_>) -> Result<Heartbeat, DecodeError> {
+    Ok(Heartbeat {
         worker_id: dec.read_u64()?,
         seq: dec.read_u64()?,
-    };
-    check_drained(&dec)?;
-    Ok(beat)
-}
-
-/// Decodes a frame written by [`encode_heartbeat_frame`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any frame fault or a wrong tag.
-pub fn decode_heartbeat_frame(bytes: &[u8]) -> Result<Heartbeat, WireError> {
-    let mut dec = Decoder::new(bytes);
-    let payload = expect_frame(&mut dec, HEARTBEAT_TAG)?;
-    decode_heartbeat_payload(&payload)
+    })
 }
 
 // ---------------------------------------------------------------------
-// Incremental frame extraction.
-// ---------------------------------------------------------------------
-
-/// Fixed frame-header size: tag (4) ‖ version (4) ‖ payload length (8).
-const FRAME_HEADER_BYTES: usize = 16;
-/// Trailing checksum size.
-const FRAME_TRAILER_BYTES: usize = 8;
-/// Upper bound on a sane frame payload (job frames ship whole feature
-/// tensors, so this is generous — it only exists to turn a corrupted
-/// length word into an immediate error).
-const MAX_FRAME_PAYLOAD: usize = 1 << 30;
-
-/// Incremental frame extractor for byte streams with arbitrary read
-/// fragmentation.
-///
-/// Links deliver *short reads* — a frame can arrive one byte at a time,
-/// split anywhere, including mid-header.
-/// The accumulator buffers pushed bytes and yields a frame only once
-/// its header, payload, and checksum trailer are all present, verifying
-/// version and checksum exactly like [`read_frame`]. The wire version
-/// is checked as soon as the first 8 bytes arrive, so version skew is
-/// reported eagerly rather than after a never-arriving payload.
-#[derive(Debug, Default)]
-pub struct FrameAccumulator {
-    buf: Vec<u8>,
-}
-
-impl FrameAccumulator {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends newly-read bytes (any fragmentation, including empty).
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed by a completed frame.
-    pub fn residual(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Extracts the next complete frame, if the buffer holds one.
-    ///
-    /// Returns `Ok(None)` while the next frame is still incomplete.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError`] on version skew (eagerly, once the header's
-    /// version word is present) or checksum mismatch. After an error the
-    /// accumulator's contents are unspecified; the stream is dead.
-    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        if self.buf.len() >= 8 {
-            let version = u32::from_le_bytes(self.buf[4..8].try_into().expect("4 bytes"));
-            if version != WIRE_VERSION {
-                return Err(WireError::Version(version));
-            }
-        }
-        if self.buf.len() < FRAME_HEADER_BYTES {
-            return Ok(None);
-        }
-        let len = u64::from_le_bytes(self.buf[8..16].try_into().expect("8 bytes")) as usize;
-        // A corrupted length word must fail now, not leave the stream
-        // waiting forever for bytes that will never come (the checksum
-        // can only catch it once the claimed payload has fully arrived).
-        if len > MAX_FRAME_PAYLOAD {
-            return Err(WireError::Decode(DecodeError::new(format!(
-                "absurd frame payload length {len}"
-            ))));
-        }
-        let total = FRAME_HEADER_BYTES + len + FRAME_TRAILER_BYTES;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let mut tag = [0u8; 4];
-        tag.copy_from_slice(&self.buf[..4]);
-        let payload = self.buf[FRAME_HEADER_BYTES..FRAME_HEADER_BYTES + len].to_vec();
-        let stored = u64::from_le_bytes(
-            self.buf[FRAME_HEADER_BYTES + len..total]
-                .try_into()
-                .expect("8 bytes"),
-        );
-        let computed = frame_checksum(&tag, &payload);
-        if stored != computed {
-            return Err(WireError::Checksum { stored, computed });
-        }
-        self.buf.drain(..total);
-        Ok(Some(Frame { tag, payload }))
-    }
-}
-
-// ---------------------------------------------------------------------
-// One-shot framed encoders/decoders.
+// Whole-frame encoders.
 // ---------------------------------------------------------------------
 
 /// Encodes a [`CampaignSpec`] as a complete checksummed frame.
 pub fn encode_spec_frame(spec: &CampaignSpec) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    put_spec(&mut enc, spec);
-    frame(SPEC_TAG, &enc.into_bytes())
-}
-
-/// Decodes a frame written by [`encode_spec_frame`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any frame fault or payload corruption.
-pub fn decode_spec_frame(bytes: &[u8]) -> Result<CampaignSpec, WireError> {
-    let mut dec = Decoder::new(bytes);
-    let payload = expect_frame(&mut dec, SPEC_TAG)?;
-    let mut pdec = Decoder::new(&payload);
-    let spec = read_spec(&mut pdec)?;
-    check_drained(&pdec)?;
-    Ok(spec)
+    encode_frame(SPEC_TAG, |enc| put_spec(enc, spec))
 }
 
 /// Encodes a [`ScenarioOutcome`] as a complete checksummed frame.
 pub fn encode_outcome_frame(o: &ScenarioOutcome) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    put_outcome(&mut enc, o);
-    frame(OUTCOME_TAG, &enc.into_bytes())
-}
-
-/// Decodes a frame written by [`encode_outcome_frame`].
-///
-/// # Errors
-///
-/// Returns [`WireError`] on any frame fault or payload corruption.
-pub fn decode_outcome_frame(bytes: &[u8]) -> Result<ScenarioOutcome, WireError> {
-    let mut dec = Decoder::new(bytes);
-    let payload = expect_frame(&mut dec, OUTCOME_TAG)?;
-    let mut pdec = Decoder::new(&payload);
-    let o = read_outcome(&mut pdec)?;
-    check_drained(&pdec)?;
-    Ok(o)
+    encode_frame(OUTCOME_TAG, |enc| put_outcome(enc, o))
 }
 
 /// Encodes a whole [`CampaignReport`] as a complete checksummed frame.
 pub fn encode_report_frame(report: &CampaignReport) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_str(&report.method);
-    put_precision(&mut enc, report.precision);
-    put_stealth(&mut enc, &report.stealth);
-    put_suite_seed(&mut enc, &report.suite_seed);
-    enc.put_u64(report.outcomes.len() as u64);
-    for o in &report.outcomes {
-        put_outcome(&mut enc, o);
-    }
-    frame(REPORT_TAG, &enc.into_bytes())
+    encode_frame(REPORT_TAG, |enc| {
+        enc.put_str(&report.method);
+        put_precision(enc, report.precision);
+        put_stealth(enc, &report.stealth);
+        put_suite_seed(enc, &report.suite_seed);
+        enc.put_u64(report.outcomes.len() as u64);
+        for o in &report.outcomes {
+            put_outcome(enc, o);
+        }
+    })
 }
 
 /// Decodes a frame written by [`encode_report_frame`].
@@ -898,19 +909,19 @@ pub fn encode_report_frame(report: &CampaignReport) -> Vec<u8> {
 ///
 /// Returns [`WireError`] on any frame fault or payload corruption.
 pub fn decode_report_frame(bytes: &[u8]) -> Result<CampaignReport, WireError> {
-    let mut dec = Decoder::new(bytes);
-    let payload = expect_frame(&mut dec, REPORT_TAG)?;
-    let mut pdec = Decoder::new(&payload);
-    let method = pdec.read_str()?;
-    let precision = read_precision(&mut pdec)?;
-    let stealth = read_stealth(&mut pdec)?;
-    let suite_seed = read_suite_seed(&mut pdec)?;
-    let n = pdec.read_u64()? as usize;
-    let mut outcomes = Vec::with_capacity(n.min(pdec.remaining() / 64));
+    decode_frame(bytes, REPORT_TAG, read_report)
+}
+
+fn read_report(dec: &mut Decoder<'_>) -> Result<CampaignReport, DecodeError> {
+    let method = dec.read_str()?;
+    let precision = read_precision(dec)?;
+    let stealth = read_stealth(dec)?;
+    let suite_seed = read_suite_seed(dec)?;
+    let n = dec.read_u64()? as usize;
+    let mut outcomes = Vec::with_capacity(n.min(dec.remaining() / 64));
     for _ in 0..n {
-        outcomes.push(read_outcome(&mut pdec)?);
+        outcomes.push(read_outcome(dec)?);
     }
-    check_drained(&pdec)?;
     Ok(CampaignReport {
         method,
         precision,
@@ -923,32 +934,7 @@ pub fn decode_report_frame(bytes: &[u8]) -> Result<CampaignReport, WireError> {
 /// Encodes the end-of-stream frame a worker writes after its last
 /// outcome: the number of outcome frames that preceded it.
 pub fn encode_end_frame(count: u64) -> Vec<u8> {
-    let mut enc = Encoder::new();
-    enc.put_u64(count);
-    frame(END_TAG, &enc.into_bytes())
-}
-
-/// Decodes an [`END_TAG`] payload into its outcome count.
-///
-/// # Errors
-///
-/// Returns [`WireError`] on malformed payload.
-pub fn decode_end_payload(payload: &[u8]) -> Result<u64, WireError> {
-    let mut dec = Decoder::new(payload);
-    let count = dec.read_u64()?;
-    check_drained(&dec)?;
-    Ok(count)
-}
-
-/// Rejects trailing garbage after a fully-decoded payload.
-fn check_drained(dec: &Decoder<'_>) -> Result<(), WireError> {
-    if dec.remaining() != 0 {
-        return Err(WireError::Decode(DecodeError::new(format!(
-            "{} trailing bytes after payload",
-            dec.remaining()
-        ))));
-    }
-    Ok(())
+    encode_frame(END_TAG, |enc| enc.put_u64(count))
 }
 
 #[cfg(test)]
@@ -1009,14 +995,14 @@ mod tests {
     fn spec_frame_roundtrip() {
         let spec = small_spec();
         let bytes = encode_spec_frame(&spec);
-        assert_eq!(decode_spec_frame(&bytes).unwrap(), spec);
+        assert_eq!(decode_frame(&bytes, SPEC_TAG, read_spec).unwrap(), spec);
     }
 
     #[test]
     fn outcome_frame_roundtrip() {
         let o = small_outcome();
         let bytes = encode_outcome_frame(&o);
-        assert_eq!(decode_outcome_frame(&bytes).unwrap(), o);
+        assert_eq!(decode_frame(&bytes, OUTCOME_TAG, read_outcome).unwrap(), o);
     }
 
     #[test]
@@ -1113,7 +1099,7 @@ mod tests {
         let bytes = encode_outcome_frame(&small_outcome());
         for cut in [0, 3, 8, 16, bytes.len() / 2, bytes.len() - 1] {
             assert!(
-                decode_outcome_frame(&bytes[..cut]).is_err(),
+                decode_frame(&bytes[..cut], OUTCOME_TAG, read_outcome).is_err(),
                 "prefix of {cut} bytes decoded"
             );
         }
@@ -1126,7 +1112,7 @@ mod tests {
         let mut corrupt = bytes.clone();
         let mid = 16 + (bytes.len() - 24) / 2;
         corrupt[mid] ^= 0x10;
-        match decode_outcome_frame(&corrupt) {
+        match decode_frame(&corrupt, OUTCOME_TAG, read_outcome) {
             Err(WireError::Checksum { .. }) | Err(WireError::Decode(_)) => {}
             other => panic!("corrupted frame decoded as {other:?}"),
         }
@@ -1138,7 +1124,7 @@ mod tests {
         // The version word sits right after the 4-byte tag.
         bytes[4] ^= 0xFF;
         assert!(matches!(
-            decode_spec_frame(&bytes),
+            decode_frame(&bytes, SPEC_TAG, read_spec),
             Err(WireError::Version(_))
         ));
     }
@@ -1146,10 +1132,7 @@ mod tests {
     #[test]
     fn end_frame_roundtrip() {
         let bytes = encode_end_frame(42);
-        let mut dec = Decoder::new(&bytes);
-        let f = read_frame(&mut dec).unwrap();
-        assert_eq!(&f.tag, END_TAG);
-        assert_eq!(decode_end_payload(&f.payload).unwrap(), 42);
+        assert_eq!(decode_frame(&bytes, END_TAG, |d| d.read_u64()).unwrap(), 42);
     }
 
     #[test]
@@ -1159,7 +1142,7 @@ mod tests {
         assert_ne!(hello.capabilities & CAP_HEARTBEAT, 0);
         assert_ne!(hello.capabilities & CAP_SHARD_JOBS, 0);
         let bytes = encode_hello_frame(&hello);
-        assert_eq!(decode_hello_frame(&bytes).unwrap(), hello);
+        assert_eq!(decode_frame(&bytes, HELLO_TAG, read_hello).unwrap(), hello);
     }
 
     #[test]
@@ -1172,7 +1155,7 @@ mod tests {
         let bytes = encode_hello_frame(&rogue);
         // The frame itself is intact (version word, checksum) — the
         // refusal must come from the handshake layer, classified.
-        match decode_hello_frame(&bytes) {
+        match decode_frame(&bytes, HELLO_TAG, read_hello) {
             Err(WireError::Hello(v)) => assert_eq!(v, HELLO_PROTO_VERSION + 1),
             other => panic!("wrong-proto hello decoded as {other:?}"),
         }
@@ -1185,7 +1168,76 @@ mod tests {
             seq: 99,
         };
         let bytes = encode_heartbeat_frame(&beat);
-        assert_eq!(decode_heartbeat_frame(&bytes).unwrap(), beat);
+        assert_eq!(
+            decode_frame(&bytes, HEARTBEAT_TAG, read_heartbeat).unwrap(),
+            beat
+        );
+    }
+
+    /// A one-shot decode consumes exactly one whole frame: junk after
+    /// it, or a second frame, is refused for every frame kind.
+    #[test]
+    fn one_shot_decode_refuses_bytes_after_the_frame() {
+        fn check<T: fmt::Debug, E>(
+            frame: &[u8],
+            tag: &[u8; 4],
+            read: impl Fn(&mut Decoder<'_>) -> Result<T, E>,
+        ) where
+            WireError: From<E>,
+        {
+            decode_frame(frame, tag, &read).expect("the frame alone decodes");
+            let mut junk = frame.to_vec();
+            junk.extend_from_slice(&[0xAB; 20]);
+            let mut twice = frame.to_vec();
+            twice.extend_from_slice(frame);
+            for (what, bytes) in [("junk", junk), ("a second frame", twice)] {
+                match decode_frame(&bytes, tag, &read) {
+                    Err(WireError::Decode(e)) => {
+                        assert!(e.to_string().contains("bytes after the frame"), "{e}")
+                    }
+                    other => panic!("{tag:?} frame followed by {what} decoded as {other:?}"),
+                }
+            }
+        }
+        check(&encode_spec_frame(&small_spec()), SPEC_TAG, read_spec);
+        check(
+            &encode_outcome_frame(&small_outcome()),
+            OUTCOME_TAG,
+            read_outcome,
+        );
+        let report = CampaignReport {
+            method: "fsa".into(),
+            precision: Precision::F32,
+            stealth: None,
+            suite_seed: None,
+            outcomes: vec![small_outcome()],
+        };
+        check(&encode_report_frame(&report), REPORT_TAG, read_report);
+        check(&encode_end_frame(3), END_TAG, |d| d.read_u64());
+        check(
+            &encode_hello_frame(&WorkerHello::current(1)),
+            HELLO_TAG,
+            read_hello,
+        );
+        let beat = Heartbeat {
+            worker_id: 1,
+            seq: 2,
+        };
+        check(
+            &encode_heartbeat_frame(&beat),
+            HEARTBEAT_TAG,
+            read_heartbeat,
+        );
+    }
+
+    #[test]
+    fn a_wrong_tag_or_leftover_payload_is_refused() {
+        let bytes = encode_end_frame(3);
+        assert!(decode_frame(&bytes, HEARTBEAT_TAG, |d| d.read_u64()).is_err());
+        let long = frame(END_TAG, &[0; 9]);
+        let err = decode_frame(&long, END_TAG, |d| d.read_u64()).unwrap_err();
+        assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+        assert!(decode_report_frame(&encode_spec_frame(&small_spec())).is_err());
     }
 
     #[test]
@@ -1212,12 +1264,23 @@ mod tests {
             tags,
             vec![*HELLO_TAG, *HEARTBEAT_TAG, *OUTCOME_TAG, *END_TAG]
         );
+        let messages: Vec<WorkerMessage> = frames.iter().map(|f| f.message().unwrap()).collect();
         assert_eq!(
-            decode_hello_payload(&frames[0].payload).unwrap(),
-            WorkerHello::current(0)
+            messages,
+            vec![
+                WorkerMessage::Hello(WorkerHello::current(0)),
+                WorkerMessage::Heartbeat(Heartbeat {
+                    worker_id: 0,
+                    seq: 0
+                }),
+                WorkerMessage::Outcome(small_outcome()),
+                WorkerMessage::End(1),
+            ]
         );
-        let mut p = Decoder::new(&frames[2].payload);
-        assert_eq!(read_outcome(&mut p).unwrap(), small_outcome());
+        // A frame kind no worker sends is refused, not guessed at.
+        let mut acc = FrameAccumulator::new();
+        acc.push(&encode_spec_frame(&small_spec()));
+        assert!(acc.next_frame().unwrap().unwrap().message().is_err());
     }
 
     #[test]

@@ -112,14 +112,25 @@ impl AttackConfig {
 
     /// Checks the bounds the attack needs: the ADMM penalty ρ finite and
     /// positive (the z-step's proximal operators assert `ρ > 0`, and
-    /// `ρ = +∞` turns δ into NaN), and λ and κ finite and ≥ 0 (a NaN λ or
-    /// an infinite κ runs to a meaningless δ without complaint).
+    /// `ρ = +∞` turns δ into NaN), and λ, κ, the stiffness value and a
+    /// set refine step finite and ≥ 0 (a NaN λ, an infinite κ or a NaN
+    /// refine step runs to a meaningless δ without complaint, and
+    /// [`Stiffness::resolve`] would silently read a NaN or negative
+    /// stiffness as 1).
     pub(crate) fn check(&self) -> Result<(), SpecError> {
         if !(self.rho.is_finite() && self.rho > 0.0) {
             return Err(SpecError::InvalidRho { rho: self.rho });
         }
         check_weight("lambda", self.lambda)?;
-        check_weight("kappa", self.kappa)
+        check_weight("kappa", self.kappa)?;
+        match self.stiffness {
+            Stiffness::Auto(m) => check_weight("stiffness multiplier", m)?,
+            Stiffness::Fixed(v) => check_weight("stiffness", v)?,
+        }
+        match self.refine.as_ref().and_then(|r| r.step) {
+            Some(step) => check_weight("refine step", step),
+            None => Ok(()),
+        }
     }
 }
 

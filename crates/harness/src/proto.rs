@@ -11,8 +11,19 @@
 //! ([`fsa_attack::campaign::wire`]); any truncation, bit flip, or count
 //! mismatch surfaces as a [`ProtoError`] the supervisor classifies as a
 //! corrupt-frame fault.
+//!
+//! This module holds no frame codec of its own. The job payload is read
+//! by one body, [`ShardJob::read`], through `wire`'s typed step: one-shot
+//! in [`ShardJob::decode`], on an accumulated frame in the worker. The
+//! result stream's frames are split by `wire`'s [`FrameAccumulator`] and
+//! decoded by [`Frame::message`]; [`StreamParser`] adds only the stream
+//! rules (hello first, no duplicate index, END count, nothing after END,
+//! the assigned indices in order).
+//!
+//! [`FrameAccumulator`]: wire::FrameAccumulator
+//! [`Frame::message`]: wire::Frame::message
 
-use fsa_attack::campaign::wire::{self, WireError};
+use fsa_attack::campaign::wire::{self, WireError, WorkerMessage};
 use fsa_attack::campaign::{CampaignSpec, ScenarioOutcome};
 use fsa_attack::ParamSelection;
 use fsa_nn::head::FcHead;
@@ -50,17 +61,11 @@ impl ShardJob {
         let mut enc = Encoder::new();
         self.head.encode(&mut enc);
         wire::put_selection(&mut enc, &self.selection);
-        enc.put_u64(self.labels.len() as u64);
-        for &l in &self.labels {
-            enc.put_u64(l as u64);
-        }
+        enc.put_u64_slice(&self.labels);
         enc.put_tensor(&self.features);
         wire::put_spec(&mut enc, &self.spec);
         enc.put_str(&self.method);
-        enc.put_u64(self.indices.len() as u64);
-        for &i in &self.indices {
-            enc.put_u64(i as u64);
-        }
+        enc.put_u64_slice(&self.indices);
         wire::frame(JOB_TAG, &enc.into_bytes())
     }
 
@@ -70,60 +75,26 @@ impl ShardJob {
     ///
     /// Returns [`WireError`] on any frame fault or payload corruption.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut dec = Decoder::new(bytes);
-        let payload = wire::expect_frame(&mut dec, JOB_TAG)?;
-        Self::decode_payload(&payload)
+        wire::decode_frame(bytes, JOB_TAG, Self::read)
     }
 
-    /// Decodes a job from an already-extracted frame — workers
-    /// accumulate the job incrementally ([`wire::FrameAccumulator`]),
-    /// because the link stays open after it and no EOF delimits it.
+    /// Reads a [`JOB_TAG`] payload: the reader [`ShardJob::decode`] and
+    /// a worker's `frame.decode(JOB_TAG, ShardJob::read)` both run (a
+    /// worker accumulates the job incrementally, because the link stays
+    /// open after it and no EOF delimits it).
     ///
     /// # Errors
     ///
-    /// Returns [`WireError`] on a wrong tag or payload corruption.
-    pub fn from_frame(f: &wire::Frame) -> Result<Self, WireError> {
-        if &f.tag != JOB_TAG {
-            return Err(WireError::Decode(DecodeError::new(format!(
-                "expected shard-job frame, got tag {:?}",
-                f.tag
-            ))));
-        }
-        Self::decode_payload(&f.payload)
-    }
-
-    fn decode_payload(payload: &[u8]) -> Result<Self, WireError> {
-        let mut p = Decoder::new(payload);
-        let head = FcHead::decode(&mut p)?;
-        let selection = wire::read_selection(&mut p)?;
-        // Capacities are capped by the bytes actually present, so a
-        // forged count cannot reserve memory the payload cannot fill.
-        let nl = p.read_u64()? as usize;
-        let mut labels = Vec::with_capacity(nl.min(p.remaining() / 8));
-        for _ in 0..nl {
-            labels.push(p.read_u64()? as usize);
-        }
-        let features = p.read_tensor()?;
-        let spec = wire::read_spec(&mut p)?;
-        let method = p.read_str()?;
-        let ni = p.read_u64()? as usize;
-        let mut indices = Vec::with_capacity(ni.min(p.remaining() / 8));
-        for _ in 0..ni {
-            indices.push(p.read_u64()? as usize);
-        }
-        if p.remaining() != 0 {
-            return Err(WireError::Decode(DecodeError::new(
-                "trailing bytes after shard job payload",
-            )));
-        }
+    /// Returns [`DecodeError`] on a malformed payload.
+    pub fn read(p: &mut Decoder<'_>) -> Result<Self, DecodeError> {
         Ok(Self {
-            head,
-            selection,
-            labels,
-            features,
-            spec,
-            method,
-            indices,
+            head: FcHead::decode(p)?,
+            selection: wire::read_selection(p)?,
+            labels: p.read_u64_vec()?,
+            features: p.read_tensor()?,
+            spec: wire::read_spec(p)?,
+            method: p.read_str()?,
+            indices: p.read_u64_vec()?,
         })
     }
 }
@@ -230,12 +201,13 @@ pub enum StreamEvent {
 /// Links deliver short reads, so frames arrive split at arbitrary byte
 /// boundaries — including mid-header. This parser accepts bytes as
 /// they come ([`StreamParser::push`]), surfaces each completed frame as
-/// a [`StreamEvent`], validates as frames arrive (checksums and version
-/// via [`wire::FrameAccumulator`], a hello only as the first frame,
-/// duplicate-index rejection, END-count agreement, nothing after END),
-/// and finishes with the index-sequence check once the caller declares
-/// EOF ([`StreamParser::finish`]). A stream parsed whole and the same
-/// bytes fed one at a time produce identical results.
+/// a [`StreamEvent`], validates as frames arrive (checksums, version and
+/// payloads via [`wire::FrameAccumulator`] and [`wire::Frame::message`],
+/// a hello only as the first frame, duplicate-index rejection, END-count
+/// agreement, nothing after END), and finishes with the index-sequence
+/// check once the caller declares EOF ([`StreamParser::finish`]). A
+/// stream parsed whole and the same bytes fed one at a time produce
+/// identical results.
 #[derive(Debug)]
 pub struct StreamParser {
     acc: wire::FrameAccumulator,
@@ -293,61 +265,47 @@ impl StreamParser {
                 return Ok(events);
             };
             self.frames += 1;
-            if &f.tag == wire::HELLO_TAG {
-                if self.frames != 1 {
-                    return Err(ProtoError::Frame(WireError::Decode(DecodeError::new(
-                        "hello frame after the start of the stream",
-                    ))));
+            match f.message()? {
+                WorkerMessage::Hello(_) if self.frames != 1 => {
+                    return Err(
+                        DecodeError::new("hello frame after the start of the stream").into(),
+                    );
                 }
-                events.push(StreamEvent::Hello(wire::decode_hello_payload(&f.payload)?));
-                continue;
-            }
-            if &f.tag == wire::END_TAG {
-                let claimed = wire::decode_end_payload(&f.payload)?;
-                if claimed != self.outcomes.len() as u64 {
-                    return Err(ProtoError::CountMismatch {
-                        claimed,
-                        received: self.outcomes.len() as u64,
-                    });
+                WorkerMessage::Hello(hello) => events.push(StreamEvent::Hello(hello)),
+                WorkerMessage::Heartbeat(beat) => {
+                    self.heartbeats += 1;
+                    events.push(StreamEvent::Heartbeat(beat));
                 }
-                self.ended = Some(claimed);
-                events.push(StreamEvent::End);
-                continue;
+                WorkerMessage::End(claimed) => {
+                    if claimed != self.outcomes.len() as u64 {
+                        return Err(ProtoError::CountMismatch {
+                            claimed,
+                            received: self.outcomes.len() as u64,
+                        });
+                    }
+                    self.ended = Some(claimed);
+                    events.push(StreamEvent::End);
+                }
+                WorkerMessage::Outcome(o) => {
+                    // Explicit duplicate rejection, checked as frames
+                    // arrive: a repeated scenario index is a protocol
+                    // violation on its own, whatever the END count or
+                    // the index sequence later claim.
+                    let index = o.scenario.index;
+                    if self
+                        .outcomes
+                        .iter()
+                        .any(|prev| prev.scenario.index == index)
+                    {
+                        return Err(ProtoError::DuplicateIndex {
+                            index,
+                            position: self.outcomes.len(),
+                        });
+                    }
+                    events.push(StreamEvent::Outcome(index));
+                    self.outcomes.push(o);
+                }
             }
-            if &f.tag == wire::HEARTBEAT_TAG {
-                let beat = wire::decode_heartbeat_payload(&f.payload)?;
-                self.heartbeats += 1;
-                events.push(StreamEvent::Heartbeat(beat));
-                continue;
-            }
-            if &f.tag != wire::OUTCOME_TAG {
-                return Err(ProtoError::Frame(WireError::Decode(DecodeError::new(
-                    format!("unexpected frame tag {:?} in result stream", f.tag),
-                ))));
-            }
-            let mut p = Decoder::new(&f.payload);
-            let o = wire::read_outcome(&mut p)?;
-            if p.remaining() != 0 {
-                return Err(ProtoError::Frame(WireError::Decode(DecodeError::new(
-                    "trailing bytes after outcome payload",
-                ))));
-            }
-            // Explicit duplicate rejection, checked as frames arrive: a
-            // repeated scenario index is a protocol violation on its
-            // own, whatever the END count or the index sequence later
-            // claim.
-            if self
-                .outcomes
-                .iter()
-                .any(|prev| prev.scenario.index == o.scenario.index)
-            {
-                return Err(ProtoError::DuplicateIndex {
-                    index: o.scenario.index,
-                    position: self.outcomes.len(),
-                });
-            }
-            events.push(StreamEvent::Outcome(o.scenario.index));
-            self.outcomes.push(o);
         }
     }
 
@@ -362,7 +320,7 @@ impl StreamParser {
         match self.ended {
             None if self.acc.residual() != 0 => {
                 // The stream died inside a frame: the same class of
-                // error the one-shot decoder reported for a torn frame.
+                // error the one-shot decoder reports for a torn frame.
                 return Err(ProtoError::Frame(WireError::Decode(DecodeError::new(
                     format!(
                         "stream ended mid-frame with {} buffered bytes",
@@ -459,6 +417,17 @@ mod tests {
         assert_eq!(back.indices, job.indices);
         assert_eq!(back.method, job.method);
         assert_eq!(back.spec, job.spec);
+
+        // One whole frame and nothing else: junk or a second job after
+        // it is refused, as for every wire frame kind.
+        let mut junk = bytes.clone();
+        junk.extend_from_slice(&[0xAB; 20]);
+        let mut twice = bytes.clone();
+        twice.extend_from_slice(&bytes);
+        for extra in [junk, twice] {
+            let err = ShardJob::decode(&extra).expect_err("bytes after the job frame");
+            assert!(err.to_string().contains("bytes after the frame"), "{err}");
+        }
     }
 
     /// A features tensor claiming dims `[2^63, 2]` with no data: the

@@ -23,7 +23,7 @@
 //! in its environment.
 
 use crate::injector::{FaultDirective, FAULT_ENV};
-use crate::proto::ShardJob;
+use crate::proto::{ShardJob, JOB_TAG};
 use fsa_attack::campaign::wire;
 use fsa_attack::{AttackMethod, Campaign, FsaMethod};
 use fsa_baselines::{GdaMethod, SbaMethod};
@@ -215,7 +215,7 @@ fn read_job(reader: &mut dyn Read) -> ShardJob {
             }
         }
     };
-    ShardJob::from_frame(&frame).unwrap_or_else(|e| {
+    frame.decode(JOB_TAG, ShardJob::read).unwrap_or_else(|e| {
         eprintln!("worker: bad job frame: {e}");
         exit(EXIT_BAD_JOB);
     })

@@ -13,7 +13,7 @@ use fsa_attack::campaign::wire::{self, Frame, Heartbeat, WorkerHello};
 use fsa_attack::campaign::{Campaign, CampaignReport, CampaignSpec, SparsityBudget};
 use fsa_attack::solver::AttackConfig;
 use fsa_attack::{FsaMethod, ParamSelection};
-use fsa_harness::proto::{ShardJob, StreamParser};
+use fsa_harness::proto::{ShardJob, StreamParser, JOB_TAG};
 use fsa_nn::feature_cache::FeatureCache;
 use fsa_nn::head::FcHead;
 use fsa_tensor::{Prng, Tensor};
@@ -134,8 +134,8 @@ fn shard_job_decoders_never_panic() {
     fuzz("ShardJob::decode", &bytes, 1, |b| {
         let _ = ShardJob::decode(b);
     });
-    fuzz("ShardJob::from_frame", &bytes, 2, |b| {
-        let _ = ShardJob::from_frame(&unframe(b));
+    fuzz("Frame::decode(ShardJob::read)", &bytes, 2, |b| {
+        let _ = unframe(b).decode(JOB_TAG, ShardJob::read);
     });
 }
 
@@ -143,16 +143,16 @@ fn shard_job_decoders_never_panic() {
 fn wire_frame_decoders_never_panic() {
     let (job, report) = fixture();
     fuzz(
-        "decode_spec_frame",
+        "decode_frame(read_spec)",
         &wire::encode_spec_frame(&job.spec),
         3,
         |b| {
-            let _ = wire::decode_spec_frame(b);
+            let _ = wire::decode_frame(b, wire::SPEC_TAG, wire::read_spec);
         },
     );
     let outcome = wire::encode_outcome_frame(&report.outcomes[0]);
-    fuzz("decode_outcome_frame", &outcome, 4, |b| {
-        let _ = wire::decode_outcome_frame(b);
+    fuzz("decode_frame(read_outcome)", &outcome, 4, |b| {
+        let _ = wire::decode_frame(b, wire::OUTCOME_TAG, wire::read_outcome);
     });
     fuzz(
         "decode_report_frame",
@@ -162,20 +162,26 @@ fn wire_frame_decoders_never_panic() {
             let _ = wire::decode_report_frame(b);
         },
     );
+    // The worker-stream kinds decode through `Frame::message`.
     let hello = wire::encode_hello_frame(&WorkerHello::current(3));
-    fuzz("decode_hello_frame", &hello, 6, |b| {
-        let _ = wire::decode_hello_frame(b);
-    });
     let beat = wire::encode_heartbeat_frame(&Heartbeat {
         worker_id: 3,
         seq: 9,
     });
-    fuzz("decode_heartbeat_frame", &beat, 7, |b| {
-        let _ = wire::decode_heartbeat_frame(b);
-    });
-    fuzz("decode_end_payload", &wire::encode_end_frame(2), 8, |b| {
-        let _ = wire::decode_end_payload(&unframe(b).payload);
-    });
+    let end = wire::encode_end_frame(2);
+    for (seed, (name, frame)) in [
+        ("hello", hello),
+        ("heartbeat", beat),
+        ("end", end),
+        ("outcome", outcome),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        fuzz(name, &frame, 6 + seed as u64, |b| {
+            let _ = unframe(b).message();
+        });
+    }
 }
 
 /// Each frame kind of a worker stream, mutated in place inside an

@@ -96,6 +96,24 @@ impl Encoder {
         }
     }
 
+    /// Appends a length-prefixed list of `u64` words; `usize` lists
+    /// widen to `u64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a value wider than 64 bits.
+    pub fn put_u64_slice<T: Copy>(&mut self, xs: &[T])
+    where
+        u64: TryFrom<T>,
+    {
+        self.put_u64(xs.len() as u64);
+        self.buf.reserve(xs.len() * 8);
+        for &x in xs {
+            let word = u64::try_from(x).unwrap_or_else(|_| panic!("list value wider than u64"));
+            self.buf.extend_from_slice(&word.to_le_bytes());
+        }
+    }
+
     /// Appends a length-prefixed UTF-8 string.
     pub fn put_str(&mut self, s: &str) {
         self.put_u64(s.len() as u64);
@@ -224,17 +242,24 @@ impl<'a> Decoder<'a> {
         Ok(out)
     }
 
-    /// Reads `n` raw bytes (the caller knows the framing).
+    /// Reads a length-prefixed list of `u64` words written by
+    /// [`Encoder::put_u64_slice`], into `u64`s or `usize`s.
     ///
     /// # Errors
     ///
-    /// Returns [`DecodeError`] on truncated input.
-    pub fn read_raw(&mut self, n: usize) -> Result<Vec<u8>, DecodeError> {
-        self.need(n, "raw bytes")?;
-        let (head, rest) = self.buf.split_at(n);
-        let bytes = head.to_vec();
-        self.buf = rest;
-        Ok(bytes)
+    /// Returns [`DecodeError`] on truncated input, or a word the element
+    /// type cannot hold.
+    pub fn read_u64_vec<T: TryFrom<u64>>(&mut self) -> Result<Vec<T>, DecodeError> {
+        let n = self.read_u64()? as usize;
+        self.need(n.saturating_mul(8), "u64 slice body")?;
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            let word = u64::from_le_bytes(self.take());
+            out.push(T::try_from(word).map_err(|_| {
+                DecodeError::new(format!("list value {word} overflows its element type"))
+            })?);
+        }
+        Ok(out)
     }
 
     /// Reads a length-prefixed UTF-8 string.
@@ -379,10 +404,15 @@ mod tests {
         let mut e = Encoder::new();
         e.put_f32_slice(&[1.0, 2.0, 3.0]);
         e.put_u32_slice(&[9, 8]);
+        e.put_u64_slice(&[u64::MAX, 0]);
+        e.put_u64_slice(&[5usize, 1 << 20]);
         let bytes = e.into_bytes();
         let mut d = Decoder::new(&bytes);
         assert_eq!(d.read_f32_vec().unwrap(), vec![1.0, 2.0, 3.0]);
         assert_eq!(d.read_u32_vec().unwrap(), vec![9, 8]);
+        assert_eq!(d.read_u64_vec::<u64>().unwrap(), vec![u64::MAX, 0]);
+        assert_eq!(d.read_u64_vec::<usize>().unwrap(), vec![5, 1 << 20]);
+        assert_eq!(d.remaining(), 0);
     }
 
     #[test]

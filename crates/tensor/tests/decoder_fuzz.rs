@@ -69,17 +69,14 @@ unsafe impl GlobalAlloc for Tracking {
 static ALLOCATOR: Tracking = Tracking;
 
 /// One record for every reader, in the order [`read_all`] reads them:
-/// tensors of rank 2, 0 and 3, a string, both slice kinds, and a raw
-/// block framed by a `u64` length the way callers frame one.
+/// tensors of rank 2, 0 and 3, a string, and every slice kind.
 fn records(rng: &mut Prng) -> Vec<u8> {
     let mut e = Encoder::new();
     e.put_tensor(&Tensor::randn(&[2, 3], 1.0, rng));
     e.put_str("fault sneaking");
     e.put_f32_slice(&[1.0, -2.5, f32::MIN_POSITIVE]);
     e.put_u32_slice(&[7, 0, u32::MAX]);
-    e.put_u64(8);
-    e.put_tag(b"RAW!");
-    e.put_u32(9);
+    e.put_u64_slice(&[8u64, 0, u64::MAX]);
     e.put_tensor(&Tensor::from_vec(vec![4.0], &[]));
     e.put_tensor(&Tensor::randn(&[1, 2, 2], 1.0, rng));
     e.into_bytes()
@@ -92,8 +89,7 @@ fn read_all(bytes: &[u8]) -> Result<(), DecodeError> {
     d.read_str()?;
     d.read_f32_vec()?;
     d.read_u32_vec()?;
-    let n = d.read_u64()?;
-    d.read_raw(usize::try_from(n).unwrap_or(usize::MAX))?;
+    d.read_u64_vec::<u64>()?;
     d.read_tensor()?;
     d.read_tensor()?;
     Ok(())
@@ -226,11 +222,7 @@ fn random_bytes_never_panic_or_overallocate_any_reader() {
     fuzz("read_u32_vec", &inputs, |b| {
         let _ = Decoder::new(b).read_u32_vec();
     });
-    fuzz("read_raw", &inputs, |b| {
-        // The caller's length comes from the same untrusted bytes.
-        let mut d = Decoder::new(b);
-        if let Ok(n) = d.read_u64() {
-            let _ = d.read_raw(usize::try_from(n).unwrap_or(usize::MAX));
-        }
+    fuzz("read_u64_vec", &inputs, |b| {
+        let _ = Decoder::new(b).read_u64_vec::<u64>();
     });
 }

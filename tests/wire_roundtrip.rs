@@ -6,9 +6,10 @@
 //! corrupt-frame classification rests on.
 
 use fault_sneaking::attack::campaign::wire::{
-    decode_heartbeat_frame, decode_hello_frame, decode_outcome_frame, decode_report_frame,
-    decode_spec_frame, encode_heartbeat_frame, encode_hello_frame, encode_outcome_frame,
-    encode_report_frame, encode_spec_frame, Heartbeat, WireError, WorkerHello, HELLO_PROTO_VERSION,
+    decode_frame, decode_report_frame, encode_heartbeat_frame, encode_hello_frame,
+    encode_outcome_frame, encode_report_frame, encode_spec_frame, read_outcome, read_spec,
+    FrameAccumulator, Heartbeat, WireError, WorkerHello, WorkerMessage, HELLO_PROTO_VERSION,
+    OUTCOME_TAG, SPEC_TAG,
 };
 use fault_sneaking::attack::campaign::{
     CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget,
@@ -19,7 +20,29 @@ use fault_sneaking::attack::{
     AttackConfig, AttackResult, IterStats, Norm, Precision, StealthObjective,
 };
 use fault_sneaking::memfault::dram::DramGeometry;
+use fault_sneaking::tensor::io::DecodeError;
 use fault_sneaking::tensor::Prng;
+
+fn decode_spec_frame(bytes: &[u8]) -> Result<CampaignSpec, WireError> {
+    decode_frame(bytes, SPEC_TAG, read_spec)
+}
+
+fn decode_outcome_frame(bytes: &[u8]) -> Result<ScenarioOutcome, WireError> {
+    decode_frame(bytes, OUTCOME_TAG, read_outcome)
+}
+
+/// Decodes `bytes` as exactly one frame of a worker's result stream,
+/// through the accumulator and `Frame::message` the supervisor uses.
+fn decode_message(bytes: &[u8]) -> Result<WorkerMessage, WireError> {
+    let mut acc = FrameAccumulator::new();
+    acc.push(bytes);
+    match acc.next_frame()? {
+        Some(frame) if acc.residual() == 0 => frame.message(),
+        _ => Err(WireError::Decode(DecodeError::new(
+            "not exactly one whole frame",
+        ))),
+    }
+}
 
 fn random_stealth(rng: &mut Prng) -> Option<StealthObjective> {
     rng.bernoulli(0.4).then(|| {
@@ -260,13 +283,17 @@ fn hello_and_heartbeat_frames_roundtrip_over_seeded_shapes() {
     for _ in 0..100 {
         let hello = random_hello(&mut rng);
         let bytes = encode_hello_frame(&hello);
-        let back = decode_hello_frame(&bytes).expect("clean hello must decode");
+        let Ok(WorkerMessage::Hello(back)) = decode_message(&bytes) else {
+            panic!("clean hello must decode");
+        };
         assert_eq!(back, hello);
         assert_eq!(encode_hello_frame(&back), bytes);
 
         let beat = random_heartbeat(&mut rng);
         let bytes = encode_heartbeat_frame(&beat);
-        let back = decode_heartbeat_frame(&bytes).expect("clean heartbeat must decode");
+        let Ok(WorkerMessage::Heartbeat(back)) = decode_message(&bytes) else {
+            panic!("clean heartbeat must decode");
+        };
         assert_eq!(back, beat);
         assert_eq!(encode_heartbeat_frame(&back), bytes);
     }
@@ -278,7 +305,7 @@ fn every_truncation_of_hello_and_heartbeat_frames_is_rejected() {
     let hello = encode_hello_frame(&random_hello(&mut rng));
     for cut in 0..hello.len() {
         assert!(
-            decode_hello_frame(&hello[..cut]).is_err(),
+            decode_message(&hello[..cut]).is_err(),
             "hello prefix of length {cut}/{} decoded",
             hello.len()
         );
@@ -286,7 +313,7 @@ fn every_truncation_of_hello_and_heartbeat_frames_is_rejected() {
     let beat = encode_heartbeat_frame(&random_heartbeat(&mut rng));
     for cut in 0..beat.len() {
         assert!(
-            decode_heartbeat_frame(&beat[..cut]).is_err(),
+            decode_message(&beat[..cut]).is_err(),
             "heartbeat prefix of length {cut}/{} decoded",
             beat.len()
         );
@@ -306,11 +333,7 @@ fn seeded_bit_flips_in_hello_and_heartbeat_frames_are_rejected() {
         let byte = rng.below(corrupt.len());
         let bit = rng.below(8) as u8;
         corrupt[byte] ^= 1 << bit;
-        let rejected = if trial % 2 == 0 {
-            decode_hello_frame(&corrupt).is_err()
-        } else {
-            decode_heartbeat_frame(&corrupt).is_err()
-        };
+        let rejected = decode_message(&corrupt).is_err();
         assert!(
             rejected,
             "flip of bit {bit} in byte {byte}/{} went undetected",
@@ -334,7 +357,7 @@ fn wrong_protocol_version_hello_is_refused_with_a_classified_error() {
         // refusal must come from the registration layer, classified as
         // WireError::Hello carrying the offered version, not as a
         // generic decode failure.
-        match decode_hello_frame(&encode_hello_frame(&hello)) {
+        match decode_message(&encode_hello_frame(&hello)) {
             Err(WireError::Hello(v)) => {
                 assert_eq!(v, hello.proto_version);
                 let msg = WireError::Hello(v).to_string();
