@@ -374,9 +374,15 @@ where
 /// trailer are all present, through the same parser as
 /// [`decode_frame`]: version skew is reported as soon as the first 8
 /// bytes arrive, rather than after a never-arriving payload.
+///
+/// Extracted frames advance a read cursor; consumed bytes are dropped
+/// once per [`FrameAccumulator::push`], so splitting `N` frames out of
+/// one push moves each byte at most once instead of `N` times.
 #[derive(Debug, Default)]
 pub struct FrameAccumulator {
     buf: Vec<u8>,
+    /// Index of the first byte not yet consumed by a completed frame.
+    cursor: usize,
 }
 
 impl FrameAccumulator {
@@ -387,12 +393,16 @@ impl FrameAccumulator {
 
     /// Appends newly-read bytes (any fragmentation, including empty).
     pub fn push(&mut self, bytes: &[u8]) {
+        if self.cursor > 0 {
+            self.buf.drain(..self.cursor);
+            self.cursor = 0;
+        }
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes buffered but not yet consumed by a completed frame.
     pub fn residual(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.cursor
     }
 
     /// Extracts the next complete frame, if the buffer holds one.
@@ -406,16 +416,14 @@ impl FrameAccumulator {
     /// mismatch. After an error the accumulator's contents are
     /// unspecified; the stream is dead.
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        let Some(raw) = split_frame(&self.buf)? else {
+        let Some(raw) = split_frame(&self.buf[self.cursor..])? else {
             return Ok(None);
         };
-        let frame = Frame {
+        self.cursor += raw.len;
+        Ok(Some(Frame {
             tag: raw.tag,
             payload: raw.payload.to_vec(),
-        };
-        let len = raw.len;
-        self.buf.drain(..len);
-        Ok(Some(frame))
+        }))
     }
 }
 
@@ -1281,6 +1289,61 @@ mod tests {
         let mut acc = FrameAccumulator::new();
         acc.push(&encode_spec_frame(&small_spec()));
         assert!(acc.next_frame().unwrap().unwrap().message().is_err());
+    }
+
+    /// Every frame (then the first error, if any) the accumulator yields
+    /// for `stream` fed in pushes of `chunk` bytes.
+    fn split_stream(stream: &[u8], chunk: usize) -> (Vec<Frame>, Option<WireError>) {
+        let mut acc = FrameAccumulator::new();
+        let mut frames = Vec::new();
+        for piece in stream.chunks(chunk) {
+            acc.push(piece);
+            loop {
+                match acc.next_frame() {
+                    Ok(Some(f)) => frames.push(f),
+                    Ok(None) => break,
+                    Err(e) => return (frames, Some(e)),
+                }
+            }
+        }
+        assert_eq!(acc.residual(), 0, "{chunk}-byte pushes left bytes unread");
+        (frames, None)
+    }
+
+    #[test]
+    fn accumulator_yields_the_same_frames_for_any_push_split() {
+        let frames: Vec<Vec<u8>> = (0..120)
+            .map(|i| {
+                let mut outcome = small_outcome();
+                outcome.scenario.index = i;
+                outcome.result.l0 = i * 7;
+                encode_outcome_frame(&outcome)
+            })
+            .collect();
+        let frame_len = frames[0].len();
+        assert!(frames.iter().all(|f| f.len() == frame_len));
+        let clean = frames.concat();
+        // Frame 110 carries a flipped payload bit: 110 frames, then a
+        // checksum error, for every split.
+        let mut corrupt = clean.clone();
+        corrupt[110 * frame_len + FRAME_HEADER_BYTES + 3] ^= 0x10;
+        for (stream, good, failing) in [(&clean, 120, false), (&corrupt, 110, true)] {
+            let whole = split_stream(stream, stream.len());
+            assert_eq!(whole.0.len(), good);
+            assert_eq!(whole.1.is_some(), failing);
+            if failing {
+                assert!(matches!(whole.1, Some(WireError::Checksum { .. })));
+            }
+            for (i, f) in whole.0.iter().enumerate() {
+                match f.message().unwrap() {
+                    WorkerMessage::Outcome(o) => assert_eq!(o.scenario.index, i),
+                    other => panic!("frame {i} decoded as {other:?}"),
+                }
+            }
+            for chunk in [frame_len, 1, 1000] {
+                assert_eq!(split_stream(stream, chunk), whole, "{chunk}-byte pushes");
+            }
+        }
     }
 
     #[test]

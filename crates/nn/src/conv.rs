@@ -16,6 +16,13 @@
 //! with row-block parallel kernels. Either way each image's im2col +
 //! GEMM is the same operation sequence, so outputs are bit-identical
 //! for every `FSA_THREADS`.
+//!
+//! Each image's GEMM is `W (out_c × c·kh·kw) · cols (c·kh·kw × oh·ow)`,
+//! the NN layout of [`fsa_tensor::linalg::gemm`]. On a CPU with AVX it
+//! runs that kernel's 4×16 register tile, masked at the `oh·ow % 16`
+//! column remainder (the paper's 26×26 and 10×10 maps leave 4), with the
+//! portable kernel's bits; `tests/kernel_consumer_digests.rs` pins the
+//! extracted features of both victim configurations.
 
 use crate::init;
 use crate::layer::{check_batch_input, Layer};

@@ -12,26 +12,41 @@
 //!    in L1/L2 while a register tile accumulates; [`gemm_nt`] tiles its
 //!    output columns by [`NC`] so a panel of `B` rows stays in cache
 //!    while the block's `A` rows stream over it.
-//! 3. **Register tiles** — [`gemm`] and [`gemm_tn`] accumulate `MR`×`NR`
-//!    (4×8) output tiles in local arrays the compiler keeps in vector
-//!    registers: one pass over a `k` panel performs 32 multiply-adds per
-//!    12 loads instead of the 1 multiply-add per 2 loads of a scalar
-//!    loop. [`gemm_nt`] computes each element as one eight-chain dot
-//!    product in [`dot_slices`]' order. On x86_64 with AVX it runs a
-//!    4 A-row × 2 B-row tile: eight `__m256` accumulators, one per output
-//!    element, whose lane `t` is that element's chain `t`, so every
-//!    loaded 8-wide chunk of a row feeds two or four products.
+//! 3. **Register tiles** — the portable [`gemm`] and [`gemm_tn`] kernels
+//!    accumulate `MR`×`NR` (4×8) output tiles in local arrays the
+//!    compiler keeps in vector registers: one pass over a `k` panel
+//!    performs 32 multiply-adds per 12 loads instead of the 1
+//!    multiply-add per 2 loads of a scalar loop. [`gemm_nt`] computes
+//!    each element as one eight-chain dot product in [`dot_slices`]'
+//!    order.
 //!
-//! **ISA dispatch.** The NT tile chooses its instruction set at run time:
-//! AVX is detected once (cached in a `OnceLock`) and used when `k ≥ NR`;
-//! otherwise, and on every other target, the portable scalar kernel runs.
-//! No build flag, cargo feature, environment variable or config field
-//! selects a path. The AVX kernel keeps each element's scalar operation
-//! sequence — separate multiply then add (never FMA), chunks in
-//! ascending order, the scalar tail, the same reduction tree and the same
-//! `c += alpha·d` write-back — so both paths produce the same bits. The
-//! scalar kernel stays as the fallback and as the oracle of a `to_bits`
-//! test. Its raw kernel is the workspace's only `unsafe` code.
+//! **ISA dispatch.** Three kernels choose their instruction set at run
+//! time: AVX is detected once (cached in a `OnceLock`), and on every
+//! other target, or a CPU without it, the portable kernels run. No build
+//! flag, cargo feature, environment variable or config field selects a
+//! path.
+//!
+//! - [`gemm_nt`] (when `k ≥ NR`) runs a 4 A-row × 2 B-row tile: eight
+//!   `__m256` accumulators, one per output element, whose lane `t` is
+//!   that element's chain `t`, so every loaded 8-wide chunk of a row
+//!   feeds two or four products. It keeps the chunk order, the scalar
+//!   tail and the reduction tree of [`dot_slices`].
+//! - [`gemm`] (NN) and [`gemm_tn`] (TN) share one 4-row × 16-column
+//!   tile: per `p` it broadcasts one `A` element per row and loads two
+//!   8-wide chunks of `B` row `p`, so lane `t` of an accumulator is one
+//!   output element's own `acc + a·b` chain over a [`KC`] tile. The
+//!   layouts differ only in how `A` is indexed (NN: row stride `k`,
+//!   p-stride 1; TN: row stride 1, p-stride `m`). For each `KC` tile the
+//!   16-column panel of `B` stays in L1 while every row group of the
+//!   block streams over it. Column remainders (`n % 16`) run a masked
+//!   tile, row remainders a 1-, 2- or 3-row one.
+//!
+//! Every AVX kernel keeps each element's scalar operation sequence —
+//! separate multiply then add (never FMA), operands in ascending order
+//! and the same `c += alpha·acc` write-back — so both paths produce the
+//! same bits. The scalar kernels stay as the fallback and as the oracles
+//! of `to_bits` tests. The raw kernels are the workspace's only `unsafe`
+//! library code.
 //!
 //! Determinism is a hard contract: each output element is produced by the
 //! same sequence of `f32` operations (ascending `p` within each `k` tile,
@@ -53,11 +68,11 @@
 
 use crate::parallel;
 
-/// `k`-dimension tile: one `KC×NR` panel of `B` (8 KiB) fits in L1 while
-/// a register tile accumulates over it. Each tile accumulates from `+0.0`
-/// and is added into `C` at write-back, so a caller that splits `k` at
-/// multiples of `KC` and accumulates with `beta = 1` gets the same bits
-/// as one call. Public for exactly that (the head's row-sparse backward).
+/// `k`-dimension tile: one `KC×NR` panel of `B` (8 KiB; 16 KiB for the
+/// AVX tile's 16 columns) fits in L1 while a register tile accumulates
+/// over it. Each tile accumulates from `+0.0` and is added into `C` at
+/// write-back, so a caller that splits `k` at multiples of `KC` and
+/// accumulates with `beta = 1` gets the same bits as one call. Public for exactly that (the head's row-sparse backward).
 pub const KC: usize = 256;
 
 /// Micro-kernel rows (output register tile height).
@@ -119,12 +134,74 @@ pub fn gemm(
         return;
     }
     parallel::par_row_blocks(&mut c[..m * n], n, PAR_MIN_ROWS, |r0, block| {
-        nn_block(r0, k, n, a, b, block, alpha);
+        ab_block(ALayout::Nn, r0, k, n, a, b, block, alpha);
     });
 }
 
-/// Serial tiled kernel for a row block of `C = alpha·A·B + C`.
-fn nn_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f32], alpha: f32) {
+/// How [`gemm`] and [`gemm_tn`] index `A`: the two layouts differ only
+/// there, so one AVX tile serves both.
+#[derive(Debug, Clone, Copy)]
+enum ALayout {
+    /// `A` is `m×k` row-major: element `(row, p)` at `row·k + p`.
+    Nn,
+    /// `A` is stored `k×m` ([`gemm_tn`]): element `(row, p)` at `p·m + row`.
+    Tn {
+        /// Output rows, the stride of `p`.
+        m: usize,
+    },
+}
+
+impl ALayout {
+    /// `(row stride, p stride)` of `A` element `(row, p)` for a `k`-deep
+    /// product.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    fn strides(self, k: usize) -> (usize, usize) {
+        match self {
+            ALayout::Nn => (k, 1),
+            ALayout::Tn { m } => (1, m),
+        }
+    }
+}
+
+/// Serial kernel for a row block of `C = alpha·op(A)·B + C` in either
+/// layout. Dispatches to the AVX register tile when the CPU has it, else
+/// to the scalar kernel of the layout; both produce the same bits (see
+/// the module doc).
+fn ab_block(
+    layout: ALayout,
+    r0: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    block: &mut [f32],
+    alpha: f32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if avx::available() {
+        let (row_stride, p_stride) = layout.strides(k);
+        // SAFETY: `avx::available()` confirmed the CPU supports AVX, the
+        // only requirement of the raw kernel.
+        unsafe { avx::ab_block(r0, row_stride, p_stride, k, n, a, b, block, alpha) };
+        return;
+    }
+    match layout {
+        ALayout::Nn => nn_block_scalar(r0, k, n, a, b, block, alpha),
+        ALayout::Tn { m } => tn_block_scalar(r0, m, k, n, a, b, block, alpha),
+    }
+}
+
+/// Portable tiled kernel for a row block of `C = alpha·A·B + C`: the
+/// fallback on CPUs without AVX and the oracle of the AVX tile.
+fn nn_block_scalar(
+    r0: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    block: &mut [f32],
+    alpha: f32,
+) {
     for (kb, ke) in k_tiles(k) {
         for (gi, group) in block.chunks_mut(MR * n).enumerate() {
             let r = r0 + gi * MR;
@@ -263,14 +340,15 @@ pub fn gemm_tn(
         return;
     }
     parallel::par_row_blocks(&mut c[..m * n], n, PAR_MIN_ROWS, |r0, block| {
-        tn_block(r0, m, k, n, a, b, block, alpha);
+        ab_block(ALayout::Tn { m }, r0, k, n, a, b, block, alpha);
     });
 }
 
-/// Serial tiled kernel for a row block of `C = alpha·Aᵀ·B + C`;
+/// Portable tiled kernel for a row block of `C = alpha·Aᵀ·B + C`;
 /// `Aᵀ[row, p] = a[p*m + row]`, so a 4-row panel loads `a` contiguously.
+/// The fallback on CPUs without AVX and the oracle of the AVX tile.
 #[allow(clippy::too_many_arguments)]
-fn tn_block(
+fn tn_block_scalar(
     r0: usize,
     m: usize,
     k: usize,
@@ -462,12 +540,14 @@ fn nt_block_scalar(
     }
 }
 
-/// The AVX register-tiled NT kernel (x86_64 only).
+/// The AVX register-tiled kernels (x86_64 only): the NT tile and the
+/// tile shared by the NN and TN layouts.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{fmadd, reduce_lanes, MR, NC, NR};
+    use super::{fmadd, k_tiles, reduce_lanes, MR, NC, NR};
     use std::arch::x86_64::{
-        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256i, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_maskload_ps,
+        _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
     };
     use std::sync::OnceLock;
 
@@ -609,6 +689,203 @@ mod avx {
             }
         }
         out
+    }
+
+    /// Output rows of the NN/TN tile.
+    const AB_MR: usize = 4;
+
+    /// Output columns of the NN/TN tile: two 8-lane vectors.
+    const AB_NR: usize = 2 * NR;
+
+    /// Row block of `C = alpha·op(A)·B + C` for `A` element `(row, p)` at
+    /// `row·row_stride + p·p_stride` (NN: `(k, 1)`, TN: `(1, m)`), with
+    /// the same bits as [`super::nn_block_scalar`] and
+    /// [`super::tn_block_scalar`]. For each [`super::KC`] tile of `k` and
+    /// each 16-column panel of `B` (which stays in L1 while every row
+    /// group streams over it), groups of `AB_MR` rows run one tile, then
+    /// the remainder rows one smaller tile. A tile only decides which
+    /// elements share operand loads, never an element's arithmetic, so
+    /// no tile shape can change a bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX ([`available`]). The asserts below bound
+    /// every raw access, so no other condition is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `block` is not whole rows of width `n`, or `a` or `b`
+    /// is shorter than the layout reads.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn ab_block(
+        r0: usize,
+        row_stride: usize,
+        p_stride: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        block: &mut [f32],
+        alpha: f32,
+    ) {
+        let rows = block.len() / n;
+        assert_eq!(block.len(), rows * n, "C block is not whole rows");
+        if rows == 0 || k == 0 {
+            return;
+        }
+        // The tiles read A at (r0 + i, p) and B at (p, j) for every
+        // i < rows, p < k, j < n, and write C at (i, j): these bound the
+        // largest of each.
+        assert!((r0 + rows - 1) * row_stride + (k - 1) * p_stride < a.len());
+        assert!(k * n <= b.len());
+        let panel = |kb: usize, ke: usize, jb: usize, i: usize| Panel {
+            a: a[(r0 + i) * row_stride + kb * p_stride..].as_ptr(),
+            row_stride,
+            p_stride,
+            b: b[kb * n + jb..].as_ptr(),
+            n,
+            depth: ke - kb,
+            width: (n - jb).min(AB_NR),
+            alpha,
+        };
+        for (kb, ke) in k_tiles(k) {
+            for jb in (0..n).step_by(AB_NR) {
+                let mut i = 0;
+                while i + AB_MR <= rows {
+                    let c = &mut block[i * n + jb..(i + AB_MR - 1) * n + n];
+                    // SAFETY: AVX is available (this function's contract);
+                    // the panel's rows i..i+4, depth and width lie inside
+                    // the bounds asserted above, and `c` holds its 4 rows.
+                    unsafe { panel(kb, ke, jb, i).run::<AB_MR>(c) };
+                    i += AB_MR;
+                }
+                if i == rows {
+                    continue;
+                }
+                let (p, c) = (panel(kb, ke, jb, i), &mut block[i * n + jb..]);
+                // SAFETY: as above, for the `rows − i < 4` remainder rows.
+                unsafe {
+                    match rows - i {
+                        1 => p.run::<1>(c),
+                        2 => p.run::<2>(c),
+                        3 => p.run::<3>(c),
+                        _ => unreachable!("fewer than AB_MR rows remain"),
+                    }
+                }
+            }
+        }
+    }
+
+    /// One `R × width` output tile over one `depth`-long `k` tile: `a`
+    /// points at `A(row, kb)` of its first row, `b` at `B(kb, jb)`.
+    struct Panel {
+        a: *const f32,
+        row_stride: usize,
+        p_stride: usize,
+        b: *const f32,
+        /// Row stride of `B` and `C`.
+        n: usize,
+        depth: usize,
+        /// Output columns, 1..=16.
+        width: usize,
+        alpha: f32,
+    }
+
+    impl Panel {
+        /// Picks the tile variant for the panel width: two full vectors,
+        /// a full and a masked one, one full, or one masked.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX; `A(row s, p)` must be readable for
+        /// `s < R`, `p < depth`, `B(p, t)` for `p < depth`, `t < width`,
+        /// and `c` must hold `R` rows of stride `n` (the last may end at
+        /// column `width`).
+        #[target_feature(enable = "avx")]
+        unsafe fn run<const R: usize>(&self, c: &mut [f32]) {
+            assert!(c.len() >= (R - 1) * self.n + self.width);
+            // SAFETY: forwarded from this function's contract.
+            unsafe {
+                match self.width {
+                    AB_NR => self.tile::<R, 2, false>(c),
+                    w if w > NR => self.tile::<R, 2, true>(c),
+                    NR => self.tile::<R, 1, false>(c),
+                    _ => self.tile::<R, 1, true>(c),
+                }
+            }
+        }
+
+        /// The `R × width` tile with `V` 8-lane vectors per row, the last
+        /// one lane-masked when `MASKED`. Lane `t` of accumulator `(s, v)`
+        /// is output element `(s, 8v + t)`'s own chain: from `+0.0`, one
+        /// separate multiply and add (never FMA) per `p` in ascending
+        /// order, then `c += alpha·acc` — the scalar kernels' sequence.
+        /// Masked-off lanes are neither loaded nor written back.
+        ///
+        /// # Safety
+        ///
+        /// As [`Panel::run`], with `V` and `MASKED` matching `width`.
+        #[target_feature(enable = "avx")]
+        unsafe fn tile<const R: usize, const V: usize, const MASKED: bool>(&self, c: &mut [f32]) {
+            let live = self.width - NR * (V - 1);
+            let mask = lane_mask(live);
+            let mut acc = [[_mm256_setzero_ps(); V]; R];
+            for p in 0..self.depth {
+                let mut bv = [_mm256_setzero_ps(); V];
+                for (v, bv) in bv.iter_mut().enumerate() {
+                    // SAFETY: `B(p, 8v .. 8v + 8)` is readable for a full
+                    // vector (`8v + 8 ≤ width`); a masked load touches only
+                    // the `live` lanes, `8v + live = width`.
+                    *bv = unsafe {
+                        let at = self.b.add(p * self.n + v * NR);
+                        if MASKED && v + 1 == V {
+                            _mm256_maskload_ps(at, mask)
+                        } else {
+                            _mm256_loadu_ps(at)
+                        }
+                    };
+                }
+                for (s, acc_s) in acc.iter_mut().enumerate() {
+                    // SAFETY: `A(row s, p)` is readable for `s < R`, `p < depth`.
+                    let av = unsafe {
+                        _mm256_broadcast_ss(&*self.a.add(s * self.row_stride + p * self.p_stride))
+                    };
+                    for (acc_sv, &bv) in acc_s.iter_mut().zip(&bv) {
+                        *acc_sv = _mm256_add_ps(*acc_sv, _mm256_mul_ps(av, bv));
+                    }
+                }
+            }
+            let alpha = _mm256_set1_ps(self.alpha);
+            for (s, acc_s) in acc.iter().enumerate() {
+                let row = &mut c[s * self.n..s * self.n + self.width];
+                for (v, (&acc_sv, out)) in acc_s.iter().zip(row.chunks_mut(NR)).enumerate() {
+                    if MASKED && v + 1 == V {
+                        let mut lanes = [0.0f32; NR];
+                        // SAFETY: `lanes` holds exactly 8 `f32`s, the
+                        // width of the unaligned store.
+                        unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc_sv) };
+                        for (cv, &d) in out.iter_mut().zip(&lanes) {
+                            *cv += self.alpha * d;
+                        }
+                    } else {
+                        assert_eq!(out.len(), NR, "unmasked vector of a partial chunk");
+                        // SAFETY: `out` is a full 8-element chunk of `c`.
+                        unsafe {
+                            let cv = _mm256_loadu_ps(out.as_ptr());
+                            let cv = _mm256_add_ps(cv, _mm256_mul_ps(alpha, acc_sv));
+                            _mm256_storeu_ps(out.as_mut_ptr(), cv);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A lane mask whose first `live` lanes are set (`live` ≤ 8).
+    #[target_feature(enable = "avx")]
+    fn lane_mask(live: usize) -> __m256i {
+        let on = |t: i32| if (t as usize) < live { -1 } else { 0 };
+        _mm256_setr_epi32(on(0), on(1), on(2), on(3), on(4), on(5), on(6), on(7))
     }
 }
 
@@ -924,6 +1201,115 @@ mod tests {
         }
     }
 
+    /// `C0` scaled by `beta`, then the `m`-row output computed as two row
+    /// blocks split at `m / 2` (so the second starts at `r0 > 0`) by
+    /// `kernel(r0, block)`.
+    fn run_ab_blocks(
+        c0: &[f32],
+        m: usize,
+        n: usize,
+        beta: f32,
+        mut kernel: impl FnMut(usize, &mut [f32]),
+    ) -> Vec<f32> {
+        run_nt_raw(c0, beta, |c| {
+            let (top, bottom) = c.split_at_mut(m / 2 * n);
+            kernel(0, top);
+            kernel(m / 2, bottom);
+        })
+    }
+
+    #[test]
+    fn nn_and_tn_avx_kernel_matches_scalar_bit_for_bit() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx = avx::available();
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx = false;
+        if !has_avx {
+            eprintln!("no AVX on this host: checking the scalar NN/TN kernels only");
+        }
+        let mut rng = Prng::new(34);
+        let ms = 1usize..=9;
+        let ns = [1usize, 4, 7, 8, 9, 15, 16, 17, 24, 100, 676];
+        let ks = [1usize, 9, 255, 256, 257, 288, 576];
+        let scalings: Vec<(f32, f32)> = [0.0f32, 1.0, -0.5]
+            .iter()
+            .flat_map(|&alpha| [0.0f32, 1.0, -0.5].map(|beta| (alpha, beta)))
+            .collect();
+        let shapes = ms.flat_map(|m| ns.iter().map(move |&n| (m, n)));
+        let cases = shapes.flat_map(|(m, n)| ks.iter().map(move |&k| (m, n, k)));
+        for (case, (m, n, k)) in cases.enumerate() {
+            let planted = case % 2 == 1;
+            let (alpha, beta) = scalings[case % scalings.len()];
+            // `a` is read as NN `m×k` and as TN `k×m`; both index the
+            // same `m·k` values, at different places.
+            let mut a = rand_vec(m * k, &mut rng);
+            let mut b = rand_vec(k * n, &mut rng);
+            let mut c0 = rand_vec(m * n, &mut rng);
+            if planted {
+                a[k / 2] = f32::NAN;
+                a[(m * k) / 2] = f32::INFINITY;
+                b[(k / 3) * n + n / 2] = f32::NEG_INFINITY;
+                b[(k - 1) * n] = f32::NAN;
+                // A −0.0 last row of A (in both layouts) and of C: with
+                // `beta = 1` and a negative `alpha`, its outputs that no
+                // non-finite `B` entry reaches must stay −0.0.
+                for p in 0..k {
+                    a[(m - 1) * k + p] = -0.0;
+                    a[p * m + m - 1] = -0.0;
+                }
+                c0[m * n - n..].fill(-0.0);
+            }
+            for layout in [ALayout::Nn, ALayout::Tn { m }] {
+                let (rs, ps) = layout.strides(k);
+                let at = |row: usize, p: usize| a[row * rs + p * ps];
+                // The definition both kernels must reproduce bit for bit:
+                // per element and `KC` tile, `acc + a·b` from `+0.0` in
+                // ascending `p`, then `c += alpha·acc`.
+                let oracle = run_nt_raw(&c0, beta, |c| {
+                    for (kb, ke) in k_tiles(k) {
+                        for i in 0..m {
+                            for j in 0..n {
+                                let mut acc = 0.0f32;
+                                for p in kb..ke {
+                                    acc += at(i, p) * b[p * n + j];
+                                }
+                                c[i * n + j] += alpha * acc;
+                            }
+                        }
+                    }
+                });
+                let scalar = run_ab_blocks(&c0, m, n, beta, |r0, c| match layout {
+                    ALayout::Nn => nn_block_scalar(r0, k, n, &a, &b, c, alpha),
+                    ALayout::Tn { m } => tn_block_scalar(r0, m, k, n, &a, &b, c, alpha),
+                });
+                #[cfg(target_arch = "x86_64")]
+                let simd = has_avx.then(|| {
+                    // SAFETY: AVX support was detected above.
+                    run_ab_blocks(&c0, m, n, beta, |r0, c| unsafe {
+                        avx::ab_block(r0, rs, ps, k, n, &a, &b, c, alpha)
+                    })
+                });
+                #[cfg(not(target_arch = "x86_64"))]
+                let simd = None;
+                let paths = [("scalar", Some(scalar)), ("avx", simd)];
+                for (path, got) in paths.iter().filter_map(|(p, g)| Some((p, g.as_ref()?))) {
+                    for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
+                        assert!(
+                            same_value(g, o),
+                            "{path} {layout:?} m={m} k={k} n={n} alpha={alpha} beta={beta} \
+                             planted={planted} C[{},{}]: {g:e} vs {o:e}",
+                            idx / n,
+                            idx % n
+                        );
+                    }
+                }
+                if planted && beta == 1.0 && alpha < 0.0 && n >= 3 {
+                    assert_eq!(oracle[m * n - 1].to_bits(), (-0.0f32).to_bits());
+                }
+            }
+        }
+    }
+
     #[test]
     fn gemm_alpha_beta_semantics() {
         let mut rng = Prng::new(4);
@@ -976,8 +1362,9 @@ mod tests {
         assert!(c[3].is_nan(), "0·inf must be NaN, got {}", c[3]);
     }
 
-    /// On an AVX host `gemm_nt` here runs the AVX tile: 67 rows split at
-    /// non-multiples of 4 and an odd width exercise every remainder tile.
+    /// On an AVX host all three GEMMs here run their AVX tiles: 67 rows
+    /// split at non-multiples of 4 and odd widths exercise every
+    /// remainder tile.
     #[test]
     fn results_are_bit_identical_across_thread_counts() {
         let _guard = THREAD_LOCK.lock().unwrap();
