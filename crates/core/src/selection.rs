@@ -186,35 +186,35 @@ impl ParamSelection {
             "selection scatter length mismatch"
         );
         let mut off = 0;
+        self.for_each_region(head, None, |params, _| {
+            params.copy_from_slice(&values[off..off + params.len()]);
+            off += params.len();
+        });
+    }
+
+    /// Walks the selected regions of `head` in `δ` order (layers in
+    /// order, weights before bias within a layer), handing `f` each
+    /// region's parameters and, when `grads` is given, the matching
+    /// `dW` or `db` slice of the per-layer gradients of a backward pass
+    /// started at layer 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` does not cover the selected layers.
+    pub(crate) fn for_each_region<'g>(
+        &self,
+        head: &mut FcHead,
+        grads: Option<&'g [(Tensor, Tensor)]>,
+        mut f: impl FnMut(&mut [f32], Option<&'g [f32]>),
+    ) {
         for e in &self.entries {
+            let g = grads.map(|g| &g[e.layer]);
             let l = head.layer_mut(e.layer);
-            match e.kind {
-                ParamKind::Weights => {
-                    let n = l.weight().numel();
-                    l.weight_mut()
-                        .as_mut_slice()
-                        .copy_from_slice(&values[off..off + n]);
-                    off += n;
-                }
-                ParamKind::Bias => {
-                    let n = l.bias().numel();
-                    l.bias_mut()
-                        .as_mut_slice()
-                        .copy_from_slice(&values[off..off + n]);
-                    off += n;
-                }
-                ParamKind::Both => {
-                    let nw = l.weight().numel();
-                    l.weight_mut()
-                        .as_mut_slice()
-                        .copy_from_slice(&values[off..off + nw]);
-                    off += nw;
-                    let nb = l.bias().numel();
-                    l.bias_mut()
-                        .as_mut_slice()
-                        .copy_from_slice(&values[off..off + nb]);
-                    off += nb;
-                }
+            if e.kind != ParamKind::Bias {
+                f(l.weight_mut().as_mut_slice(), g.map(|g| g.0.as_slice()));
+            }
+            if e.kind != ParamKind::Weights {
+                f(l.bias_mut().as_mut_slice(), g.map(|g| g.1.as_slice()));
             }
         }
     }

@@ -7,9 +7,7 @@ use crate::refine::{refine_on_support, RefineConfig};
 use crate::selection::ParamSelection;
 use crate::spec::AttackSpec;
 use crate::stealth;
-use fsa_admm::prox::{
-    block_hard_threshold, block_soft_threshold, block_soft_threshold_grouped, hard_threshold,
-};
+use fsa_admm::prox::{block_hard_threshold, block_soft_threshold, block_soft_threshold_grouped};
 use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_tensor::{norms, parallel};
 
@@ -290,19 +288,17 @@ impl FaultSneakingAttack {
         );
         let selection = self.selection.relative_to(start);
         let mut hinge = HingeEval::default();
-        // The split variables: z (the structured answer), x = δᵏ (the
-        // linearized primal) and the scaled dual s; v = x − s and
-        // theta = θ₀ + x are carried from one iteration's element pass
-        // into the next, and grad, dp and dd are per-iteration scratch.
-        let mut z = vec![0.0f32; dim];
-        let mut x = vec![0.0f32; dim];
-        let mut s = vec![0.0f32; dim];
-        let mut v = vec![0.0f32; dim];
-        // θ₀ + δ⁰ with δ⁰ = 0, as an add (it turns a −0.0 into +0.0).
-        let mut theta: Vec<f32> = self.theta0.iter().map(|&t| t + 0.0).collect();
-        let mut dp = vec![0.0f32; dim];
-        let mut dd = vec![0.0f32; dim];
-        let mut grad = Vec::with_capacity(dim);
+        // The split variables z, x = δᵏ, the scaled dual s and v = x − s;
+        // the working head holds θ₀ + x throughout.
+        let mut vars = AdmmVars::start(&selection, &mut head, &self.theta0);
+        let step = Step {
+            rho,
+            stiffness,
+            // The plain ℓ0 z-step is elementwise, so the pass computes the
+            // next z by `hard_threshold`'s rule as it writes each vᵢ.
+            l0_cut: (blocks.is_none() && cfg.norm == Norm::L0).then(|| 2.0 * cfg.lambda / rho),
+            avx: avx_available(),
+        };
         let mut objective_history = Vec::with_capacity(cfg.iterations);
         let mut admm_history = Vec::with_capacity(cfg.iterations);
         let mut trace = Vec::new();
@@ -312,53 +308,45 @@ impl FaultSneakingAttack {
             let inv_sqrt_n = 1.0 / (dim.max(1) as f32).sqrt();
             for iter in 0..cfg.iterations {
                 // z-step on v = δᵏ − sᵏ (eqs. 16/18, block-structured
-                // under the stealth objective).
+                // under the stealth objective). The plain ℓ0 z was
+                // written by the previous iteration's pass; z⁰ = prox(0)
+                // is the zero vector the variables start from.
+                let (z, v) = (&mut vars.z, &vars.v);
                 match (&blocks, cfg.norm) {
-                    (None, Norm::L0) => hard_threshold(&v, cfg.lambda, rho, &mut z),
-                    (None, Norm::L2) => block_soft_threshold(&v, cfg.lambda, rho, &mut z),
+                    (None, Norm::L0) => {
+                        if iter > 0 {
+                            std::mem::swap(z, &mut vars.z_next);
+                        }
+                    }
+                    (None, Norm::L2) => block_soft_threshold(v, cfg.lambda, rho, z),
                     (Some(b), Norm::L0) => {
-                        block_hard_threshold(&v, cfg.lambda, block_lambda, rho, b, &mut z)
+                        block_hard_threshold(v, cfg.lambda, block_lambda, rho, b, z)
                     }
                     (Some(b), Norm::L2) => {
-                        block_soft_threshold_grouped(&v, cfg.lambda, block_lambda, rho, b, &mut z)
+                        block_soft_threshold_grouped(v, cfg.lambda, block_lambda, rho, b, z)
                     }
                 }
 
                 // δ-step: Σᵢ∇gᵢ(θ + δᵏ) over the selected parameters from
                 // one cached forward that feeds both the hinge and the
-                // backward pass.
-                selection.scatter(&mut head, &theta);
+                // backward pass. With no active hinge the gradient is
+                // zero and the backward is skipped.
                 let logits = head.forward_from_caching(0, &acts, &mut bufs);
                 evaluate_hinge_into(spec, logits, cfg.kappa, &mut hinge);
-                if hinge.active == 0 {
-                    grad.clear();
-                    grad.resize(dim, 0.0);
+                let grads = if hinge.active == 0 {
+                    None
                 } else {
                     head.backward_from_cache(0, &acts, &hinge.logit_grad, &mut bufs);
-                    selection.gather_grads_into(bufs.grads(), 0, &mut grad);
-                }
-                // One element pass: eq. 22's δ ← [ρ(z + s) + αRδ − Σ∇g] /
-                // (αR + ρ) (the αR product resolved once per run, see
-                // `Stiffness`), the dual update s ← s + z − δ, the next
-                // iteration's v and θ, and the residual terms z − δ and
-                // δ^{k+1} − δᵏ.
-                element_pass(
-                    rho,
-                    stiffness,
-                    &z,
-                    &grad,
-                    &self.theta0,
-                    &mut x,
-                    &mut s,
-                    &mut v,
-                    &mut theta,
-                    &mut dp,
-                    &mut dd,
-                );
-
-                // Residuals ‖z − δ‖₂ and ρ‖δ^{k+1} − δᵏ‖₂, summed in f64
+                    Some(bufs.grads())
+                };
+                // One pass over the selection's regions: eq. 22's δ-step
+                // (the αR product resolved once per run, see
+                // `Stiffness`), the dual update, the next v (and ℓ0 z),
+                // θ₀ + δ^{k+1} written into the working head, and the
+                // residuals ‖z − δ‖₂ and ρ‖δ^{k+1} − δᵏ‖₂ summed in f64
                 // in index order.
-                let (primal_sq, dual_sq) = squared_norms(&dp, &dd);
+                let (primal_sq, dual_sq) =
+                    vars.pass(step, &self.theta0, &selection, &mut head, grads);
                 let primal = primal_sq.sqrt() as f32;
                 let dual = rho * dual_sq.sqrt() as f32;
 
@@ -379,7 +367,7 @@ impl FaultSneakingAttack {
                         primal,
                         dual,
                         rho,
-                        support: z.iter().filter(|&&w| w != 0.0).count() as u32,
+                        support: vars.z.iter().filter(|&&w| w != 0.0).count() as u32,
                         keep_violations: hinge.active_keep(spec.s()) as u32,
                     });
                 }
@@ -404,7 +392,7 @@ impl FaultSneakingAttack {
 
         // The structured variable z is the attack's answer: it is exactly
         // sparse under ℓ0 (hard-thresholded) and exactly shrunk under ℓ2.
-        let mut delta = z;
+        let mut delta = vars.z;
 
         // Hard checksum-block cap: prune δ to the highest-energy blocks
         // *before* refinement, so the refinement pass recovers fault
@@ -465,76 +453,277 @@ impl FaultSneakingAttack {
     }
 }
 
-/// One ADMM iteration's O(n) work after the gradient, in one pass: per
-/// element `i`, with `xᵢ` the old δᵢ,
-///
-/// - `x'ᵢ = (ρ(zᵢ + sᵢ) + αR·xᵢ − gradᵢ) / (αR + ρ)` (eq. 22),
-/// - `dpᵢ = zᵢ − x'ᵢ`, `ddᵢ = x'ᵢ − xᵢ` (the residual terms),
-/// - `s'ᵢ = sᵢ + dpᵢ` (the dual update),
-/// - `vᵢ = x'ᵢ − s'ᵢ` and `thetaᵢ = θ₀ᵢ + x'ᵢ` for the next iteration.
-///
-/// Each value comes out of the same `f32` operations, in the same order,
-/// as the separate passes it replaces. Every slice is cut to one length
-/// first, so the loop runs without bounds checks and vectorizes
-/// (division included).
-#[allow(clippy::too_many_arguments)]
-fn element_pass(
+/// Elements per block of the fused pass. Each block's element work runs
+/// as one vectorizable loop, then the two `f64` residual chains advance
+/// over the block's terms, so the chains' add latency overlaps the next
+/// block's element work (one unblocked scalar loop measured slower than
+/// separate passes).
+const PASS_BLOCK: usize = 64;
+
+/// The gradient of an iteration with no active hinge: `+0.0`, the same
+/// term a zero-filled gradient vector subtracts.
+const ZERO_GRAD: [f32; PASS_BLOCK] = [0.0; PASS_BLOCK];
+
+/// The per-run constants of the fused pass.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    /// ADMM penalty ρ.
     rho: f32,
+    /// The δ-step's Bregman stiffness `αR`.
     stiffness: f32,
+    /// `hard_threshold`'s cut `2λ/ρ` when the pass also computes the
+    /// next plain-ℓ0 z.
+    l0_cut: Option<f32>,
+    /// Whether the pass runs its AVX build (set only where the CPU has
+    /// AVX, see [`avx_available`]).
+    avx: bool,
+}
+
+/// The ADMM split variables over the selection's flat layout.
+#[derive(Debug, Clone)]
+struct AdmmVars {
+    /// This iteration's z (the structured answer).
+    z: Vec<f32>,
+    /// The next iteration's plain-ℓ0 z, written by the pass.
+    z_next: Vec<f32>,
+    /// The linearized primal x = δᵏ.
+    x: Vec<f32>,
+    /// The scaled dual s.
+    s: Vec<f32>,
+    /// The z-step's input v = x − s.
+    v: Vec<f32>,
+}
+
+/// One region's slices of the variables, the matching `θ₀` and the
+/// working head's parameters, all of one length.
+struct Region<'a> {
+    z: &'a [f32],
+    theta0: &'a [f32],
+    x: &'a mut [f32],
+    s: &'a mut [f32],
+    v: &'a mut [f32],
+    z_next: &'a mut [f32],
+    theta: &'a mut [f32],
+}
+
+impl AdmmVars {
+    /// δ⁰ = z⁰ = s⁰ = 0 over the selection's `theta0.len()` scalars,
+    /// with θ₀ + δ⁰ written into the working head's selected parameters
+    /// as an add (it turns a −0.0 into +0.0).
+    fn start(selection: &ParamSelection, head: &mut FcHead, theta0: &[f32]) -> Self {
+        let mut off = 0;
+        selection.for_each_region(head, None, |theta, _| {
+            for (t, &t0) in theta.iter_mut().zip(&theta0[off..]) {
+                *t = t0 + 0.0;
+            }
+            off += theta.len();
+        });
+        let zeros = vec![0.0; theta0.len()];
+        Self {
+            z: zeros.clone(),
+            z_next: zeros.clone(),
+            x: zeros.clone(),
+            s: zeros.clone(),
+            v: zeros,
+        }
+    }
+
+    /// One ADMM iteration's O(dim) work after the gradient, in one pass
+    /// over the selection's regions: per element `i`, with `xᵢ` the old
+    /// δᵢ and `gradᵢ` read from the backward's `(dW, db)` in place (`+0.0`
+    /// when `grads` is `None`),
+    ///
+    /// - `x'ᵢ = (ρ(zᵢ + sᵢ) + αR·xᵢ − gradᵢ) / (αR + ρ)` (eq. 22),
+    /// - `s'ᵢ = sᵢ + (zᵢ − x'ᵢ)` (the dual update),
+    /// - `vᵢ = x'ᵢ − s'ᵢ`, and the next plain-ℓ0 z by `hard_threshold`'s
+    ///   rule on it,
+    /// - `θ₀ᵢ + x'ᵢ` into the working head for the next forward.
+    ///
+    /// Returns `(Σ (zᵢ − x'ᵢ)², Σ (x'ᵢ − xᵢ)²)` in `f64`, both chains
+    /// advanced in index order. Every value comes out of the same `f32`
+    /// operations, in the same order, as the separate scatter, element,
+    /// residual, prox and gather passes it replaces.
+    fn pass(
+        &mut self,
+        step: Step,
+        theta0: &[f32],
+        selection: &ParamSelection,
+        head: &mut FcHead,
+        grads: Option<&[(fsa_tensor::Tensor, fsa_tensor::Tensor)]>,
+    ) -> (f64, f64) {
+        let mut sums = [0.0f64; 2];
+        let mut off = 0;
+        selection.for_each_region(head, grads, |theta, grad| {
+            let r = off..off + theta.len();
+            off = r.end;
+            let region = Region {
+                z: &self.z[r.clone()],
+                theta0: &theta0[r.clone()],
+                x: &mut self.x[r.clone()],
+                s: &mut self.s[r.clone()],
+                v: &mut self.v[r.clone()],
+                z_next: &mut self.z_next[r],
+                theta,
+            };
+            #[cfg(target_arch = "x86_64")]
+            if step.avx {
+                // SAFETY: `step.avx` is set only where the CPU supports
+                // AVX (`avx_available`).
+                unsafe {
+                    match step.l0_cut {
+                        Some(_) => avx::pass_region::<true>(step, region, grad, &mut sums),
+                        None => avx::pass_region::<false>(step, region, grad, &mut sums),
+                    }
+                }
+                return;
+            }
+            match step.l0_cut {
+                Some(_) => pass_region::<true>(step, region, grad, &mut sums),
+                None => pass_region::<false>(step, region, grad, &mut sums),
+            }
+        });
+        (sums[0], sums[1])
+    }
+}
+
+/// [`AdmmVars::pass`] over one region, in [`PASS_BLOCK`] blocks.
+#[inline(always)]
+fn pass_region<const L0: bool>(
+    step: Step,
+    r: Region<'_>,
+    grad: Option<&[f32]>,
+    sums: &mut [f64; 2],
+) {
+    let n = r.theta.len();
+    let mut lo = 0;
+    while lo < n {
+        let hi = (lo + PASS_BLOCK).min(n);
+        let grad = match grad {
+            Some(g) => &g[lo..hi],
+            None => &ZERO_GRAD[..hi - lo],
+        };
+        pass_block::<L0>(
+            step,
+            &r.z[lo..hi],
+            grad,
+            &r.theta0[lo..hi],
+            &mut r.x[lo..hi],
+            &mut r.s[lo..hi],
+            &mut r.v[lo..hi],
+            &mut r.z_next[lo..hi],
+            &mut r.theta[lo..hi],
+            sums,
+        );
+        lo = hi;
+    }
+}
+
+/// One block of at most [`PASS_BLOCK`] elements: the element work as one
+/// loop over slices cut to one length (no bounds checks; it vectorizes,
+/// division included), then both residual chains over its terms.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn pass_block<const L0: bool>(
+    step: Step,
     z: &[f32],
     grad: &[f32],
     theta0: &[f32],
     x: &mut [f32],
     s: &mut [f32],
     v: &mut [f32],
+    z_next: &mut [f32],
     theta: &mut [f32],
-    dp: &mut [f32],
-    dd: &mut [f32],
+    sums: &mut [f64; 2],
 ) {
-    let n = x.len();
+    let n = theta.len();
     let (z, grad, theta0) = (&z[..n], &grad[..n], &theta0[..n]);
-    let (s, v, theta, dp, dd) = (
-        &mut s[..n],
-        &mut v[..n],
-        &mut theta[..n],
-        &mut dp[..n],
-        &mut dd[..n],
-    );
+    let (x, s, v, z_next) = (&mut x[..n], &mut s[..n], &mut v[..n], &mut z_next[..n]);
+    let mut dp = [0.0f32; PASS_BLOCK];
+    let mut dd = [0.0f32; PASS_BLOCK];
+    let (dp, dd) = (&mut dp[..n], &mut dd[..n]);
+    let (rho, stiffness) = (step.rho, step.stiffness);
     let denom = stiffness + rho;
+    let cut = step.l0_cut.unwrap_or(0.0);
     for i in 0..n {
         let old = x[i];
         let new = (rho * (z[i] + s[i]) + stiffness * old - grad[i]) / denom;
         let primal = z[i] - new;
         let dual = s[i] + primal;
+        let next_v = new - dual;
         x[i] = new;
         s[i] = dual;
-        v[i] = new - dual;
+        v[i] = next_v;
+        if L0 {
+            z_next[i] = if next_v * next_v > cut { next_v } else { 0.0 };
+        }
         theta[i] = theta0[i] + new;
         dp[i] = primal;
         dd[i] = new - old;
     }
-}
-
-/// `(Σ dpᵢ², Σ ddᵢ²)` in `f64`, both chains advanced in index order.
-fn squared_norms(dp: &[f32], dd: &[f32]) -> (f64, f64) {
-    let mut primal = 0.0f64;
-    let mut dual = 0.0f64;
-    for (&p, &d) in dp.iter().zip(&dd[..dp.len()]) {
+    let [mut primal, mut dual] = *sums;
+    for (&p, &d) in dp.iter().zip(&*dd) {
         let (p, d) = (p as f64, d as f64);
         primal += p * p;
         dual += d * d;
     }
-    (primal, dual)
+    *sums = [primal, dual];
 }
+
+/// Whether this CPU supports AVX, detected once per process (always
+/// `false` off x86_64).
+fn avx_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The fused pass's AVX build (x86_64 only): [`pass_region`] compiled
+/// with AVX enabled, so each block's element loop runs 8 lanes wide.
+/// Lane `t` is element `t`'s own scalar operation sequence (AVX has no
+/// FMA, so no multiply-add is fused), and the residual chains stay
+/// scalar adds in index order: the two builds agree bit for bit
+/// (`tests::fused_pass_matches_the_two_pass_oracle_bit_for_bit` runs
+/// both).
+#[cfg(target_arch = "x86_64")]
+mod avx {
+    use super::{Region, Step};
+
+    /// [`super::pass_region`] with AVX enabled.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX ([`super::avx_available`]). Every slice
+    /// access is bounds-checked, so no other condition is needed.
+    #[target_feature(enable = "avx")]
+    pub(super) unsafe fn pass_region<const L0: bool>(
+        step: Step,
+        r: Region<'_>,
+        grad: Option<&[f32]>,
+        sums: &mut [f64; 2],
+    ) {
+        super::pass_region::<L0>(step, r, grad, sums)
+    }
+}
+
+/// One-thread rate of one image's forward and backward in flops per µs
+/// (see [`estimate_leverage`]).
+const LEVERAGE_FLOPS_PER_US: usize = 28_000;
 
 /// Mean squared norm of the per-image unit-weight hinge gradient over the
 /// selected parameters, sampled on up to 32 images — the curvature proxy
 /// behind [`Stiffness::Auto`].
 ///
-/// Per-image terms are independent, so they dispatch as row blocks of
-/// at least 4 images (each worker owns its own head buffers and writes
-/// disjoint slots); the mean then reduces sequentially in image order,
-/// keeping the estimate — and therefore the whole attack —
+/// Per-image terms are independent, so they dispatch as row blocks
+/// (each worker owns its own head buffers and writes disjoint slots)
+/// once a worker's images clear the work floor of
+/// [`parallel::min_rows_for_work`]; the mean then reduces sequentially in
+/// image order, keeping the estimate — and therefore the whole attack —
 /// bit-identical for every thread count.
 fn estimate_leverage(
     head: &FcHead,
@@ -553,7 +742,16 @@ fn estimate_leverage(
     // One batched forward for all runner-up lookups.
     let logits = head.forward_from(start, acts);
     let mut sq = vec![0.0f64; sample];
-    parallel::par_row_blocks(&mut sq, 1, 4, |first, chunk| {
+    // One image's forward, weight gradient and input gradient over layers
+    // `start..`: about 6 flops per weight. One-image passes ran at
+    // 7–29 GFLOP/s on the 2-core reference host (deeper is slower); the
+    // top keeps the floor conservative. A last-layer selection of the
+    // paper head (12 kFLOP an image) stays on one thread.
+    let image_flops: usize = (start..head.num_layers())
+        .map(|l| 6 * head.layer(l).weight().numel())
+        .sum();
+    let min_images = parallel::min_rows_for_work(image_flops, LEVERAGE_FLOPS_PER_US);
+    parallel::par_row_blocks(&mut sq, 1, min_images, |first, chunk| {
         // Per-worker buffers: the backward passes reuse one set across
         // the worker's images instead of allocating per image.
         let mut bufs = HeadBuffers::new();
@@ -594,9 +792,69 @@ mod tests {
     use super::*;
     use crate::selection::ParamKind;
     use crate::stealth::StealthObjective;
+    use fsa_admm::prox::hard_threshold;
     use fsa_memfault::dram::DramGeometry;
     use fsa_nn::head_train::{train_head, HeadTrainConfig};
     use fsa_tensor::{Prng, Tensor};
+
+    /// The two-pass oracle of [`AdmmVars::pass`], step one: the element
+    /// work over the gathered gradient, per element `i`, with `xᵢ` the
+    /// old δᵢ,
+    ///
+    /// - `x'ᵢ = (ρ(zᵢ + sᵢ) + αR·xᵢ − gradᵢ) / (αR + ρ)` (eq. 22),
+    /// - `dpᵢ = zᵢ − x'ᵢ`, `ddᵢ = x'ᵢ − xᵢ` (the residual terms),
+    /// - `s'ᵢ = sᵢ + dpᵢ` (the dual update),
+    /// - `vᵢ = x'ᵢ − s'ᵢ` and `thetaᵢ = θ₀ᵢ + x'ᵢ` for the next iteration.
+    #[allow(clippy::too_many_arguments)]
+    fn element_pass(
+        rho: f32,
+        stiffness: f32,
+        z: &[f32],
+        grad: &[f32],
+        theta0: &[f32],
+        x: &mut [f32],
+        s: &mut [f32],
+        v: &mut [f32],
+        theta: &mut [f32],
+        dp: &mut [f32],
+        dd: &mut [f32],
+    ) {
+        let n = x.len();
+        let (z, grad, theta0) = (&z[..n], &grad[..n], &theta0[..n]);
+        let (s, v, theta, dp, dd) = (
+            &mut s[..n],
+            &mut v[..n],
+            &mut theta[..n],
+            &mut dp[..n],
+            &mut dd[..n],
+        );
+        let denom = stiffness + rho;
+        for i in 0..n {
+            let old = x[i];
+            let new = (rho * (z[i] + s[i]) + stiffness * old - grad[i]) / denom;
+            let primal = z[i] - new;
+            let dual = s[i] + primal;
+            x[i] = new;
+            s[i] = dual;
+            v[i] = new - dual;
+            theta[i] = theta0[i] + new;
+            dp[i] = primal;
+            dd[i] = new - old;
+        }
+    }
+
+    /// The oracle's step two: `(Σ dpᵢ², Σ ddᵢ²)` in `f64`, both chains
+    /// advanced in index order.
+    fn squared_norms(dp: &[f32], dd: &[f32]) -> (f64, f64) {
+        let mut primal = 0.0f64;
+        let mut dual = 0.0f64;
+        for (&p, &d) in dp.iter().zip(&dd[..dp.len()]) {
+            let (p, d) = (p as f64, d as f64);
+            primal += p * p;
+            dual += d * d;
+        }
+        (primal, dual)
+    }
 
     /// A small but genuinely trained head over clustered features: class k
     /// concentrates on coordinates `j ≡ k (mod 3)`.
@@ -810,5 +1068,272 @@ mod tests {
         let sel = ParamSelection::layer(0, ParamKind::Both);
         let result = FaultSneakingAttack::new(&head, sel, AttackConfig::default()).run(&spec);
         assert_eq!(result.s_success, 1, "first-layer attack failed: {result:?}");
+    }
+
+    /// A head of the given widths with all-zero parameters (so a layer
+    /// may have zero inputs).
+    fn zero_head(dims: &[usize]) -> FcHead {
+        FcHead::from_linears(
+            dims.windows(2)
+                .map(|w| {
+                    fsa_nn::linear::Linear::from_params(
+                        Tensor::zeros(&[w[1], w[0]]),
+                        Tensor::zeros(&[w[1]]),
+                    )
+                })
+                .collect(),
+        )
+    }
+
+    /// Selections over dims 0, 1, 7, 63, 64, 65, 2010 and two two-layer
+    /// cases, covering weights-only, bias-only and both.
+    fn pass_cases() -> Vec<(FcHead, ParamSelection)> {
+        use crate::selection::LayerSelection;
+        let one = |dims: &[usize], kind| (zero_head(dims), ParamSelection::layer(0, kind));
+        vec![
+            one(&[0, 3], ParamKind::Weights),
+            one(&[4, 1], ParamKind::Bias),
+            one(&[1, 7], ParamKind::Weights),
+            one(&[9, 7], ParamKind::Weights),
+            one(&[7, 8], ParamKind::Both),
+            one(&[12, 5], ParamKind::Both),
+            one(&[200, 10], ParamKind::Both),
+            (
+                zero_head(&[5, 7, 3]),
+                ParamSelection::from_entries(vec![
+                    LayerSelection {
+                        layer: 0,
+                        kind: ParamKind::Bias,
+                    },
+                    LayerSelection {
+                        layer: 1,
+                        kind: ParamKind::Both,
+                    },
+                ]),
+            ),
+            (
+                zero_head(&[9, 8, 7]),
+                ParamSelection::all_layers(&zero_head(&[9, 8, 7])),
+            ),
+        ]
+    }
+
+    /// `n` normals; with `specials`, NaN, ±Inf, −0.0 and +0.0 at
+    /// positions that differ per `salt`. Without them every residual sum
+    /// is finite, so a chain advanced out of order shows in its bits.
+    fn values(n: usize, salt: u64, specials: bool, rng: &mut Prng) -> Vec<f32> {
+        const SPECIAL: [f32; 5] = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY, -0.0, 0.0];
+        (0..n)
+            .map(|i| match (i as u64 * 7 + salt) % 13 {
+                k if specials && k < 5 => SPECIAL[k as usize],
+                _ => rng.normal(0.0, 1.5),
+            })
+            .collect()
+    }
+
+    /// Bit patterns with every NaN read as one value: the sign and payload
+    /// of a NaN computed from NaN operands are not fixed by the language
+    /// (x86 returns the first operand's, and the compiler may commute an
+    /// add), so the SSE and AVX builds of one expression may differ
+    /// there. Every other value, −0.0 and ±Inf included, must match.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() })
+            .collect()
+    }
+
+    /// [`bits`] for the two residual sums.
+    fn sum_bits(p: f64, d: f64) -> [u64; 2] {
+        [p, d].map(|x| if x.is_nan() { u64::MAX } else { x.to_bits() })
+    }
+
+    /// The per-layer `(dW, db)` a backward from layer 0 would leave, with
+    /// `flat` in the selected regions and NaN everywhere else (the pass
+    /// must read only its own regions).
+    fn grads_of(head: &FcHead, selection: &ParamSelection, flat: &[f32]) -> Vec<(Tensor, Tensor)> {
+        let mut g = head.clone();
+        for l in 0..g.num_layers() {
+            g.layer_mut(l).weight_mut().as_mut_slice().fill(f32::NAN);
+            g.layer_mut(l).bias_mut().as_mut_slice().fill(f32::NAN);
+        }
+        selection.scatter(&mut g, flat);
+        (0..g.num_layers())
+            .map(|l| (g.layer(l).weight().clone(), g.layer(l).bias().clone()))
+            .collect()
+    }
+
+    /// The old loop's per-iteration passes, the fused pass's oracle: the
+    /// gradient gathered out of `grads` (zeros with no active hinge),
+    /// then `element_pass`, `squared_norms` and `hard_threshold` on the
+    /// new v. Returns the residual sums; the next z goes to `z_next`.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_step(
+        step: Step,
+        lambda: f32,
+        selection: &ParamSelection,
+        grads: Option<&[(Tensor, Tensor)]>,
+        theta0: &[f32],
+        z: &[f32],
+        vars: &mut AdmmVars,
+        theta: &mut [f32],
+    ) -> (f64, f64) {
+        let dim = theta0.len();
+        let mut grad = vec![0.0; dim];
+        if let Some(g) = grads {
+            selection.gather_grads_into(g, 0, &mut grad);
+        }
+        let (mut dp, mut dd) = (vec![0.0; dim], vec![0.0; dim]);
+        element_pass(
+            step.rho,
+            step.stiffness,
+            z,
+            &grad,
+            theta0,
+            &mut vars.x,
+            &mut vars.s,
+            &mut vars.v,
+            theta,
+            &mut dp,
+            &mut dd,
+        );
+        hard_threshold(&vars.v, lambda, step.rho, &mut vars.z_next);
+        squared_norms(&dp, &dd)
+    }
+
+    /// The fused pass against the two-pass oracle it replaced (scatter θ,
+    /// gather the gradient, `element_pass`, `squared_norms`,
+    /// `hard_threshold`), bit for bit, in the safe build and (where the
+    /// CPU has it) the AVX build. First on random states, with NaN, ±Inf
+    /// and −0.0 in z, s, x, the gradient and θ₀ and without them, with and
+    /// without the ℓ0 z fold, and with no active hinge (`+0.0`
+    /// subtracted). Then over three iterations from `AdmmVars::start`,
+    /// whose seed must hold θ₀ + 0.0 exactly.
+    #[test]
+    fn fused_pass_matches_the_two_pass_oracle_bit_for_bit() {
+        let lambda = 0.02f32;
+        let mut rng = Prng::new(0xF05E);
+        let kernels = if avx_available() {
+            vec![false, true]
+        } else {
+            vec![false]
+        };
+        for (case, (head, selection)) in pass_cases().into_iter().enumerate() {
+            let dim = selection.dim(&head);
+            for (specials, &avx, l0, hinge) in [true, false].into_iter().flat_map(|sp| {
+                kernels.iter().flat_map(move |avx| {
+                    [(true, true), (true, false), (false, true), (false, false)]
+                        .map(|(l0, hinge)| (sp, avx, l0, hinge))
+                })
+            }) {
+                let step = Step {
+                    rho: 5.0,
+                    stiffness: 3.25,
+                    l0_cut: l0.then_some(2.0 * lambda / 5.0),
+                    avx,
+                };
+                let mut draw = |salt| values(dim, case as u64 + salt, specials, &mut rng);
+                let (theta0, z, x, s, grad) = (draw(0), draw(1), draw(2), draw(3), draw(4));
+                let grads = grads_of(&head, &selection, &grad);
+                let grads = hinge.then_some(&grads[..]);
+                let mut fused = AdmmVars {
+                    z: z.clone(),
+                    z_next: vec![f32::NAN; dim],
+                    x,
+                    s,
+                    v: vec![f32::NAN; dim],
+                };
+                let mut oracle = fused.clone();
+                let mut fused_head = head.clone();
+                let (p, d) = fused.pass(step, &theta0, &selection, &mut fused_head, grads);
+                let mut theta = vec![0.0; dim];
+                let (op, od) = oracle_step(
+                    step,
+                    lambda,
+                    &selection,
+                    grads,
+                    &theta0,
+                    &z,
+                    &mut oracle,
+                    &mut theta,
+                );
+                let mut oracle_head = head.clone();
+                selection.scatter(&mut oracle_head, &theta);
+
+                let what = format!(
+                    "case {case} (dim {dim}), specials {specials}, avx {avx}, l0 {l0}, hinge {hinge}"
+                );
+                assert_eq!(bits(&fused.x), bits(&oracle.x), "x: {what}");
+                assert_eq!(bits(&fused.s), bits(&oracle.s), "s: {what}");
+                assert_eq!(bits(&fused.v), bits(&oracle.v), "v: {what}");
+                assert_eq!(bits(&fused.z), bits(&z), "z moved: {what}");
+                assert_eq!(
+                    bits(&selection.gather(&fused_head)),
+                    bits(&selection.gather(&oracle_head)),
+                    "θ: {what}"
+                );
+                assert_eq!(sum_bits(p, d), sum_bits(op, od), "residual sums: {what}");
+                if l0 {
+                    assert_eq!(bits(&fused.z_next), bits(&oracle.z_next), "next z: {what}");
+                }
+            }
+
+            // Three iterations from the start, the middle one without an
+            // active hinge, on a head that holds θ₀ itself (−0.0s and all).
+            let theta0 = values(dim, case as u64, true, &mut rng);
+            let mut fused_head = head.clone();
+            selection.scatter(&mut fused_head, &theta0);
+            let mut fused = AdmmVars::start(&selection, &mut fused_head, &theta0);
+            let mut theta: Vec<f32> = theta0.iter().map(|&t| t + 0.0).collect();
+            let what = format!("case {case} (dim {dim})");
+            assert_eq!(
+                bits(&selection.gather(&fused_head)),
+                bits(&theta),
+                "seed: {what}"
+            );
+            let mut oracle = fused.clone();
+            let step = Step {
+                rho: 5.0,
+                stiffness: 3.25,
+                l0_cut: Some(2.0 * lambda / 5.0),
+                avx: avx_available(),
+            };
+            for iter in 0..3u64 {
+                let grad = values(dim, case as u64 + 5 + iter, false, &mut rng);
+                let grads = grads_of(&head, &selection, &grad);
+                let grads = (iter != 1).then_some(&grads[..]);
+                if iter > 0 {
+                    std::mem::swap(&mut fused.z, &mut fused.z_next);
+                    std::mem::swap(&mut oracle.z, &mut oracle.z_next);
+                }
+                let z = oracle.z.clone();
+                let (p, d) = fused.pass(step, &theta0, &selection, &mut fused_head, grads);
+                let (op, od) = oracle_step(
+                    step,
+                    lambda,
+                    &selection,
+                    grads,
+                    &theta0,
+                    &z,
+                    &mut oracle,
+                    &mut theta,
+                );
+                let what = format!("{what}, iter {iter}");
+                for (name, a, b) in [
+                    ("z", &fused.z, &oracle.z),
+                    ("next z", &fused.z_next, &oracle.z_next),
+                    ("x", &fused.x, &oracle.x),
+                    ("s", &fused.s, &oracle.s),
+                    ("v", &fused.v, &oracle.v),
+                ] {
+                    assert_eq!(bits(a), bits(b), "{name}: {what}");
+                }
+                assert_eq!(
+                    bits(&selection.gather(&fused_head)),
+                    bits(&theta),
+                    "θ: {what}"
+                );
+                assert_eq!(sum_bits(p, d), sum_bits(op, od), "residual sums: {what}");
+            }
+        }
     }
 }

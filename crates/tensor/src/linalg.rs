@@ -5,8 +5,10 @@
 //!
 //! 1. **Row-block parallelism** — the output is partitioned into
 //!    contiguous row blocks dispatched through
-//!    [`crate::parallel::par_row_blocks`] (scoped threads). Each block
-//!    is written by exactly one thread; no synchronization, no atomics.
+//!    [`crate::parallel::par_row_blocks`] (scoped threads), once each
+//!    worker's share of flops clears the dispatch-derived work floor of
+//!    [`crate::parallel::min_rows_for_work`]. Each block is written by
+//!    exactly one thread; no synchronization, no atomics.
 //! 2. **Cache blocking** — [`gemm`] and [`gemm_tn`] tile the shared `k`
 //!    dimension by [`KC`] so the streamed panels of `A`/`B` stay resident
 //!    in L1/L2 while a register tile accumulates; [`gemm_nt`] tiles its
@@ -81,9 +83,25 @@ const MR: usize = 4;
 /// Micro-kernel columns (output register tile width / unroll factor).
 const NR: usize = 8;
 
-/// Minimum output rows per parallel block; smaller outputs run serially
-/// so tiny matrices never pay thread-spawn overhead.
-const PAR_MIN_ROWS: usize = 8;
+/// One-thread rate of the GEMM register tiles, in flops per µs: on the
+/// 2-core reference host the benchmark ladder's conv `gemm` (10.6 MFLOP)
+/// and ADMM-forward `gemm_nt` (0.4 MFLOP) read 28–41 GFLOP/s with the
+/// AVX tiles. The top of that range keeps the work floor conservative.
+const GEMM_FLOPS_PER_US: usize = 40_000;
+
+/// One-thread rate of [`gemv`] in flops per µs (10–17 GFLOP/s measured
+/// at 200×1024 and 1000×1000 on the same host; the top is used).
+const GEMV_FLOPS_PER_US: usize = 16_000;
+
+/// Minimum output rows per parallel block of a GEMM whose rows cost
+/// `2·k·n` flops each: a worker's share must reach
+/// `2 × DISPATCH_US × GEMM_FLOPS_PER_US` ≈ 5.4 MFLOP
+/// ([`parallel::min_rows_for_work`]), so the ADMM forward (0.4 MFLOP)
+/// and the conv call (10.6 MFLOP, 5.3 per worker at two) run on one
+/// thread.
+fn gemm_min_rows(k: usize, n: usize) -> usize {
+    parallel::min_rows_for_work(2 * k * n, GEMM_FLOPS_PER_US)
+}
 
 /// `j`-dimension tile of [`gemm_nt`]: output columns (= rows of `B`)
 /// per panel. A panel of `NC` B-rows stays cache-resident while every
@@ -133,7 +151,7 @@ pub fn gemm(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    parallel::par_row_blocks(&mut c[..m * n], n, PAR_MIN_ROWS, |r0, block| {
+    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
         ab_block(ALayout::Nn, r0, k, n, a, b, block, alpha);
     });
 }
@@ -339,7 +357,7 @@ pub fn gemm_tn(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    parallel::par_row_blocks(&mut c[..m * n], n, PAR_MIN_ROWS, |r0, block| {
+    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
         ab_block(ALayout::Tn { m }, r0, k, n, a, b, block, alpha);
     });
 }
@@ -487,7 +505,7 @@ pub fn gemm_nt(
     if m == 0 || n == 0 || k == 0 {
         return;
     }
-    parallel::par_row_blocks(&mut c[..m * n], n, PAR_MIN_ROWS, |r0, block| {
+    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
         nt_block(r0, k, n, a, b, block, alpha);
     });
 }
@@ -906,7 +924,8 @@ pub fn gemv(m: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32], alpha: f32,
         return;
     }
     let x = &x[..n];
-    parallel::par_row_blocks(&mut y[..m], 1, 4 * PAR_MIN_ROWS, |r0, yblk| {
+    let min_rows = parallel::min_rows_for_work(2 * n, GEMV_FLOPS_PER_US);
+    parallel::par_row_blocks(&mut y[..m], 1, min_rows, |r0, yblk| {
         for (i, yv) in yblk.iter_mut().enumerate() {
             let row = r0 + i;
             let acc = dot_slices(&a[row * n..row * n + n], x);

@@ -138,6 +138,44 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+/// The cost of one fan-out at the default thread count, in µs: the
+/// benchmark ladder's `tensor.parallel.dispatch_us.tmax` (scoped workers
+/// spawned and joined around a trivial block) read 57–68 µs on the
+/// 2-core reference host; the larger figure is used.
+pub const DISPATCH_US: usize = 68;
+
+/// The fewest rows each worker of a dispatch must get for the fan-out to
+/// pay: rows costing `row_work` units each, on a kernel that runs
+/// `rate_per_us` units per µs at one thread, so that each worker's share
+/// takes at least `2 × DISPATCH_US`.
+///
+/// Splitting `T` µs of work over `p ≥ 2` workers saves
+/// `T − T/p = (p − 1)·w` (with `w = T/p` per worker) and costs one
+/// dispatch `D`. With `w ≥ 2D` the saving is at least `2D`, so the
+/// fan-out wins by at least its own cost; below that floor a dispatch
+/// can lose to one thread (a 0.4 MFLOP `gemm_nt` split in two read
+/// 64 µs against 14 µs serial). Pass the result as
+/// [`par_row_blocks`]' `min_rows`: contiguous partitions stay as they
+/// were, so no bit moves, and the one-thread path is untouched.
+///
+/// # Examples
+///
+/// ```
+/// use fsa_tensor::parallel::{min_rows_for_work, DISPATCH_US};
+///
+/// // 1000 units per row at 100 units/µs: 10 µs a row, so a worker
+/// // needs 2·68 µs / 10 µs → 14 rows.
+/// assert_eq!(DISPATCH_US, 68);
+/// assert_eq!(min_rows_for_work(1000, 100), 14);
+/// // A row that alone clears the floor still needs one row per worker.
+/// assert_eq!(min_rows_for_work(usize::MAX / 4, 1), 1);
+/// ```
+pub fn min_rows_for_work(row_work: usize, rate_per_us: usize) -> usize {
+    (2 * DISPATCH_US * rate_per_us)
+        .div_ceil(row_work.max(1))
+        .max(1)
+}
+
 /// Splits `0..n` into at most `pieces` contiguous ranges of near-equal
 /// length (fewer when `n < pieces`). Empty when `n == 0`.
 pub fn split_ranges(n: usize, pieces: usize) -> Vec<Range<usize>> {

@@ -28,6 +28,11 @@ use crate::parallel;
 /// (symmetric; `i8::MIN` is deliberately unused).
 pub const Q_MAX: i32 = 127;
 
+/// One-thread rate of [`gemm_i8_nt`] in multiply-add ops (2 per MAC) per
+/// µs: the benchmark ladder's 0.53 MOP call reads ≈114 µs (≈4.7 GOP/s)
+/// on the 2-core reference host.
+const I8_OPS_PER_US: usize = 4_700;
+
 /// Symmetric per-tensor quantization parameters: a single positive
 /// `scale`, zero-point fixed at 0.
 ///
@@ -130,7 +135,10 @@ pub fn gemm_i8_nt(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32
     if k == 0 {
         return;
     }
-    parallel::par_row_blocks(&mut c[..m * n], n, 4, |r0, block| {
+    // A worker's share must reach ≈0.64 MOP (2 × DISPATCH_US at
+    // `I8_OPS_PER_US`), so the ladder's 0.53 MOP call runs on one thread.
+    let min_rows = parallel::min_rows_for_work(2 * k * n, I8_OPS_PER_US);
+    parallel::par_row_blocks(&mut c[..m * n], n, min_rows, |r0, block| {
         for (gi, crow) in block.chunks_exact_mut(n).enumerate() {
             let arow = &a[(r0 + gi) * k..(r0 + gi) * k + k];
             for (j, cv) in crow.iter_mut().enumerate() {

@@ -180,3 +180,51 @@ fn kernel_outputs_are_bit_identical_for_any_thread_count() {
         );
     }
 }
+
+/// The same contract above the kernels' work floors
+/// (`parallel::min_rows_for_work`), where a dispatch really splits:
+/// about 5.4 MFLOP per worker for the GEMMs (rows of `2·k·n` flops, so
+/// 166 rows at k = 256, n = 64), 2.2 MFLOP for `gemv` (1063 rows at
+/// n = 1024) and 0.64 MOP for `gemm_i8_nt` (20 rows at k = 256, n = 64).
+/// Each shape below holds more than two workers' worth of rows.
+#[test]
+fn kernels_split_above_their_work_floor_keep_their_bits() {
+    use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn, gemv};
+    use fault_sneaking::tensor::quant::gemm_i8_nt;
+    let _guard = THREAD_LOCK.lock().unwrap();
+    let mut rng = Prng::new(8);
+    let (m, k, n) = (400, 256, 64);
+    let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+    let b = Tensor::rand_uniform(&[k, n], -1.0, 1.0, &mut rng);
+    let bt = Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng);
+    let at = Tensor::rand_uniform(&[k, m], -1.0, 1.0, &mut rng);
+    let (gm, gn) = (2200, 1024);
+    let ga = Tensor::rand_uniform(&[gm, gn], -1.0, 1.0, &mut rng);
+    let gx = Tensor::rand_uniform(&[gn], -1.0, 1.0, &mut rng);
+    let qa: Vec<i8> = (0..m * k).map(|i| (i * 37 % 255) as i8).collect();
+    let qb: Vec<i8> = (0..n * k).map(|i| (i * 91 % 253) as i8).collect();
+
+    let run = |threads: usize| {
+        parallel::set_threads(threads);
+        let mut c = vec![0.0f32; m * n];
+        gemm(m, k, n, a.as_slice(), b.as_slice(), &mut c, 1.3, 0.0);
+        let mut ct = vec![0.0f32; m * n];
+        gemm_tn(m, k, n, at.as_slice(), b.as_slice(), &mut ct, 1.0, 0.0);
+        let mut cnt = vec![0.0f32; m * n];
+        gemm_nt(m, k, n, a.as_slice(), bt.as_slice(), &mut cnt, 1.0, 0.0);
+        let mut y = vec![0.0f32; gm];
+        gemv(gm, gn, ga.as_slice(), gx.as_slice(), &mut y, 1.0, 0.0);
+        let mut qc = vec![0i32; m * n];
+        gemm_i8_nt(m, k, n, &qa, &qb, &mut qc);
+        parallel::set_threads(0);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (bits(&c), bits(&ct), bits(&cnt), bits(&y), qc)
+    };
+    let base = run(1);
+    for threads in [2, 3, 5, 16] {
+        assert!(
+            base == run(threads),
+            "kernel bits changed at {threads} threads"
+        );
+    }
+}
