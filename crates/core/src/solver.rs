@@ -9,6 +9,7 @@ use crate::spec::AttackSpec;
 use crate::stealth;
 use fsa_admm::prox::{block_hard_threshold, block_soft_threshold, block_soft_threshold_grouped};
 use fsa_nn::head::{FcHead, HeadBuffers};
+use fsa_tensor::linalg::avx_available;
 use fsa_tensor::{norms, parallel};
 
 /// Per-iteration ADMM diagnostics.
@@ -667,20 +668,6 @@ fn pass_block<const L0: bool>(
         dual += d * d;
     }
     *sums = [primal, dual];
-}
-
-/// Whether this CPU supports AVX, detected once per process (always
-/// `false` off x86_64).
-fn avx_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
 }
 
 /// The fused pass's AVX build (x86_64 only): [`pass_region`] compiled

@@ -1,8 +1,8 @@
 //! Deterministic-safe observability for the fault-sneaking workspace.
 //!
 //! This crate is the measurement substrate under every other layer:
-//! hierarchical [spans](span) with monotonic timing, a metrics registry
-//! ([counters](counter) and fixed-boundary [histograms](Histogram)),
+//! hierarchical [spans](span) with monotonic timing, [counters](counter),
+//! a fixed-boundary [`Histogram`] that snapshots can carry,
 //! structured [events](event), and per-iteration ADMM
 //! [convergence traces](convergence_trace). It is std-only and has no
 //! dependencies, so it can sit below `fsa-tensor` without disturbing
@@ -54,7 +54,7 @@ mod snapshot;
 
 pub use metrics::{ConvergenceRecord, ConvergenceTrace, Event, Histogram, SpanStat, Value};
 pub use record::{
-    convergence_trace, counter, current_path, drain, enabled, event, flush_thread, observe,
-    observe_with, set_enabled, span, with_path, Span,
+    convergence_trace, counter, current_path, drain, enabled, event, flush_thread, set_enabled,
+    span, with_path, Span,
 };
 pub use snapshot::{json_string, Snapshot};

@@ -218,31 +218,6 @@ pub fn counter(name: &str, delta: u64) {
     });
 }
 
-/// Records `value` into the named histogram using the default
-/// nanosecond scale ([`Histogram::time_bounds`]). No-op while disabled.
-pub fn observe(name: &str, value: u64) {
-    observe_with(name, value, || Histogram::new(&Histogram::time_bounds()));
-}
-
-/// Records `value` into the named histogram, creating it with `make` on
-/// first use. All records under one name must use identical bounds —
-/// cross-thread merging panics otherwise. No-op while disabled.
-pub fn observe_with(name: &str, value: u64, make: impl FnOnce() -> Histogram) {
-    if !enabled() {
-        return;
-    }
-    let _ = LOCAL.try_with(|l| {
-        let mut l = l.borrow_mut();
-        if let Some(h) = l.state.hists.get_mut(name) {
-            h.record(value);
-        } else {
-            let mut h = make();
-            h.record(value);
-            l.state.hists.insert(name.to_string(), h);
-        }
-    });
-}
-
 /// Emits a structured event tagged with the thread's current span path,
 /// a monotonic timestamp, a wall-clock timestamp, and a process-global
 /// sequence number. No-op while disabled.
@@ -365,7 +340,6 @@ mod tests {
         {
             let _s = span("ghost");
             counter("ghost.count", 5);
-            observe("ghost.ns", 42);
             event("ghost.event", vec![]);
             convergence_trace("ghost", vec![dummy_record(0)]);
         }

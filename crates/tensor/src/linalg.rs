@@ -1,5 +1,5 @@
-//! Matrix kernels: GEMM in the three transpose layouts backprop uses,
-//! and GEMV — the parallel tiled kernel engine.
+//! Matrix kernels: GEMM in the three transpose layouts backprop uses —
+//! the parallel tiled kernel engine.
 //!
 //! Every kernel follows the same three-level architecture:
 //!
@@ -14,34 +14,36 @@
 //!    in L1/L2 while a register tile accumulates; [`gemm_nt`] tiles its
 //!    output columns by [`NC`] so a panel of `B` rows stays in cache
 //!    while the block's `A` rows stream over it.
-//! 3. **Register tiles** — the portable [`gemm`] and [`gemm_tn`] kernels
-//!    accumulate `MR`×`NR` (4×8) output tiles in local arrays the
-//!    compiler keeps in vector registers: one pass over a `k` panel
-//!    performs 32 multiply-adds per 12 loads instead of the 1
-//!    multiply-add per 2 loads of a scalar loop. [`gemm_nt`] computes
-//!    each element as one eight-chain dot product in [`dot_slices`]'
-//!    order.
+//! 3. **Register tiles** — [`gemm`] (NN) and [`gemm_tn`] (TN) differ only
+//!    in how `A` is indexed: element `(row, p)` sits at
+//!    `row·row_stride + p·p_stride`, NN `(k, 1)` and TN `(1, m)`. One
+//!    portable kernel takes those strides and serves both: it accumulates
+//!    `MR`×`NR` (4×8) output tiles, then 1×8 tiles for the remainder
+//!    rows, in local arrays the compiler keeps in vector registers, so one
+//!    pass over a `k` panel performs 32 multiply-adds per 12 loads instead
+//!    of the 1 multiply-add per 2 loads of a scalar loop. It is compiled
+//!    twice, once with the p stride a compile-time 1 (NN), chosen by
+//!    `p_stride == 1`. [`gemm_nt`] computes each element as one
+//!    eight-chain dot product in [`dot_slices`]' order.
 //!
-//! **ISA dispatch.** Three kernels choose their instruction set at run
-//! time: AVX is detected once (cached in a `OnceLock`), and on every
-//! other target, or a CPU without it, the portable kernels run. No build
-//! flag, cargo feature, environment variable or config field selects a
-//! path.
+//! **ISA dispatch.** Two register tiles choose their instruction set at
+//! run time: AVX is detected once ([`avx_available`]), and on every other
+//! target, or a CPU without it, the portable kernels run. No build flag,
+//! cargo feature, environment variable or config field selects a path.
 //!
 //! - [`gemm_nt`] (when `k ≥ NR`) runs a 4 A-row × 2 B-row tile: eight
 //!   `__m256` accumulators, one per output element, whose lane `t` is
 //!   that element's chain `t`, so every loaded 8-wide chunk of a row
 //!   feeds two or four products. It keeps the chunk order, the scalar
 //!   tail and the reduction tree of [`dot_slices`].
-//! - [`gemm`] (NN) and [`gemm_tn`] (TN) share one 4-row × 16-column
-//!   tile: per `p` it broadcasts one `A` element per row and loads two
-//!   8-wide chunks of `B` row `p`, so lane `t` of an accumulator is one
-//!   output element's own `acc + a·b` chain over a [`KC`] tile. The
-//!   layouts differ only in how `A` is indexed (NN: row stride `k`,
-//!   p-stride 1; TN: row stride 1, p-stride `m`). For each `KC` tile the
-//!   16-column panel of `B` stays in L1 while every row group of the
-//!   block streams over it. Column remainders (`n % 16`) run a masked
-//!   tile, row remainders a 1-, 2- or 3-row one.
+//! - [`gemm`] and [`gemm_tn`] share one 4-row × 16-column tile that takes
+//!   the same strides as the portable kernel: per `p` it broadcasts one
+//!   `A` element per row and loads two 8-wide chunks of `B` row `p`, so
+//!   lane `t` of an accumulator is one output element's own `acc + a·b`
+//!   chain over a [`KC`] tile. For each `KC` tile the 16-column panel of
+//!   `B` stays in L1 while every row group of the block streams over it.
+//!   Column remainders (`n % 16`) run a masked tile, row remainders a 1-,
+//!   2- or 3-row one.
 //!
 //! Every AVX kernel keeps each element's scalar operation sequence —
 //! separate multiply then add (never FMA), operands in ascending order
@@ -89,10 +91,6 @@ const NR: usize = 8;
 /// AVX tiles. The top of that range keeps the work floor conservative.
 const GEMM_FLOPS_PER_US: usize = 40_000;
 
-/// One-thread rate of [`gemv`] in flops per µs (10–17 GFLOP/s measured
-/// at 200×1024 and 1000×1000 on the same host; the top is used).
-const GEMV_FLOPS_PER_US: usize = 16_000;
-
 /// Minimum output rows per parallel block of a GEMM whose rows cost
 /// `2·k·n` flops each: a worker's share must reach
 /// `2 × DISPATCH_US × GEMM_FLOPS_PER_US` ≈ 5.4 MFLOP
@@ -128,6 +126,46 @@ fn fmadd(a: f32, b: f32, c: f32) -> f32 {
     c + a * b
 }
 
+/// Whether this CPU supports AVX, detected once per process (always
+/// `false` off x86_64). The GEMM tiles here and the ADMM loop's fused
+/// per-iteration pass (`fsa-attack`) run their AVX builds only where this
+/// returns `true`.
+pub fn avx_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// The driver all three layouts share: checks that `A`, `B` and `C` hold
+/// at least `m·k`, `k·n` and `m·n` values, scales `C` by `beta`, then
+/// runs `kernel(r0, block)` over contiguous row blocks of `C`, in parallel
+/// once each worker's rows clear [`gemm_min_rows`].
+fn gemm_rows(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    beta: f32,
+    kernel: impl Fn(usize, &mut [f32]) + Sync,
+) {
+    assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
+    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
+    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
+    scale_output(c, m * n, beta);
+    if m == 0 || n == 0 || k == 0 {
+        return;
+    }
+    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), kernel);
+}
+
 /// `C = alpha * A·B + beta * C` where `A` is `m×k`, `B` is `k×n`,
 /// `C` is `m×n`, all row-major.
 ///
@@ -144,192 +182,9 @@ pub fn gemm(
     alpha: f32,
     beta: f32,
 ) {
-    assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
-    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    scale_output(c, m * n, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
-        ab_block(ALayout::Nn, r0, k, n, a, b, block, alpha);
+    gemm_rows(m, k, n, a, b, c, beta, |r0, block| {
+        ab_block(r0, k, 1, k, n, a, b, block, alpha);
     });
-}
-
-/// How [`gemm`] and [`gemm_tn`] index `A`: the two layouts differ only
-/// there, so one AVX tile serves both.
-#[derive(Debug, Clone, Copy)]
-enum ALayout {
-    /// `A` is `m×k` row-major: element `(row, p)` at `row·k + p`.
-    Nn,
-    /// `A` is stored `k×m` ([`gemm_tn`]): element `(row, p)` at `p·m + row`.
-    Tn {
-        /// Output rows, the stride of `p`.
-        m: usize,
-    },
-}
-
-impl ALayout {
-    /// `(row stride, p stride)` of `A` element `(row, p)` for a `k`-deep
-    /// product.
-    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
-    fn strides(self, k: usize) -> (usize, usize) {
-        match self {
-            ALayout::Nn => (k, 1),
-            ALayout::Tn { m } => (1, m),
-        }
-    }
-}
-
-/// Serial kernel for a row block of `C = alpha·op(A)·B + C` in either
-/// layout. Dispatches to the AVX register tile when the CPU has it, else
-/// to the scalar kernel of the layout; both produce the same bits (see
-/// the module doc).
-fn ab_block(
-    layout: ALayout,
-    r0: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    block: &mut [f32],
-    alpha: f32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    if avx::available() {
-        let (row_stride, p_stride) = layout.strides(k);
-        // SAFETY: `avx::available()` confirmed the CPU supports AVX, the
-        // only requirement of the raw kernel.
-        unsafe { avx::ab_block(r0, row_stride, p_stride, k, n, a, b, block, alpha) };
-        return;
-    }
-    match layout {
-        ALayout::Nn => nn_block_scalar(r0, k, n, a, b, block, alpha),
-        ALayout::Tn { m } => tn_block_scalar(r0, m, k, n, a, b, block, alpha),
-    }
-}
-
-/// Portable tiled kernel for a row block of `C = alpha·A·B + C`: the
-/// fallback on CPUs without AVX and the oracle of the AVX tile.
-fn nn_block_scalar(
-    r0: usize,
-    k: usize,
-    n: usize,
-    a: &[f32],
-    b: &[f32],
-    block: &mut [f32],
-    alpha: f32,
-) {
-    for (kb, ke) in k_tiles(k) {
-        for (gi, group) in block.chunks_mut(MR * n).enumerate() {
-            let r = r0 + gi * MR;
-            if group.len() == MR * n {
-                let (c0, rest) = group.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                nn_micro4(
-                    [
-                        &a[r * k..r * k + k],
-                        &a[(r + 1) * k..(r + 1) * k + k],
-                        &a[(r + 2) * k..(r + 2) * k + k],
-                        &a[(r + 3) * k..(r + 3) * k + k],
-                    ],
-                    b,
-                    kb,
-                    ke,
-                    n,
-                    [c0, c1, c2, c3],
-                    alpha,
-                );
-            } else {
-                for (i, c_row) in group.chunks_mut(n).enumerate() {
-                    let row = r + i;
-                    nn_micro1(&a[row * k..row * k + k], b, kb, ke, n, c_row, alpha);
-                }
-            }
-        }
-    }
-}
-
-/// 4×8 register tile for the NN layout: `a_rows[s][p]`, `b[p*n + j]`.
-fn nn_micro4(
-    a_rows: [&[f32]; 4],
-    b: &[f32],
-    kb: usize,
-    ke: usize,
-    n: usize,
-    c_rows: [&mut [f32]; 4],
-    alpha: f32,
-) {
-    let [c0, c1, c2, c3] = c_rows;
-    let tiles = n / NR;
-    for jt in 0..tiles {
-        let jb = jt * NR;
-        let mut acc = [[0.0f32; NR]; 4];
-        for p in kb..ke {
-            let bt: &[f32; NR] = b[p * n + jb..p * n + jb + NR].try_into().unwrap();
-            let av = [a_rows[0][p], a_rows[1][p], a_rows[2][p], a_rows[3][p]];
-            for s in 0..4 {
-                for t in 0..NR {
-                    acc[s][t] = fmadd(av[s], bt[t], acc[s][t]);
-                }
-            }
-        }
-        for t in 0..NR {
-            c0[jb + t] += alpha * acc[0][t];
-            c1[jb + t] += alpha * acc[1][t];
-            c2[jb + t] += alpha * acc[2][t];
-            c3[jb + t] += alpha * acc[3][t];
-        }
-    }
-    for j in tiles * NR..n {
-        let mut acc = [0.0f32; 4];
-        for p in kb..ke {
-            let bv = b[p * n + j];
-            for s in 0..4 {
-                acc[s] = fmadd(a_rows[s][p], bv, acc[s]);
-            }
-        }
-        c0[j] += alpha * acc[0];
-        c1[j] += alpha * acc[1];
-        c2[j] += alpha * acc[2];
-        c3[j] += alpha * acc[3];
-    }
-}
-
-/// 1×8 register tile for the NN layout (row remainder path); performs the
-/// identical per-element operation sequence as [`nn_micro4`].
-fn nn_micro1(
-    a_row: &[f32],
-    b: &[f32],
-    kb: usize,
-    ke: usize,
-    n: usize,
-    c_row: &mut [f32],
-    alpha: f32,
-) {
-    let tiles = n / NR;
-    for jt in 0..tiles {
-        let jb = jt * NR;
-        let mut acc = [0.0f32; NR];
-        for p in kb..ke {
-            let bt: &[f32; NR] = b[p * n + jb..p * n + jb + NR].try_into().unwrap();
-            let av = a_row[p];
-            for t in 0..NR {
-                acc[t] = fmadd(av, bt[t], acc[t]);
-            }
-        }
-        for t in 0..NR {
-            c_row[jb + t] += alpha * acc[t];
-        }
-    }
-    for j in tiles * NR..n {
-        let mut acc = 0.0f32;
-        for p in kb..ke {
-            acc = fmadd(a_row[p], b[p * n + j], acc);
-        }
-        c_row[j] += alpha * acc;
-    }
 }
 
 /// `C = alpha * Aᵀ·B + beta * C` where `A` is `k×m` (so `Aᵀ` is `m×k`),
@@ -350,25 +205,20 @@ pub fn gemm_tn(
     alpha: f32,
     beta: f32,
 ) {
-    assert!(a.len() >= k * m, "A too short: {} < {}", a.len(), k * m);
-    assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
-    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    scale_output(c, m * n, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
-        ab_block(ALayout::Tn { m }, r0, k, n, a, b, block, alpha);
+    gemm_rows(m, k, n, a, b, c, beta, |r0, block| {
+        ab_block(r0, 1, m, k, n, a, b, block, alpha);
     });
 }
 
-/// Portable tiled kernel for a row block of `C = alpha·Aᵀ·B + C`;
-/// `Aᵀ[row, p] = a[p*m + row]`, so a 4-row panel loads `a` contiguously.
-/// The fallback on CPUs without AVX and the oracle of the AVX tile.
-#[allow(clippy::too_many_arguments)]
-fn tn_block_scalar(
+/// Serial kernel for a row block of `C = alpha·op(A)·B + C`, `A` element
+/// `(row, p)` at `row·row_stride + p·p_stride` ([`gemm`]: `(k, 1)`,
+/// [`gemm_tn`]: `(1, m)`). Dispatches to the AVX register tile when the
+/// CPU has it, else to the portable kernel; both produce the same bits
+/// (see the module doc).
+fn ab_block(
     r0: usize,
-    m: usize,
+    row_stride: usize,
+    p_stride: usize,
     k: usize,
     n: usize,
     a: &[f32],
@@ -376,107 +226,124 @@ fn tn_block_scalar(
     block: &mut [f32],
     alpha: f32,
 ) {
+    #[cfg(target_arch = "x86_64")]
+    if avx_available() {
+        // SAFETY: `avx_available()` confirmed the CPU supports AVX, the
+        // only requirement of the raw kernel.
+        unsafe { avx::ab_block(r0, row_stride, p_stride, k, n, a, b, block, alpha) };
+        return;
+    }
+    ab_block_scalar(r0, row_stride, p_stride, k, n, a, b, block, alpha);
+}
+
+/// Portable kernel for a row block of [`ab_block`]: the fallback on CPUs
+/// without AVX and the oracle of the AVX tile. Runs [`ab_rows`] with the
+/// p stride a compile-time 1 when it is 1 (NN), so that build indexes
+/// `A` rows contiguously (with the stride at run time the NN shapes ran
+/// about 10% slower).
+fn ab_block_scalar(
+    r0: usize,
+    row_stride: usize,
+    p_stride: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    block: &mut [f32],
+    alpha: f32,
+) {
+    if p_stride == 1 {
+        ab_rows::<true>(r0, row_stride, p_stride, k, n, a, b, block, alpha);
+    } else {
+        ab_rows::<false>(r0, row_stride, p_stride, k, n, a, b, block, alpha);
+    }
+}
+
+/// [`ab_block_scalar`] with `p_stride` replaced by 1 when `UNIT_P`. For
+/// each [`KC`] tile of `k`, groups of [`MR`] rows run one [`ab_tile`],
+/// then each remainder row a 1-row one.
+fn ab_rows<const UNIT_P: bool>(
+    r0: usize,
+    row_stride: usize,
+    p_stride: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    block: &mut [f32],
+    alpha: f32,
+) {
+    let p_stride = if UNIT_P { 1 } else { p_stride };
+    if k == 0 {
+        return;
+    }
+    // Every row's slice has the same length, so one bounds check on `p`
+    // covers all the rows of a tile.
+    let span = (k - 1) * p_stride + 1;
+    let a_row = |row: usize| &a[row * row_stride..][..span];
     for (kb, ke) in k_tiles(k) {
         for (gi, group) in block.chunks_mut(MR * n).enumerate() {
             let r = r0 + gi * MR;
             if group.len() == MR * n {
-                let (c0, rest) = group.split_at_mut(n);
-                let (c1, rest) = rest.split_at_mut(n);
-                let (c2, c3) = rest.split_at_mut(n);
-                tn_micro4(r, m, a, b, kb, ke, n, [c0, c1, c2, c3], alpha);
+                let rows = std::array::from_fn(|s| a_row(r + s));
+                ab_tile::<MR>(rows, p_stride, b, kb, ke, n, group, alpha);
             } else {
                 for (i, c_row) in group.chunks_mut(n).enumerate() {
-                    tn_micro1(r + i, m, a, b, kb, ke, n, c_row, alpha);
+                    ab_tile([a_row(r + i)], p_stride, b, kb, ke, n, c_row, alpha);
                 }
             }
         }
     }
 }
 
-/// 4×8 register tile for the TN layout: `a[p*m + r .. r+4]` per `p`.
-#[allow(clippy::too_many_arguments)]
-fn tn_micro4(
-    r: usize,
-    m: usize,
-    a: &[f32],
+/// `R` output rows over the `k` tile `kb..ke`, `a_rows[s][p·p_stride]`
+/// being row `s`'s `A(row, p)`: 8-column register tiles, then one column
+/// at a time for `n % 8`. Each element's chain is the module doc's: from
+/// `+0.0`, one [`fmadd`] per `p` in ascending order, then
+/// `c += alpha·acc`.
+#[inline(always)]
+fn ab_tile<const R: usize>(
+    a_rows: [&[f32]; R],
+    p_stride: usize,
     b: &[f32],
     kb: usize,
     ke: usize,
     n: usize,
-    c_rows: [&mut [f32]; 4],
+    c: &mut [f32],
     alpha: f32,
 ) {
-    let [c0, c1, c2, c3] = c_rows;
     let tiles = n / NR;
     for jt in 0..tiles {
         let jb = jt * NR;
-        let mut acc = [[0.0f32; NR]; 4];
+        let mut acc = [[0.0f32; NR]; R];
         for p in kb..ke {
             let bt: &[f32; NR] = b[p * n + jb..p * n + jb + NR].try_into().unwrap();
-            let av: &[f32; 4] = a[p * m + r..p * m + r + 4].try_into().unwrap();
-            for s in 0..4 {
+            // All rows' `A` values first: loading them between the
+            // products measured slower.
+            let av: [f32; R] = std::array::from_fn(|s| a_rows[s][p * p_stride]);
+            for (acc_s, &av) in acc.iter_mut().zip(&av) {
                 for t in 0..NR {
-                    acc[s][t] = fmadd(av[s], bt[t], acc[s][t]);
+                    acc_s[t] = fmadd(av, bt[t], acc_s[t]);
                 }
             }
         }
-        for t in 0..NR {
-            c0[jb + t] += alpha * acc[0][t];
-            c1[jb + t] += alpha * acc[1][t];
-            c2[jb + t] += alpha * acc[2][t];
-            c3[jb + t] += alpha * acc[3][t];
+        for (s, acc_s) in acc.iter().enumerate() {
+            for t in 0..NR {
+                c[s * n + jb + t] += alpha * acc_s[t];
+            }
         }
     }
     for j in tiles * NR..n {
-        let mut acc = [0.0f32; 4];
+        let mut acc = [0.0f32; R];
         for p in kb..ke {
             let bv = b[p * n + j];
-            let av: &[f32; 4] = a[p * m + r..p * m + r + 4].try_into().unwrap();
-            for s in 0..4 {
-                acc[s] = fmadd(av[s], bv, acc[s]);
+            for (s, acc_s) in acc.iter_mut().enumerate() {
+                *acc_s = fmadd(a_rows[s][p * p_stride], bv, *acc_s);
             }
         }
-        c0[j] += alpha * acc[0];
-        c1[j] += alpha * acc[1];
-        c2[j] += alpha * acc[2];
-        c3[j] += alpha * acc[3];
-    }
-}
-
-/// 1×8 register tile for the TN layout (row remainder path).
-#[allow(clippy::too_many_arguments)]
-fn tn_micro1(
-    row: usize,
-    m: usize,
-    a: &[f32],
-    b: &[f32],
-    kb: usize,
-    ke: usize,
-    n: usize,
-    c_row: &mut [f32],
-    alpha: f32,
-) {
-    let tiles = n / NR;
-    for jt in 0..tiles {
-        let jb = jt * NR;
-        let mut acc = [0.0f32; NR];
-        for p in kb..ke {
-            let bt: &[f32; NR] = b[p * n + jb..p * n + jb + NR].try_into().unwrap();
-            let av = a[p * m + row];
-            for t in 0..NR {
-                acc[t] = fmadd(av, bt[t], acc[t]);
-            }
+        for (s, acc_s) in acc.iter().enumerate() {
+            c[s * n + j] += alpha * acc_s;
         }
-        for t in 0..NR {
-            c_row[jb + t] += alpha * acc[t];
-        }
-    }
-    for j in tiles * NR..n {
-        let mut acc = 0.0f32;
-        for p in kb..ke {
-            acc = fmadd(a[p * m + row], b[p * n + j], acc);
-        }
-        c_row[j] += alpha * acc;
     }
 }
 
@@ -498,14 +365,7 @@ pub fn gemm_nt(
     alpha: f32,
     beta: f32,
 ) {
-    assert!(a.len() >= m * k, "A too short: {} < {}", a.len(), m * k);
-    assert!(b.len() >= n * k, "B too short: {} < {}", b.len(), n * k);
-    assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
-    scale_output(c, m * n, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
-    parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), |r0, block| {
+    gemm_rows(m, k, n, a, b, c, beta, |r0, block| {
         nt_block(r0, k, n, a, b, block, alpha);
     });
 }
@@ -519,8 +379,8 @@ pub fn gemm_nt(
 /// kernel; both produce the same bits (see the module doc).
 fn nt_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f32], alpha: f32) {
     #[cfg(target_arch = "x86_64")]
-    if k >= NR && avx::available() {
-        // SAFETY: `avx::available()` confirmed the CPU supports AVX, the
+    if k >= NR && avx_available() {
+        // SAFETY: `avx_available()` confirmed the CPU supports AVX, the
         // only requirement of the raw kernel.
         unsafe { avx::nt_block(r0, k, n, a, b, block, alpha) };
         return;
@@ -567,13 +427,6 @@ mod avx {
         __m256i, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_maskload_ps,
         _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
     };
-    use std::sync::OnceLock;
-
-    /// Whether this CPU supports AVX, detected once per process.
-    pub(super) fn available() -> bool {
-        static AVX: OnceLock<bool> = OnceLock::new();
-        *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
-    }
 
     /// Row block of `C = alpha·A·Bᵀ + C` with the same contract and the
     /// same bits as [`super::nt_block_scalar`]. Within each [`NC`] column
@@ -584,8 +437,8 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX ([`available`]). Every slice access is
-    /// bounds-checked, so no other condition is needed.
+    /// The CPU must support AVX ([`super::avx_available`]). Every slice
+    /// access is bounds-checked, so no other condition is needed.
     #[target_feature(enable = "avx")]
     pub(super) unsafe fn nt_block(
         r0: usize,
@@ -717,8 +570,7 @@ mod avx {
 
     /// Row block of `C = alpha·op(A)·B + C` for `A` element `(row, p)` at
     /// `row·row_stride + p·p_stride` (NN: `(k, 1)`, TN: `(1, m)`), with
-    /// the same bits as [`super::nn_block_scalar`] and
-    /// [`super::tn_block_scalar`]. For each [`super::KC`] tile of `k` and
+    /// the same bits as [`super::ab_block_scalar`]. For each [`super::KC`] tile of `k` and
     /// each 16-column panel of `B` (which stays in L1 while every row
     /// group streams over it), groups of `AB_MR` rows run one tile, then
     /// the remainder rows one smaller tile. A tile only decides which
@@ -727,7 +579,7 @@ mod avx {
     ///
     /// # Safety
     ///
-    /// The CPU must support AVX ([`available`]). The asserts below bound
+    /// The CPU must support AVX ([`super::avx_available`]). The asserts below bound
     /// every raw access, so no other condition is needed.
     ///
     /// # Panics
@@ -905,33 +757,6 @@ mod avx {
         let on = |t: i32| if (t as usize) < live { -1 } else { 0 };
         _mm256_setr_epi32(on(0), on(1), on(2), on(3), on(4), on(5), on(6), on(7))
     }
-}
-
-/// `y = alpha * A·x + beta * y` where `A` is `m×n` row-major.
-///
-/// Rows are dispatched in parallel blocks; each row is a single
-/// 8-accumulator dot product, so the result is independent of the
-/// partition.
-///
-/// # Panics
-///
-/// Panics if any slice is shorter than its dimensions imply.
-pub fn gemv(m: usize, n: usize, a: &[f32], x: &[f32], y: &mut [f32], alpha: f32, beta: f32) {
-    assert!(a.len() >= m * n, "A too short: {} < {}", a.len(), m * n);
-    assert!(x.len() >= n, "x too short: {} < {n}", x.len());
-    assert!(y.len() >= m, "y too short: {} < {m}", y.len());
-    if m == 0 {
-        return;
-    }
-    let x = &x[..n];
-    let min_rows = parallel::min_rows_for_work(2 * n, GEMV_FLOPS_PER_US);
-    parallel::par_row_blocks(&mut y[..m], 1, min_rows, |r0, yblk| {
-        for (i, yv) in yblk.iter_mut().enumerate() {
-            let row = r0 + i;
-            let acc = dot_slices(&a[row * n..row * n + n], x);
-            *yv = alpha * acc + beta * *yv;
-        }
-    });
 }
 
 /// Dot product of two equal-length prefixes with eight independent
@@ -1141,10 +966,7 @@ mod tests {
 
     #[test]
     fn nt_avx_kernel_matches_scalar_bit_for_bit() {
-        #[cfg(target_arch = "x86_64")]
-        let has_avx = avx::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let has_avx = false;
+        let has_avx = avx_available();
         if !has_avx {
             eprintln!("no AVX on this host: checking the scalar NT kernel only");
         }
@@ -1239,12 +1061,9 @@ mod tests {
 
     #[test]
     fn nn_and_tn_avx_kernel_matches_scalar_bit_for_bit() {
-        #[cfg(target_arch = "x86_64")]
-        let has_avx = avx::available();
-        #[cfg(not(target_arch = "x86_64"))]
-        let has_avx = false;
+        let has_avx = avx_available();
         if !has_avx {
-            eprintln!("no AVX on this host: checking the scalar NN/TN kernels only");
+            eprintln!("no AVX on this host: checking the scalar NN/TN kernel only");
         }
         let mut rng = Prng::new(34);
         let ms = 1usize..=9;
@@ -1278,8 +1097,7 @@ mod tests {
                 }
                 c0[m * n - n..].fill(-0.0);
             }
-            for layout in [ALayout::Nn, ALayout::Tn { m }] {
-                let (rs, ps) = layout.strides(k);
+            for (layout, rs, ps) in [("NN", k, 1), ("TN", 1, m)] {
                 let at = |row: usize, p: usize| a[row * rs + p * ps];
                 // The definition both kernels must reproduce bit for bit:
                 // per element and `KC` tile, `acc + a·b` from `+0.0` in
@@ -1297,9 +1115,8 @@ mod tests {
                         }
                     }
                 });
-                let scalar = run_ab_blocks(&c0, m, n, beta, |r0, c| match layout {
-                    ALayout::Nn => nn_block_scalar(r0, k, n, &a, &b, c, alpha),
-                    ALayout::Tn { m } => tn_block_scalar(r0, m, k, n, &a, &b, c, alpha),
+                let scalar = run_ab_blocks(&c0, m, n, beta, |r0, c| {
+                    ab_block_scalar(r0, rs, ps, k, n, &a, &b, c, alpha)
                 });
                 #[cfg(target_arch = "x86_64")]
                 let simd = has_avx.then(|| {
@@ -1315,7 +1132,7 @@ mod tests {
                     for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
                         assert!(
                             same_value(g, o),
-                            "{path} {layout:?} m={m} k={k} n={n} alpha={alpha} beta={beta} \
+                            "{path} {layout} m={m} k={k} n={n} alpha={alpha} beta={beta} \
                              planted={planted} C[{},{}]: {g:e} vs {o:e}",
                             idx / n,
                             idx % n
@@ -1399,29 +1216,13 @@ mod tests {
             gemm_tn(n, k, m, &b, &a, &mut ct, 1.0, 0.0);
             let mut cnt = vec![0.0; m * m];
             gemm_nt(m, k, m, &a, &a, &mut cnt, 1.0, 0.0);
-            let mut y = vec![0.0; m];
-            gemv(m, n, &c, &b[..n], &mut y, 1.0, 0.0);
             crate::parallel::set_threads(0);
-            (c, ct, cnt, y)
+            (c, ct, cnt)
         };
         let base = run(1);
         for threads in [2, 3, 8] {
             let got = run(threads);
             assert!(base == got, "thread count {threads} changed kernel bits");
-        }
-    }
-
-    #[test]
-    fn gemv_matches_gemm_column() {
-        let mut rng = Prng::new(6);
-        for &(m, n) in &[(1, 1), (9, 11), (64, 7), (130, 256)] {
-            let a = rand_vec(m * n, &mut rng);
-            let x = rand_vec(n, &mut rng);
-            let mut y = vec![0.0; m];
-            gemv(m, n, &a, &x, &mut y, 1.0, 0.0);
-            let mut y_ref = vec![0.0; m];
-            gemm_naive(m, n, 1, &a, &x, &mut y_ref);
-            assert_close(&y, &y_ref, 1e-5);
         }
     }
 
@@ -1450,8 +1251,6 @@ mod tests {
         gemm(0, 3, 0, &[], &[], &mut c, 1.0, 0.0);
         gemm_tn(0, 0, 0, &[], &[], &mut c, 1.0, 0.0);
         gemm_nt(0, 0, 0, &[], &[], &mut c, 1.0, 0.0);
-        let mut y: Vec<f32> = vec![];
-        gemv(0, 0, &[], &[], &mut y, 1.0, 0.0);
     }
 
     #[test]

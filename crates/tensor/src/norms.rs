@@ -35,48 +35,6 @@ pub fn linf(xs: &[f32]) -> f32 {
     xs.iter().fold(0.0f32, |m, x| m.max(x.abs()))
 }
 
-/// Dot product in `f64` accumulation.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn dot(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "dot length mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| x as f64 * y as f64)
-        .sum::<f64>() as f32
-}
-
-/// Euclidean distance between two equal-length slices.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn l2_distance(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(
-        a.len(),
-        b.len(),
-        "distance length mismatch: {} vs {}",
-        a.len(),
-        b.len()
-    );
-    (a.iter()
-        .zip(b.iter())
-        .map(|(&x, &y)| {
-            let d = (x - y) as f64;
-            d * d
-        })
-        .sum::<f64>())
-    .sqrt() as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +62,6 @@ mod tests {
         assert_eq!(l1(&[]), 0.0);
         assert_eq!(l2(&[]), 0.0);
         assert_eq!(linf(&[]), 0.0);
-    }
-
-    #[test]
-    fn distance_is_norm_of_difference() {
-        let a = [1.0, 2.0, 3.0];
-        let b = [4.0, 6.0, 3.0];
-        assert_eq!(l2_distance(&a, &b), 5.0);
     }
 
     /// Seeded random vector for the property loops below.
@@ -173,13 +124,15 @@ mod tests {
         }
     }
 
+    /// Against the workspace's one `f32` dot product.
     #[test]
     fn cauchy_schwarz() {
+        use crate::linalg::dot_slices;
         let mut rng = Prng::new(105);
         for _ in 0..256 {
             let a = rand_vec(&mut rng, 8, -10.0, 10.0);
             let b = rand_vec(&mut rng, 8, -10.0, 10.0);
-            assert!(dot(&a, &b).abs() <= l2(&a) * l2(&b) * (1.0 + 1e-4) + 1e-4);
+            assert!(dot_slices(&a, &b).abs() <= l2(&a) * l2(&b) * (1.0 + 1e-4) + 1e-4);
         }
     }
 }

@@ -1,6 +1,5 @@
 //! The dense row-major `f32` tensor type.
 
-use crate::norms;
 use crate::rng::Prng;
 use crate::shape::Shape;
 use std::fmt;
@@ -184,13 +183,6 @@ impl Tensor {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Combines two tensors elementwise with `f`.
     ///
     /// # Panics
@@ -276,16 +268,6 @@ impl Tensor {
         best.map(|(i, _)| i)
     }
 
-    /// Dot product with another tensor of identical shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn dot(&self, other: &Tensor) -> f32 {
-        self.assert_same_shape(other, "dot");
-        norms::dot(&self.data, &other.data)
-    }
-
     /// Matrix multiplication `self (m×k) · other (k×n)`.
     ///
     /// # Panics
@@ -303,26 +285,6 @@ impl Tensor {
         let mut out = Tensor::zeros(&[m, n]);
         crate::linalg::gemm(m, k, n, &self.data, &other.data, &mut out.data, 1.0, 0.0);
         out
-    }
-
-    /// `ℓ0` pseudo-norm: number of entries with `|x| > eps`.
-    pub fn l0_norm(&self, eps: f32) -> usize {
-        norms::l0(&self.data, eps)
-    }
-
-    /// `ℓ1` norm.
-    pub fn l1_norm(&self) -> f32 {
-        norms::l1(&self.data)
-    }
-
-    /// `ℓ2` (Euclidean) norm.
-    pub fn l2_norm(&self) -> f32 {
-        norms::l2(&self.data)
-    }
-
-    /// `ℓ∞` norm.
-    pub fn linf_norm(&self) -> f32 {
-        norms::linf(&self.data)
     }
 
     /// Returns `true` if all elements are finite.
@@ -498,15 +460,6 @@ mod tests {
     fn argmax_prefers_first_on_ties() {
         let t = Tensor::from_vec(vec![5.0, 1.0, 5.0], &[3]);
         assert_eq!(t.argmax(), Some(0));
-    }
-
-    #[test]
-    fn norms_delegate() {
-        let t = Tensor::from_vec(vec![3.0, 0.0, -4.0], &[3]);
-        assert_eq!(t.l0_norm(0.0), 2);
-        assert_eq!(t.l1_norm(), 7.0);
-        assert_eq!(t.l2_norm(), 5.0);
-        assert_eq!(t.linf_norm(), 4.0);
     }
 
     #[test]
