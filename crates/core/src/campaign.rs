@@ -320,8 +320,11 @@ pub enum SpecError {
     /// The victim has a single class, so no wrong target exists.
     TooFewClasses,
     /// The stealth objective breaks a bound [`StealthObjective::new`]
-    /// asserts: `block_params > 0`, and `block_lambda` and
-    /// `drift_budget` finite and ≥ 0.
+    /// asserts (`block_params > 0`, and `block_lambda` and
+    /// `drift_budget` finite and ≥ 0), or its DRAM geometry cannot hold
+    /// the victim: a zero dimension, a row size that is not a multiple of
+    /// 4 bytes, a capacity that overflows `usize`, or one below 4 bytes
+    /// per head parameter.
     ///
     /// [`StealthObjective::new`]: crate::stealth::StealthObjective::new
     InvalidStealth {
@@ -350,10 +353,17 @@ impl std::fmt::Display for SpecError {
             SpecError::TooFewClasses => f.write_str("need at least two classes to mistarget"),
             SpecError::InvalidStealth { stealth: s } => write!(
                 f,
-                "stealth objective needs block_params > 0 and finite, non-negative \
-                 block_lambda and drift_budget (got block_params = {}, \
-                 block_lambda = {}, drift_budget = {})",
-                s.block_params, s.block_lambda, s.drift_budget
+                "stealth objective needs block_params > 0, finite, non-negative \
+                 block_lambda and drift_budget, and a DRAM geometry with nonzero \
+                 dimensions, rows a multiple of 4 bytes and room for every head \
+                 parameter (got block_params = {}, block_lambda = {}, \
+                 drift_budget = {}, {} banks x {} rows x {} bytes)",
+                s.block_params,
+                s.block_lambda,
+                s.drift_budget,
+                s.geometry.banks,
+                s.geometry.rows_per_bank,
+                s.geometry.row_bytes
             ),
         }
     }
@@ -666,8 +676,9 @@ impl<'a> Campaign<'a> {
     /// ρ is finite and positive, its weights and margin (base λ and κ,
     /// each budget's λ, `c_attack`, `c_keep`) are finite and ≥ 0, its
     /// stealth objective (if any) keeps the bounds
-    /// [`crate::StealthObjective::new`] asserts, each working set fits
-    /// the usable pool, and the head has a wrong class to target.
+    /// [`crate::StealthObjective::new`] asserts and has a DRAM geometry
+    /// that holds every head parameter as an `f32` word, each working set
+    /// fits the usable pool, and the head has a wrong class to target.
     /// [`Campaign::run_indices`] calls this before dispatching any
     /// scenario.
     ///
@@ -699,7 +710,12 @@ impl<'a> Campaign<'a> {
     /// ```
     pub fn validate(&self, spec: &CampaignSpec) -> Result<(), SpecError> {
         spec.check_weights()?;
-        if let Some(stealth) = spec.stealth.filter(|s| !s.is_valid()) {
+        // `is_valid` first, so `capacity` cannot overflow.
+        let param_bytes = self.head.param_count().saturating_mul(4);
+        if let Some(stealth) = spec
+            .stealth
+            .filter(|s| !s.is_valid() || s.geometry.capacity() < param_bytes)
+        {
             return Err(SpecError::InvalidStealth { stealth });
         }
         spec.scenarios()
@@ -1224,6 +1240,62 @@ mod tests {
             );
             assert!(err.to_string().contains("block_params > 0"), "{err}");
         }
+    }
+
+    /// `validate` on the fixture campaign with a stealth objective over a
+    /// `banks × rows_per_bank × row_bytes` device, otherwise in bounds.
+    fn validate_geometry(
+        banks: usize,
+        rows_per_bank: usize,
+        row_bytes: usize,
+    ) -> Result<(), SpecError> {
+        let (head, cache, labels) = fixture();
+        let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+        let geometry = fsa_memfault::dram::DramGeometry {
+            banks,
+            rows_per_bank,
+            row_bytes,
+        };
+        let stealth = crate::stealth::StealthObjective {
+            geometry,
+            ..crate::stealth::StealthObjective::new(16, 0.5, Default::default(), 0.75)
+        };
+        campaign.validate(&CampaignSpec::grid(vec![1], vec![2]).with_stealth(Some(stealth)))
+    }
+
+    fn assert_geometry_refused(got: Result<(), SpecError>) {
+        let err = got.unwrap_err();
+        assert!(matches!(err, SpecError::InvalidStealth { .. }), "{err:?}");
+        assert!(err.to_string().contains("DRAM geometry"), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_a_geometry_without_banks() {
+        assert_geometry_refused(validate_geometry(0, 512, 64));
+    }
+
+    #[test]
+    fn validate_refuses_a_geometry_with_empty_rows() {
+        assert_geometry_refused(validate_geometry(2, 512, 0));
+    }
+
+    #[test]
+    fn validate_refuses_rows_that_split_an_f32_word() {
+        assert_geometry_refused(validate_geometry(2, 512, 6));
+    }
+
+    #[test]
+    fn validate_refuses_a_device_smaller_than_the_head() {
+        // One 4-byte word, against the fixture head's 123 parameters;
+        // 492 bytes is exactly enough.
+        assert_geometry_refused(validate_geometry(1, 1, 4));
+        assert_geometry_refused(validate_geometry(1, 1, 488));
+        assert_eq!(validate_geometry(1, 1, 492), Ok(()));
+    }
+
+    #[test]
+    fn validate_refuses_a_capacity_that_overflows() {
+        assert_geometry_refused(validate_geometry(usize::MAX, 2, 64));
     }
 
     #[test]

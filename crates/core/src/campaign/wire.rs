@@ -1057,6 +1057,34 @@ mod tests {
     }
 
     #[test]
+    fn stealth_geometry_that_holds_no_f32_word_is_a_decode_error() {
+        let good = small_spec().stealth.unwrap();
+        let g = good.geometry;
+        for geometry in [
+            DramGeometry { banks: 0, ..g },
+            DramGeometry {
+                rows_per_bank: 0,
+                ..g
+            },
+            DramGeometry { row_bytes: 0, ..g },
+            DramGeometry { row_bytes: 6, ..g },
+            DramGeometry {
+                banks: usize::MAX,
+                ..g
+            },
+        ] {
+            let mut enc = Encoder::new();
+            put_stealth(&mut enc, &Some(StealthObjective { geometry, ..good }));
+            let bytes = enc.into_bytes();
+            let err = read_stealth(&mut Decoder::new(&bytes)).unwrap_err();
+            assert!(
+                err.to_string().contains("DRAM geometry"),
+                "{geometry:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn report_frame_roundtrip() {
         let report = CampaignReport {
             method: "fsa".into(),

@@ -102,13 +102,25 @@ impl StealthObjective {
     }
 
     /// Whether the objective keeps the bounds [`StealthObjective::new`]
-    /// asserts: `block_params > 0`, and `block_lambda` and
-    /// `drift_budget` finite and non-negative. A struct literal or a
-    /// decoded frame can break them; the campaign and wire boundaries
-    /// check this before any scenario runs.
+    /// asserts — `block_params > 0`, and `block_lambda` and
+    /// `drift_budget` finite and non-negative — and has a geometry that
+    /// can hold `f32` words: no zero dimension, a row size that is a
+    /// multiple of 4 bytes, and a capacity that fits in `usize`. A struct
+    /// literal or a decoded frame can break them; the campaign and wire
+    /// boundaries check this before any scenario runs.
     pub(crate) fn is_valid(&self) -> bool {
         let bound = |v: f32| v.is_finite() && v >= 0.0;
-        self.block_params > 0 && bound(self.block_lambda) && bound(self.drift_budget)
+        let g = self.geometry;
+        // Nonzero exactly when no dimension is zero and nothing overflows.
+        let capacity = g
+            .banks
+            .checked_mul(g.rows_per_bank)
+            .and_then(|c| c.checked_mul(g.row_bytes));
+        self.block_params > 0
+            && bound(self.block_lambda)
+            && bound(self.drift_budget)
+            && capacity.is_some_and(|c| c > 0)
+            && g.row_bytes % 4 == 0
     }
 
     /// Caps the number of dirty checksum blocks (see

@@ -453,12 +453,11 @@ impl FcHead {
         );
 
         let nrel = self.layers.len() - start;
+        bufs.grads
+            .resize_with(nrel, || (Tensor::zeros(&[0]), Tensor::zeros(&[0])));
         self.collect_rows(start, g, bufs);
         let dense = bufs.rows.len() == batch;
         let entry_sparse = bufs.nonzero < bufs.rows.len() * classes;
-        bufs.grads
-            .resize_with(nrel, || (Tensor::zeros(&[0]), Tensor::zeros(&[0])));
-        gather_rows(g.as_slice(), classes, &bufs.rows, &mut bufs.dz);
 
         for rel in (0..nrel).rev() {
             let abs = start + rel;
@@ -506,12 +505,14 @@ impl FcHead {
                     );
                 }
             }
-            // db = column sums of dZ
-            db.reuse_as(&[o]);
-            db.as_mut_slice().fill(0.0);
-            for row in bufs.dz.chunks_exact(o) {
-                for (b, &v) in db.as_mut_slice().iter_mut().zip(row) {
-                    *b += v;
+            // db = column sums of dZ (the top layer's came with its rows).
+            if rel + 1 < nrel {
+                db.reuse_as(&[o]);
+                db.as_mut_slice().fill(0.0);
+                for row in bufs.dz.chunks_exact(o) {
+                    for (b, &v) in db.as_mut_slice().iter_mut().zip(row) {
+                        *b += v;
+                    }
                 }
             }
             if rel > 0 {
@@ -539,11 +540,15 @@ impl FcHead {
         &bufs.grads
     }
 
-    /// Fills `bufs.rows` with the batch rows [`FcHead::backward_from_cache`]
-    /// must propagate: every row of `g` with an entry `!= 0.0`, plus
-    /// every zero row the cached outputs cannot prove finite (all rows
-    /// if an upper layer's weights are unproven). Counts those entries
-    /// in `bufs.nonzero`.
+    /// The top layer's row pass of [`FcHead::backward_from_cache`], in
+    /// ascending row order: fills `bufs.rows` with the batch rows it must
+    /// propagate (every row of `g` with an entry `!= 0.0`, plus every zero
+    /// row the cached outputs cannot prove finite), appends their `g` rows
+    /// to `bufs.dz`, sums them into the top layer's `db`, and counts their
+    /// nonzero entries in `bufs.nonzero`. If an upper layer's weights are
+    /// unproven it keeps every row: `dz` becomes all of `g`, and `db`
+    /// stays, since the rows added hold only `±0` entries, which add
+    /// nothing to it (see the zero-term proof there).
     fn collect_rows(&self, start: usize, g: &Tensor, bufs: &mut HeadBuffers) {
         use crate::layer::Layer as _;
         let batch = g.shape()[0];
@@ -557,21 +562,39 @@ impl FcHead {
                 (bufs.logits.as_slice(), classes)
             }
         };
-        let g = g.as_slice();
-        let mut nonzero = 0;
+        let db = &mut bufs.grads[nrel - 1].1;
+        db.reuse_as(&[classes]);
+        let db = db.as_mut_slice();
+        db.fill(0.0);
         bufs.rows.clear();
-        bufs.rows.extend((0..batch).filter(|&r| {
-            let count = g[r * classes..(r + 1) * classes]
-                .iter()
-                .filter(|&&v| v != 0.0)
-                .count();
-            nonzero += count;
-            count > 0
-                || (0..nrel).any(|rel| {
-                    let (y, w) = output(rel);
-                    !y[r * w..(r + 1) * w].iter().any(|v| v.is_finite())
-                })
-        }));
+        bufs.dz.clear();
+        bufs.nonzero = 0;
+        if classes == 0 {
+            // An empty logit row proves nothing finite: keep every row.
+            bufs.rows.extend(0..batch);
+            return;
+        }
+        // Whether a hidden layer's output row `r` proves nothing finite.
+        let hidden_unproven = |r: usize| {
+            (0..nrel - 1).any(|rel| {
+                let (y, w) = output(rel);
+                !y[r * w..(r + 1) * w].iter().any(|v| v.is_finite())
+            })
+        };
+        let mut nonzero = 0;
+        let g_rows = g.as_slice().chunks_exact(classes);
+        let z_rows = bufs.logits.as_slice().chunks_exact(classes);
+        for (r, (g_row, z_row)) in g_rows.zip(z_rows).enumerate() {
+            let count = g_row.iter().filter(|&&v| v != 0.0).count();
+            if count > 0 || !z_row.iter().any(|v| v.is_finite()) || hidden_unproven(r) {
+                nonzero += count;
+                bufs.rows.push(r);
+                bufs.dz.extend_from_slice(g_row);
+                for (b, &v) in db.iter_mut().zip(g_row) {
+                    *b += v;
+                }
+            }
+        }
         bufs.nonzero = nonzero;
         let weights_proven = bufs.rows.len() == batch
             || (1..nrel).all(|rel| {
@@ -582,6 +605,8 @@ impl FcHead {
         if !weights_proven {
             bufs.rows.clear();
             bufs.rows.extend(0..batch);
+            bufs.dz.clear();
+            bufs.dz.extend_from_slice(g.as_slice());
         }
     }
 
@@ -1009,6 +1034,42 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A `−∞` bias in a hidden layer makes that layer's pre-activation
+    /// non-finite in every row, so its weights are unproven, while ReLU
+    /// turns the `−∞` into `0` and every logit row stays finite. The
+    /// backward must then visit every row, and its top layer's `db`,
+    /// summed over the hinge rows only, must still equal the dense one.
+    #[test]
+    fn row_sparse_backward_keeps_every_row_when_a_hidden_layer_is_unproven() {
+        use crate::layer::Layer as _;
+        let mut rng = Prng::new(26);
+        let mut head = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
+        let classes = head.classes();
+        let mut bufs = HeadBuffers::new();
+        for batch in [7, 100, 257] {
+            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+            let g = hinge_grad(batch, classes, |r| r % 7 == 3);
+            let active: Vec<usize> = (0..batch).filter(|&r| r % 7 == 3).collect();
+            for unproven in [false, true] {
+                let bias = if unproven { f32::NEG_INFINITY } else { 0.25 };
+                head.layer_mut(1).bias_mut().as_mut_slice()[2] = bias;
+                head.forward_from_caching(0, &x, &mut bufs);
+                assert!(bufs.logits().as_slice().iter().all(|v| v.is_finite()));
+                let dense = dense_backward(&head, 0, &x, &g, &bufs);
+                head.backward_from_cache(0, &x, &g, &mut bufs);
+                let what = format!("batch {batch} unproven {unproven}");
+                let want: Vec<usize> = if unproven {
+                    (0..batch).collect()
+                } else {
+                    active.clone()
+                };
+                assert_eq!(bufs.rows, want, "{what}: rows visited");
+                assert_eq!(bufs.dz.len(), want.len() * head.layer(0).out_features());
+                assert_same_bits(bufs.grads(), &dense, &what);
             }
         }
     }

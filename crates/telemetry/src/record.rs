@@ -13,7 +13,7 @@
 //! has already [`drain`]ed — silently losing the buffer.
 
 use crate::clock;
-use crate::metrics::{ConvergenceRecord, ConvergenceTrace, Event, Histogram, SpanStat, Value};
+use crate::metrics::{ConvergenceRecord, ConvergenceTrace, Event, SpanStat, Value};
 use crate::snapshot::Snapshot;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
@@ -29,7 +29,6 @@ static EVENT_SEQ: AtomicU64 = AtomicU64::new(0);
 struct SinkState {
     spans: BTreeMap<String, SpanStat>,
     counters: BTreeMap<String, u64>,
-    hists: BTreeMap<String, Histogram>,
     events: Vec<Event>,
     convergence: Vec<ConvergenceTrace>,
 }
@@ -38,7 +37,6 @@ impl SinkState {
     fn is_empty(&self) -> bool {
         self.spans.is_empty()
             && self.counters.is_empty()
-            && self.hists.is_empty()
             && self.events.is_empty()
             && self.convergence.is_empty()
     }
@@ -56,14 +54,6 @@ impl SinkState {
         for (name, v) in from.counters {
             let slot = self.counters.entry(name).or_insert(0);
             *slot = slot.saturating_add(v);
-        }
-        for (name, h) in from.hists {
-            match self.hists.entry(name) {
-                Entry::Occupied(mut e) => e.get_mut().merge(&h),
-                Entry::Vacant(e) => {
-                    e.insert(h);
-                }
-            }
         }
         self.events.extend(from.events);
         self.convergence.extend(from.convergence);
@@ -300,7 +290,7 @@ pub fn with_path<R>(path: &str, f: impl FnOnce() -> R) -> R {
 /// sequenced before the dispatch returns — so draining from the
 /// spawning thread always sees the complete picture. Events are sorted
 /// by their global sequence number; convergence traces by `(ctx,
-/// name)`; spans, counters and histograms come out path-sorted from
+/// name)`; spans and counters come out path-sorted from
 /// their `BTreeMap`s — the snapshot layout is deterministic even
 /// though the timing values inside it are not.
 pub fn drain() -> Snapshot {
@@ -313,7 +303,9 @@ pub fn drain() -> Snapshot {
     Snapshot {
         spans: state.spans.into_iter().collect(),
         counters: state.counters.into_iter().collect(),
-        histograms: state.hists.into_iter().collect(),
+        // Nothing in the library records a histogram; the field stays
+        // for readers that merge drained snapshots.
+        histograms: Vec::new(),
         events,
         convergence,
     }

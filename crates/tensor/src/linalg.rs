@@ -35,7 +35,11 @@
 //!   `__m256` accumulators, one per output element, whose lane `t` is
 //!   that element's chain `t`, so every loaded 8-wide chunk of a row
 //!   feeds two or four products. It keeps the chunk order, the scalar
-//!   tail and the reduction tree of [`dot_slices`].
+//!   tail and the reduction tree of [`dot_slices`]. The eight elements'
+//!   trees may close as one transposed reduction (pair sums across the
+//!   accumulators, then one cross-half add and the tails), as long as
+//!   each lane keeps its own element's tree: the full tile does so, the
+//!   smaller tiles reduce one element at a time.
 //! - [`gemm`] and [`gemm_tn`] share one 4-row × 16-column tile that takes
 //!   the same strides as the portable kernel: per `p` it broadcasts one
 //!   `A` element per row and loads two 8-wide chunks of `B` row `p`, so
@@ -424,8 +428,9 @@ fn nt_block_scalar(
 mod avx {
     use super::{fmadd, k_tiles, reduce_lanes, MR, NC, NR};
     use std::arch::x86_64::{
-        __m256i, _mm256_add_ps, _mm256_broadcast_ss, _mm256_loadu_ps, _mm256_maskload_ps,
-        _mm256_mul_ps, _mm256_set1_ps, _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, __m256i, _mm256_add_ps, _mm256_broadcast_ss, _mm256_hadd_ps, _mm256_loadu_ps,
+        _mm256_maskload_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
+        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
     /// Row block of `C = alpha·A·Bᵀ + C` with the same contract and the
@@ -488,8 +493,8 @@ mod avx {
         while j + 2 <= je {
             let d = tile(a_rows, [b_row(j), b_row(j + 1)]);
             for (s, ds) in d.iter().enumerate() {
-                for (u, &dv) in ds.iter().enumerate() {
-                    c[s * n + j + u] += alpha * dv;
+                for (cv, &dv) in c[s * n + j..s * n + j + 2].iter_mut().zip(ds) {
+                    *cv += alpha * dv;
                 }
             }
             j += 2;
@@ -527,8 +532,11 @@ mod avx {
             "NT tile rows differ in length"
         );
         let mut acc = [[_mm256_setzero_ps(); C]; R];
-        let mut o = 0;
-        while o + NR <= k {
+        // The tail's start is computed from `k`, not carried out of the
+        // chunk loop: a carried one let LLVM advance every tail pointer
+        // alongside the loads, spilling the row pointers to the stack.
+        let chunked = k / NR * NR;
+        for o in (0..chunked).step_by(NR) {
             let mut bv = [_mm256_setzero_ps(); C];
             for (v, row) in bv.iter_mut().zip(b_rows) {
                 // SAFETY: `row` has length `k` (asserted above; the
@@ -543,21 +551,57 @@ mod avx {
                     *acc_su = _mm256_add_ps(*acc_su, _mm256_mul_ps(av, bu));
                 }
             }
-            o += NR;
         }
-        let mut out = [[0.0f32; C]; R];
-        for s in 0..R {
-            for u in 0..C {
-                let mut lanes = [0.0f32; NR];
-                // SAFETY: `lanes` holds exactly 8 `f32`s, the width of
-                // the unaligned store.
-                unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[s][u]) };
-                let mut tail = 0.0f32;
-                for p in o..k {
-                    tail = fmadd(a_rows[s][p], b_rows[u][p], tail);
-                }
-                out[s][u] = reduce_lanes(&lanes, tail);
+        let tail = |s: usize, u: usize| {
+            let mut tail = 0.0f32;
+            for (&x, &y) in a_rows[s][chunked..].iter().zip(&b_rows[u][chunked..]) {
+                tail = fmadd(x, y, tail);
             }
+            tail
+        };
+        let mut out = [[0.0f32; C]; R];
+        if R * C == NR {
+            let sums = reduce_eight(
+                std::array::from_fn(|e| acc[e / C][e % C]),
+                std::array::from_fn(|e| tail(e / C, e % C)),
+            );
+            for (e, &sum) in sums.iter().enumerate() {
+                out[e / C][e % C] = sum;
+            }
+        } else {
+            for s in 0..R {
+                for u in 0..C {
+                    let mut lanes = [0.0f32; NR];
+                    // SAFETY: `lanes` holds exactly 8 `f32`s, the width
+                    // of the unaligned store.
+                    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[s][u]) };
+                    out[s][u] = reduce_lanes(&lanes, tail(s, u));
+                }
+            }
+        }
+        out
+    }
+
+    /// [`super::reduce_lanes`] of eight accumulators at once, as one
+    /// transposed reduction: element `e` is `reduce_lanes(acc[e], tails[e])`
+    /// with the same tree. Two rounds of adjacent-lane pair sums within
+    /// each 128-bit half (`hadd`) leave `(l0+l1)+(l2+l3)` of four
+    /// accumulators in the low halves and `(l4+l5)+(l6+l7)` in the high
+    /// ones; one cross-half add joins them, then each lane adds its tail.
+    #[target_feature(enable = "avx")]
+    fn reduce_eight(acc: [__m256; NR], tails: [f32; NR]) -> [f32; NR] {
+        let pairs = |x, y| _mm256_hadd_ps(x, y);
+        // Lanes: [0123 of acc 0..4 | 4567 of acc 0..4], then acc 4..8.
+        let q0 = pairs(pairs(acc[0], acc[1]), pairs(acc[2], acc[3]));
+        let q1 = pairs(pairs(acc[4], acc[5]), pairs(acc[6], acc[7]));
+        let low = _mm256_permute2f128_ps::<0x20>(q0, q1);
+        let high = _mm256_permute2f128_ps::<0x31>(q0, q1);
+        let mut out = [0.0f32; NR];
+        // SAFETY: `tails` and `out` hold exactly 8 `f32`s, the width of
+        // the unaligned load and store.
+        unsafe {
+            let sum = _mm256_add_ps(_mm256_add_ps(low, high), _mm256_loadu_ps(tails.as_ptr()));
+            _mm256_storeu_ps(out.as_mut_ptr(), sum);
         }
         out
     }
@@ -964,6 +1008,42 @@ mod tests {
         c
     }
 
+    /// The `C = alpha·A·Bᵀ + beta·C0` both NT kernels must reproduce bit
+    /// for bit (one [`dot_slices`] per element), and each kernel's result:
+    /// the scalar one, and the AVX one where the CPU has it.
+    fn nt_paths(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f32],
+        b: &[f32],
+        c0: &[f32],
+        alpha: f32,
+        beta: f32,
+    ) -> (Vec<f32>, Vec<(&'static str, Vec<f32>)>) {
+        let oracle = run_nt_raw(c0, beta, |c| {
+            for i in 0..m {
+                for j in 0..n {
+                    let d = dot_slices(&a[i * k..i * k + k], &b[j * k..j * k + k]);
+                    c[i * n + j] += alpha * d;
+                }
+            }
+        });
+        let mut paths = vec![(
+            "scalar",
+            run_nt_raw(c0, beta, |c| nt_block_scalar(0, k, n, a, b, c, alpha)),
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if avx_available() {
+            // SAFETY: AVX support was detected.
+            let simd = run_nt_raw(c0, beta, |c| unsafe {
+                avx::nt_block(0, k, n, a, b, c, alpha)
+            });
+            paths.push(("avx", simd));
+        }
+        (oracle, paths)
+    }
+
     #[test]
     fn nt_avx_kernel_matches_scalar_bit_for_bit() {
         let has_avx = avx_available();
@@ -996,27 +1076,8 @@ mod tests {
                     b[jb * k] = f32::NEG_INFINITY;
                     b[jb * k + k - 1] = f32::NAN;
                 }
-                // The definition both kernels must reproduce bit for bit.
-                let oracle = run_nt_raw(&c0, beta, |c| {
-                    for i in 0..m {
-                        for j in 0..n {
-                            let d = dot_slices(&a[i * k..i * k + k], &b[j * k..j * k + k]);
-                            c[i * n + j] += alpha * d;
-                        }
-                    }
-                });
-                let scalar = run_nt_raw(&c0, beta, |c| nt_block_scalar(0, k, n, &a, &b, c, alpha));
-                #[cfg(target_arch = "x86_64")]
-                let simd = has_avx.then(|| {
-                    // SAFETY: AVX support was detected above.
-                    run_nt_raw(&c0, beta, |c| unsafe {
-                        avx::nt_block(0, k, n, &a, &b, c, alpha)
-                    })
-                });
-                #[cfg(not(target_arch = "x86_64"))]
-                let simd = None;
-                let paths = [("scalar", Some(scalar)), ("avx", simd)];
-                for (path, got) in paths.iter().filter_map(|(p, g)| Some((p, g.as_ref()?))) {
+                let (oracle, paths) = nt_paths(m, k, n, &a, &b, &c0, alpha, beta);
+                for (path, got) in &paths {
                     for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
                         let (i, j) = (idx / n, idx % n);
                         assert!(
@@ -1037,6 +1098,36 @@ mod tests {
                             );
                         }
                     }
+                }
+            }
+        }
+        // The ADMM forward's shapes (the paper head's 200→10 layer and the
+        // arena's 32→4 one over 100, 132 and 260 images), whose 4×2 tiles
+        // close with the transposed reduction, each with one −0.0 A row
+        // and C row (the C row keeps its sign where alpha < 0, beta = 1).
+        for (case, (m, n, k)) in [100usize, 132, 260]
+            .iter()
+            .flat_map(|&m| [4usize, 10].map(move |n| (m, n)))
+            .flat_map(|(m, n)| [32usize, 200].map(move |k| (m, n, k)))
+            .enumerate()
+        {
+            let (alpha, beta) = scalings[case % scalings.len()];
+            let mut a = rand_vec(m * k, &mut rng);
+            let b = rand_vec(n * k, &mut rng);
+            let mut c0 = rand_vec(m * n, &mut rng);
+            let zero_row = case % m;
+            a[zero_row * k..(zero_row + 1) * k].fill(-0.0);
+            c0[zero_row * n..(zero_row + 1) * n].fill(-0.0);
+            let (oracle, paths) = nt_paths(m, k, n, &a, &b, &c0, alpha, beta);
+            for (path, got) in &paths {
+                for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        o.to_bits(),
+                        "{path} m={m} k={k} n={n} alpha={alpha} beta={beta} C[{},{}]: {g:e} vs {o:e}",
+                        idx / n,
+                        idx % n
+                    );
                 }
             }
         }
