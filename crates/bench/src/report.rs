@@ -32,11 +32,6 @@ pub fn pct(x: f32) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Formats an `f32` with two decimals.
-pub fn f2(x: f32) -> String {
-    format!("{x:.2}")
-}
-
 /// Convenience: `Vec<String>` from `&str`/`String` items.
 #[macro_export]
 macro_rules! row {
@@ -53,11 +48,6 @@ mod tests {
     fn pct_formats() {
         assert_eq!(pct(0.985), "98.5%");
         assert_eq!(pct(1.0), "100.0%");
-    }
-
-    #[test]
-    fn f2_formats() {
-        assert_eq!(f2(1.61803), "1.62");
     }
 
     #[test]

@@ -46,13 +46,6 @@ pub struct AttackOutcome {
     pub l2: f32,
 }
 
-impl AttackOutcome {
-    /// Accuracy lost to the attack (percentage points as a fraction).
-    pub fn accuracy_drop(&self) -> f32 {
-        self.baseline_accuracy - self.test_accuracy
-    }
-}
-
 /// Measures an attack end to end.
 ///
 /// `test_features`/`test_labels` are the held-out set used for Table 4's
@@ -169,7 +162,6 @@ mod tests {
             outcome.success_rate, 0.0,
             "unmodified model cannot satisfy the fault"
         );
-        assert_eq!(outcome.accuracy_drop(), 0.0);
     }
 
     #[test]

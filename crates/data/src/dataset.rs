@@ -1,7 +1,6 @@
 //! Labeled image collections.
 
 use fsa_nn::conv::VolumeDims;
-use fsa_tensor::io::{DecodeError, Decoder, Encoder};
 use fsa_tensor::{Prng, Tensor};
 
 /// A labeled set of images stored as a `[n, channels·height·width]` tensor.
@@ -80,27 +79,6 @@ impl Dataset {
         Dataset::new(images, labels, self.dims, self.classes)
     }
 
-    /// Takes the first `n` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn take(&self, n: usize) -> Dataset {
-        assert!(n <= self.len(), "take({n}) exceeds {} samples", self.len());
-        let idx: Vec<usize> = (0..n).collect();
-        self.subset(&idx)
-    }
-
-    /// Draws `n` distinct samples uniformly at random.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n > self.len()`.
-    pub fn sample(&self, n: usize, rng: &mut Prng) -> Dataset {
-        let idx = rng.choose_distinct(self.len(), n);
-        self.subset(&idx)
-    }
-
     /// Splits off a deterministic held-out **probe set** of `n` samples;
     /// returns `(probe, rest)`.
     ///
@@ -138,63 +116,6 @@ impl Dataset {
         }
         let rest_idx: Vec<usize> = (0..self.len()).filter(|&i| !in_probe[i]).collect();
         (self.subset(&probe_idx), self.subset(&rest_idx))
-    }
-
-    /// Samples a target label per sample, uniformly among labels different
-    /// from the true one — the attack's "any target labels" setting.
-    pub fn random_targets(&self, rng: &mut Prng) -> Vec<usize> {
-        self.labels
-            .iter()
-            .map(|&l| {
-                let mut t = rng.below(self.classes - 1);
-                if t >= l {
-                    t += 1;
-                }
-                t
-            })
-            .collect()
-    }
-
-    /// Serializes the dataset.
-    pub fn encode(&self, enc: &mut Encoder) {
-        enc.put_u32(self.dims.channels as u32);
-        enc.put_u32(self.dims.height as u32);
-        enc.put_u32(self.dims.width as u32);
-        enc.put_u32(self.classes as u32);
-        enc.put_u32_slice(&self.labels.iter().map(|&l| l as u32).collect::<Vec<_>>());
-        enc.put_tensor(&self.images);
-    }
-
-    /// Deserializes a dataset written by [`Dataset::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DecodeError`] on malformed input.
-    pub fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let c = dec.read_u32()? as usize;
-        let h = dec.read_u32()? as usize;
-        let w = dec.read_u32()? as usize;
-        let classes = dec.read_u32()? as usize;
-        let labels: Vec<usize> = dec
-            .read_u32_vec()?
-            .into_iter()
-            .map(|l| l as usize)
-            .collect();
-        let images = dec.read_tensor()?;
-        let dims = VolumeDims::new(c, h, w);
-        if images.ndim() != 2
-            || images.shape()[0] != labels.len()
-            || images.shape()[1] != dims.features()
-            || labels.iter().any(|&l| l >= classes)
-        {
-            return Err(DecodeError::new("inconsistent dataset record"));
-        }
-        Ok(Dataset {
-            images,
-            labels,
-            dims,
-            classes,
-        })
     }
 }
 
@@ -256,29 +177,6 @@ mod tests {
     }
 
     #[test]
-    fn random_targets_never_equal_true_label() {
-        let d = toy();
-        let mut rng = Prng::new(5);
-        for _ in 0..50 {
-            let t = d.random_targets(&mut rng);
-            for (ti, li) in t.iter().zip(&d.labels) {
-                assert_ne!(ti, li);
-                assert!(*ti < d.classes);
-            }
-        }
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let d = toy();
-        let mut enc = Encoder::new();
-        d.encode(&mut enc);
-        let bytes = enc.into_bytes();
-        let back = Dataset::decode(&mut Decoder::new(&bytes)).unwrap();
-        assert_eq!(back, d);
-    }
-
-    #[test]
     #[should_panic(expected = "length mismatch")]
     fn new_validates_lengths() {
         let images = Tensor::zeros(&[3, 4]);
@@ -317,13 +215,5 @@ mod tests {
     #[should_panic(expected = "exceeds")]
     fn split_probe_rejects_oversized_probe() {
         let _ = toy().split_probe(1, 4);
-    }
-
-    #[test]
-    fn sample_draws_distinct() {
-        let d = toy();
-        let mut rng = Prng::new(1);
-        let s = d.sample(3, &mut rng);
-        assert_eq!(s.len(), 3);
     }
 }

@@ -49,11 +49,6 @@ impl Canvas {
         }
     }
 
-    /// Draws a filled anti-aliased disc.
-    pub fn disc(&mut self, cx: f32, cy: f32, radius: f32) {
-        self.stroke(cx, cy, cx, cy, radius);
-    }
-
     /// Adds i.i.d. Gaussian noise and clamps to `[0, 1]`.
     pub fn add_noise(&mut self, std: f32, rng: &mut Prng) {
         for p in &mut self.pixels {

@@ -10,8 +10,8 @@
 //! The forward pass is the hot path of attack feature extraction: a
 //! batch of images is dispatched as contiguous image blocks through
 //! [`fsa_tensor::parallel::par_row_blocks`], sized so every worker
-//! owns at least `PAR_MIN_ROWS` GEMM output rows. Each worker uses
-//! pooled scratch from the shared workspace and its GEMMs run under its
+//! owns at least `PAR_MIN_ROWS` GEMM output rows. Each worker fills
+//! one patch matrix of its own per image and its GEMMs run under its
 //! share of the thread budget; a batch too small to split runs inline
 //! with row-block parallel kernels. Either way each image's im2col +
 //! GEMM is the same operation sequence, so outputs are bit-identical
@@ -27,7 +27,6 @@
 use crate::init;
 use crate::layer::{check_batch_input, Layer};
 use fsa_tensor::linalg::gemm;
-use fsa_tensor::workspace::{give_shared, take_shared};
 use fsa_tensor::{parallel, Prng, Tensor};
 
 /// Spatial dimensions of an activation volume.
@@ -238,11 +237,12 @@ impl Layer for Conv2d {
         let mut y = Tensor::zeros(&[batch, row_len]);
         // Image blocks of at least PAR_MIN_ROWS GEMM output rows each
         // (one image contributes `out_channels` rows). Each worker owns a
-        // disjoint range of output images and a pooled patch matrix; the
-        // per-image arithmetic is identical under every partition.
+        // disjoint range of output images and one patch matrix, which
+        // im2col overwrites whole for every image; the per-image
+        // arithmetic is identical under every partition.
         let min_images = PAR_MIN_ROWS.div_ceil(self.out_channels.max(1));
         parallel::par_row_blocks(y.as_mut_slice(), row_len, min_images, |first, block| {
-            let mut cols = take_shared(kk * p);
+            let mut cols = vec![0.0; kk * p];
             for (i, y_row) in block.chunks_exact_mut(row_len).enumerate() {
                 im2col(
                     x.row(first + i),
@@ -270,7 +270,6 @@ impl Layer for Conv2d {
                     }
                 }
             }
-            give_shared(cols);
         });
         y
     }

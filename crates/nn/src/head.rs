@@ -15,7 +15,6 @@ use crate::linear::Linear;
 use crate::loss::argmax_slice;
 use fsa_tensor::io::{DecodeError, Decoder, Encoder};
 use fsa_tensor::linalg::{gemm, gemm_tn, KC};
-use fsa_tensor::workspace::with_thread_workspace;
 use fsa_tensor::{Prng, Tensor};
 
 /// A stack of fully connected layers with ReLU between them (none after the
@@ -216,15 +215,7 @@ impl FcHead {
             start < self.layers.len(),
             "start layer {start} out of range"
         );
-        let mut h = acts.clone();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate().skip(start) {
-            h = linear_forward(layer, &h);
-            if i < last {
-                Relu::apply_slice(h.as_mut_slice());
-            }
-        }
-        h
+        self.run_layers(start..self.layers.len(), acts)
     }
 
     /// Computes the inputs to layer `start` for a batch of head inputs
@@ -232,45 +223,45 @@ impl FcHead {
     ///
     /// `activations_before(0, x)` is `x` itself. This is the bridge from
     /// the batched conv feature-extraction pipeline into the ADMM loop
-    /// (the solver caches its result for every iteration), so the layer
-    /// chain ping-pongs through pooled workspace buffers instead of
-    /// allocating a tensor per layer; the final buffer becomes the
-    /// returned tensor's storage outright.
+    /// (the solver caches its result for every iteration).
     ///
     /// # Panics
     ///
     /// Panics if `start` is out of range.
     pub fn activations_before(&self, start: usize, x: &Tensor) -> Tensor {
-        use crate::layer::Layer as _;
         assert!(
             start < self.layers.len(),
             "start layer {start} out of range"
         );
-        if start == 0 {
-            return x.clone();
-        }
-        assert_eq!(
-            x.shape()[1],
-            self.in_features(),
-            "head forward width mismatch: {} vs {}",
-            x.shape()[1],
-            self.in_features()
-        );
+        self.run_layers(0..start, x)
+    }
+
+    /// Runs layers `range` over `x`, the inputs to layer `range.start`,
+    /// with a ReLU after every layer but the head's last; an empty range
+    /// returns `x` itself.
+    fn run_layers(&self, range: std::ops::Range<usize>, x: &Tensor) -> Tensor {
+        use crate::layer::Layer as _;
         let batch = x.shape()[0];
-        let mut cur = with_thread_workspace(|ws| ws.take(0));
-        let mut prev = with_thread_workspace(|ws| ws.take(0));
-        let mut width = 0;
-        for (i, layer) in self.layers.iter().take(start).enumerate() {
-            let src: &[f32] = if i == 0 { x.as_slice() } else { &prev };
-            linear_forward_slices(layer, src, batch, &mut cur);
-            // Every layer strictly before a valid `start` is followed by a
-            // ReLU (only the final layer lacks one, and start <= last).
-            Relu::apply_slice(&mut cur);
-            width = layer.out_features();
-            std::mem::swap(&mut cur, &mut prev);
+        let last = self.layers.len() - 1;
+        let mut h: Option<Tensor> = None;
+        for i in range {
+            let layer = &self.layers[i];
+            let src = h.as_ref().unwrap_or(x);
+            assert_eq!(
+                src.shape()[1],
+                layer.in_features(),
+                "head forward width mismatch: {} vs {}",
+                src.shape()[1],
+                layer.in_features()
+            );
+            let mut y = Tensor::zeros(&[batch, layer.out_features()]);
+            layer.forward_into(src.as_slice(), batch, y.as_mut_slice());
+            if i < last {
+                Relu::apply_slice(y.as_mut_slice());
+            }
+            h = Some(y);
         }
-        with_thread_workspace(|ws| ws.give(cur));
-        Tensor::from_vec(prev, &[batch, width])
+        h.unwrap_or_else(|| x.clone())
     }
 
     /// Predicted class per sample.
@@ -358,10 +349,11 @@ impl FcHead {
                 &bufs.inputs[rel]
             };
             if i < last {
-                linear_forward_slices(layer, x, batch, &mut bufs.preacts[rel]);
-                let o = layer.out_features();
-                let (z, inp) = (&bufs.preacts[rel], &mut bufs.inputs[rel + 1]);
-                debug_assert_eq!(z.len(), batch * o);
+                let z = &mut bufs.preacts[rel];
+                z.clear();
+                z.resize(batch * layer.out_features(), 0.0);
+                layer.forward_into(x, batch, z);
+                let inp = &mut bufs.inputs[rel + 1];
                 inp.clear();
                 inp.extend(z.iter().map(|&v| if v < 0.0 { 0.0 } else { v }));
             } else {
@@ -681,24 +673,6 @@ impl FcHead {
     }
 }
 
-/// Batch `y = x·Wᵀ + b` without mutating the layer (inference-only path
-/// used throughout the attack's inner loop).
-fn linear_forward(layer: &Linear, x: &Tensor) -> Tensor {
-    use crate::layer::Layer as _;
-    let batch = x.shape()[0];
-    let (o, i) = (layer.out_features(), layer.in_features());
-    assert_eq!(
-        x.shape()[1],
-        i,
-        "head forward width mismatch: {} vs {}",
-        x.shape()[1],
-        i
-    );
-    let mut y = Tensor::zeros(&[batch, o]);
-    layer.forward_into(x.as_slice(), batch, y.as_mut_slice());
-    y
-}
-
 /// The top layer's entry-sparse `dW += gᵀ·X` (see
 /// [`FcHead::backward_from_cache`]): for each visited row `r`, each
 /// entry `g[r, j] != 0.0` adds `g[r, j]·x_r` into row `j` of a zeroed
@@ -760,14 +734,6 @@ fn gather_rows(src: &[f32], width: usize, rows: &[usize], dst: &mut Vec<f32>) {
     for &r in rows {
         dst.extend_from_slice(&src[r * width..(r + 1) * width]);
     }
-}
-
-/// [`linear_forward`] into a reusable `Vec` (resized, not reallocated).
-fn linear_forward_slices(layer: &Linear, x: &[f32], batch: usize, out: &mut Vec<f32>) {
-    use crate::layer::Layer as _;
-    out.clear();
-    out.resize(batch * layer.out_features(), 0.0);
-    layer.forward_into(x, batch, out);
 }
 
 #[cfg(test)]

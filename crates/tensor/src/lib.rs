@@ -3,7 +3,7 @@
 //! This crate provides the numerical foundation used by every other crate in
 //! the workspace: a contiguous row-major [`Tensor`], the parallel tiled
 //! matrix kernel engine ([`linalg`]) with its thread dispatcher
-//! ([`parallel`]) and scratch-buffer arena ([`workspace`]), vector norms
+//! ([`parallel`]), vector norms
 //! ([`norms`]) including the `ℓ0` pseudo-norm the paper minimizes, the
 //! symmetric int8 quantization substrate with its exact-accumulation
 //! i8×i8→i32 kernel ([`quant`]), a deterministic random number generator
@@ -20,13 +20,6 @@
 //! budget with [`parallel::set_threads`] or the `FSA_THREADS` environment
 //! variable; `FSA_THREADS=1` runs every kernel inline on the calling
 //! thread.
-//!
-//! # Workspaces
-//!
-//! Hot loops (ADMM iterations, batched head passes, im2col) borrow scratch
-//! buffers from a [`workspace::Workspace`] pool instead of allocating:
-//! `take(len)` hands out a zeroed buffer, `give(buf)` returns its capacity
-//! for reuse, and steady-state iterations allocate nothing.
 //!
 //! The workspace deliberately avoids heavyweight deep-learning crates; all
 //! gradients in `fsa-nn` are computed analytically on top of these kernels.
@@ -54,9 +47,7 @@ pub mod quant;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
-pub mod workspace;
 
 pub use rng::Prng;
 pub use shape::Shape;
 pub use tensor::Tensor;
-pub use workspace::Workspace;

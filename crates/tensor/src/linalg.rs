@@ -68,11 +68,9 @@
 //! rows whose upstream gradient is nonzero, and its doc gives the proof
 //! that this keeps every bit, non-finite values included.
 //!
-//! These are plain-slice kernels; `Tensor` methods wrap them, and callers
-//! that need scratch space borrow it from
-//! [`crate::workspace::Workspace`] so hot loops allocate nothing.
-//! [`gemm_naive`] remains as the correctness oracle for the property
-//! tests below.
+//! These are plain-slice kernels over caller-owned buffers; `Tensor`
+//! methods wrap them. [`gemm_naive`] remains as the correctness oracle
+//! for the property tests below.
 
 use crate::parallel;
 

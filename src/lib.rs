@@ -89,10 +89,10 @@
 //! thread), or the machine's core count — and results are
 //! **bit-identical for every setting** (see `tests/thread_determinism.rs`).
 //!
-//! Hot loops are allocation-free: the ADMM δ-step reuses
-//! [`nn::head::HeadBuffers`] and a pooled
-//! [`tensor::workspace::Workspace`] (`take`/`give` zeroed scratch
-//! buffers) instead of allocating tensors per iteration. Its head
+//! Hot loops are allocation-free: each ADMM iteration's head forward,
+//! hinge and backward reuse [`nn::head::HeadBuffers`] and
+//! [`attack::objective::HingeEval`] across iterations
+//! (`tests/steady_state_alloc.rs` counts none). Its head
 //! backward propagates only the images whose hinge is active, with
 //! bits equal to the dense pass (see
 //! [`nn::head::FcHead::backward_from_cache`]).

@@ -15,58 +15,16 @@ use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{parallel, Prng, Tensor};
-use std::sync::Mutex;
+use fault_sneaking::tensor::parallel;
 
-/// Serializes the tests in this binary: both mutate the process-global
-/// thread override.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Class-clustered Gaussian features split into an attack pool and a
-/// disjoint probe set, plus a head trained on the pool.
-fn victim() -> (FcHead, FeatureCache, Vec<usize>, FeatureCache, Vec<usize>) {
-    let mut rng = Prng::new(616161);
-    let n = 160;
-    let d = 16;
-    let classes = 4;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 1.5 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.5);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 24, 24, classes], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 10,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    // Pool rows 0..120 for attacks, 120..160 as the held-out probe.
-    let pool_idx: Vec<usize> = (0..120).collect();
-    let probe_idx: Vec<usize> = (120..160).collect();
-    let gather = |idx: &[usize]| {
-        let mut out = Tensor::zeros(&[idx.len(), d]);
-        let mut l = Vec::with_capacity(idx.len());
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(x.row(i));
-            l.push(labels[i]);
-        }
-        (FeatureCache::from_features(out), l)
-    };
-    let (pool, pool_labels) = gather(&pool_idx);
-    let (probe, probe_labels) = gather(&probe_idx);
-    (head, pool, pool_labels, probe, probe_labels)
-}
+mod common;
+#[path = "common/rows.rs"]
+mod rows;
+#[path = "common/threads.rs"]
+mod threads;
+#[path = "common/victim.rs"]
+mod victim;
+use victim::victim;
 
 fn suite(head: &FcHead, probe: &FeatureCache, probe_labels: &[usize]) -> DefenseSuite {
     DefenseSuite::standard(
@@ -96,8 +54,8 @@ fn sweep() -> CampaignSpec {
 
 #[test]
 fn arena_matrix_is_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let guard = threads::lock();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(616161, &[16, 24, 24, 4], 120, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let arena = StealthArena::new(&head, selection, suite(&head, &probe, &probe_labels));
@@ -106,7 +64,7 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
     let gda = GdaMethod::default();
     let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &sba, &gda];
 
-    parallel::set_threads(1);
+    guard.set(1);
     let reference: Vec<ArenaReport> = methods
         .iter()
         .map(|m| arena.score_report(&campaign.run_method(&spec, *m)))
@@ -130,7 +88,7 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
     }
 
     for threads in [2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
         for (m, want) in methods.iter().zip(&reference) {
             let got = arena.score_report(&campaign.run_method(&spec, *m));
             assert!(
@@ -142,7 +100,6 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
             assert_eq!(got.fingerprint(), want.fingerprint());
         }
     }
-    parallel::set_threads(0);
 }
 
 /// An arena walled off under `with_budget(1, ..)` must degrade to a
@@ -150,8 +107,8 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
 /// level the arena adds on top of campaigns.
 #[test]
 fn arena_respects_thread_budget_walls() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let guard = threads::lock();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(616161, &[16, 24, 24, 4], 120, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let arena = StealthArena::new(&head, selection, suite(&head, &probe, &probe_labels));
@@ -160,11 +117,10 @@ fn arena_respects_thread_budget_walls() {
         ..AttackConfig::default()
     });
 
-    parallel::set_threads(8);
+    guard.set(8);
     let report = campaign.run(&spec);
     let wide = arena.score_report(&report);
     let walled = parallel::with_budget(1, || arena.score_report(&report));
-    parallel::set_threads(0);
     assert!(
         wide == walled,
         "budget-walled arena diverged from the wide-budget run"

@@ -4,35 +4,18 @@
 use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fault_sneaking::baselines::{GdaAttack, GdaConfig, SbaAttack};
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::tensor::{Prng, Tensor};
+
+mod common;
+use common::{clustered, train};
+#[path = "common/rows.rs"]
+mod rows;
+use rows::rows;
 
 fn victim() -> (FcHead, Tensor, Vec<usize>) {
     let mut rng = Prng::new(55);
-    let n = 300;
-    let d = 16;
-    let classes = 4;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.5);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 24, classes], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 25,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(300, 16, 4, 2.0, 0.5, &mut rng);
+    let head = train(&[16, 24, 4], &x, &labels, 25, &mut rng);
     (head, x, labels)
 }
 
@@ -44,12 +27,7 @@ fn sneaking_attack_is_stealthier_than_sba() {
 
     // Shared fault: image 0 -> next class, with a 60-image keep-set for
     // the sneaking attack.
-    let r = 60;
-    let mut features = Tensor::zeros(&[r, x.shape()[1]]);
-    for i in 0..r {
-        features.row_mut(i).copy_from_slice(x.row(i));
-    }
-    let wl = labels[..r].to_vec();
+    let (features, wl) = rows(&x, &labels, 0..60);
     let target = (wl[0] + 1) % 4;
     let spec = AttackSpec::new(features.clone(), wl, vec![target]).with_weights(10.0, 1.0);
     let selection = ParamSelection::last_layer(&head);
@@ -86,12 +64,7 @@ fn sneaking_attack_is_stealthier_than_sba() {
 #[test]
 fn gda_injects_but_without_keep_guarantees() {
     let (head, x, labels) = victim();
-    let r = 40;
-    let mut features = Tensor::zeros(&[r, x.shape()[1]]);
-    for i in 0..r {
-        features.row_mut(i).copy_from_slice(x.row(i));
-    }
-    let wl = labels[..r].to_vec();
+    let (features, wl) = rows(&x, &labels, 0..40);
     let targets: Vec<usize> = wl[..2].iter().map(|&l| (l + 1) % 4).collect();
     let spec = AttackSpec::new(features, wl, targets);
     let selection = ParamSelection::last_layer(&head);

@@ -11,41 +11,18 @@ use fault_sneaking::attack::campaign::{Campaign, CampaignSpec, SparsityBudget};
 use fault_sneaking::attack::{AttackConfig, ParamSelection};
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{parallel, Prng, Tensor};
-use std::sync::Mutex;
+use fault_sneaking::tensor::{parallel, Prng};
 
-/// Serializes the tests in this binary: both mutate the process-global
-/// thread override.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+mod common;
+use common::{clustered, train};
+#[path = "common/threads.rs"]
+mod threads;
 
 /// A trained head over clustered features plus its feature-cache pool.
 fn victim() -> (FcHead, FeatureCache, Vec<usize>) {
     let mut rng = Prng::new(515151);
-    let n = 140;
-    let d = 16;
-    let classes = 4;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 1.5 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 24, 24, classes], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 10,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(140, 16, 4, 1.5, 0.4, &mut rng);
+    let head = train(&[16, 24, 24, 4], &x, &labels, 10, &mut rng);
     (head, FeatureCache::from_features(x), labels)
 }
 
@@ -61,13 +38,13 @@ fn sweep() -> CampaignSpec {
 
 #[test]
 fn campaign_report_is_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let (head, cache, labels) = victim();
     let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
     let spec = sweep();
     assert_eq!(spec.len(), 16, "fixture sweep should cover 16 scenarios");
 
-    parallel::set_threads(1);
+    guard.set(1);
     let reference = campaign.run(&spec);
     assert_eq!(reference.len(), 16);
     assert!(
@@ -84,7 +61,7 @@ fn campaign_report_is_bit_identical_for_any_thread_count() {
     );
 
     for threads in [2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
         let got = campaign.run(&spec);
         assert!(
             got == reference,
@@ -93,7 +70,6 @@ fn campaign_report_is_bit_identical_for_any_thread_count() {
         );
         assert_eq!(got.fingerprint(), reference.fingerprint());
     }
-    parallel::set_threads(0);
 }
 
 /// A campaign walled off under `with_budget(1, ..)` must degrade to a
@@ -101,7 +77,7 @@ fn campaign_report_is_bit_identical_for_any_thread_count() {
 /// level the campaign adds.
 #[test]
 fn campaign_respects_thread_budget_walls() {
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let (head, cache, labels) = victim();
     let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
     let spec = CampaignSpec::grid(vec![1], vec![3]).with_config(AttackConfig {
@@ -109,10 +85,9 @@ fn campaign_respects_thread_budget_walls() {
         ..AttackConfig::default()
     });
 
-    parallel::set_threads(8);
+    guard.set(8);
     let wide = campaign.run(&spec);
     let walled = parallel::with_budget(1, || campaign.run(&spec));
-    parallel::set_threads(0);
     assert!(
         wide == walled,
         "budget-walled campaign diverged from the wide-budget run"

@@ -15,16 +15,16 @@ use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::quant::QuantizedHead;
-use fault_sneaking::tensor::{parallel, Prng, Tensor};
-use std::sync::Mutex;
+use fault_sneaking::tensor::{Prng, Tensor};
 
+mod common;
+#[path = "common/rows.rs"]
+mod rows;
+#[path = "common/threads.rs"]
+mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
-
-/// Serializes the tests in this binary: they mutate the process-global
-/// thread override.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
 
 const AUDIT_SEED: u64 = 0xA0D1_7EED;
 
@@ -76,8 +76,8 @@ fn sweep(precision: Precision, stealth: Option<StealthObjective>) -> CampaignSpe
 
 #[test]
 fn randomized_suite_scoring_is_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let guard = threads::lock();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(727272, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let deq = QuantizedHead::quantize(&head).dequantized_head();
@@ -112,7 +112,7 @@ fn randomized_suite_scoring_is_bit_identical_for_any_thread_count() {
         }
     };
 
-    parallel::set_threads(1);
+    guard.set(1);
     let reference: Vec<(CampaignReport, ArenaReport)> = specs
         .iter()
         .map(|s| {
@@ -129,7 +129,7 @@ fn randomized_suite_scoring_is_bit_identical_for_any_thread_count() {
     }
 
     for threads in [2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
         for (spec, (want_r, want_a)) in specs.iter().zip(&reference) {
             let got_r = campaign.run(spec);
             let got_a = score(&got_r);
@@ -145,7 +145,7 @@ fn randomized_suite_scoring_is_bit_identical_for_any_thread_count() {
             );
         }
     }
-    parallel::set_threads(0);
+    drop(guard);
 
     // Same seed, fresh suite: the scored matrix is reproduced exactly.
     let rebuilt = StealthArena::new(

@@ -4,9 +4,13 @@
 use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fault_sneaking::data::dataset::Synthesizer;
 use fault_sneaking::data::{SynthDigits, SynthObjects};
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{Prng, Tensor};
+use fault_sneaking::tensor::Prng;
+
+mod common;
+use common::{clustered, train};
+#[path = "common/rows.rs"]
+mod rows;
+use rows::rows;
 
 #[test]
 fn datasets_are_reproducible() {
@@ -22,33 +26,10 @@ fn datasets_are_reproducible() {
 fn training_and_attack_are_reproducible() {
     let run = || {
         let mut rng = Prng::new(31337);
-        let mut x = Tensor::zeros(&[90, 8]);
-        let mut labels = Vec::new();
-        for i in 0..90 {
-            let class = i % 3;
-            labels.push(class);
-            for j in 0..8 {
-                let center = if j % 3 == class { 1.5 } else { 0.0 };
-                x.row_mut(i)[j] = rng.normal(center, 0.4);
-            }
-        }
-        let mut head = FcHead::from_dims(&[8, 12, 3], &mut rng);
-        train_head(
-            &mut head,
-            &x,
-            &labels,
-            &HeadTrainConfig {
-                epochs: 10,
-                ..Default::default()
-            },
-            &mut rng,
-        );
+        let (x, labels) = clustered(90, 8, 3, 1.5, 0.4, &mut rng);
+        let head = train(&[8, 12, 3], &x, &labels, 10, &mut rng);
 
-        let mut features = Tensor::zeros(&[10, 8]);
-        for i in 0..10 {
-            features.row_mut(i).copy_from_slice(x.row(i));
-        }
-        let wl = labels[..10].to_vec();
+        let (features, wl) = rows(&x, &labels, 0..10);
         let target = (wl[0] + 1) % 3;
         let spec = AttackSpec::new(features, wl, vec![target]).with_weights(10.0, 1.0);
         let attack = FaultSneakingAttack::new(

@@ -17,46 +17,18 @@ use fault_sneaking::attack::{AttackConfig, ParamSelection};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{Prng, Tensor};
-use std::collections::HashMap;
-use std::path::PathBuf;
+use fault_sneaking::tensor::Prng;
 
-/// Class-clustered Gaussian features, as in the campaign fixture.
-fn clustered_features(n: usize, d: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.5);
-        }
-    }
-    (x, labels)
-}
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_arena.txt")
-}
+mod common;
+use common::{clustered, train};
+#[path = "common/golden.rs"]
+mod golden;
 
 fn run_fixture_arena() -> ArenaReport {
     let mut rng = Prng::new(2025);
-    let (pool, pool_labels) = clustered_features(120, 12, 3, &mut rng);
-    let (probe, probe_labels_src) = clustered_features(48, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
-    train_head(
-        &mut head,
-        &pool,
-        &pool_labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (pool, pool_labels) = clustered(120, 12, 3, 2.0, 0.5, &mut rng);
+    let (probe, probe_labels_src) = clustered(48, 12, 3, 2.0, 0.5, &mut rng);
+    let head = train(&[12, 24, 3], &pool, &pool_labels, 30, &mut rng);
     // Probe labels are the *reference model's* predictions: the probe
     // monitors behaviour drift from deployment, not ground truth.
     let probe_labels: Vec<usize> = {
@@ -138,23 +110,10 @@ fn tiny_arena_matrix_matches_golden_fixture() {
         ));
     }
 
-    let path = fixture_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, rendered).expect("failed to write golden fixture");
+    let Some(golden) = golden::load("golden_arena.txt", &rendered) else {
         return;
-    }
-    let committed = std::fs::read_to_string(&path)
-        .expect("missing tests/golden_arena.txt — run with GOLDEN_REGEN=1 once");
-    let fields: HashMap<&str, &str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.split_once('='))
-        .collect();
-    let get = |k: &str| -> &str {
-        fields
-            .get(k)
-            .unwrap_or_else(|| panic!("fixture is missing field {k}"))
     };
+    let get = |k: &str| golden.get(k);
 
     assert_eq!(get("method"), report.method);
     assert_eq!(get("detectors"), report.detectors.join(","));

@@ -18,53 +18,32 @@ use fault_sneaking::attack::{
 };
 use fault_sneaking::memfault::dram::DramGeometry;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::tensor::hash::Fnv1a;
 use fault_sneaking::tensor::{Prng, Tensor};
-use std::collections::HashMap;
-use std::path::PathBuf;
 
 mod common;
-use common::clustered_features;
-
-fn sub_rows(x: &Tensor, from: usize, to: usize) -> Tensor {
-    let d = x.shape()[1];
-    let mut out = Tensor::zeros(&[to - from, d]);
-    for r in from..to {
-        out.row_mut(r - from).copy_from_slice(x.row(r));
-    }
-    out
-}
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_quickstart.txt")
-}
+use common::{clustered, train};
+#[path = "common/golden.rs"]
+mod golden;
+#[path = "common/rows.rs"]
+mod rows;
+use rows::rows;
 
 /// The quickstart victim: a 12→24→3 head trained on 120 clustered
 /// points (seed 2024), with its training features and labels.
 fn quickstart_victim() -> (FcHead, Tensor, Vec<usize>) {
     let mut rng = Prng::new(2024);
-    let (features, labels) = clustered_features(120, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
-    train_head(
-        &mut head,
-        &features,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (features, labels) = clustered(120, 12, 3, 2.0, 0.4, &mut rng);
+    let head = train(&[12, 24, 3], &features, &labels, 30, &mut rng);
     (head, features, labels)
 }
 
 /// The quickstart working set: the first 20 points, the first `s` of
 /// them retargeted to the next class.
 fn quickstart_spec(features: &Tensor, labels: &[usize], s: usize) -> AttackSpec {
-    let working_labels = labels[..20].to_vec();
+    let (working, working_labels) = rows(features, labels, 0..20);
     let targets = working_labels[..s].iter().map(|&l| (l + 1) % 3).collect();
-    AttackSpec::new(sub_rows(features, 0, 20), working_labels, targets).with_weights(10.0, 1.0)
+    AttackSpec::new(working, working_labels, targets).with_weights(10.0, 1.0)
 }
 
 #[test]
@@ -127,23 +106,10 @@ fn quickstart_attack_matches_golden_fixture() {
             .join(","),
     );
 
-    let path = fixture_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, rendered).expect("failed to write golden fixture");
+    let Some(golden) = golden::load("golden_quickstart.txt", &rendered) else {
         return;
-    }
-    let committed = std::fs::read_to_string(&path)
-        .expect("missing tests/golden_quickstart.txt — run with GOLDEN_REGEN=1 once");
-    let fields: HashMap<&str, &str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.split_once('='))
-        .collect();
-    let get = |k: &str| -> &str {
-        fields
-            .get(k)
-            .unwrap_or_else(|| panic!("fixture is missing field {k}"))
     };
+    let get = |k: &str| golden.get(k);
 
     assert_eq!(get("s_success"), result.s_success.to_string(), "s_success");
     assert_eq!(

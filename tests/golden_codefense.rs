@@ -17,37 +17,22 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_codefense
 //! ```
 
-use fault_sneaking::attack::campaign::{Campaign, CampaignReport, CampaignSpec};
-use fault_sneaking::attack::{AttackConfig, ParamSelection, StealthObjective};
+use fault_sneaking::attack::campaign::{Campaign, CampaignReport};
+use fault_sneaking::attack::ParamSelection;
 use fault_sneaking::defense::{DefenseSuite, StealthArena};
-use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::tensor::Prng;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
 mod common;
-use common::clustered_features;
+use common::clustered;
+#[path = "common/golden.rs"]
+mod golden;
+#[path = "common/stealth_sweep.rs"]
+mod stealth_sweep;
+use stealth_sweep::{geometry, sweep};
 
 const AUDIT_SEED: u64 = 0xA0D1_7EED;
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_codefense.txt")
-}
-
-fn geometry() -> DramGeometry {
-    DramGeometry {
-        banks: 2,
-        rows_per_bank: 512,
-        row_bytes: 64,
-    }
-}
-
-fn objective() -> StealthObjective {
-    StealthObjective::new(16, 0.5, geometry(), 0.75).with_block_cap(3)
-}
 
 /// The `golden_stealth` fixture campaign — same seed, same victim, same
 /// 2×2 grid — plus a probe split and a held-out probe for calibrating
@@ -60,37 +45,17 @@ fn run_fixture() -> (
     Vec<usize>,
     FeatureCache,
 ) {
-    let mut rng = Prng::new(2027);
-    let (features, labels) = clustered_features(120, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
-    train_head(
-        &mut head,
-        &features,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let (probe, probe_labels) = clustered_features(40, 12, 3, &mut rng);
+    let (head, features, labels, mut rng) = stealth_sweep::victim();
+    let (probe, probe_labels) = clustered(40, 12, 3, 2.0, 0.4, &mut rng);
     let mut holdout_rng = Prng::new(0xC0DE);
-    let (holdout, _) = clustered_features(40, 12, 3, &mut holdout_rng);
+    let (holdout, _) = clustered(40, 12, 3, 2.0, 0.4, &mut holdout_rng);
     let campaign = Campaign::new(
         &head,
         ParamSelection::last_layer(&head),
         FeatureCache::from_features(features),
         labels,
     );
-    let spec = CampaignSpec::grid(vec![1, 2], vec![4, 8])
-        .with_seeds(vec![2027])
-        .with_config(AttackConfig {
-            iterations: 200,
-            ..AttackConfig::default()
-        })
-        .with_stealth(Some(objective()))
-        .with_suite_seed(Some(AUDIT_SEED));
-    let report = campaign.run(&spec);
+    let report = campaign.run(&sweep().with_suite_seed(Some(AUDIT_SEED)));
     (
         head,
         report,
@@ -156,23 +121,10 @@ fn randomized_suite_scoring_matches_golden_fixture() {
         rendered.push_str(&format!("alarms_{name}={alarms}\n"));
     }
 
-    let path = fixture_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, rendered).expect("failed to write golden fixture");
+    let Some(golden) = golden::load("golden_codefense.txt", &rendered) else {
         return;
-    }
-    let committed = std::fs::read_to_string(&path)
-        .expect("missing tests/golden_codefense.txt — run with GOLDEN_REGEN=1 once");
-    let fields: HashMap<&str, &str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.split_once('='))
-        .collect();
-    let get = |k: &str| -> &str {
-        fields
-            .get(k)
-            .unwrap_or_else(|| panic!("fixture is missing field {k}"))
     };
+    let get = |k: &str| golden.get(k);
 
     assert_eq!(get("n_scenarios"), scored.len().to_string());
     assert_eq!(get("suite_seed"), format!("{AUDIT_SEED:#010x}"));

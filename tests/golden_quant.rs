@@ -20,33 +20,18 @@ use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision, QuantizedS
 use fault_sneaking::memfault::FaultPlan;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::nn::quant::QuantizedHead;
 use fault_sneaking::tensor::Prng;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
 mod common;
-use common::clustered_features;
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_quant.txt")
-}
+use common::{clustered, train};
+#[path = "common/golden.rs"]
+mod golden;
 
 fn run_fixture_campaign() -> (FcHead, CampaignReport) {
     let mut rng = Prng::new(2024);
-    let (features, labels) = clustered_features(120, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
-    train_head(
-        &mut head,
-        &features,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (features, labels) = clustered(120, 12, 3, 2.0, 0.4, &mut rng);
+    let head = train(&[12, 24, 3], &features, &labels, 30, &mut rng);
     let campaign = Campaign::new(
         &head,
         ParamSelection::last_layer(&head),
@@ -153,23 +138,10 @@ fn tiny_quantized_campaign_matches_golden_fixture() {
         ));
     }
 
-    let path = fixture_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, rendered).expect("failed to write golden fixture");
+    let Some(golden) = golden::load("golden_quant.txt", &rendered) else {
         return;
-    }
-    let committed = std::fs::read_to_string(&path)
-        .expect("missing tests/golden_quant.txt — run with GOLDEN_REGEN=1 once");
-    let fields: HashMap<&str, &str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.split_once('='))
-        .collect();
-    let get = |k: &str| -> &str {
-        fields
-            .get(k)
-            .unwrap_or_else(|| panic!("fixture is missing field {k}"))
     };
+    let get = |k: &str| golden.get(k);
 
     assert_eq!(get("n_scenarios"), report.len().to_string());
     for (key, got) in [

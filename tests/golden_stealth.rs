@@ -15,69 +15,31 @@
 //! GOLDEN_REGEN=1 cargo test --test golden_stealth
 //! ```
 
-use fault_sneaking::attack::campaign::{Campaign, CampaignReport, CampaignSpec};
+use fault_sneaking::attack::campaign::{Campaign, CampaignReport};
 use fault_sneaking::attack::stealth::prune_to_block_budget;
-use fault_sneaking::attack::{AttackConfig, ParamSelection, StealthObjective};
+use fault_sneaking::attack::ParamSelection;
 use fault_sneaking::memfault::dram::ParamLayout;
 use fault_sneaking::memfault::parity::{indexed_row_flips, RowCode, RowSignature};
 use fault_sneaking::memfault::plan::FaultPlan;
-use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::Prng;
-use std::collections::HashMap;
-use std::path::PathBuf;
 
 mod common;
-use common::clustered_features;
-
-fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden_stealth.txt")
-}
-
-fn geometry() -> DramGeometry {
-    DramGeometry {
-        banks: 2,
-        rows_per_bank: 512,
-        row_bytes: 64,
-    }
-}
-
-fn objective() -> StealthObjective {
-    StealthObjective::new(16, 0.5, geometry(), 0.75).with_block_cap(3)
-}
+#[path = "common/golden.rs"]
+mod golden;
+#[path = "common/stealth_sweep.rs"]
+mod stealth_sweep;
+use stealth_sweep::{geometry, objective, sweep};
 
 fn run_fixture_campaign() -> (FcHead, CampaignReport) {
-    let mut rng = Prng::new(2027);
-    let (features, labels) = clustered_features(120, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 24, 3], &mut rng);
-    train_head(
-        &mut head,
-        &features,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 30,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (head, features, labels, _) = stealth_sweep::victim();
     let campaign = Campaign::new(
         &head,
         ParamSelection::last_layer(&head),
         FeatureCache::from_features(features),
         labels,
     );
-    // The same 2×2 grid as the f32/int8 golden campaigns, under the
-    // stealth objective.
-    let spec = CampaignSpec::grid(vec![1, 2], vec![4, 8])
-        .with_seeds(vec![2027])
-        .with_config(AttackConfig {
-            iterations: 200,
-            ..AttackConfig::default()
-        })
-        .with_stealth(Some(objective()));
-    let report = campaign.run(&spec);
+    let report = campaign.run(&sweep());
     (head, report)
 }
 
@@ -173,23 +135,10 @@ fn tiny_stealth_campaign_matches_golden_fixture() {
         ));
     }
 
-    let path = fixture_path();
-    if std::env::var_os("GOLDEN_REGEN").is_some() {
-        std::fs::write(&path, rendered).expect("failed to write golden fixture");
+    let Some(golden) = golden::load("golden_stealth.txt", &rendered) else {
         return;
-    }
-    let committed = std::fs::read_to_string(&path)
-        .expect("missing tests/golden_stealth.txt — run with GOLDEN_REGEN=1 once");
-    let fields: HashMap<&str, &str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .filter_map(|l| l.split_once('='))
-        .collect();
-    let get = |k: &str| -> &str {
-        fields
-            .get(k)
-            .unwrap_or_else(|| panic!("fixture is missing field {k}"))
     };
+    let get = |k: &str| golden.get(k);
 
     assert_eq!(get("n_scenarios"), report.len().to_string());
     for (key, got) in [

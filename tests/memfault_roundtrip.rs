@@ -5,41 +5,20 @@ use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, Para
 use fault_sneaking::memfault::dram::ParamLayout;
 use fault_sneaking::memfault::{DramGeometry, FaultPlan, LaserInjector, RowhammerInjector};
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
-use fault_sneaking::tensor::{Prng, Tensor};
+use fault_sneaking::tensor::Prng;
+
+mod common;
+use common::{clustered, train};
+#[path = "common/rows.rs"]
+mod rows;
+use rows::rows;
 
 fn attacked_victim() -> (FcHead, ParamSelection, Vec<f32>, Vec<f32>, AttackSpec) {
     let mut rng = Prng::new(66);
-    let n = 160;
-    let d = 12;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % 3;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % 3 == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 20, 3], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 25,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(160, 12, 3, 2.0, 0.4, &mut rng);
+    let head = train(&[12, 20, 3], &x, &labels, 25, &mut rng);
 
-    let r = 20;
-    let mut features = Tensor::zeros(&[r, d]);
-    for i in 0..r {
-        features.row_mut(i).copy_from_slice(x.row(i));
-    }
-    let wl = labels[..r].to_vec();
+    let (features, wl) = rows(&x, &labels, 0..20);
     let target = (wl[0] + 1) % 3;
     let spec = AttackSpec::new(features, wl, vec![target]).with_weights(10.0, 1.0);
 

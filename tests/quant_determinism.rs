@@ -15,60 +15,15 @@ use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision};
 use fault_sneaking::baselines::{GdaMethod, SbaMethod};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
-use fault_sneaking::nn::feature_cache::FeatureCache;
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::nn::quant::QuantizedHead;
-use fault_sneaking::tensor::{parallel, Prng, Tensor};
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: both mutate the process-global
-/// thread override.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
-
-/// Class-clustered Gaussian features split into an attack pool and a
-/// disjoint probe set, plus a head trained on the pool.
-fn victim() -> (FcHead, FeatureCache, Vec<usize>, FeatureCache, Vec<usize>) {
-    let mut rng = Prng::new(818181);
-    let n = 150;
-    let d = 14;
-    let classes = 3;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 1.5 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.5);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 20, classes], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 10,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let pool_idx: Vec<usize> = (0..110).collect();
-    let probe_idx: Vec<usize> = (110..150).collect();
-    let gather = |idx: &[usize]| {
-        let mut out = Tensor::zeros(&[idx.len(), d]);
-        let mut l = Vec::with_capacity(idx.len());
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(x.row(i));
-            l.push(labels[i]);
-        }
-        (FeatureCache::from_features(out), l)
-    };
-    let (pool, pool_labels) = gather(&pool_idx);
-    let (probe, probe_labels) = gather(&probe_idx);
-    (head, pool, pool_labels, probe, probe_labels)
-}
+mod common;
+#[path = "common/rows.rs"]
+mod rows;
+#[path = "common/threads.rs"]
+mod threads;
+#[path = "common/victim.rs"]
+mod victim;
+use victim::victim;
 
 fn int8_sweep() -> CampaignSpec {
     CampaignSpec::grid(vec![1, 2], vec![4, 10])
@@ -82,8 +37,8 @@ fn int8_sweep() -> CampaignSpec {
 
 #[test]
 fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let guard = threads::lock();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(818181, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
 
@@ -108,7 +63,7 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
     let gda = GdaMethod::default();
     let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &sba, &gda];
 
-    parallel::set_threads(1);
+    guard.set(1);
     let reference: Vec<ArenaReport> = methods
         .iter()
         .map(|m| arena.score_report(&campaign.run_method(&spec, *m)))
@@ -132,7 +87,7 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
     );
 
     for threads in [2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
         for (m, want) in methods.iter().zip(&reference) {
             let campaign_report = campaign.run_method(&spec, *m);
             let got = arena.score_report(&campaign_report);
@@ -144,7 +99,6 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
             assert_eq!(got.fingerprint(), want.fingerprint());
         }
     }
-    parallel::set_threads(0);
 }
 
 /// The two precision rows of one sweep attack the same cells: same
@@ -152,8 +106,8 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
 /// (and therefore the realized δ) differs.
 #[test]
 fn precision_rows_are_cell_aligned() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, _, _) = victim();
+    let _guard = threads::lock();
+    let (head, pool, pool_labels, _, _) = victim(818181, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection, pool, pool_labels);
     let int8_spec = CampaignSpec::grid(vec![1], vec![4])

@@ -17,44 +17,19 @@
 //!    enough that argmax agrees on a large majority of well-separated
 //!    samples.
 
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::nn::quant::QuantizedHead;
 use fault_sneaking::tensor::linalg::gemm_naive;
 use fault_sneaking::tensor::quant::{dequantize_slice, gemm_i8_nt, quantize_slice, QuantParams};
-use fault_sneaking::tensor::{Prng, Tensor};
+use fault_sneaking::tensor::Prng;
 
-/// Class-clustered Gaussian features: separable enough that a trained
-/// head reaches ~100% and quantization noise is measurable against it.
-fn clustered(n: usize, d: usize, classes: usize, rng: &mut Prng) -> (Tensor, Vec<usize>) {
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 2.0 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    (x, labels)
-}
+mod common;
+use common::{clustered, train};
 
 #[test]
 fn quantized_head_accuracy_tracks_the_f32_oracle() {
     let mut rng = Prng::new(7001);
-    let (x, labels) = clustered(200, 16, 4, &mut rng);
-    let mut head = FcHead::from_dims(&[16, 24, 4], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 40,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(200, 16, 4, 2.0, 0.4, &mut rng);
+    let head = train(&[16, 24, 4], &x, &labels, 40, &mut rng);
     let f32_acc = head.accuracy(&x, &labels);
     assert!(f32_acc > 0.95, "victim failed to train ({f32_acc})");
 
@@ -145,18 +120,8 @@ fn int8_gemm_meets_the_quantization_error_budget() {
 #[test]
 fn int8_logits_argmax_mostly_agrees_with_f32() {
     let mut rng = Prng::new(7003);
-    let (x, labels) = clustered(160, 12, 3, &mut rng);
-    let mut head = FcHead::from_dims(&[12, 20, 3], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 40,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(160, 12, 3, 2.0, 0.4, &mut rng);
+    let head = train(&[12, 20, 3], &x, &labels, 40, &mut rng);
     let qhead = QuantizedHead::quantize(&head);
     let f32_preds = head.predict(&x);
     let int8_preds = qhead.predict(&x);

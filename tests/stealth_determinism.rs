@@ -16,16 +16,15 @@ use fault_sneaking::memfault::dram::ParamLayout;
 use fault_sneaking::memfault::parity::{RowCode, RowSignature};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::quant::QuantizedHead;
-use fault_sneaking::tensor::parallel;
-use std::sync::Mutex;
 
+mod common;
+#[path = "common/rows.rs"]
+mod rows;
+#[path = "common/threads.rs"]
+mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
-
-/// Serializes the tests in this binary: they mutate the process-global
-/// thread override.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
 
 fn geometry() -> DramGeometry {
     DramGeometry {
@@ -48,8 +47,8 @@ fn stealth_sweep(objective: StealthObjective, precision: Precision) -> CampaignS
 
 #[test]
 fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let guard = threads::lock();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(727272, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let f32_suite = DefenseSuite::standard(&head, &probe, &probe_labels, geometry(), 0.1, 0.75);
@@ -83,7 +82,7 @@ fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
         }
     };
 
-    parallel::set_threads(1);
+    guard.set(1);
     let reference: Vec<(CampaignReport, ArenaReport)> = specs
         .iter()
         .map(|s| {
@@ -141,7 +140,7 @@ fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
     }
 
     for threads in [2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
         for (spec, (want_r, want_a)) in specs.iter().zip(&reference) {
             let got_r = campaign.run(spec);
             let got_a = score(&got_r);
@@ -158,5 +157,4 @@ fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
             );
         }
     }
-    parallel::set_threads(0);
 }

@@ -20,63 +20,22 @@ use fault_sneaking::attack::campaign::{Campaign, CampaignSpec, FsaMethod};
 use fault_sneaking::attack::{AttackConfig, ParamSelection};
 use fault_sneaking::defense::{DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
-use fault_sneaking::nn::feature_cache::FeatureCache;
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::telemetry;
-use fault_sneaking::tensor::{parallel, Prng, Tensor};
-
-/// Class-clustered Gaussian features split into an attack pool and a
-/// disjoint probe set, plus a head trained on the pool (the same
-/// fixture family as `tests/arena_determinism.rs`).
-fn victim() -> (FcHead, FeatureCache, Vec<usize>, FeatureCache, Vec<usize>) {
-    let mut rng = Prng::new(919191);
-    let n = 160;
-    let d = 16;
-    let classes = 4;
-    let mut x = Tensor::zeros(&[n, d]);
-    let mut labels = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = i % classes;
-        labels.push(class);
-        for j in 0..d {
-            let center = if j % classes == class { 1.5 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.5);
-        }
-    }
-    let mut head = FcHead::from_dims(&[d, 24, 24, classes], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 10,
-            ..Default::default()
-        },
-        &mut rng,
-    );
-    let pool_idx: Vec<usize> = (0..120).collect();
-    let probe_idx: Vec<usize> = (120..160).collect();
-    let gather = |idx: &[usize]| {
-        let mut out = Tensor::zeros(&[idx.len(), d]);
-        let mut l = Vec::with_capacity(idx.len());
-        for (r, &i) in idx.iter().enumerate() {
-            out.row_mut(r).copy_from_slice(x.row(i));
-            l.push(labels[i]);
-        }
-        (FeatureCache::from_features(out), l)
-    };
-    let (pool, pool_labels) = gather(&pool_idx);
-    let (probe, probe_labels) = gather(&probe_idx);
-    (head, pool, pool_labels, probe, probe_labels)
-}
+mod common;
+#[path = "common/rows.rs"]
+mod rows;
+#[path = "common/threads.rs"]
+mod threads;
+#[path = "common/victim.rs"]
+mod victim;
+use victim::victim;
 
 /// One test function on purpose: telemetry's enable flag and the thread
 /// override are both process-global, so interleaving with a second test
 /// in this binary would race them.
 #[test]
 fn reports_are_bit_identical_with_telemetry_on_or_off() {
-    let (head, pool, pool_labels, probe, probe_labels) = victim();
+    let (head, pool, pool_labels, probe, probe_labels) = victim(919191, &[16, 24, 24, 4], 120, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let suite = DefenseSuite::standard(
@@ -99,16 +58,17 @@ fn reports_are_bit_identical_with_telemetry_on_or_off() {
         })
         .with_weights(20.0, 1.0);
 
+    let guard = threads::lock();
     // Start from a clean slate whatever ran in this process before.
     telemetry::set_enabled(false);
     let _ = telemetry::drain();
 
-    parallel::set_threads(1);
+    guard.set(1);
     let campaign_ref = campaign.run_method(&spec, &FsaMethod);
     let arena_ref = arena.score_report(&campaign_ref);
 
     for threads in [1usize, 2, 3, 8] {
-        parallel::set_threads(threads);
+        guard.set(threads);
 
         // Telemetry off: pure thread-count determinism (the existing
         // workspace guarantee, re-checked as this test's baseline).
@@ -210,6 +170,4 @@ fn reports_are_bit_identical_with_telemetry_on_or_off() {
         stat.total_ns > 0,
         "span stats recorded no wall-clock time at all"
     );
-
-    parallel::set_threads(0);
 }

@@ -7,51 +7,27 @@
 use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fault_sneaking::nn::conv::{Conv2d, VolumeDims};
 use fault_sneaking::nn::cw::{CwConfig, CwModel};
-use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::nn::head_train::{train_head, HeadTrainConfig};
 use fault_sneaking::nn::layer::Layer;
 use fault_sneaking::tensor::{parallel, Prng, Tensor};
-use std::sync::Mutex;
 
-/// Serializes the tests in this binary: both mutate the process-global
-/// thread override, and a concurrent `set_threads` would let the
-/// "1-thread" baseline silently run multi-threaded, making the
-/// comparison vacuous.
-static THREAD_LOCK: Mutex<()> = Mutex::new(());
+mod common;
+use common::{clustered, train};
+#[path = "common/rows.rs"]
+mod rows;
+use rows::rows;
+#[path = "common/threads.rs"]
+mod threads;
+use threads::ThreadGuard;
 
 /// Builds a trained head + spec and runs the attack under `threads`
 /// worker threads, returning the full δ vector.
-fn run_attack(threads: usize) -> Vec<f32> {
-    parallel::set_threads(threads);
+fn run_attack(guard: &ThreadGuard, threads: usize) -> Vec<f32> {
+    guard.set(threads);
     let mut rng = Prng::new(424242);
-    let mut x = Tensor::zeros(&[120, 16]);
-    let mut labels = Vec::new();
-    for i in 0..120 {
-        let class = i % 4;
-        labels.push(class);
-        for j in 0..16 {
-            let center = if j % 4 == class { 1.5 } else { 0.0 };
-            x.row_mut(i)[j] = rng.normal(center, 0.4);
-        }
-    }
-    let mut head = FcHead::from_dims(&[16, 24, 24, 4], &mut rng);
-    train_head(
-        &mut head,
-        &x,
-        &labels,
-        &HeadTrainConfig {
-            epochs: 8,
-            ..Default::default()
-        },
-        &mut rng,
-    );
+    let (x, labels) = clustered(120, 16, 4, 1.5, 0.4, &mut rng);
+    let head = train(&[16, 24, 24, 4], &x, &labels, 8, &mut rng);
 
-    let r = 20;
-    let mut features = Tensor::zeros(&[r, 16]);
-    for i in 0..r {
-        features.row_mut(i).copy_from_slice(x.row(i));
-    }
-    let wl = labels[..r].to_vec();
+    let (features, wl) = rows(&x, &labels, 0..20);
     let targets = vec![(wl[0] + 1) % 4, (wl[1] + 2) % 4];
     let spec = AttackSpec::new(features, wl, targets).with_weights(10.0, 1.0);
     let attack = FaultSneakingAttack::new(
@@ -62,21 +38,19 @@ fn run_attack(threads: usize) -> Vec<f32> {
             ..AttackConfig::default()
         },
     );
-    let result = attack.run(&spec);
-    parallel::set_threads(0);
-    result.delta
+    attack.run(&spec).delta
 }
 
 #[test]
 fn attack_is_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
-    let single = run_attack(1);
+    let guard = threads::lock();
+    let single = run_attack(&guard, 1);
     assert!(
         single.iter().any(|&d| d != 0.0),
         "fixture attack produced an empty δ"
     );
     for threads in [2, 4, 7] {
-        let multi = run_attack(threads);
+        let multi = run_attack(&guard, threads);
         assert!(
             single == multi,
             "δ differs between 1 and {threads} threads — kernel partitioning leaked into results"
@@ -91,7 +65,7 @@ fn attack_is_bit_identical_for_any_thread_count() {
 /// stack never exercises.
 #[test]
 fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let mut rng = Prng::new(909);
     // Paper-scale extractor so the network-level batch dispatch engages.
     let cfg = CwConfig::mnist();
@@ -103,10 +77,9 @@ fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
     let odd_x = Tensor::rand_uniform(&[13, dims.features()], -1.0, 1.0, &mut rng);
 
     let run = |threads: usize| {
-        parallel::set_threads(threads);
+        guard.set(threads);
         let feats = model.extract_features(&images);
         let odd = odd_conv.forward_infer(&odd_x);
-        parallel::set_threads(0);
         (feats, odd)
     };
     let base = run(1);
@@ -128,16 +101,14 @@ fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
 /// kernels must compute identical results.
 #[test]
 fn nested_scheduler_plans_do_not_change_results() {
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let mut rng = Prng::new(910);
     let dims = VolumeDims::new(2, 12, 12);
     let conv = Conv2d::new_random(dims, 8, 3, &mut rng);
     let x = Tensor::rand_uniform(&[9, dims.features()], -1.0, 1.0, &mut rng);
     let run = |threads: usize, budget: usize| {
-        parallel::set_threads(threads);
-        let y = parallel::with_budget(budget, || conv.forward_infer(&x));
-        parallel::set_threads(0);
-        y
+        guard.set(threads);
+        parallel::with_budget(budget, || conv.forward_infer(&x))
     };
     let base = run(1, 1);
     for (threads, budget) in [(1, 2), (2, 3), (3, 8), (8, 2), (8, 8)] {
@@ -151,7 +122,7 @@ fn nested_scheduler_plans_do_not_change_results() {
 #[test]
 fn kernel_outputs_are_bit_identical_for_any_thread_count() {
     use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn};
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let mut rng = Prng::new(7);
     let (m, k, n) = (93, 310, 71);
     let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
@@ -159,14 +130,13 @@ fn kernel_outputs_are_bit_identical_for_any_thread_count() {
     let bt = Tensor::rand_uniform(&[n, k], -1.0, 1.0, &mut rng);
 
     let run = |threads: usize| {
-        parallel::set_threads(threads);
+        guard.set(threads);
         let mut c = vec![0.0f32; m * n];
         gemm(m, k, n, a.as_slice(), b.as_slice(), &mut c, 1.3, 0.0);
         let mut ct = vec![0.0f32; k * k]; // (m×k)ᵀ · (m×? ) — use A as both operands
         gemm_tn(k, m, k, a.as_slice(), a.as_slice(), &mut ct, 1.0, 0.0);
         let mut cnt = vec![0.0f32; m * n];
         gemm_nt(m, k, n, a.as_slice(), bt.as_slice(), &mut cnt, 1.0, 0.0);
-        parallel::set_threads(0);
         (c, ct, cnt)
     };
     let base = run(1);
@@ -188,7 +158,7 @@ fn kernel_outputs_are_bit_identical_for_any_thread_count() {
 fn kernels_split_above_their_work_floor_keep_their_bits() {
     use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn};
     use fault_sneaking::tensor::quant::gemm_i8_nt;
-    let _guard = THREAD_LOCK.lock().unwrap();
+    let guard = threads::lock();
     let mut rng = Prng::new(8);
     let (m, k, n) = (400, 256, 64);
     let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
@@ -199,7 +169,7 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
     let qb: Vec<i8> = (0..n * k).map(|i| (i * 91 % 253) as i8).collect();
 
     let run = |threads: usize| {
-        parallel::set_threads(threads);
+        guard.set(threads);
         let mut c = vec![0.0f32; m * n];
         gemm(m, k, n, a.as_slice(), b.as_slice(), &mut c, 1.3, 0.0);
         let mut ct = vec![0.0f32; m * n];
@@ -208,7 +178,6 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
         gemm_nt(m, k, n, a.as_slice(), bt.as_slice(), &mut cnt, 1.0, 0.0);
         let mut qc = vec![0i32; m * n];
         gemm_i8_nt(m, k, n, &qa, &qb, &mut qc);
-        parallel::set_threads(0);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         (bits(&c), bits(&ct), bits(&cnt), qc)
     };
@@ -219,4 +188,29 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
             "kernel bits changed at {threads} threads"
         );
     }
+}
+
+/// The guard's two promises: a test that panics while holding it
+/// leaves the thread count at its default, and the next test can still
+/// take it. The panicking holder sets a count other than the default,
+/// which on a host of two or more cores is observably different.
+#[test]
+fn thread_guard_survives_a_panicking_holder() {
+    let default = {
+        let _guard = threads::lock();
+        parallel::max_threads()
+    };
+    let other = if default == 1 { 2 } else { 1 };
+    let holder = std::thread::spawn(move || {
+        let guard = threads::lock();
+        guard.set(other);
+        panic!("a failing test body, holding the thread guard");
+    });
+    assert!(holder.join().is_err(), "the holder must have panicked");
+    let _guard = threads::lock();
+    assert_eq!(
+        parallel::max_threads(),
+        default,
+        "a panicking holder left its thread count behind"
+    );
 }
