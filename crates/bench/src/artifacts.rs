@@ -12,7 +12,6 @@ use fsa_data::{SynthDigits, SynthObjects};
 use fsa_nn::cw::{CwConfig, CwModel};
 use fsa_nn::head::FcHead;
 use fsa_nn::head_train::{train_head, HeadTrainConfig};
-use fsa_nn::trainer::gather_rows;
 use fsa_tensor::io::{read_file, write_file, DecodeError, Decoder, Encoder};
 use fsa_tensor::{Prng, Tensor};
 use std::collections::HashMap;
@@ -135,9 +134,9 @@ impl Artifacts {
         let pool: Dataset = gen.generate(POOL_N, SEED ^ 0x706f_6f6c);
 
         let mut model = CwModel::new_random(kind.cw_config(), &mut rng);
-        let train_features = extract_features(&model, &train.images);
-        let test_features = extract_features(&model, &test.images);
-        let pool_features = extract_features(&model, &pool.images);
+        let train_features = model.extract_features(&train.images);
+        let test_features = model.extract_features(&test.images);
+        let pool_features = model.extract_features(&pool.images);
 
         let cfg = HeadTrainConfig {
             epochs: 18,
@@ -331,23 +330,6 @@ impl Artifacts {
             test_acts: Mutex::new(HashMap::new()),
         })
     }
-}
-
-/// Streams images through the conv stack in chunks.
-pub fn extract_features(model: &CwModel, images: &Tensor) -> Tensor {
-    let n = images.shape()[0];
-    let mut out = Tensor::zeros(&[n, model.config.feature_dim()]);
-    let idx: Vec<usize> = (0..n).collect();
-    let mut row = 0;
-    for c in idx.chunks(32) {
-        let batch = gather_rows(images, c);
-        let f = model.extract_features(&batch);
-        for r in 0..c.len() {
-            out.row_mut(row).copy_from_slice(f.row(r));
-            row += 1;
-        }
-    }
-    out
 }
 
 /// Path of the on-disk cache for `kind`.

@@ -550,7 +550,8 @@ fn campaign_sweeps_land_their_faults_and_replay_standalone() {
             for (r, &i) in draw.rows.iter().enumerate() {
                 working.row_mut(r).copy_from_slice(images.row(i));
             }
-            let direct = AttackSpec::from_model(&model, &working, draw.labels, draw.targets);
+            let direct =
+                AttackSpec::new(model.extract_features(&working), draw.labels, draw.targets);
             let cached = campaign.scenario_spec(sc, spec.c_attack, spec.c_keep);
             assert!(
                 direct.features == cached.features,

@@ -1,7 +1,6 @@
 //! Applying and measuring attack results.
 
 use crate::selection::ParamSelection;
-use crate::spec::AttackSpec;
 use fsa_nn::head::FcHead;
 use fsa_tensor::Tensor;
 
@@ -26,64 +25,6 @@ pub fn attacked_head(
     let mut out = head.clone();
     apply_delta(&mut out, selection, theta0, delta);
     out
-}
-
-/// Full post-attack measurement on a spec plus a held-out test set —
-/// everything the paper's tables report about one run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AttackOutcome {
-    /// Success rate over the `S` designated faults.
-    pub success_rate: f32,
-    /// Fraction of keep-set images retaining their labels.
-    pub unchanged_rate: f32,
-    /// Test accuracy of the modified model (Table 4's metric).
-    pub test_accuracy: f32,
-    /// Test accuracy of the original model.
-    pub baseline_accuracy: f32,
-    /// `‖δ‖₀`.
-    pub l0: usize,
-    /// `‖δ‖₂`.
-    pub l2: f32,
-}
-
-/// Measures an attack end to end.
-///
-/// `test_features`/`test_labels` are the held-out set used for Table 4's
-/// accuracy metric (head-input features, so the conv stack is shared).
-///
-/// # Panics
-///
-/// Panics on shape mismatches.
-pub fn measure(
-    head: &FcHead,
-    selection: &ParamSelection,
-    theta0: &[f32],
-    delta: &[f32],
-    spec: &AttackSpec,
-    test_features: &Tensor,
-    test_labels: &[usize],
-) -> AttackOutcome {
-    let baseline_accuracy = head.accuracy(test_features, test_labels);
-    let attacked = attacked_head(head, selection, theta0, delta);
-    let logits = attacked.forward(&spec.features);
-    let (s_hits, keep_hits) = crate::objective::count_satisfied(spec, &logits);
-    let keep_total = spec.r() - spec.s();
-    AttackOutcome {
-        success_rate: if spec.s() == 0 {
-            1.0
-        } else {
-            s_hits as f32 / spec.s() as f32
-        },
-        unchanged_rate: if keep_total == 0 {
-            1.0
-        } else {
-            keep_hits as f32 / keep_total as f32
-        },
-        test_accuracy: attacked.accuracy(test_features, test_labels),
-        baseline_accuracy,
-        l0: fsa_tensor::norms::l0(delta, 0.0),
-        l2: fsa_tensor::norms::l2(delta),
-    }
 }
 
 /// Classification accuracy computed from *truncated* activations: `acts`
@@ -139,29 +80,6 @@ mod tests {
         let now = sel.gather(&head);
         assert!((now[0] - (theta0[0] + 0.5)).abs() < 1e-6);
         assert!((now[1] - (theta0[1] - 0.5)).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_delta_outcome_is_baseline() {
-        let mut rng = Prng::new(2);
-        let head = FcHead::from_dims(&[3, 4, 2], &mut rng);
-        let sel = ParamSelection::last_layer(&head);
-        let theta0 = sel.gather(&head);
-        let delta = vec![0.0; sel.dim(&head)];
-
-        let features = Tensor::randn(&[4, 3], 1.0, &mut rng);
-        let labels = head.predict(&features);
-        let target = 1 - labels[0].min(1); // any different class in {0,1}
-        let spec = AttackSpec::new(features.clone(), labels.clone(), vec![target]);
-
-        let outcome = measure(&head, &sel, &theta0, &delta, &spec, &features, &labels);
-        assert_eq!(outcome.test_accuracy, outcome.baseline_accuracy);
-        assert_eq!(outcome.l0, 0);
-        assert_eq!(outcome.unchanged_rate, 1.0);
-        assert_eq!(
-            outcome.success_rate, 0.0,
-            "unmodified model cannot satisfy the fault"
-        );
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub use campaign::{
     AttackMethod, Campaign, CampaignReport, CampaignSpec, FsaMethod, Scenario, ScenarioDraw,
     ScenarioOutcome, SparsityBudget, SpecError,
 };
-pub use eval::AttackOutcome;
 pub use precision::{Precision, QuantizedSelection};
 pub use selection::{ParamKind, ParamSelection};
 pub use solver::{AttackConfig, AttackResult, FaultSneakingAttack, IterStats, Norm};

@@ -153,34 +153,14 @@ impl AttackSpec {
         }
     }
 
-    /// Builds a spec from raw images by running the victim's batched
-    /// conv feature-extraction pipeline
-    /// ([`fsa_nn::cw::CwModel::extract_features`]) — the path the ADMM
-    /// outer loop consumes: images go through the batch-parallel conv
-    /// stack once, and the resulting `[R, feature_dim]` activations
-    /// become [`AttackSpec::features`].
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same label/shape conditions as
-    /// [`AttackSpec::new`], or if `images` is not `[R, input_features]`
-    /// for the model.
-    pub fn from_model(
-        model: &fsa_nn::cw::CwModel,
-        images: &Tensor,
-        labels: Vec<usize>,
-        targets: Vec<usize>,
-    ) -> Self {
-        Self::new(model.extract_features(images), labels, targets)
-    }
-
     /// Builds a spec from a shared [`fsa_nn::FeatureCache`]: the named
     /// pool rows become the working set, copied (never recomputed) out
     /// of activations the cache extracted once through the batched conv
     /// pipeline. This is the campaign path — many concurrent attacks
     /// slice one read-only cache instead of each re-running
-    /// [`AttackSpec::from_model`]'s extraction, and the resulting spec
-    /// is bit-identical to the `from_model` one for the same images.
+    /// [`fsa_nn::cw::CwModel::extract_features`], and the resulting spec
+    /// is bit-identical to one built by [`AttackSpec::new`] over that
+    /// extraction of the same images.
     ///
     /// # Examples
     ///

@@ -35,6 +35,12 @@
 //! construction — the same order `Campaign::run_method` produces — and
 //! the merged [`CampaignReport`]'s FNV fingerprint equals the
 //! single-process one.
+//!
+//! Every handled fault and every shard's resolution land in the run's
+//! [`ExecutionLog`], the one record of what the supervisor did. With
+//! telemetry on, the merge adds the log's totals to the `harness.*`
+//! counters (`harness.faults.<kind>`, `harness.attempts`,
+//! `harness.degraded`, …); telemetry keeps no copy of the faults.
 
 use crate::injector::FaultPlanner;
 use crate::proto::ShardJob;
@@ -82,17 +88,12 @@ impl fmt::Display for FaultKind {
 /// One handled fault: which shard, which attempt, what happened, and
 /// how long the supervisor backed off before the next attempt (`None`
 /// when retries were already exhausted).
-#[derive(Debug, Clone)]
+///
+/// Its position in [`ExecutionLog::events`] is its sequence number:
+/// the log lists faults in `(shard, attempt)` order on every same-seed
+/// run, whichever supervision thread finished first.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultEvent {
-    /// Stable position in the merged log: events are ordered by
-    /// `(shard, attempt)` at merge time and numbered 0.. — the same
-    /// sequence on every same-seed run, regardless of which supervision
-    /// thread handled which shard first.
-    pub seq: u64,
-    /// Wall-clock stamp (ms since the Unix epoch) taken when the fault
-    /// was classified. Excluded from equality: two same-seed runs are
-    /// "the same" when every deterministic field matches.
-    pub t_wall_ms: u64,
     /// Shard index.
     pub shard: usize,
     /// Attempt number (0-based) that failed.
@@ -104,22 +105,6 @@ pub struct FaultEvent {
     /// Backoff slept before the next attempt, if one followed.
     pub backoff_ms: Option<u64>,
 }
-
-// Manual equality so wall-clock stamps never participate: determinism
-// tests compare whole logs across same-seed runs, and `t_wall_ms` is
-// the one field that legitimately differs between them.
-impl PartialEq for FaultEvent {
-    fn eq(&self, other: &Self) -> bool {
-        self.seq == other.seq
-            && self.shard == other.shard
-            && self.attempt == other.attempt
-            && self.kind == other.kind
-            && self.detail == other.detail
-            && self.backoff_ms == other.backoff_ms
-    }
-}
-
-impl Eq for FaultEvent {}
 
 /// How a shard ultimately produced its outcomes.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -149,10 +134,11 @@ impl ShardResolution {
 
 /// Structured record of everything the supervisor handled during one
 /// sharded run: every fault, every backoff, and how each shard was
-/// finally resolved.
+/// finally resolved. It is the only record of a handled fault; with
+/// telemetry on, the run adds its totals to the `harness.*` counters.
 #[derive(Debug, Clone, Default)]
 pub struct ExecutionLog {
-    /// Every classified fault, in the order it was handled per shard.
+    /// Every classified fault, in `(shard, attempt)` order.
     pub events: Vec<FaultEvent>,
     /// One resolution per shard, in shard order.
     pub resolutions: Vec<ShardResolution>,
@@ -166,11 +152,10 @@ pub struct ExecutionLog {
     pub registrations: u64,
 }
 
-// Manual equality, same contract as `FaultEvent`: determinism tests
-// compare whole logs across same-seed runs, and the liveness counters
-// (how many heartbeats fit in a wall-clock window, whether a worker
-// registered before an injected fault felled it) are the fields that
-// legitimately differ between them.
+// Manual equality: determinism tests compare whole logs across
+// same-seed runs, and the liveness counters (how many heartbeats fit in
+// a wall-clock window, whether a worker registered before an injected
+// fault felled it) are the fields that legitimately differ between them.
 impl PartialEq for ExecutionLog {
     fn eq(&self, other: &Self) -> bool {
         self.events == other.events && self.resolutions == other.resolutions
@@ -228,11 +213,10 @@ impl ExecutionLog {
         s
     }
 
-    /// Bridges the log into the telemetry event stream: one
-    /// `harness.fault` event per entry, emitted in stable `seq` order
-    /// from the merging thread, plus summary counters. No-op while
+    /// Adds the log's totals to the `harness.*` telemetry counters,
+    /// one `harness.faults.<kind>` per fault kind seen. No-op while
     /// telemetry is disabled.
-    pub fn bridge_telemetry(&self) {
+    fn bridge_telemetry(&self) {
         if !fsa_telemetry::enabled() {
             return;
         }
@@ -244,32 +228,6 @@ impl ExecutionLog {
         fsa_telemetry::counter("harness.heartbeats", self.heartbeats);
         for e in &self.events {
             fsa_telemetry::counter(&format!("harness.faults.{}", e.kind), 1);
-            let mut fields = vec![
-                (
-                    "shard".to_string(),
-                    fsa_telemetry::Value::U64(e.shard as u64),
-                ),
-                (
-                    "attempt".to_string(),
-                    fsa_telemetry::Value::U64(e.attempt as u64),
-                ),
-                (
-                    "kind".to_string(),
-                    fsa_telemetry::Value::Str(e.kind.to_string()),
-                ),
-                (
-                    "detail".to_string(),
-                    fsa_telemetry::Value::Str(e.detail.clone()),
-                ),
-                (
-                    "wall_ms".to_string(),
-                    fsa_telemetry::Value::U64(e.t_wall_ms),
-                ),
-            ];
-            if let Some(ms) = e.backoff_ms {
-                fields.push(("backoff_ms".to_string(), fsa_telemetry::Value::U64(ms)));
-            }
-            fsa_telemetry::event("harness.fault", fields);
         }
     }
 }
@@ -479,6 +437,9 @@ impl<'a> ShardedCampaign<'a> {
         });
 
         let mut outcomes = Vec::with_capacity(n);
+        // Shards merge in shard order and each records its faults in
+        // attempt order, so the log is in (shard, attempt) order however
+        // the supervision threads finished.
         let mut log = ExecutionLog::default();
         for r in results.into_iter().flatten() {
             let (mut shard_outcomes, events, resolution, stats) = r;
@@ -487,13 +448,6 @@ impl<'a> ShardedCampaign<'a> {
             log.resolutions.push(resolution);
             log.heartbeats += stats.heartbeats;
             log.registrations += stats.registrations;
-        }
-        // Shards merge in shard order and each shard records its faults
-        // in attempt order, so numbering here gives every event a stable
-        // (shard, attempt)-ordered sequence — identical across reruns
-        // even though supervision threads finish in arbitrary order.
-        for (i, e) in log.events.iter_mut().enumerate() {
-            e.seq = i as u64;
         }
         log.bridge_telemetry();
         debug_assert!(
@@ -566,10 +520,6 @@ impl<'a> ShardedCampaign<'a> {
                         )
                     });
                     events.push(FaultEvent {
-                        // Final seq is assigned at merge time, once the
-                        // cross-shard order is known.
-                        seq: 0,
-                        t_wall_ms: fsa_telemetry::clock::wall_ms(),
                         shard,
                         attempt,
                         kind,
@@ -637,8 +587,6 @@ mod tests {
         ExecutionLog {
             events: vec![
                 FaultEvent {
-                    seq: 0,
-                    t_wall_ms: 1_700_000_000_000,
                     shard: 0,
                     attempt: 0,
                     kind: FaultKind::Crash,
@@ -646,8 +594,6 @@ mod tests {
                     backoff_ms: Some(50),
                 },
                 FaultEvent {
-                    seq: 1,
-                    t_wall_ms: 1_700_000_000_250,
                     shard: 1,
                     attempt: 0,
                     kind: FaultKind::Hang,
@@ -679,16 +625,11 @@ mod tests {
     }
 
     #[test]
-    fn fault_event_equality_ignores_wall_clock() {
+    fn execution_log_equality_ignores_liveness_counters() {
         let log = sample_log();
         let mut other = log.clone();
-        for e in &mut other.events {
-            e.t_wall_ms += 12_345;
-        }
-        // Same deterministic fields → equal, even on a later clock.
-        assert_eq!(log, other);
-        // Liveness counters are wall-clock artifacts too: a run that
-        // fit more heartbeats into the window is still "the same run".
+        // Liveness counters are wall-clock artifacts: a run that fit
+        // more heartbeats into the window is still "the same run".
         other.heartbeats += 99;
         other.registrations += 1;
         assert_eq!(log, other);

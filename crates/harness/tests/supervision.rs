@@ -31,9 +31,10 @@ use fsa_harness::transport::{PipeTransport, SocketConfig, SocketTransport, Trans
 use fsa_memfault::dram::DramGeometry;
 use fsa_nn::feature_cache::FeatureCache;
 use fsa_nn::head::FcHead;
+use fsa_telemetry::Snapshot;
 use fsa_tensor::{Prng, Tensor};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Duration;
 
 /// A small victim: big enough that every scenario has distinct work,
@@ -82,7 +83,29 @@ fn reference(spec: &CampaignSpec) -> CampaignReport {
     campaign.run_method(spec, &FsaMethod)
 }
 
+/// Telemetry's switch and sink are process-wide, and this binary's
+/// tests run concurrently. Every sharded run holds this lock shared, and
+/// a traced run holds it exclusively ([`traced`]), so what a traced run
+/// drains is its own.
+static TRACE: RwLock<()> = RwLock::new(());
+
 fn sharded(spec: &CampaignSpec, cfg: &ExecutorConfig) -> (CampaignReport, ExecutionLog) {
+    let _shared = TRACE.read().unwrap_or_else(PoisonError::into_inner);
+    run_sharded(spec, cfg)
+}
+
+/// Runs `f` with telemetry on and no other sharded run in flight, and
+/// returns its result with the snapshot it recorded.
+fn traced<R>(f: impl FnOnce() -> R) -> (R, Snapshot) {
+    let _exclusive = TRACE.write().unwrap_or_else(PoisonError::into_inner);
+    fsa_telemetry::set_enabled(true);
+    let out = f();
+    fsa_telemetry::set_enabled(false);
+    (out, fsa_telemetry::drain())
+}
+
+/// [`sharded`] without the lock, for use inside [`traced`].
+fn run_sharded(spec: &CampaignSpec, cfg: &ExecutorConfig) -> (CampaignReport, ExecutionLog) {
     let (head, cache, labels) = fixture();
     let campaign = ShardedCampaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
     let run = campaign.run(spec, "fsa", cfg);
@@ -466,10 +489,6 @@ fn seeded_fault_plan_always_converges_to_the_reference_bits() {
 /// supervision threads, merge) never changes a bit of the merged report,
 /// and the drained snapshot actually contains the executor's records —
 /// the per-link attempt spans and the registration counter.
-///
-/// Other tests in this binary may run concurrently while the switch is
-/// on and fold their own records into the shared sink, so the snapshot
-/// assertions check presence and lower bounds, never exact totals.
 #[test]
 fn sharded_fingerprints_are_bit_identical_with_telemetry_on_or_off() {
     let spec = spec();
@@ -481,10 +500,7 @@ fn sharded_fingerprints_are_bit_identical_with_telemetry_on_or_off() {
         let (report_off, log_off) = sharded(&spec, &cfg);
         assert_eq!(report_off, reference);
 
-        fsa_telemetry::set_enabled(true);
-        let (report_on, log_on) = sharded(&spec, &cfg);
-        fsa_telemetry::set_enabled(false);
-        let snap = fsa_telemetry::drain();
+        let ((report_on, log_on), snap) = traced(|| run_sharded(&spec, &cfg));
 
         assert_eq!(
             report_on, reference,
@@ -493,7 +509,7 @@ fn sharded_fingerprints_are_bit_identical_with_telemetry_on_or_off() {
         assert_eq!(report_on.fingerprint(), reference.fingerprint());
         assert_eq!(
             log_on, log_off,
-            "telemetry perturbed the execution log (equality ignores wall clocks)"
+            "telemetry perturbed the execution log (equality ignores liveness counters)"
         );
 
         assert!(
@@ -522,6 +538,60 @@ fn sharded_fingerprints_are_bit_identical_with_telemetry_on_or_off() {
     }
 }
 
+/// The execution log is the one record of a handled fault: a traced run
+/// with injected faults drains `harness.*` counters equal to the log's
+/// own counts and no events at all.
+#[test]
+fn traced_fault_counters_equal_the_execution_log() {
+    let spec = spec();
+    let pipe: Arc<dyn Transport> = Arc::new(PipeTransport);
+    let cases = [
+        // Every first attempt crashes mid-shard; the retries run clean.
+        config(3, &pipe).with_planner(Some(FaultPlanner::always(FaultDirective::KillAfter(1), 1))),
+        // Every first attempt's stream is torn; the retries run clean.
+        config(2, &pipe).with_planner(Some(FaultPlanner::always(
+            FaultDirective::TruncateFrame(1),
+            1,
+        ))),
+        // Every attempt crashes: each shard degrades after two.
+        config(2, &pipe)
+            .with_max_retries(1)
+            .with_planner(Some(FaultPlanner::persistent(FaultDirective::KillAfter(0)))),
+    ];
+    for cfg in &cases {
+        let ((_, log), snap) = traced(|| run_sharded(&spec, cfg));
+        assert!(!log.events.is_empty(), "no fault was injected");
+        let counter = |name: &str| {
+            snap.counters
+                .iter()
+                .find(|(n, _)| n == name)
+                .map_or(0, |&(_, v)| v as usize)
+        };
+        for kind in [
+            FaultKind::Crash,
+            FaultKind::Hang,
+            FaultKind::CorruptFrame,
+            FaultKind::Spawn,
+        ] {
+            assert_eq!(
+                counter(&format!("harness.faults.{kind}")),
+                log.count(kind),
+                "{kind}: {}",
+                log.summary()
+            );
+        }
+        assert_eq!(counter("harness.faults"), log.events.len());
+        assert_eq!(counter("harness.attempts"), log.total_attempts());
+        assert_eq!(counter("harness.degraded"), log.degraded());
+        assert_eq!(counter("harness.shards"), log.resolutions.len());
+        assert!(
+            snap.events.is_empty(),
+            "telemetry recorded events: {:?}",
+            snap.events
+        );
+    }
+}
+
 #[test]
 fn sba_and_gda_methods_shard_identically_too() {
     let spec = spec();
@@ -546,6 +616,7 @@ fn sba_and_gda_methods_shard_identically_too() {
             cache.clone(),
             labels.clone(),
         );
+        let _shared = TRACE.read().unwrap_or_else(PoisonError::into_inner);
         let run = sharded_campaign.run(&spec, method, &config(2, &pipe));
         assert_eq!(run.report, reference, "{method} diverged when sharded");
     }

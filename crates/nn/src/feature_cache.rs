@@ -3,9 +3,10 @@
 //! The paper's experiments are sweeps — many attack instances over one
 //! victim model — and every instance needs the penultimate (head-input)
 //! activations of its working images. Extracting those per attack
-//! re-runs the conv stack for every scenario; a [`FeatureCache`] runs
-//! the batched [`Network::forward_infer`] pipeline **once** over the
-//! image pool and then hands out row subsets by `memcpy`. The cached
+//! re-runs the conv stack for every scenario; a [`FeatureCache`] holds
+//! the output of one batched
+//! [`Network::forward_infer`](crate::network::Network::forward_infer)
+//! pass over the image pool and hands out row subsets by `memcpy`. The cached
 //! tensor is held behind an [`Arc`], so clones are pointer-cheap and the
 //! activations are shared read-only across every concurrent attack
 //! worker — no locking, no duplication.
@@ -25,7 +26,6 @@
 //! the pass over the gathered rows, bit for bit.
 
 use crate::cw::CwModel;
-use crate::network::Network;
 use fsa_tensor::Tensor;
 use std::sync::Arc;
 
@@ -65,14 +65,6 @@ impl FeatureCache {
         let _span = fsa_telemetry::span("feature_cache.build");
         fsa_telemetry::counter("feature_cache.builds", 1);
         Self::from_features(model.extract_features(images))
-    }
-
-    /// Extracts features through an arbitrary feature-extractor network
-    /// (one batched [`Network::forward_infer`] call).
-    pub fn build_from_network(extractor: &Network, images: &Tensor) -> Self {
-        let _span = fsa_telemetry::span("feature_cache.build");
-        fsa_telemetry::counter("feature_cache.builds", 1);
-        Self::from_features(extractor.forward_infer(images))
     }
 
     /// Wraps already-extracted `[pool, feature_dim]` activations (e.g.

@@ -24,8 +24,8 @@
 //! * [`feature_cache`] — penultimate-layer activations extracted once
 //!   through the batched pipeline and shared read-only across a
 //!   campaign of concurrent attacks;
-//! * [`stats`] — per-layer activation-statistics taps on the inference
-//!   pipeline (`Network::forward_infer_stats`, `head_forward_stats`),
+//! * [`stats`] — per-layer activation-statistics taps on the head's
+//!   forward pass (`cached_forward_stats`, `head_forward_stats`),
 //!   the observable surface `fsa-defense`'s drift detector monitors;
 //! * [`quant`] — the post-training int8 backend:
 //!   [`QuantizedHead`](quant::QuantizedHead) stores one byte per weight

@@ -13,20 +13,17 @@
 //! Statistics are accumulated in `f64` **in fixed element order** over
 //! the layer output buffer, so they are a pure function of the layer
 //! outputs — which are themselves bit-identical at every `FSA_THREADS`
-//! ([`Network::forward_infer`]'s contract). The hooks therefore never
-//! weaken any determinism guarantee:
+//! (the head forward's contract). The hooks therefore never weaken any
+//! determinism guarantee:
 //!
-//! * [`Network::forward_infer_stats`] — the batched inference pipeline
-//!   with a per-layer statistics tap;
-//! * [`cached_forward_stats`] — the same tap over the forward pass an
-//!   [`FcHead`] cached in its [`HeadBuffers`] (post-ReLU for hidden
-//!   layers, raw logits for the last), one entry per layer from the
-//!   pass's start layer on — the surface attacked models are monitored
-//!   on;
+//! * [`cached_forward_stats`] — a per-layer statistics tap over the
+//!   forward pass an [`FcHead`] cached in its [`HeadBuffers`] (post-ReLU
+//!   for hidden layers, raw logits for the last), one entry per layer
+//!   from the pass's start layer on — the surface attacked models are
+//!   monitored on;
 //! * [`head_forward_stats`] — that tap over a whole-head forward.
 
 use crate::head::{FcHead, HeadBuffers};
-use crate::network::Network;
 use fsa_tensor::Tensor;
 
 /// Mean and (population) variance of one layer's activations on a batch.
@@ -102,28 +99,6 @@ pub fn slice_stats(values: &[f32]) -> ActivationStats {
     ActivationStats { mean, var: sq / n }
 }
 
-impl Network {
-    /// [`Network::forward_infer`] with a per-layer statistics tap: runs
-    /// the layer chain over the whole batch, recording
-    /// [`ActivationStats`] of every layer's output, and returns the
-    /// final output alongside them.
-    ///
-    /// The output tensor is bit-identical to [`Network::forward_infer`]
-    /// (each layer's own forward is deterministic per row and the chain
-    /// is the serial path every batched partition must match); the
-    /// statistics are a fixed-order reduction of those same outputs, so
-    /// the whole pair is bit-identical at any `FSA_THREADS`.
-    pub fn forward_infer_stats(&self, x: &Tensor) -> (Tensor, Vec<ActivationStats>) {
-        let mut stats = Vec::with_capacity(self.len());
-        let mut h = x.clone();
-        for i in 0..self.len() {
-            h = self.layer(i).forward_infer(&h);
-            stats.push(slice_stats(h.as_slice()));
-        }
-        (h, stats)
-    }
-}
-
 /// Per-layer statistics of the forward pass cached in `bufs` by
 /// [`FcHead::forward_from_caching`]`(start, ..)`, written to `out` (cleared
 /// first, its storage reused): entry `rel` covers layer `start + rel`'s
@@ -170,7 +145,6 @@ pub fn head_forward_stats(head: &FcHead, x: &Tensor) -> (Tensor, Vec<ActivationS
 mod tests {
     use super::*;
     use crate::activation::Relu;
-    use crate::linear::Linear;
     use fsa_tensor::Prng;
 
     #[test]
@@ -207,24 +181,6 @@ mod tests {
         let c = slice_stats(&[3.0; 17]);
         assert!((c.mean - 3.0).abs() < 1e-12);
         assert!(c.var.abs() < 1e-12);
-    }
-
-    #[test]
-    fn network_stats_output_matches_forward_infer() {
-        let mut rng = Prng::new(8);
-        let mut net = Network::new();
-        net.push(Box::new(Linear::new_random(6, 9, &mut rng)));
-        net.push(Box::new(Relu::new(9)));
-        net.push(Box::new(Linear::new_random(9, 4, &mut rng)));
-        let x = Tensor::randn(&[5, 6], 1.0, &mut rng);
-        let plain = net.forward_infer(&x);
-        let (tapped, stats) = net.forward_infer_stats(&x);
-        assert_eq!(plain, tapped, "stats tap changed inference bits");
-        assert_eq!(stats.len(), 3);
-        // The final layer's stats are the stats of the output itself.
-        assert_eq!(stats[2], slice_stats(plain.as_slice()));
-        // The ReLU layer's output is non-negative, so its mean is too.
-        assert!(stats[1].mean >= 0.0);
     }
 
     #[test]

@@ -2,14 +2,12 @@
 //!
 //! [`monotonic_ns`] reads a process-wide monotonic clock anchored at its
 //! first call, so early spans start near zero and `u64` nanosecond
-//! arithmetic has headroom for centuries of uptime. [`wall_ms`] is the
-//! UNIX wall clock, for log timestamps only — it may step and must never
-//! be used to compute durations. Both are observability-only values: by
-//! the identity contract (see the crate docs) neither may ever reach a
-//! result fingerprint or a golden file.
+//! arithmetic has headroom for centuries of uptime. It is an
+//! observability-only value: by the identity contract (see the crate
+//! docs) it may never reach a result fingerprint or a golden file.
 
 use std::sync::OnceLock;
-use std::time::{Instant, SystemTime, UNIX_EPOCH};
+use std::time::Instant;
 
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
@@ -21,17 +19,6 @@ pub fn monotonic_ns() -> u64 {
     Instant::now().saturating_duration_since(epoch).as_nanos() as u64
 }
 
-/// Milliseconds since the UNIX epoch (wall clock).
-///
-/// For timestamping log entries; returns 0 if the system clock is set
-/// before 1970. Not monotonic — never subtract two of these.
-pub fn wall_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -41,11 +28,5 @@ mod tests {
         let a = monotonic_ns();
         let b = monotonic_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn wall_clock_is_after_2020() {
-        // 2020-01-01 in ms — guards against an accidental ns/ms mixup.
-        assert!(wall_ms() > 1_577_836_800_000);
     }
 }

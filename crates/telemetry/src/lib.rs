@@ -2,9 +2,10 @@
 //!
 //! This crate is the measurement substrate under every other layer:
 //! hierarchical [spans](span) with monotonic timing, [counters](counter),
-//! a fixed-boundary [`Histogram`] that snapshots can carry,
-//! structured [events](event), and per-iteration ADMM
-//! [convergence traces](convergence_trace). It is std-only and has no
+//! and per-iteration ADMM [convergence traces](convergence_trace). A
+//! drained [`Snapshot`] also has room for fixed-boundary [`Histogram`]s
+//! and structured [`Event`]s, which only readers that merge snapshots
+//! fill: the library records neither. It is std-only and has no
 //! dependencies, so it can sit below `fsa-tensor` without disturbing
 //! the workspace's zero-external-deps constraint.
 //!
@@ -23,8 +24,7 @@
 //!   values with telemetry on or off, at any `FSA_THREADS`. The
 //!   workspace enforces this with fingerprint-identity tests.
 //! - **No timing value ever enters a fingerprint or golden file.**
-//!   Durations and wall-clock stamps exist only in drained snapshots
-//!   and trace artifacts.
+//!   Durations exist only in drained snapshots and trace artifacts.
 //!
 //! # Example
 //!
@@ -54,7 +54,7 @@ mod snapshot;
 
 pub use metrics::{ConvergenceRecord, ConvergenceTrace, Event, Histogram, SpanStat, Value};
 pub use record::{
-    convergence_trace, counter, current_path, drain, enabled, event, flush_thread, set_enabled,
-    span, with_path, Span,
+    convergence_trace, counter, current_path, drain, enabled, flush_thread, set_enabled, span,
+    with_path, Span,
 };
 pub use snapshot::{json_string, Snapshot};

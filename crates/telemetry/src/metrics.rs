@@ -1,5 +1,10 @@
-//! Value types held by the sink: span statistics, fixed-boundary
+//! Value types of drained snapshots: span statistics, fixed-boundary
 //! histograms, structured events, and convergence records.
+//!
+//! The sink records span statistics and convergence records. Nothing in
+//! the library records a histogram or an event; those types stay as the
+//! shape of [`crate::Snapshot`]'s `histograms` and `events`, which
+//! readers that merge drained snapshots still fill.
 //!
 //! Everything here is plain data with order-independent merge
 //! operations, so per-thread buffers can fold into the global sink in
@@ -79,12 +84,6 @@ impl Histogram {
         }
     }
 
-    /// Exponential nanosecond bounds — powers of four from 1 µs to
-    /// ~4.2 s — the default scale for span and bench durations.
-    pub fn time_bounds() -> Vec<u64> {
-        (0..12).map(|k| 1_000u64 << (2 * k)).collect()
-    }
-
     /// Records one sample into its bucket (saturating).
     pub fn record(&mut self, value: u64) {
         let idx = self
@@ -147,19 +146,19 @@ pub enum Value {
     Str(String),
 }
 
-/// One structured event in the global stream.
+/// One structured event of a snapshot's `events` list. [`crate::drain`]
+/// never returns one; merged snapshots sort their events by `seq`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Process-global emission sequence number; drained snapshots sort
-    /// by it, giving a stable total order across threads.
+    /// Emission sequence number, the merge order.
     pub seq: u64,
     /// Monotonic nanoseconds at emission ([`crate::clock::monotonic_ns`]).
     pub t_ns: u64,
-    /// Wall-clock milliseconds at emission ([`crate::clock::wall_ms`]).
+    /// Wall-clock milliseconds since the UNIX epoch at emission.
     pub t_wall_ms: u64,
     /// Span path active on the emitting thread (`""` at top level).
     pub ctx: String,
-    /// Event kind, e.g. `"harness.fault"`.
+    /// Event kind.
     pub kind: String,
     /// Ordered key/value payload.
     pub fields: Vec<(String, Value)>,
@@ -270,13 +269,5 @@ mod tests {
     #[should_panic(expected = "strictly increasing")]
     fn histogram_rejects_unsorted_bounds() {
         let _ = Histogram::new(&[10, 10]);
-    }
-
-    #[test]
-    fn time_bounds_are_powers_of_four_from_one_microsecond() {
-        let b = Histogram::time_bounds();
-        assert_eq!(b[0], 1_000);
-        assert!(b.windows(2).all(|w| w[1] == w[0] * 4));
-        assert_eq!(b.len(), 12);
     }
 }

@@ -13,32 +13,27 @@
 //! has already [`drain`]ed — silently losing the buffer.
 
 use crate::clock;
-use crate::metrics::{ConvergenceRecord, ConvergenceTrace, Event, SpanStat, Value};
+use crate::metrics::{ConvergenceRecord, ConvergenceTrace, SpanStat};
 use crate::snapshot::Snapshot;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static EVENT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Everything one buffer (thread-local or global) accumulates.
 #[derive(Default)]
 struct SinkState {
     spans: BTreeMap<String, SpanStat>,
     counters: BTreeMap<String, u64>,
-    events: Vec<Event>,
     convergence: Vec<ConvergenceTrace>,
 }
 
 impl SinkState {
     fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-            && self.counters.is_empty()
-            && self.events.is_empty()
-            && self.convergence.is_empty()
+        self.spans.is_empty() && self.counters.is_empty() && self.convergence.is_empty()
     }
 
     /// Order-independent fold of another buffer into this one.
@@ -55,7 +50,6 @@ impl SinkState {
             let slot = self.counters.entry(name).or_insert(0);
             *slot = slot.saturating_add(v);
         }
-        self.events.extend(from.events);
         self.convergence.extend(from.convergence);
     }
 }
@@ -208,30 +202,6 @@ pub fn counter(name: &str, delta: u64) {
     });
 }
 
-/// Emits a structured event tagged with the thread's current span path,
-/// a monotonic timestamp, a wall-clock timestamp, and a process-global
-/// sequence number. No-op while disabled.
-pub fn event(kind: &str, fields: Vec<(String, Value)>) {
-    if !enabled() {
-        return;
-    }
-    let seq = EVENT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let t_ns = clock::monotonic_ns();
-    let t_wall_ms = clock::wall_ms();
-    let _ = LOCAL.try_with(|l| {
-        let mut l = l.borrow_mut();
-        let ctx = l.path.clone();
-        l.state.events.push(Event {
-            seq,
-            t_ns,
-            t_wall_ms,
-            ctx,
-            kind: kind.to_string(),
-            fields,
-        });
-    });
-}
-
 /// Emits a named per-iteration convergence trace under the thread's
 /// current span path. No-op while disabled or when `records` is empty.
 pub fn convergence_trace(name: &str, records: Vec<ConvergenceRecord>) {
@@ -288,25 +258,22 @@ pub fn with_path<R>(path: &str, f: impl FnOnce() -> R) -> R {
 /// workspace only parallelizes with scoped threads whose dispatchers
 /// end every worker closure with [`flush_thread`] — a step that is
 /// sequenced before the dispatch returns — so draining from the
-/// spawning thread always sees the complete picture. Events are sorted
-/// by their global sequence number; convergence traces by `(ctx,
-/// name)`; spans and counters come out path-sorted from
-/// their `BTreeMap`s — the snapshot layout is deterministic even
+/// spawning thread always sees the complete picture. Convergence traces
+/// are sorted by `(ctx, name)`; spans and counters come out path-sorted
+/// from their `BTreeMap`s — the snapshot layout is deterministic even
 /// though the timing values inside it are not.
 pub fn drain() -> Snapshot {
     let _ = LOCAL.try_with(|l| l.borrow_mut().flush());
     let state = std::mem::take(&mut *sink().lock().unwrap_or_else(PoisonError::into_inner));
-    let mut events = state.events;
-    events.sort_by_key(|e| e.seq);
     let mut convergence = state.convergence;
     convergence.sort_by(|a, b| (&a.ctx, &a.name).cmp(&(&b.ctx, &b.name)));
     Snapshot {
         spans: state.spans.into_iter().collect(),
         counters: state.counters.into_iter().collect(),
-        // Nothing in the library records a histogram; the field stays
-        // for readers that merge drained snapshots.
+        // Nothing in the library records a histogram or an event; the
+        // fields stay for readers that merge drained snapshots.
         histograms: Vec::new(),
-        events,
+        events: Vec::new(),
         convergence,
     }
 }
@@ -332,7 +299,6 @@ mod tests {
         {
             let _s = span("ghost");
             counter("ghost.count", 5);
-            event("ghost.event", vec![]);
             convergence_trace("ghost", vec![dummy_record(0)]);
         }
         assert!(drain().is_empty());
@@ -412,20 +378,6 @@ mod tests {
         set_enabled(false);
         let snap = drain();
         assert_eq!(snap.counters, vec![("sat".to_string(), u64::MAX)]);
-    }
-
-    #[test]
-    fn events_drain_in_sequence_order() {
-        let _g = serialized();
-        set_enabled(true);
-        event("a", vec![("k".to_string(), Value::U64(1))]);
-        event("b", vec![]);
-        event("c", vec![("s".to_string(), Value::Str("x".into()))]);
-        set_enabled(false);
-        let snap = drain();
-        let kinds: Vec<&str> = snap.events.iter().map(|e| e.kind.as_str()).collect();
-        assert_eq!(kinds, ["a", "b", "c"]);
-        assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]

@@ -11,9 +11,9 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Everything the sink held at drain time, in deterministic order
-/// (paths and names sorted; events by sequence number). The timing
-/// values inside are real measurements and vary run to run — which is
-/// exactly why none of them may ever enter a fingerprint.
+/// (paths and names sorted). The timing values inside are real
+/// measurements and vary run to run — which is exactly why none of
+/// them may ever enter a fingerprint.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Snapshot {
     /// Span statistics keyed by hierarchical path, path-sorted.
@@ -22,7 +22,8 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// Histograms keyed by name, name-sorted.
     pub histograms: Vec<(String, Histogram)>,
-    /// Structured events in global sequence order.
+    /// Structured events in sequence order. [`crate::drain`] leaves this
+    /// empty; readers that merge snapshots fill it.
     pub events: Vec<Event>,
     /// Convergence traces sorted by `(ctx, name)`.
     pub convergence: Vec<ConvergenceTrace>,

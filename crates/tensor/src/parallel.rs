@@ -16,14 +16,14 @@
 //!
 //! 1. a thread-local budget installed by [`with_budget`] (how nested
 //!    dispatch shares the machine — see below);
-//! 2. an explicit [`set_threads`] call (test hooks, embedders), clamped
-//!    to [`std::thread::available_parallelism`] — requesting more
-//!    workers than the host has cores is pure oversubscription (results
-//!    are bit-identical at any count, so nothing is gained and scoped
-//!    spawn/teardown is paid per dispatch);
-//! 3. the `FSA_THREADS` environment variable (taken verbatim — an
-//!    explicit operator setting wins even past the core count);
+//! 2. an explicit [`set_threads`] call (test hooks, embedders);
+//! 3. the `FSA_THREADS` environment variable;
 //! 4. [`std::thread::available_parallelism`].
+//!
+//! Explicit settings (2 and 3) are taken verbatim, even past the core
+//! count: results are bit-identical at any count, and the determinism
+//! suites need 3 and 8 workers on a 2-core host to split work that many
+//! ways.
 //!
 //! `FSA_THREADS=1` is the serial configuration: every dispatch then
 //! takes the same inline path a one-block partition does.
@@ -49,17 +49,6 @@ static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Lazily resolved environment/hardware default.
 static DEFAULT_THREADS: OnceLock<usize> = OnceLock::new();
 
-/// Lazily resolved host core count (the [`set_threads`] clamp).
-static HARDWARE_THREADS: OnceLock<usize> = OnceLock::new();
-
-fn hardware_threads() -> usize {
-    *HARDWARE_THREADS.get_or_init(|| {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    })
-}
-
 fn default_threads() -> usize {
     *DEFAULT_THREADS.get_or_init(|| {
         if let Ok(v) = std::env::var("FSA_THREADS") {
@@ -69,7 +58,9 @@ fn default_threads() -> usize {
                 }
             }
         }
-        hardware_threads()
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
     })
 }
 
@@ -88,20 +79,10 @@ pub fn max_threads() -> usize {
     match BUDGET.with(Cell::get) {
         0 => match THREAD_OVERRIDE.load(Ordering::Relaxed) {
             0 => default_threads(),
-            n => clamp_override(n),
+            n => n,
         },
         b => b,
     }
-}
-
-/// Clamps a programmatic [`set_threads`] override to the host core
-/// count: `set_threads(8)` on a 1-core box would otherwise spawn 8
-/// scoped threads per dispatch for pure overhead (the int8 arena
-/// pipeline measured 324.8 ms at 8 threads vs 54.5 ms serial on a
-/// 1-core host). An explicit `FSA_THREADS` env setting
-/// resolves through `default_threads` and is honored verbatim.
-fn clamp_override(n: usize) -> usize {
-    n.min(hardware_threads())
 }
 
 /// Runs `f` with this thread's budget set to `cap` threads (≥ 1),
@@ -128,12 +109,9 @@ pub fn with_budget<R>(cap: usize, f: impl FnOnce() -> R) -> R {
 /// Overrides the worker thread count process-wide (0 restores the
 /// environment/hardware default).
 ///
-/// The effective count is clamped to
-/// [`std::thread::available_parallelism`]: more workers than cores is
-/// pure oversubscription overhead. Kernel outputs are bit-identical for
-/// every setting; this only changes how work is scheduled. To force a
-/// count past the core limit, set the `FSA_THREADS` environment
-/// variable instead — explicit operator settings are taken verbatim.
+/// The count is taken verbatim, like `FSA_THREADS`, even past the core
+/// count. Kernel outputs are bit-identical for every setting; this only
+/// changes how work is scheduled.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
@@ -339,18 +317,6 @@ mod tests {
     #[test]
     fn max_threads_is_positive() {
         assert!(max_threads() >= 1);
-    }
-
-    #[test]
-    fn overrides_clamp_to_host_cores() {
-        let hw = hardware_threads();
-        assert!(hw >= 1);
-        // Requests past the core count collapse to it; sane requests
-        // pass through untouched.
-        assert_eq!(clamp_override(hw * 4), hw);
-        assert_eq!(clamp_override(hw + 1), hw);
-        assert_eq!(clamp_override(1), 1);
-        assert_eq!(clamp_override(hw), hw);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Sharded campaign: run a scenario grid across supervised worker
 //! processes, inject a fault, and watch the retry recover the exact
-//! same bits — over a pipe pair, then over loopback TCP.
+//! same bits — over a pipe pair, then over loopback TCP. Each run also
+//! asserts its execution log: a clean run handles no fault, an injected
+//! one exactly one per shard, and no shard degrades.
 //!
 //! This example *is* its own worker: the supervisor re-spawns this
 //! binary with a hidden `--worker` flag. The worker registers with a
@@ -56,7 +58,7 @@ fn main() {
     // 4. The same grid across 2 worker processes, clean.
     let sharded = ShardedCampaign::new(&head, selection, cache, labels);
     let clean = sharded.run(&spec, "fsa", &ExecutorConfig::new(2));
-    report("2 shards (clean)", &clean, &reference);
+    report("2 shards (clean)", &clean, &reference, 0);
 
     // 5. Same again, but every shard's first attempt is killed
     //    mid-shard. The supervisor classifies the crashes, backs off,
@@ -64,7 +66,12 @@ fn main() {
     let faulty_cfg = ExecutorConfig::new(2)
         .with_planner(Some(FaultPlanner::always(FaultDirective::KillAfter(1), 1)));
     let recovered = sharded.run(&spec, "fsa", &faulty_cfg);
-    report("2 shards (first attempts killed)", &recovered, &reference);
+    report(
+        "2 shards (first attempts killed)",
+        &recovered,
+        &reference,
+        1,
+    );
 
     // 6. The same grid over loopback TCP (default liveness policy:
     //    100 ms heartbeats, 2 s silence window), clean and then with
@@ -72,7 +79,7 @@ fn main() {
     //    protocol, same recovery, same bits.
     let socket_cfg = ExecutorConfig::new(2).with_transport(Arc::new(SocketTransport::default()));
     let clean = sharded.run(&spec, "fsa", &socket_cfg);
-    report("2 shards over TCP (clean)", &clean, &reference);
+    report("2 shards over TCP (clean)", &clean, &reference, 0);
     let partitioned_cfg =
         socket_cfg.with_planner(Some(FaultPlanner::always(FaultDirective::Partition(1), 1)));
     let recovered = sharded.run(&spec, "fsa", &partitioned_cfg);
@@ -80,16 +87,30 @@ fn main() {
         "2 shards over TCP (links partitioned)",
         &recovered,
         &reference,
+        1,
     );
 }
 
-/// Checks a sharded run reproduced the reference bits and prints it,
-/// with every fault the supervisor handled on the way.
-fn report(label: &str, run: &ShardedRun, reference: &CampaignReport) {
+/// Checks a sharded run reproduced the reference bits, logged
+/// `faults_per_shard` faults on every shard and degraded none, and
+/// prints it with every fault the supervisor handled on the way.
+fn report(label: &str, run: &ShardedRun, reference: &CampaignReport, faults_per_shard: usize) {
     assert!(
         run.report == *reference,
         "{label}: sharded run changed bits"
     );
+    let log = &run.log;
+    assert_eq!(log.degraded(), 0, "{label}: {}", log.summary());
+    for r in &log.resolutions {
+        let faults = log.events.iter().filter(|e| e.shard == r.shard()).count();
+        assert_eq!(
+            faults,
+            faults_per_shard,
+            "{label}: shard {} ({})",
+            r.shard(),
+            log.summary()
+        );
+    }
     println!(
         "{label}: fingerprint {:#018x} — bit-identical ({})",
         run.report.fingerprint(),

@@ -86,7 +86,8 @@
 //! on scoped threads. Thread count comes from
 //! [`tensor::parallel::set_threads`], the `FSA_THREADS` environment
 //! variable (`FSA_THREADS=1` runs everything inline on the calling
-//! thread), or the machine's core count — and results are
+//! thread), or the machine's core count. Both explicit settings are
+//! taken verbatim, even past the core count, and results are
 //! **bit-identical for every setting** (see `tests/thread_determinism.rs`).
 //!
 //! Hot loops are allocation-free: each ADMM iteration's head forward,

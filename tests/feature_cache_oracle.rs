@@ -53,8 +53,9 @@ fn cached_features_match_per_image_extraction_bit_for_bit() {
         let images = Tensor::rand_uniform(&[pool, c * h * w], -1.0, 1.0, &mut rng);
 
         for budget in [1usize, 2, 3, 8] {
-            let cache =
-                parallel::with_budget(budget, || FeatureCache::build_from_network(&net, &images));
+            let cache = FeatureCache::from_features(parallel::with_budget(budget, || {
+                net.forward_infer(&images)
+            }));
             assert_eq!(cache.len(), pool);
             assert_eq!(cache.dim(), feat_dim);
             // Oracle: every pool row individually through the stack.
@@ -80,7 +81,7 @@ fn cache_gather_plus_activations_before_matches_direct_pass() {
         let (net, feat_dim) = extractor(case, &mut rng);
         let images = Tensor::rand_uniform(&[pool, c * h * w], -1.0, 1.0, &mut rng);
         let head = FcHead::from_dims(&[feat_dim, 10, 8, 3], &mut rng);
-        let cache = FeatureCache::build_from_network(&net, &images);
+        let cache = FeatureCache::from_features(net.forward_infer(&images));
 
         // A scattered working set, repeats allowed (campaigns may draw
         // overlapping sets across scenarios).

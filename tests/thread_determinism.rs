@@ -193,7 +193,7 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
 /// The guard's two promises: a test that panics while holding it
 /// leaves the thread count at its default, and the next test can still
 /// take it. The panicking holder sets a count other than the default,
-/// which on a host of two or more cores is observably different.
+/// so a count it left behind would show.
 #[test]
 fn thread_guard_survives_a_panicking_holder() {
     let default = {
@@ -213,4 +213,15 @@ fn thread_guard_survives_a_panicking_holder() {
         default,
         "a panicking holder left its thread count behind"
     );
+}
+
+/// An override past the host's core count is taken verbatim, so the
+/// `[2, 3, 8]` sweeps above really split work 3 and 8 ways on a 2-core
+/// host instead of comparing 1 thread against 2 again.
+#[test]
+fn set_threads_takes_a_count_past_the_core_count_verbatim() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let guard = threads::lock();
+    guard.set(cores + 1);
+    assert_eq!(parallel::max_threads(), cores + 1);
 }
