@@ -144,7 +144,7 @@ impl GdaAttack {
                 iterations_used = iter;
                 break;
             }
-            head.backward_from_cache(start, &acts, &hinge.logit_grad, &mut bufs);
+            head.backward_rows(start, &acts, &hinge.logit_grad, hinge.rows(), &mut bufs);
             self.selection
                 .gather_grads_into(bufs.grads(), start, &mut flat);
             for (d, g) in delta.iter_mut().zip(&flat) {

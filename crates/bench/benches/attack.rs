@@ -7,7 +7,7 @@ use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
 use fsa_attack::refine::{refine_on_support, RefineConfig};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
-use fsa_nn::head::{FcHead, HeadBuffers};
+use fsa_nn::head::{visit_rows, FcHead, HeadBuffers};
 use fsa_nn::stats::{cached_forward_stats, head_forward_stats, max_normalized_drift};
 use fsa_nn::FeatureCache;
 use fsa_tensor::{Prng, Tensor};
@@ -49,17 +49,24 @@ fn bench_head_passes() {
     bench("head_logit_backward_truncated_100_hinge15", || {
         black_box(head.logit_backward(start, black_box(&acts), black_box(&hinge)))
     });
-    // The backward alone, on held buffers (the solver's steady state).
+    // The backward alone, on held buffers (the solver's steady state):
+    // every row for the dense `g`, the listed rows for the hinge one.
     let mut bufs = HeadBuffers::new();
     head.forward_from_caching(start, &acts, &mut bufs);
-    for (name, g) in [("dense", &dense), ("hinge15", &hinge)] {
-        bench(&format!("head_backward_from_cache_100_{name}"), || {
-            black_box(
-                head.backward_from_cache(start, black_box(&acts), g, &mut bufs)
-                    .len(),
-            )
-        });
-    }
+    bench("head_backward_from_cache_100_dense", || {
+        black_box(
+            head.backward_from_cache(start, black_box(&acts), &dense, &mut bufs)
+                .len(),
+        )
+    });
+    let mut rows = Vec::new();
+    visit_rows(&hinge, bufs.logits(), &mut rows);
+    bench("head_backward_from_cache_100_hinge15", || {
+        black_box(
+            head.backward_rows(start, black_box(&acts), &hinge, &rows, &mut bufs)
+                .len(),
+        )
+    });
 }
 
 /// The arena-shaped twin of `head_backward_from_cache_100_hinge15`: a
@@ -79,9 +86,11 @@ fn bench_arena_backward() {
     }
     let mut bufs = HeadBuffers::new();
     head.forward_from_caching(start, &acts, &mut bufs);
+    let mut rows = Vec::new();
+    visit_rows(&hinge, bufs.logits(), &mut rows);
     bench("head_backward_from_cache_260_hinge80", || {
         black_box(
-            head.backward_from_cache(start, black_box(&acts), &hinge, &mut bufs)
+            head.backward_rows(start, black_box(&acts), &hinge, &rows, &mut bufs)
                 .len(),
         )
     });
@@ -122,6 +131,91 @@ fn bench_hinge() {
         bench(&format!("hinge_eval_{r}_images"), || {
             evaluate_hinge_into(black_box(&spec), black_box(&logits), 1.0, &mut out);
             black_box(out.total)
+        });
+    }
+}
+
+/// The hinge at the stealth arena's shape: R = 260 images over 4
+/// classes at κ = 2, four of them faults, and about 70 rows active (each
+/// keep row's label logit leads the others' range by 0.5 or by 3).
+fn bench_arena_hinge() {
+    let mut rng = Prng::new(17);
+    let (r, classes) = (260, 4);
+    let labels: Vec<usize> = (0..r).map(|i| i % classes).collect();
+    let targets: Vec<usize> = labels[..4].iter().map(|&l| (l + 1) % classes).collect();
+    let mut logits = Tensor::rand_uniform(&[r, classes], -1.0, 1.0, &mut rng);
+    for (i, &l) in labels.iter().enumerate() {
+        let row = logits.row_mut(i);
+        let lead = if i % 26 < 7 { 0.5 } else { 3.0 };
+        row[l] = 1.0 + lead;
+    }
+    let spec = AttackSpec::new(Tensor::zeros(&[r, 1]), labels, targets).with_weights(40.0, 1.0);
+    let mut out = HingeEval::default();
+    evaluate_hinge_into(&spec, &logits, 2.0, &mut out);
+    println!("hinge at R = 260, 4 classes: {} rows active", out.active);
+    bench("hinge_eval_260x4", || {
+        evaluate_hinge_into(black_box(&spec), black_box(&logits), 2.0, &mut out);
+        black_box(out.total)
+    });
+}
+
+/// One δ-step's hinge and backward over the rows it lists, on a head's
+/// last layer: the paper's 200→10 at R = 100 with 15 rows active, and the
+/// arena's 32→4 at R = 260 with 80. Each active keep row enforces its
+/// runner-up class in place of its prediction.
+fn bench_hinge_backward() {
+    let mut rng = Prng::new(18);
+    for (dims, r, active, name) in [
+        (
+            &[1024, 200, 200, 10][..],
+            100,
+            15,
+            "hinge_backward_100x200_to_10_hinge15",
+        ),
+        (
+            &[32, 32, 32, 4][..],
+            260,
+            80,
+            "hinge_backward_260x32_to_4_hinge80",
+        ),
+    ] {
+        let head = FcHead::from_dims(dims, &mut rng);
+        let start = head.num_layers() - 1;
+        let features = Tensor::randn(&[r, dims[0]], 1.0, &mut rng);
+        let acts = head.activations_before(start, &features);
+        let mut bufs = HeadBuffers::new();
+        let logits = head.forward_from_caching(start, &acts, &mut bufs).clone();
+        // The prediction and the runner-up of each row.
+        let ranked: Vec<(usize, usize)> = (0..r)
+            .map(|i| {
+                let mut order: Vec<usize> = (0..head.classes()).collect();
+                order.sort_by(|&a, &b| logits.row(i)[b].total_cmp(&logits.row(i)[a]));
+                (order[0], order[1])
+            })
+            .collect();
+        // Image 0 is the fault, its target the runner-up; then every
+        // (r / active)-th keep row enforces its runner-up.
+        let stride = r / active;
+        let labels: Vec<usize> = (0..r)
+            .map(|i| {
+                let (top, second) = ranked[i];
+                if i > 0 && i % stride == 0 && i / stride < active {
+                    second
+                } else {
+                    top
+                }
+            })
+            .collect();
+        let spec = AttackSpec::new(features, labels, vec![ranked[0].1]);
+        let mut hinge = HingeEval::default();
+        evaluate_hinge_into(&spec, &logits, 0.0, &mut hinge);
+        println!("{name}: {} rows active", hinge.active);
+        bench(name, || {
+            evaluate_hinge_into(&spec, black_box(&logits), 0.0, &mut hinge);
+            black_box(
+                head.backward_rows(start, &acts, &hinge.logit_grad, hinge.rows(), &mut bufs)
+                    .len(),
+            )
         });
     }
 }
@@ -217,6 +311,8 @@ fn main() {
     bench_arena_backward();
     bench_prefix();
     bench_hinge();
+    bench_arena_hinge();
+    bench_hinge_backward();
     bench_refine_drift_wall();
     bench_end_to_end();
 }

@@ -135,7 +135,7 @@ pub fn refine_on_support(
             record(iter);
             return iter;
         }
-        head.backward_from_cache(start, acts, &hinge.logit_grad, &mut bufs);
+        head.backward_rows(start, acts, &hinge.logit_grad, hinge.rows(), &mut bufs);
         selection.gather_grads_into(bufs.grads(), start, &mut flat);
         if drift.is_some() {
             // Snapshot the support before stepping: `(d − s) + s` does

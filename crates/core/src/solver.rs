@@ -330,14 +330,15 @@ impl FaultSneakingAttack {
 
                 // δ-step: Σᵢ∇gᵢ(θ + δᵏ) over the selected parameters from
                 // one cached forward that feeds both the hinge and the
-                // backward pass. With no active hinge the gradient is
-                // zero and the backward is skipped.
+                // backward pass, which visits the rows the hinge lists.
+                // With no active hinge the gradient is zero and the
+                // backward is skipped.
                 let logits = head.forward_from_caching(0, &acts, &mut bufs);
                 evaluate_hinge_into(spec, logits, cfg.kappa, &mut hinge);
                 let grads = if hinge.active == 0 {
                     None
                 } else {
-                    head.backward_from_cache(0, &acts, &hinge.logit_grad, &mut bufs);
+                    head.backward_rows(0, &acts, &hinge.logit_grad, hinge.rows(), &mut bufs);
                     Some(bufs.grads())
                 };
                 // One pass over the selection's regions: eq. 22's δ-step
@@ -761,7 +762,8 @@ fn estimate_leverage(
             g.row_mut(0)[t] = -1.0;
             one.row_mut(0).copy_from_slice(acts.row(i));
             head.forward_from_caching(start, &one, &mut bufs);
-            head.backward_from_cache(start, &one, &g, &mut bufs);
+            // The one row holds the two nonzero entries.
+            head.backward_rows(start, &one, &g, &[0], &mut bufs);
             selection.gather_grads_into(bufs.grads(), start, &mut flat);
             *slot = flat.iter().map(|&x| (x as f64) * (x as f64)).sum::<f64>();
         }

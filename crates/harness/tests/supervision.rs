@@ -416,13 +416,14 @@ fn invalid_stealth_is_rejected_before_any_worker_spawns() {
 fn exhausted_retries_degrade_in_process_and_preserve_the_fingerprint() {
     let spec = spec();
     let reference = reference(&spec);
+    let guard = fsa_tensor::parallel::lock_threads();
     for link in links() {
         // Every attempt crashes immediately: no worker can ever succeed.
         let cfg = config(3, &link)
             .with_max_retries(1)
             .with_planner(Some(FaultPlanner::persistent(FaultDirective::KillAfter(0))));
         for threads in [1usize, 2, 3, 8] {
-            fsa_tensor::parallel::set_threads(threads);
+            guard.set(threads);
             let (report, log) = sharded(&spec, &cfg);
             assert_eq!(
                 report,
@@ -440,7 +441,6 @@ fn exhausted_retries_degrade_in_process_and_preserve_the_fingerprint() {
                 .all(|r| matches!(r, ShardResolution::Degraded { .. })));
         }
     }
-    fsa_tensor::parallel::set_threads(0);
 }
 
 #[test]

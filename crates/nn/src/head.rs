@@ -48,7 +48,8 @@ pub type LayerGrads = Vec<(Tensor, Tensor)>;
 /// The ADMM inner loop runs one forward and one backward per iteration
 /// over fixed shapes; holding a `HeadBuffers` across iterations makes
 /// those passes allocation-free after the first
-/// ([`FcHead::forward_from_caching`] / [`FcHead::backward_from_cache`]).
+/// ([`FcHead::forward_from_caching`], then [`FcHead::backward_rows`] or
+/// [`FcHead::backward_from_cache`]).
 /// Everything inside grows on demand and is reused when shapes repeat.
 #[derive(Debug, Clone, Default)]
 pub struct HeadBuffers {
@@ -66,11 +67,9 @@ pub struct HeadBuffers {
     dx: Vec<f32>,
     /// Per-layer `(dW, db)` filled by the backward pass.
     grads: Vec<(Tensor, Tensor)>,
-    /// Ascending batch rows the backward pass visits (see
-    /// [`FcHead::backward_from_cache`]).
+    /// Ascending batch rows the backward pass visits below the top
+    /// layer (see [`FcHead::backward_rows`]).
     rows: Vec<usize>,
-    /// Entries `!= 0.0` of `g` in those rows.
-    nonzero: usize,
     /// A `+0.0` `dW` tile for the top layer's second and later [`KC`]
     /// tiles.
     tile: Vec<f32>,
@@ -91,8 +90,8 @@ impl HeadBuffers {
         &self.logits
     }
 
-    /// Per-layer gradients of the most recent
-    /// [`FcHead::backward_from_cache`].
+    /// Per-layer gradients of the most recent backward pass
+    /// ([`FcHead::backward_rows`] or [`FcHead::backward_from_cache`]).
     pub fn grads(&self) -> &[(Tensor, Tensor)] {
         &self.grads
     }
@@ -295,7 +294,10 @@ impl FcHead {
     /// runner-up class and `−1` at the enforced class, scaled by `c_i`
     /// (inactive rows are zero).
     ///
-    /// Returns one `(dW, db)` pair per layer in `start..`.
+    /// Returns one `(dW, db)` pair per layer in `start..`. The rows of
+    /// `g` that [`visit_rows`] lists go through
+    /// [`FcHead::backward_rows`]; when that is every row,
+    /// [`FcHead::backward_from_cache`] runs instead.
     ///
     /// # Panics
     ///
@@ -303,7 +305,13 @@ impl FcHead {
     pub fn logit_backward(&self, start: usize, acts: &Tensor, g: &Tensor) -> LayerGrads {
         let mut bufs = HeadBuffers::new();
         self.forward_from_caching(start, acts, &mut bufs);
-        self.backward_from_cache(start, acts, g, &mut bufs);
+        let mut rows = Vec::new();
+        visit_rows(g, bufs.logits(), &mut rows);
+        if rows.len() == acts.shape()[0] {
+            self.backward_from_cache(start, acts, g, &mut bufs);
+        } else {
+            self.backward_rows(start, acts, g, &rows, &mut bufs);
+        }
         bufs.into_grads()
     }
 
@@ -367,57 +375,13 @@ impl FcHead {
     }
 
     /// Backward pass using the activations cached by
-    /// [`FcHead::forward_from_caching`]; fills `bufs`' gradient pairs
-    /// (entry `rel` is layer `start + rel`) without allocating once
-    /// shapes repeat.
+    /// [`FcHead::forward_from_caching`] over every batch row; fills
+    /// `bufs`' gradient pairs (entry `rel` is layer `start + rel`)
+    /// without allocating once shapes repeat.
     ///
-    /// Only the batch rows whose row of `g` has an entry `!= 0.0` are
-    /// propagated: for the paper's hinge that is the images whose margin
-    /// is not yet met, often a small share of `R`. Below the top layer,
-    /// those rows of the layer input, of the upstream gradient and of the
-    /// cached pre-activations are gathered and run through the same
-    /// `gemm_tn`/`gemm`/ReLU-mask kernels as a compact batch (when every
-    /// row is active the gather is the identity). The top layer, whose
-    /// upstream gradient is `g` itself, goes further: an active hinge
-    /// row has only two nonzero entries (`+cᵢ` at the runner-up, `−cᵢ`
-    /// at the enforced class), so its `dW` adds only the nonzero entries
-    /// `g[r, j]·x_r` into row `j`, reading the input rows in place. When
-    /// every visited row keeps every entry (a dense `g`) it runs the
-    /// `gemm_tn` path instead.
-    ///
-    /// The result is bit-identical to the dense pass over all rows:
-    ///
-    /// - **Zero terms add nothing.** A skipped row or entry reaches every
-    ///   `dW`/`db` accumulator as a `(±0)·x = ±0` term, and every
-    ///   accumulator starts at `+0.0`. Adding `±0` to a value that is not
-    ///   `−0.0` returns it unchanged, and a sum that starts at `+0.0` only
-    ///   becomes `−0.0` by adding `−0.0` to `−0.0`, so it never does.
-    ///   Below the top layer a skipped row's upstream gradient is
-    ///   `(±0)·W` (then masked), which is `+0.0` again.
-    /// - **Tiles line up.** `gemm_tn` sums each [`KC`] tile of the batch
-    ///   from `+0.0` in ascending row order and adds it into `dW` at
-    ///   write-back. The compact rows are therefore issued as one
-    ///   `beta = 1` call per original `KC` tile, into a zeroed `dW`; a
-    ///   tile with no active rows adds `+0.0` in the dense pass and is
-    ///   skipped. The top layer's entries likewise accumulate per `KC`
-    ///   tile, in ascending row order, with the kernel's `acc + g·x` step:
-    ///   the first nonempty tile straight into the zeroed `dW` (where
-    ///   `+0.0 + acc` is `acc`), each later one into a `+0.0` tile added
-    ///   at write-back.
-    /// - **Non-finite values.** The argument needs every skipped term
-    ///   finite, since `0·NaN` and `0·Inf` are NaN. Checking the inputs
-    ///   directly costs about as much as the skip saves, so the cached
-    ///   outputs stand in as proofs. A layer output element is a sum that
-    ///   includes `x_p·W_jp` for every input `x_p` and every weight of
-    ///   row `j`, and a non-finite term never sums back to finite. So one
-    ///   finite element in a row's output of layer `start + rel` (its
-    ///   `preacts[rel]` row, or its logits row) proves that row's input to
-    ///   the layer finite, and one fully finite output row proves the
-    ///   layer's weights finite. A row keeps its place unless every layer
-    ///   proves its input finite; if a layer above `start` (where `dX`
-    ///   is formed from `W`) has no fully finite output row, every row is
-    ///   kept. At the top layer a row whose logits prove its input finite
-    ///   skips its zero entries; any other row keeps all of them.
+    /// This is [`FcHead::backward_rows`] for a dense `g`: every row is
+    /// visited and each layer's `dW` is one `gemm_tn` per [`KC`] tile of
+    /// the batch, with `g` itself as the top layer's `dZ`.
     ///
     /// # Panics
     ///
@@ -428,6 +392,92 @@ impl FcHead {
         start: usize,
         acts: &Tensor,
         g: &Tensor,
+        bufs: &'a mut HeadBuffers,
+    ) -> &'a [(Tensor, Tensor)] {
+        self.backward(start, acts, g, None, bufs)
+    }
+
+    /// [`FcHead::backward_from_cache`] for an upstream gradient whose
+    /// caller has listed the rows to visit: `rows` must hold, in
+    /// ascending order, every batch row of `g` with an entry `!= 0.0`
+    /// and every row whose cached logits hold no finite value. For the
+    /// paper's hinge that is the images whose margin is not yet met,
+    /// often a small share of `R`, and the hinge lists them as it goes
+    /// (`fsa_attack::objective::HingeEval::rows`), so `g` is never
+    /// rescanned here.
+    ///
+    /// The top layer, whose upstream gradient is `g` itself, adds only
+    /// the listed rows' nonzero entries: an active hinge row has two
+    /// (`+cᵢ` at the runner-up, `−cᵢ` at the enforced class), each adding
+    /// `g[r, j]·x_r` into row `j` of `dW` and `g[r, j]` into `db[j]`,
+    /// reading the input rows in place. A listed row whose logits prove
+    /// nothing finite adds every entry. Below the top layer, the listed
+    /// rows, plus any row a hidden layer's cached output cannot prove
+    /// finite, are gathered from the layer input, `g` and the cached
+    /// pre-activations and run through the same `gemm_tn`/`gemm`/
+    /// ReLU-mask kernels as a compact batch.
+    ///
+    /// The result is bit-identical to the dense pass over all rows:
+    ///
+    /// - **Zero terms add nothing.** A row left off the list, or a zero
+    ///   entry of a listed row, reaches every `dW`/`db` accumulator as a
+    ///   `(±0)·x = ±0` (or `±0`) term, and every accumulator starts at
+    ///   `+0.0`. Adding `±0` to a value that is not `−0.0` returns it
+    ///   unchanged, and a sum that starts at `+0.0` only becomes `−0.0`
+    ///   by adding `−0.0` to `−0.0`, so it never does. Below the top
+    ///   layer a skipped row's upstream gradient is `(±0)·W` (then
+    ///   masked), which is `+0.0` again.
+    /// - **Tiles line up.** `gemm_tn` sums each [`KC`] tile of the batch
+    ///   from `+0.0` in ascending row order and adds it into `dW` at
+    ///   write-back. The compact rows are therefore issued as one
+    ///   `beta = 1` call per original `KC` tile, into a zeroed `dW`; a
+    ///   tile with no visited rows adds `+0.0` in the dense pass and is
+    ///   skipped. The top layer's entries likewise accumulate per `KC`
+    ///   tile, in ascending row order, with the kernel's `acc + g·x` step:
+    ///   the first nonempty tile straight into the zeroed `dW` (where
+    ///   `+0.0 + acc` is `acc`), each later one into a `+0.0` tile added
+    ///   at write-back. Its `db` adds the same entries in ascending row
+    ///   order, as the dense column sums do.
+    /// - **Non-finite values.** The argument needs every skipped term
+    ///   finite, since `0·NaN` and `0·Inf` are NaN. Checking the inputs
+    ///   directly costs about as much as the skip saves, so the cached
+    ///   outputs stand in as proofs. A layer output element is a sum that
+    ///   includes `x_p·W_jp` for every input `x_p` and every weight of
+    ///   row `j`, and a non-finite term never sums back to finite. So one
+    ///   finite element in a row's output of layer `start + rel` (its
+    ///   `preacts[rel]` row, or its logits row) proves that row's input to
+    ///   the layer finite, and one fully finite output row proves the
+    ///   layer's weights finite. The list holds every row whose logits
+    ///   prove nothing, and at the top layer such a row adds every
+    ///   entry. Below it, a row keeps its place unless every hidden layer
+    ///   proves its input finite; if a layer above `start` (where `dX` is
+    ///   formed from `W`) has no fully finite output row, every row is
+    ///   visited.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no forward pass with the same `start`/batch is cached,
+    /// `g` is not `[batch, classes]`, or `rows` is not ascending below
+    /// `batch`.
+    pub fn backward_rows<'a>(
+        &self,
+        start: usize,
+        acts: &Tensor,
+        g: &Tensor,
+        rows: &[usize],
+        bufs: &'a mut HeadBuffers,
+    ) -> &'a [(Tensor, Tensor)] {
+        self.backward(start, acts, g, Some(rows), bufs)
+    }
+
+    /// The one backward behind [`FcHead::backward_from_cache`]
+    /// (`listed = None`: every row) and [`FcHead::backward_rows`].
+    fn backward<'a>(
+        &self,
+        start: usize,
+        acts: &Tensor,
+        g: &Tensor,
+        listed: Option<&[usize]>,
         bufs: &'a mut HeadBuffers,
     ) -> &'a [(Tensor, Tensor)] {
         use crate::layer::Layer as _;
@@ -447,37 +497,70 @@ impl FcHead {
         let nrel = self.layers.len() - start;
         bufs.grads
             .resize_with(nrel, || (Tensor::zeros(&[0]), Tensor::zeros(&[0])));
-        self.collect_rows(start, g, bufs);
-        let dense = bufs.rows.len() == batch;
-        let entry_sparse = bufs.nonzero < bufs.rows.len() * classes;
+        let top = nrel - 1;
+        if let Some(rows) = listed {
+            assert!(
+                rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < batch),
+                "backward rows must ascend below the batch size"
+            );
+            let x = if top == 0 {
+                acts.as_slice()
+            } else {
+                &bufs.inputs[top]
+            };
+            let (dw, db) = &mut bufs.grads[top];
+            dw.reuse_as(&[classes, self.layers[self.layers.len() - 1].in_features()]);
+            dw.as_mut_slice().fill(0.0);
+            db.reuse_as(&[classes]);
+            db.as_mut_slice().fill(0.0);
+            listed_top(
+                g.as_slice(),
+                bufs.logits.as_slice(),
+                x,
+                rows,
+                dw.as_mut_slice(),
+                db.as_mut_slice(),
+                &mut bufs.tile,
+            );
+            if top == 0 {
+                return &bufs.grads;
+            }
+        }
+        // The rows the layers below the top visit, and the top layer's
+        // `dZ` over them: `g` itself when that is every row.
+        let every = match listed {
+            None => true,
+            Some(rows) => !self.hidden_rows(start, rows, bufs),
+        };
+        if every {
+            bufs.rows.clear();
+            bufs.rows.extend(0..batch);
+        } else {
+            gather_rows(g.as_slice(), classes, &bufs.rows, &mut bufs.dz);
+        }
 
         for rel in (0..nrel).rev() {
             let abs = start + rel;
             let layer = &self.layers[abs];
             let (o, i) = (layer.out_features(), layer.in_features());
-            let mut x: &[f32] = if rel == 0 {
-                acts.as_slice()
+            let dz: &[f32] = if rel == top && every {
+                g.as_slice()
             } else {
-                &bufs.inputs[rel]
+                &bufs.dz
             };
-            let (dw, db) = &mut bufs.grads[rel];
-            dw.reuse_as(&[o, i]);
-            dw.as_mut_slice().fill(0.0);
-            if rel + 1 == nrel && entry_sparse {
-                entry_sparse_dw(
-                    g.as_slice(),
-                    bufs.logits.as_slice(),
-                    x,
-                    &bufs.rows,
-                    batch,
-                    dw.as_mut_slice(),
-                    &mut bufs.tile,
-                );
-            } else {
-                if !dense {
+            if rel < top || listed.is_none() {
+                let mut x: &[f32] = if rel == 0 {
+                    acts.as_slice()
+                } else {
+                    &bufs.inputs[rel]
+                };
+                if !every {
                     gather_rows(x, i, &bufs.rows, &mut bufs.gathered);
                     x = &bufs.gathered;
                 }
+                let (dw, db) = &mut bufs.grads[rel];
+                dw.reuse_as(&[o, i]);
+                dw.as_mut_slice().fill(0.0);
                 // dW = dZᵀ (o×N) · X (N×i), one call per KC tile of the batch.
                 for kb in (0..batch).step_by(KC) {
                     let lo = bufs.rows.partition_point(|&r| r < kb);
@@ -489,19 +572,17 @@ impl FcHead {
                         o,
                         hi - lo,
                         i,
-                        &bufs.dz[lo * o..hi * o],
+                        &dz[lo * o..hi * o],
                         &x[lo * i..hi * i],
                         dw.as_mut_slice(),
                         1.0,
                         1.0,
                     );
                 }
-            }
-            // db = column sums of dZ (the top layer's came with its rows).
-            if rel + 1 < nrel {
+                // db = column sums of dZ.
                 db.reuse_as(&[o]);
                 db.as_mut_slice().fill(0.0);
-                for row in bufs.dz.chunks_exact(o) {
+                for row in dz.chunks_exact(o) {
                     for (b, &v) in db.as_mut_slice().iter_mut().zip(row) {
                         *b += v;
                     }
@@ -516,7 +597,7 @@ impl FcHead {
                     n,
                     o,
                     i,
-                    &bufs.dz,
+                    dz,
                     layer.weight().as_slice(),
                     &mut bufs.dx,
                     1.0,
@@ -532,40 +613,23 @@ impl FcHead {
         &bufs.grads
     }
 
-    /// The top layer's row pass of [`FcHead::backward_from_cache`], in
-    /// ascending row order: fills `bufs.rows` with the batch rows it must
-    /// propagate (every row of `g` with an entry `!= 0.0`, plus every zero
-    /// row the cached outputs cannot prove finite), appends their `g` rows
-    /// to `bufs.dz`, sums them into the top layer's `db`, and counts their
-    /// nonzero entries in `bufs.nonzero`. If an upper layer's weights are
-    /// unproven it keeps every row: `dz` becomes all of `g`, and `db`
-    /// stays, since the rows added hold only `±0` entries, which add
-    /// nothing to it (see the zero-term proof there).
-    fn collect_rows(&self, start: usize, g: &Tensor, bufs: &mut HeadBuffers) {
+    /// The rows the hidden layers of [`FcHead::backward_rows`] visit:
+    /// fills `bufs.rows` with the `listed` rows plus every row a hidden
+    /// layer's cached output cannot prove finite, in ascending order.
+    /// Returns `false` when that is every row, or when a layer above
+    /// `start` has unproven weights, so that every row must be visited.
+    fn hidden_rows(&self, start: usize, listed: &[usize], bufs: &mut HeadBuffers) -> bool {
         use crate::layer::Layer as _;
-        let batch = g.shape()[0];
-        let classes = self.classes();
+        let (_, batch) = bufs.cached.expect("a cached forward pass");
         let nrel = self.layers.len() - start;
         // Output of layer `start + rel` and its width.
         let output = |rel: usize| -> (&[f32], usize) {
             if rel + 1 < nrel {
                 (&bufs.preacts[rel], self.layers[start + rel].out_features())
             } else {
-                (bufs.logits.as_slice(), classes)
+                (bufs.logits.as_slice(), self.classes())
             }
         };
-        let db = &mut bufs.grads[nrel - 1].1;
-        db.reuse_as(&[classes]);
-        let db = db.as_mut_slice();
-        db.fill(0.0);
-        bufs.rows.clear();
-        bufs.dz.clear();
-        bufs.nonzero = 0;
-        if classes == 0 {
-            // An empty logit row proves nothing finite: keep every row.
-            bufs.rows.extend(0..batch);
-            return;
-        }
         // Whether a hidden layer's output row `r` proves nothing finite.
         let hidden_unproven = |r: usize| {
             (0..nrel - 1).any(|rel| {
@@ -573,35 +637,25 @@ impl FcHead {
                 !y[r * w..(r + 1) * w].iter().any(|v| v.is_finite())
             })
         };
-        let mut nonzero = 0;
-        let g_rows = g.as_slice().chunks_exact(classes);
-        let z_rows = bufs.logits.as_slice().chunks_exact(classes);
-        for (r, (g_row, z_row)) in g_rows.zip(z_rows).enumerate() {
-            let count = g_row.iter().filter(|&&v| v != 0.0).count();
-            if count > 0 || !z_row.iter().any(|v| v.is_finite()) || hidden_unproven(r) {
-                nonzero += count;
-                bufs.rows.push(r);
-                bufs.dz.extend_from_slice(g_row);
-                for (b, &v) in db.iter_mut().zip(g_row) {
-                    *b += v;
-                }
-            }
-        }
-        bufs.nonzero = nonzero;
-        let weights_proven = bufs.rows.len() == batch
-            || (1..nrel).all(|rel| {
+        let weights_proven = || {
+            (1..nrel).all(|rel| {
                 let (y, w) = output(rel);
                 y.chunks_exact(w)
                     .any(|row| row.iter().all(|v| v.is_finite()))
-            });
-        if !weights_proven {
-            bufs.rows.clear();
-            bufs.rows.extend(0..batch);
-            bufs.dz.clear();
-            bufs.dz.extend_from_slice(g.as_slice());
+            })
+        };
+        let mut rows = std::mem::take(&mut bufs.rows);
+        rows.clear();
+        let mut next = listed.iter().copied().peekable();
+        for r in 0..batch {
+            if next.next_if_eq(&r).is_some() || hidden_unproven(r) {
+                rows.push(r);
+            }
         }
+        let compact = rows.len() < batch && weights_proven();
+        bufs.rows = rows;
+        compact
     }
-
     /// Flattened parameters of layer `i`: weights row-major, then bias.
     pub fn layer_flat_params(&self, i: usize) -> Vec<f32> {
         let layer = &self.layers[i];
@@ -673,25 +727,28 @@ impl FcHead {
     }
 }
 
-/// The top layer's entry-sparse `dW += gᵀ·X` (see
-/// [`FcHead::backward_from_cache`]): for each visited row `r`, each
-/// entry `g[r, j] != 0.0` adds `g[r, j]·x_r` into row `j` of a zeroed
-/// `dw` — every entry, if the row's `logits` prove nothing finite — per
-/// [`KC`] tile of the `batch` rows in ascending row order, with
-/// `gemm_tn`'s `acc + g·x` step. The first nonempty tile accumulates in
-/// `dw` itself; each later one in a `+0.0` `tile` added at write-back.
-fn entry_sparse_dw(
+/// The top layer's `dW += gᵀ·X` and `db += Σ g` over the listed `rows`
+/// (see [`FcHead::backward_rows`]): for each row `r`, each entry
+/// `g[r, j] != 0.0` adds `g[r, j]·x_r` into row `j` of a zeroed `dw` and
+/// `g[r, j]` into `db[j]` — every entry, if the row's `logits` prove
+/// nothing finite — per [`KC`] tile of the batch in ascending row order,
+/// with `gemm_tn`'s `acc + g·x` step. The first nonempty tile accumulates
+/// in `dw` itself; each later one in a `+0.0` `tile` added at write-back.
+fn listed_top(
     g: &[f32],
     logits: &[f32],
     x: &[f32],
     rows: &[usize],
-    batch: usize,
     dw: &mut [f32],
+    db: &mut [f32],
     tile: &mut Vec<f32>,
 ) {
-    let classes = logits.len() / batch;
+    let classes = db.len();
+    if classes == 0 {
+        return;
+    }
     let width = dw.len() / classes;
-    let add = |acc: &mut [f32], rows: &[usize]| {
+    let mut add = |acc: &mut [f32], rows: &[usize]| {
         for &r in rows {
             let proven = logits[r * classes..(r + 1) * classes]
                 .iter()
@@ -699,6 +756,7 @@ fn entry_sparse_dw(
             let xr = &x[r * width..(r + 1) * width];
             for (j, &v) in g[r * classes..(r + 1) * classes].iter().enumerate() {
                 if v != 0.0 || !proven {
+                    db[j] += v;
                     let ar = &mut acc[j * width..(j + 1) * width];
                     for (a, &xv) in ar.iter_mut().zip(xr) {
                         *a += v * xv;
@@ -708,12 +766,10 @@ fn entry_sparse_dw(
         }
     };
     let mut first = true;
-    for kb in (0..batch).step_by(KC) {
-        let lo = rows.partition_point(|&r| r < kb);
-        let hi = rows.partition_point(|&r| r < kb + KC);
-        if lo == hi {
-            continue;
-        }
+    let mut lo = 0;
+    while lo < rows.len() {
+        let end = (rows[lo] / KC + 1) * KC;
+        let hi = lo + rows[lo..].partition_point(|&r| r < end);
         if first {
             add(dw, &rows[lo..hi]);
             first = false;
@@ -724,6 +780,32 @@ fn entry_sparse_dw(
             for (d, &t) in dw.iter_mut().zip(tile.iter()) {
                 *d += t;
             }
+        }
+        lo = hi;
+    }
+}
+
+/// The rows [`FcHead::backward_rows`] must visit for an upstream
+/// gradient `g` over cached `logits` (both `[batch, classes]`), in
+/// ascending order into `rows`: every row of `g` with an entry `!= 0.0`,
+/// plus every row whose logits hold no finite value. For callers that
+/// hold a sparse `g` without its list; the hinge lists its rows as it
+/// writes them.
+///
+/// # Panics
+///
+/// Panics if the shapes differ.
+pub fn visit_rows(g: &Tensor, logits: &Tensor, rows: &mut Vec<usize>) {
+    assert_eq!(g.shape(), logits.shape(), "g and logits must share a shape");
+    let classes = g.shape().get(1).copied().unwrap_or(0);
+    rows.clear();
+    for r in 0..g.shape()[0] {
+        let (g_row, z_row) = (
+            &g.as_slice()[r * classes..(r + 1) * classes],
+            &logits.as_slice()[r * classes..(r + 1) * classes],
+        );
+        if g_row.iter().any(|&v| v != 0.0) || !z_row.iter().any(|v| v.is_finite()) {
+            rows.push(r);
         }
     }
 }
@@ -929,6 +1011,21 @@ mod tests {
         }
     }
 
+    /// [`FcHead::backward_rows`] over the rows [`visit_rows`] lists for
+    /// `g`; returns the list.
+    fn listed_backward(
+        head: &FcHead,
+        start: usize,
+        acts: &Tensor,
+        g: &Tensor,
+        bufs: &mut HeadBuffers,
+    ) -> Vec<usize> {
+        let mut rows = Vec::new();
+        visit_rows(g, bufs.logits(), &mut rows);
+        head.backward_rows(start, acts, g, &rows, bufs);
+        rows
+    }
+
     #[test]
     fn row_sparse_backward_is_bit_identical_to_dense() {
         let mut rng = Prng::new(23);
@@ -951,11 +1048,17 @@ mod tests {
                     let g = hinge_grad(batch, classes, active);
                     head.forward_from_caching(start, &acts, &mut bufs);
                     let dense = dense_backward(&head, start, &acts, &g, &bufs);
-                    head.backward_from_cache(start, &acts, &g, &mut bufs);
+                    let rows = listed_backward(&head, start, &acts, &g, &mut bufs);
                     let what = format!("batch {batch} start {start} {name}");
                     let want: Vec<usize> = (0..batch).filter(|&r| active(r)).collect();
-                    assert_eq!(bufs.rows, want, "{what}: rows visited");
+                    assert_eq!(rows, want, "{what}: rows listed");
+                    if start + 1 < head.num_layers() {
+                        assert_eq!(bufs.rows, want, "{what}: hidden rows visited");
+                    }
                     assert_same_bits(bufs.grads(), &dense, &what);
+                    // The dense entry point visits every row.
+                    head.backward_from_cache(start, &acts, &g, &mut bufs);
+                    assert_same_bits(bufs.grads(), &dense, &format!("{what}, every row"));
                 }
             }
         }
@@ -992,11 +1095,14 @@ mod tests {
                     for (site, head, acts) in cases {
                         head.forward_from_caching(start, &acts, &mut bufs);
                         let dense = dense_backward(&head, start, &acts, &g, &bufs);
-                        head.backward_from_cache(start, &acts, &g, &mut bufs);
+                        let rows = listed_backward(&head, start, &acts, &g, &mut bufs);
                         let what = format!("batch {batch} start {start} {bad} in {site}");
                         assert_same_bits(bufs.grads(), &dense, &what);
                         if site == "skipped row" {
-                            assert!(bufs.rows.contains(&skipped), "{what}: row dropped");
+                            assert!(rows.contains(&skipped), "{what}: row not listed");
+                            if start < last {
+                                assert!(bufs.rows.contains(&skipped), "{what}: row dropped");
+                            }
                         }
                     }
                 }
@@ -1007,8 +1113,9 @@ mod tests {
     /// A `−∞` bias in a hidden layer makes that layer's pre-activation
     /// non-finite in every row, so its weights are unproven, while ReLU
     /// turns the `−∞` into `0` and every logit row stays finite. The
-    /// backward must then visit every row, and its top layer's `db`,
-    /// summed over the hinge rows only, must still equal the dense one.
+    /// backward must then visit every row below the top layer, while the
+    /// top layer's `dW` and `db`, added from the listed rows only, must
+    /// still equal the dense ones.
     #[test]
     fn row_sparse_backward_keeps_every_row_when_a_hidden_layer_is_unproven() {
         use crate::layer::Layer as _;
@@ -1026,8 +1133,9 @@ mod tests {
                 head.forward_from_caching(0, &x, &mut bufs);
                 assert!(bufs.logits().as_slice().iter().all(|v| v.is_finite()));
                 let dense = dense_backward(&head, 0, &x, &g, &bufs);
-                head.backward_from_cache(0, &x, &g, &mut bufs);
+                let rows = listed_backward(&head, 0, &x, &g, &mut bufs);
                 let what = format!("batch {batch} unproven {unproven}");
+                assert_eq!(rows, active, "{what}: rows listed");
                 let want: Vec<usize> = if unproven {
                     (0..batch).collect()
                 } else {
@@ -1036,6 +1144,84 @@ mod tests {
                 assert_eq!(bufs.rows, want, "{what}: rows visited");
                 assert_eq!(bufs.dz.len(), want.len() * head.layer(0).out_features());
                 assert_same_bits(bufs.grads(), &dense, &what);
+            }
+        }
+    }
+
+    /// The list-driven backward at every start of a four-layer head, over
+    /// R = 300 (two `KC` tiles), against the dense oracle by `to_bits`:
+    /// hinge rows in both tiles, an active row with `c = 0` (only signed
+    /// zeros, so not listed), a row whose logits hold no finite value, a
+    /// row only a hidden layer's output proves nothing for, and, above
+    /// each start that has one, a hidden layer left unproven by a `−∞`
+    /// bias.
+    #[test]
+    fn listed_backward_matches_dense_at_every_start() {
+        let mut rng = Prng::new(27);
+        let base = FcHead::from_dims(&[13, 11, 10, 9, 4], &mut rng);
+        let (batch, classes) = (300, base.classes());
+        let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+        // Every row of the second tile is active, so its classes sum
+        // several rows there.
+        let mut g = hinge_grad(batch, classes, |r| r % 5 == 2 || r >= KC);
+        // Row 12 is active in the hinge sense, weighted c = 0.
+        let row = g.row_mut(12);
+        row[12 % classes] = 0.0;
+        row[14 % classes] = -0.0;
+        let mut x_bad = x.clone();
+        x_bad.row_mut(8).fill(f32::NAN);
+        let mut bufs = HeadBuffers::new();
+        for start in 0..base.num_layers() {
+            for hidden in [None, Some(start + 1), Some(start + 2)] {
+                let mut head = base.clone();
+                if let Some(layer) = hidden {
+                    if layer + 1 >= head.num_layers() {
+                        continue;
+                    }
+                    head.layer_mut(layer).bias_mut().as_mut_slice()[0] = f32::NEG_INFINITY;
+                }
+                let acts = head.activations_before(start, &x);
+                let mut cases = vec![
+                    ("finite", head.clone(), acts.clone()),
+                    (
+                        "NaN row",
+                        head.clone(),
+                        head.activations_before(start, &x_bad),
+                    ),
+                ];
+                if start < head.num_layers() - 1 {
+                    // Inactive row 9 gets a +∞ input whose weights are all
+                    // −1: its pre-activations at layer `start` are all −∞,
+                    // ReLU zeroes them and its logits stay finite, so only
+                    // the hidden layer's proof keeps the row.
+                    let mut head = head.clone();
+                    let width = acts.shape()[1];
+                    for w in head
+                        .layer_mut(start)
+                        .weight_mut()
+                        .as_mut_slice()
+                        .iter_mut()
+                        .step_by(width)
+                    {
+                        *w = -1.0;
+                    }
+                    let mut acts = acts.clone();
+                    acts.row_mut(9)[0] = f32::INFINITY;
+                    cases.push(("−∞ pre-activations", head, acts));
+                }
+                for (site, head, acts) in cases {
+                    head.forward_from_caching(start, &acts, &mut bufs);
+                    let dense = dense_backward(&head, start, &acts, &g, &bufs);
+                    let rows = listed_backward(&head, start, &acts, &g, &mut bufs);
+                    let what = format!("start {start} unproven {hidden:?} {site}");
+                    assert_eq!(rows.contains(&8), site == "NaN row", "{what}");
+                    assert!(!rows.contains(&12), "{what}: a zero row was listed");
+                    if site == "−∞ pre-activations" {
+                        assert!(!rows.contains(&9), "{what}: logits must stay finite");
+                        assert!(bufs.rows.contains(&9), "{what}: row 9 dropped");
+                    }
+                    assert_same_bits(bufs.grads(), &dense, &what);
+                }
             }
         }
     }
@@ -1077,17 +1263,24 @@ mod tests {
                     for (site, acts) in cases {
                         head.forward_from_caching(start, &acts, &mut bufs);
                         let dense = dense_backward(&head, start, &acts, &g, &bufs);
-                        head.backward_from_cache(start, &acts, &g, &mut bufs);
+                        listed_backward(&head, start, &acts, &g, &mut bufs);
                         let what = format!("classes {classes} batch {batch} start {start} {site}");
-                        assert!(
-                            bufs.nonzero < bufs.rows.len() * classes,
-                            "{what}: the top layer ran dense"
-                        );
                         assert_same_bits(bufs.grads(), &dense, &what);
                     }
                 }
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "ascend below the batch size")]
+    fn backward_rows_refuses_an_unsorted_list() {
+        let mut rng = Prng::new(28);
+        let head = small_head(&mut rng);
+        let x = Tensor::randn(&[4, 6], 1.0, &mut rng);
+        let mut bufs = HeadBuffers::new();
+        head.forward_from_caching(0, &x, &mut bufs);
+        head.backward_rows(0, &x, &Tensor::zeros(&[4, 3]), &[2, 1], &mut bufs);
     }
 
     #[test]

@@ -447,19 +447,29 @@ mod tests {
         }
     }
 
+    /// A 64→64→64 head over 643 rows: each layer's `gemm_i8_nt` clears
+    /// its work floor eight times over, so 2, 3 and 8 threads split the
+    /// rows, unevenly.
     #[test]
     fn forward_is_bit_identical_across_thread_counts() {
+        let guard = parallel::lock_threads();
         let mut rng = Prng::new(24);
-        let head = trained_like_head(&mut rng);
-        let qhead = QuantizedHead::quantize(&head);
-        let x = Tensor::randn(&[33, 10], 1.0, &mut rng);
-        parallel::set_threads(1);
+        let qhead = QuantizedHead::quantize(&FcHead::from_dims(&[64, 64, 64], &mut rng));
+        let x = Tensor::randn(&[643, 64], 1.0, &mut rng);
+        guard.set(1);
         let reference = qhead.forward(&x);
         for threads in [2, 3, 8] {
-            parallel::set_threads(threads);
+            guard.set(threads);
+            for i in 0..qhead.num_layers() {
+                let (k, n) = (qhead.layer(i).in_features(), qhead.layer(i).out_features());
+                assert_eq!(
+                    parallel::blocks(643, fsa_tensor::quant::gemm_i8_nt_min_rows(k, n)),
+                    threads,
+                    "{threads} threads must split layer {i}'s rows"
+                );
+            }
             assert_eq!(qhead.forward(&x), reference, "{threads} threads diverged");
         }
-        parallel::set_threads(0);
     }
 
     #[test]

@@ -63,9 +63,11 @@
 //! bit-identical regardless of thread count, where the row partition
 //! happens to fall, or which CPU runs them. No kernel skips a zero
 //! operand, so NaN/Inf propagate exactly as BLAS semantics require. The
-//! one exact shortcut over zeros lives a level up: the head backward
-//! (`fsa_nn::head::FcHead::backward_from_cache`) gathers only the batch
-//! rows whose upstream gradient is nonzero, and its doc gives the proof
+//! one exact shortcut over zeros lives a level up, in the hand-off from
+//! the hinge to the head backward (`fsa_nn::head::FcHead::backward_rows`):
+//! the hinge lists the batch rows whose upstream gradient is nonzero or
+//! whose logits prove nothing finite, the backward gathers only those and
+//! adds only the top layer's nonzero entries, and its doc gives the proof
 //! that this keeps every bit, non-finite values included.
 //!
 //! These are plain-slice kernels over caller-owned buffers; `Tensor`
@@ -857,10 +859,6 @@ pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f32], b: &[f32], c: &mut [f
 mod tests {
     use super::*;
     use crate::Prng;
-    use std::sync::Mutex;
-
-    /// Serializes tests that mutate the process-wide thread override.
-    static THREAD_LOCK: Mutex<()> = Mutex::new(());
 
     fn rand_vec(len: usize, rng: &mut Prng) -> Vec<f32> {
         (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect()
@@ -1292,20 +1290,19 @@ mod tests {
     /// remainder tile.
     #[test]
     fn results_are_bit_identical_across_thread_counts() {
-        let _guard = THREAD_LOCK.lock().unwrap();
+        let guard = crate::parallel::lock_threads();
         let mut rng = Prng::new(5);
         let (m, k, n) = (67, 129, 45);
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
         let run = |threads: usize| {
-            crate::parallel::set_threads(threads);
+            guard.set(threads);
             let mut c = vec![0.0; m * n];
             gemm(m, k, n, &a, &b, &mut c, 1.0, 0.0);
             let mut ct = vec![0.0; n * m];
             gemm_tn(n, k, m, &b, &a, &mut ct, 1.0, 0.0);
             let mut cnt = vec![0.0; m * m];
             gemm_nt(m, k, m, &a, &a, &mut cnt, 1.0, 0.0);
-            crate::parallel::set_threads(0);
             (c, ct, cnt)
         };
         let base = run(1);

@@ -41,7 +41,7 @@
 use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Explicit override installed by [`set_threads`]; 0 = unset.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
@@ -116,6 +116,49 @@ pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
+/// Sole use of the process-wide override ([`set_threads`]) while held,
+/// for code that compares results across thread counts: without it a
+/// concurrent sweep could change the count under a one-thread baseline
+/// and make the comparison vacuous. Dropping the guard, also while a
+/// panicking holder unwinds, restores the default count.
+pub struct ThreadGuard {
+    _lock: MutexGuard<'static, ()>,
+}
+
+/// Takes the [`ThreadGuard`], waiting for any other holder. The lock
+/// guards no data, and a holder that panics restores the default count
+/// as it unwinds, so a poisoned lock is taken as it is.
+///
+/// # Examples
+///
+/// ```
+/// use fsa_tensor::parallel::{blocks, lock_threads};
+///
+/// let guard = lock_threads();
+/// guard.set(3);
+/// // 100 rows with at least 10 a block: one block per thread.
+/// assert_eq!(blocks(100, 10), 3);
+/// ```
+pub fn lock_threads() -> ThreadGuard {
+    static LOCK: Mutex<()> = Mutex::new(());
+    ThreadGuard {
+        _lock: LOCK.lock().unwrap_or_else(PoisonError::into_inner),
+    }
+}
+
+impl ThreadGuard {
+    /// Overrides the worker thread count (0 restores the default).
+    pub fn set(&self, threads: usize) {
+        set_threads(threads);
+    }
+}
+
+impl Drop for ThreadGuard {
+    fn drop(&mut self) {
+        set_threads(0);
+    }
+}
+
 /// The cost of one fan-out at the default thread count, in µs: the
 /// benchmark ladder's `tensor.parallel.dispatch_us.tmax` (scoped workers
 /// spawned and joined around a trivial block) read 57–68 µs on the
@@ -152,6 +195,13 @@ pub fn min_rows_for_work(row_work: usize, rate_per_us: usize) -> usize {
     (2 * DISPATCH_US * rate_per_us)
         .div_ceil(row_work.max(1))
         .max(1)
+}
+
+/// The number of blocks [`par_row_blocks`] splits `rows` rows into on
+/// the calling thread: one per thread of its budget ([`max_threads`]),
+/// but never fewer than `min_rows` rows a block, and at least one.
+pub fn blocks(rows: usize, min_rows: usize) -> usize {
+    max_threads().min(rows / min_rows.max(1)).max(1)
 }
 
 /// Splits `0..n` into at most `pieces` contiguous ranges of near-equal
@@ -213,7 +263,7 @@ pub fn par_map<T: Send>(n: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
 /// contiguous blocks and runs `f(first_row, block)` for each block in
 /// parallel.
 ///
-/// There are `min(max_threads(), rows / min_rows)` blocks, so tiny
+/// There are [`blocks`]`(rows, min_rows)` blocks, so tiny
 /// matrices never pay thread spawn overhead; with one block `f` runs
 /// inline on the calling thread under its unchanged budget. Otherwise
 /// each block gets a scoped thread running under
@@ -249,7 +299,7 @@ pub fn par_row_blocks<T: Send>(
     );
     let rows = buf.len() / row_len;
     let budget = max_threads();
-    let pieces = budget.min(rows / min_rows.max(1)).max(1);
+    let pieces = blocks(rows, min_rows);
     if pieces <= 1 {
         f(0, buf);
         return;

@@ -135,9 +135,7 @@ pub fn gemm_i8_nt(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32
     if k == 0 {
         return;
     }
-    // A worker's share must reach ≈0.64 MOP (2 × DISPATCH_US at
-    // `I8_OPS_PER_US`), so the ladder's 0.53 MOP call runs on one thread.
-    let min_rows = parallel::min_rows_for_work(2 * k * n, I8_OPS_PER_US);
+    let min_rows = gemm_i8_nt_min_rows(k, n);
     parallel::par_row_blocks(&mut c[..m * n], n, min_rows, |r0, block| {
         for (gi, crow) in block.chunks_exact_mut(n).enumerate() {
             let arow = &a[(r0 + gi) * k..(r0 + gi) * k + k];
@@ -151,6 +149,16 @@ pub fn gemm_i8_nt(m: usize, k: usize, n: usize, a: &[i8], b: &[i8], c: &mut [i32
             }
         }
     });
+}
+
+/// The fewest output rows [`gemm_i8_nt`] hands each parallel block of an
+/// `m×k · (n×k)ᵀ` call: a worker's share must reach ≈0.64 MOP
+/// (2 × `DISPATCH_US` at `I8_OPS_PER_US`, see
+/// [`parallel::min_rows_for_work`]), so the ladder's 0.53 MOP call runs
+/// on one thread. `parallel::blocks(m, gemm_i8_nt_min_rows(k, n))` is the
+/// call's block count.
+pub fn gemm_i8_nt_min_rows(k: usize, n: usize) -> usize {
+    parallel::min_rows_for_work(2 * k * n, I8_OPS_PER_US)
 }
 
 /// Triple-loop reference implementation of [`gemm_i8_nt`] — the oracle
@@ -234,10 +242,13 @@ mod tests {
         }
     }
 
+    /// 643 rows clear the work floor eight times over at k = n = 64, so
+    /// 2, 3 and 8 threads split them, unevenly.
     #[test]
     fn gemm_is_identical_at_every_thread_count() {
+        let guard = parallel::lock_threads();
         let mut rng = Prng::new(13);
-        let (m, k, n) = (17, 40, 23);
+        let (m, k, n) = (643, 64, 64);
         let a: Vec<i8> = (0..m * k)
             .map(|_| (rng.below(255) as i32 - 127) as i8)
             .collect();
@@ -245,15 +256,19 @@ mod tests {
             .map(|_| (rng.below(255) as i32 - 127) as i8)
             .collect();
         let mut reference = vec![0i32; m * n];
-        parallel::set_threads(1);
+        guard.set(1);
         gemm_i8_nt(m, k, n, &a, &b, &mut reference);
         for threads in [2, 3, 8] {
-            parallel::set_threads(threads);
+            guard.set(threads);
+            assert_eq!(
+                parallel::blocks(m, gemm_i8_nt_min_rows(k, n)),
+                threads,
+                "{threads} threads must split the rows"
+            );
             let mut c = vec![0i32; m * n];
             gemm_i8_nt(m, k, n, &a, &b, &mut c);
             assert_eq!(c, reference, "{threads} threads diverged");
         }
-        parallel::set_threads(0);
     }
 
     #[test]

@@ -93,10 +93,10 @@
 //! Hot loops are allocation-free: each ADMM iteration's head forward,
 //! hinge and backward reuse [`nn::head::HeadBuffers`] and
 //! [`attack::objective::HingeEval`] across iterations
-//! (`tests/steady_state_alloc.rs` counts none). Its head
-//! backward propagates only the images whose hinge is active, with
-//! bits equal to the dense pass (see
-//! [`nn::head::FcHead::backward_from_cache`]).
+//! (`tests/steady_state_alloc.rs` counts none). The hinge lists the
+//! images whose hinge is active, and the head backward propagates only
+//! those, with bits equal to the dense pass (see
+//! [`nn::head::FcHead::backward_rows`]).
 //!
 //! Campaigns (many attacks over one victim) extract the victim's pool
 //! activations once into a shared [`nn::feature_cache::FeatureCache`]

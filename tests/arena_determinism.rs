@@ -15,13 +15,11 @@ use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
-use fault_sneaking::tensor::parallel;
+use fault_sneaking::tensor::parallel::{self, lock_threads};
 
 mod common;
 #[path = "common/rows.rs"]
 mod rows;
-#[path = "common/threads.rs"]
-mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
@@ -54,7 +52,7 @@ fn sweep() -> CampaignSpec {
 
 #[test]
 fn arena_matrix_is_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, pool, pool_labels, probe, probe_labels) = victim(616161, &[16, 24, 24, 4], 120, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
@@ -107,7 +105,7 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
 /// level the arena adds on top of campaigns.
 #[test]
 fn arena_respects_thread_budget_walls() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, pool, pool_labels, probe, probe_labels) = victim(616161, &[16, 24, 24, 4], 120, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);

@@ -11,12 +11,11 @@ use fault_sneaking::attack::campaign::{Campaign, CampaignSpec, SparsityBudget};
 use fault_sneaking::attack::{AttackConfig, ParamSelection};
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
+use fault_sneaking::tensor::parallel::lock_threads;
 use fault_sneaking::tensor::{parallel, Prng};
 
 mod common;
 use common::{clustered, train};
-#[path = "common/threads.rs"]
-mod threads;
 
 /// A trained head over clustered features plus its feature-cache pool.
 fn victim() -> (FcHead, FeatureCache, Vec<usize>) {
@@ -38,7 +37,7 @@ fn sweep() -> CampaignSpec {
 
 #[test]
 fn campaign_report_is_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, cache, labels) = victim();
     let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
     let spec = sweep();
@@ -77,7 +76,7 @@ fn campaign_report_is_bit_identical_for_any_thread_count() {
 /// level the campaign adds.
 #[test]
 fn campaign_respects_thread_budget_walls() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, cache, labels) = victim();
     let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
     let spec = CampaignSpec::grid(vec![1], vec![3]).with_config(AttackConfig {

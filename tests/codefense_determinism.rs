@@ -15,13 +15,12 @@ use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::nn::quant::QuantizedHead;
+use fault_sneaking::tensor::parallel::lock_threads;
 use fault_sneaking::tensor::{Prng, Tensor};
 
 mod common;
 #[path = "common/rows.rs"]
 mod rows;
-#[path = "common/threads.rs"]
-mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
@@ -76,7 +75,7 @@ fn sweep(precision: Precision, stealth: Option<StealthObjective>) -> CampaignSpe
 
 #[test]
 fn randomized_suite_scoring_is_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, pool, pool_labels, probe, probe_labels) = victim(727272, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);

@@ -16,11 +16,10 @@ use fault_sneaking::baselines::{GdaMethod, SbaMethod};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::quant::QuantizedHead;
+use fault_sneaking::tensor::parallel::lock_threads;
 mod common;
 #[path = "common/rows.rs"]
 mod rows;
-#[path = "common/threads.rs"]
-mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
@@ -37,7 +36,7 @@ fn int8_sweep() -> CampaignSpec {
 
 #[test]
 fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, pool, pool_labels, probe, probe_labels) = victim(818181, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
@@ -106,7 +105,7 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
 /// (and therefore the realized δ) differs.
 #[test]
 fn precision_rows_are_cell_aligned() {
-    let _guard = threads::lock();
+    let _guard = lock_threads();
     let (head, pool, pool_labels, _, _) = victim(818181, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection, pool, pool_labels);

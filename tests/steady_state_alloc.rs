@@ -91,7 +91,7 @@ fn steady_state_head_iterations_allocate_nothing() {
             let iteration = |bufs: &mut HeadBuffers, eval: &mut HingeEval| {
                 let logits = head.forward_from_caching(start, &acts, bufs);
                 evaluate_hinge_into(&spec, logits, 0.1, eval);
-                head.backward_from_cache(start, &acts, &eval.logit_grad, bufs);
+                head.backward_rows(start, &acts, &eval.logit_grad, eval.rows(), bufs);
             };
             iteration(&mut bufs, &mut eval);
             assert!(eval.active > 0, "fixture must keep some hinges active");

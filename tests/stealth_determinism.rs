@@ -16,12 +16,11 @@ use fault_sneaking::memfault::dram::ParamLayout;
 use fault_sneaking::memfault::parity::{RowCode, RowSignature};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::quant::QuantizedHead;
+use fault_sneaking::tensor::parallel::lock_threads;
 
 mod common;
 #[path = "common/rows.rs"]
 mod rows;
-#[path = "common/threads.rs"]
-mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
@@ -47,7 +46,7 @@ fn stealth_sweep(objective: StealthObjective, precision: Precision) -> CampaignS
 
 #[test]
 fn stealth_campaign_and_arena_are_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let (head, pool, pool_labels, probe, probe_labels) = victim(727272, &[14, 20, 3], 110, 40);
     let selection = ParamSelection::last_layer(&head);
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);

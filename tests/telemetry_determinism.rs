@@ -21,11 +21,10 @@ use fault_sneaking::attack::{AttackConfig, ParamSelection};
 use fault_sneaking::defense::{DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::telemetry;
+use fault_sneaking::tensor::parallel::lock_threads;
 mod common;
 #[path = "common/rows.rs"]
 mod rows;
-#[path = "common/threads.rs"]
-mod threads;
 #[path = "common/victim.rs"]
 mod victim;
 use victim::victim;
@@ -58,7 +57,7 @@ fn reports_are_bit_identical_with_telemetry_on_or_off() {
         })
         .with_weights(20.0, 1.0);
 
-    let guard = threads::lock();
+    let guard = lock_threads();
     // Start from a clean slate whatever ran in this process before.
     telemetry::set_enabled(false);
     let _ = telemetry::drain();

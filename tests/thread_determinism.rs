@@ -8,6 +8,7 @@ use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, Para
 use fault_sneaking::nn::conv::{Conv2d, VolumeDims};
 use fault_sneaking::nn::cw::{CwConfig, CwModel};
 use fault_sneaking::nn::layer::Layer;
+use fault_sneaking::tensor::parallel::{lock_threads, ThreadGuard};
 use fault_sneaking::tensor::{parallel, Prng, Tensor};
 
 mod common;
@@ -15,9 +16,6 @@ use common::{clustered, train};
 #[path = "common/rows.rs"]
 mod rows;
 use rows::rows;
-#[path = "common/threads.rs"]
-mod threads;
-use threads::ThreadGuard;
 
 /// Builds a trained head + spec and runs the attack under `threads`
 /// worker threads, returning the full δ vector.
@@ -43,7 +41,7 @@ fn run_attack(guard: &ThreadGuard, threads: usize) -> Vec<f32> {
 
 #[test]
 fn attack_is_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let single = run_attack(&guard, 1);
     assert!(
         single.iter().any(|&d| d != 0.0),
@@ -65,7 +63,7 @@ fn attack_is_bit_identical_for_any_thread_count() {
 /// stack never exercises.
 #[test]
 fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let mut rng = Prng::new(909);
     // Paper-scale extractor so the network-level batch dispatch engages.
     let cfg = CwConfig::mnist();
@@ -101,7 +99,7 @@ fn batched_conv_pipeline_is_bit_identical_for_any_thread_count() {
 /// kernels must compute identical results.
 #[test]
 fn nested_scheduler_plans_do_not_change_results() {
-    let guard = threads::lock();
+    let guard = lock_threads();
     let mut rng = Prng::new(910);
     let dims = VolumeDims::new(2, 12, 12);
     let conv = Conv2d::new_random(dims, 8, 3, &mut rng);
@@ -122,7 +120,7 @@ fn nested_scheduler_plans_do_not_change_results() {
 #[test]
 fn kernel_outputs_are_bit_identical_for_any_thread_count() {
     use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn};
-    let guard = threads::lock();
+    let guard = lock_threads();
     let mut rng = Prng::new(7);
     let (m, k, n) = (93, 310, 71);
     let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
@@ -158,7 +156,7 @@ fn kernel_outputs_are_bit_identical_for_any_thread_count() {
 fn kernels_split_above_their_work_floor_keep_their_bits() {
     use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn};
     use fault_sneaking::tensor::quant::gemm_i8_nt;
-    let guard = threads::lock();
+    let guard = lock_threads();
     let mut rng = Prng::new(8);
     let (m, k, n) = (400, 256, 64);
     let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
@@ -197,17 +195,17 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
 #[test]
 fn thread_guard_survives_a_panicking_holder() {
     let default = {
-        let _guard = threads::lock();
+        let _guard = lock_threads();
         parallel::max_threads()
     };
     let other = if default == 1 { 2 } else { 1 };
     let holder = std::thread::spawn(move || {
-        let guard = threads::lock();
+        let guard = lock_threads();
         guard.set(other);
         panic!("a failing test body, holding the thread guard");
     });
     assert!(holder.join().is_err(), "the holder must have panicked");
-    let _guard = threads::lock();
+    let _guard = lock_threads();
     assert_eq!(
         parallel::max_threads(),
         default,
@@ -221,7 +219,7 @@ fn thread_guard_survives_a_panicking_holder() {
 #[test]
 fn set_threads_takes_a_count_past_the_core_count_verbatim() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let guard = threads::lock();
+    let guard = lock_threads();
     guard.set(cores + 1);
     assert_eq!(parallel::max_threads(), cores + 1);
 }
