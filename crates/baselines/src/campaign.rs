@@ -46,7 +46,6 @@ fn measured_result(
         s_total: aspec.s(),
         keep_unchanged,
         keep_total: aspec.r() - aspec.s(),
-        objective_history: Vec::new(),
         admm_history: Vec::new(),
         converged: true,
     }

@@ -43,13 +43,7 @@ fn bench_head_passes() {
         row[r % 10] = 2.0;
         row[(r + 3) % 10] = -2.0;
     }
-    bench("head_logit_backward_truncated_100", || {
-        black_box(head.logit_backward(start, black_box(&acts), black_box(&dense)))
-    });
-    bench("head_logit_backward_truncated_100_hinge15", || {
-        black_box(head.logit_backward(start, black_box(&acts), black_box(&hinge)))
-    });
-    // The backward alone, on held buffers (the solver's steady state):
+    // The backward on held buffers (the solver's steady state):
     // every row for the dense `g`, the listed rows for the hinge one.
     let mut bufs = HeadBuffers::new();
     head.forward_from_caching(start, &acts, &mut bufs);

@@ -69,9 +69,9 @@ use std::error::Error;
 use std::fmt;
 
 /// Version of every payload layout in this module; bump on any change.
-/// (v4: the socket transport's registration/liveness frames — worker
-/// hello and heartbeat — joined the frame family.)
-pub const WIRE_VERSION: u32 = 4;
+/// (v5: an outcome's ADMM history is one objective/primal/dual record
+/// per iteration.)
+pub const WIRE_VERSION: u32 = 5;
 
 /// Frame tag: a [`CampaignSpec`] payload.
 pub const SPEC_TAG: &[u8; 4] = b"FSCS";
@@ -484,7 +484,7 @@ fn read_budget(dec: &mut Decoder<'_>) -> Result<SparsityBudget, DecodeError> {
 }
 
 /// Appends an [`AttackConfig`] payload.
-pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
+fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
     put_norm(enc, cfg.norm);
     enc.put_f32(cfg.rho);
     match cfg.stiffness {
@@ -513,7 +513,7 @@ pub fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
 /// Returns [`DecodeError`] on malformed input, or when the config breaks
 /// a bound: ρ finite and > 0; λ, κ, the stiffness value and a set
 /// refine step finite and ≥ 0.
-pub fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
+fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let norm = read_norm(dec)?;
     let rho = dec.read_f32()?;
     let stiffness = match dec.read_u32()? {
@@ -620,9 +620,10 @@ pub fn put_spec(enc: &mut Encoder, spec: &CampaignSpec) {
 ///
 /// # Errors
 ///
-/// Returns [`DecodeError`] on malformed input, or when a weight breaks
-/// the bounds [`read_config`] checks, or a budget's λ, `c_attack` or
-/// `c_keep` is not finite and ≥ 0.
+/// Returns [`DecodeError`] on malformed input, or when the base config
+/// breaks a bound (ρ finite and > 0; λ, κ, the stiffness value and a set
+/// refine step finite and ≥ 0), or a budget's λ, `c_attack` or `c_keep`
+/// is not finite and ≥ 0.
 pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
     let s_values = dec.read_u64_vec()?;
     let k_values = dec.read_u64_vec()?;
@@ -727,13 +728,11 @@ fn put_result(enc: &mut Encoder, r: &AttackResult) {
     enc.put_u64(r.s_total as u64);
     enc.put_u64(r.keep_unchanged as u64);
     enc.put_u64(r.keep_total as u64);
-    enc.put_f32_slice(&r.objective_history);
     enc.put_u64(r.admm_history.len() as u64);
     for st in &r.admm_history {
-        enc.put_u64(st.iter as u64);
+        enc.put_f32(st.objective);
         enc.put_f32(st.primal_residual);
         enc.put_f32(st.dual_residual);
-        enc.put_f32(st.rho);
     }
     enc.put_u32(u32::from(r.converged));
 }
@@ -746,15 +745,13 @@ fn read_result(dec: &mut Decoder<'_>) -> Result<AttackResult, DecodeError> {
     let s_total = dec.read_u64()? as usize;
     let keep_unchanged = dec.read_u64()? as usize;
     let keep_total = dec.read_u64()? as usize;
-    let objective_history = dec.read_f32_vec()?;
     let nh = dec.read_u64()? as usize;
-    let mut admm_history = Vec::with_capacity(nh.min(dec.remaining() / 20));
+    let mut admm_history = Vec::with_capacity(nh.min(dec.remaining() / 12));
     for _ in 0..nh {
         admm_history.push(IterStats {
-            iter: dec.read_u64()? as usize,
+            objective: dec.read_f32()?,
             primal_residual: dec.read_f32()?,
             dual_residual: dec.read_f32()?,
-            rho: dec.read_f32()?,
         });
     }
     let converged = match dec.read_u32()? {
@@ -770,14 +767,13 @@ fn read_result(dec: &mut Decoder<'_>) -> Result<AttackResult, DecodeError> {
         s_total,
         keep_unchanged,
         keep_total,
-        objective_history,
         admm_history,
         converged,
     })
 }
 
 /// Appends a [`ScenarioOutcome`] payload.
-pub fn put_outcome(enc: &mut Encoder, o: &ScenarioOutcome) {
+fn put_outcome(enc: &mut Encoder, o: &ScenarioOutcome) {
     put_scenario(enc, &o.scenario);
     enc.put_u64_slice(&o.targets);
     put_result(enc, &o.result);
@@ -987,12 +983,10 @@ mod tests {
                 s_total: 2,
                 keep_unchanged: 4,
                 keep_total: 4,
-                objective_history: vec![9.0, 1.0, 0.25],
                 admm_history: vec![IterStats {
-                    iter: 0,
+                    objective: 9.0,
                     primal_residual: 0.5,
                     dual_residual: 0.25,
-                    rho: 5.0,
                 }],
                 converged: true,
             },

@@ -44,8 +44,8 @@ pub struct HingeEval {
 
 impl HingeEval {
     /// Number of active (violated) hinges among the keep images
-    /// (`i ≥ s`) — the per-iteration keep-set health that telemetry
-    /// convergence traces record.
+    /// (`i ≥ s`) — the keep-set health that an ADMM run's telemetry
+    /// convergence summary reads off its last evaluation.
     pub fn active_keep(&self, s: usize) -> usize {
         self.margins.iter().skip(s).filter(|&&m| m > 0.0).count()
     }

@@ -252,7 +252,7 @@ impl ParamSelection {
     }
 
     /// Extracts the selected regions from per-layer `(dW, db)` gradients
-    /// returned by [`FcHead::logit_backward`] called with
+    /// of a backward pass ([`FcHead::backward_rows`]) from
     /// `start = self.start_layer()`.
     ///
     /// # Panics

@@ -12,17 +12,17 @@ use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_tensor::linalg::avx_available;
 use fsa_tensor::{norms, parallel};
 
-/// Per-iteration ADMM diagnostics.
+/// One ADMM iteration's diagnostics. Its index is its position in
+/// [`AttackResult::admm_history`]; the penalty is the run's fixed
+/// [`AttackConfig::rho`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterStats {
-    /// Iteration index (0-based).
-    pub iter: usize,
+    /// Total hinge objective at the iteration's δ-step.
+    pub objective: f32,
     /// `‖z − δ‖₂` after the updates.
     pub primal_residual: f32,
     /// `ρ‖δ^{k+1} − δᵏ‖₂`.
     pub dual_residual: f32,
-    /// Penalty in effect during the iteration.
-    pub rho: f32,
 }
 
 /// Which measurement `D(δ)` the attack minimizes (paper eq. 2).
@@ -157,9 +157,7 @@ pub struct AttackResult {
     pub keep_unchanged: usize,
     /// `R − S`.
     pub keep_total: usize,
-    /// Total hinge objective per ADMM iteration (diagnostic).
-    pub objective_history: Vec<f32>,
-    /// ADMM residual history.
+    /// One record per ADMM iteration, in iteration order.
     pub admm_history: Vec<IterStats>,
     /// Whether the ADMM residual tolerances were met.
     pub converged: bool,
@@ -300,9 +298,7 @@ impl FaultSneakingAttack {
             l0_cut: (blocks.is_none() && cfg.norm == Norm::L0).then(|| 2.0 * cfg.lambda / rho),
             avx: avx_available(),
         };
-        let mut objective_history = Vec::with_capacity(cfg.iterations);
         let mut admm_history = Vec::with_capacity(cfg.iterations);
-        let mut trace = Vec::new();
         let mut converged = false;
         {
             let _span = fsa_telemetry::span("admm");
@@ -352,27 +348,11 @@ impl FaultSneakingAttack {
                 let primal = primal_sq.sqrt() as f32;
                 let dual = rho * dual_sq.sqrt() as f32;
 
-                objective_history.push(hinge.total);
                 admm_history.push(IterStats {
-                    iter,
+                    objective: hinge.total,
                     primal_residual: primal,
                     dual_residual: dual,
-                    rho,
                 });
-                // The per-iteration convergence trace (paper §4–5 style).
-                // Purely observational: every value is read off state the
-                // iteration produced anyway, so traced runs keep their bits.
-                if fsa_telemetry::enabled() {
-                    trace.push(fsa_telemetry::ConvergenceRecord {
-                        iter: iter as u32,
-                        objective: hinge.total,
-                        primal,
-                        dual,
-                        rho,
-                        support: vars.z.iter().filter(|&&w| w != 0.0).count() as u32,
-                        keep_violations: hinge.active_keep(spec.s()) as u32,
-                    });
-                }
 
                 if primal * inv_sqrt_n < 1e-6 && dual * inv_sqrt_n < 1e-6 {
                     converged = true;
@@ -390,7 +370,24 @@ impl FaultSneakingAttack {
                 fsa_telemetry::counter(stop, 1);
             }
         }
-        fsa_telemetry::convergence_trace("admm", trace);
+        // The run's convergence summary (paper §4–5 style). Purely
+        // observational: every value is read off state the loop left
+        // behind, so traced runs keep their bits.
+        if fsa_telemetry::enabled() {
+            if let Some(last) = admm_history.last() {
+                fsa_telemetry::convergence_trace(fsa_telemetry::ConvergenceTrace {
+                    ctx: String::new(),
+                    name: "admm".to_string(),
+                    iters: admm_history.len() as u32,
+                    converged,
+                    objective: last.objective,
+                    primal: last.primal_residual,
+                    dual: last.dual_residual,
+                    support: vars.z.iter().filter(|&&w| w != 0.0).count() as u32,
+                    keep_violations: hinge.active_keep(spec.s()) as u32,
+                });
+            }
+        }
 
         // The structured variable z is the attack's answer: it is exactly
         // sparse under ℓ0 (hard-thresholded) and exactly shrunk under ℓ2.
@@ -448,7 +445,6 @@ impl FaultSneakingAttack {
             s_total: spec.s(),
             keep_unchanged: keep_hits,
             keep_total: spec.r() - spec.s(),
-            objective_history,
             admm_history,
             converged,
         }
@@ -987,7 +983,7 @@ mod tests {
             AttackConfig::default(),
         );
         let result = attack.run(&spec);
-        let hist = &result.objective_history;
+        let hist: Vec<f32> = result.admm_history.iter().map(|it| it.objective).collect();
         assert!(hist.len() > 5);
         let head_mean: f32 = hist[..3].iter().sum::<f32>() / 3.0;
         let tail_mean: f32 = hist[hist.len() - 3..].iter().sum::<f32>() / 3.0;

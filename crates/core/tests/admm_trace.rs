@@ -1,14 +1,16 @@
-//! The ADMM loop's telemetry is a view of the result, record for record.
+//! The ADMM loop's telemetry is a view of the result.
 //!
-//! A traced run must emit one `admm` convergence trace whose records
-//! repeat `objective_history` and `admm_history` bit for bit, plus the
-//! `admm.*` counters that tally the same run. One test function on
-//! purpose: telemetry's enable flag is process-global, so this binary
-//! holds nothing else.
+//! A traced run must emit one `admm` convergence summary whose last
+//! objective and residuals repeat the last `admm_history` record bit for
+//! bit, plus the `admm.*` counters that tally the same run; a run that
+//! takes no iteration emits no summary. One test function on purpose:
+//! telemetry's enable flag is process-global, so this binary holds
+//! nothing else.
 
-use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
+use fsa_attack::{AttackConfig, AttackResult, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_nn::head::FcHead;
 use fsa_nn::head_train::{train_head, HeadTrainConfig};
+use fsa_telemetry::Snapshot;
 use fsa_tensor::{Prng, Tensor};
 
 /// A 10→16→3 head trained on class-clustered points, and a working set
@@ -43,8 +45,28 @@ fn victim() -> (FcHead, AttackSpec) {
     )
 }
 
+/// Runs `attack` untraced, then traced, and returns the traced result
+/// with its drained snapshot. Telemetry must not move a bit.
+fn traced(attack: &FaultSneakingAttack, spec: &AttackSpec) -> (AttackResult, Snapshot) {
+    let untraced = attack.run(spec);
+    fsa_telemetry::set_enabled(true);
+    let _ = fsa_telemetry::drain();
+    let result = attack.run(spec);
+    let snap = fsa_telemetry::drain();
+    fsa_telemetry::set_enabled(false);
+    assert_eq!(result, untraced, "telemetry changed the result");
+    (result, snap)
+}
+
+fn counter(snap: &Snapshot, name: &str) -> u64 {
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |&(_, v)| v)
+}
+
 #[test]
-fn traced_admm_records_repeat_the_reported_histories() {
+fn traced_admm_summary_is_a_view_of_the_result() {
     let (head, spec) = victim();
     let selection = ParamSelection::last_layer(&head);
     let cfg = AttackConfig {
@@ -52,54 +74,51 @@ fn traced_admm_records_repeat_the_reported_histories() {
         refine: None,
         ..AttackConfig::default()
     };
-    let attack = FaultSneakingAttack::new(&head, selection, cfg);
-
-    let untraced = attack.run(&spec);
-    fsa_telemetry::set_enabled(true);
-    let _ = fsa_telemetry::drain();
-    let result = attack.run(&spec);
-    let snap = fsa_telemetry::drain();
-    fsa_telemetry::set_enabled(false);
-    assert_eq!(result, untraced, "telemetry changed the result");
+    let (result, snap) = traced(
+        &FaultSneakingAttack::new(&head, selection.clone(), cfg),
+        &spec,
+    );
 
     let traces: Vec<_> = snap
         .convergence
         .iter()
         .filter(|t| t.name == "admm")
         .collect();
-    assert_eq!(traces.len(), 1, "one trace per run");
-    assert_eq!(traces[0].ctx, "attack", "emitted under the attack span");
-    let records = &traces[0].records;
-    assert_eq!(records.len(), result.admm_history.len());
-    assert_eq!(records.len(), result.objective_history.len());
-    for ((rec, it), &obj) in records
-        .iter()
-        .zip(&result.admm_history)
-        .zip(&result.objective_history)
-    {
-        assert_eq!(rec.iter as usize, it.iter);
-        assert_eq!(rec.objective.to_bits(), obj.to_bits());
-        assert_eq!(rec.primal.to_bits(), it.primal_residual.to_bits());
-        assert_eq!(rec.dual.to_bits(), it.dual_residual.to_bits());
-        assert_eq!(rec.rho.to_bits(), it.rho.to_bits());
-    }
+    assert_eq!(traces.len(), 1, "one summary per run");
+    let trace = traces[0];
+    assert_eq!(trace.ctx, "attack", "emitted under the attack span");
+    assert_eq!(trace.iters as usize, result.admm_history.len());
+    assert_eq!(trace.converged, result.converged);
+    let last = result.admm_history.last().unwrap();
+    assert_eq!(trace.objective.to_bits(), last.objective.to_bits());
+    assert_eq!(trace.primal.to_bits(), last.primal_residual.to_bits());
+    assert_eq!(trace.dual.to_bits(), last.dual_residual.to_bits());
     // With refine off and no stealth the answer is the last z-step, so
-    // the last record's support is the reported ℓ0.
-    assert_eq!(records.last().unwrap().support as usize, result.l0);
+    // the summary's support is the reported ℓ0.
+    assert_eq!(trace.support as usize, result.l0);
 
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map_or(0, |&(_, v)| v)
-    };
-    assert_eq!(counter("admm.runs"), 1);
-    assert_eq!(counter("admm.iterations"), records.len() as u64);
+    assert_eq!(counter(&snap, "admm.runs"), 1);
+    assert_eq!(
+        counter(&snap, "admm.iterations"),
+        result.admm_history.len() as u64
+    );
     let stop = if result.converged {
         "admm.converged"
     } else {
         "admm.hit_cap"
     };
-    assert_eq!(counter(stop), 1);
+    assert_eq!(counter(&snap, stop), 1);
     assert!(snap.spans.iter().any(|(path, _)| path == "attack/admm"));
+
+    // A run capped at zero iterations has nothing to summarize.
+    let idle = AttackConfig {
+        iterations: 0,
+        refine: None,
+        ..AttackConfig::default()
+    };
+    let (result, snap) = traced(&FaultSneakingAttack::new(&head, selection, idle), &spec);
+    assert!(result.admm_history.is_empty());
+    assert!(snap.convergence.is_empty(), "no iteration, no summary");
+    assert_eq!(counter(&snap, "admm.runs"), 1);
+    assert_eq!(counter(&snap, "admm.iterations"), 0);
 }

@@ -372,7 +372,6 @@ mod tests {
                 s_total: 1,
                 keep_unchanged: 2,
                 keep_total: 2,
-                objective_history: vec![1.0],
                 admm_history: vec![],
                 converged: true,
             },

@@ -6,7 +6,7 @@
 //! modifies a *suffix* of the head (e.g. only the last FC layer, the
 //! paper's main configuration), forward/backward can start at the first
 //! modified layer with cached activations. [`FcHead::forward_from`] and
-//! [`FcHead::logit_backward`] implement exactly that; this is an exact
+//! [`FcHead::backward_rows`] implement exactly that; this is an exact
 //! restructuring, not an approximation, and it is what makes the paper's
 //! `R = 1000` sweeps tractable on one CPU core.
 
@@ -37,11 +37,6 @@ use fsa_tensor::{Prng, Tensor};
 pub struct FcHead {
     layers: Vec<Linear>,
 }
-
-/// Per-layer `(weight gradient, bias gradient)` pairs returned by
-/// [`FcHead::logit_backward`], aligned so entry `i` corresponds to head
-/// layer `start + i`.
-pub type LayerGrads = Vec<(Tensor, Tensor)>;
 
 /// Reusable buffers for the truncated head passes.
 ///
@@ -94,11 +89,6 @@ impl HeadBuffers {
     /// ([`FcHead::backward_rows`] or [`FcHead::backward_from_cache`]).
     pub fn grads(&self) -> &[(Tensor, Tensor)] {
         &self.grads
-    }
-
-    /// Consumes the buffers, keeping the gradient pairs.
-    pub fn into_grads(self) -> LayerGrads {
-        self.grads
     }
 
     /// Outputs of the cached forward pass, one slice per layer `start..`:
@@ -284,35 +274,6 @@ impl FcHead {
         }
         let hits = preds.iter().zip(labels).filter(|(p, l)| p == l).count();
         hits as f32 / preds.len() as f32
-    }
-
-    /// Gradient of `Σ_rows ⟨g_row, Z_row⟩` with respect to the parameters
-    /// of layers `start..`, where `Z = forward_from(start, acts)`.
-    ///
-    /// `g` is a `[batch, classes]` matrix of upstream logit gradients; for
-    /// the paper's hinge objective each active row holds `+1` at the
-    /// runner-up class and `−1` at the enforced class, scaled by `c_i`
-    /// (inactive rows are zero).
-    ///
-    /// Returns one `(dW, db)` pair per layer in `start..`. The rows of
-    /// `g` that [`visit_rows`] lists go through
-    /// [`FcHead::backward_rows`]; when that is every row,
-    /// [`FcHead::backward_from_cache`] runs instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatches or `start` out of range.
-    pub fn logit_backward(&self, start: usize, acts: &Tensor, g: &Tensor) -> LayerGrads {
-        let mut bufs = HeadBuffers::new();
-        self.forward_from_caching(start, acts, &mut bufs);
-        let mut rows = Vec::new();
-        visit_rows(g, bufs.logits(), &mut rows);
-        if rows.len() == acts.shape()[0] {
-            self.backward_from_cache(start, acts, g, &mut bufs);
-        } else {
-            self.backward_rows(start, acts, g, &rows, &mut bufs);
-        }
-        bufs.into_grads()
     }
 
     /// Forward pass from layer `start` that caches per-layer inputs and
@@ -853,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn logit_backward_matches_finite_difference_all_starts() {
+    fn backward_matches_finite_difference_all_starts() {
         let mut rng = Prng::new(2);
         let head = small_head(&mut rng);
         let x = Tensor::randn(&[3, 6], 1.0, &mut rng);
@@ -861,10 +822,16 @@ mod tests {
 
         for start in 0..head.num_layers() {
             let acts = head.activations_before(start, &x);
-            let grads = head.logit_backward(start, &acts, &g);
-            assert_eq!(grads.len(), head.num_layers() - start);
+            let mut bufs = HeadBuffers::new();
+            head.forward_from_caching(start, &acts, &mut bufs);
+            let dense = head
+                .backward_from_cache(start, &acts, &g, &mut bufs)
+                .to_vec();
+            let listed = head.backward_rows(start, &acts, &g, &[0, 1, 2], &mut bufs);
+            assert_eq!(listed, &dense[..], "start {start}: every row listed");
+            assert_eq!(dense.len(), head.num_layers() - start);
 
-            for (rel, (dw, db)) in grads.iter().enumerate() {
+            for (rel, (dw, db)) in dense.iter().enumerate() {
                 let li = start + rel;
                 // Numeric gradient wrt layer li's flat params of
                 // f = sum(g ⊙ logits).
@@ -908,7 +875,7 @@ mod tests {
                     let mut fresh = HeadBuffers::new();
                     head.forward_from_caching(start, &acts, &mut fresh);
                     head.backward_from_cache(start, &acts, &g, &mut fresh);
-                    fresh.into_grads()
+                    fresh.grads().to_vec()
                 };
                 assert_eq!(bufs.grads(), &reference[..], "start {start}");
             }

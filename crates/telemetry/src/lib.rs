@@ -2,12 +2,13 @@
 //!
 //! This crate is the measurement substrate under every other layer:
 //! hierarchical [spans](span) with monotonic timing, [counters](counter),
-//! and per-iteration ADMM [convergence traces](convergence_trace). A
-//! drained [`Snapshot`] also has room for fixed-boundary [`Histogram`]s
-//! and structured [`Event`]s, which only readers that merge snapshots
-//! fill: the library records neither. It is std-only and has no
-//! dependencies, so it can sit below `fsa-tensor` without disturbing
-//! the workspace's zero-external-deps constraint.
+//! and one [convergence summary](convergence_trace) per ADMM run (the
+//! per-iteration curves stay in the solver's result). A drained
+//! [`Snapshot`] also has room for fixed-boundary [`Histogram`]s and
+//! structured [`Event`]s, which only readers that merge snapshots fill:
+//! the library records neither. It is std-only and has no dependencies,
+//! so it can sit below `fsa-tensor` without disturbing the workspace's
+//! zero-external-deps constraint.
 //!
 //! # Identity-only contract
 //!
@@ -52,7 +53,7 @@ mod metrics;
 mod record;
 mod snapshot;
 
-pub use metrics::{ConvergenceRecord, ConvergenceTrace, Event, Histogram, SpanStat, Value};
+pub use metrics::{ConvergenceTrace, Event, Histogram, SpanStat, Value};
 pub use record::{
     convergence_trace, counter, current_path, drain, enabled, flush_thread, set_enabled, span,
     with_path, Span,

@@ -1,10 +1,11 @@
 //! Value types of drained snapshots: span statistics, fixed-boundary
-//! histograms, structured events, and convergence records.
+//! histograms, structured events, and per-run convergence summaries.
 //!
-//! The sink records span statistics and convergence records. Nothing in
-//! the library records a histogram or an event; those types stay as the
-//! shape of [`crate::Snapshot`]'s `histograms` and `events`, which
-//! readers that merge drained snapshots still fill.
+//! The sink records span statistics, counters and one convergence
+//! summary per solver run. Nothing in the library records a histogram
+//! or an event; those types stay as the shape of [`crate::Snapshot`]'s
+//! `histograms` and `events`, which readers that merge drained
+//! snapshots still fill.
 //!
 //! Everything here is plain data with order-independent merge
 //! operations, so per-thread buffers can fold into the global sink in
@@ -164,35 +165,29 @@ pub struct Event {
     pub fields: Vec<(String, Value)>,
 }
 
-/// One ADMM iteration's observable state, as analyzed in §4–5 of the
-/// source paper: objective, residuals, δ sparsity, and keep-set health.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ConvergenceRecord {
-    /// Iteration index (0-based).
-    pub iter: u32,
-    /// Hinge objective value at the δ-step.
-    pub objective: f32,
-    /// Primal residual `‖z − δ‖₂` after the iteration.
-    pub primal: f32,
-    /// Dual residual `ρ‖δ^{k+1} − δᵏ‖₂`.
-    pub dual: f32,
-    /// Penalty parameter ρ in effect for the iteration.
-    pub rho: f32,
-    /// Support size of the sparse iterate after the z-step.
-    pub support: u32,
-    /// Keep-set images whose hinge is active (violated) this iteration.
-    pub keep_violations: u32,
-}
-
-/// A named per-iteration convergence trace tied to a span path.
+/// One solver run's convergence summary, tied to a span path: where the
+/// run stopped, as analyzed in §4–5 of the source paper. The full
+/// per-iteration curves stay with the solver's result, not the trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ConvergenceTrace {
     /// Span path active when the trace was emitted.
     pub ctx: String,
     /// Trace label, e.g. `"admm"`.
     pub name: String,
-    /// Per-iteration records in iteration order.
-    pub records: Vec<ConvergenceRecord>,
+    /// Iterations the run took.
+    pub iters: u32,
+    /// Whether the run met its stopping rule before the iteration cap.
+    pub converged: bool,
+    /// Hinge objective value at the last δ-step.
+    pub objective: f32,
+    /// Primal residual `‖z − δ‖₂` after the last iteration.
+    pub primal: f32,
+    /// Dual residual `ρ‖δ^{k+1} − δᵏ‖₂` of the last iteration.
+    pub dual: f32,
+    /// Support size of the final sparse iterate.
+    pub support: u32,
+    /// Keep-set images whose hinge was active at the last evaluation.
+    pub keep_violations: u32,
 }
 
 #[cfg(test)]

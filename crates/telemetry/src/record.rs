@@ -13,7 +13,7 @@
 //! has already [`drain`]ed — silently losing the buffer.
 
 use crate::clock;
-use crate::metrics::{ConvergenceRecord, ConvergenceTrace, SpanStat};
+use crate::metrics::{ConvergenceTrace, SpanStat};
 use crate::snapshot::Snapshot;
 use std::cell::RefCell;
 use std::collections::btree_map::Entry;
@@ -202,20 +202,17 @@ pub fn counter(name: &str, delta: u64) {
     });
 }
 
-/// Emits a named per-iteration convergence trace under the thread's
-/// current span path. No-op while disabled or when `records` is empty.
-pub fn convergence_trace(name: &str, records: Vec<ConvergenceRecord>) {
-    if !enabled() || records.is_empty() {
+/// Emits one run's convergence summary under the thread's current span
+/// path, which replaces `trace.ctx`. No-op while disabled or when the
+/// run took no iteration (`trace.iters == 0`).
+pub fn convergence_trace(mut trace: ConvergenceTrace) {
+    if !enabled() || trace.iters == 0 {
         return;
     }
     let _ = LOCAL.try_with(|l| {
         let mut l = l.borrow_mut();
-        let ctx = l.path.clone();
-        l.state.convergence.push(ConvergenceTrace {
-            ctx,
-            name: name.to_string(),
-            records,
-        });
+        trace.ctx.clone_from(&l.path);
+        l.state.convergence.push(trace);
     });
 }
 
@@ -299,18 +296,20 @@ mod tests {
         {
             let _s = span("ghost");
             counter("ghost.count", 5);
-            convergence_trace("ghost", vec![dummy_record(0)]);
+            convergence_trace(summary(5));
         }
         assert!(drain().is_empty());
     }
 
-    fn dummy_record(iter: u32) -> ConvergenceRecord {
-        ConvergenceRecord {
-            iter,
+    fn summary(iters: u32) -> ConvergenceTrace {
+        ConvergenceTrace {
+            ctx: "overwritten".to_string(),
+            name: "admm".to_string(),
+            iters,
+            converged: false,
             objective: 1.0,
             primal: 0.1,
             dual: 0.2,
-            rho: 1.5,
             support: 3,
             keep_violations: 0,
         }
@@ -381,20 +380,24 @@ mod tests {
     }
 
     #[test]
-    fn convergence_traces_carry_context_and_order() {
+    fn convergence_summaries_carry_their_context() {
         let _g = serialized();
         set_enabled(true);
         {
             let _s = span("solver");
-            convergence_trace("admm", vec![dummy_record(0), dummy_record(1)]);
+            convergence_trace(summary(2));
+            // A run that took no iteration has nothing to summarize.
+            convergence_trace(summary(0));
         }
         set_enabled(false);
         let snap = drain();
-        assert_eq!(snap.convergence.len(), 1);
-        let trace = &snap.convergence[0];
-        assert_eq!(trace.ctx, "solver");
-        assert_eq!(trace.name, "admm");
-        assert_eq!(trace.records[1].iter, 1);
+        assert_eq!(
+            snap.convergence,
+            vec![ConvergenceTrace {
+                ctx: "solver".to_string(),
+                ..summary(2)
+            }]
+        );
     }
 
     #[test]

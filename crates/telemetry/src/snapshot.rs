@@ -110,19 +110,17 @@ impl Snapshot {
             push_str_json(&mut out, &t.ctx);
             out.push_str(", \"name\": ");
             push_str_json(&mut out, &t.name);
-            let _ = write!(out, ", \"iters\": {}", t.records.len());
-            // Columnar layout keeps 600-iteration traces compact and
-            // trivially plottable.
-            push_column(&mut out, "iter", t, |r| format!("{}", r.iter));
-            push_column(&mut out, "objective", t, |r| fmt_f32(r.objective));
-            push_column(&mut out, "primal", t, |r| fmt_f32(r.primal));
-            push_column(&mut out, "dual", t, |r| fmt_f32(r.dual));
-            push_column(&mut out, "rho", t, |r| fmt_f32(r.rho));
-            push_column(&mut out, "support", t, |r| format!("{}", r.support));
-            push_column(&mut out, "keep_violations", t, |r| {
-                format!("{}", r.keep_violations)
-            });
-            out.push('}');
+            let _ = write!(
+                out,
+                ", \"iters\": {}, \"converged\": {}, \"objective\": {}, \"primal\": {}, \"dual\": {}, \"support\": {}, \"keep_violations\": {}}}",
+                t.iters,
+                t.converged,
+                fmt_f32(t.objective),
+                fmt_f32(t.primal),
+                fmt_f32(t.dual),
+                t.support,
+                t.keep_violations
+            );
         }
         out.push_str("\n  ]\n}\n");
         out
@@ -168,16 +166,15 @@ impl Snapshot {
         if !self.convergence.is_empty() {
             out.push_str("convergence traces\n");
             for t in &self.convergence {
-                let last = t.records.last();
                 let _ = writeln!(
                     out,
                     "  {}/{}: {} iters, final objective {} support {} keep_violations {}",
                     t.ctx,
                     t.name,
-                    t.records.len(),
-                    last.map_or_else(|| "-".to_string(), |r| fmt_f32(r.objective)),
-                    last.map_or(0, |r| r.support),
-                    last.map_or(0, |r| r.keep_violations),
+                    t.iters,
+                    fmt_f32(t.objective),
+                    t.support,
+                    t.keep_violations,
                 );
             }
         }
@@ -239,24 +236,6 @@ fn fmt_f32(v: f32) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn push_column(
-    out: &mut String,
-    key: &str,
-    t: &ConvergenceTrace,
-    f: impl Fn(&crate::ConvergenceRecord) -> String,
-) {
-    out.push_str(", \"");
-    out.push_str(key);
-    out.push_str("\": [");
-    for (i, r) in t.records.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&f(r));
-    }
-    out.push(']');
 }
 
 fn push_u64_array(out: &mut String, vals: &[u64]) {
@@ -322,7 +301,21 @@ fn push_str_json(out: &mut String, s: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ConvergenceRecord;
+
+    /// One run's summary as the ADMM solver emits it.
+    fn summary(ctx: &str) -> ConvergenceTrace {
+        ConvergenceTrace {
+            ctx: ctx.to_string(),
+            name: "admm".to_string(),
+            iters: 400,
+            converged: false,
+            objective: 2.5,
+            primal: 0.25,
+            dual: 0.125,
+            support: 886,
+            keep_violations: 3,
+        }
+    }
 
     fn sample_snapshot() -> Snapshot {
         Snapshot {
@@ -353,17 +346,8 @@ mod tests {
                 ],
             }],
             convergence: vec![ConvergenceTrace {
-                ctx: "a/b".to_string(),
-                name: "admm".to_string(),
-                records: vec![ConvergenceRecord {
-                    iter: 0,
-                    objective: 2.5,
-                    primal: 0.25,
-                    dual: 0.125,
-                    rho: 1.0,
-                    support: 4,
-                    keep_violations: 1,
-                }],
+                dual: f32::NAN,
+                ..summary("a/b")
             }],
         }
     }
@@ -376,7 +360,10 @@ mod tests {
         assert!(json.contains("\"line\\nbreak\""));
         assert!(json.contains("\"f\": null"), "NaN must serialize as null");
         assert!(json.contains("\"hits\": 7"));
-        assert!(json.contains("\"keep_violations\": [1]"));
+        assert!(
+            json.contains("\"dual\": null"),
+            "NaN must serialize as null"
+        );
         // Crude balance check: every open brace closes.
         assert_eq!(
             json.matches('{').count(),
@@ -400,7 +387,9 @@ mod tests {
         assert!(txt.contains("x  -"), "missing parent gets a placeholder");
         assert!(txt.contains("2.00ms"), "durations are human-scaled");
         assert!(txt.contains("hits = 7"));
-        assert!(txt.contains("a/b/admm: 1 iters"));
+        assert!(
+            txt.contains("a/b/admm: 400 iters, final objective 2.5 support 886 keep_violations 3")
+        );
     }
 
     #[test]
@@ -411,5 +400,37 @@ mod tests {
         let json = s.to_json();
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert!(!json.contains("\"path\""));
+    }
+
+    /// Pins the JSON schema: a change to any key, its order or its
+    /// layout has to change this text too.
+    #[test]
+    fn json_schema_is_pinned() {
+        let mut span = SpanStat::one(1_000);
+        span.merge(&SpanStat::one(2_000));
+        let snap = Snapshot {
+            spans: vec![("attack/admm".to_string(), span)],
+            counters: vec![("admm.runs".to_string(), 2)],
+            histograms: Vec::new(),
+            events: Vec::new(),
+            convergence: vec![summary("attack")],
+        };
+        let expected = r#"{
+  "spans": [
+    {"path": "attack/admm", "count": 2, "total_ns": 3000, "min_ns": 1000, "max_ns": 2000}
+  ],
+  "counters": {
+    "admm.runs": 2
+  },
+  "histograms": [
+  ],
+  "events": [
+  ],
+  "convergence": [
+    {"ctx": "attack", "name": "admm", "iters": 400, "converged": false, "objective": 2.5, "primal": 0.25, "dual": 0.125, "support": 886, "keep_violations": 3}
+  ]
+}
+"#;
+        assert_eq!(snap.to_json(), expected);
     }
 }

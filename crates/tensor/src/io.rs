@@ -171,7 +171,7 @@ impl<'a> Decoder<'a> {
     /// # Errors
     ///
     /// Returns [`DecodeError`] if the input is truncated or the tag differs.
-    pub fn expect_tag(&mut self, tag: &[u8; 4]) -> Result<(), DecodeError> {
+    fn expect_tag(&mut self, tag: &[u8; 4]) -> Result<(), DecodeError> {
         self.need(4, "tag")?;
         let got: [u8; 4] = self.take();
         if &got != tag {

@@ -1292,22 +1292,28 @@ mod tests {
     fn results_are_bit_identical_across_thread_counts() {
         let guard = crate::parallel::lock_threads();
         let mut rng = Prng::new(5);
-        let (m, k, n) = (67, 129, 45);
+        // Every kernel writes `m×n` from `m·k` and `k·n` values, read as
+        // `A` (`k×m` for TN) and `B` (`n×k` for NT). `k` crosses a `KC`
+        // tile, `n` leaves a column tail, and `m` (not a multiple of
+        // `MR`) just clears two blocks of the work floor: the least work
+        // that splits, so the sweep stays fast in a debug build.
+        let (k, n) = (KC + 44, 45);
+        let m = 2 * gemm_min_rows(k, n) + 6;
         let a = rand_vec(m * k, &mut rng);
         let b = rand_vec(k * n, &mut rng);
+        // The kernels' row blocks at `threads`, and their outputs.
         let run = |threads: usize| {
             guard.set(threads);
-            let mut c = vec![0.0; m * n];
-            gemm(m, k, n, &a, &b, &mut c, 1.0, 0.0);
-            let mut ct = vec![0.0; n * m];
-            gemm_tn(n, k, m, &b, &a, &mut ct, 1.0, 0.0);
-            let mut cnt = vec![0.0; m * m];
-            gemm_nt(m, k, m, &a, &a, &mut cnt, 1.0, 0.0);
-            (c, ct, cnt)
+            let mut out = [vec![0.0; m * n], vec![0.0; m * n], vec![0.0; m * n]];
+            gemm(m, k, n, &a, &b, &mut out[0], 1.0, 0.0);
+            gemm_tn(m, k, n, &a, &b, &mut out[1], 1.0, 0.0);
+            gemm_nt(m, k, n, &a, &b, &mut out[2], 1.0, 0.0);
+            (parallel::blocks(m, gemm_min_rows(k, n)), out)
         };
-        let base = run(1);
+        let (_, base) = run(1);
         for threads in [2, 3, 8] {
-            let got = run(threads);
+            let (blocks, got) = run(threads);
+            assert!(blocks >= 2, "{threads} threads ran one block");
             assert!(base == got, "thread count {threads} changed kernel bits");
         }
     }

@@ -3,11 +3,14 @@
 //!
 //! The three-minute tour of the observability layer: enable the global
 //! switch, run a small campaign grid, drain the snapshot, and walk its
-//! four kinds of data — the span tree (where the time went), the
-//! counters (what the scheduler and caches did), and the per-scenario
-//! ADMM convergence traces (the paper's §4/§5 curves). The enabled run
-//! is **identity-only**: the final assert checks the report fingerprint
-//! matches a telemetry-off run bit for bit.
+//! three kinds of data — the span tree (where the time went), the
+//! counters (what the scheduler and caches did), and one ADMM
+//! convergence summary per scenario (where each run stopped). The
+//! per-iteration curves behind those summaries (the paper's §4/§5
+//! curves) come from the report itself: every result keeps its
+//! `admm_history`. The enabled run is **identity-only**: an assert
+//! checks the report fingerprint matches a telemetry-off run bit for
+//! bit.
 //!
 //! ```text
 //! cargo run --release --example traced_campaign
@@ -68,7 +71,7 @@ fn main() {
     //    attribution; a `worker` path segment appears only where the
     //    dispatcher actually spawned scoped threads), counters
     //    (dispatches, cache traffic, solver totals), and a
-    //    one-line summary per convergence trace.
+    //    one-line summary per ADMM run.
     println!("{}", snap.render_tree());
 
     // 6. The structured data behind the rendering — e.g. one counter…
@@ -79,22 +82,30 @@ fn main() {
         .map_or(0, |(_, v)| *v);
     println!("campaign.scenarios counter: {scenarios}");
 
-    // 7. …and the full convergence traces: one per scenario, one record
-    //    per ADMM iteration — objective, residuals, δ support size,
-    //    keep-set violations.
-    println!("\n== convergence (first and last iteration per scenario) ==");
-    for trace in &snap.convergence {
-        let (first, last) = (&trace.records[0], &trace.records[trace.records.len() - 1]);
+    // 7. …and the convergence summaries: one per scenario — iterations,
+    //    stop, last objective and residuals, δ support size, keep-set
+    //    violations.
+    println!("\n== convergence summaries ==");
+    assert_eq!(snap.convergence.len(), observed.outcomes.len());
+    for t in &snap.convergence {
         println!(
-            "  {}/{}: iter {} objective {:.4} support {} -> iter {} objective {:.4} support {}",
-            trace.ctx,
-            trace.name,
-            first.iter,
+            "  {}/{}: {} iters (converged {}), objective {:.4} primal {:.3e} dual {:.3e} support {} keep_violations {}",
+            t.ctx, t.name, t.iters, t.converged, t.objective, t.primal, t.dual, t.support, t.keep_violations
+        );
+    }
+
+    // 8. The per-iteration curves live in the report: one `IterStats`
+    //    (objective, primal and dual residual) per ADMM iteration.
+    println!("\n== objective curve (first and last iteration per scenario) ==");
+    for o in &observed.outcomes {
+        let history = &o.result.admm_history;
+        let (first, last) = (&history[0], &history[history.len() - 1]);
+        println!(
+            "  scenario {}: iter 0 objective {:.4} -> iter {} objective {:.4}",
+            o.scenario.index,
             first.objective,
-            first.support,
-            last.iter,
-            last.objective,
-            last.support
+            history.len() - 1,
+            last.objective
         );
     }
 

@@ -33,8 +33,8 @@
 //!   bit-identical under crashes, hangs, and corrupted frames;
 //! * [`tensor`] — the dense `f32` tensor substrate everything runs on;
 //! * [`telemetry`] — deterministic-safe observability (hierarchical
-//!   spans, counters/histograms, per-iteration ADMM convergence
-//!   traces): off by default, and **identity-only** when enabled — all
+//!   spans, counters, one ADMM convergence summary per run): off by
+//!   default, and **identity-only** when enabled — all
 //!   report fingerprints stay bit-identical with telemetry on or off
 //!   (`tests/telemetry_determinism.rs`).
 //!

@@ -146,23 +146,25 @@ fn quickstart_attack_matches_golden_fixture() {
 }
 
 /// FNV-1a over everything an ADMM run reports: δ bits, every objective
-/// and residual record, the stop flag and both hinge counts.
-fn run_digest(result: &AttackResult) -> u64 {
+/// and residual record, the stop flag and both hinge counts. The
+/// history is fed as its objectives, then `(index, primal, dual, ρ)` per
+/// iteration with the run's fixed ρ.
+fn run_digest(result: &AttackResult, rho: f32) -> u64 {
     let mut h = Fnv1a::new();
     h.write_u64(result.delta.len() as u64);
     for &d in &result.delta {
         h.write_f32_bits(d);
     }
-    h.write_u64(result.objective_history.len() as u64);
-    for &o in &result.objective_history {
-        h.write_f32_bits(o);
-    }
     h.write_u64(result.admm_history.len() as u64);
     for it in &result.admm_history {
-        h.write_u64(it.iter as u64);
+        h.write_f32_bits(it.objective);
+    }
+    h.write_u64(result.admm_history.len() as u64);
+    for (i, it) in result.admm_history.iter().enumerate() {
+        h.write_u64(i as u64);
         h.write_f32_bits(it.primal_residual);
         h.write_f32_bits(it.dual_residual);
-        h.write_f32_bits(it.rho);
+        h.write_f32_bits(rho);
     }
     h.write_u64(u64::from(result.converged));
     h.write_u64(result.s_success as u64);
@@ -228,9 +230,8 @@ fn quickstart_admm_histories_match_their_recorded_digests() {
                 let result =
                     FaultSneakingAttack::new(&head, ParamSelection::last_layer(&head), cfg.clone())
                         .run(&spec);
-                assert_eq!(result.objective_history.len(), result.admm_history.len());
                 stops.push((result.converged, result.admm_history.len()));
-                got.push(run_digest(&result));
+                got.push(run_digest(&result, cfg.rho));
             }
         }
     }

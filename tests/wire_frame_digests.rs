@@ -85,19 +85,16 @@ fn outcome(index: usize) -> ScenarioOutcome {
             s_total: 2,
             keep_unchanged: 3,
             keep_total: 4,
-            objective_history: vec![9.0, 1.0, 0.25],
             admm_history: vec![
                 IterStats {
-                    iter: 0,
+                    objective: 9.0,
                     primal_residual: 0.5,
                     dual_residual: 0.25,
-                    rho: 5.0,
                 },
                 IterStats {
-                    iter: 1,
+                    objective: 1.0,
                     primal_residual: 0.125,
                     dual_residual: 0.0625,
-                    rho: 5.0,
                 },
             ],
             converged: index % 2 == 0,
@@ -122,15 +119,15 @@ fn job() -> ShardJob {
 #[test]
 fn every_frame_kind_encodes_to_its_recorded_digest() {
     const RECORDED: [u64; 7] = [
-        0x34d2df213956ee14,
-        0x5dff2c2b75dba214,
-        0x588acb53b4604468,
-        0xf709f06bc3caaf32,
-        0xfe8f68e1068aefeb,
-        0x06f9d99c3d47af47,
-        0xe3832ee0db7640cb,
+        0xcd520571126270e3,
+        0x89e78aa5248e1400,
+        0x5460330c9821f94a,
+        0x554e3b4eb56c7d6a,
+        0x65e5974ed06a5453,
+        0x63355d07faa22d14,
+        0xe554e8694326d98d,
     ];
-    assert_eq!(WIRE_VERSION, 4);
+    assert_eq!(WIRE_VERSION, 5);
     let report = CampaignReport {
         method: "sba".into(),
         precision: Precision::F32,

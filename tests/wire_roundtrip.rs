@@ -124,12 +124,11 @@ fn random_outcome(rng: &mut Prng, index: usize) -> ScenarioOutcome {
         .collect();
     let s_total = 1 + rng.below(4);
     let keep_total = rng.below(16);
-    let admm_history: Vec<IterStats> = (0..rng.below(6))
-        .map(|i| IterStats {
-            iter: i,
+    let admm_history: Vec<IterStats> = (0..rng.below(8))
+        .map(|_| IterStats {
+            objective: rng.uniform(0.0, 50.0),
             primal_residual: rng.uniform(0.0, 1.0),
             dual_residual: rng.uniform(0.0, 1.0),
-            rho: rng.uniform(0.1, 10.0),
         })
         .collect();
     ScenarioOutcome {
@@ -153,7 +152,6 @@ fn random_outcome(rng: &mut Prng, index: usize) -> ScenarioOutcome {
             s_total,
             keep_unchanged: rng.below(keep_total + 1),
             keep_total,
-            objective_history: (0..rng.below(8)).map(|_| rng.uniform(0.0, 50.0)).collect(),
             admm_history,
             converged: rng.bernoulli(0.5),
         },
