@@ -7,7 +7,10 @@ use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
 use fsa_attack::refine::{refine_on_support, RefineConfig};
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
-use fsa_nn::head::{visit_rows, FcHead, HeadBuffers};
+use fsa_defense::{DefenseSuite, Observation};
+use fsa_memfault::DramGeometry;
+use fsa_nn::head::{FcHead, HeadBuffers};
+use fsa_nn::quant::QuantizedHead;
 use fsa_nn::stats::{cached_forward_stats, head_forward_stats, max_normalized_drift};
 use fsa_nn::FeatureCache;
 use fsa_tensor::{Prng, Tensor};
@@ -37,8 +40,11 @@ fn bench_head_passes() {
     // two classes, as the ADMM δ-step sees once most margins are met.
     let mut rng = Prng::new(12);
     let dense = Tensor::randn(&[100, 10], 1.0, &mut rng);
+    // The backward visits exactly the active rows (every logit is
+    // finite).
     let mut hinge = Tensor::zeros(&[100, 10]);
-    for r in (0..100).step_by(7).take(15) {
+    let rows: Vec<usize> = (0..100).step_by(7).take(15).collect();
+    for &r in &rows {
         let row = hinge.row_mut(r);
         row[r % 10] = 2.0;
         row[(r + 3) % 10] = -2.0;
@@ -53,8 +59,6 @@ fn bench_head_passes() {
                 .len(),
         )
     });
-    let mut rows = Vec::new();
-    visit_rows(&hinge, bufs.logits(), &mut rows);
     bench("head_backward_from_cache_100_hinge15", || {
         black_box(
             head.backward_rows(start, black_box(&acts), &hinge, &rows, &mut bufs)
@@ -73,15 +77,14 @@ fn bench_arena_backward() {
     let features = Tensor::randn(&[260, 32], 1.0, &mut rng);
     let acts = head.activations_before(start, &features);
     let mut hinge = Tensor::zeros(&[260, 4]);
-    for r in (0..260).step_by(3).take(80) {
+    let rows: Vec<usize> = (0..260).step_by(3).take(80).collect();
+    for &r in &rows {
         let row = hinge.row_mut(r);
         row[r % 4] = 40.0;
         row[(r + 1) % 4] = -40.0;
     }
     let mut bufs = HeadBuffers::new();
     head.forward_from_caching(start, &acts, &mut bufs);
-    let mut rows = Vec::new();
-    visit_rows(&hinge, bufs.logits(), &mut rows);
     bench("head_backward_from_cache_260_hinge80", || {
         black_box(
             head.backward_rows(start, black_box(&acts), &hinge, &rows, &mut bufs)
@@ -107,6 +110,59 @@ fn bench_prefix() {
     });
     bench("prefix_gather_100_of_180", || {
         black_box(pool_acts.gather(black_box(&rows)))
+    });
+}
+
+/// The arena's non-ADMM work on its 32→32→32→4 head (2,244 parameters):
+/// the randomized suite scoring a head whose last layer carries a
+/// 56-word δ (the arena's mean ℓ0), and the int8 measurement of an
+/// R = 260 working set, in full and from a 400-image pool prefix below
+/// the last layer.
+fn bench_arena_scoring() {
+    let mut rng = Prng::new(19);
+    let head = FcHead::from_dims(&[32, 32, 32, 4], &mut rng);
+    let probe = Tensor::randn(&[60, 32], 1.0, &mut rng);
+    let probe_labels = head.predict(&probe);
+    let holdout = FeatureCache::from_features(Tensor::randn(&[60, 32], 1.0, &mut rng));
+    let geometry = DramGeometry {
+        banks: 4,
+        rows_per_bank: 4096,
+        row_bytes: 256,
+    };
+    let suite = DefenseSuite::randomized(
+        &head,
+        &FeatureCache::from_features(probe),
+        &probe_labels,
+        &holdout,
+        geometry,
+        0.25,
+        0.75,
+        0.75,
+        0xAD17_5EED,
+    );
+    let start = head.num_layers() - 1;
+    let mut tampered = head.clone();
+    let mut top = tampered.layer_flat_params(start);
+    for k in rng.choose_distinct(top.len(), 56) {
+        top[k] += 0.05;
+    }
+    tampered.set_layer_flat_params(start, &top);
+    bench("arena_suite_eval_2244_last_layer_l0_56", || {
+        black_box(suite.evaluate(&Observation {
+            head: black_box(&tampered),
+        }))
+    });
+
+    let qhead = QuantizedHead::quantize(&head);
+    let pool = Tensor::randn(&[400, 32], 1.0, &mut rng);
+    let rows: Vec<usize> = (0..260).map(|k| (k * 3) % 400).collect();
+    let features = FeatureCache::from_features(pool.clone()).gather(&rows);
+    let pool_acts = FeatureCache::from_features(qhead.activations_before(start, &pool));
+    bench("int8_measure_R260_full", || {
+        black_box(qhead.forward(black_box(&features)))
+    });
+    bench("int8_measure_R260_prefix", || {
+        black_box(qhead.forward_from(start, &pool_acts.gather(black_box(&rows))))
     });
 }
 
@@ -306,6 +362,7 @@ fn main() {
     bench_prefix();
     bench_hinge();
     bench_arena_hinge();
+    bench_arena_scoring();
     bench_hinge_backward();
     bench_refine_drift_wall();
     bench_end_to_end();

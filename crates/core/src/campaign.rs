@@ -66,7 +66,7 @@ pub mod wire;
 use crate::precision::{Precision, QuantizedSelection};
 use crate::selection::ParamSelection;
 use crate::solver::{AttackConfig, AttackResult, FaultSneakingAttack, Norm};
-use crate::spec::{AttackSpec, PoolPrefix};
+use crate::spec::{AttackSpec, PoolPrefix, QuantPoolPrefix};
 use fsa_nn::head::FcHead;
 use fsa_nn::quant::QuantizedHead;
 use fsa_nn::FeatureCache;
@@ -578,8 +578,9 @@ impl CampaignReport {
 /// attack worker reads the same activations and clones only the small
 /// head it perturbs. The head layers below the selection's start layer
 /// run once over the whole pool (at construction; once more, lazily, for
-/// the dequantized head of a [`Precision::Int8`] run), and every
-/// scenario spec shares those activations (see [`AttackSpec`]).
+/// the dequantized head and the int8 forward of a [`Precision::Int8`]
+/// run), and every scenario spec shares those activations (see
+/// [`AttackSpec`]).
 #[derive(Debug)]
 pub struct Campaign<'a> {
     head: &'a FcHead,
@@ -592,8 +593,38 @@ pub struct Campaign<'a> {
     /// The pool's inputs to the start layer under `head` (`None` when
     /// the selection starts at layer 0, where they are the features).
     prefix: Option<Arc<PoolPrefix>>,
-    /// The same under the dequantized head, built by the first Int8 run.
-    deq_prefix: OnceLock<Option<Arc<PoolPrefix>>>,
+    /// What every Int8 run shares, built by the first one.
+    int8: OnceLock<Int8View>,
+}
+
+/// The int8 victim of a campaign, built once: its quantized storage,
+/// the dequantized `f32` head the method attacks, the selection's int8
+/// layout, and the pool's inputs to the start layer under both heads.
+#[derive(Debug)]
+struct Int8View {
+    qclean: QuantizedHead,
+    deq: FcHead,
+    qsel: QuantizedSelection,
+    /// The dequantized head's pool prefix (what the attack gathers).
+    deq_prefix: Option<Arc<PoolPrefix>>,
+    /// The int8 forward's pool prefix (what the measurement gathers).
+    int8_prefix: Option<QuantPoolPrefix>,
+}
+
+impl Int8View {
+    fn new(head: &FcHead, selection: &ParamSelection, cache: &FeatureCache) -> Self {
+        let qclean = QuantizedHead::quantize(head);
+        let deq = qclean.dequantized_head();
+        let qsel = QuantizedSelection::gather(&qclean, selection);
+        let start = selection.start_layer();
+        Self {
+            deq_prefix: pool_prefix(&deq, start, cache),
+            int8_prefix: (start > 0).then(|| QuantPoolPrefix::new(&qclean, start, cache)),
+            qclean,
+            deq,
+            qsel,
+        }
+    }
 }
 
 /// The pool prefix for a selection starting at `start`, if any layers
@@ -643,7 +674,7 @@ impl<'a> Campaign<'a> {
             labels,
             usable,
             prefix,
-            deq_prefix: OnceLock::new(),
+            int8: OnceLock::new(),
         }
     }
 
@@ -903,25 +934,20 @@ impl<'a> Campaign<'a> {
     ) -> Vec<ScenarioOutcome> {
         let _span = fsa_telemetry::span("campaign");
         self.validate(spec).unwrap_or_else(|e| panic!("{e}"));
-        // Quantize once per run: the storage metadata is shared
-        // read-only by every scenario worker.
+        // Quantize once per campaign, on its first Int8 run: the storage
+        // metadata is shared read-only by every scenario worker.
         let quant = match spec.precision {
             Precision::F32 => None,
-            Precision::Int8 => {
-                let qclean = QuantizedHead::quantize(self.head);
-                let deq = qclean.dequantized_head();
-                let qsel = QuantizedSelection::gather(&qclean, &self.selection);
-                Some((qclean, deq, qsel))
-            }
+            Precision::Int8 => Some(
+                self.int8
+                    .get_or_init(|| Int8View::new(self.head, &self.selection, &self.cache)),
+            ),
         };
         // The attacked head's own pool prefix: the f32 head's, or the
-        // dequantized head's, built on the campaign's first Int8 run.
-        let prefix = match &quant {
+        // dequantized head's.
+        let prefix = match quant {
             None => self.prefix.as_ref(),
-            Some((_, deq, _)) => self
-                .deq_prefix
-                .get_or_init(|| pool_prefix(deq, self.selection.start_layer(), &self.cache))
-                .as_ref(),
+            Some(view) => view.deq_prefix.as_ref(),
         };
         let scenarios = spec.scenarios();
         for &i in indices {
@@ -947,11 +973,11 @@ impl<'a> Campaign<'a> {
                 .spec_with_prefix(&sc, spec.c_attack, spec.c_keep, prefix)
                 .with_stealth(spec.stealth);
             let targets = aspec.targets.clone();
-            let result = match &quant {
+            let result = match quant {
                 None => method.run_scenario(self.head, &self.selection, spec, &sc, &aspec),
-                Some((qclean, deq, qsel)) => {
-                    let raw = method.run_scenario(deq, &self.selection, spec, &sc, &aspec);
-                    self.project_int8(qclean, qsel, &aspec, raw)
+                Some(view) => {
+                    let raw = method.run_scenario(&view.deq, &self.selection, spec, &sc, &aspec);
+                    self.project_int8(view, &aspec, raw)
                 }
             };
             ScenarioOutcome {
@@ -977,22 +1003,28 @@ impl<'a> Campaign<'a> {
     /// int8 grid re-decides every flipped bit, so the solver's
     /// pre-projection repair cannot survive it and the pass must run
     /// here, after projection and before measurement.
+    ///
+    /// The measurement runs only the attacked layers when the int8 pool
+    /// prefix covers the working set (see [`QuantPoolPrefix::forward`]).
     fn project_int8(
         &self,
-        qclean: &QuantizedHead,
-        qsel: &QuantizedSelection,
+        view: &Int8View,
         aspec: &AttackSpec,
         mut result: crate::solver::AttackResult,
     ) -> crate::solver::AttackResult {
+        let qsel = &view.qsel;
         let (mut q_new, mut realized) = qsel.project(&result.delta);
         if let Some(s) = aspec.stealth {
             let gidx = self.selection.global_indices(self.head);
             let layout = s.whole_model_layout(self.head.param_count());
             crate::stealth::repair_parity_int8(&mut realized, &mut q_new, qsel, &gidx, &layout);
         }
-        let mut attacked = qclean.clone();
+        let mut attacked = view.qclean.clone();
         qsel.apply(&mut attacked, &self.selection, &q_new, &realized);
-        let logits = attacked.forward(&aspec.features);
+        let logits = match (&view.int8_prefix, aspec.pool_rows()) {
+            (Some(prefix), Some(rows)) => prefix.forward(&attacked, rows, &aspec.features),
+            _ => attacked.forward(&aspec.features),
+        };
         let (s_hits, keep_hits) = crate::objective::count_satisfied(aspec, &logits);
         result.l0 = fsa_tensor::norms::l0(&realized, 0.0);
         result.l2 = fsa_tensor::norms::l2(&realized);

@@ -3,6 +3,7 @@
 use crate::stealth::StealthObjective;
 use fsa_nn::head::FcHead;
 use fsa_nn::linear::Linear;
+use fsa_nn::quant::{QuantizedHead, QuantizedLinear};
 use fsa_nn::FeatureCache;
 use fsa_tensor::Tensor;
 use std::sync::Arc;
@@ -82,20 +83,100 @@ impl PoolPrefix {
                     && same_bits(mine.weight().as_slice(), theirs.weight().as_slice())
                     && same_bits(mine.bias().as_slice(), theirs.bias().as_slice())
             });
-        let same_rows = features.shape()[0] == rows.len()
-            && rows.iter().enumerate().all(|(k, &r)| {
-                r < self.pool.len() && same_bits(features.row(k), self.pool.features().row(r))
-            });
-        if !(same_layers && same_rows) {
+        if !same_layers {
             return None;
         }
-        let width = self.acts.shape()[1];
-        let mut out = Tensor::zeros(&[rows.len(), width]);
-        for (k, &r) in rows.iter().enumerate() {
-            out.row_mut(k).copy_from_slice(self.acts.row(r));
-        }
-        Some(out)
+        gather_exact(&self.pool, &self.acts, rows, features)
     }
+}
+
+/// The int8 twin of [`PoolPrefix`]: the inputs to layer `start` of a
+/// quantized head's int8 forward over a whole campaign pool, kept with
+/// its layers `0..start` and the pool they came from, so a measurement
+/// can prove a gather from it exact.
+#[derive(Debug)]
+pub(crate) struct QuantPoolPrefix {
+    layers: Vec<QuantizedLinear>,
+    pool: FeatureCache,
+    acts: Tensor,
+}
+
+impl QuantPoolPrefix {
+    /// Runs `qhead`'s int8 layers `0..start` over the whole `pool`.
+    pub(crate) fn new(qhead: &QuantizedHead, start: usize, pool: &FeatureCache) -> Self {
+        Self {
+            layers: (0..start).map(|i| qhead.layer(i).clone()).collect(),
+            pool: pool.clone(),
+            acts: qhead.activations_before(start, pool.features()),
+        }
+    }
+
+    /// Rows `rows` of the pool activations, if they are exactly
+    /// `qhead.activations_before(start, features)`: this prefix ran the
+    /// same layers `0..start` (weight bytes, scale bits, bias bits) over
+    /// pool rows equal to `features` bit for bit. Each row is quantized
+    /// on its own grid, so a row's int8 output does not depend on which
+    /// rows share its batch, and the gather is then exact.
+    pub(crate) fn gather(
+        &self,
+        qhead: &QuantizedHead,
+        rows: &[usize],
+        features: &Tensor,
+    ) -> Option<Tensor> {
+        let start = self.layers.len();
+        let same_layers = qhead.num_layers() > start
+            && self.layers.iter().enumerate().all(|(i, mine)| {
+                let theirs = qhead.layer(i);
+                mine.in_features() == theirs.in_features()
+                    && mine.out_features() == theirs.out_features()
+                    && mine.weight_q() == theirs.weight_q()
+                    && mine.weight_params().scale.to_bits()
+                        == theirs.weight_params().scale.to_bits()
+                    && same_bits(mine.bias(), theirs.bias())
+            });
+        if !same_layers {
+            return None;
+        }
+        gather_exact(&self.pool, &self.acts, rows, features)
+    }
+
+    /// `qhead.forward(features)`, run from layer `start` over the
+    /// gathered pool activations when [`QuantPoolPrefix::gather`] proves
+    /// them exact, in full otherwise; the bits are the same either way.
+    pub(crate) fn forward(
+        &self,
+        qhead: &QuantizedHead,
+        rows: &[usize],
+        features: &Tensor,
+    ) -> Tensor {
+        match self.gather(qhead, rows, features) {
+            Some(h) => qhead.forward_from(self.layers.len(), &h),
+            None => qhead.forward(features),
+        }
+    }
+}
+
+/// Rows `rows` of a pool's activations `acts`, if `features` holds
+/// exactly those pool rows, bit for bit.
+fn gather_exact(
+    pool: &FeatureCache,
+    acts: &Tensor,
+    rows: &[usize],
+    features: &Tensor,
+) -> Option<Tensor> {
+    let same_rows = features.shape()[0] == rows.len()
+        && rows
+            .iter()
+            .enumerate()
+            .all(|(k, &r)| r < pool.len() && same_bits(features.row(k), pool.features().row(r)));
+    if !same_rows {
+        return None;
+    }
+    let mut out = Tensor::zeros(&[rows.len(), acts.shape()[1]]);
+    for (k, &r) in rows.iter().enumerate() {
+        out.row_mut(k).copy_from_slice(acts.row(r));
+    }
+    Some(out)
 }
 
 /// A spec's shared pool prefix and its rows in that pool.
@@ -228,6 +309,12 @@ impl AttackSpec {
             .unwrap_or_else(|| head.activations_before(start, &self.features))
     }
 
+    /// This spec's rows in the campaign pool, when it carries the pool's
+    /// prefix.
+    pub(crate) fn pool_rows(&self) -> Option<&[usize]> {
+        self.prefix.as_ref().map(|p| p.rows.as_slice())
+    }
+
     /// Number of designated faults `S`.
     pub fn s(&self) -> usize {
         self.targets.len()
@@ -286,6 +373,69 @@ mod tests {
         let s = spec().with_weights(3.0, 0.5);
         assert_eq!(s.weight(0), 3.0);
         assert_eq!(s.weight(2), 0.5);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn int8_prefix_gathers_are_the_full_forward() {
+        // A 4-layer head so that start layers 1 and 2 both have layers
+        // below and above them; working rows repeat and come out of
+        // pool order, as a scenario draw's do.
+        let mut rng = fsa_tensor::Prng::new(0x1A78);
+        let head = FcHead::from_dims(&[7, 11, 9, 6, 3], &mut rng);
+        let qhead = QuantizedHead::quantize(&head);
+        let pool = FeatureCache::from_features(Tensor::randn(&[23, 7], 2.0, &mut rng));
+        let rows = [19, 3, 3, 0, 22, 11, 7];
+        let features = pool.gather(&rows);
+        let full = bits(&qhead.forward(&features));
+        for start in [1, 2] {
+            let prefix = QuantPoolPrefix::new(&qhead, start, &pool);
+            let h = prefix
+                .gather(&qhead, &rows, &features)
+                .expect("the prefix of the same head covers pool rows");
+            assert_eq!(bits(&qhead.forward_from(start, &h)), full, "start {start}");
+            assert_eq!(bits(&prefix.forward(&qhead, &rows, &features)), full);
+
+            // Another head — one weight byte, or one bias bit, changed
+            // below `start` — or other features fall back to the full
+            // forward of what was asked.
+            let mut byte = qhead.clone();
+            let mut wq = byte.layer(start - 1).weight_q().to_vec();
+            wq[4] = wq[4].wrapping_add(1);
+            byte.set_layer_weight_q(start - 1, &wq);
+            let mut bias = qhead.clone();
+            let mut b = bias.layer(0).bias().to_vec();
+            b[2] = f32::from_bits(b[2].to_bits() ^ 1);
+            bias.set_layer_bias(0, &b);
+            for other in [&byte, &bias] {
+                assert!(prefix.gather(other, &rows, &features).is_none());
+                assert_eq!(
+                    bits(&prefix.forward(other, &rows, &features)),
+                    bits(&other.forward(&features))
+                );
+            }
+            let mut moved = features.clone();
+            moved.row_mut(2)[0] += 1.0;
+            assert!(prefix.gather(&qhead, &rows, &moved).is_none());
+            assert_eq!(
+                bits(&prefix.forward(&qhead, &rows, &moved)),
+                bits(&qhead.forward(&moved))
+            );
+            // A change at or above `start` keeps the gather: those layers
+            // run either way.
+            let mut above = qhead.clone();
+            let mut top = above.layer(start).bias().to_vec();
+            top[0] += 0.5;
+            above.set_layer_bias(start, &top);
+            assert!(prefix.gather(&above, &rows, &features).is_some());
+            assert_eq!(
+                bits(&prefix.forward(&above, &rows, &features)),
+                bits(&above.forward(&features))
+            );
+        }
     }
 
     #[test]

@@ -28,6 +28,13 @@
 //! partition leaves up to twice as many dirty blocks in every shifted
 //! one.
 //!
+//! An observation is diffed against the calibrated words bit for bit,
+//! and only the blocks holding a differing word are re-hashed (in the
+//! calibration's word order) and compared with their reference
+//! checksums: every other block holds the calibrated bytes, so its
+//! checksum is the calibrated one. A sparse δ costs a few blocks per
+//! phase, not the whole buffer.
+//!
 //! Scoring is pure and deterministic — no sampling, at calibration or
 //! at observation time. Per phase, the score is the exact probability
 //! that a uniform without-replacement audit of `audit_blocks` blocks
@@ -39,10 +46,11 @@
 //! at any `FSA_THREADS`; the seed is part of the rotating detector's
 //! name, so it flows into every [`crate::ArenaReport::fingerprint`].
 
-use crate::detector::{flat_params, Detector, Observation};
+use crate::detector::{changed_words, flat_params, Detector, Observation};
 use fsa_nn::head::FcHead;
-use fsa_tensor::hash::fnv1a_f32_bits;
+use fsa_tensor::hash::{fnv1a_f32_bits, Fnv1a};
 use fsa_tensor::Prng;
+use std::ops::Range;
 
 /// Scheduled block phases per [`ChecksumDetector::rotating`] auditor —
 /// enough overlapping partitions that a support co-located against any
@@ -70,6 +78,32 @@ fn phase_checksums(params: &[f32], block_params: usize, offset: usize) -> Vec<u6
     let mut out = vec![fnv1a_f32_bits(&params[..split])];
     out.extend(block_checksums(&params[split..], block_params));
     out
+}
+
+/// The block of the partition at `offset` (as [`phase_checksums`] cuts
+/// it) that holds word `i` of an `n`-word buffer, with that block's
+/// word range.
+fn block_of(i: usize, n: usize, block_params: usize, offset: usize) -> (usize, Range<usize>) {
+    if i < offset {
+        return (0, 0..offset.min(n));
+    }
+    let k = (i - offset) / block_params;
+    let lo = offset + k * block_params;
+    (usize::from(offset > 0) + k, lo..(lo + block_params).min(n))
+}
+
+/// `words[span]` with the `(index, bits)` pairs of `changes` (ascending,
+/// all inside `span`) written over it.
+fn patched<'a>(
+    words: &'a [u32],
+    span: Range<usize>,
+    changes: &'a [(usize, u32)],
+) -> impl Iterator<Item = u32> + 'a {
+    let mut pending = changes.iter().peekable();
+    span.map(move |i| match pending.next_if(|&&(j, _)| j == i) {
+        Some(&(_, bits)) => bits,
+        None => words[i],
+    })
 }
 
 /// Exact probability that a uniform without-replacement audit of
@@ -126,7 +160,9 @@ pub struct ChecksumDetector {
     offsets: Vec<usize>,
     /// Reference checksums per phase, aligned with `offsets`.
     reference: Vec<Vec<u64>>,
-    param_count: usize,
+    /// The calibrated model's parameter bit patterns, in
+    /// [`flat_params`] order — what observations are diffed against.
+    words: Vec<u32>,
 }
 
 impl ChecksumDetector {
@@ -197,7 +233,7 @@ impl ChecksumDetector {
             seed,
             offsets,
             reference,
-            param_count: params.len(),
+            words: params.iter().map(|p| p.to_bits()).collect(),
         }
     }
 
@@ -227,23 +263,31 @@ impl ChecksumDetector {
     /// calibrated one (a different architecture is not a tampered
     /// model — it is a caller bug).
     pub fn dirty_blocks(&self, head: &FcHead) -> Vec<usize> {
-        let params = flat_params(head);
-        assert_eq!(
-            params.len(),
-            self.param_count,
-            "observed model has a different parameter count than calibrated"
-        );
+        let changes = changed_words(&self.words, head);
         self.offsets
             .iter()
             .zip(&self.reference)
-            .map(|(&o, reference)| {
-                phase_checksums(&params, self.block_params, o)
-                    .iter()
-                    .zip(reference)
-                    .filter(|(a, b)| a != b)
-                    .count()
-            })
+            .map(|(&offset, reference)| self.dirty_in_phase(&changes, offset, reference))
             .collect()
+    }
+
+    /// Blocks of the partition at `offset` whose checksum `changes`
+    /// moves: each block holding a change is re-hashed with the changed
+    /// words in place and compared with its `reference` checksum.
+    fn dirty_in_phase(&self, changes: &[(usize, u32)], offset: usize, reference: &[u64]) -> usize {
+        let mut dirty = 0;
+        let mut rest = changes;
+        while let Some(&(first, _)) = rest.first() {
+            let (block, span) = block_of(first, self.words.len(), self.block_params, offset);
+            let (in_block, tail) = rest.split_at(rest.partition_point(|&(i, _)| i < span.end));
+            let mut h = Fnv1a::new();
+            for bits in patched(&self.words, span, in_block) {
+                h.write_bytes(&bits.to_le_bytes());
+            }
+            dirty += usize::from(h.finish() != reference[block]);
+            rest = tail;
+        }
+        dirty
     }
 }
 

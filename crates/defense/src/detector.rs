@@ -87,6 +87,52 @@ pub fn flat_params(head: &FcHead) -> Vec<f32> {
     out
 }
 
+/// The words of `head`, in [`flat_params`] order, whose bit patterns
+/// differ from `reference`: `(index, new bits)` pairs, ascending. The
+/// compare is bitwise, so `-0.0` against `0.0` and a changed NaN payload
+/// are changes; the head is read in place, never copied flat.
+///
+/// # Panics
+///
+/// Panics if the head's parameter count differs from `reference.len()`
+/// (a different architecture is not a tampered model — it is a caller
+/// bug).
+pub(crate) fn changed_words(reference: &[u32], head: &FcHead) -> Vec<(usize, u32)> {
+    assert_eq!(
+        head.param_count(),
+        reference.len(),
+        "observed model has a different parameter count than calibrated"
+    );
+    let mut out = Vec::new();
+    let mut base = 0;
+    for l in 0..head.num_layers() {
+        let layer = head.layer(l);
+        for words in [layer.weight().as_slice(), layer.bias().as_slice()] {
+            let before = &reference[base..base + words.len()];
+            // Chunks that match whole cost one branch-free compare; only
+            // a chunk holding a change is walked word by word.
+            for (c, (now, was)) in words.chunks(64).zip(before.chunks(64)).enumerate() {
+                let same = now
+                    .iter()
+                    .zip(was)
+                    .fold(true, |same, (v, &w)| same & (v.to_bits() == w));
+                if !same {
+                    let at = base + c * 64;
+                    out.extend(
+                        now.iter()
+                            .zip(was)
+                            .enumerate()
+                            .filter(|&(_, (v, &w))| v.to_bits() != w)
+                            .map(|(k, (v, _))| (at + k, v.to_bits())),
+                    );
+                }
+            }
+            base += words.len();
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,6 +146,30 @@ mod tests {
         assert_eq!(flat.len(), head.param_count());
         assert_eq!(flat[..4 * 3 + 3], head.layer_flat_params(0)[..]);
         assert_eq!(flat[4 * 3 + 3..], head.layer_flat_params(1)[..]);
+    }
+
+    #[test]
+    fn changed_words_compare_bits() {
+        let mut rng = Prng::new(5);
+        let mut head = FcHead::from_dims(&[70, 2, 2], &mut rng);
+        let mut flat = head.layer_flat_params(0);
+        flat[3] = 0.0;
+        flat[100] = f32::from_bits(0x7FC0_0001);
+        head.set_layer_flat_params(0, &flat);
+        let reference: Vec<u32> = flat_params(&head).iter().map(|v| v.to_bits()).collect();
+        assert!(changed_words(&reference, &head).is_empty());
+        flat[3] = -0.0;
+        flat[100] = f32::from_bits(0x7FC0_0002);
+        flat[141] += 1.0; // the layer's last bias
+        head.set_layer_flat_params(0, &flat);
+        let mut top = head.layer_flat_params(1);
+        top[0] += 1.0;
+        head.set_layer_flat_params(1, &top);
+        let got: Vec<usize> = changed_words(&reference, &head)
+            .into_iter()
+            .map(|(i, _)| i)
+            .collect();
+        assert_eq!(got, vec![3, 100, 141, 142]);
     }
 
     #[test]

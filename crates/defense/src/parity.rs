@@ -20,8 +20,12 @@
 //! (`dram_row_crc`, a CRC-32 digest per row — position-sensitive, no
 //! cancellation channel at all). All three share the layout, threshold
 //! convention (any violated row alarms), and violation-count score.
+//!
+//! An observation is diffed against the captured words bit for bit;
+//! only the rows holding a differing word are re-digested
+//! ([`RowSignature::changed_violations`]).
 
-use crate::detector::{flat_params, Detector, Observation};
+use crate::detector::{changed_words, flat_params, Detector, Observation};
 use fsa_memfault::dram::{DramGeometry, ParamLayout};
 use fsa_memfault::parity::{RowCode, RowSignature};
 use fsa_nn::head::FcHead;
@@ -54,7 +58,8 @@ impl RowCodeDetector {
     /// Panics if the observed head's parameter count differs from the
     /// calibrated layout.
     pub fn violations(&self, head: &FcHead) -> Vec<(usize, usize)> {
-        self.reference.violations(&flat_params(head))
+        self.reference
+            .changed_violations(&changed_words(self.reference.words(), head))
     }
 }
 

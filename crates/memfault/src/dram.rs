@@ -160,6 +160,27 @@ impl ParamLayout {
         }
     }
 
+    /// The parameter indices that share `index`'s row, ascending. A
+    /// `(bank, row)` pair is one global row, so they are one contiguous
+    /// run of the buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index >= len`.
+    pub(crate) fn row_indices(&self, index: usize) -> std::ops::Range<usize> {
+        assert!(
+            index < self.len,
+            "parameter index {index} out of range {}",
+            self.len
+        );
+        let row_bytes = self.geometry.row_bytes;
+        let byte_addr = self.base_byte + self.word_bytes * index;
+        let row_start = byte_addr - byte_addr % row_bytes;
+        let lo = (row_start.max(self.base_byte) - self.base_byte) / self.word_bytes;
+        let hi = (row_start + row_bytes - self.base_byte) / self.word_bytes;
+        lo..hi.min(self.len)
+    }
+
     /// Distinct `(bank, row)` pairs touched by the given parameter
     /// indices.
     pub fn rows_touched(&self, indices: &[usize]) -> Vec<(usize, usize)> {
@@ -196,6 +217,28 @@ mod tests {
         let first_in_row1 = layout.address(16); // 64 → global row 1 → bank 1
         assert_eq!(last_in_row0.row_id(), (0, 0));
         assert_eq!(first_in_row1.row_id(), (1, 0));
+    }
+
+    #[test]
+    fn row_indices_are_exactly_the_words_of_a_row() {
+        // Unaligned bases, both word widths, several bank counts: every
+        // index's span holds exactly the indices whose address shares
+        // its row.
+        for (banks, base, word_bytes, len) in [(1, 0, 4, 40), (3, 12, 4, 61), (2, 5, 1, 150)] {
+            let g = DramGeometry {
+                banks,
+                rows_per_bank: 16,
+                row_bytes: 32,
+            };
+            let layout = ParamLayout::with_word_bytes(g, base, len, word_bytes);
+            for i in 0..len {
+                let id = layout.address(i).row_id();
+                let want: Vec<usize> = (0..len)
+                    .filter(|&j| layout.address(j).row_id() == id)
+                    .collect();
+                assert_eq!(layout.row_indices(i).collect::<Vec<_>>(), want, "index {i}");
+            }
+        }
     }
 
     #[test]

@@ -55,17 +55,23 @@ pub enum RowCode {
 }
 
 /// Reference per-row codes of a parameter buffer, together with the
-/// layout they were captured under.
+/// layout they were captured under and the buffer's word bits.
 ///
 /// Rows are identified by `(bank, row)` and stored sorted; each code
 /// covers the `f32` words the layout places in that row (words outside
 /// the layout — e.g. co-resident allocations — are not modeled and
 /// assumed untouched). Owning the layout means a check can only ever
 /// recompute the codes under the layout that was captured.
+///
+/// A check compares the observed words with the captured ones bit for
+/// bit and re-digests only the rows holding a differing word: every
+/// other row holds the captured bytes, so its code is the captured one.
 #[derive(Debug, Clone)]
 pub struct RowSignature {
     code: RowCode,
     layout: ParamLayout,
+    /// The captured buffer's `f32` bit patterns, in parameter order.
+    words: Vec<u32>,
     /// Sorted `((bank, row), code)` pairs for every covered row; a
     /// [`RowCode::Parity`] code is `0` or `1`.
     rows: Vec<((usize, usize), u32)>,
@@ -79,8 +85,23 @@ impl RowSignature {
     ///
     /// Panics if `params.len()` differs from the layout's length.
     pub fn capture(code: RowCode, layout: ParamLayout, params: &[f32]) -> Self {
-        let rows = row_codes(code, &layout, params);
-        Self { code, layout, rows }
+        assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
+        let words: Vec<u32> = params.iter().map(|p| p.to_bits()).collect();
+        let mut rows = Vec::new();
+        let mut start = 0;
+        while start < words.len() {
+            let span = layout.row_indices(start);
+            let id = layout.address(start).row_id();
+            rows.push((id, row_code(code, words[span.clone()].iter().copied())));
+            start = span.end;
+        }
+        rows.sort_unstable_by_key(|&(id, _)| id);
+        Self {
+            code,
+            layout,
+            words,
+            rows,
+        }
     }
 
     /// The code this signature keeps.
@@ -98,6 +119,12 @@ impl RowSignature {
         self.rows.is_empty()
     }
 
+    /// The captured buffer's `f32` bit patterns, in parameter order —
+    /// what [`RowSignature::changed_violations`] diffs against.
+    pub fn words(&self) -> &[u32] {
+        &self.words
+    }
+
     /// The `(bank, row)` pairs whose code no longer matches the
     /// reference — for [`RowCode::Parity`], the rows holding an odd
     /// number of flipped bits.
@@ -107,12 +134,75 @@ impl RowSignature {
     /// Panics if `params.len()` differs from the captured layout's
     /// length.
     pub fn violations(&self, params: &[f32]) -> Vec<(usize, usize)> {
-        let now = row_codes(self.code, &self.layout, params);
-        self.rows
+        assert_eq!(
+            params.len(),
+            self.words.len(),
+            "params/layout length mismatch"
+        );
+        let changes: Vec<(usize, u32)> = params
             .iter()
-            .zip(&now)
-            .filter_map(|(&(id, before), &(_, after))| (before != after).then_some(id))
-            .collect()
+            .zip(&self.words)
+            .enumerate()
+            .filter(|&(_, (p, &w))| p.to_bits() != w)
+            .map(|(i, (p, _))| (i, p.to_bits()))
+            .collect();
+        self.changed_violations(&changes)
+    }
+
+    /// [`RowSignature::violations`] of the buffer that equals the
+    /// captured one except at `changes`: `(parameter index, new bits)`
+    /// pairs, strictly ascending by index. Each row holding a change is
+    /// re-digested over its words in ascending index order, the
+    /// captured words standing in for the unchanged ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index lies outside the layout or the indices are
+    /// not strictly ascending.
+    pub fn changed_violations(&self, changes: &[(usize, u32)]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        let mut rest = changes;
+        while let Some(&(first, _)) = rest.first() {
+            let span = self.layout.row_indices(first);
+            let in_row = rest.partition_point(|&(i, _)| i < span.end);
+            let (row_changes, tail) = rest.split_at(in_row);
+            let mut pending = row_changes.iter().peekable();
+            let words = span
+                .clone()
+                .map(|i| match pending.next_if(|&&(j, _)| j == i) {
+                    Some(&(_, bits)) => bits,
+                    None => self.words[i],
+                });
+            let now = row_code(self.code, words);
+            assert!(pending.next().is_none(), "changes must ascend strictly");
+            let id = self.layout.address(first).row_id();
+            let at = self
+                .rows
+                .binary_search_by_key(&id, |&(id, _)| id)
+                .expect("every covered row was captured");
+            if self.rows[at].1 != now {
+                out.push(id);
+            }
+            rest = tail;
+        }
+        out.sort_unstable();
+        out
+    }
+}
+
+/// `code` of one row's words (bit patterns in ascending parameter
+/// order).
+///
+/// Row parity is the popcount parity of the column syndrome: XOR-ing
+/// the words first and counting bits once is exactly the XOR of every
+/// word's own bit parity.
+fn row_code(code: RowCode, words: impl Iterator<Item = u32>) -> u32 {
+    match code {
+        RowCode::Parity => words.fold(0, |a, w| a ^ w).count_ones() & 1,
+        RowCode::Column => words.fold(0, |a, w| a ^ w),
+        RowCode::Crc => !words
+            .flat_map(u32::to_le_bytes)
+            .fold(0xFFFF_FFFF, crc32_update),
     }
 }
 
@@ -145,82 +235,27 @@ fn fold_rows<T>(
     out
 }
 
-/// Per-row `code` of `params` under `layout`, sorted by `(bank, row)`.
-fn row_codes(code: RowCode, layout: &ParamLayout, params: &[f32]) -> Vec<((usize, usize), u32)> {
-    assert_eq!(params.len(), layout.len(), "params/layout length mismatch");
-    fold_codes(code, params, |i| layout.address(i).row_id())
-}
-
-/// Per-row `code` of `params`, word `i` living in row `row_of(i)`,
-/// sorted by `(bank, row)`. Only the fold differs between the codes.
-///
-/// Row parity is the popcount parity of the column syndrome: XOR-ing
-/// the words first and counting bits once is exactly the XOR of every
-/// word's own bit parity.
-fn fold_codes(
-    code: RowCode,
-    params: &[f32],
-    row_of: impl Fn(usize) -> (usize, usize),
-) -> Vec<((usize, usize), u32)> {
-    if code == RowCode::Crc {
-        return row_crcs(params, row_of);
-    }
-    let mut rows = fold_rows(
-        params
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (row_of(i), p.to_bits())),
-        |syndrome, bits| *syndrome ^= bits,
-    );
-    if code == RowCode::Parity {
-        for (_, syndrome) in &mut rows {
-            *syndrome = syndrome.count_ones() & 1;
+/// The CRC-32 byte table (reflected polynomial `0xEDB88320`): entry `b`
+/// is eight bitwise steps from state `b`.
+const CRC32_TABLE: [u32; 256] = {
+    let mut table = [0u32; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut step = 0;
+        while step < 8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            step += 1;
         }
+        table[b] = crc;
+        b += 1;
     }
-    rows
-}
+    table
+};
 
 /// One CRC-32 step over `byte` (reflected polynomial `0xEDB88320`).
-pub(crate) fn crc32_update(mut crc: u32, byte: u8) -> u32 {
-    crc ^= u32::from(byte);
-    for _ in 0..8 {
-        let mask = (crc & 1).wrapping_neg();
-        crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-    }
-    crc
-}
-
-/// Per-row CRC-32 of `params`, sorted by `(bank, row)`.
-///
-/// Unlike the XOR fold, a CRC is order-sensitive, so `fold_rows`'s
-/// sort-then-merge would scramble non-adjacent runs of one row. Instead
-/// the indices are sorted by `(row, index)` up front and each run is
-/// digested in ascending parameter order — the same fixed order
-/// regardless of how the layout interleaves rows.
-fn row_crcs(
-    params: &[f32],
-    row_of: impl Fn(usize) -> (usize, usize),
-) -> Vec<((usize, usize), u32)> {
-    let mut indexed: Vec<((usize, usize), usize)> =
-        (0..params.len()).map(|i| (row_of(i), i)).collect();
-    indexed.sort_unstable();
-    let mut out: Vec<((usize, usize), u32)> = Vec::new();
-    for (id, i) in indexed {
-        let state = match out.last_mut() {
-            Some((last, state)) if *last == id => state,
-            _ => {
-                out.push((id, 0xFFFF_FFFF));
-                &mut out.last_mut().expect("just pushed").1
-            }
-        };
-        for byte in params[i].to_bits().to_le_bytes() {
-            *state = crc32_update(*state, byte);
-        }
-    }
-    for (_, state) in &mut out {
-        *state = !*state;
-    }
-    out
+pub(crate) fn crc32_update(crc: u32, byte: u8) -> u32 {
+    (crc >> 8) ^ CRC32_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize]
 }
 
 /// Folds any stream of `(parameter index, flip count)` word changes onto
@@ -386,6 +421,37 @@ mod tests {
         assert_eq!(crc.violations(&tampered).len(), 1);
     }
 
+    /// One CRC-32 step the bitwise way: the definition the table is
+    /// built from.
+    fn crc32_bitwise(mut crc: u32, byte: u8) -> u32 {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            let mask = (crc & 1).wrapping_neg();
+            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+        }
+        crc
+    }
+
+    #[test]
+    fn crc32_table_matches_the_bitwise_loop() {
+        for state in [
+            0,
+            0xFFFF_FFFF,
+            0x1234_5678,
+            0xDEAD_BEEF,
+            0x8000_0001,
+            0xCBF4_3926,
+        ] {
+            for byte in 0..=255u8 {
+                assert_eq!(
+                    crc32_update(state, byte),
+                    crc32_bitwise(state, byte),
+                    "state {state:#010x}, byte {byte:#04x}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         // The canonical CRC-32 check: crc("123456789") == 0xCBF43926.
@@ -393,6 +459,60 @@ mod tests {
             .iter()
             .fold(0xFFFF_FFFFu32, |c, &b| crc32_update(c, b));
         assert_eq!(crc, 0xCBF4_3926);
+    }
+
+    /// Per-row `code` of `params`, word `i` living in row `row_of(i)`,
+    /// sorted by `(bank, row)`: the whole buffer folded at once, the
+    /// full recomputation a signature check replaces.
+    fn fold_codes(
+        code: RowCode,
+        params: &[f32],
+        row_of: impl Fn(usize) -> (usize, usize),
+    ) -> Vec<((usize, usize), u32)> {
+        if code == RowCode::Crc {
+            return row_crcs(params, row_of);
+        }
+        let mut rows = fold_rows(
+            params
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| (row_of(i), p.to_bits())),
+            |syndrome, bits| *syndrome ^= bits,
+        );
+        if code == RowCode::Parity {
+            for (_, syndrome) in &mut rows {
+                *syndrome = syndrome.count_ones() & 1;
+            }
+        }
+        rows
+    }
+
+    /// Per-row CRC-32 of `params`, sorted by `(bank, row)`: indices
+    /// sorted by `(row, index)`, each run digested in ascending order.
+    fn row_crcs(
+        params: &[f32],
+        row_of: impl Fn(usize) -> (usize, usize),
+    ) -> Vec<((usize, usize), u32)> {
+        let mut indexed: Vec<((usize, usize), usize)> =
+            (0..params.len()).map(|i| (row_of(i), i)).collect();
+        indexed.sort_unstable();
+        let mut out: Vec<((usize, usize), u32)> = Vec::new();
+        for (id, i) in indexed {
+            let state = match out.last_mut() {
+                Some((last, state)) if *last == id => state,
+                _ => {
+                    out.push((id, 0xFFFF_FFFF));
+                    &mut out.last_mut().expect("just pushed").1
+                }
+            };
+            for byte in params[i].to_bits().to_le_bytes() {
+                *state = crc32_bitwise(*state, byte);
+            }
+        }
+        for (_, state) in &mut out {
+            *state = !*state;
+        }
+        out
     }
 
     /// The per-row code recomputed the slow way: group the words by row
@@ -474,7 +594,12 @@ mod tests {
                 after[i] = f32::from_bits(after[i].to_bits() ^ mask);
             }
             let violations = |code: RowCode| match &layout {
-                Some(l) => capture(code, l, &before).violations(&after),
+                Some(l) => {
+                    // The captured codes are the whole-buffer fold's.
+                    let sig = capture(code, l, &before);
+                    assert_eq!(sig.rows, fold_codes(code, &before, |i| rows[i]));
+                    sig.violations(&after)
+                }
                 None => {
                     let now = fold_codes(code, &after, |i| rows[i]);
                     fold_codes(code, &before, |i| rows[i])

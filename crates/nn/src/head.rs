@@ -746,31 +746,6 @@ fn listed_top(
     }
 }
 
-/// The rows [`FcHead::backward_rows`] must visit for an upstream
-/// gradient `g` over cached `logits` (both `[batch, classes]`), in
-/// ascending order into `rows`: every row of `g` with an entry `!= 0.0`,
-/// plus every row whose logits hold no finite value. For callers that
-/// hold a sparse `g` without its list; the hinge lists its rows as it
-/// writes them.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn visit_rows(g: &Tensor, logits: &Tensor, rows: &mut Vec<usize>) {
-    assert_eq!(g.shape(), logits.shape(), "g and logits must share a shape");
-    let classes = g.shape().get(1).copied().unwrap_or(0);
-    rows.clear();
-    for r in 0..g.shape()[0] {
-        let (g_row, z_row) = (
-            &g.as_slice()[r * classes..(r + 1) * classes],
-            &logits.as_slice()[r * classes..(r + 1) * classes],
-        );
-        if g_row.iter().any(|&v| v != 0.0) || !z_row.iter().any(|v| v.is_finite()) {
-            rows.push(r);
-        }
-    }
-}
-
 /// Copies rows `rows` of the row-major `width`-wide `src` into `dst`.
 fn gather_rows(src: &[f32], width: usize, rows: &[usize], dst: &mut Vec<f32>) {
     dst.clear();
@@ -783,6 +758,30 @@ fn gather_rows(src: &[f32], width: usize, rows: &[usize], dst: &mut Vec<f32>) {
 mod tests {
     use super::*;
     use crate::gradcheck::{max_rel_error, numerical_gradient};
+
+    /// The rows [`FcHead::backward_rows`] must visit for an upstream
+    /// gradient `g` over cached `logits` (both `[batch, classes]`), in
+    /// ascending order into `rows`: every row of `g` with an entry `!= 0.0`,
+    /// plus every row whose logits hold no finite value. The hinge lists
+    /// its rows as it writes them; these tests derive them from `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    fn visit_rows(g: &Tensor, logits: &Tensor, rows: &mut Vec<usize>) {
+        assert_eq!(g.shape(), logits.shape(), "g and logits must share a shape");
+        let classes = g.shape().get(1).copied().unwrap_or(0);
+        rows.clear();
+        for r in 0..g.shape()[0] {
+            let (g_row, z_row) = (
+                &g.as_slice()[r * classes..(r + 1) * classes],
+                &logits.as_slice()[r * classes..(r + 1) * classes],
+            );
+            if g_row.iter().any(|&v| v != 0.0) || !z_row.iter().any(|v| v.is_finite()) {
+                rows.push(r);
+            }
+        }
+    }
 
     fn small_head(rng: &mut Prng) -> FcHead {
         FcHead::from_dims(&[6, 5, 4, 3], rng)

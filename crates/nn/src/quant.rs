@@ -238,17 +238,67 @@ impl QuantizedHead {
     /// Deterministic at any thread count: absmax is an exact fold,
     /// integer accumulation is exact, and the rescale is elementwise.
     ///
+    /// `forward` is [`QuantizedHead::forward_from`] at layer 0.
+    ///
     /// # Panics
     ///
     /// Panics if `x` is not `[batch, in_features]`.
     pub fn forward(&self, x: &Tensor) -> Tensor {
+        self.forward_from(0, x)
+    }
+
+    /// The int8 inference pass from layer `start` on, over `h`, the
+    /// inputs to layer `start` (the rows of
+    /// [`QuantizedHead::activations_before`]). Because each row is
+    /// quantized on its own grid, a row's logits do not depend on which
+    /// rows share its batch: rows gathered from a pass over a larger
+    /// batch give the bits a full [`QuantizedHead::forward`] of those
+    /// rows gives.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a layer or `h` is not
+    /// `[batch, in_features of layer start]`.
+    pub fn forward_from(&self, start: usize, h: &Tensor) -> Tensor {
+        assert!(
+            start < self.layers.len(),
+            "start layer {start} out of range"
+        );
+        let batch = h.shape()[0];
+        let out = self.run_layers(start..self.layers.len(), h);
+        Tensor::from_vec(out, &[batch, self.classes()])
+    }
+
+    /// The inputs to layer `start` under int8 inference: layers
+    /// `0..start` run over `x`, each followed by its ReLU.
+    /// `activations_before(0, x)` is `x` itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a layer or `x` is not
+    /// `[batch, in_features]`.
+    pub fn activations_before(&self, start: usize, x: &Tensor) -> Tensor {
+        assert!(
+            start < self.layers.len(),
+            "start layer {start} out of range"
+        );
+        let out = self.run_layers(0..start, x);
+        Tensor::from_vec(out, &[x.shape()[0], self.layers[start].in_features()])
+    }
+
+    /// Runs layers `range` over `x`, the inputs to layer `range.start`:
+    /// per layer, **each image's** activations are quantized onto their
+    /// own dynamic absmax grid, multiplied through the exact-`i32` NT
+    /// kernel, rescaled per row, bias-added, and ReLU'd unless the layer
+    /// is the head's last.
+    fn run_layers(&self, range: std::ops::Range<usize>, x: &Tensor) -> Vec<f32> {
         assert_eq!(x.ndim(), 2, "quantized forward expects [batch, d]");
+        let width = self.layers[range.start].in_features();
         assert_eq!(
             x.shape()[1],
-            self.in_features(),
-            "quantized forward width mismatch: {} vs {}",
-            x.shape()[1],
-            self.in_features()
+            width,
+            "quantized forward width mismatch: {} vs {width}",
+            x.shape()[1]
         );
         let batch = x.shape()[0];
         let last = self.layers.len() - 1;
@@ -256,7 +306,8 @@ impl QuantizedHead {
         let mut out = Vec::new();
         let mut xq = Vec::new();
         let mut a_scales = Vec::with_capacity(batch);
-        for (i, layer) in self.layers.iter().enumerate() {
+        for i in range {
+            let layer = &self.layers[i];
             let width = layer.in_features();
             xq.clear();
             xq.resize(h.len(), 0);
@@ -280,7 +331,7 @@ impl QuantizedHead {
             }
             std::mem::swap(&mut h, &mut out);
         }
-        Tensor::from_vec(h, &[batch, self.classes()])
+        h
     }
 
     /// Predicted class per sample under int8 inference.
@@ -444,6 +495,20 @@ mod tests {
                 alone.as_slice(),
                 "row {r} changed with batch composition"
             );
+        }
+    }
+
+    #[test]
+    fn forward_from_finishes_the_forward_at_every_layer() {
+        let mut rng = Prng::new(29);
+        let qhead = QuantizedHead::quantize(&FcHead::from_dims(&[10, 14, 12, 4], &mut rng));
+        let x = Tensor::randn(&[9, 10], 3.0, &mut rng);
+        let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let full = bits(&qhead.forward(&x));
+        assert_eq!(bits(&qhead.activations_before(0, &x)), bits(&x));
+        for start in 0..qhead.num_layers() {
+            let h = qhead.activations_before(start, &x);
+            assert_eq!(bits(&qhead.forward_from(start, &h)), full, "start {start}");
         }
     }
 
