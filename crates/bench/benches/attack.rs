@@ -93,6 +93,38 @@ fn bench_arena_backward() {
     });
 }
 
+/// The top layer's list-driven backward across class counts and input
+/// widths: one `W → C` layer at R = 260 (two `KC` tiles), 80 rows active
+/// with `+c`/`−c` at two classes. These rows set where the top layer's
+/// register build stops paying (`fsa_nn::head`'s `WIDE_MAX_CLASSES`).
+fn bench_class_sweep() {
+    let mut rng = Prng::new(16);
+    for width in [32, 200] {
+        for classes in [4, 6, 8, 10] {
+            let head = FcHead::from_dims(&[width, classes], &mut rng);
+            let acts = Tensor::randn(&[260, width], 1.0, &mut rng);
+            let mut hinge = Tensor::zeros(&[260, classes]);
+            let rows: Vec<usize> = (0..260).step_by(3).take(80).collect();
+            for &r in &rows {
+                let row = hinge.row_mut(r);
+                row[r % classes] = 40.0;
+                row[(r + 1) % classes] = -40.0;
+            }
+            let mut bufs = HeadBuffers::new();
+            head.forward_from_caching(0, &acts, &mut bufs);
+            bench(
+                &format!("backward_rows_260x{width}_to_{classes}_hinge80"),
+                || {
+                    black_box(
+                        head.backward_rows(0, black_box(&acts), &hinge, &rows, &mut bufs)
+                            .len(),
+                    )
+                },
+            );
+        }
+    }
+}
+
 /// A scenario's inputs to the paper head's last layer: the frozen
 /// 1024→200→200 prefix run over its 100 rows, against a row gather from
 /// that prefix run once over a 180-image pool (what a campaign spec
@@ -359,6 +391,7 @@ fn main() {
     );
     bench_head_passes();
     bench_arena_backward();
+    bench_class_sweep();
     bench_prefix();
     bench_hinge();
     bench_arena_hinge();

@@ -201,8 +201,13 @@ impl FaultSneakingAttack {
     ///
     /// # Panics
     ///
-    /// Panics if the selection names layers outside the head.
+    /// Panics if the selection names layers outside the head, or the head
+    /// has fewer than two classes (no label can be mistargeted).
     pub fn new(head: &FcHead, selection: ParamSelection, config: AttackConfig) -> Self {
+        assert!(
+            head.classes() >= 2,
+            "need at least two classes to mistarget"
+        );
         selection.validate(head);
         let theta0 = selection.gather(head);
         Self {
@@ -781,6 +786,23 @@ mod tests {
     use fsa_memfault::dram::DramGeometry;
     use fsa_nn::head_train::{train_head, HeadTrainConfig};
     use fsa_tensor::{Prng, Tensor};
+
+    /// A one-class head has no label to mistarget: binding the attack
+    /// refuses it, where the solver's runner-up search would otherwise
+    /// index past the head's one class.
+    #[test]
+    #[should_panic(expected = "need at least two classes to mistarget")]
+    fn a_one_class_head_is_refused() {
+        let mut rng = Prng::new(30);
+        let head = FcHead::from_dims(&[4, 3, 1], &mut rng);
+        let x = Tensor::randn(&[5, 4], 1.0, &mut rng);
+        let attack = FaultSneakingAttack::new(
+            &head,
+            ParamSelection::last_layer(&head),
+            AttackConfig::default(),
+        );
+        attack.run(&AttackSpec::new(x, vec![0; 5], vec![]));
+    }
 
     /// The two-pass oracle of [`AdmmVars::pass`], step one: the element
     /// work over the gathered gradient, per element `i`, with `xᵢ` the

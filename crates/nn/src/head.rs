@@ -14,7 +14,7 @@ use crate::activation::Relu;
 use crate::linear::Linear;
 use crate::loss::argmax_slice;
 use fsa_tensor::io::{DecodeError, Decoder, Encoder};
-use fsa_tensor::linalg::{gemm, gemm_tn, KC};
+use fsa_tensor::linalg::{avx512_available, gemm, gemm_tn, KC};
 use fsa_tensor::{Prng, Tensor};
 
 /// A stack of fully connected layers with ReLU between them (none after the
@@ -66,7 +66,8 @@ pub struct HeadBuffers {
     /// layer (see [`FcHead::backward_rows`]).
     rows: Vec<usize>,
     /// A `+0.0` `dW` tile for the top layer's second and later [`KC`]
-    /// tiles.
+    /// tiles in the scalar entry loop (the register build keeps its tile
+    /// in registers).
     tile: Vec<f32>,
     /// Those rows of the current layer's input, gathered.
     gathered: Vec<f32>,
@@ -367,16 +368,22 @@ impl FcHead {
     /// (`fsa_attack::objective::HingeEval::rows`), so `g` is never
     /// rescanned here.
     ///
-    /// The top layer, whose upstream gradient is `g` itself, adds only
-    /// the listed rows' nonzero entries: an active hinge row has two
-    /// (`+cᵢ` at the runner-up, `−cᵢ` at the enforced class), each adding
-    /// `g[r, j]·x_r` into row `j` of `dW` and `g[r, j]` into `db[j]`,
-    /// reading the input rows in place. A listed row whose logits prove
-    /// nothing finite adds every entry. Below the top layer, the listed
-    /// rows, plus any row a hidden layer's cached output cannot prove
-    /// finite, are gathered from the layer input, `g` and the cached
-    /// pre-activations and run through the same `gemm_tn`/`gemm`/
-    /// ReLU-mask kernels as a compact batch.
+    /// The top layer, whose upstream gradient is `g` itself, visits only
+    /// the listed rows, reading the input rows in place; each entry it
+    /// adds puts `g[r, j]·x_r` into row `j` of `dW` and `g[r, j]` into
+    /// `db[j]`. Its scalar loop adds only a row's nonzero entries (an
+    /// active hinge row has two: `+cᵢ` at the runner-up, `−cᵢ` at the
+    /// enforced class), or every entry of a row whose logits prove nothing
+    /// finite. On a CPU with AVX-512F and up to `WIDE_MAX_CLASSES` (8)
+    /// classes, a register build adds every entry of every listed row
+    /// instead, dense over classes and free of branches: a block of `dW`
+    /// stays in `__m512` accumulators across all the listed rows of a
+    /// [`KC`] tile, so no entry is loaded or stored per row.
+    ///
+    /// Below the top layer, the listed rows, plus any row a hidden layer's
+    /// cached output cannot prove finite, are gathered from the layer
+    /// input, `g` and the cached pre-activations and run through the same
+    /// `gemm_tn`/`gemm`/ReLU-mask kernels as a compact batch.
     ///
     /// The result is bit-identical to the dense pass over all rows:
     ///
@@ -387,7 +394,11 @@ impl FcHead {
     ///   unchanged, and a sum that starts at `+0.0` only becomes `−0.0`
     ///   by adding `−0.0` to `−0.0`, so it never does. Below the top
     ///   layer a skipped row's upstream gradient is `(±0)·W` (then
-    ///   masked), which is `+0.0` again.
+    ///   masked), which is `+0.0` again. Read backwards, the same argument
+    ///   lets the register build add the zero entries the scalar loop
+    ///   skips: on a row whose logits prove `x_r` finite (below), each is
+    ///   a `±0` term into a sum that is never `−0.0`; on an unproven row
+    ///   both builds add every entry.
     /// - **Tiles line up.** `gemm_tn` sums each [`KC`] tile of the batch
     ///   from `+0.0` in ascending row order and adds it into `dW` at
     ///   write-back. The compact rows are therefore issued as one
@@ -397,8 +408,11 @@ impl FcHead {
     ///   tile, in ascending row order, with the kernel's `acc + g·x` step:
     ///   the first nonempty tile straight into the zeroed `dW` (where
     ///   `+0.0 + acc` is `acc`), each later one into a `+0.0` tile added
-    ///   at write-back. Its `db` adds the same entries in ascending row
-    ///   order, as the dense column sums do.
+    ///   at write-back. The register build's lane `t` of accumulator
+    ///   `(j, panel)` is `dW[j, p0 + t]`'s own such chain, from `+0.0`,
+    ///   added into `dW` at write-back, the first tile included. `db`
+    ///   adds the same entries in ascending row order, as the dense column
+    ///   sums do.
     /// - **Non-finite values.** The argument needs every skipped term
     ///   finite, since `0·NaN` and `0·Inf` are NaN. Checking the inputs
     ///   directly costs about as much as the skip saves, so the cached
@@ -482,6 +496,7 @@ impl FcHead {
                 dw.as_mut_slice(),
                 db.as_mut_slice(),
                 &mut bufs.tile,
+                classes <= WIDE_MAX_CLASSES && avx512_available(),
             );
             if top == 0 {
                 return &bufs.grads;
@@ -688,13 +703,37 @@ impl FcHead {
     }
 }
 
+/// Most classes for which [`FcHead::backward_rows`] runs the top layer's
+/// register build ([`zmm`]). That build adds every entry of a listed row,
+/// `classes` products per input where the scalar loop adds two, so its
+/// edge shrinks as classes grow. In the `attack` bench's
+/// `backward_rows_260x{32,200}_to_{4,6,8,10}_hinge80` rows (one thread,
+/// 2-core AVX-512 host, medians of nine alternated runs) it took
+/// 0.41–0.57 of the scalar time at 32 inputs for every class count, and
+/// at 200 inputs 0.53, 0.66 and 0.79 at 4, 6 and 8 classes but 0.99 at
+/// 10. On the paper's MNIST shape (200 inputs, 10 classes, 15 of 100
+/// rows listed) it took 1.03: the crossover lies between 8 and 10
+/// classes.
+const WIDE_MAX_CLASSES: usize = 8;
+
 /// The top layer's `dW += gᵀ·X` and `db += Σ g` over the listed `rows`
-/// (see [`FcHead::backward_rows`]): for each row `r`, each entry
-/// `g[r, j] != 0.0` adds `g[r, j]·x_r` into row `j` of a zeroed `dw` and
-/// `g[r, j]` into `db[j]` — every entry, if the row's `logits` prove
-/// nothing finite — per [`KC`] tile of the batch in ascending row order,
-/// with `gemm_tn`'s `acc + g·x` step. The first nonempty tile accumulates
-/// in `dw` itself; each later one in a `+0.0` `tile` added at write-back.
+/// (see [`FcHead::backward_rows`]), per [`KC`] tile of the batch in
+/// ascending row order with `gemm_tn`'s `acc + g·x` step.
+///
+/// The scalar loop (`wide` unset; the fallback and the oracle) adds, for
+/// each row `r`, each entry `g[r, j] != 0.0` as `g[r, j]·x_r` into row
+/// `j` of a zeroed `dw` and `g[r, j]` into `db[j]` — every entry, if the
+/// row's `logits` prove nothing finite. The first nonempty tile
+/// accumulates in `dw` itself; each later one in a `+0.0` `tile` added at
+/// write-back.
+///
+/// The register build (`wide`, only where [`avx512_available`]) adds
+/// every entry of every listed row and reads no logits: each tile's sums
+/// stay in AVX-512 registers, from `+0.0`, and are added into `dw` at
+/// write-back (`+0.0 + acc` is `acc` for the first tile), and `db` sums
+/// every entry in ascending row order. The entries the scalar loop skips
+/// are `±0` on rows whose logits prove `x_r` finite, so each adds a `±0`
+/// that leaves its sum unchanged.
 fn listed_top(
     g: &[f32],
     logits: &[f32],
@@ -703,12 +742,21 @@ fn listed_top(
     dw: &mut [f32],
     db: &mut [f32],
     tile: &mut Vec<f32>,
+    wide: bool,
 ) {
     let classes = db.len();
     if classes == 0 {
         return;
     }
+    let wide = wide && cfg!(target_arch = "x86_64");
     let width = dw.len() / classes;
+    if wide {
+        for &r in rows {
+            for (b, &v) in db.iter_mut().zip(&g[r * classes..(r + 1) * classes]) {
+                *b += v;
+            }
+        }
+    }
     let mut add = |acc: &mut [f32], rows: &[usize]| {
         for &r in rows {
             let proven = logits[r * classes..(r + 1) * classes]
@@ -731,7 +779,14 @@ fn listed_top(
     while lo < rows.len() {
         let end = (rows[lo] / KC + 1) * KC;
         let hi = lo + rows[lo..].partition_point(|&r| r < end);
-        if first {
+        if wide {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `wide` is set only where the CPU supports AVX-512F
+            // (`avx512_available`).
+            unsafe {
+                zmm::add_tile(g, x, &rows[lo..hi], classes, dw)
+            };
+        } else if first {
             add(dw, &rows[lo..hi]);
             first = false;
         } else {
@@ -743,6 +798,192 @@ fn listed_top(
             }
         }
         lo = hi;
+    }
+}
+
+/// The register build of [`listed_top`]'s `dW` (AVX-512F).
+#[cfg(target_arch = "x86_64")]
+mod zmm {
+    use std::arch::x86_64::*;
+
+    /// `f32` lanes per `__m512`.
+    const LANES: usize = 16;
+
+    /// Most classes one accumulator block holds.
+    const MAX_CB: usize = 8;
+
+    /// Adds `g[r, j]·x_r` into row `j` of `dw` for every class `j` of
+    /// every row `r` of `rows` (one [`super::KC`] tile, ascending). The
+    /// `dw` entries are cut into blocks of up to [`MAX_CB`] classes by one
+    /// or two 16-input panels; each block's accumulators stay in
+    /// registers over every row, so lane `t` of accumulator `(j, panel)`
+    /// is `dW[j, p0 + t]`'s own chain from `+0.0`, one separate multiply
+    /// and add (never FMA) per row in ascending order, then added into
+    /// `dw` at write-back. A block only decides which entries share
+    /// operand loads, never an entry's arithmetic.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX-512F ([`super::avx512_available`]). The
+    /// asserts below bound every raw access.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `classes` is zero or does not divide `dw`, or a row of
+    /// `rows` lies past the end of `g` or `x` (as `[batch, classes]` and
+    /// `[batch, width]`).
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn add_tile(
+        g: &[f32],
+        x: &[f32],
+        rows: &[usize],
+        classes: usize,
+        dw: &mut [f32],
+    ) {
+        let width = dw.len() / classes;
+        assert_eq!(dw.len(), classes * width, "dW is not whole class rows");
+        if width == 0 {
+            return;
+        }
+        let batch = (g.len() / classes).min(x.len() / width);
+        assert!(
+            rows.iter().all(|&r| r < batch),
+            "a listed row lies past the batch"
+        );
+        let tile = Tile {
+            g,
+            x,
+            rows,
+            classes,
+            width,
+        };
+        // Blocks of even size: 10 classes run as 5 + 5.
+        let blocks = classes.div_ceil(MAX_CB);
+        let mut j0 = 0;
+        for b in 0..blocks {
+            let cb = (classes - j0) / (blocks - b);
+            for p0 in (0..width).step_by(2 * LANES) {
+                // SAFETY: AVX-512F is available (this function's
+                // contract).
+                unsafe {
+                    if width - p0 > LANES {
+                        tile.block_of::<2>(cb, j0, p0, dw)
+                    } else {
+                        tile.block_of::<1>(cb, j0, p0, dw)
+                    }
+                }
+            }
+            j0 += cb;
+        }
+    }
+
+    /// One tile's operands: `g` is `[batch, classes]`, `x` is
+    /// `[batch, width]`, and every row of `rows` is below `batch` (checked
+    /// by [`add_tile`], the only place a `Tile` is made).
+    struct Tile<'a> {
+        g: &'a [f32],
+        x: &'a [f32],
+        rows: &'a [usize],
+        classes: usize,
+        width: usize,
+    }
+
+    impl Tile<'_> {
+        /// [`Tile::block`] for `cb` classes (1..=[`MAX_CB`]).
+        ///
+        /// # Safety
+        ///
+        /// As [`Tile::block`].
+        #[target_feature(enable = "avx512f")]
+        unsafe fn block_of<const PB: usize>(
+            &self,
+            cb: usize,
+            j0: usize,
+            p0: usize,
+            dw: &mut [f32],
+        ) {
+            // SAFETY: forwarded from this function's contract.
+            unsafe {
+                match cb {
+                    1 => self.block::<1, PB>(j0, p0, dw),
+                    2 => self.block::<2, PB>(j0, p0, dw),
+                    3 => self.block::<3, PB>(j0, p0, dw),
+                    4 => self.block::<4, PB>(j0, p0, dw),
+                    5 => self.block::<5, PB>(j0, p0, dw),
+                    6 => self.block::<6, PB>(j0, p0, dw),
+                    7 => self.block::<7, PB>(j0, p0, dw),
+                    8 => self.block::<8, PB>(j0, p0, dw),
+                    _ => unreachable!("a class block holds 1..=MAX_CB classes"),
+                }
+            }
+        }
+
+        /// Classes `j0..j0 + CB` × the `PB` 16-input panels from input
+        /// `p0` (the last one lane-masked at the row's end), summed over
+        /// the tile's rows in registers and added into `dw`. Masked-off
+        /// lanes are neither loaded nor written back.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX-512F. The assert below and the rows
+        /// [`add_tile`] checked bound every raw access.
+        ///
+        /// # Panics
+        ///
+        /// Panics if classes `j0..j0 + CB` or panel `PB − 1` (from input
+        /// `p0 + (PB − 1)·16`) lie past the row.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn block<const CB: usize, const PB: usize>(
+            &self,
+            j0: usize,
+            p0: usize,
+            dw: &mut [f32],
+        ) {
+            let (classes, width) = (self.classes, self.width);
+            assert!(j0 + CB <= classes && p0 + (PB - 1) * LANES < width);
+            let mut masks = [0 as __mmask16; PB];
+            for (p, m) in masks.iter_mut().enumerate() {
+                let live = (width - p0 - p * LANES).min(LANES);
+                *m = ((1u32 << live) - 1) as __mmask16;
+            }
+            let mut acc = [[_mm512_setzero_ps(); PB]; CB];
+            for &r in self.rows {
+                // SAFETY: `add_tile` checked `r < batch`, so row `r` of `x`
+                // (`width` inputs) and of `g` (`classes` entries) is in
+                // bounds, and the assert above keeps `p0` and `j0 + CB`
+                // inside it.
+                let (xr, gr) = unsafe {
+                    (
+                        self.x.as_ptr().add(r * width + p0),
+                        self.g.as_ptr().add(r * classes + j0),
+                    )
+                };
+                let mut xv = [_mm512_setzero_ps(); PB];
+                for (p, (v, &m)) in xv.iter_mut().zip(&masks).enumerate() {
+                    // SAFETY: the `live` lanes of panel `p` start at input
+                    // `p0 + 16p < width` and end at or before the row's end.
+                    *v = unsafe { _mm512_maskz_loadu_ps(m, xr.add(p * LANES)) };
+                }
+                for (j, acc_j) in acc.iter_mut().enumerate() {
+                    // SAFETY: entry `j0 + j < classes` of row `r` of `g`.
+                    let gv = _mm512_set1_ps(unsafe { *gr.add(j) });
+                    for (a, &xp) in acc_j.iter_mut().zip(&xv) {
+                        *a = _mm512_add_ps(*a, _mm512_mul_ps(gv, xp));
+                    }
+                }
+            }
+            for (j, acc_j) in acc.iter().enumerate() {
+                let out = &mut dw[(j0 + j) * width + p0..(j0 + j + 1) * width];
+                for (p, (&a, &m)) in acc_j.iter().zip(&masks).enumerate() {
+                    // SAFETY: the `live` lanes of panel `p` lie inside `out`.
+                    unsafe {
+                        let at = out.as_mut_ptr().add(p * LANES);
+                        let d = _mm512_maskz_loadu_ps(m, at);
+                        _mm512_mask_storeu_ps(at, m, _mm512_add_ps(d, a));
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -992,10 +1233,25 @@ mod tests {
         rows
     }
 
+    /// The heads the `row_sparse_backward_*` tests run: a 9-wide last
+    /// layer with 6 classes, and the arena's 32-wide one with 4, which
+    /// the top layer's register build serves on an AVX-512F host.
+    fn row_sparse_heads(rng: &mut Prng) -> [FcHead; 2] {
+        [
+            FcHead::from_dims(&[13, 11, 9, 6], rng),
+            FcHead::from_dims(&[13, 11, 32, 4], rng),
+        ]
+    }
+
     #[test]
     fn row_sparse_backward_is_bit_identical_to_dense() {
         let mut rng = Prng::new(23);
-        let head = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
+        for head in row_sparse_heads(&mut rng) {
+            row_sparse_backward_matches_dense_on(&head, &mut rng);
+        }
+    }
+
+    fn row_sparse_backward_matches_dense_on(head: &FcHead, rng: &mut Prng) {
         let classes = head.classes();
         type Pattern = (&'static str, fn(usize) -> bool);
         let patterns: [Pattern; 5] = [
@@ -1007,15 +1263,15 @@ mod tests {
         ];
         let mut bufs = HeadBuffers::new();
         for batch in [1, 7, 100, 255, 256, 257, 600] {
-            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+            let x = Tensor::randn(&[batch, 13], 1.0, rng);
             for start in 0..head.num_layers() {
                 let acts = head.activations_before(start, &x);
                 for (name, active) in patterns {
                     let g = hinge_grad(batch, classes, active);
                     head.forward_from_caching(start, &acts, &mut bufs);
-                    let dense = dense_backward(&head, start, &acts, &g, &bufs);
-                    let rows = listed_backward(&head, start, &acts, &g, &mut bufs);
-                    let what = format!("batch {batch} start {start} {name}");
+                    let dense = dense_backward(head, start, &acts, &g, &bufs);
+                    let rows = listed_backward(head, start, &acts, &g, &mut bufs);
+                    let what = format!("classes {classes} batch {batch} start {start} {name}");
                     let want: Vec<usize> = (0..batch).filter(|&r| active(r)).collect();
                     assert_eq!(rows, want, "{what}: rows listed");
                     if start + 1 < head.num_layers() {
@@ -1033,12 +1289,17 @@ mod tests {
     #[test]
     fn row_sparse_backward_keeps_non_finite_values() {
         let mut rng = Prng::new(24);
-        let base = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
+        for base in row_sparse_heads(&mut rng) {
+            row_sparse_backward_keeps_non_finite_values_on(&base, &mut rng);
+        }
+    }
+
+    fn row_sparse_backward_keeps_non_finite_values_on(base: &FcHead, rng: &mut Prng) {
         let classes = base.classes();
         let active = |r: usize| r % 7 == 3;
         let mut bufs = HeadBuffers::new();
         for batch in [7, 100, 257, 600] {
-            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+            let x = Tensor::randn(&[batch, 13], 1.0, rng);
             let g = hinge_grad(batch, classes, active);
             let skipped = (0..batch).rev().find(|&r| !active(r)).unwrap();
             let kept = 3;
@@ -1062,7 +1323,9 @@ mod tests {
                         head.forward_from_caching(start, &acts, &mut bufs);
                         let dense = dense_backward(&head, start, &acts, &g, &bufs);
                         let rows = listed_backward(&head, start, &acts, &g, &mut bufs);
-                        let what = format!("batch {batch} start {start} {bad} in {site}");
+                        let what = format!(
+                            "classes {classes} batch {batch} start {start} {bad} in {site}"
+                        );
                         assert_same_bits(bufs.grads(), &dense, &what);
                         if site == "skipped row" {
                             assert!(rows.contains(&skipped), "{what}: row not listed");
@@ -1086,30 +1349,31 @@ mod tests {
     fn row_sparse_backward_keeps_every_row_when_a_hidden_layer_is_unproven() {
         use crate::layer::Layer as _;
         let mut rng = Prng::new(26);
-        let mut head = FcHead::from_dims(&[13, 11, 9, 6], &mut rng);
-        let classes = head.classes();
-        let mut bufs = HeadBuffers::new();
-        for batch in [7, 100, 257] {
-            let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
-            let g = hinge_grad(batch, classes, |r| r % 7 == 3);
-            let active: Vec<usize> = (0..batch).filter(|&r| r % 7 == 3).collect();
-            for unproven in [false, true] {
-                let bias = if unproven { f32::NEG_INFINITY } else { 0.25 };
-                head.layer_mut(1).bias_mut().as_mut_slice()[2] = bias;
-                head.forward_from_caching(0, &x, &mut bufs);
-                assert!(bufs.logits().as_slice().iter().all(|v| v.is_finite()));
-                let dense = dense_backward(&head, 0, &x, &g, &bufs);
-                let rows = listed_backward(&head, 0, &x, &g, &mut bufs);
-                let what = format!("batch {batch} unproven {unproven}");
-                assert_eq!(rows, active, "{what}: rows listed");
-                let want: Vec<usize> = if unproven {
-                    (0..batch).collect()
-                } else {
-                    active.clone()
-                };
-                assert_eq!(bufs.rows, want, "{what}: rows visited");
-                assert_eq!(bufs.dz.len(), want.len() * head.layer(0).out_features());
-                assert_same_bits(bufs.grads(), &dense, &what);
+        for mut head in row_sparse_heads(&mut rng) {
+            let classes = head.classes();
+            let mut bufs = HeadBuffers::new();
+            for batch in [7, 100, 257] {
+                let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
+                let g = hinge_grad(batch, classes, |r| r % 7 == 3);
+                let active: Vec<usize> = (0..batch).filter(|&r| r % 7 == 3).collect();
+                for unproven in [false, true] {
+                    let bias = if unproven { f32::NEG_INFINITY } else { 0.25 };
+                    head.layer_mut(1).bias_mut().as_mut_slice()[2] = bias;
+                    head.forward_from_caching(0, &x, &mut bufs);
+                    assert!(bufs.logits().as_slice().iter().all(|v| v.is_finite()));
+                    let dense = dense_backward(&head, 0, &x, &g, &bufs);
+                    let rows = listed_backward(&head, 0, &x, &g, &mut bufs);
+                    let what = format!("classes {classes} batch {batch} unproven {unproven}");
+                    assert_eq!(rows, active, "{what}: rows listed");
+                    let want: Vec<usize> = if unproven {
+                        (0..batch).collect()
+                    } else {
+                        active.clone()
+                    };
+                    assert_eq!(bufs.rows, want, "{what}: rows visited");
+                    assert_eq!(bufs.dz.len(), want.len() * head.layer(0).out_features());
+                    assert_same_bits(bufs.grads(), &dense, &what);
+                }
             }
         }
     }
@@ -1194,14 +1458,16 @@ mod tests {
 
     /// The top layer's entry-sparse `dW` against the dense oracle: hinge
     /// rows with two nonzero entries, rows whose `c` is zero (signed
-    /// zeros only), and non-finite input rows, over 3, 4 and 10 classes,
-    /// one and two `KC` tiles, and every start layer.
+    /// zeros only), and non-finite input rows, over 3, 4 and 10 classes
+    /// of a 9- and a 32-wide last layer, one and two `KC` tiles, and
+    /// every start layer.
     #[test]
     fn row_sparse_backward_skips_zero_entries_bit_identically() {
         let mut rng = Prng::new(25);
         let mut bufs = HeadBuffers::new();
-        for classes in [3, 4, 10] {
-            let head = FcHead::from_dims(&[13, 11, 9, classes], &mut rng);
+        let shapes = [9, 32].into_iter().flat_map(|w| [3, 4, 10].map(|c| (w, c)));
+        for (width, classes) in shapes {
+            let head = FcHead::from_dims(&[13, 11, width, classes], &mut rng);
             for batch in [100, 260] {
                 let x = Tensor::randn(&[batch, 13], 1.0, &mut rng);
                 // Every row of the second KC tile is active, so its
@@ -1230,8 +1496,95 @@ mod tests {
                         head.forward_from_caching(start, &acts, &mut bufs);
                         let dense = dense_backward(&head, start, &acts, &g, &bufs);
                         listed_backward(&head, start, &acts, &g, &mut bufs);
-                        let what = format!("classes {classes} batch {batch} start {start} {site}");
+                        let what = format!("{width}→{classes} batch {batch} start {start} {site}");
                         assert_same_bits(bufs.grads(), &dense, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The top layer's register build against the scalar entry loop, both
+    /// called explicitly, by `to_bits` (NaN matches any NaN: a NaN's sign
+    /// and payload follow the operand order the compiler picks for a
+    /// commutative add). Classes 1–12 and 16, input widths around the
+    /// 16-lane panels, batches around the `KC` tiles; the listed rows hold
+    /// hinge rows whose entries include `−0.0`, rows with `c = 0` (signed
+    /// zeros only) and rows whose input holds NaN or ±∞, whose logits
+    /// then prove nothing finite. Rows off the list have finite logits
+    /// and zero gradients, as the hinge hands them over.
+    #[test]
+    fn wide_top_layer_matches_the_scalar_entry_loop_bit_for_bit() {
+        let wide = avx512_available();
+        if wide {
+            eprintln!("AVX-512F: checking the register build against the scalar entry loop");
+        } else {
+            eprintln!("no AVX-512F on this CPU: checking the scalar entry loop only");
+        }
+        let mut rng = Prng::new(29);
+        let bad = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        let mut tile = Vec::new();
+        for classes in (1..=12).chain([16]) {
+            for width in [1, 7, 15, 16, 17, 31, 32, 33, 200] {
+                for batch in [1, 255, 256, 257, 600] {
+                    let mut x = Tensor::randn(&[batch, width], 1.0, &mut rng);
+                    let mut logits = Tensor::randn(&[batch, classes], 1.0, &mut rng);
+                    let mut g = Tensor::zeros(&[batch, classes]);
+                    let mut rows = Vec::new();
+                    for r in 0..batch {
+                        let (xr, gr) = (x.row_mut(r), g.row_mut(r));
+                        xr[r % width] = -0.0;
+                        if r % 17 == 8 {
+                            // Unproven: every entry counts, zeros included.
+                            xr[(r / 17) % width] = bad[r % 3];
+                            logits.row_mut(r).fill(bad[(r + 1) % 3]);
+                            gr[r % classes] = 1.5;
+                            gr[(r + 2) % classes] = -0.0;
+                        } else if r % 11 == 5 {
+                            // Active with c = 0: signed zeros only.
+                            gr[r % classes] = 0.0;
+                            gr[(r + 1) % classes] = -0.0;
+                        } else if r % 3 == 1 || (r >= KC && r % 2 == 0) {
+                            gr[r % classes] = 0.75 + r as f32;
+                            gr[(r + 1) % classes] = -0.75 - r as f32;
+                            gr[(r + 3) % classes] = -0.0;
+                        } else {
+                            continue;
+                        }
+                        rows.push(r);
+                    }
+                    let run = |wide: bool, tile: &mut Vec<f32>| {
+                        let mut dw = vec![0.0f32; classes * width];
+                        let mut db = vec![0.0f32; classes];
+                        listed_top(
+                            g.as_slice(),
+                            logits.as_slice(),
+                            x.as_slice(),
+                            &rows,
+                            &mut dw,
+                            &mut db,
+                            tile,
+                            wide,
+                        );
+                        (dw, db)
+                    };
+                    let scalar = run(false, &mut tile);
+                    if !wide {
+                        continue;
+                    }
+                    let simd = run(true, &mut tile);
+                    let what = format!("classes {classes} width {width} batch {batch}");
+                    for (name, got, want) in
+                        [("dW", &simd.0, &scalar.0), ("db", &simd.1, &scalar.1)]
+                    {
+                        for (k, (a, b)) in got.iter().zip(want).enumerate() {
+                            assert!(
+                                a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+                                "{what}: {name}[{k}] = {a:e} ({:#x}), scalar {b:e} ({:#x})",
+                                a.to_bits(),
+                                b.to_bits()
+                            );
+                        }
                     }
                 }
             }

@@ -30,6 +30,10 @@
 //! run time: AVX is detected once ([`avx_available`]), and on every other
 //! target, or a CPU without it, the portable kernels run. No build flag,
 //! cargo feature, environment variable or config field selects a path.
+//! A second cached probe, [`avx512_available`] (AVX-512F), serves no
+//! kernel here: it picks the head backward's top-layer register build
+//! (`fsa_nn::head`), which sums `dW` over the hinge's listed rows in
+//! `__m512` accumulators.
 //!
 //! - [`gemm_nt`] (when `k ≥ NR`) runs a 4 A-row × 2 B-row tile: eight
 //!   `__m256` accumulators, one per output element, whose lane `t` is
@@ -67,8 +71,9 @@
 //! the hinge to the head backward (`fsa_nn::head::FcHead::backward_rows`):
 //! the hinge lists the batch rows whose upstream gradient is nonzero or
 //! whose logits prove nothing finite, the backward gathers only those and
-//! adds only the top layer's nonzero entries, and its doc gives the proof
-//! that this keeps every bit, non-finite values included.
+//! adds the top layer's nonzero entries (or, in its AVX-512F register
+//! build, every entry of a listed row), and its doc gives the proof that
+//! this keeps every bit, non-finite values included.
 //!
 //! These are plain-slice kernels over caller-owned buffers; `Tensor`
 //! methods wrap them. [`gemm_naive`] remains as the correctness oracle
@@ -139,6 +144,21 @@ pub fn avx_available() -> bool {
     {
         static AVX: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         *AVX.get_or_init(|| is_x86_feature_detected!("avx"))
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether this CPU supports AVX-512F, detected once per process (always
+/// `false` off x86_64). The head backward's top-layer `dW` register
+/// build (`fsa_nn::head`) runs only where this returns `true`.
+pub fn avx512_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVX512F: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+        *AVX512F.get_or_init(|| is_x86_feature_detected!("avx512f"))
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
