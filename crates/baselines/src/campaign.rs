@@ -74,11 +74,12 @@ fn attack_rows(aspec: &AttackSpec) -> Tensor {
 /// cover the last layer's bias (the paper's main `last_layer`
 /// configuration does) — [`AttackMethod::run_scenario`] panics
 /// otherwise rather than report a `δ` that misses the shift.
+///
+/// The method holds no settings: it runs [`SbaAttack::default`], so a
+/// campaign method is fully named by `"sba"` and a sharded run (which
+/// resolves methods by name) reproduces an in-process one.
 #[derive(Debug, Clone, Default)]
-pub struct SbaMethod {
-    /// The underlying bias attack.
-    pub attack: SbaAttack,
-}
+pub struct SbaMethod;
 
 impl AttackMethod for SbaMethod {
     fn name(&self) -> String {
@@ -105,7 +106,7 @@ impl AttackMethod for SbaMethod {
         let attacked = if aspec.s() == 0 {
             head.clone()
         } else {
-            self.attack
+            SbaAttack::default()
                 .run_multi(head, &attack_rows(aspec), &aspec.targets)
                 .0
         };
@@ -119,11 +120,11 @@ impl AttackMethod for SbaMethod {
 /// on its `S` designated images over the campaign's selection. There is
 /// no keep-set term — the resulting collateral damage is exactly what
 /// the §5.4 comparison quantifies.
+///
+/// Like [`SbaMethod`] it holds no settings: every scenario runs
+/// [`GdaConfig::default`].
 #[derive(Debug, Clone, Default)]
-pub struct GdaMethod {
-    /// GDA hyperparameters used for every scenario.
-    pub config: GdaConfig,
-}
+pub struct GdaMethod;
 
 impl AttackMethod for GdaMethod {
     fn name(&self) -> String {
@@ -138,7 +139,7 @@ impl AttackMethod for GdaMethod {
         _sc: &Scenario,
         aspec: &AttackSpec,
     ) -> AttackResult {
-        let gda = GdaAttack::new(head, selection.clone(), self.config.clone());
+        let gda = GdaAttack::new(head, selection.clone(), GdaConfig::default());
         let result = gda.run(aspec);
         let mut attacked = head.clone();
         let theta: Vec<f32> = gda
@@ -173,8 +174,8 @@ mod tests {
         let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
         let spec = CampaignSpec::grid(vec![1], vec![3]);
         let fsa = campaign.run(&spec);
-        let sba = campaign.run_method(&spec, &SbaMethod::default());
-        let gda = campaign.run_method(&spec, &GdaMethod::default());
+        let sba = campaign.run_method(&spec, &SbaMethod);
+        let gda = campaign.run_method(&spec, &GdaMethod);
         assert_eq!(fsa.method, "fsa");
         assert_eq!(sba.method, "sba");
         assert_eq!(gda.method, "gda");
@@ -201,10 +202,7 @@ mod tests {
         let (head, cache, labels) = victim();
         let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
         let spec = CampaignSpec::grid(vec![1, 2], vec![2]);
-        for method in [
-            &SbaMethod::default() as &dyn AttackMethod,
-            &GdaMethod::default(),
-        ] {
+        for method in [&SbaMethod as &dyn AttackMethod, &GdaMethod] {
             let a = campaign.run_method(&spec, method);
             let b = campaign.run_method(&spec, method);
             assert_eq!(a, b, "{} must be pure per scenario", a.method);
@@ -219,7 +217,7 @@ mod tests {
         let selection = ParamSelection::last_layer(&head);
         let campaign = Campaign::new(&head, selection.clone(), cache.clone(), labels);
         let spec = CampaignSpec::grid(vec![2], vec![4]);
-        let report = campaign.run_method(&spec, &SbaMethod::default());
+        let report = campaign.run_method(&spec, &SbaMethod);
         let o = &report.outcomes[0];
         let theta0 = selection.gather(&head);
         let rebuilt = fsa_attack::eval::attacked_head(&head, &selection, &theta0, &o.result.delta);
@@ -237,6 +235,6 @@ mod tests {
         let selection = ParamSelection::layer(head.num_layers() - 1, ParamKind::Weights);
         let campaign = Campaign::new(&head, selection, cache, labels);
         let spec = CampaignSpec::grid(vec![1], vec![2]);
-        let _ = campaign.run_method(&spec, &SbaMethod::default());
+        let _ = campaign.run_method(&spec, &SbaMethod);
     }
 }

@@ -4,10 +4,10 @@
 
 use fsa_attack::eval::apply_delta;
 use fsa_attack::objective::{evaluate_hinge_into, HingeEval};
-use fsa_attack::refine::{refine_on_support, RefineConfig};
+use fsa_attack::refine::refine_on_support;
 use fsa_attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
 use fsa_bench::timing::bench;
-use fsa_defense::{DefenseSuite, Observation};
+use fsa_defense::DefenseSuite;
 use fsa_memfault::DramGeometry;
 use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_nn::quant::QuantizedHead;
@@ -180,9 +180,7 @@ fn bench_arena_scoring() {
     }
     tampered.set_layer_flat_params(start, &top);
     bench("arena_suite_eval_2244_last_layer_l0_56", || {
-        black_box(suite.evaluate(&Observation {
-            head: black_box(&tampered),
-        }))
+        black_box(suite.evaluate(black_box(&tampered)))
     });
 
     let qhead = QuantizedHead::quantize(&head);
@@ -328,12 +326,9 @@ fn bench_refine_drift_wall() {
     let mut work = head.clone();
     let mut run = |iterations: usize, budget: f32, delta: &mut [f32]| {
         delta.copy_from_slice(&delta0);
-        // A small fixed step keeps the drift climbing steadily, so the
-        // budget taken from half the pass binds near its middle.
-        let cfg = RefineConfig {
-            iterations,
-            step: Some(1e-3),
-        };
+        // A small fixed step (α = 999, so `1 / (α + 1)` is 1e-3) keeps
+        // the drift climbing steadily, so the budget taken from half the
+        // pass binds near its middle.
         refine_on_support(
             &mut work,
             &sel,
@@ -341,14 +336,16 @@ fn bench_refine_drift_wall() {
             &spec,
             &acts,
             2.0,
-            1.0,
-            &cfg,
+            999.0,
+            iterations,
             Some((&reference, budget)),
             delta,
         )
     };
     // The binding budget is the whole-head drift after half the pass.
-    let steps = RefineConfig::default().iterations;
+    let steps = AttackConfig::default()
+        .refine
+        .expect("the default attack refines");
     let mut delta = delta0.clone();
     run(steps / 2, f32::MAX, &mut delta);
     let mut attacked = head.clone();

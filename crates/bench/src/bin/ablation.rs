@@ -10,7 +10,6 @@
 //! Run on a moderately hard configuration (S=8, R=200, digits) where the
 //! differences show.
 
-use fsa_attack::refine::RefineConfig;
 use fsa_attack::{AttackConfig, ParamSelection};
 use fsa_bench::exp::{experiment_config, run_mean};
 use fsa_bench::report::{pct, print_table};
@@ -48,10 +47,7 @@ fn main() {
         (
             "long refine (200 steps)",
             AttackConfig {
-                refine: Some(RefineConfig {
-                    iterations: 200,
-                    step: None,
-                }),
+                refine: Some(200),
                 ..experiment_config()
             },
         ),

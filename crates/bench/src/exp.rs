@@ -8,8 +8,10 @@
 //! * `c_attack = 10, c_keep = 1` — the paper's `c_i` "relative
 //!   importance" (Sec. 3.2): designated faults outweigh individual
 //!   keep-set images;
-//! * 600 ADMM iterations, ρ = 5, λ = 0.001, κ = 1, auto stiffness —
-//!   see [`fsa_attack::AttackConfig`].
+//! * 600 ADMM iterations, ρ = 5, λ = 0.001, κ = 1, a 60-step refine
+//!   pass, and the solver's one Bregman stiffness rule (measured
+//!   gradient leverage × 2.0, not a setting) — see
+//!   [`fsa_attack::AttackConfig`].
 
 use crate::artifacts::Artifacts;
 use fsa_attack::{AttackConfig, AttackResult, FaultSneakingAttack, ParamSelection};

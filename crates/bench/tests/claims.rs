@@ -304,8 +304,8 @@ fn fsa_evades_a_detector_that_both_baselines_trip() {
     let arena = victim.arena(Precision::F32, victim.standard_suite(Precision::F32));
     let spec = grid(vec![4, 6], Precision::F32);
     let (fsa_report, fsa) = scored(&campaign, &arena, &spec, &FsaMethod);
-    let (_, sba) = scored(&campaign, &arena, &spec, &SbaMethod::default());
-    let (_, gda) = scored(&campaign, &arena, &spec, &GdaMethod::default());
+    let (_, sba) = scored(&campaign, &arena, &spec, &SbaMethod);
+    let (_, gda) = scored(&campaign, &arena, &spec, &GdaMethod);
     assert!(
         fsa_report.mean_success_rate() > 0.9,
         "FSA faults mostly failed ({}); victim or grid misconfigured",
@@ -350,8 +350,8 @@ fn int8_faults_survive_grid_projection_and_keep_the_separation() {
     let campaign = victim.campaign();
     let arena = victim.arena(Precision::Int8, victim.standard_suite(Precision::Int8));
     let spec = grid(vec![4], Precision::Int8);
-    let (_, sba) = scored(&campaign, &arena, &spec, &SbaMethod::default());
-    let (_, gda) = scored(&campaign, &arena, &spec, &GdaMethod::default());
+    let (_, sba) = scored(&campaign, &arena, &spec, &SbaMethod);
+    let (_, gda) = scored(&campaign, &arena, &spec, &GdaMethod);
     let fsa = &rows[2].fixed;
     assert!(
         !separators(fsa, &sba, &gda).is_empty(),

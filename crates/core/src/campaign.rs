@@ -305,14 +305,11 @@ pub enum SpecError {
         /// Usable pool rows.
         usable: usize,
     },
-    /// A weight or margin is not finite and ≥ 0: the base config's λ,
-    /// κ, stiffness or refine step, a budget's λ, `c_attack` or
-    /// `c_keep`.
+    /// A weight or margin is not finite and ≥ 0: the base config's λ or
+    /// κ, a budget's λ, `c_attack` or `c_keep`.
     InvalidWeight {
-        /// Which value: `lambda`, `kappa`, `stiffness multiplier`
-        /// ([`Stiffness::Auto`](crate::solver::Stiffness::Auto)),
-        /// `stiffness` (`Fixed`), `refine step`, `budget lambda`,
-        /// `c_attack` or `c_keep`.
+        /// Which value: `lambda`, `kappa`, `budget lambda`, `c_attack` or
+        /// `c_keep`.
         name: &'static str,
         /// The offending value.
         value: f32,
@@ -1161,57 +1158,6 @@ mod tests {
             "kappa",
             f32::INFINITY,
         );
-    }
-
-    /// The probe rows below each passed `validate` before the stiffness
-    /// and the refine step were checked: a NaN or infinite step came back
-    /// as a mostly non-finite δ, `Fixed(+∞)` as δ = 0, and a NaN or
-    /// negative `Auto` multiplier was silently read as αR = 1.
-    fn refine_step(step: f32) -> CampaignSpec {
-        CampaignSpec::grid(vec![1], vec![2]).with_config(AttackConfig {
-            iterations: 40,
-            refine: Some(crate::refine::RefineConfig {
-                iterations: 60,
-                step: Some(step),
-            }),
-            ..AttackConfig::default()
-        })
-    }
-
-    fn stiffness(stiffness: crate::solver::Stiffness) -> CampaignSpec {
-        CampaignSpec::grid(vec![1], vec![2]).with_config(AttackConfig {
-            iterations: 40,
-            stiffness,
-            ..AttackConfig::default()
-        })
-    }
-
-    #[test]
-    fn validate_and_decoder_refuse_a_nan_refine_step() {
-        assert_weight_refused(refine_step(f32::NAN), "refine step", f32::NAN);
-    }
-
-    #[test]
-    fn validate_and_decoder_refuse_an_infinite_refine_step() {
-        assert_weight_refused(refine_step(f32::INFINITY), "refine step", f32::INFINITY);
-    }
-
-    #[test]
-    fn validate_and_decoder_refuse_an_infinite_fixed_stiffness() {
-        let spec = stiffness(crate::solver::Stiffness::Fixed(f32::INFINITY));
-        assert_weight_refused(spec, "stiffness", f32::INFINITY);
-    }
-
-    #[test]
-    fn validate_and_decoder_refuse_a_nan_auto_stiffness() {
-        let spec = stiffness(crate::solver::Stiffness::Auto(f32::NAN));
-        assert_weight_refused(spec, "stiffness multiplier", f32::NAN);
-    }
-
-    #[test]
-    fn validate_and_decoder_refuse_a_negative_auto_stiffness() {
-        let spec = stiffness(crate::solver::Stiffness::Auto(-3.0));
-        assert_weight_refused(spec, "stiffness multiplier", -3.0);
     }
 
     #[test]

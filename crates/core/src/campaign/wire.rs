@@ -58,9 +58,8 @@ use crate::campaign::{
     CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget, SpecError,
 };
 use crate::precision::Precision;
-use crate::refine::RefineConfig;
 use crate::selection::{LayerSelection, ParamKind, ParamSelection};
-use crate::solver::{AttackConfig, AttackResult, IterStats, Norm, Stiffness};
+use crate::solver::{AttackConfig, AttackResult, IterStats, Norm};
 use crate::stealth::StealthObjective;
 use fsa_memfault::dram::DramGeometry;
 use fsa_tensor::hash::Fnv1a;
@@ -69,9 +68,9 @@ use std::error::Error;
 use std::fmt;
 
 /// Version of every payload layout in this module; bump on any change.
-/// (v5: an outcome's ADMM history is one objective/primal/dual record
-/// per iteration.)
-pub const WIRE_VERSION: u32 = 5;
+/// (v6: an attack config carries no stiffness and its refine option
+/// only the iteration cap.)
+pub const WIRE_VERSION: u32 = 6;
 
 /// Frame tag: a [`CampaignSpec`] payload.
 pub const SPEC_TAG: &[u8; 4] = b"FSCS";
@@ -487,23 +486,10 @@ fn read_budget(dec: &mut Decoder<'_>) -> Result<SparsityBudget, DecodeError> {
 fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
     put_norm(enc, cfg.norm);
     enc.put_f32(cfg.rho);
-    match cfg.stiffness {
-        Stiffness::Auto(m) => {
-            enc.put_u32(0);
-            enc.put_f32(m);
-        }
-        Stiffness::Fixed(v) => {
-            enc.put_u32(1);
-            enc.put_f32(v);
-        }
-    }
     enc.put_f32(cfg.lambda);
     enc.put_u64(cfg.iterations as u64);
     enc.put_f32(cfg.kappa);
-    put_option(enc, &cfg.refine, |enc, r| {
-        enc.put_u64(r.iterations as u64);
-        put_option(enc, &r.step, |enc, &step| enc.put_f32(step));
-    });
+    put_option(enc, &cfg.refine, |enc, &r| enc.put_u64(r as u64));
 }
 
 /// Reads an [`AttackConfig`] payload.
@@ -511,29 +497,17 @@ fn put_config(enc: &mut Encoder, cfg: &AttackConfig) {
 /// # Errors
 ///
 /// Returns [`DecodeError`] on malformed input, or when the config breaks
-/// a bound: ρ finite and > 0; λ, κ, the stiffness value and a set
-/// refine step finite and ≥ 0.
+/// a bound: ρ finite and > 0; λ and κ finite and ≥ 0.
 fn read_config(dec: &mut Decoder<'_>) -> Result<AttackConfig, DecodeError> {
     let norm = read_norm(dec)?;
     let rho = dec.read_f32()?;
-    let stiffness = match dec.read_u32()? {
-        0 => Stiffness::Auto(dec.read_f32()?),
-        1 => Stiffness::Fixed(dec.read_f32()?),
-        v => return Err(DecodeError::new(format!("unknown stiffness tag {v}"))),
-    };
     let lambda = dec.read_f32()?;
     let iterations = dec.read_u64()? as usize;
     let kappa = dec.read_f32()?;
-    let refine = read_option(dec, "refine", |dec| {
-        Ok(RefineConfig {
-            iterations: dec.read_u64()? as usize,
-            step: read_option(dec, "refine-step", |dec| dec.read_f32())?,
-        })
-    })?;
+    let refine = read_option(dec, "refine", |dec| Ok(dec.read_u64()? as usize))?;
     let config = AttackConfig {
         norm,
         rho,
-        stiffness,
         lambda,
         iterations,
         kappa,
@@ -621,9 +595,8 @@ pub fn put_spec(enc: &mut Encoder, spec: &CampaignSpec) {
 /// # Errors
 ///
 /// Returns [`DecodeError`] on malformed input, or when the base config
-/// breaks a bound (ρ finite and > 0; λ, κ, the stiffness value and a set
-/// refine step finite and ≥ 0), or a budget's λ, `c_attack` or `c_keep`
-/// is not finite and ≥ 0.
+/// breaks a bound (ρ finite and > 0; λ and κ finite and ≥ 0), or a
+/// budget's λ, `c_attack` or `c_keep` is not finite and ≥ 0.
 pub fn read_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, DecodeError> {
     let s_values = dec.read_u64_vec()?;
     let k_values = dec.read_u64_vec()?;

@@ -14,26 +14,9 @@ use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_nn::stats::{cached_forward_stats, max_normalized_drift, ActivationStats};
 use fsa_tensor::Tensor;
 
-/// Configuration of the repair pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RefineConfig {
-    /// Maximum repair iterations.
-    pub iterations: usize,
-    /// Step size; `None` derives `1 / (alpha + 1)` from the attack
-    /// config's resolved Bregman stiffness.
-    pub step: Option<f32>,
-}
-
-impl Default for RefineConfig {
-    fn default() -> Self {
-        Self {
-            iterations: 60,
-            step: None,
-        }
-    }
-}
-
-/// Runs the repair pass in place on `delta`.
+/// Runs at most `iterations` steps of the repair pass in place on
+/// `delta`, each of size `1 / (alpha + 1)` for the attack's resolved
+/// Bregman stiffness `alpha`.
 ///
 /// Zero coordinates of `delta` stay exactly zero; the pass stops early
 /// once every hinge is inactive (all faults placed with margin κ). Each
@@ -70,7 +53,7 @@ pub fn refine_on_support(
     acts: &Tensor,
     kappa: f32,
     alpha: f32,
-    cfg: &RefineConfig,
+    iterations: usize,
     drift: Option<(&[ActivationStats], f32)>,
     delta: &mut [f32],
 ) -> usize {
@@ -97,7 +80,7 @@ pub fn refine_on_support(
             fsa_telemetry::counter("refine.iterations", executed as u64);
         }
     };
-    let step = cfg.step.unwrap_or(1.0 / (alpha + 1.0));
+    let step = 1.0 / (alpha + 1.0);
     // All per-iteration state is hoisted here; the loop allocates nothing.
     let mut theta = vec![0.0f32; delta.len()];
     let mut bufs = HeadBuffers::new();
@@ -107,7 +90,7 @@ pub fn refine_on_support(
     let mut now: Vec<ActivationStats> = Vec::with_capacity(head.num_layers() - start);
     // Pass `iter` forwards θ + δ after `iter` steps; with a drift budget
     // one extra pass checks the last step.
-    let passes = cfg.iterations + usize::from(drift.is_some());
+    let passes = iterations + usize::from(drift.is_some());
     for iter in 0..passes {
         for i in 0..delta.len() {
             theta[i] = theta0[i] + delta[i];
@@ -127,7 +110,7 @@ pub fn refine_on_support(
                 return iter;
             }
         }
-        if iter == cfg.iterations {
+        if iter == iterations {
             break;
         }
         evaluate_hinge_into(spec, bufs.logits(), kappa, &mut hinge);
@@ -147,8 +130,8 @@ pub fn refine_on_support(
             delta[i] -= step * flat[i];
         }
     }
-    record(cfg.iterations);
-    cfg.iterations
+    record(iterations);
+    iterations
 }
 
 #[cfg(test)]
@@ -173,7 +156,7 @@ mod tests {
         acts: &Tensor,
         kappa: f32,
         alpha: f32,
-        cfg: &RefineConfig,
+        iterations: usize,
         reference: &[ActivationStats],
         budget: f32,
         delta: &mut [f32],
@@ -183,12 +166,12 @@ mod tests {
         if support.is_empty() {
             return (0, false);
         }
-        let step = cfg.step.unwrap_or(1.0 / (alpha + 1.0));
+        let step = 1.0 / (alpha + 1.0);
         let mut theta = vec![0.0f32; delta.len()];
         let mut bufs = HeadBuffers::new();
         let mut hinge = HingeEval::default();
         let mut flat = Vec::new();
-        for iter in 0..cfg.iterations {
+        for iter in 0..iterations {
             for i in 0..delta.len() {
                 theta[i] = theta0[i] + delta[i];
             }
@@ -216,7 +199,7 @@ mod tests {
                 return (iter + 1, true);
             }
         }
-        (cfg.iterations, false)
+        (iterations, false)
     }
 
     /// A small attack instance for the oracle comparisons: a 3-layer
@@ -269,10 +252,10 @@ mod tests {
     }
 
     const KAPPA: f32 = 2.0;
-    const CFG: RefineConfig = RefineConfig {
-        iterations: 12,
-        step: Some(0.05),
-    };
+    /// The oracle comparisons' pass length.
+    const ITERS: usize = 12;
+    /// A stiffness whose step `1 / (α + 1)` is `0.05f32`.
+    const ALPHA: f32 = 19.0;
 
     impl Instance {
         /// Whole-head statistics of θ0 + `delta` on the spec's features.
@@ -285,7 +268,7 @@ mod tests {
         /// `(δ, count)` of `refine_on_support` under `drift`.
         fn refine(
             &self,
-            cfg: &RefineConfig,
+            iterations: usize,
             drift: Option<(&[ActivationStats], f32)>,
         ) -> (Vec<f32>, usize) {
             let mut delta = self.delta.clone();
@@ -297,8 +280,8 @@ mod tests {
                 &self.spec,
                 &self.acts,
                 KAPPA,
-                1.0,
-                cfg,
+                ALPHA,
+                iterations,
                 drift,
                 &mut delta,
             );
@@ -307,21 +290,15 @@ mod tests {
 
         /// Whole-head drift after each of the unguarded pass's steps.
         fn drift_trajectory(&self, reference: &[ActivationStats]) -> Vec<f64> {
-            (1..=CFG.iterations)
-                .map(|k| {
-                    let cfg = RefineConfig {
-                        iterations: k,
-                        ..CFG
-                    };
-                    max_normalized_drift(&self.stats(&self.refine(&cfg, None).0), reference)
-                })
+            (1..=ITERS)
+                .map(|k| max_normalized_drift(&self.stats(&self.refine(k, None).0), reference))
                 .collect()
         }
 
-        /// Runs both loops for `cfg` under `budget` and asserts they agree
-        /// on δ bits, the count and the drift-stop decision; returns the
-        /// oracle's `(count, stopped)`.
-        fn assert_matches_oracle(&self, cfg: &RefineConfig, budget: f32) -> (usize, bool) {
+        /// Runs both loops for `iterations` steps under `budget` and
+        /// asserts they agree on δ bits, the count and the drift-stop
+        /// decision; returns the oracle's `(count, stopped)`.
+        fn assert_matches_oracle(&self, iterations: usize, budget: f32) -> (usize, bool) {
             let start = self.sel.start_layer();
             let full = self.stats(&vec![0.0; self.delta.len()]);
             let mut want = self.delta.clone();
@@ -332,24 +309,20 @@ mod tests {
                 &self.spec,
                 &self.acts,
                 KAPPA,
-                1.0,
-                cfg,
+                ALPHA,
+                iterations,
                 &full,
                 budget,
                 &mut want,
             );
-            let (got, n) = self.refine(cfg, Some((&full[start..], budget)));
+            let (got, n) = self.refine(iterations, Some((&full[start..], budget)));
             let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             let ctx = format!("layer {start}, budget {budget}");
             assert_eq!(bits(&got), bits(&want), "δ bits differ ({ctx})");
             assert_eq!(n, count, "iteration count differs ({ctx})");
             // Without a stop the guarded pass is the unguarded one cut at
             // `n`; a stop leaves δ one step short of it.
-            let cut = RefineConfig {
-                iterations: n,
-                ..cfg.clone()
-            };
-            let moved = bits(&self.refine(&cut, None).0) != bits(&got);
+            let moved = bits(&self.refine(n, None).0) != bits(&got);
             assert_eq!(moved, stopped, "drift-stop decision differs ({ctx})");
             (count, stopped)
         }
@@ -361,12 +334,12 @@ mod tests {
             let inst = instance(layer, false);
             let full = inst.stats(&vec![0.0; inst.delta.len()]);
             let traj = inst.drift_trajectory(&full);
-            let n = CFG.iterations;
+            let n = ITERS;
             // A zero budget stops at the first step, a slack one never.
-            assert_eq!(inst.assert_matches_oracle(&CFG, 0.0), (1, true));
-            assert_eq!(inst.assert_matches_oracle(&CFG, 1e9), (n, false));
+            assert_eq!(inst.assert_matches_oracle(n, 0.0), (1, true));
+            assert_eq!(inst.assert_matches_oracle(n, 1e9), (n, false));
             // Binding mid-pass: the budget is the drift after step n/2.
-            let (count, stopped) = inst.assert_matches_oracle(&CFG, traj[n / 2 - 1] as f32);
+            let (count, stopped) = inst.assert_matches_oracle(n, traj[n / 2 - 1] as f32);
             assert!(stopped && count > 1 && count <= n, "layer {layer}: {count}");
             // Binding only at the last step, so the check after it
             // decides: cut the pass at the last step `k > 1` that sets a
@@ -378,12 +351,8 @@ mod tests {
                 .expect("some step after the first raises the drift");
             let below = peak_before(k);
             let budget = ((below + traj[k - 1]) / 2.0) as f32;
-            let cut = RefineConfig {
-                iterations: k,
-                ..CFG
-            };
             assert_eq!(
-                inst.assert_matches_oracle(&cut, budget),
+                inst.assert_matches_oracle(k, budget),
                 (k, true),
                 "layer {layer}"
             );
@@ -397,7 +366,7 @@ mod tests {
             let full = inst.stats(&vec![0.0; inst.delta.len()]);
             assert!(full[..layer].iter().all(|s| s.mean.is_nan()));
             for budget in [0.0, 1e9] {
-                inst.assert_matches_oracle(&CFG, budget);
+                inst.assert_matches_oracle(ITERS, budget);
             }
         }
     }
@@ -407,7 +376,7 @@ mod tests {
     fn whole_head_drift_reference_is_rejected() {
         let inst = instance(1, false);
         let full = inst.stats(&vec![0.0; inst.delta.len()]);
-        inst.refine(&CFG, Some((&full, 1.0)));
+        inst.refine(ITERS, Some((&full, 1.0)));
     }
 
     #[test]
@@ -432,12 +401,8 @@ mod tests {
             .filter_map(|(i, &d)| (d == 0.0).then_some(i))
             .collect();
 
-        let cfg = RefineConfig {
-            iterations: 40,
-            step: Some(0.05),
-        };
         refine_on_support(
-            &mut head, &sel, &theta0, &spec, &acts, 0.0, 1.0, &cfg, None, &mut delta,
+            &mut head, &sel, &theta0, &spec, &acts, 0.0, ALPHA, 40, None, &mut delta,
         );
 
         for &i in &zero_before {
@@ -458,16 +423,7 @@ mod tests {
         let acts = head.activations_before(1, &spec.features);
         let mut delta = vec![0.0f32; sel.dim(&head)];
         let iters = refine_on_support(
-            &mut head,
-            &sel,
-            &theta0,
-            &spec,
-            &acts,
-            0.0,
-            1.0,
-            &RefineConfig::default(),
-            None,
-            &mut delta,
+            &mut head, &sel, &theta0, &spec, &acts, 0.0, 1.0, 60, None, &mut delta,
         );
         assert_eq!(iters, 0);
         assert!(delta.iter().all(|&d| d == 0.0));
@@ -486,10 +442,6 @@ mod tests {
         let acts = head.activations_before(1, &spec.features);
         // The reference covers the selection's layers `1..`.
         let reference = head_forward_stats(&head, &spec.features).1[1..].to_vec();
-        let cfg = RefineConfig {
-            iterations: 40,
-            step: Some(0.05),
-        };
 
         let mut delta = vec![0.0f32; sel.dim(&head)];
         delta[0] = 0.1;
@@ -506,8 +458,8 @@ mod tests {
             &spec,
             &acts,
             0.0,
-            1.0,
-            &cfg,
+            ALPHA,
+            40,
             Some((&reference, 0.0)),
             &mut delta,
         );
@@ -519,7 +471,7 @@ mod tests {
         let mut b = start.clone();
         let mut ha = head.clone();
         refine_on_support(
-            &mut ha, &sel, &theta0, &spec, &acts, 0.0, 1.0, &cfg, None, &mut a,
+            &mut ha, &sel, &theta0, &spec, &acts, 0.0, ALPHA, 40, None, &mut a,
         );
         let mut hb = head.clone();
         refine_on_support(
@@ -529,8 +481,8 @@ mod tests {
             &spec,
             &acts,
             0.0,
-            1.0,
-            &cfg,
+            ALPHA,
+            40,
             Some((&reference, 1e9)),
             &mut b,
         );

@@ -3,7 +3,7 @@
 use crate::campaign::{check_weight, SpecError};
 use crate::eval;
 use crate::objective::{count_satisfied, evaluate_hinge_into, HingeEval};
-use crate::refine::{refine_on_support, RefineConfig};
+use crate::refine::refine_on_support;
 use crate::selection::ParamSelection;
 use crate::spec::AttackSpec;
 use crate::stealth;
@@ -34,34 +34,17 @@ pub enum Norm {
     L2,
 }
 
-/// How the δ-step's Bregman stiffness (`αR` in paper eq. 21-22) is set.
+/// The multiplier of the δ-step's Bregman stiffness (`αR` in paper eq.
+/// 21-22): `αR = multiplier × c_max × mean‖gᵢ‖² / 2`, floored at 1.
 ///
 /// A δ-step along an image's own hinge gradient `gᵢ` moves that image's
 /// margin by `cᵢ·‖gᵢ‖² / (αR + ρ)` per iteration. Stability therefore
 /// wants `αR` proportional to the *gradient leverage* `‖gᵢ‖²` of the
 /// selected parameters — `≈ 2(‖a‖²+1)` for a full last-layer selection
-/// but only `2` for bias-only — so the default measures it on the batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Stiffness {
-    /// `αR = multiplier × c_max × mean‖gᵢ‖² / 2`, measured from the
-    /// spec's initial per-image hinge gradients (recommended; 2.0 ≈
-    /// one-logit margin movement per iteration).
-    Auto(f32),
-    /// Fixed `αR` product.
-    Fixed(f32),
-}
-
-impl Stiffness {
-    /// Resolves the stiffness for a batch with mean squared per-image
-    /// hinge-gradient norm `mean_grad_sq` and maximum per-image weight
-    /// `c_max`.
-    pub fn resolve(&self, mean_grad_sq: f32, c_max: f32) -> f32 {
-        match *self {
-            Stiffness::Auto(m) => (0.5 * m * mean_grad_sq * c_max.max(f32::EPSILON)).max(1.0),
-            Stiffness::Fixed(v) => v.max(1.0),
-        }
-    }
-}
+/// but only `2` for bias-only — so the attack measures it on the batch,
+/// from the spec's initial per-image hinge gradients. A multiplier of
+/// 2.0 moves a margin by about one logit per iteration.
+const STIFFNESS_MULTIPLIER: f32 = 2.0;
 
 /// Hyperparameters of the fault sneaking attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,8 +53,6 @@ pub struct AttackConfig {
     pub norm: Norm,
     /// ADMM penalty ρ.
     pub rho: f32,
-    /// Bregman stiffness policy (`α_paper = stiffness / R`).
-    pub stiffness: Stiffness,
     /// Weight λ on `D(δ)` relative to the misclassification terms. The
     /// paper fixes λ = 1 and scales the `c_i`; exposing λ is the same
     /// degree of freedom with better-conditioned defaults.
@@ -82,8 +63,9 @@ pub struct AttackConfig {
     /// exactly; a positive margin hardens faults against the z-step's
     /// thresholding).
     pub kappa: f32,
-    /// Optional support-restricted repair pass after ADMM.
-    pub refine: Option<RefineConfig>,
+    /// Iteration cap of the optional support-restricted repair pass
+    /// after ADMM (see [`crate::refine`]).
+    pub refine: Option<usize>,
 }
 
 impl Default for AttackConfig {
@@ -91,11 +73,10 @@ impl Default for AttackConfig {
         Self {
             norm: Norm::L0,
             rho: 5.0,
-            stiffness: Stiffness::Auto(2.0),
             lambda: 0.001,
             iterations: 400,
             kappa: 1.0,
-            refine: Some(RefineConfig::default()),
+            refine: Some(60),
         }
     }
 }
@@ -111,25 +92,14 @@ impl AttackConfig {
 
     /// Checks the bounds the attack needs: the ADMM penalty ρ finite and
     /// positive (the z-step's proximal operators assert `ρ > 0`, and
-    /// `ρ = +∞` turns δ into NaN), and λ, κ, the stiffness value and a
-    /// set refine step finite and ≥ 0 (a NaN λ, an infinite κ or a NaN
-    /// refine step runs to a meaningless δ without complaint, and
-    /// [`Stiffness::resolve`] would silently read a NaN or negative
-    /// stiffness as 1).
+    /// `ρ = +∞` turns δ into NaN), and λ and κ finite and ≥ 0 (a NaN λ
+    /// or an infinite κ runs to a meaningless δ without complaint).
     pub(crate) fn check(&self) -> Result<(), SpecError> {
         if !(self.rho.is_finite() && self.rho > 0.0) {
             return Err(SpecError::InvalidRho { rho: self.rho });
         }
         check_weight("lambda", self.lambda)?;
-        check_weight("kappa", self.kappa)?;
-        match self.stiffness {
-            Stiffness::Auto(m) => check_weight("stiffness multiplier", m)?,
-            Stiffness::Fixed(v) => check_weight("stiffness", v)?,
-        }
-        match self.refine.as_ref().and_then(|r| r.step) {
-            Some(step) => check_weight("refine step", step),
-            None => Ok(()),
-        }
+        check_weight("kappa", self.kappa)
     }
 }
 
@@ -251,7 +221,7 @@ impl FaultSneakingAttack {
         let dim = self.selection.dim(&self.head);
         let c_max = spec.c_attack.max(spec.c_keep);
         let leverage = estimate_leverage(&self.head, &self.selection, start, &acts, spec);
-        let stiffness = self.config.stiffness.resolve(leverage, c_max);
+        let stiffness = (0.5 * STIFFNESS_MULTIPLIER * leverage * c_max.max(f32::EPSILON)).max(1.0);
 
         // Detector-aware planning: the stealth objective shapes every
         // stage of the solve — checksum-block structure in the z-step,
@@ -344,7 +314,7 @@ impl FaultSneakingAttack {
                 };
                 // One pass over the selection's regions: eq. 22's δ-step
                 // (the αR product resolved once per run, see
-                // `Stiffness`), the dual update, the next v (and ℓ0 z),
+                // `STIFFNESS_MULTIPLIER`), the dual update, the next v (and ℓ0 z),
                 // θ₀ + δ^{k+1} written into the working head, and the
                 // residuals ‖z − δ‖₂ and ρ‖δ^{k+1} − δᵏ‖₂ summed in f64
                 // in index order.
@@ -408,7 +378,7 @@ impl FaultSneakingAttack {
         // Refinement and the final evaluation reuse the ADMM working
         // head: each first scatters θ + δ over the whole selection, and
         // nothing writes parameters outside it, so the copy is exact.
-        if let Some(refine_cfg) = &self.config.refine {
+        if let Some(iterations) = self.config.refine {
             let drift = spec
                 .stealth
                 .zip(drift_reference.as_ref())
@@ -421,7 +391,7 @@ impl FaultSneakingAttack {
                 &acts,
                 self.config.kappa,
                 stiffness,
-                refine_cfg,
+                iterations,
                 drift,
                 &mut delta,
             );
@@ -706,7 +676,7 @@ const LEVERAGE_FLOPS_PER_US: usize = 28_000;
 
 /// Mean squared norm of the per-image unit-weight hinge gradient over the
 /// selected parameters, sampled on up to 32 images — the curvature proxy
-/// behind [`Stiffness::Auto`].
+/// behind [`STIFFNESS_MULTIPLIER`].
 ///
 /// Per-image terms are independent, so they dispatch as row blocks
 /// (each worker owns its own head buffers and writes disjoint slots)

@@ -120,7 +120,7 @@ impl StealthObjective {
             && bound(self.block_lambda)
             && bound(self.drift_budget)
             && capacity.is_some_and(|c| c > 0)
-            && g.row_bytes % 4 == 0
+            && g.row_bytes.is_multiple_of(4)
     }
 
     /// Caps the number of dirty checksum blocks (see

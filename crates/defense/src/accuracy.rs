@@ -14,7 +14,7 @@
 //! constraint holds probe accuracy, while SBA's global bias shifts and
 //! GDA's unconstrained descent drag it down and trip the alarm.
 
-use crate::detector::{Detector, Observation};
+use crate::detector::Detector;
 use fsa_nn::head::FcHead;
 use fsa_nn::FeatureCache;
 
@@ -87,8 +87,8 @@ impl Detector for AccuracyProbe {
     /// Accuracy lost relative to calibration, clamped at zero (a model
     /// that got *better* is not evidence of tampering worth a negative
     /// score).
-    fn score(&self, obs: &Observation<'_>) -> f32 {
-        let now = obs.head.accuracy(self.probe.features(), &self.labels);
+    fn score(&self, head: &FcHead) -> f32 {
+        let now = head.accuracy(self.probe.features(), &self.labels);
         (self.reference_accuracy - now).max(0.0)
     }
 }
@@ -111,7 +111,7 @@ mod tests {
         let (head, probe, labels) = fixture();
         let det = AccuracyProbe::new(&head, probe, labels, 0.02);
         assert_eq!(det.reference_accuracy(), 1.0);
-        let v = det.evaluate(&Observation { head: &head });
+        let v = det.evaluate(&head);
         assert_eq!(v.score, 0.0);
         assert!(!v.detected);
     }
@@ -124,7 +124,7 @@ mod tests {
         let mut wrecked = head.clone();
         let last = wrecked.num_layers() - 1;
         wrecked.layer_mut(last).bias_mut().as_mut_slice()[0] += 1000.0;
-        let v = det.evaluate(&Observation { head: &wrecked });
+        let v = det.evaluate(&wrecked);
         assert!(v.score > 0.5, "collapse should cost most of the accuracy");
         assert!(v.detected);
     }
@@ -140,7 +140,7 @@ mod tests {
         let labels = other.predict(&x);
         let det = AccuracyProbe::new(&head, FeatureCache::from_features(x), labels, 0.02);
         assert!(det.reference_accuracy() < 1.0);
-        assert!(det.score(&Observation { head: &other }) >= 0.0);
+        assert!(det.score(&other) >= 0.0);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! `fsa_report.detection_rate(d) < gda_report.detection_rate(d)` on the
 //! accuracy-probe column.
 
-use crate::detector::{detect_at, Observation, Verdict};
+use crate::detector::{detect_at, Verdict};
 use crate::suite::DefenseSuite;
 use fsa_attack::campaign::{CampaignReport, Scenario};
 use fsa_attack::eval::attacked_head;
@@ -307,9 +307,7 @@ impl<'a> StealthArena<'a> {
             report.precision.name()
         );
         let _span = fsa_telemetry::span("arena");
-        let clean = self.suite.evaluate(&Observation {
-            head: self.reference,
-        });
+        let clean = self.suite.evaluate(self.reference);
         let rows = parallel::par_map(report.outcomes.len(), |i| {
             // Per-scenario-row span (gated so the disabled path never
             // formats); detector cells nest under it via the suite.
@@ -328,7 +326,7 @@ impl<'a> StealthArena<'a> {
             );
             ArenaRow {
                 scenario: outcome.scenario,
-                verdicts: self.suite.evaluate(&Observation { head: &attacked }),
+                verdicts: self.suite.evaluate(&attacked),
             }
         });
         ArenaReport {

@@ -46,7 +46,7 @@
 //! at any `FSA_THREADS`; the seed is part of the rotating detector's
 //! name, so it flows into every [`crate::ArenaReport::fingerprint`].
 
-use crate::detector::{changed_words, flat_params, Detector, Observation};
+use crate::detector::{changed_words, flat_params, Detector};
 use fsa_nn::head::FcHead;
 use fsa_tensor::hash::{fnv1a_f32_bits, Fnv1a};
 use fsa_tensor::Prng;
@@ -317,11 +317,11 @@ impl Detector for ChecksumDetector {
     /// The exact expected detection probability over the schedule
     /// (uniform over its phases): each phase's hypergeometric hit
     /// probability, averaged in fixed phase order in `f64`.
-    fn score(&self, obs: &Observation<'_>) -> f32 {
+    fn score(&self, head: &FcHead) -> f32 {
         let sum: f64 = self
             .reference
             .iter()
-            .zip(self.dirty_blocks(obs.head))
+            .zip(self.dirty_blocks(head))
             .map(|(reference, dirty)| {
                 f64::from(hypergeometric_hit_probability(
                     reference.len(),
@@ -375,8 +375,8 @@ mod tests {
         assert_eq!(det.offsets(), &[0]);
         assert_eq!(det.seed(), None);
         assert_eq!(det.dirty_blocks(&h), vec![0]);
-        assert_eq!(det.score(&Observation { head: &h }), 0.0);
-        assert!(!det.evaluate(&Observation { head: &h }).detected);
+        assert_eq!(det.score(&h), 0.0);
+        assert!(!det.evaluate(&h).detected);
     }
 
     #[test]
@@ -420,7 +420,7 @@ mod tests {
             t = tampered(&t, index, 0.5);
             let dirty = det.dirty_blocks(&t)[0];
             let want = hypergeometric_hit_probability(13, dirty, 3);
-            let got = det.score(&Observation { head: &t });
+            let got = det.score(&t);
             assert_eq!(got.to_bits(), want.to_bits(), "dirty {dirty}");
         }
     }
@@ -432,7 +432,7 @@ mod tests {
         assert_eq!(det.audit_blocks(), det.reference[0].len());
         let t = tampered(&h, 20, 0.5);
         assert_eq!(det.dirty_blocks(&t), vec![1]);
-        assert_eq!(det.score(&Observation { head: &t }), 1.0);
+        assert_eq!(det.score(&t), 1.0);
     }
 
     #[test]
@@ -478,8 +478,8 @@ mod tests {
         let t = tampered(&h, 20, 0.5);
         let fine = ChecksumDetector::new(&h, 4, 1);
         let coarse = ChecksumDetector::new(&h, 16, 1);
-        let p_fine = fine.score(&Observation { head: &t });
-        let p_coarse = coarse.score(&Observation { head: &t });
+        let p_fine = fine.score(&t);
+        let p_coarse = coarse.score(&t);
         assert!(
             p_coarse > p_fine,
             "coarse {p_coarse} should beat fine {p_fine} at budget 1"
@@ -541,7 +541,7 @@ mod tests {
         let det = ChecksumDetector::new(&h, 26, 1); // ceil(51/26) = 2 blocks
         assert_eq!(det.reference[0].len(), 2);
         let t = tampered(&h, 0, 0.5);
-        let v = det.evaluate(&Observation { head: &t });
+        let v = det.evaluate(&t);
         assert_eq!(v.score, 0.5);
         assert!(v.detected, "a score exactly at threshold must alarm");
         assert!(detect_at(v.score, v.threshold));
@@ -554,8 +554,8 @@ mod tests {
         assert_eq!(det.offsets().len(), ROTATING_PHASES);
         assert!(det.offsets().windows(2).all(|w| w[0] < w[1]));
         assert!(det.offsets().iter().all(|&o| (1..16).contains(&o)));
-        assert_eq!(det.score(&Observation { head: &h }), 0.0);
-        assert!(!det.evaluate(&Observation { head: &h }).detected);
+        assert_eq!(det.score(&h), 0.0);
+        assert!(!det.evaluate(&h).detected);
         // Same seed → same schedule; different seed → (almost surely)
         // different schedule and a different suite column name.
         let again = ChecksumDetector::rotating(&h, 16, 2, 0xABCD);
@@ -574,7 +574,7 @@ mod tests {
         // dirties exactly one block of every phase.
         let t = tampered(&h, 40, 0.5);
         assert_eq!(det.dirty_blocks(&t), vec![1; ROTATING_PHASES]);
-        assert_eq!(det.score(&Observation { head: &t }), 1.0);
+        assert_eq!(det.score(&t), 1.0);
     }
 
     #[test]
@@ -593,8 +593,8 @@ mod tests {
         for (o, d) in det.offsets().iter().zip(det.dirty_blocks(&t)) {
             assert_eq!(d, 2, "offset {o} should split the aligned block");
         }
-        let shifted = det.score(&Observation { head: &t });
-        let aligned = fixed.score(&Observation { head: &t });
+        let shifted = det.score(&t);
+        let aligned = fixed.score(&t);
         assert!(
             shifted > aligned,
             "rotation must raise detection on block-aligned support \
@@ -607,8 +607,8 @@ mod tests {
         let h = rot_head();
         let t = tampered(&h, 100, 1.0);
         let det = ChecksumDetector::rotating(&h, 16, 3, 0x5EED);
-        let s1 = det.score(&Observation { head: &t });
-        let s2 = ChecksumDetector::rotating(&h, 16, 3, 0x5EED).score(&Observation { head: &t });
+        let s1 = det.score(&t);
+        let s2 = ChecksumDetector::rotating(&h, 16, 3, 0x5EED).score(&t);
         assert_eq!(s1.to_bits(), s2.to_bits(), "score must be pure");
     }
 

@@ -3,26 +3,16 @@
 //!
 //! Every detector is *calibrated* at construction time against the
 //! clean reference model (checksums, probe accuracy, activation
-//! statistics, row parity) and afterwards only ever sees an
-//! [`Observation`] of the model under inspection. Scoring must be a
-//! pure fixed-order function of the observation — no score-time RNG, no
-//! interior mutability — so arena matrices stay bit-identical at any
-//! `FSA_THREADS`. Randomized monitors (the rotating checksum auditor)
-//! draw their schedule from a seeded stream *once, at calibration*, and
-//! score as a closed-form expectation over that fixed schedule; the
-//! seed is part of the detector's name so it reaches every fingerprint.
+//! statistics, row parity) and afterwards only ever sees the head under
+//! inspection. Scoring must be a pure fixed-order function of that head
+//! — no score-time RNG, no interior mutability — so arena matrices stay
+//! bit-identical at any `FSA_THREADS`. Randomized monitors (the rotating
+//! checksum auditor) draw their schedule from a seeded stream *once, at
+//! calibration*, and score as a closed-form expectation over that fixed
+//! schedule; the seed is part of the detector's name so it reaches every
+//! fingerprint.
 
 use fsa_nn::head::FcHead;
-
-/// One look at the model under inspection.
-///
-/// Detectors never receive the attack's `δ` or any other ground truth —
-/// only the deployed artifact itself, exactly what a real monitor sees.
-#[derive(Debug, Clone, Copy)]
-pub struct Observation<'a> {
-    /// The (possibly attacked) classifier head.
-    pub head: &'a FcHead,
-}
 
 /// One detector's judgement of one observation.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +39,10 @@ pub fn detect_at(score: f32, threshold: f32) -> bool {
 }
 
 /// A calibrated tamper monitor.
+///
+/// Detectors see only the deployed artifact, never δ: they score the
+/// (possibly attacked) classifier head itself, with no other ground
+/// truth — exactly what a real monitor sees.
 pub trait Detector: Sync {
     /// Unique name within a suite (shows up in arena reports).
     fn name(&self) -> String;
@@ -56,12 +50,13 @@ pub trait Detector: Sync {
     /// The default decision threshold on [`Detector::score`]'s scale.
     fn threshold(&self) -> f32;
 
-    /// Suspicion score for one observation (pure and deterministic).
-    fn score(&self, obs: &Observation<'_>) -> f32;
+    /// Suspicion score for the head under inspection (pure and
+    /// deterministic).
+    fn score(&self, head: &FcHead) -> f32;
 
-    /// Scores an observation and decides at the default threshold.
-    fn evaluate(&self, obs: &Observation<'_>) -> Verdict {
-        let score = self.score(obs);
+    /// Scores the head and decides at the default threshold.
+    fn evaluate(&self, head: &FcHead) -> Verdict {
+        let score = self.score(head);
         let threshold = self.threshold();
         Verdict {
             detector: self.name(),

@@ -15,7 +15,7 @@
 //! layers and both terms — "how many reference standard deviations has
 //! any layer's distribution moved".
 
-use crate::detector::{Detector, Observation};
+use crate::detector::Detector;
 use fsa_nn::head::FcHead;
 use fsa_nn::stats::{head_forward_stats, normalized_drift, ActivationStats};
 use fsa_nn::FeatureCache;
@@ -99,8 +99,8 @@ impl Detector for DriftDetector {
     /// The maximum per-layer drift; any NaN layer drift scores
     /// `f32::INFINITY` (a NaN-producing head is tampered, and `f64::max`
     /// would silently drop the NaN and pass it as clean).
-    fn score(&self, obs: &Observation<'_>) -> f32 {
-        let drift = self.layer_drift(obs.head);
+    fn score(&self, head: &FcHead) -> f32 {
+        let drift = self.layer_drift(head);
         if drift.iter().any(|d| d.is_nan()) {
             return f32::INFINITY;
         }
@@ -124,7 +124,7 @@ mod tests {
     fn clean_model_has_zero_drift() {
         let (head, probe) = fixture();
         let det = DriftDetector::new(&head, probe, 0.25);
-        let v = det.evaluate(&Observation { head: &head });
+        let v = det.evaluate(&head);
         assert_eq!(v.score, 0.0);
         assert!(!v.detected);
     }
@@ -142,7 +142,7 @@ mod tests {
             drift[last] > 1.0,
             "a 50-logit shift must move the logit distribution: {drift:?}"
         );
-        assert!(det.evaluate(&Observation { head: &shifted }).detected);
+        assert!(det.evaluate(&shifted).detected);
     }
 
     #[test]
@@ -152,7 +152,7 @@ mod tests {
         let mut nudged = head.clone();
         let last = nudged.num_layers() - 1;
         nudged.layer_mut(last).bias_mut().as_mut_slice()[0] += 1e-4;
-        let v = det.evaluate(&Observation { head: &nudged });
+        let v = det.evaluate(&nudged);
         assert!(v.score > 0.0, "any real change shows *some* drift");
         assert!(!v.detected, "a 1e-4 nudge must not alarm: {v:?}");
     }
@@ -165,8 +165,7 @@ mod tests {
         // Same calibration data → identical scoring, regardless of name.
         let plain = DriftDetector::new(&head, probe, 0.25);
         assert_eq!(plain.name(), "activation_drift");
-        let obs = Observation { head: &head };
-        assert_eq!(det.score(&obs).to_bits(), plain.score(&obs).to_bits());
+        assert_eq!(det.score(&head).to_bits(), plain.score(&head).to_bits());
     }
 
     #[test]
@@ -183,7 +182,7 @@ mod tests {
         let drift = det.layer_drift(&poisoned);
         assert_eq!(drift[0], 0.0);
         assert!(drift[last].is_nan(), "{drift:?}");
-        let v = det.evaluate(&Observation { head: &poisoned });
+        let v = det.evaluate(&poisoned);
         assert_eq!(v.score, f32::INFINITY);
         assert!(v.detected, "a NaN-producing head must alarm: {v:?}");
     }
@@ -195,10 +194,10 @@ mod tests {
         let mut shifted = head.clone();
         let last = shifted.num_layers() - 1;
         shifted.layer_mut(last).bias_mut().as_mut_slice()[1] += 10.0;
-        let score = det.score(&Observation { head: &shifted });
+        let score = det.score(&shifted);
         // Re-calibrate a detector whose threshold is exactly the score:
         // the tie must alarm.
         let exact = DriftDetector::new(&head, probe, score);
-        assert!(exact.evaluate(&Observation { head: &shifted }).detected);
+        assert!(exact.evaluate(&shifted).detected);
     }
 }

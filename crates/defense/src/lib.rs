@@ -5,8 +5,7 @@
 //! flips `S` designated images while the keep set hides it — but a
 //! stealth claim is only meaningful against concrete monitors. This
 //! crate operationalizes "hidden from whom": a [`Detector`] is a
-//! calibrated tamper monitor that sees only the deployed model
-//! ([`detector::Observation`]), and a [`StealthArena`] runs a whole
+//! calibrated tamper monitor that sees only the deployed model, and a [`StealthArena`] runs a whole
 //! [`DefenseSuite`] against every scenario of a campaign, producing the
 //! attack×detector matrix stealth is *measured* on.
 //!
@@ -98,7 +97,7 @@ pub mod suite;
 pub use accuracy::AccuracyProbe;
 pub use arena::{ArenaReport, ArenaRow, RocPoint, StealthArena};
 pub use checksum::ChecksumDetector;
-pub use detector::{Detector, Observation, Verdict};
+pub use detector::{Detector, Verdict};
 pub use drift::DriftDetector;
 pub use parity::RowCodeDetector;
 pub use suite::DefenseSuite;

@@ -25,7 +25,7 @@
 //! only the rows holding a differing word are re-digested
 //! ([`RowSignature::changed_violations`]).
 
-use crate::detector::{changed_words, flat_params, Detector, Observation};
+use crate::detector::{changed_words, flat_params, Detector};
 use fsa_memfault::dram::{DramGeometry, ParamLayout};
 use fsa_memfault::parity::{RowCode, RowSignature};
 use fsa_nn::head::FcHead;
@@ -79,8 +79,8 @@ impl Detector for RowCodeDetector {
     }
 
     /// Number of rows with a violated code.
-    fn score(&self, obs: &Observation<'_>) -> f32 {
-        self.violations(obs.head).len() as f32
+    fn score(&self, head: &FcHead) -> f32 {
+        self.violations(head).len() as f32
     }
 }
 
@@ -110,7 +110,7 @@ mod tests {
         let h = head();
         for code in CODES {
             let det = RowCodeDetector::new(code, &h, tiny_geometry());
-            let v = det.evaluate(&Observation { head: &h });
+            let v = det.evaluate(&h);
             assert_eq!(v.score, 0.0, "{}", v.detector);
             assert!(!v.detected, "{}", v.detector);
         }
@@ -132,9 +132,11 @@ mod tests {
         modified[0] = fsa_memfault::bits::flip_bits(modified[0], &[5]);
         modified[1] = fsa_memfault::bits::flip_bits(modified[1], &[11]);
         attacked.set_layer_flat_params(0, &modified);
-        let obs = Observation { head: &attacked };
-        assert!(!row.evaluate(&obs).detected, "XOR parity should cancel");
-        assert!(col.evaluate(&obs).detected);
-        assert!(crc.evaluate(&obs).detected);
+        assert!(
+            !row.evaluate(&attacked).detected,
+            "XOR parity should cancel"
+        );
+        assert!(col.evaluate(&attacked).detected);
+        assert!(crc.evaluate(&attacked).detected);
     }
 }

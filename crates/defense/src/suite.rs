@@ -2,7 +2,7 @@
 
 use crate::accuracy::AccuracyProbe;
 use crate::checksum::ChecksumDetector;
-use crate::detector::{Detector, Observation, Verdict};
+use crate::detector::{Detector, Verdict};
 use crate::drift::DriftDetector;
 use crate::parity::RowCodeDetector;
 use fsa_memfault::dram::DramGeometry;
@@ -192,12 +192,13 @@ impl DefenseSuite {
         self.detectors.iter().map(|d| d.name()).collect()
     }
 
-    /// Evaluates every detector against one observation, in order.
+    /// Evaluates every detector against the (possibly attacked) head,
+    /// in order.
     ///
     /// With telemetry enabled each detector cell gets its own span
     /// (named after the detector), so the profile tree attributes arena
     /// time detector by detector.
-    pub fn evaluate(&self, obs: &Observation<'_>) -> Vec<Verdict> {
+    pub fn evaluate(&self, head: &FcHead) -> Vec<Verdict> {
         self.detectors
             .iter()
             .map(|d| {
@@ -206,7 +207,7 @@ impl DefenseSuite {
                 } else {
                     None
                 };
-                d.evaluate(obs)
+                d.evaluate(head)
             })
             .collect()
     }
@@ -258,7 +259,7 @@ mod tests {
         let (head, probe, labels) = fixture();
         let suite =
             DefenseSuite::standard(&head, &probe, &labels, DramGeometry::default(), 0.02, 0.25);
-        let verdicts = suite.evaluate(&Observation { head: &head });
+        let verdicts = suite.evaluate(&head);
         assert_eq!(verdicts.len(), suite.len());
         for v in &verdicts {
             assert!(!v.detected, "clean model tripped {}", v.detector);
@@ -292,7 +293,7 @@ mod tests {
         assert!(names.contains(&"dram_row_crc".to_string()));
         // Clean model passes the whole stack; equal seeds rebuild the
         // identical suite (same names, bit-identical clean verdicts).
-        let verdicts = suite.evaluate(&Observation { head: &head });
+        let verdicts = suite.evaluate(&head);
         for v in &verdicts {
             assert!(!v.detected, "clean model tripped {}", v.detector);
         }
@@ -308,7 +309,7 @@ mod tests {
             0xA0D1,
         );
         assert_eq!(again.names(), names);
-        let verdicts2 = again.evaluate(&Observation { head: &head });
+        let verdicts2 = again.evaluate(&head);
         assert_eq!(verdicts, verdicts2);
         // A different seed is a visibly different suite.
         let other = DefenseSuite::randomized(

@@ -9,7 +9,7 @@
 //! with detectors evaluated on one thread and on two.
 
 use fsa_defense::checksum::{hypergeometric_hit_probability, ChecksumDetector};
-use fsa_defense::detector::{flat_params, Detector, Observation};
+use fsa_defense::detector::{flat_params, Detector};
 use fsa_defense::parity::RowCodeDetector;
 use fsa_memfault::dram::{DramGeometry, ParamLayout};
 use fsa_memfault::parity::RowCode;
@@ -290,14 +290,13 @@ fn diff_driven_detectors_match_the_full_recomputation() {
         guard.set(threads);
         let got = par_map(heads.len(), |k| {
             let h = &heads[k].1;
-            let obs = Observation { head: h };
             let sums: Vec<(Vec<usize>, u32)> = checksums
                 .iter()
-                .map(|(_, det)| (det.dirty_blocks(h), det.score(&obs).to_bits()))
+                .map(|(_, det)| (det.dirty_blocks(h), det.score(h).to_bits()))
                 .collect();
             let codes: Vec<(Vec<(usize, usize)>, u32)> = rows
                 .iter()
-                .map(|det| (det.violations(h), det.score(&obs).to_bits()))
+                .map(|det| (det.violations(h), det.score(h).to_bits()))
                 .collect();
             (sums, codes)
         });

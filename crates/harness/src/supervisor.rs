@@ -251,9 +251,6 @@ pub struct ExecutorConfig {
     /// Upper bound (exclusive) of the seeded jitter added to each
     /// backoff; 0 disables jitter.
     pub backoff_jitter_ms: u64,
-    /// Seed for the jitter draws — the full backoff schedule is a pure
-    /// function of `(retry_seed, shard, attempt)`.
-    pub retry_seed: u64,
     /// Program to spawn as the worker; defaults to the current
     /// executable (the self-spawn pattern).
     pub worker_program: PathBuf,
@@ -279,7 +276,6 @@ impl ExecutorConfig {
             max_retries: 2,
             backoff_base_ms: 50,
             backoff_jitter_ms: 25,
-            retry_seed: 0x5eed_5eed,
             worker_program: std::env::current_exe().unwrap_or_else(|_| PathBuf::from("")),
             worker_args: vec![WORKER_FLAG.to_string()],
             planner: None,
@@ -327,6 +323,10 @@ impl ExecutorConfig {
         self
     }
 }
+
+/// Seed of the backoff jitter draws: the full backoff schedule is a pure
+/// function of `(shard, attempt)`.
+const RETRY_SEED: u64 = 0x5eed_5eed;
 
 /// The backoff (milliseconds) slept after `attempt` of `shard` fails:
 /// `base << attempt` plus a jitter draw below `jitter`. Pure in all
@@ -514,7 +514,7 @@ impl<'a> ShardedCampaign<'a> {
                         backoff_ms(
                             cfg.backoff_base_ms,
                             cfg.backoff_jitter_ms,
-                            cfg.retry_seed,
+                            RETRY_SEED,
                             shard,
                             attempt,
                         )

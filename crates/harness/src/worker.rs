@@ -67,8 +67,8 @@ pub const DEFAULT_HEARTBEAT_MS: u64 = 100;
 pub fn method_from_name(name: &str) -> Option<Box<dyn AttackMethod>> {
     match name {
         "fsa" => Some(Box::new(FsaMethod)),
-        "sba" => Some(Box::new(SbaMethod::default())),
-        "gda" => Some(Box::new(GdaMethod::default())),
+        "sba" => Some(Box::new(SbaMethod)),
+        "gda" => Some(Box::new(GdaMethod)),
         _ => None,
     }
 }

@@ -383,6 +383,22 @@ fn invalid_rho_is_rejected_before_any_worker_spawns() {
     sharded(&spec, &config(2, &link).with_max_retries(0));
 }
 
+/// A method name no worker can resolve is refused the same way: a
+/// campaign method is its name, so a name is all a worker receives.
+#[test]
+#[should_panic(expected = "unknown campaign method")]
+fn unknown_method_is_rejected_before_any_worker_spawns() {
+    let spec = CampaignSpec::grid(vec![1], vec![2]).with_config(AttackConfig {
+        iterations: 25,
+        ..AttackConfig::default()
+    });
+    let link: Arc<dyn Transport> = Arc::new(PipeTransport);
+    let (head, cache, labels) = fixture();
+    let campaign = ShardedCampaign::new(&head, ParamSelection::last_layer(&head), cache, labels);
+    let _shared = TRACE.read().unwrap_or_else(PoisonError::into_inner);
+    campaign.run(&spec, "pgd", &config(2, &link).with_max_retries(0));
+}
+
 /// A stealth objective out of `StealthObjective::new`'s bounds is
 /// refused the same way, even by a one-shard run, instead of dividing by
 /// zero (or tripping an assert) inside a worker.

@@ -95,7 +95,7 @@ impl ParamLayout {
         word_bytes: usize,
     ) -> Self {
         assert!(
-            word_bytes > 0 && geometry.row_bytes % word_bytes == 0,
+            word_bytes > 0 && geometry.row_bytes.is_multiple_of(word_bytes),
             "word size {word_bytes} must divide the row size {}",
             geometry.row_bytes
         );

@@ -58,9 +58,7 @@ fn arena_matrix_is_bit_identical_for_any_thread_count() {
     let campaign = Campaign::new(&head, selection.clone(), pool, pool_labels);
     let arena = StealthArena::new(&head, selection, suite(&head, &probe, &probe_labels));
     let spec = sweep();
-    let sba = SbaMethod::default();
-    let gda = GdaMethod::default();
-    let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &sba, &gda];
+    let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &SbaMethod, &GdaMethod];
 
     guard.set(1);
     let reference: Vec<ArenaReport> = methods

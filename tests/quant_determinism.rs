@@ -58,9 +58,7 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
     );
     let arena = StealthArena::new(&deq, selection, suite).with_precision(Precision::Int8);
     let spec = int8_sweep();
-    let sba = SbaMethod::default();
-    let gda = GdaMethod::default();
-    let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &sba, &gda];
+    let methods: Vec<&dyn AttackMethod> = vec![&FsaMethod, &SbaMethod, &GdaMethod];
 
     guard.set(1);
     let reference: Vec<ArenaReport> = methods

@@ -16,8 +16,6 @@ use fault_sneaking::attack::campaign::wire::{
 use fault_sneaking::attack::campaign::{
     CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget,
 };
-use fault_sneaking::attack::refine::RefineConfig;
-use fault_sneaking::attack::solver::Stiffness;
 use fault_sneaking::attack::{
     AttackConfig, AttackResult, IterStats, Norm, ParamSelection, Precision, StealthObjective,
 };
@@ -40,14 +38,10 @@ fn spec() -> CampaignSpec {
         .with_config(AttackConfig {
             norm: Norm::L2,
             rho: 4.5,
-            stiffness: Stiffness::Fixed(3.0),
             lambda: 0.002,
             iterations: 123,
             kappa: 0.75,
-            refine: Some(RefineConfig {
-                iterations: 9,
-                step: Some(0.05),
-            }),
+            refine: Some(9),
         })
         .with_weights(12.0, 0.5)
         .with_precision(Precision::Int8)
@@ -97,7 +91,7 @@ fn outcome(index: usize) -> ScenarioOutcome {
                     dual_residual: 0.0625,
                 },
             ],
-            converged: index % 2 == 0,
+            converged: index.is_multiple_of(2),
         },
     }
 }
@@ -119,15 +113,15 @@ fn job() -> ShardJob {
 #[test]
 fn every_frame_kind_encodes_to_its_recorded_digest() {
     const RECORDED: [u64; 7] = [
-        0xcd520571126270e3,
-        0x89e78aa5248e1400,
-        0x5460330c9821f94a,
-        0x554e3b4eb56c7d6a,
-        0x65e5974ed06a5453,
-        0x63355d07faa22d14,
-        0xe554e8694326d98d,
+        0x13b449447c7261b8,
+        0xdcb190856659b743,
+        0x8a2cc30c8080872a,
+        0x27b4c1199bf1c527,
+        0xb8dbc08eb7b8b6b0,
+        0x51ab4e107d15a121,
+        0x03ba75705236c2fb,
     ];
-    assert_eq!(WIRE_VERSION, 5);
+    assert_eq!(WIRE_VERSION, 6);
     let report = CampaignReport {
         method: "sba".into(),
         precision: Precision::F32,

@@ -14,8 +14,6 @@ use fault_sneaking::attack::campaign::wire::{
 use fault_sneaking::attack::campaign::{
     CampaignReport, CampaignSpec, Scenario, ScenarioOutcome, SparsityBudget,
 };
-use fault_sneaking::attack::refine::RefineConfig;
-use fault_sneaking::attack::solver::Stiffness;
 use fault_sneaking::attack::{
     AttackConfig, AttackResult, IterStats, Norm, Precision, StealthObjective,
 };
@@ -68,18 +66,10 @@ fn random_config(rng: &mut Prng) -> AttackConfig {
             Norm::L2
         },
         rho: rng.uniform(0.1, 10.0),
-        stiffness: if rng.bernoulli(0.5) {
-            Stiffness::Auto(rng.uniform(0.5, 4.0))
-        } else {
-            Stiffness::Fixed(rng.uniform(0.5, 4.0))
-        },
         lambda: rng.uniform(1e-4, 1e-1),
         iterations: 1 + rng.below(600),
         kappa: rng.uniform(0.0, 2.0),
-        refine: rng.bernoulli(0.5).then(|| RefineConfig {
-            iterations: 1 + rng.below(50),
-            step: rng.bernoulli(0.5).then(|| rng.uniform(1e-3, 1e-1)),
-        }),
+        refine: rng.bernoulli(0.5).then(|| 1 + rng.below(50)),
     }
 }
 
