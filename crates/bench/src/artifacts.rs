@@ -3,7 +3,7 @@
 //!
 //! The attack only ever modifies FC-head parameters (as in the paper's
 //! Sec. 5.1), so the conv stack acts as a fixed feature map; features are
-//! extracted once per dataset and reused by every table/figure binary.
+//! extracted once per dataset and reused by every table and figure.
 //! See `ARCHITECTURE.md` for the substitution rationale.
 
 use fsa_attack::AttackSpec;
@@ -102,7 +102,7 @@ impl Artifacts {
     ///
     /// Panics on I/O failure or if the victim fails to train to a sane
     /// accuracy — both indicate a broken environment rather than a
-    /// recoverable condition for the experiment binaries.
+    /// recoverable condition for the paper tables.
     pub fn load_or_build(kind: Kind) -> Artifacts {
         let path = artifact_path(kind);
         if let Ok(bytes) = read_file(&path) {

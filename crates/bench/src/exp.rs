@@ -1,27 +1,46 @@
-//! Frozen experiment configuration and the single-run helper shared by
-//! every table/figure binary.
+//! The paper's experiments as declarations, the one runner that executes
+//! them, and the frozen attack configuration they share.
 //!
-//! Hyperparameters were tuned once on the digits victim and are
-//! *frozen here* so every binary reports the same attack (ROADMAP.md,
-//! direction 1, tracks how quality moves with the iteration cap):
+//! A table or figure is a [`Grid`]: a victim, rows ([`Variant`]s), the
+//! `(S, R)` cells and a seed count. [`run_grid`] runs it into per-seed
+//! [`Metrics`], which the `paper` bin prints and `tests/paper.rs`
+//! asserts the paper's claims on. The last-layer [`sweep`] runs once per
+//! victim and process ([`sweep_runs`]): Figs. 1–2 average its seeds;
+//! Table 4 and §5.4 ([`baseline_cmp`]) read its seed-42 cells. The
+//! hardware plans ([`fault_plans`]) are not an `(S, R)` grid.
 //!
-//! * `c_attack = 10, c_keep = 1` — the paper's `c_i` "relative
-//!   importance" (Sec. 3.2): designated faults outweigh individual
-//!   keep-set images;
-//! * 600 ADMM iterations, ρ = 5, λ = 0.001, κ = 1, a 60-step refine
-//!   pass, and the solver's one Bregman stiffness rule (measured
-//!   gradient leverage × 2.0, not a setting) — see
-//!   [`fsa_attack::AttackConfig`].
+//! Hyperparameters were tuned once on the digits victim and are frozen
+//! here (ROADMAP.md, direction 3, tracks how quality moves with the
+//! iteration cap): `c_attack = 10, c_keep = 1`, the paper's `c_i`
+//! "relative importance" (Sec. 3.2); 600 ADMM iterations, ρ = 5,
+//! λ = 0.001, κ = 1, a 60-step refine pass, and the solver's one
+//! Bregman stiffness rule — see [`fsa_attack::AttackConfig`].
 
-use crate::artifacts::Artifacts;
-use fsa_attack::{AttackConfig, AttackResult, FaultSneakingAttack, ParamSelection};
+use crate::artifacts::{Artifacts, Kind, Kind::Digits};
+use fsa_attack::ParamKind::{self, Bias, Both, Weights};
+use fsa_attack::{AttackConfig, AttackResult, FaultSneakingAttack, Norm, ParamSelection};
+use fsa_baselines::{GdaAttack, GdaConfig, SbaAttack};
+use fsa_memfault::dram::ParamLayout;
+use fsa_memfault::laser::LaserCost;
+use fsa_memfault::{DramGeometry, FaultPlan, HammerOutcome, LaserInjector, RowhammerInjector};
+use fsa_tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Weight on the `S` designated-fault hinge terms.
 pub const C_ATTACK: f32 = 10.0;
 /// Weight on each keep-set hinge term.
 pub const C_KEEP: f32 = 1.0;
-/// Base seed for spec sampling; vary to average over draws.
+/// Seed of a cell's first draw; draw `k` uses `BASE_SEED + 1000·k`.
 pub const BASE_SEED: u64 = 42;
+
+/// The `S` axis of the last-layer [`sweep`] (Figs. 1–2, Table 4).
+pub const SWEEP_S: [usize; 5] = [1, 2, 4, 8, 16];
+/// The `R` axis of the last-layer [`sweep`].
+pub const SWEEP_R: [usize; 5] = [50, 100, 200, 500, 1000];
+/// The `S` axis of Fig. 3.
+pub const FIG3_S: [usize; 10] = [1, 2, 4, 6, 8, 10, 12, 16, 20, 24];
+/// The `R` axis of Fig. 3.
+pub const FIG3_R: [usize; 2] = [200, 1000];
 
 /// The frozen attack configuration used by all experiments.
 pub fn experiment_config() -> AttackConfig {
@@ -41,13 +60,121 @@ pub fn bias_experiment_config() -> AttackConfig {
     }
 }
 
-/// Everything a table row needs about one attack run.
-#[derive(Debug, Clone)]
-pub struct RunMetrics {
-    /// Raw attack result.
-    pub result: AttackResult,
-    /// Test accuracy of the modified model.
-    pub test_accuracy: f32,
+/// One row of a [`Grid`]: what it attacks and with which configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Variant {
+    /// Row label, as printed.
+    pub label: &'static str,
+    /// The attacked layer's index; `None` is the last FC layer.
+    pub layer: Option<usize>,
+    /// Weights, bias or both of that layer.
+    pub kind: ParamKind,
+    /// The attack configuration.
+    pub config: AttackConfig,
+}
+
+impl Variant {
+    /// A last-layer row under [`experiment_config`] changed by `edit`.
+    fn last(label: &'static str, edit: fn(&mut AttackConfig)) -> Self {
+        let mut config = experiment_config();
+        edit(&mut config);
+        let (layer, kind) = (None, Both);
+        Self {
+            label,
+            layer,
+            kind,
+            config,
+        }
+    }
+}
+
+/// A table or figure: every variant runs every cell at `seeds` draws.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Grid {
+    /// The victim.
+    pub kind: Kind,
+    /// Draws per cell.
+    pub seeds: u64,
+    /// The `(S, R)` cells.
+    pub cells: Vec<(usize, usize)>,
+    /// The rows.
+    pub variants: Vec<Variant>,
+}
+
+impl Grid {
+    fn new(kind: Kind, seeds: u64, cells: Vec<(usize, usize)>, variants: Vec<Variant>) -> Self {
+        Self {
+            kind,
+            seeds,
+            cells,
+            variants,
+        }
+    }
+
+    /// Every `(s, r)` pair, one last-layer row.
+    fn last_layer(kind: Kind, seeds: u64, ss: &[usize], rs: &[usize]) -> Self {
+        let cells = ss.iter().flat_map(|&s| rs.iter().map(move |&r| (s, r)));
+        let rows = vec![Variant::last("last FC", |_| {})];
+        Self::new(kind, seeds, cells.collect(), rows)
+    }
+}
+
+/// The last-layer `S × R` sweep of one victim (Figs. 1–2, Table 4, §5.4).
+pub fn sweep(kind: Kind) -> Grid {
+    Grid::last_layer(kind, 2, &SWEEP_S, &SWEEP_R)
+}
+
+/// Table 1: each FC layer of the digits victim at `S = R ∈ {1, 4, 16}`.
+pub fn table1() -> Grid {
+    let names = ["first FC", "second FC", "last FC"].into_iter().enumerate();
+    let rows = names.map(|(i, name)| Variant {
+        layer: Some(i),
+        ..Variant::last(name, |_| {})
+    });
+    Grid::new(Digits, 3, vec![(1, 1), (4, 4), (16, 16)], rows.collect())
+}
+
+/// Table 2: the digits victim's last-layer weights only vs biases only.
+pub fn table2() -> Grid {
+    let weights = Variant {
+        kind: Weights,
+        ..Variant::last("weights", |_| {})
+    };
+    let bias = Variant {
+        kind: Bias,
+        config: bias_experiment_config(),
+        ..Variant::last("bias", |_| {})
+    };
+    let cells = vec![(1, 1), (2, 2), (4, 4), (8, 8)];
+    Grid::new(Digits, 3, cells, vec![weights, bias])
+}
+
+/// Table 3: the `ℓ0`- and `ℓ2`-minimizing attacks (digits, last layer).
+pub fn table3() -> Grid {
+    let l0 = Variant::last("l0 attack", |_| {});
+    let l2 = Variant::last("l2 attack", |c| c.norm = Norm::L2);
+    Grid::new(Digits, 3, vec![(1, 10), (5, 10), (5, 20)], vec![l0, l2])
+}
+
+/// Fig. 3 and §5.5: fault success over [`FIG3_S`] × [`FIG3_R`].
+pub fn fig3(kind: Kind) -> Grid {
+    Grid::last_layer(kind, 2, &FIG3_S, &FIG3_R)
+}
+
+/// The ablation: hinge margin κ and refinement (this reproduction's
+/// additions to the paper's loop), ρ and the iteration cap.
+pub fn ablation() -> Grid {
+    let rows = vec![
+        Variant::last("full (κ=1, refine)", |_| {}),
+        Variant::last("no refine", |c| c.refine = None),
+        Variant::last("κ=0 (paper-literal hinge)", |c| c.kappa = 0.0),
+        Variant::last("κ=0, no refine", |c| (c.kappa, c.refine) = (0.0, None)),
+        Variant::last("long refine (200 steps)", |c| c.refine = Some(200)),
+        Variant::last("rho=1", |c| c.rho = 1.0),
+        Variant::last("rho=25", |c| c.rho = 25.0),
+        Variant::last("150 iterations", |c| c.iterations = 150),
+    ];
+    Grid::new(Digits, 3, vec![(8, 200)], rows)
 }
 
 /// Runs one `(S, R)` attack configuration against `art` and measures it.
@@ -58,7 +185,7 @@ pub fn run_one(
     r: usize,
     seed: u64,
     config: &AttackConfig,
-) -> RunMetrics {
+) -> Metrics {
     let spec = art.make_spec(s, r, seed).with_weights(C_ATTACK, C_KEEP);
     let attack = FaultSneakingAttack::new(art.head(), selection.clone(), config.clone());
     let result = attack.run(&spec);
@@ -74,9 +201,13 @@ pub fn run_one(
         (0.0..=1.0).contains(&test_accuracy),
         "test accuracy {test_accuracy} out of range"
     );
-    RunMetrics {
-        result,
-        test_accuracy,
+    Metrics {
+        l0: result.l0 as f64,
+        l2: f64::from(result.l2),
+        success_rate: f64::from(result.success_rate()),
+        s_success: result.s_success as f64,
+        unchanged_rate: f64::from(result.unchanged_rate()),
+        test_accuracy: f64::from(test_accuracy),
     }
 }
 
@@ -116,57 +247,227 @@ pub fn assert_sane(result: &AttackResult, dim: usize, context: &str) {
     );
 }
 
-/// Runs `seeds` independent draws and averages the scalar metrics
-/// (`l0`, `l2`, success rate, unchanged rate, test accuracy).
+/// The scalar metrics of one run, or their mean over a cell's seeds.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MeanMetrics {
-    /// Mean `‖δ‖₀`.
+pub struct Metrics {
+    /// `‖δ‖₀`.
     pub l0: f64,
-    /// Mean `‖δ‖₂`.
+    /// `‖δ‖₂`.
     pub l2: f64,
-    /// Mean fault success rate.
+    /// Fault success rate.
     pub success_rate: f64,
-    /// Mean successful-fault count.
+    /// Successful-fault count.
     pub s_success: f64,
-    /// Mean keep-set unchanged rate.
+    /// Keep-set unchanged rate.
     pub unchanged_rate: f64,
-    /// Mean test accuracy after the attack.
+    /// Test accuracy after the attack.
     pub test_accuracy: f64,
 }
 
-/// Averages [`run_one`] over `n_seeds` seeds.
-pub fn run_mean(
-    art: &Artifacts,
-    selection: &ParamSelection,
-    s: usize,
-    r: usize,
-    n_seeds: u64,
-    config: &AttackConfig,
-) -> MeanMetrics {
-    assert!(n_seeds > 0, "need at least one seed");
-    let mut acc = MeanMetrics {
-        l0: 0.0,
-        l2: 0.0,
-        success_rate: 0.0,
-        s_success: 0.0,
-        unchanged_rate: 0.0,
-        test_accuracy: 0.0,
-    };
-    for k in 0..n_seeds {
-        let m = run_one(art, selection, s, r, BASE_SEED + 1000 * k, config);
-        acc.l0 += m.result.l0 as f64;
-        acc.l2 += m.result.l2 as f64;
-        acc.success_rate += m.result.success_rate() as f64;
-        acc.s_success += m.result.s_success as f64;
-        acc.unchanged_rate += m.result.unchanged_rate() as f64;
-        acc.test_accuracy += m.test_accuracy as f64;
+/// The metrics of every run of one [`Grid`], from [`run_grid`].
+#[derive(Debug, Clone)]
+pub struct GridRuns {
+    /// The declaration that was run.
+    pub grid: Grid,
+    /// Per variant, the number of parameters its selection holds.
+    pub dims: Vec<usize>,
+    /// Indexed `[variant][cell][seed]`.
+    runs: Vec<Metrics>,
+}
+
+impl GridRuns {
+    /// The draws of `variant` at `(s, r)`, in seed order.
+    fn draws(&self, variant: usize, s: usize, r: usize) -> &[Metrics] {
+        let g = &self.grid;
+        let cell = g.cells.iter().position(|&c| c == (s, r));
+        let cell = cell.unwrap_or_else(|| panic!("cell S={s}, R={r} is not in the grid"));
+        let n = g.seeds as usize;
+        let first = (variant * g.cells.len() + cell) * n;
+        &self.runs[first..first + n]
     }
-    let n = n_seeds as f64;
-    acc.l0 /= n;
-    acc.l2 /= n;
-    acc.success_rate /= n;
-    acc.s_success /= n;
-    acc.unchanged_rate /= n;
-    acc.test_accuracy /= n;
-    acc
+
+    /// Draw `seed` (0-based: seed value `BASE_SEED + 1000·seed`) of
+    /// `variant` at `(s, r)`.
+    pub fn run(&self, variant: usize, s: usize, r: usize, seed: usize) -> Metrics {
+        self.draws(variant, s, r)[seed]
+    }
+
+    /// The mean over the grid's seeds of `variant` at `(s, r)`: each
+    /// metric summed in seed order, then divided by the seed count.
+    pub fn mean(&self, variant: usize, s: usize, r: usize) -> Metrics {
+        let draws = self.draws(variant, s, r);
+        let n = draws.len() as f64;
+        let avg = |f: fn(&Metrics) -> f64| draws.iter().fold(0.0, |sum, m| sum + f(m)) / n;
+        Metrics {
+            l0: avg(|m| m.l0),
+            l2: avg(|m| m.l2),
+            success_rate: avg(|m| m.success_rate),
+            s_success: avg(|m| m.s_success),
+            unchanged_rate: avg(|m| m.unchanged_rate),
+            test_accuracy: avg(|m| m.test_accuracy),
+        }
+    }
+}
+
+/// Runs every variant of `grid` at every cell and seed through
+/// [`run_one`] against its [`victim`].
+///
+/// # Panics
+///
+/// Panics if a run fails [`assert_sane`].
+pub fn run_grid(grid: &Grid) -> GridRuns {
+    let art = victim(grid.kind);
+    let head = art.head();
+    let (mut dims, mut runs) = (Vec::new(), Vec::new());
+    for variant in &grid.variants {
+        let layer = variant.layer.unwrap_or(head.num_layers() - 1);
+        let sel = ParamSelection::layer(layer, variant.kind);
+        dims.push(sel.dim(head));
+        for &(s, r) in &grid.cells {
+            for k in 0..grid.seeds {
+                let seed = BASE_SEED + 1000 * k;
+                runs.push(run_one(art, &sel, s, r, seed, &variant.config));
+            }
+        }
+    }
+    GridRuns {
+        grid: grid.clone(),
+        dims,
+        runs,
+    }
+}
+
+/// The victim of `kind`, loaded (or built and cached on disk) once per
+/// process.
+pub fn victim(kind: Kind) -> &'static Artifacts {
+    static VICTIMS: [OnceLock<Artifacts>; 2] = [OnceLock::new(), OnceLock::new()];
+    VICTIMS[kind as usize].get_or_init(|| Artifacts::load_or_build(kind))
+}
+
+/// The [`sweep`] of `kind`, run once per process and shared by every
+/// table that reads it.
+pub fn sweep_runs(kind: Kind) -> &'static GridRuns {
+    static SWEEPS: [OnceLock<GridRuns>; 2] = [OnceLock::new(), OnceLock::new()];
+    SWEEPS[kind as usize].get_or_init(|| run_grid(&sweep(kind)))
+}
+
+/// One attack's single injected fault in §5.4.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Injection {
+    /// Row label, as printed.
+    pub label: &'static str,
+    /// Whether the fault landed.
+    pub success: bool,
+    /// Parameters modified.
+    pub l0: usize,
+    /// Test accuracy of the modified model.
+    pub test_accuracy: f32,
+}
+
+/// §5.4: one fault (`S = 1`) injected into `kind`'s last layer by the
+/// fault sneaking attack at `R = 1000` (the [`sweep`]'s seed-42 cell),
+/// then by the GDA and SBA baselines of Liu et al. (ICCAD'17), which
+/// keep no images.
+pub fn baseline_cmp(kind: Kind) -> [Injection; 3] {
+    let ours = sweep_runs(kind).run(0, 1, 1000, 0);
+    let art = victim(kind);
+    let head = art.head();
+    let sel = ParamSelection::last_layer(head);
+    let start = sel.start_layer();
+    let spec = art
+        .make_spec(1, 1, BASE_SEED)
+        .with_weights(C_ATTACK, C_KEEP);
+
+    let gda = GdaAttack::new(head, sel.clone(), GdaConfig::default());
+    let gres = gda.run(&spec);
+    let mut gda_head = head.clone();
+    fsa_attack::eval::apply_delta(&mut gda_head, &sel, gda.theta0(), &gres.delta);
+
+    let img = Tensor::from_vec(spec.features.row(0).to_vec(), &[1, head.in_features()]);
+    let (sba_head, sres) = SbaAttack::default().run_single(head, &img, spec.targets[0]);
+    [
+        Injection {
+            label: "fault sneaking (R=1000)",
+            success: ours.success_rate == 1.0,
+            l0: ours.l0 as usize,
+            test_accuracy: ours.test_accuracy as f32,
+        },
+        Injection {
+            label: "GDA [16] (no keep-set)",
+            success: gres.successes == 1,
+            l0: gres.l0,
+            test_accuracy: art.test_accuracy(&gda_head, start),
+        },
+        Injection {
+            label: "SBA [16] (1 bias)",
+            success: sres.success,
+            l0: 1,
+            test_accuracy: art.test_accuracy(&sba_head, start),
+        },
+    ]
+}
+
+/// One attack's δ as a bit-flip plan, costed under the simulated
+/// laser and rowhammer injectors.
+#[derive(Debug, Clone)]
+pub struct PlanCost {
+    /// The norm the attack minimized.
+    pub norm: Norm,
+    /// The compiled plan.
+    pub plan: FaultPlan,
+    /// DRAM rows the plan touches.
+    pub rows: usize,
+    /// Laser realization cost.
+    pub laser: LaserCost,
+    /// Rowhammer's attempt at the plan.
+    pub hammer: HammerOutcome,
+    /// Faults (of one) the flips rowhammer achieved still inject.
+    pub rh_hits: usize,
+}
+
+/// The hardware extension: one `S = 1, R = 10` fault on the digits
+/// victim's last layer under `ℓ0` and under `ℓ2`, each δ compiled into
+/// a bit-flip plan and costed.
+///
+/// # Panics
+///
+/// Panics if a run fails [`assert_sane`] or its plan does not cover
+/// exactly its δ support.
+pub fn fault_plans() -> [PlanCost; 2] {
+    let art = victim(Digits);
+    let head = art.head();
+    let sel = ParamSelection::last_layer(head);
+    let spec = art.make_spec(1, 10, 7).with_weights(C_ATTACK, C_KEEP);
+    [Norm::L0, Norm::L2].map(|norm| {
+        let cfg = AttackConfig {
+            norm,
+            ..experiment_config()
+        };
+        let attack = FaultSneakingAttack::new(head, sel.clone(), cfg);
+        let result = attack.run(&spec);
+        // Abort rather than cost a structurally invalid plan: the
+        // compiled flips must cover exactly the δ support.
+        assert_sane(&result, sel.dim(head), &format!("{norm:?} fault plan"));
+        let theta0 = attack.theta0();
+        let layout = ParamLayout::new(DramGeometry::default(), 0, theta0.len());
+        let plan = FaultPlan::compile(theta0, &result.delta);
+        assert_eq!(plan.words(), result.l0, "plan words disagree with ‖δ‖₀");
+        let laser = plan.laser_cost(&LaserInjector::default());
+        let mut hammered = theta0.to_vec();
+        let hammer = plan.hammer(&RowhammerInjector::default(), &layout, &mut hammered);
+        // Re-evaluate the fault under the rowhammer-achievable subset.
+        let realized = FaultPlan::realized_delta(theta0, &hammered);
+        let mut rh_head = head.clone();
+        fsa_attack::eval::apply_delta(&mut rh_head, &sel, theta0, &realized);
+        let logits = rh_head.forward(&spec.features);
+        let (rh_hits, _) = fsa_attack::objective::count_satisfied(&spec, &logits);
+        PlanCost {
+            norm,
+            rows: plan.rows_touched(&layout),
+            plan,
+            laser,
+            hammer,
+            rh_hits,
+        }
+    })
 }

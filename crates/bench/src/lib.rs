@@ -1,33 +1,28 @@
 //! Experiment harness for the fault sneaking attack reproduction.
 //!
-//! One binary per paper table/figure lives in `src/bin/`; they share the
-//! [`artifacts`] pipeline (synthesize data → extract conv features → train
-//! the FC head → cache everything on disk) and the [`report`] table
-//! printers. Micro-benchmarks live in `benches/` on the in-repo [`timing`]
-//! harness (`cargo bench -p fsa-bench`). End-to-end and per-layer
+//! [`exp`] declares each paper table and figure as a grid and runs it
+//! through one runner; [`artifacts`] builds and caches the victims
+//! (data → conv features → trained FC head); [`report`] prints a grid.
+//! The `paper` bin prints the tables and `tests/paper.rs` (optimized
+//! builds only) asserts the paper's claims on the same values.
+//! `tests/claims.rs` asserts the extension claims on the small victims
+//! of [`fixture`]; [`timing`] is the harness of `benches/`. End-to-end
 //! measurements belong to the repository benchmark in `benchmark/`; the
-//! claims the victims of [`fixture`] must keep are tests in `tests/`
-//! (`cargo test -p fsa-bench`), except the telemetry overhead gate,
-//! which the `profile` bin runs on the optimized build.
+//! telemetry overhead gate is the `profile` bin.
 //!
 //! Run, from the workspace root:
 //!
 //! ```text
-//! cargo run --release -p fsa-bench --bin table1
-//! cargo run --release -p fsa-bench --bin table2
-//! cargo run --release -p fsa-bench --bin table3
-//! cargo run --release -p fsa-bench --bin table4
-//! cargo run --release -p fsa-bench --bin fig1
-//! cargo run --release -p fsa-bench --bin fig2
-//! cargo run --release -p fsa-bench --bin fig3
-//! cargo run --release -p fsa-bench --bin ablation
-//! cargo run --release -p fsa-bench --bin baseline_cmp
-//! cargo run --release -p fsa-bench --bin fault_plan
+//! cargo run --release -p fsa-bench --bin paper [table ...]
+//! cargo test --release -p fsa-bench --test paper
 //! cargo run --release -p fsa-bench --bin profile
 //! ```
 //!
-//! The first run builds `artifacts/{digits,objects}.bin` (a couple of
-//! minutes); later runs load them in milliseconds.
+//! Table names, in paper order: `table1`, `table2`, `table3`, `fig1`,
+//! `fig2`, `table4`, `baseline_cmp`, `fig3`, `ablation`, `fault_plan`;
+//! none prints all. The first run builds `artifacts/{digits,objects}.bin`
+//! (about 10 s each on a 2-core host); later runs load them in
+//! milliseconds.
 
 #![warn(missing_docs)]
 

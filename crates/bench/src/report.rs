@@ -1,4 +1,4 @@
-//! Plain-text table printing shared by the experiment binaries.
+//! Plain-text table printing for the `paper` bin.
 
 /// Prints a titled table: header row then data rows, columns padded to the
 /// widest cell.
@@ -32,17 +32,13 @@ pub fn pct(x: f32) -> String {
     format!("{:.1}%", 100.0 * x)
 }
 
-/// Convenience: `Vec<String>` from `&str`/`String` items.
-#[macro_export]
-macro_rules! row {
-    ($($cell:expr),* $(,)?) => {
-        vec![$($cell.to_string()),*]
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn row(cells: &[&str]) -> Vec<String> {
+        cells.iter().map(|c| c.to_string()).collect()
+    }
 
     #[test]
     fn pct_formats() {
@@ -54,14 +50,14 @@ mod tests {
     fn print_table_does_not_panic() {
         print_table(
             "demo",
-            &row!["a", "beta"],
-            &[row!["1", "2"], row!["100", "x"]],
+            &row(&["a", "beta"]),
+            &[row(&["1", "2"]), row(&["100", "x"])],
         );
     }
 
     #[test]
     #[should_panic(expected = "row width mismatch")]
     fn print_table_validates_width() {
-        print_table("demo", &row!["a"], &[row!["1", "2"]]);
+        print_table("demo", &row(&["a"]), &[row(&["1", "2"])]);
     }
 }

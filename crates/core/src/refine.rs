@@ -31,10 +31,12 @@ use fsa_tensor::Tensor;
 /// off the forward the next step runs anyway, plus one more forward after
 /// the last step — are compared to `reference` via
 /// [`fsa_nn::stats::max_normalized_drift`], the formula the deployed
-/// drift detector scores; a step that exceeds `budget` is reverted,
-/// ending the pass. Layers below `start` hold no selected parameter, so
-/// their statistics equal the reference bit for bit and cannot raise the
-/// maximum: the decision is the whole-head monitor's. The check is a
+/// drift detector scores; a step that exceeds `budget`, or makes any
+/// layer's drift NaN, is reverted, ending the pass. Layers below `start`
+/// hold no selected parameter, so their statistics equal the reference
+/// bit for bit: finite ones cannot raise the maximum, so the decision is
+/// the whole-head monitor's, and non-finite ones (a probe the clean head
+/// already maps to NaN) are left out. The check is a
 /// fixed-order reduction of deterministic layer outputs, so it never
 /// weakens the bit-determinism guarantee.
 ///
@@ -144,9 +146,9 @@ mod tests {
 
     /// The two-pass loop this module ran before the wall read the
     /// truncated forward: after every step, scatter θ + δ again and run
-    /// the whole head from `spec.features` against a whole-head
-    /// `reference`. Returns the iteration count and whether the drift
-    /// wall stopped the pass.
+    /// the whole head from `spec.features`, then score layers `start..`
+    /// against that part of a whole-head `reference`. Returns the
+    /// iteration count and whether the drift wall stopped the pass.
     #[allow(clippy::too_many_arguments)]
     fn two_pass_oracle(
         head: &mut FcHead,
@@ -192,7 +194,7 @@ mod tests {
             }
             selection.scatter(head, &theta);
             let (_, now) = head_forward_stats(head, &spec.features);
-            if max_normalized_drift(&now, reference) > f64::from(budget) {
+            if max_normalized_drift(&now[start..], &reference[start..]) > f64::from(budget) {
                 for (k, &i) in support.iter().enumerate() {
                     delta[i] = prev[k];
                 }
@@ -369,6 +371,31 @@ mod tests {
                 inst.assert_matches_oracle(ITERS, budget);
             }
         }
+    }
+
+    #[test]
+    fn drift_wall_stops_a_step_that_makes_a_layer_nan() {
+        // An infinite step (α = −1) sends the support to ±∞ and NaN, so
+        // the logits are NaN after the first step: the wall reverts it
+        // under any budget.
+        let inst = instance(2, false);
+        let full = inst.stats(&vec![0.0; inst.delta.len()]);
+        let mut delta = inst.delta.clone();
+        let n = refine_on_support(
+            &mut inst.head.clone(),
+            &inst.sel,
+            &inst.theta0,
+            &inst.spec,
+            &inst.acts,
+            KAPPA,
+            -1.0,
+            ITERS,
+            Some((&full[2..], 1e9)),
+            &mut delta,
+        );
+        assert_eq!(n, 1, "the NaN step was not stopped");
+        let bits = |d: &[f32]| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&delta), bits(&inst.delta));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::detector::Detector;
 use fsa_nn::head::FcHead;
-use fsa_nn::stats::{head_forward_stats, normalized_drift, ActivationStats};
+use fsa_nn::stats::{head_forward_stats, max_normalized_drift, normalized_drift, ActivationStats};
 use fsa_nn::FeatureCache;
 
 /// An activation-drift monitor over a fixed probe batch.
@@ -67,20 +67,22 @@ impl DriftDetector {
         &self.reference
     }
 
-    /// Per-layer normalized drift of an observed head against the
-    /// reference (same order as the head's layers).
-    pub fn layer_drift(&self, head: &FcHead) -> Vec<f64> {
+    /// Per-layer activation statistics of an observed head on the probe.
+    fn observe(&self, head: &FcHead) -> Vec<ActivationStats> {
         let (_, now) = head_forward_stats(head, self.probe.features());
         assert_eq!(
             now.len(),
             self.reference.len(),
             "observed model has a different layer count than calibrated"
         );
-        // The same normalized-drift formula the attack's stealth
-        // objective budgets against ([`fsa_nn::stats::normalized_drift`])
-        // — monitor and planner must score one quantity for the arms
-        // race to be meaningful.
-        now.iter()
+        now
+    }
+
+    /// Per-layer normalized drift of an observed head against the
+    /// reference (same order as the head's layers).
+    pub fn layer_drift(&self, head: &FcHead) -> Vec<f64> {
+        self.observe(head)
+            .iter()
             .zip(&self.reference)
             .map(|(n, r)| normalized_drift(n, r))
             .collect()
@@ -96,15 +98,11 @@ impl Detector for DriftDetector {
         self.threshold
     }
 
-    /// The maximum per-layer drift; any NaN layer drift scores
-    /// `f32::INFINITY` (a NaN-producing head is tampered, and `f64::max`
-    /// would silently drop the NaN and pass it as clean).
+    /// [`max_normalized_drift`]: the maximum per-layer drift, infinite
+    /// on any NaN layer — the same score refinement's drift wall
+    /// budgets against, so monitor and planner measure one quantity.
     fn score(&self, head: &FcHead) -> f32 {
-        let drift = self.layer_drift(head);
-        if drift.iter().any(|d| d.is_nan()) {
-            return f32::INFINITY;
-        }
-        drift.into_iter().fold(0.0f64, f64::max) as f32
+        max_normalized_drift(&self.observe(head), &self.reference) as f32
     }
 }
 

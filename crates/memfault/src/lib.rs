@@ -27,8 +27,9 @@
 //!   row CRC), the surface `fsa-defense`'s DRAM row-code monitor checks
 //!   bit-flip plans against.
 //!
-//! The end-to-end `fault_plan` experiment binary uses this to compare the
-//! hardware realizability of `ℓ0`- vs `ℓ2`-minimized modifications.
+//! The end-to-end `fault_plan` table (`fsa_bench::exp::fault_plans`) uses
+//! this to compare the hardware realizability of `ℓ0`- vs `ℓ2`-minimized
+//! modifications.
 
 #![warn(missing_docs)]
 

@@ -59,7 +59,13 @@ pub fn normalized_drift(now: &ActivationStats, reference: &ActivationStats) -> f
     mean_shift.max(spread_shift)
 }
 
-/// Maximum [`normalized_drift`] over all layers (zero for empty input).
+/// Maximum [`normalized_drift`] over all layers (zero for empty input);
+/// `f64::INFINITY` if any layer's drift is NaN, because a head that
+/// computes NaN has been tampered with and `f64::max` alone would drop
+/// the NaN and score it as clean.
+///
+/// This is the one drift score: the defense suite's drift detector
+/// alarms on it and refinement's drift wall stops on it.
 ///
 /// # Panics
 ///
@@ -73,7 +79,13 @@ pub fn max_normalized_drift(now: &[ActivationStats], reference: &[ActivationStat
     now.iter()
         .zip(reference)
         .map(|(n, r)| normalized_drift(n, r))
-        .fold(0.0, f64::max)
+        .fold(0.0, |max, d| {
+            if d.is_nan() {
+                f64::INFINITY
+            } else {
+                max.max(d)
+            }
+        })
 }
 
 /// Fixed-order two-pass mean/variance of a slice (empty slices yield
@@ -170,6 +182,27 @@ mod tests {
         // The layer fold takes the max.
         assert!((max_normalized_drift(&[r, n], &[r, r]) - 0.5).abs() < 1e-12);
         assert_eq!(max_normalized_drift(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn a_nan_layer_drifts_infinitely_far() {
+        let r = ActivationStats {
+            mean: 1.0,
+            var: 4.0,
+        };
+        let nan = ActivationStats {
+            mean: f64::NAN,
+            var: f64::NAN,
+        };
+        assert!(normalized_drift(&nan, &r).is_nan());
+        // In any layer, before or after a finite maximum.
+        assert_eq!(max_normalized_drift(&[nan, r], &[r, r]), f64::INFINITY);
+        assert_eq!(max_normalized_drift(&[r, nan], &[r, r]), f64::INFINITY);
+        let far = ActivationStats {
+            mean: 1e300,
+            var: 4.0,
+        };
+        assert_eq!(max_normalized_drift(&[far, nan], &[r, r]), f64::INFINITY);
     }
 
     #[test]
