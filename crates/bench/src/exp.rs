@@ -18,12 +18,13 @@
 
 use crate::artifacts::{Artifacts, Kind, Kind::Digits};
 use fsa_attack::ParamKind::{self, Bias, Both, Weights};
-use fsa_attack::{AttackConfig, AttackResult, FaultSneakingAttack, Norm, ParamSelection};
-use fsa_baselines::{GdaAttack, GdaConfig, SbaAttack};
+use fsa_attack::{
+    AttackConfig, AttackMethod, AttackResult, FaultSneakingAttack, GdaMethod, Norm, ParamSelection,
+    SbaMethod,
+};
 use fsa_memfault::dram::ParamLayout;
 use fsa_memfault::laser::LaserCost;
 use fsa_memfault::{DramGeometry, FaultPlan, HammerOutcome, LaserInjector, RowhammerInjector};
-use fsa_tensor::Tensor;
 use std::sync::OnceLock;
 
 /// Weight on the `S` designated-fault hinge terms.
@@ -373,18 +374,24 @@ pub fn baseline_cmp(kind: Kind) -> [Injection; 3] {
     let art = victim(kind);
     let head = art.head();
     let sel = ParamSelection::last_layer(head);
-    let start = sel.start_layer();
+    let theta0 = sel.gather(head);
     let spec = art
         .make_spec(1, 1, BASE_SEED)
         .with_weights(C_ATTACK, C_KEEP);
-
-    let gda = GdaAttack::new(head, sel.clone(), GdaConfig::default());
-    let gres = gda.run(&spec);
-    let mut gda_head = head.clone();
-    fsa_attack::eval::apply_delta(&mut gda_head, &sel, gda.theta0(), &gres.delta);
-
-    let img = Tensor::from_vec(spec.features.row(0).to_vec(), &[1, head.in_features()]);
-    let (sba_head, sres) = SbaAttack::default().run_single(head, &img, spec.targets[0]);
+    let [gda, sba] = [
+        ("GDA [16] (no keep-set)", &GdaMethod as &dyn AttackMethod),
+        ("SBA [16] (1 bias)", &SbaMethod),
+    ]
+    .map(|(label, method)| {
+        let result = method.run_scenario(head, &sel, &experiment_config(), &spec);
+        let attacked = fsa_attack::eval::attacked_head(head, &sel, &theta0, &result.delta);
+        Injection {
+            label,
+            success: result.s_success == 1,
+            l0: result.l0,
+            test_accuracy: art.test_accuracy(&attacked, sel.start_layer()),
+        }
+    });
     [
         Injection {
             label: "fault sneaking (R=1000)",
@@ -392,18 +399,8 @@ pub fn baseline_cmp(kind: Kind) -> [Injection; 3] {
             l0: ours.l0 as usize,
             test_accuracy: ours.test_accuracy as f32,
         },
-        Injection {
-            label: "GDA [16] (no keep-set)",
-            success: gres.successes == 1,
-            l0: gres.l0,
-            test_accuracy: art.test_accuracy(&gda_head, start),
-        },
-        Injection {
-            label: "SBA [16] (1 bias)",
-            success: sres.success,
-            l0: 1,
-            test_accuracy: art.test_accuracy(&sba_head, start),
-        },
+        gda,
+        sba,
     ]
 }
 
@@ -452,7 +449,7 @@ pub fn fault_plans() -> [PlanCost; 2] {
         let layout = ParamLayout::new(DramGeometry::default(), 0, theta0.len());
         let plan = FaultPlan::compile(theta0, &result.delta);
         assert_eq!(plan.words(), result.l0, "plan words disagree with ‖δ‖₀");
-        let laser = plan.laser_cost(&LaserInjector::default());
+        let laser = plan.laser_cost(&LaserInjector);
         let mut hammered = theta0.to_vec();
         let hammer = plan.hammer(&RowhammerInjector::default(), &layout, &mut hammered);
         // Re-evaluate the fault under the rowhammer-achievable subset.

@@ -24,9 +24,9 @@ use fsa_attack::campaign::{
     AttackMethod, Campaign, CampaignReport, CampaignSpec, FsaMethod, SparsityBudget,
 };
 use fsa_attack::{
-    AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection, Precision, StealthObjective,
+    AttackConfig, AttackSpec, FaultSneakingAttack, GdaMethod, ParamSelection, Precision, SbaMethod,
+    StealthObjective,
 };
-use fsa_baselines::{GdaMethod, SbaMethod};
 use fsa_bench::exp::assert_sane;
 use fsa_bench::fixture;
 use fsa_data::Dataset;

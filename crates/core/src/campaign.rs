@@ -28,9 +28,10 @@
 //!   `FSA_THREADS` — `tests/campaign_determinism.rs` locks this in;
 //! * the *attack* is pluggable: [`Campaign::run_method`] sweeps any
 //!   [`AttackMethod`] (the fault sneaking attack, or the ICCAD'17
-//!   SBA/GDA baselines from `fsa-baselines`) over the **same** matrix
+//!   SBA/GDA baselines of [`crate::baselines`]) over the **same** matrix
 //!   and draws, so cross-method comparisons are cell-aligned by
-//!   construction.
+//!   construction; [`method`] resolves the three by the name their
+//!   reports carry.
 //!
 //! # Examples
 //!
@@ -63,6 +64,7 @@
 
 pub mod wire;
 
+use crate::baselines::{GdaMethod, SbaMethod};
 use crate::precision::{Precision, QuantizedSelection};
 use crate::selection::ParamSelection;
 use crate::solver::{AttackConfig, AttackResult, FaultSneakingAttack, Norm};
@@ -384,10 +386,10 @@ pub(crate) fn check_weight(name: &'static str, value: f32) -> Result<(), SpecErr
 /// The engine owns working-set sampling, spec construction, and the
 /// deterministic concurrent dispatch; a method only turns one scenario's
 /// [`AttackSpec`] into an [`AttackResult`]. This is how the ICCAD'17
-/// baselines (`fsa-baselines`' SBA and GDA) run through the same matrix
-/// as the fault sneaking attack — the §5.4 comparison, and the stealth
-/// arena's three-method scoring, are `run_method` calls over one
-/// [`CampaignSpec`].
+/// baselines ([`SbaMethod`] and [`GdaMethod`]) run through the same
+/// matrix as the fault sneaking attack — the stealth arena's
+/// three-method scoring is `run_method` calls over one [`CampaignSpec`],
+/// and the §5.4 comparison calls `run_scenario` on one spec.
 ///
 /// Contract: `run_scenario` must be a pure function of its arguments
 /// (no interior mutability reachable from `&self`, no ambient
@@ -401,21 +403,19 @@ pub trait AttackMethod: Sync {
     fn name(&self) -> String;
 
     /// Runs one scenario: `aspec` is the scenario's sampled working set
-    /// (gathered from the shared cache), `sc` its matrix cell, and
-    /// `spec` the whole campaign (for base hyperparameters).
+    /// (gathered from the shared cache) and `config` the campaign's base
+    /// hyperparameters with the scenario's sparsity budget applied.
     fn run_scenario(
         &self,
         head: &FcHead,
         selection: &ParamSelection,
-        spec: &CampaignSpec,
-        sc: &Scenario,
+        config: &AttackConfig,
         aspec: &AttackSpec,
     ) -> AttackResult;
 }
 
 /// The paper's own attack as a campaign method: one ADMM
-/// [`FaultSneakingAttack`] per scenario, with the scenario's sparsity
-/// budget overriding the base config's `norm`/`lambda`.
+/// [`FaultSneakingAttack`] per scenario.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FsaMethod;
 
@@ -428,16 +428,22 @@ impl AttackMethod for FsaMethod {
         &self,
         head: &FcHead,
         selection: &ParamSelection,
-        spec: &CampaignSpec,
-        sc: &Scenario,
+        config: &AttackConfig,
         aspec: &AttackSpec,
     ) -> AttackResult {
-        let config = AttackConfig {
-            norm: sc.budget.norm,
-            lambda: sc.budget.lambda,
-            ..spec.base.clone()
-        };
-        FaultSneakingAttack::new(head, selection.clone(), config).run(aspec)
+        FaultSneakingAttack::new(head, selection.clone(), config.clone()).run(aspec)
+    }
+}
+
+/// Resolves a campaign method by the name its reports carry: `"fsa"`,
+/// `"sba"` or `"gda"`; `None` for any other name. The sharded executor
+/// ships methods by this name.
+pub fn method(name: &str) -> Option<&'static dyn AttackMethod> {
+    match name {
+        "fsa" => Some(&FsaMethod),
+        "sba" => Some(&SbaMethod),
+        "gda" => Some(&GdaMethod),
+        _ => None,
     }
 }
 
@@ -970,10 +976,15 @@ impl<'a> Campaign<'a> {
                 .spec_with_prefix(&sc, spec.c_attack, spec.c_keep, prefix)
                 .with_stealth(spec.stealth);
             let targets = aspec.targets.clone();
+            let config = AttackConfig {
+                norm: sc.budget.norm,
+                lambda: sc.budget.lambda,
+                ..spec.base.clone()
+            };
             let result = match quant {
-                None => method.run_scenario(self.head, &self.selection, spec, &sc, &aspec),
+                None => method.run_scenario(self.head, &self.selection, &config, &aspec),
                 Some(view) => {
-                    let raw = method.run_scenario(&view.deq, &self.selection, spec, &sc, &aspec);
+                    let raw = method.run_scenario(&view.deq, &self.selection, &config, &aspec);
                     self.project_int8(view, &aspec, raw)
                 }
             };
@@ -1043,6 +1054,14 @@ mod tests {
         let pool = Tensor::randn(&[14, 6], 1.0, &mut rng);
         let labels = head.predict(&pool);
         (head, FeatureCache::from_features(pool), labels)
+    }
+
+    #[test]
+    fn method_resolves_the_names_reports_carry() {
+        for name in ["fsa", "sba", "gda"] {
+            assert_eq!(method(name).unwrap().name(), name);
+        }
+        assert!(method("nope").is_none());
     }
 
     #[test]

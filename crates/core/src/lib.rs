@@ -21,6 +21,10 @@
 //!   `δ^{k+1} = [ρ(z^{k+1}+sᵏ) + αRδᵏ − Σᵢ∇gᵢ(θ+δᵏ)] / (αR + ρ)`;
 //! * dual: `s ← s + z − δ`.
 //!
+//! The [`campaign`] engine sweeps the attack over a scenario matrix, and
+//! sweeps the §5.4 comparison's ICCAD'17 baselines ([`baselines`]: SBA
+//! and GDA) over the same matrix, cell for cell.
+//!
 //! # Examples
 //!
 //! ```
@@ -43,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod campaign;
 pub mod eval;
 pub mod objective;
@@ -53,6 +58,7 @@ pub mod solver;
 pub mod spec;
 pub mod stealth;
 
+pub use baselines::{GdaMethod, SbaMethod};
 pub use campaign::{
     AttackMethod, Campaign, CampaignReport, CampaignSpec, FsaMethod, Scenario, ScenarioDraw,
     ScenarioOutcome, SparsityBudget, SpecError,

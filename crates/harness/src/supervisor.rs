@@ -388,7 +388,7 @@ impl<'a> ShardedCampaign<'a> {
     /// fix.
     pub fn run(&self, spec: &CampaignSpec, method_name: &str, cfg: &ExecutorConfig) -> ShardedRun {
         let _span = fsa_telemetry::span("sharded_campaign");
-        let method = crate::worker::method_from_name(method_name)
+        let method = fsa_attack::campaign::method(method_name)
             .unwrap_or_else(|| panic!("unknown campaign method {method_name:?}"));
         let n = spec.len();
         assert!(n > 0, "cannot shard an empty campaign spec");
@@ -536,10 +536,8 @@ impl<'a> ShardedCampaign<'a> {
         // Campaign::run_indices code the workers execute, so the bits
         // are identical — degraded means slower, never different.
         let method =
-            crate::worker::method_from_name(&job.method).expect("method validated before sharding");
-        let outcomes = self
-            .campaign
-            .run_indices(spec, method.as_ref(), &job.indices);
+            fsa_attack::campaign::method(&job.method).expect("method validated before sharding");
+        let outcomes = self.campaign.run_indices(spec, method, &job.indices);
         (outcomes, events, ShardResolution::Degraded { shard }, stats)
     }
 }

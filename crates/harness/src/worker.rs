@@ -25,8 +25,7 @@
 use crate::injector::{FaultDirective, FAULT_ENV};
 use crate::proto::{ShardJob, JOB_TAG};
 use fsa_attack::campaign::wire;
-use fsa_attack::{AttackMethod, Campaign, FsaMethod};
-use fsa_baselines::{GdaMethod, SbaMethod};
+use fsa_attack::Campaign;
 use fsa_nn::feature_cache::FeatureCache;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -59,19 +58,6 @@ pub const HEARTBEAT_MS_ENV: &str = "FSA_HEARTBEAT_MS";
 
 /// Heartbeat interval used when the supervisor didn't specify one.
 pub const DEFAULT_HEARTBEAT_MS: u64 = 100;
-
-/// Resolves a campaign method by its wire name.
-///
-/// Returns `None` for unknown names; the caller decides whether that is
-/// a bad-job exit (worker) or a panic (bench bin).
-pub fn method_from_name(name: &str) -> Option<Box<dyn AttackMethod>> {
-    match name {
-        "fsa" => Some(Box::new(FsaMethod)),
-        "sba" => Some(Box::new(SbaMethod)),
-        "gda" => Some(Box::new(GdaMethod)),
-        _ => None,
-    }
-}
 
 /// Runs [`worker_main`] if the process was spawned in worker mode
 /// (argv contains [`WORKER_FLAG`]); returns immediately otherwise.
@@ -258,7 +244,7 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, link: &Link) 
     if let Some(FaultDirective::StallMs(ms)) = directive {
         std::thread::sleep(std::time::Duration::from_millis(ms));
     }
-    let Some(method) = method_from_name(&job.method) else {
+    let Some(method) = fsa_attack::campaign::method(&job.method) else {
         eprintln!("worker: unknown method {:?}", job.method);
         exit(EXIT_BAD_JOB);
     };
@@ -286,7 +272,7 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, link: &Link) 
         // One scenario per frame: a crash mid-shard still leaves a
         // decodable prefix, and the supervisor sees progress as it
         // happens rather than all at once.
-        let outcomes = campaign.run_indices(&job.spec, method.as_ref(), &[idx]);
+        let outcomes = campaign.run_indices(&job.spec, method, &[idx]);
         let mut frame = wire::encode_outcome_frame(&outcomes[0]);
         match directive {
             Some(FaultDirective::TruncateFrame(n)) if pos as u32 == n => {
@@ -346,14 +332,6 @@ fn stream_shard(job: &ShardJob, directive: Option<FaultDirective>, link: &Link) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn method_registry_resolves_known_names() {
-        for name in ["fsa", "sba", "gda"] {
-            assert_eq!(method_from_name(name).unwrap().name(), name);
-        }
-        assert!(method_from_name("nope").is_none());
-    }
 
     #[test]
     fn corrupt_frame_changes_exactly_one_bit() {

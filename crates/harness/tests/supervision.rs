@@ -620,12 +620,7 @@ fn sba_and_gda_methods_shard_identically_too() {
             cache.clone(),
             labels.clone(),
         );
-        let reference = campaign.run_method(
-            &spec,
-            fsa_harness::worker::method_from_name(method)
-                .unwrap()
-                .as_ref(),
-        );
+        let reference = campaign.run_method(&spec, fsa_attack::campaign::method(method).unwrap());
         let sharded_campaign = ShardedCampaign::new(
             &head,
             ParamSelection::last_layer(&head),

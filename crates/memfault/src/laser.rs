@@ -9,25 +9,17 @@
 
 use crate::plan::WordChange;
 
-/// Laser injector cost model.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LaserInjector {
-    /// Seconds to re-position/re-tune the beam onto a new word.
-    pub targeting_seconds: f64,
-    /// Seconds per pulse (one bit flip).
-    pub pulse_seconds: f64,
-}
+/// Seconds to re-position/re-tune the beam onto a new word. This and
+/// [`PULSE_SECONDS`] are order-of-magnitude figures from published SRAM
+/// laser setups: minutes-scale tuning per region, ms-scale pulses.
+const TARGETING_SECONDS: f64 = 30.0;
+/// Seconds per pulse (one bit flip).
+const PULSE_SECONDS: f64 = 0.001;
 
-impl Default for LaserInjector {
-    fn default() -> Self {
-        // Order-of-magnitude figures from published SRAM laser setups:
-        // minutes-scale tuning per region, ms-scale pulses.
-        Self {
-            targeting_seconds: 30.0,
-            pulse_seconds: 0.001,
-        }
-    }
-}
+/// Laser injector cost model: 30 s of targeting per word, 1 ms per
+/// pulse.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct LaserInjector;
 
 /// Cost of realizing a plan with the laser.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +42,7 @@ impl LaserInjector {
         LaserCost {
             words,
             pulses,
-            seconds: words as f64 * self.targeting_seconds + pulses as f64 * self.pulse_seconds,
+            seconds: words as f64 * TARGETING_SECONDS + pulses as f64 * PULSE_SECONDS,
         }
     }
 
@@ -84,7 +76,7 @@ mod tests {
 
     #[test]
     fn cost_scales_with_words_not_pulses() {
-        let laser = LaserInjector::default();
+        let laser = LaserInjector;
         // One word, many bits vs many words, one bit each.
         let one_word = vec![change(0, 0.0, f32::from_bits(0x00FF_FFFF))];
         let many_words: Vec<WordChange> = (0..24).map(|i| change(i, 1.0, -1.0)).collect();
@@ -102,7 +94,7 @@ mod tests {
 
     #[test]
     fn apply_realizes_exact_values() {
-        let laser = LaserInjector::default();
+        let laser = LaserInjector;
         let mut params = vec![1.0f32, 2.0, 3.0];
         let changes = vec![change(0, 1.0, -7.25), change(2, 3.0, 0.015625)];
         let flips = laser.apply(&changes, &mut params);
@@ -112,7 +104,7 @@ mod tests {
 
     #[test]
     fn empty_plan_costs_nothing() {
-        let cost = LaserInjector::default().cost(&[]);
+        let cost = LaserInjector.cost(&[]);
         assert_eq!(cost.words, 0);
         assert_eq!(cost.pulses, 0);
         assert_eq!(cost.seconds, 0.0);

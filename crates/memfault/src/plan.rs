@@ -276,7 +276,7 @@ mod tests {
         let delta = [0.125f32, 0.0, -1.5];
         let plan = FaultPlan::compile(&theta0, &delta);
         let mut params = theta0;
-        LaserInjector::default().apply(&plan.changes, &mut params);
+        LaserInjector.apply(&plan.changes, &mut params);
         assert_eq!(params[0], 1.125);
         assert_eq!(params[1], -0.5);
         assert_eq!(params[2], -1.25);

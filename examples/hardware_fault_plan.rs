@@ -67,7 +67,7 @@ fn main() {
     );
 
     // Laser: precise and exact, pays per-word targeting time.
-    let laser = LaserInjector::default();
+    let laser = LaserInjector;
     let cost = plan.laser_cost(&laser);
     println!(
         "laser: {} targets, {} pulses, ~{:.0}s of bench time",

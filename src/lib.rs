@@ -12,14 +12,14 @@
 //!   attack with `ℓ0`/`ℓ2` minimization, plus the concurrent
 //!   [`attack::campaign`] engine that serves whole scenario grids
 //!   (sweeps over `S`, `K`, and sparsity budgets) over one shared
-//!   victim and feature cache;
+//!   victim and feature cache, and Liu et al.'s ICCAD'17 SBA/GDA
+//!   comparison attacks ([`attack::baselines`]) as campaign methods
+//!   over the same scenario matrix;
 //! * [`nn`] — the neural-network substrate (the inference-only C&W
 //!   victim architecture, and the FC head the attack perturbs, the one
 //!   part with hand-derived gradients);
 //! * [`data`] — synthetic MNIST-like / CIFAR-like datasets;
 //! * [`admm`] — the proximal operators of the attack's ADMM z-step;
-//! * [`baselines`] — Liu et al. ICCAD'17 SBA/GDA comparison attacks,
-//!   also runnable as campaign methods over the same scenario matrix;
 //! * [`memfault`] — simulated laser/rowhammer fault injection hardware,
 //!   the ECC-style row-parity defense surface, and byte-granular fault
 //!   planning against int8 storage;
@@ -132,7 +132,6 @@
 
 pub use fsa_admm as admm;
 pub use fsa_attack as attack;
-pub use fsa_baselines as baselines;
 pub use fsa_data as data;
 pub use fsa_defense as defense;
 pub use fsa_harness as harness;

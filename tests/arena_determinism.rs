@@ -9,8 +9,7 @@
 //! function of bit-deterministic model outputs at every nesting level.
 
 use fault_sneaking::attack::campaign::{AttackMethod, Campaign, CampaignSpec, FsaMethod};
-use fault_sneaking::attack::{AttackConfig, ParamSelection};
-use fault_sneaking::baselines::{GdaMethod, SbaMethod};
+use fault_sneaking::attack::{AttackConfig, GdaMethod, ParamSelection, SbaMethod};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::feature_cache::FeatureCache;

@@ -1,8 +1,11 @@
 //! Integration: the fault sneaking attack vs the ICCAD'17 baselines on
 //! the same victim and the same fault — the §5.4 stealth claim.
 
-use fault_sneaking::attack::{AttackConfig, AttackSpec, FaultSneakingAttack, ParamSelection};
-use fault_sneaking::baselines::{GdaAttack, GdaConfig, SbaAttack};
+use fault_sneaking::attack::eval::attacked_head;
+use fault_sneaking::attack::{
+    AttackConfig, AttackMethod, AttackSpec, FaultSneakingAttack, GdaMethod, ParamSelection,
+    SbaMethod,
+};
 use fault_sneaking::nn::head::FcHead;
 use fault_sneaking::tensor::{Prng, Tensor};
 
@@ -46,9 +49,9 @@ fn sneaking_attack_is_stealthier_than_sba() {
     let ours_acc = ours_head.accuracy(&x, &labels);
 
     // SBA: single bias shift for the same image/target.
-    let img = Tensor::from_vec(features.row(0).to_vec(), &[1, x.shape()[1]]);
-    let (sba_head, sba) = SbaAttack::default().run_single(&head, &img, target);
-    assert!(sba.success);
+    let sba = SbaMethod.run_scenario(&head, &selection, &AttackConfig::default(), &spec);
+    assert_eq!(sba.s_success, 1);
+    let sba_head = attacked_head(&head, &selection, attack.theta0(), &sba.delta);
     let sba_acc = sba_head.accuracy(&x, &labels);
 
     assert!(
@@ -69,19 +72,12 @@ fn gda_injects_but_without_keep_guarantees() {
     let spec = AttackSpec::new(features, wl, targets);
     let selection = ParamSelection::last_layer(&head);
 
-    let gda = GdaAttack::new(&head, selection.clone(), GdaConfig::default());
-    let result = gda.run(&spec);
-    assert_eq!(result.successes, 2, "GDA should inject both faults");
+    let result = GdaMethod.run_scenario(&head, &selection, &AttackConfig::default(), &spec);
+    assert_eq!(result.s_success, 2, "GDA should inject both faults");
     assert!(result.l0 > 0);
 
     // GDA's compression keeps the faults: re-verify via application.
-    let mut gda_head = head.clone();
-    fault_sneaking::attack::eval::apply_delta(
-        &mut gda_head,
-        &selection,
-        gda.theta0(),
-        &result.delta,
-    );
+    let gda_head = attacked_head(&head, &selection, &selection.gather(&head), &result.delta);
     let preds = gda_head.predict(&spec.features);
     assert_eq!(preds[0], spec.targets[0]);
     assert_eq!(preds[1], spec.targets[1]);

@@ -39,7 +39,7 @@ fn laser_plan_realizes_attack_exactly() {
     assert_eq!(plan.words(), fault_sneaking::tensor::norms::l0(&delta, 0.0));
 
     let mut lasered = theta0.clone();
-    LaserInjector::default().apply(&plan.changes, &mut lasered);
+    LaserInjector.apply(&plan.changes, &mut lasered);
     let realized = FaultPlan::realized_delta(&theta0, &lasered);
 
     // The laser is exact: the realized head must classify identically to
@@ -89,7 +89,7 @@ fn l0_plan_is_cheaper_than_l2_plan_under_laser() {
 
     let l0_plan = FaultPlan::compile(&theta0, &_delta);
     let l2_plan = FaultPlan::compile(&theta0, &l2_delta);
-    let laser = LaserInjector::default();
+    let laser = LaserInjector;
     assert!(
         l0_plan.laser_cost(&laser).seconds <= l2_plan.laser_cost(&laser).seconds,
         "l0 plan should be cheaper: {} vs {}",

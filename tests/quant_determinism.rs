@@ -11,8 +11,7 @@
 //! the quantized backend.
 
 use fault_sneaking::attack::campaign::{AttackMethod, Campaign, CampaignSpec, FsaMethod};
-use fault_sneaking::attack::{AttackConfig, ParamSelection, Precision};
-use fault_sneaking::baselines::{GdaMethod, SbaMethod};
+use fault_sneaking::attack::{AttackConfig, GdaMethod, ParamSelection, Precision, SbaMethod};
 use fault_sneaking::defense::{ArenaReport, DefenseSuite, StealthArena};
 use fault_sneaking::memfault::DramGeometry;
 use fault_sneaking::nn::quant::QuantizedHead;
@@ -96,6 +95,40 @@ fn int8_campaign_and_arena_are_bit_identical_for_any_thread_count() {
             assert_eq!(got.fingerprint(), want.fingerprint());
         }
     }
+}
+
+/// Campaign fingerprints of the SBA and GDA baselines over
+/// [`int8_sweep`] and its F32 twin, as recorded before the baselines
+/// moved into `fsa-attack`: (SBA F32, SBA Int8, GDA F32, GDA Int8).
+const BASELINE_RECORDED: [u64; 4] = [
+    0xe621_6bc0_3112_df05,
+    0x4db0_af52_49ef_53d4,
+    0x5d39_421b_1295_ea0b,
+    0x43f0_158a_ff60_0bdf,
+];
+
+/// Nothing else pins the baselines' bits: the goldens and the claims'
+/// recorded rows cover the fault sneaking attack only.
+#[test]
+fn baseline_reports_reproduce_their_recorded_fingerprints() {
+    let _guard = lock_threads();
+    let (head, pool, pool_labels, _, _) = victim(818181, &[14, 20, 3], 110, 40);
+    let campaign = Campaign::new(&head, ParamSelection::last_layer(&head), pool, pool_labels);
+    let int8_spec = int8_sweep();
+    let f32_spec = CampaignSpec {
+        precision: Precision::F32,
+        ..int8_spec.clone()
+    };
+    let methods: [&dyn AttackMethod; 2] = [&SbaMethod, &GdaMethod];
+    let got: Vec<u64> = methods
+        .iter()
+        .flat_map(|m| [&f32_spec, &int8_spec].map(|spec| campaign.run_method(spec, *m)))
+        .map(|report| report.fingerprint())
+        .collect();
+    assert_eq!(
+        got, BASELINE_RECORDED,
+        "baseline fingerprints moved; new values: {got:#018x?}"
+    );
 }
 
 /// The two precision rows of one sweep attack the same cells: same
