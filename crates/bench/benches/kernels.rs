@@ -5,6 +5,7 @@
 
 use fsa_bench::timing::bench;
 use fsa_nn::conv::{Conv2d, VolumeDims};
+use fsa_nn::head::{FcHead, HeadBuffers};
 use fsa_nn::layer::Layer;
 use fsa_tensor::linalg::{gemm, gemm_naive, gemm_nt, gemm_tn};
 use fsa_tensor::{Prng, Tensor};
@@ -64,6 +65,28 @@ fn bench_gemm_nt_paper() {
     }
 }
 
+/// The arena's 32→4 top layer over its R = 132 and 260 working sets: the
+/// ADMM forward of `arena_int8_stealth`, timed as the attack runs it (a
+/// one-layer head's `forward_from_caching`, buffers reused), so the
+/// bias write-back is inside the number.
+fn bench_linear_forward_arena() {
+    let mut rng = Prng::new(5);
+    let head = FcHead::from_dims(&[32, 4], &mut rng);
+    for (name, m) in [
+        ("linear_forward_132x32_to_4", 132),
+        ("linear_forward_260x32_to_4", 260),
+    ] {
+        let x = Tensor::rand_uniform(&[m, 32], -1.0, 1.0, &mut rng);
+        let mut bufs = HeadBuffers::new();
+        bench(name, || {
+            black_box(
+                head.forward_from_caching(0, black_box(&x), &mut bufs)
+                    .as_slice()[0],
+            )
+        });
+    }
+}
+
 fn bench_conv_forward() {
     // The first C&W conv layer on one MNIST-shaped image.
     let mut rng = Prng::new(2);
@@ -96,6 +119,7 @@ fn main() {
     );
     bench_gemm();
     bench_gemm_nt_paper();
+    bench_linear_forward_arena();
     bench_conv_forward();
     bench_prox();
 }

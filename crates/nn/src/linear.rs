@@ -2,7 +2,7 @@
 
 use crate::init;
 use crate::layer::{check_batch_input, Layer};
-use fsa_tensor::linalg::gemm_nt;
+use fsa_tensor::linalg::gemm_nt_bias;
 use fsa_tensor::{Prng, Tensor};
 
 /// A fully connected layer computing `y = x·Wᵀ + b`.
@@ -83,21 +83,23 @@ impl Linear {
         &mut self.bias
     }
 
-    /// Batched `y = x·Wᵀ + b` over plain slices: one NT GEMM for the
-    /// whole batch plus a per-row bias add. The single implementation of
-    /// the linear forward shared by this layer and the head's passes.
+    /// Batched `y = x·Wᵀ + b` over plain slices: one
+    /// [`gemm_nt_bias`] call (`W` is stored `out×in`) that writes each of
+    /// the `batch·out` outputs once, bias included, with the bits of an NT
+    /// GEMM into a zeroed `out` followed by a per-row bias add. The
+    /// single implementation of the linear forward shared by this layer
+    /// and the head's passes.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `x` holds exactly `batch·in` values and `out`
+    /// exactly `batch·out`.
     pub(crate) fn forward_into(&self, x: &[f32], batch: usize, out: &mut [f32]) {
         let (o, i) = (self.out_features(), self.in_features());
-        debug_assert_eq!(x.len(), batch * i, "forward_into input length");
-        debug_assert_eq!(out.len(), batch * o, "forward_into output length");
-        // y = x (N×i) · Wᵀ (i×o): W stored o×i so use the NT kernel.
-        gemm_nt(batch, i, o, x, self.weight.as_slice(), out, 1.0, 0.0);
-        let bias = self.bias.as_slice();
-        for row in out.chunks_exact_mut(o) {
-            for (v, &b) in row.iter_mut().zip(bias) {
-                *v += b;
-            }
-        }
+        assert_eq!(x.len(), batch * i, "forward_into input length");
+        assert_eq!(out.len(), batch * o, "forward_into output length");
+        let (w, b) = (self.weight.as_slice(), self.bias.as_slice());
+        gemm_nt_bias(batch, i, o, x, w, b, out);
     }
 }
 

@@ -1,5 +1,6 @@
-//! Matrix kernels: GEMM in the three transpose layouts backprop uses —
-//! the parallel tiled kernel engine.
+//! Matrix kernels: GEMM in the three transpose layouts backprop uses,
+//! plus the dense layer's forward `x·Wᵀ + b` ([`gemm_nt_bias`]) — the
+//! parallel tiled kernel engine.
 //!
 //! Every kernel follows the same three-level architecture:
 //!
@@ -23,8 +24,9 @@
 //!    pass over a `k` panel performs 32 multiply-adds per 12 loads instead
 //!    of the 1 multiply-add per 2 loads of a scalar loop. It is compiled
 //!    twice, once with the p stride a compile-time 1 (NN), chosen by
-//!    `p_stride == 1`. [`gemm_nt`] computes each element as one
-//!    eight-chain dot product in [`dot_slices`]' order.
+//!    `p_stride == 1`. [`gemm_nt`] and [`gemm_nt_bias`] share one NT
+//!    kernel that computes each element as one eight-chain dot product in
+//!    [`dot_slices`]' order; they differ only in the write-back.
 //!
 //! **ISA dispatch.** Two register tiles choose their instruction set at
 //! run time: AVX is detected once ([`avx_available`]), and on every other
@@ -35,14 +37,20 @@
 //! (`fsa_nn::head`), which sums `dW` over the hinge's listed rows in
 //! `__m512` accumulators.
 //!
-//! - [`gemm_nt`] (when `k ≥ NR`) runs a 4 A-row × 2 B-row tile: eight
-//!   `__m256` accumulators, one per output element, whose lane `t` is
-//!   that element's chain `t`, so every loaded 8-wide chunk of a row
-//!   feeds two or four products. It keeps the chunk order, the scalar
-//!   tail and the reduction tree of [`dot_slices`]. The eight elements'
-//!   trees may close as one transposed reduction (pair sums across the
-//!   accumulators, then one cross-half add and the tails), as long as
-//!   each lane keeps its own element's tree: the full tile does so, the
+//! - The NT kernel of [`gemm_nt`] and [`gemm_nt_bias`] (when `k ≥ NR`)
+//!   runs tiles of eight `__m256` accumulators, one per output element,
+//!   whose lane `t` is that element's chain `t`, so every loaded 8-wide
+//!   chunk of a row feeds several products. It keeps the chunk order, the
+//!   scalar tail and the reduction tree of [`dot_slices`]. The eight
+//!   elements' trees close as one transposed reduction (pair sums across
+//!   the accumulators, then one cross-half add and the tails), which
+//!   keeps each lane on its own element's tree. When the width `n`
+//!   divides 8 (heads of 1, 2, 4 or 8 classes), a tile is `8/n` A rows ×
+//!   all `n` B rows: its eight elements are `8/n` whole rows of `C` in
+//!   memory order, so the write-back is one 8-lane operation and one
+//!   store; remainder rows run 1-row tiles. Other widths run 4 A-row ×
+//!   2 B-row tiles (a 4×1 tile for an odd last column, 1×2 and 1×1
+//!   tiles for remainder rows), written back element by element; the
 //!   smaller tiles reduce one element at a time.
 //! - [`gemm`] and [`gemm_tn`] share one 4-row × 16-column tile that takes
 //!   the same strides as the portable kernel: per `p` it broadcasts one
@@ -55,9 +63,14 @@
 //!
 //! Every AVX kernel keeps each element's scalar operation sequence —
 //! separate multiply then add (never FMA), operands in ascending order
-//! and the same `c += alpha·acc` write-back — so both paths produce the
-//! same bits. The scalar kernels stay as the fallback and as the oracles
-//! of `to_bits` tests. The raw kernels are the workspace's only `unsafe`
+//! and the same write-back — so both paths produce the same bits. The
+//! write-back of [`gemm`], [`gemm_tn`] and [`gemm_nt`] is
+//! `c += alpha·acc` into the `beta`-scaled `C`. [`gemm_nt_bias`] writes
+//! each element once, `c = (0.0 + dot) + bias[j]`, without zero-filling
+//! or reading `C`: the sequence of `gemm_nt(.., 1.0, 0.0)` followed by a
+//! per-row bias add, less the multiply by `1.0`, which never changes a
+//! bit. The scalar kernels stay as the fallback and as the oracles of
+//! `to_bits` tests. The raw kernels are the workspace's only `unsafe`
 //! library code.
 //!
 //! Determinism is a hard contract: each output element is produced by the
@@ -166,10 +179,11 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// The driver all three layouts share: checks that `A`, `B` and `C` hold
-/// at least `m·k`, `k·n` and `m·n` values, scales `C` by `beta`, then
-/// runs `kernel(r0, block)` over contiguous row blocks of `C`, in parallel
-/// once each worker's rows clear [`gemm_min_rows`].
+/// The prologue every GEMM shares: checks that `A`, `B` and `C` hold at
+/// least `m·k`, `k·n` and `m·n` values, scales `C` by `beta`, then runs
+/// `kernel(r0, block)` over contiguous row blocks of `C[..m·n]`, in
+/// parallel once each worker's rows clear [`gemm_min_rows`]. The kernel
+/// runs for `k = 0` too: it decides what an empty `k` writes.
 fn gemm_rows(
     m: usize,
     k: usize,
@@ -184,9 +198,6 @@ fn gemm_rows(
     assert!(b.len() >= k * n, "B too short: {} < {}", b.len(), k * n);
     assert!(c.len() >= m * n, "C too short: {} < {}", c.len(), m * n);
     scale_output(c, m * n, beta);
-    if m == 0 || n == 0 || k == 0 {
-        return;
-    }
     parallel::par_row_blocks(&mut c[..m * n], n, gemm_min_rows(k, n), kernel);
 }
 
@@ -390,36 +401,113 @@ pub fn gemm_nt(
     beta: f32,
 ) {
     gemm_rows(m, k, n, a, b, c, beta, |r0, block| {
-        nt_block(r0, k, n, a, b, block, alpha);
+        // `A·Bᵀ` is zero for an empty `k`: `C` stays `beta·C`, as in `gemm`.
+        if k > 0 {
+            nt_block(r0, k, n, a, b, block, WriteBack::Scaled(alpha));
+        }
     });
 }
 
-/// Serial kernel for a row block of `C = alpha·A·Bᵀ + C`:
-/// `C[i,j] = dot(A row i, B row j)`, both contiguous in `p`, so each
-/// element is one eight-chain dot product in [`dot_slices`]' order — the
-/// layout the attack's hottest call (`x·Wᵀ` with few output classes)
-/// vectorizes best as. Dispatches to the AVX register tile when the CPU
-/// has it and `k` fills at least one 8-wide chunk, else to the scalar
-/// kernel; both produce the same bits (see the module doc).
-fn nt_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f32], alpha: f32) {
+/// `C = A·Bᵀ + 1·biasᵀ` where `A` is `m×k`, `B` is `n×k`, `bias` holds
+/// `n` values and `C` is `m×n`: a dense layer's batched forward
+/// `x·Wᵀ + b` with `W` stored `out×in`.
+///
+/// Writes every element of `C[..m·n]` and reads none, so `C` needs no
+/// zero-fill. Each element is `(0.0 + 1.0·dot) + bias[j]`, `dot` in
+/// [`dot_slices`]' order: the operations of `gemm_nt(.., 1.0, 0.0)`
+/// followed by a per-row bias add, hence the same bits.
+///
+/// # Panics
+///
+/// Panics if any slice is shorter than its dimensions imply.
+pub fn gemm_nt_bias(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f32],
+    b: &[f32],
+    bias: &[f32],
+    c: &mut [f32],
+) {
+    assert!(bias.len() >= n, "bias too short: {} < {}", bias.len(), n);
+    let bias = &bias[..n];
+    gemm_rows(m, k, n, a, b, c, 1.0, |r0, block| {
+        nt_block(r0, k, n, a, b, block, WriteBack::Bias(bias));
+    });
+}
+
+/// How an NT kernel writes element `(i, j)`'s dot product into `C`.
+#[derive(Clone, Copy)]
+enum WriteBack<'a> {
+    /// [`gemm_nt`]: `c += alpha·dot` into the `beta`-scaled `C`.
+    Scaled(f32),
+    /// [`gemm_nt_bias`]: `c = (0.0 + dot) + bias[j]`, never reading `c`.
+    /// `1.0·dot` is `dot` exactly (an add never returns a signaling
+    /// NaN), so the multiply of `gemm_nt(.., 1.0, 0.0)` is left out; its
+    /// add to the zero-filled `c` stays as the literal `0.0 +`.
+    Bias(&'a [f32]),
+}
+
+impl WriteBack<'_> {
+    /// Writes an `R×W` tile of dots, columns `j..j + W` of `R` rows of
+    /// stride `n`, into `c` (which starts at the tile's first row). One
+    /// `match` per tile: one per element, or per tile row over a slice,
+    /// cost the 4×2 strip 13–30%.
+    #[inline(always)]
+    fn apply<const R: usize, const W: usize>(
+        self,
+        c: &mut [f32],
+        n: usize,
+        j: usize,
+        dots: &[[f32; W]; R],
+    ) {
+        match self {
+            Self::Scaled(alpha) => {
+                for (s, ds) in dots.iter().enumerate() {
+                    for (cv, &dot) in c[s * n + j..][..W].iter_mut().zip(ds) {
+                        *cv += alpha * dot;
+                    }
+                }
+            }
+            Self::Bias(bias) => {
+                let bias: &[f32; W] = bias[j..j + W].try_into().expect("W columns");
+                for (s, ds) in dots.iter().enumerate() {
+                    for ((cv, &dot), &bj) in c[s * n + j..][..W].iter_mut().zip(ds).zip(bias) {
+                        *cv = (0.0 + dot) + bj;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Serial kernel for a row block of an NT GEMM: `C[i,j]` is
+/// `dot(A row i, B row j)` written back by `wb`, both rows contiguous in
+/// `p`, so each element is one eight-chain dot product in
+/// [`dot_slices`]' order — the layout the attack's hottest call (`x·Wᵀ`
+/// with few output classes) vectorizes best as. Dispatches to the AVX
+/// register tiles when the CPU has it and `k` fills at least one 8-wide
+/// chunk, else to the scalar kernel; both produce the same bits (see the
+/// module doc).
+fn nt_block(r0: usize, k: usize, n: usize, a: &[f32], b: &[f32], block: &mut [f32], wb: WriteBack) {
     #[cfg(target_arch = "x86_64")]
     if k >= NR && avx_available() {
         // SAFETY: `avx_available()` confirmed the CPU supports AVX, the
         // only requirement of the raw kernel.
-        unsafe { avx::nt_block(r0, k, n, a, b, block, alpha) };
+        unsafe { avx::nt_block(r0, k, n, a, b, block, wb) };
         return;
     }
-    nt_block_scalar(r0, k, n, a, b, block, alpha);
+    nt_block_scalar(r0, k, n, a, b, block, wb);
 }
 
-/// Portable NT kernel: one [`dot_slices`] per element. No `k` tiling:
-/// one pass per element already streams both operands linearly. The `j`
-/// loop is tiled by [`NC`] so a panel of `B` rows stays in cache across
-/// the block's `A` rows instead of the whole of `B` being re-streamed per
-/// `C` row; tiling only reorders *whole-dot* evaluations, so every
-/// element's operation sequence — and therefore every bit of the result —
-/// is unchanged. The fallback on CPUs without AVX and the oracle of the
-/// AVX kernel.
+/// Portable NT kernel: one [`dot_slices`] per element, then `wb`. No `k`
+/// tiling: one pass per element already streams both operands linearly.
+/// The `j` loop is tiled by [`NC`] so a panel of `B` rows stays in cache
+/// across the block's `A` rows instead of the whole of `B` being
+/// re-streamed per `C` row; tiling only reorders *whole-dot* evaluations,
+/// so every element's operation sequence — and therefore every bit of
+/// the result — is unchanged. The fallback on CPUs without AVX and the
+/// oracle of the AVX kernel.
 fn nt_block_scalar(
     r0: usize,
     k: usize,
@@ -427,16 +515,16 @@ fn nt_block_scalar(
     a: &[f32],
     b: &[f32],
     block: &mut [f32],
-    alpha: f32,
+    wb: WriteBack,
 ) {
     for jb in (0..n).step_by(NC) {
         let je = (jb + NC).min(n);
         for (i, c_row) in block.chunks_exact_mut(n).enumerate() {
             let row = r0 + i;
             let a_row = &a[row * k..row * k + k];
-            for (j, cv) in c_row[jb..je].iter_mut().enumerate() {
-                let j = jb + j;
-                *cv += alpha * dot_slices(a_row, &b[j * k..j * k + k]);
+            for j in jb..je {
+                let dot = dot_slices(a_row, &b[j * k..j * k + k]);
+                wb.apply(c_row, n, j, &[[dot]]);
             }
         }
     }
@@ -446,18 +534,20 @@ fn nt_block_scalar(
 /// tile shared by the NN and TN layouts.
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::{fmadd, k_tiles, reduce_lanes, MR, NC, NR};
+    use super::{fmadd, k_tiles, reduce_lanes, WriteBack, MR, NC, NR};
     use std::arch::x86_64::{
         __m256, __m256i, _mm256_add_ps, _mm256_broadcast_ss, _mm256_hadd_ps, _mm256_loadu_ps,
         _mm256_maskload_ps, _mm256_mul_ps, _mm256_permute2f128_ps, _mm256_set1_ps,
-        _mm256_setr_epi32, _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_setr_epi32, _mm256_setr_ps, _mm256_setzero_ps, _mm256_storeu_ps,
     };
 
-    /// Row block of `C = alpha·A·Bᵀ + C` with the same contract and the
-    /// same bits as [`super::nt_block_scalar`]. Within each [`NC`] column
-    /// panel, groups of [`MR`] rows run 4×2 tiles, then a 4×1 tile for an
-    /// odd last column; the remainder rows run 1×2 and 1×1 tiles. A tile
-    /// only decides which elements share operand loads, never an
+    /// Row block of an NT GEMM with the same contract and the same bits
+    /// as [`super::nt_block_scalar`]. When the width `n` divides 8, each
+    /// group of `8/n` rows is one whole-row tile ([`row_tiles`]) and the
+    /// remainder rows run 1-row strips. Otherwise, within each [`NC`]
+    /// column panel, groups of [`MR`] rows run 4×2 tiles, then a 4×1 tile
+    /// for an odd last column; the remainder rows run 1×2 and 1×1 tiles.
+    /// A tile only decides which elements share operand loads, never an
     /// element's arithmetic, so no tile shape can change a bit.
     ///
     /// # Safety
@@ -472,27 +562,93 @@ mod avx {
         a: &[f32],
         b: &[f32],
         block: &mut [f32],
-        alpha: f32,
+        wb: WriteBack,
     ) {
         let rows = block.len() / n;
         let a_row = |i: usize| &a[(r0 + i) * k..(r0 + i) * k + k];
+        if NR.is_multiple_of(n) {
+            let tiled = match n {
+                1 => row_tiles::<8, 1>(r0, k, a, b, block, wb),
+                2 => row_tiles::<4, 2>(r0, k, a, b, block, wb),
+                4 => row_tiles::<2, 4>(r0, k, a, b, block, wb),
+                _ => row_tiles::<1, 8>(r0, k, a, b, block, wb),
+            };
+            for i in tiled..rows {
+                let c = &mut block[i * n..(i + 1) * n];
+                strip([a_row(i)], b, k, n, 0, n, c, wb);
+            }
+            return;
+        }
         for jb in (0..n).step_by(NC) {
             let je = (jb + NC).min(n);
             let mut i = 0;
             while i + MR <= rows {
                 let a4 = [a_row(i), a_row(i + 1), a_row(i + 2), a_row(i + 3)];
-                strip(a4, b, k, n, jb, je, &mut block[i * n..(i + MR) * n], alpha);
+                strip(a4, b, k, n, jb, je, &mut block[i * n..(i + MR) * n], wb);
                 i += MR;
             }
             for i in i..rows {
                 let c = &mut block[i * n..(i + 1) * n];
-                strip([a_row(i)], b, k, n, jb, je, c, alpha);
+                strip([a_row(i)], b, k, n, jb, je, c, wb);
             }
         }
     }
 
+    /// The whole-row tiles of an `n = C`-wide block, `C` dividing 8: each
+    /// group of `R = 8/C` rows is `R` A rows × all `C` B rows, eight
+    /// elements that [`reduce_eight`] closes in `C`'s memory order, so
+    /// the write-back is one 8-lane operation and one store: `c += alpha·dot`
+    /// on the loaded row group, or `(0.0 + dot)` plus the bias repeated
+    /// `R` times. Returns the first row no tile covered (`rows − rows % R`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    unsafe fn row_tiles<const R: usize, const C: usize>(
+        r0: usize,
+        k: usize,
+        a: &[f32],
+        b: &[f32],
+        block: &mut [f32],
+        wb: WriteBack,
+    ) -> usize {
+        assert_eq!(R * C, NR, "a whole-row tile holds eight elements");
+        let b_rows = rows::<C>(b, 0, k);
+        let mut bias = [0.0f32; NR];
+        if let WriteBack::Bias(row) = wb {
+            for (t, v) in bias.iter_mut().enumerate() {
+                *v = row[t % C];
+            }
+        }
+        // SAFETY: `bias` holds exactly 8 `f32`s, the width of the load.
+        let bias = unsafe { _mm256_loadu_ps(bias.as_ptr()) };
+        let groups = block.len() / NR;
+        for (g, out) in block.chunks_exact_mut(NR).enumerate() {
+            let (acc, tails) = chains(rows::<R>(a, r0 + g * R, k), b_rows);
+            let sums = reduce_eight(acc, tails);
+            // SAFETY: `out` is a whole 8-element chunk of `block`, the
+            // width of the unaligned load and store.
+            unsafe {
+                let out = out.as_mut_ptr();
+                let written = match wb {
+                    WriteBack::Scaled(alpha) => {
+                        let alpha = _mm256_set1_ps(alpha);
+                        _mm256_add_ps(_mm256_loadu_ps(out), _mm256_mul_ps(alpha, sums))
+                    }
+                    WriteBack::Bias(_) => {
+                        _mm256_add_ps(_mm256_add_ps(_mm256_setzero_ps(), sums), bias)
+                    }
+                };
+                _mm256_storeu_ps(out, written);
+            }
+        }
+        groups * R
+    }
+
     /// Columns `jb..je` of the `R` output rows in `c`: B rows in pairs,
-    /// then one last B row if the panel width is odd.
+    /// then one last B row if the panel width is odd, each element
+    /// written back by `wb`.
     ///
     /// # Safety
     ///
@@ -506,32 +662,62 @@ mod avx {
         jb: usize,
         je: usize,
         c: &mut [f32],
-        alpha: f32,
+        wb: WriteBack,
     ) {
         let b_row = |j: usize| &b[j * k..j * k + k];
         let mut j = jb;
         while j + 2 <= je {
-            let d = tile(a_rows, [b_row(j), b_row(j + 1)]);
-            for (s, ds) in d.iter().enumerate() {
-                for (cv, &dv) in c[s * n + j..s * n + j + 2].iter_mut().zip(ds) {
-                    *cv += alpha * dv;
-                }
-            }
+            wb.apply(c, n, j, &tile(a_rows, [b_row(j), b_row(j + 1)]));
             j += 2;
         }
         if j < je {
-            let d = tile(a_rows, [b_row(j)]);
-            for (s, ds) in d.iter().enumerate() {
-                c[s * n + j] += alpha * ds[0];
-            }
+            wb.apply(c, n, j, &tile(a_rows, [b_row(j)]));
         }
     }
 
     /// The `R×C` dot products `dot(a_rows[s], b_rows[u])` in
-    /// [`super::dot_slices`]' exact operation order: lane `t` of
-    /// accumulator `(s, u)` is that element's chain `t`, advanced by a
-    /// separate multiply and add per 8-wide chunk in ascending order,
-    /// then the scalar tail and the same reduction tree.
+    /// [`super::dot_slices`]' exact operation order, from [`chains`]: a
+    /// tile of eight closes as one [`reduce_eight`], smaller ones one
+    /// element at a time.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX.
+    #[target_feature(enable = "avx")]
+    unsafe fn tile<const R: usize, const C: usize>(
+        a_rows: [&[f32]; R],
+        b_rows: [&[f32]; C],
+    ) -> [[f32; C]; R] {
+        let (acc, tails) = chains(a_rows, b_rows);
+        let mut out = [[0.0f32; C]; R];
+        if R * C == NR {
+            let mut sums = [0.0f32; NR];
+            let reduced = reduce_eight(acc, tails);
+            // SAFETY: `sums` holds exactly 8 `f32`s, the width of the
+            // unaligned store.
+            unsafe { _mm256_storeu_ps(sums.as_mut_ptr(), reduced) };
+            for (e, &sum) in sums.iter().enumerate() {
+                out[e / C][e % C] = sum;
+            }
+        } else {
+            for s in 0..R {
+                for u in 0..C {
+                    let mut lanes = [0.0f32; NR];
+                    // SAFETY: `lanes` holds exactly 8 `f32`s, the width
+                    // of the unaligned store.
+                    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[s][u]) };
+                    out[s][u] = reduce_lanes(&lanes, tails[s][u]);
+                }
+            }
+        }
+        out
+    }
+
+    /// The open chains of the `R×C` dot products `dot(a_rows[s],
+    /// b_rows[u])`: lane `t` of accumulator `(s, u)` is that element's
+    /// chain `t` of [`super::dot_slices`], advanced by a separate
+    /// multiply and add per 8-wide chunk in ascending order, and beside
+    /// it the element's scalar tail.
     ///
     /// # Safety
     ///
@@ -542,10 +728,10 @@ mod avx {
     /// Panics unless every row has the same length, which the loads
     /// below rely on.
     #[target_feature(enable = "avx")]
-    unsafe fn tile<const R: usize, const C: usize>(
+    unsafe fn chains<const R: usize, const C: usize>(
         a_rows: [&[f32]; R],
         b_rows: [&[f32]; C],
-    ) -> [[f32; C]; R] {
+    ) -> ([[__m256; C]; R], [[f32; C]; R]) {
         let k = a_rows[0].len();
         assert!(
             a_rows.iter().chain(&b_rows).all(|row| row.len() == k),
@@ -560,8 +746,8 @@ mod avx {
             let mut bv = [_mm256_setzero_ps(); C];
             for (v, row) in bv.iter_mut().zip(b_rows) {
                 // SAFETY: `row` has length `k` (asserted above; the
-                // callers slice it from `gemm_nt`'s length-checked `B`)
-                // and `o + 8 ≤ k`, so the 8-lane load stays in bounds.
+                // callers slice it from the length-checked `B`) and
+                // `o + 8 ≤ k`, so the 8-lane load stays in bounds.
                 *v = unsafe { _mm256_loadu_ps(row.as_ptr().add(o)) };
             }
             for (acc_s, row) in acc.iter_mut().zip(a_rows) {
@@ -572,56 +758,55 @@ mod avx {
                 }
             }
         }
-        let tail = |s: usize, u: usize| {
-            let mut tail = 0.0f32;
-            for (&x, &y) in a_rows[s][chunked..].iter().zip(&b_rows[u][chunked..]) {
-                tail = fmadd(x, y, tail);
-            }
-            tail
-        };
-        let mut out = [[0.0f32; C]; R];
-        if R * C == NR {
-            let sums = reduce_eight(
-                std::array::from_fn(|e| acc[e / C][e % C]),
-                std::array::from_fn(|e| tail(e / C, e % C)),
-            );
-            for (e, &sum) in sums.iter().enumerate() {
-                out[e / C][e % C] = sum;
-            }
-        } else {
-            for s in 0..R {
-                for u in 0..C {
-                    let mut lanes = [0.0f32; NR];
-                    // SAFETY: `lanes` holds exactly 8 `f32`s, the width
-                    // of the unaligned store.
-                    unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc[s][u]) };
-                    out[s][u] = reduce_lanes(&lanes, tail(s, u));
+        // Each tail accumulates in a local and is stored once: summed in
+        // place, the eight tails became one vector whose lanes every
+        // tail step re-inserted, serializing the eight chains.
+        let mut tails = [[0.0f32; C]; R];
+        for (tails_s, a_row) in tails.iter_mut().zip(a_rows) {
+            for (tail, b_row) in tails_s.iter_mut().zip(b_rows) {
+                let mut sum = 0.0f32;
+                for (&x, &y) in a_row[chunked..].iter().zip(&b_row[chunked..]) {
+                    sum = fmadd(x, y, sum);
                 }
+                *tail = sum;
             }
         }
-        out
+        (acc, tails)
     }
 
-    /// [`super::reduce_lanes`] of eight accumulators at once, as one
-    /// transposed reduction: element `e` is `reduce_lanes(acc[e], tails[e])`
-    /// with the same tree. Two rounds of adjacent-lane pair sums within
-    /// each 128-bit half (`hadd`) leave `(l0+l1)+(l2+l3)` of four
-    /// accumulators in the low halves and `(l4+l5)+(l6+l7)` in the high
-    /// ones; one cross-half add joins them, then each lane adds its tail.
+    /// [`super::reduce_lanes`] of an `R×C` tile of eight accumulators at
+    /// once, as one transposed reduction: lane `e = s·C + u` (the tile's
+    /// row-major order) is `reduce_lanes(acc[s][u], tails[s][u])` with
+    /// the same tree. Two rounds of adjacent-lane pair sums within each
+    /// 128-bit half (`hadd`) leave `(l0+l1)+(l2+l3)` of four accumulators
+    /// in the low halves and `(l4+l5)+(l6+l7)` in the high ones; one
+    /// cross-half add joins them, then each lane adds its tail.
     #[target_feature(enable = "avx")]
-    fn reduce_eight(acc: [__m256; NR], tails: [f32; NR]) -> [f32; NR] {
+    fn reduce_eight<const R: usize, const C: usize>(
+        tile: [[__m256; C]; R],
+        tile_tails: [[f32; C]; R],
+    ) -> __m256 {
+        assert_eq!(R * C, NR, "a transposed reduction closes eight elements");
+        // Element `e` of the tile, in its row-major order.
+        let acc = |e: usize| tile[e / C][e % C];
+        let tail = |e: usize| tile_tails[e / C][e % C];
         let pairs = |x, y| _mm256_hadd_ps(x, y);
         // Lanes: [0123 of acc 0..4 | 4567 of acc 0..4], then acc 4..8.
-        let q0 = pairs(pairs(acc[0], acc[1]), pairs(acc[2], acc[3]));
-        let q1 = pairs(pairs(acc[4], acc[5]), pairs(acc[6], acc[7]));
+        let q0 = pairs(pairs(acc(0), acc(1)), pairs(acc(2), acc(3)));
+        let q1 = pairs(pairs(acc(4), acc(5)), pairs(acc(6), acc(7)));
         let low = _mm256_permute2f128_ps::<0x20>(q0, q1);
         let high = _mm256_permute2f128_ps::<0x31>(q0, q1);
-        let mut out = [0.0f32; NR];
-        // SAFETY: `tails` and `out` hold exactly 8 `f32`s, the width of
-        // the unaligned load and store.
-        unsafe {
-            let sum = _mm256_add_ps(_mm256_add_ps(low, high), _mm256_loadu_ps(tails.as_ptr()));
-            _mm256_storeu_ps(out.as_mut_ptr(), sum);
+        let (t0, t1, t2, t3) = (tail(0), tail(1), tail(2), tail(3));
+        let tails = _mm256_setr_ps(t0, t1, t2, t3, tail(4), tail(5), tail(6), tail(7));
+        _mm256_add_ps(_mm256_add_ps(low, high), tails)
+    }
+
+    /// Rows `first..first + R` of the `k`-wide row-major `x`.
+    #[inline(always)]
+    fn rows<const R: usize>(x: &[f32], first: usize, k: usize) -> [&[f32]; R] {
+        let mut out = [&x[..0]; R];
+        for (s, row) in out.iter_mut().enumerate() {
+            *row = &x[(first + s) * k..(first + s + 1) * k];
         }
         out
     }
@@ -1047,13 +1232,15 @@ mod tests {
         });
         let mut paths = vec![(
             "scalar",
-            run_nt_raw(c0, beta, |c| nt_block_scalar(0, k, n, a, b, c, alpha)),
+            run_nt_raw(c0, beta, |c| {
+                nt_block_scalar(0, k, n, a, b, c, WriteBack::Scaled(alpha))
+            }),
         )];
         #[cfg(target_arch = "x86_64")]
         if avx_available() {
             // SAFETY: AVX support was detected.
             let simd = run_nt_raw(c0, beta, |c| unsafe {
-                avx::nt_block(0, k, n, a, b, c, alpha)
+                avx::nt_block(0, k, n, a, b, c, WriteBack::Scaled(alpha))
             });
             paths.push(("avx", simd));
         }
@@ -1067,8 +1254,8 @@ mod tests {
             eprintln!("no AVX on this host: checking the scalar NT kernel only");
         }
         let mut rng = Prng::new(33);
-        let ms = [1usize, 2, 3, 4, 5, 6, 7, 9];
-        let ns = [1usize, 2, 3, NC - 1, NC, NC + 1, 2 * NC];
+        let ms = [1usize, 2, 3, 4, 5, 6, 7, 9, 132];
+        let ns = [1usize, 2, 3, 4, 8, 10, NC - 1, NC, NC + 1, 2 * NC];
         let ks = [0usize, 1, 7, 8, 9, 15, 16, 17, 200, 1024];
         let scalings = [
             (1.0f32, 0.0f32),
@@ -1147,6 +1334,96 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The write-back of [`gemm_nt_bias`] against what it replaced,
+    /// `gemm_nt(.., 1.0, 0.0)` into a zeroed `C` followed by a per-row
+    /// bias add (kept here only as the oracle), on both kernels as the
+    /// public entry picks them and on the scalar kernel directly. Widths
+    /// dividing 8 run the AVX whole-row tiles (with 1-row remainders at
+    /// odd `m`), the others the 4×2 strip; NaN, ±Inf and −0.0 sit in `x`,
+    /// `W` and the bias. Bits must match, NaN payloads aside.
+    #[test]
+    fn nt_bias_epilogue_matches_gemm_nt_plus_bias_loop_bit_for_bit() {
+        let whole_row = avx_available();
+        eprintln!(
+            "{}",
+            if whole_row {
+                "AVX: n in {1, 2, 4, 8} ran the whole-row tiles, other n the 4x2 strip"
+            } else {
+                "no AVX on this CPU: checking the scalar kernel plus the epilogue only"
+            }
+        );
+        let mut rng = Prng::new(35);
+        let ms = [1usize, 2, 3, 5, 8, 9, 132];
+        let ns = [1usize, 2, 3, 4, 5, 8, 10, NC + 1];
+        let ks = [1usize, 7, 8, 9, 32, 33];
+        let cases = ms
+            .iter()
+            .flat_map(|&m| ns.iter().map(move |&n| (m, n)))
+            .flat_map(|(m, n)| ks.iter().map(move |&k| (m, n, k)));
+        for (case, (m, n, k)) in cases.enumerate() {
+            let mut x = rand_vec(m * k, &mut rng);
+            let mut w = rand_vec(n * k, &mut rng);
+            let mut bias = rand_vec(n, &mut rng);
+            let pick = |len: usize, salt: usize| (case * 7 + salt) % len;
+            match case % 4 {
+                // A −0.0 row of x against a −0.0 bias: the dot's chains
+                // start at +0.0, so the output is +0.0 + (−0.0) = +0.0.
+                0 => {
+                    let row = pick(m, 1);
+                    x[row * k..(row + 1) * k].fill(-0.0);
+                    bias[pick(n, 2)] = -0.0;
+                }
+                1 => {
+                    x[pick(m * k, 3)] = f32::NAN;
+                    w[pick(n * k, 4)] = f32::INFINITY;
+                    bias[pick(n, 5)] = f32::NEG_INFINITY;
+                }
+                2 => {
+                    w[pick(n * k, 6)] = f32::NEG_INFINITY;
+                    bias[pick(n, 7)] = f32::NAN;
+                    bias[pick(n, 8)] = f32::INFINITY;
+                }
+                _ => {
+                    x[pick(m * k, 9)] = f32::INFINITY;
+                    w[pick(n * k, 10)] = -0.0;
+                    bias[pick(n, 11)] = -0.0;
+                }
+            }
+            let mut oracle = vec![0.0f32; m * n];
+            gemm_nt(m, k, n, &x, &w, &mut oracle, 1.0, 0.0);
+            for row in oracle.chunks_exact_mut(n) {
+                for (v, &b) in row.iter_mut().zip(&bias) {
+                    *v += b;
+                }
+            }
+            // A longer `C` than `m·n`: the entry must write exactly `m·n`.
+            let mut public = vec![f32::NAN; m * n + 3];
+            gemm_nt_bias(m, k, n, &x, &w, &bias, &mut public);
+            assert!(public[m * n..].iter().all(|v| v.is_nan()), "wrote past m·n");
+            let mut scalar = vec![f32::NAN; m * n];
+            nt_block_scalar(0, k, n, &x, &w, &mut scalar, WriteBack::Bias(&bias));
+            for (path, got) in [("gemm_nt_bias", &public[..m * n]), ("scalar", &scalar[..])] {
+                for (idx, (&g, &o)) in got.iter().zip(&oracle).enumerate() {
+                    assert!(
+                        same_value(g, o),
+                        "{path} m={m} k={k} n={n} C[{},{}]: {g:e} ({:#x}) vs {o:e} ({:#x})",
+                        idx / n,
+                        idx % n,
+                        g.to_bits(),
+                        o.to_bits()
+                    );
+                }
+            }
+        }
+        // k = 0: every element is `(0.0 + 0.0) + b_j`, bias signs kept.
+        let bias = [-0.0f32, 1.5, f32::NEG_INFINITY];
+        let mut c = [f32::NAN; 6];
+        gemm_nt_bias(2, 0, 3, &[], &[], &bias, &mut c);
+        let want = [0.0f32, 1.5, f32::NEG_INFINITY];
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&c), bits(&[want, want].concat()));
     }
 
     /// `C0` scaled by `beta`, then the `m`-row output computed as two row

@@ -149,12 +149,14 @@ fn kernel_outputs_are_bit_identical_for_any_thread_count() {
 /// The same contract above the kernels' work floors
 /// (`parallel::min_rows_for_work`), where a dispatch really splits:
 /// about 5.4 MFLOP per worker for the GEMMs (rows of `2·k·n` flops, so
-/// 166 rows at k = 256, n = 64) and 0.64 MOP for `gemm_i8_nt` (20 rows
-/// at k = 256, n = 64). Each shape below holds more than two workers'
-/// worth of rows.
+/// 166 rows at k = 256, n = 64, and 665 for the 4-class layer at
+/// k = 1024) and 0.64 MOP for `gemm_i8_nt` (20 rows at k = 256, n = 64).
+/// Each shape below holds more than two workers' worth of rows. The
+/// 4-class `gemm_nt_bias` runs 2-row whole-row tiles over an odd row
+/// count, so its blocks start at odd rows (1001 at 2 threads, 667 at 3).
 #[test]
 fn kernels_split_above_their_work_floor_keep_their_bits() {
-    use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_tn};
+    use fault_sneaking::tensor::linalg::{gemm, gemm_nt, gemm_nt_bias, gemm_tn};
     use fault_sneaking::tensor::quant::gemm_i8_nt;
     let guard = lock_threads();
     let mut rng = Prng::new(8);
@@ -165,6 +167,10 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
     let at = Tensor::rand_uniform(&[k, m], -1.0, 1.0, &mut rng);
     let qa: Vec<i8> = (0..m * k).map(|i| (i * 37 % 255) as i8).collect();
     let qb: Vec<i8> = (0..n * k).map(|i| (i * 91 % 253) as i8).collect();
+    let (m4, k4, n4) = (2001, 1024, 4);
+    let x4 = Tensor::rand_uniform(&[m4, k4], -1.0, 1.0, &mut rng);
+    let w4 = Tensor::rand_uniform(&[n4, k4], -1.0, 1.0, &mut rng);
+    let b4 = Tensor::rand_uniform(&[n4], -1.0, 1.0, &mut rng);
 
     let run = |threads: usize| {
         guard.set(threads);
@@ -176,8 +182,11 @@ fn kernels_split_above_their_work_floor_keep_their_bits() {
         gemm_nt(m, k, n, a.as_slice(), bt.as_slice(), &mut cnt, 1.0, 0.0);
         let mut qc = vec![0i32; m * n];
         gemm_i8_nt(m, k, n, &qa, &qb, &mut qc);
+        let mut y4 = vec![0.0f32; m4 * n4];
+        let (x4, w4, b4) = (x4.as_slice(), w4.as_slice(), b4.as_slice());
+        gemm_nt_bias(m4, k4, n4, x4, w4, b4, &mut y4);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        (bits(&c), bits(&ct), bits(&cnt), qc)
+        (bits(&c), bits(&ct), bits(&cnt), qc, bits(&y4))
     };
     let base = run(1);
     for threads in [2, 3, 5, 16] {
